@@ -81,7 +81,6 @@ func main() {
 		threshold = flag.Int("threshold", 0, "GQ grouping threshold in nodes (0 = all)")
 		codec     = flag.String("codec", "", "exchange codec: sparse | sparse-q8 | sparse-q16 | dense | dense-f32 | topk | topk-q8 (empty = exact)")
 		codecKB   = flag.Int64("codec-budget-bytes", 0, "per-round wire budget for top-k codecs: k adapts to stay under it (0 = no budget)")
-		shardBlk  = flag.Int("shard-blocks", 0, "route the sparse inter-Leader aggregation through the shard-aware collective with this many blocks (0 = classic PSR-Allreduce; topk codecs only)")
 		rho       = flag.Float64("rho", 1, "ADMM penalty parameter ρ")
 		lambda    = flag.Float64("lambda", 1, "L1 regularization weight λ")
 		synth     = flag.String("synth", "news20", "synthetic preset: news20 | webspam | url")
@@ -156,7 +155,6 @@ func main() {
 		GroupThreshold:   *threshold,
 		Codec:            exchange.Kind(*codec),
 		CodecBudgetBytes: *codecKB,
-		ShardBlocks:      *shardBlk,
 		Elastic:          *elastic,
 		MinBarrier:       *minBarr,
 		MaxDelay:         *maxDelay,
@@ -333,8 +331,7 @@ func validateExplicitFlags() error {
 			return
 		}
 		switch f.Name {
-		case "shard-blocks", "codec-budget-bytes", "min-barrier", "max-delay",
-			"trim-f", "quarantine-rounds":
+		case "codec-budget-bytes", "min-barrier", "max-delay", "trim-f", "quarantine-rounds":
 			if v, perr := strconv.ParseInt(f.Value.String(), 10, 64); perr != nil || v <= 0 {
 				err = fmt.Errorf("-%s must be a positive integer, got %s", f.Name, f.Value.String())
 			}

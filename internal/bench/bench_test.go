@@ -81,7 +81,7 @@ func TestFig7Output(t *testing.T) {
 
 func TestCostModelOutput(t *testing.T) {
 	out := runQuick(t, "costmodel")
-	for _, want := range []string{"ring_time", "psr_time", "rhd_time", "one-block", "uniform"} {
+	for _, want := range []string{"ring_time", "psr_time", "one-block", "uniform"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("costmodel missing %q", want)
 		}

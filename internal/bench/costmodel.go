@@ -71,7 +71,6 @@ type collectiveKind int
 const (
 	kindRing collectiveKind = iota
 	kindPSR
-	kindRHD
 )
 
 // runSparseCollective executes the named collective among n single-worker
@@ -95,8 +94,6 @@ func runSparseCollective(kind collectiveKind, inputs []*sparse.Vector, cost simn
 				_, traces[i], errs[i] = collective.RingAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i])
 			case kindPSR:
 				_, traces[i], errs[i] = collective.PSRAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i])
-			case kindRHD:
-				_, traces[i], errs[i] = collective.RHDAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i])
 			}
 		}(i)
 	}
@@ -135,7 +132,7 @@ func CostModel(opts Options) error {
 	theta := float64(wire.SparseEntryBytes) * cost.InterBeta
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Cost model (eqs. 11–16) — measured allreduce time, dim=%d, c=%d nonzeros/member", dim, c),
-		"N", "placement", "ring_time", "psr_time", "rhd_time", "ring/psr",
+		"N", "placement", "ring_time", "psr_time", "ring/psr",
 		"ring_bound_hi", "psr_bound_hi")
 	for _, n := range sizes {
 		for _, p := range placements() {
@@ -148,15 +145,11 @@ func CostModel(opts Options) error {
 			if err != nil {
 				return fmt.Errorf("costmodel psr N=%d %s: %w", n, p, err)
 			}
-			rhdT, _, err := runSparseCollective(kindRHD, inputs, cost)
-			if err != nil {
-				return fmt.Errorf("costmodel rhd N=%d %s: %w", n, p, err)
-			}
 			// Paper bounds: eq. 13 upper ≈ 3cNθ(N−1)/2; eq. 16 upper = cNθ.
 			ringHi := 1.5 * float64(c*n*(n-1)) * theta
 			psrHi := float64(c*n) * theta
 			tbl.AddRow(n, string(p),
-				metrics.Seconds(ringT), metrics.Seconds(psrT), metrics.Seconds(rhdT),
+				metrics.Seconds(ringT), metrics.Seconds(psrT),
 				ringT/psrT,
 				metrics.Seconds(ringHi), metrics.Seconds(psrHi))
 		}

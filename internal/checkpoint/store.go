@@ -19,13 +19,12 @@ import (
 // "PSCKSUM1" plus a little-endian CRC32C of the blob — to every file it
 // writes, and Load verifies and strips it. A flipped bit anywhere in the
 // snapshot (or the trailer) then surfaces as ErrChecksum instead of a
-// decode-time shape error or, worse, silently wrong restored state. Files
-// without the trailer (written before it existed) still load: the magic
-// cannot appear by accident at the end of a PSCK blob the paired CRC also
-// matches, so verification is opt-in per file, not a format break.
+// decode-time shape error or, worse, silently wrong restored state. A file
+// without the trailer is rejected the same way: nothing is ever restored
+// unverified.
 
-// ErrChecksum reports a snapshot file whose integrity trailer does not
-// match its contents — on-disk corruption, not a missing snapshot.
+// ErrChecksum reports a snapshot file whose integrity trailer is absent or
+// does not match its contents — on-disk corruption, not a missing snapshot.
 var ErrChecksum = errors.New("checkpoint: snapshot checksum mismatch")
 
 const sumMagic = "PSCKSUM1"
@@ -43,11 +42,11 @@ func appendSum(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(data, sumTable))
 }
 
-// checkSum verifies and strips the trailer. Legacy files without one pass
-// through unchanged.
+// checkSum verifies and strips the trailer; a file without one fails like
+// any other file whose trailer does not match.
 func checkSum(data []byte) ([]byte, error) {
 	if len(data) < sumTrailerLen || string(data[len(data)-sumTrailerLen:len(data)-4]) != sumMagic {
-		return data, nil // pre-trailer file: loadable, just unverified
+		return nil, fmt.Errorf("%w: no integrity trailer", ErrChecksum)
 	}
 	body := data[:len(data)-sumTrailerLen]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
@@ -138,8 +137,8 @@ func syncDir(dir string) error {
 }
 
 // Load reads the stored snapshot, reporting ok=false when none exists and
-// ErrChecksum when the file's integrity trailer does not match its
-// contents.
+// ErrChecksum when the file's integrity trailer is missing or does not
+// match its contents.
 func (s *DirStore) Load() ([]byte, bool, error) {
 	data, err := os.ReadFile(s.Path())
 	if os.IsNotExist(err) {

@@ -100,10 +100,10 @@ func TestDirStoreRejectsCorruptFile(t *testing.T) {
 	}
 }
 
-// TestDirStoreLoadsLegacyFile: a pre-trailer snapshot (raw blob, no magic)
-// still loads byte-for-byte — the trailer is opt-in per file, not a format
-// break.
-func TestDirStoreLoadsLegacyFile(t *testing.T) {
+// TestDirStoreRejectsLegacyFile: a pre-trailer snapshot (raw blob, no
+// magic) is refused with the same typed error as a corrupt one — nothing is
+// restored unverified.
+func TestDirStoreRejectsLegacyFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewDirStore(dir, "old.ckpt")
 	if err != nil {
@@ -113,9 +113,8 @@ func TestDirStoreLoadsLegacyFile(t *testing.T) {
 	if err := os.WriteFile(s.Path(), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data, ok, err := s.Load()
-	if err != nil || !ok || !bytes.Equal(data, legacy) {
-		t.Fatalf("legacy load: ok=%v err=%v data=%q", ok, err, data)
+	if _, ok, err := s.Load(); ok || !errors.Is(err, ErrChecksum) {
+		t.Fatalf("legacy load: ok=%v err=%v, want ErrChecksum", ok, err)
 	}
 }
 

@@ -4,14 +4,12 @@
 //
 //   - RingAllreduce (dense & sparse): the classic two-phase ring of
 //     Gibiansky/Baidu, the model used by ADMMLib.
-//   - PSRAllreduce (dense & sparse): the paper's contribution (§4.2) — the
+//   - PSRAllreduce (sparse): the paper's contribution (§4.2) — the
 //     parameter-server-inspired variant in which block j is *owned* by
 //     group member j; Scatter-Reduce sends every block directly to its
 //     owner in one step, Allgather broadcasts each owned block back.
-//   - Reduce / Broadcast: the intra-node fan-in/fan-out the WLG hierarchy
-//     uses between workers and their Leader.
-//   - StarAllreduce: gather-to-master + broadcast, the communication
-//     pattern of the AD-ADMM baseline's master-worker architecture.
+//   - Reduce / Broadcast (sparse): the intra-node fan-in/fan-out the WLG
+//     hierarchy uses between workers and their Leader.
 //   - Barrier: BSP synchronization.
 //
 // Every operation returns a Trace of the messages this rank *sent*

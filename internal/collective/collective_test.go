@@ -65,12 +65,39 @@ func sparseInputs(r *rand.Rand, n, dim int, density float64) ([]*sparse.Vector, 
 
 type denseAllreduce func(transport.Endpoint, Group, int32, []float64) (Trace, error)
 
+// denseAllreduces lists the ways a dense-valued vector is summed across a
+// group. Only the ring has a dense wire form; "psr" and "star" carry dense
+// values the way the WLG runtime does — sparsify, run the sparse
+// collective, densify — which is all that is left of the dense data plane.
 func denseAllreduces() map[string]denseAllreduce {
 	return map[string]denseAllreduce{
 		"ring": RingAllreduceDense,
-		"psr":  PSRAllreduceDense,
-		"star": StarAllreduceDense,
+		"psr": func(ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
+			sum, tr, err := PSRAllreduceSparse(ep, g, tag, sparse.FromDense(x))
+			if err == nil {
+				sum.ToDenseInto(x)
+			}
+			return tr, err
+		},
+		"star": func(ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
+			return reduceBroadcastDenseValued(ep, g, tag, 0, x)
+		},
 	}
+}
+
+// reduceBroadcastDenseValued sums dense-valued x at member rootIdx over
+// sparse frames and broadcasts the sum back into every member's x.
+func reduceBroadcastDenseValued(ep transport.Endpoint, g Group, tag int32, rootIdx int, x []float64) (Trace, error) {
+	sum, tr, err := ReduceSparse(ep, g, tag, rootIdx, sparse.FromDense(x))
+	if err != nil {
+		return tr, err
+	}
+	sum, tr2, err := BroadcastSparse(ep, g, tag+1, rootIdx, sum)
+	tr.Merge(tr2)
+	if err == nil {
+		sum.ToDenseInto(x)
+	}
+	return tr, err
 }
 
 func TestDenseAllreduceCorrectness(t *testing.T) {
@@ -224,10 +251,7 @@ func TestReduceBroadcastDense(t *testing.T) {
 	runRanks(t, n, func(ep transport.Endpoint) error {
 		g := WorldGroup(n)
 		x := vec.Clone(xs[ep.Rank()])
-		if _, err := ReduceDense(ep, g, 10, root, x); err != nil {
-			return err
-		}
-		if _, err := BroadcastDense(ep, g, 12, root, x); err != nil {
+		if _, err := reduceBroadcastDenseValued(ep, g, 10, root, x); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -316,7 +340,7 @@ func TestGroupValidation(t *testing.T) {
 	if _, err := RingAllreduceDense(ep, NewGroup(0, 7), 1, x); err == nil {
 		t.Fatal("out-of-world rank accepted")
 	}
-	if _, err := ReduceDense(ep, NewGroup(0), 1, 5, x); err == nil {
+	if _, _, err := ReduceSparse(ep, NewGroup(0), 1, 5, sparse.FromDense(x)); err == nil {
 		t.Fatal("out-of-range root accepted")
 	}
 }
@@ -353,9 +377,6 @@ func TestSingleMemberGroupNoTraffic(t *testing.T) {
 		x := []float64{1, 2}
 		if tr, err := RingAllreduceDense(ep, g, 1, x); err != nil || len(tr.Events) != 0 {
 			return fmt.Errorf("ring: %v %v", tr, err)
-		}
-		if tr, err := PSRAllreduceDense(ep, g, 3, x); err != nil || len(tr.Events) != 0 {
-			return fmt.Errorf("psr: %v %v", tr, err)
 		}
 		v := sparse.FromDense(x)
 		out, tr, err := PSRAllreduceSparse(ep, g, 5, v)

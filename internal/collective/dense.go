@@ -14,44 +14,3 @@ func RingAllreduceDense(ep transport.Endpoint, g Group, tagBase int32, x []float
 	var ws Workspace
 	return ws.RingAllreduceDense(ep, g, tagBase, x)
 }
-
-// PSRAllreduceDense sums x elementwise across the group in place using the
-// paper's PSR-Allreduce schedule: member j owns block j. In the single
-// Scatter-Reduce step every member sends each non-owned block straight to
-// its owner; owners reduce. In the single Allgather step every owner sends
-// its finished block to all other members. tagBase reserves tags
-// [tagBase, tagBase+2).
-func PSRAllreduceDense(ep transport.Endpoint, g Group, tagBase int32, x []float64) (Trace, error) {
-	var ws Workspace
-	return ws.PSRAllreduceDense(ep, g, tagBase, x)
-}
-
-// ReduceDense sums every member's x into the root member's slice (member
-// index rootIdx). Non-root members' slices are left untouched; the root's
-// slice is updated in place. Fan-in is flat: this primitive is used for the
-// intra-node reduction to the Leader, where member counts are small and the
-// "link" is the memory bus.
-func ReduceDense(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, x []float64) (Trace, error) {
-	var ws Workspace
-	return ws.ReduceDense(ep, g, tagBase, rootIdx, x)
-}
-
-// BroadcastDense copies the root member's x into every member's slice.
-func BroadcastDense(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, x []float64) (Trace, error) {
-	var ws Workspace
-	return ws.BroadcastDense(ep, g, tagBase, rootIdx, x)
-}
-
-// StarAllreduceDense is the master-worker allreduce of AD-ADMM: gather all
-// contributions at the group's member 0 (the master), then broadcast the
-// sum. It concentrates all traffic on the master's links, which is exactly
-// the bottleneck the paper's decentralized schedules remove.
-func StarAllreduceDense(ep transport.Endpoint, g Group, tagBase int32, x []float64) (Trace, error) {
-	tr, err := ReduceDense(ep, g, tagBase, 0, x)
-	if err != nil {
-		return tr, err
-	}
-	tr2, err := BroadcastDense(ep, g, tagBase+1, 0, x)
-	tr.Merge(tr2)
-	return tr, err
-}

@@ -603,34 +603,3 @@ func (ws *Workspace) CombineSparse(spec AggSpec, dim int, srcs []*sparse.Vector,
 	}
 	return ws.rb.finishInto(out, spec)
 }
-
-// CombineDense robust-combines equal-length dense contributions:
-// dst[i] = center(srcs[·][i]) × len(srcs). Used by the WLG leader gather,
-// which holds every member's dense w locally before contributing the group
-// total upstream. sortBuf is caller-retained scratch, grown as needed and
-// returned so a warmed caller combines without allocating. srcs must be
-// non-empty and dst must not alias any src.
-func CombineDense(spec AggSpec, dst []float64, srcs [][]float64, sortBuf []float64) []float64 {
-	n := len(srcs)
-	if n == 0 {
-		panic("collective: CombineDense with no contributors")
-	}
-	for _, s := range srcs {
-		if len(s) != len(dst) {
-			panic("collective: CombineDense length mismatch")
-		}
-	}
-	if cap(sortBuf) < n {
-		sortBuf = make([]float64, n)
-	}
-	sb := sortBuf[:n]
-	scale := float64(n)
-	for i := range dst {
-		for s, src := range srcs {
-			sb[s] = src[i]
-		}
-		slices.Sort(sb)
-		dst[i] = robustCenter(sb, spec) * scale
-	}
-	return sortBuf
-}

@@ -97,60 +97,25 @@ func TestRobustCenterMatchesReference(t *testing.T) {
 	}
 }
 
-func TestCombineDenseMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for name, spec := range robustSpecs() {
-		for _, n := range []int{1, 2, 3, 5, 8} {
-			dim := 37
-			srcs := make([][]float64, n)
-			for i := range srcs {
-				srcs[i] = make([]float64, dim)
-				for j := range srcs[i] {
-					srcs[i][j] = r.NormFloat64()
-				}
-			}
-			dst := make([]float64, dim)
-			var sortBuf []float64
-			sortBuf = CombineDense(spec, dst, srcs, sortBuf)
-			col := make([]float64, n)
-			for j := 0; j < dim; j++ {
-				for i := range srcs {
-					col[i] = srcs[i][j]
-				}
-				want := refCenter(col, spec) * float64(n)
-				if dst[j] != want {
-					t.Fatalf("%s n=%d coord %d: got %v want %v", name, n, j, dst[j], want)
-				}
-			}
-			// The returned scratch must be reusable without reallocation.
-			before := &sortBuf[0]
-			CombineDense(spec, dst, srcs, sortBuf)
-			if &sortBuf[0] != before {
-				t.Fatalf("%s: warmed CombineDense reallocated its sort scratch", name)
-			}
-		}
-	}
-}
-
-// TestCombineDenseSuppressesOutlier pins the property the whole PR exists
-// for: one sign-flipped contributor among n cannot move the trimmed mean
-// or median beyond the honest value range.
-func TestCombineDenseSuppressesOutlier(t *testing.T) {
+// TestCombineSparseSuppressesOutlier pins the property the robust
+// aggregators exist for: one sign-flipped contributor among n cannot move
+// the trimmed mean or median beyond the honest value range.
+func TestCombineSparseSuppressesOutlier(t *testing.T) {
 	n, dim := 5, 11
-	srcs := make([][]float64, n)
+	srcs := make([]*sparse.Vector, n)
 	for i := range srcs {
-		srcs[i] = make([]float64, dim)
-		for j := range srcs[i] {
-			srcs[i][j] = 1 + 0.01*float64(i)
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = 1 + 0.01*float64(i)
+			if i == n-1 {
+				x[j] *= -1000 // Byzantine sign-flip, scaled
+			}
 		}
+		srcs[i] = sparse.FromDense(x)
 	}
-	for j := range srcs[n-1] {
-		srcs[n-1][j] *= -1000 // Byzantine sign-flip, scaled
-	}
+	var ws Workspace
 	for name, spec := range robustSpecs() {
-		dst := make([]float64, dim)
-		CombineDense(spec, dst, srcs, nil)
-		for j, v := range dst {
+		for j, v := range ws.CombineSparse(spec, dim, srcs, nil).ToDense() {
 			center := v / float64(n)
 			if center < 1 || center > 1.04 {
 				t.Fatalf("%s coord %d: center %v escaped the honest range [1, 1.04]", name, j, center)
@@ -159,10 +124,12 @@ func TestCombineDenseSuppressesOutlier(t *testing.T) {
 	}
 	// The mean, by contrast, is dominated by the attacker — the contrast
 	// the robust specs are measured against.
-	meanDst := make([]float64, dim)
-	CombineDense(AggSpec{Kind: AggMean}, meanDst, srcs, nil)
-	if meanDst[0]/float64(n) > 0 {
-		t.Fatalf("mean center %v should be dragged negative by the attacker", meanDst[0]/float64(n))
+	mean := 0.0
+	for _, s := range srcs {
+		mean += s.Value[0] / float64(n)
+	}
+	if mean > 0 {
+		t.Fatalf("mean center %v should be dragged negative by the attacker", mean)
 	}
 }
 

@@ -48,8 +48,6 @@ type Workspace struct {
 	myBlock *sparse.Vector
 	spare   *sparse.Vector
 
-	arrD [][]float64
-
 	// Sharded-collective scratch (ShardAllreduceSparse): reduced owned
 	// blocks, gather-phase per-destination outgoing buffers, and gather
 	// arrival slots. Kept apart from own/cur/arrS so neither phase rewrites
@@ -137,17 +135,6 @@ func (ws *Workspace) ensureSparse(p int) {
 	}
 	if ws.acc == nil {
 		ws.acc = sparse.NewAccumulator(0)
-	}
-}
-
-// ensureDense sizes the dense arrival state for a p-member group.
-func (ws *Workspace) ensureDense(p int) {
-	if cap(ws.arrD) < p {
-		ws.arrD = make([][]float64, p)
-	}
-	ws.arrD = ws.arrD[:p]
-	for j := range ws.arrD {
-		ws.arrD[j] = nil
 	}
 }
 
@@ -553,181 +540,6 @@ func (ws *Workspace) RingAllreduceDense(ep transport.Endpoint, g Group, tagBase 
 		}
 		copy(x[rc.Lo:rc.Hi], in.Dense)
 	}
-	ws.events = tr.Events
-	return tr, nil
-}
-
-// PSRAllreduceDense is the workspace form of the package-level
-// PSRAllreduceDense (in place on x). Bit-identical results.
-func (ws *Workspace) PSRAllreduceDense(ep transport.Endpoint, g Group, tagBase int32, x []float64) (Trace, error) {
-	me, err := ws.validateGroup(ep, g)
-	if err != nil {
-		return Trace{}, err
-	}
-	p := g.Size()
-	tr := Trace{Steps: 2, Events: ws.events[:0]}
-	if p == 1 {
-		return tr, nil
-	}
-	sync := transport.SendsNonBlocking(ep)
-	ws.ensureDense(p)
-	ws.chunks = vec.SplitInto(ws.chunks, len(x), p)
-	mine := ws.chunks[me]
-
-	for j := 0; j < p; j++ {
-		if j == me {
-			continue
-		}
-		c := ws.chunks[j]
-		if err := ws.send(ep, sync, g.Ranks[j], wire.DenseMsg(tagBase, x[c.Lo:c.Hi])); err != nil {
-			return tr, err
-		}
-		tr.add(0, ep.Rank(), g.Ranks[j], 4+wire.DenseEntryBytes*(c.Hi-c.Lo))
-	}
-	arrivals := ws.arrD
-	for j := 0; j < p-1; j++ {
-		in, err := ep.Recv(transport.AnySource, tagBase)
-		if err != nil {
-			return tr, err
-		}
-		if len(in.Dense) != mine.Hi-mine.Lo {
-			return tr, fmt.Errorf("collective: psr scatter block size %d, want %d", len(in.Dense), mine.Hi-mine.Lo)
-		}
-		src := g.IndexOf(int(in.From))
-		if src < 0 || src == me || arrivals[src] != nil {
-			return tr, fmt.Errorf("collective: psr scatter unexpected sender %d", in.From)
-		}
-		arrivals[src] = in.Dense
-	}
-	for _, a := range arrivals {
-		if a != nil {
-			vec.AddInto(x[mine.Lo:mine.Hi], a)
-		}
-	}
-	if err := ws.drainSends(); err != nil {
-		return tr, err
-	}
-
-	for j := 0; j < p; j++ {
-		if j == me {
-			continue
-		}
-		if err := ws.send(ep, sync, g.Ranks[j], wire.DenseMsg(tagBase+1, x[mine.Lo:mine.Hi])); err != nil {
-			return tr, err
-		}
-		tr.add(1, ep.Rank(), g.Ranks[j], 4+wire.DenseEntryBytes*(mine.Hi-mine.Lo))
-	}
-	for j := 0; j < p-1; j++ {
-		in, err := ep.Recv(transport.AnySource, tagBase+1)
-		if err != nil {
-			return tr, err
-		}
-		src := g.IndexOf(int(in.From))
-		if src < 0 {
-			return tr, fmt.Errorf("collective: psr gather from non-member rank %d", in.From)
-		}
-		c := ws.chunks[src]
-		if len(in.Dense) != c.Hi-c.Lo {
-			return tr, fmt.Errorf("collective: psr gather block size %d, want %d", len(in.Dense), c.Hi-c.Lo)
-		}
-		copy(x[c.Lo:c.Hi], in.Dense)
-	}
-	if err := ws.drainSends(); err != nil {
-		return tr, err
-	}
-	ws.events = tr.Events
-	return tr, nil
-}
-
-// ReduceDense is the workspace form of the package-level ReduceDense.
-func (ws *Workspace) ReduceDense(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, x []float64) (Trace, error) {
-	me, err := ws.validateGroup(ep, g)
-	if err != nil {
-		return Trace{}, err
-	}
-	if rootIdx < 0 || rootIdx >= g.Size() {
-		return Trace{}, fmt.Errorf("collective: root index %d out of group", rootIdx)
-	}
-	tr := Trace{Steps: 1, Events: ws.events[:0]}
-	if g.Size() == 1 {
-		return tr, nil
-	}
-	if me != rootIdx {
-		m := wire.DenseMsg(tagBase, x)
-		if err := ep.Send(g.Ranks[rootIdx], m); err != nil {
-			return tr, err
-		}
-		tr.add(0, ep.Rank(), g.Ranks[rootIdx], wire.PayloadBytes(m))
-		ws.events = tr.Events
-		return tr, nil
-	}
-	ws.ensureDense(g.Size())
-	arrivals := ws.arrD
-	for j := 0; j < g.Size()-1; j++ {
-		in, err := ep.Recv(transport.AnySource, tagBase)
-		if err != nil {
-			return tr, err
-		}
-		if len(in.Dense) != len(x) {
-			return tr, fmt.Errorf("collective: reduce length %d, want %d", len(in.Dense), len(x))
-		}
-		src := g.IndexOf(int(in.From))
-		if src < 0 || src == me || arrivals[src] != nil {
-			return tr, fmt.Errorf("collective: reduce unexpected sender %d", in.From)
-		}
-		arrivals[src] = in.Dense
-	}
-	// Reduce in member order for arrival-order-independent float results.
-	for _, a := range arrivals {
-		if a != nil {
-			vec.AddInto(x, a)
-		}
-	}
-	ws.events = tr.Events
-	return tr, nil
-}
-
-// BroadcastDense is the workspace form of the package-level
-// BroadcastDense.
-func (ws *Workspace) BroadcastDense(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, x []float64) (Trace, error) {
-	me, err := ws.validateGroup(ep, g)
-	if err != nil {
-		return Trace{}, err
-	}
-	if rootIdx < 0 || rootIdx >= g.Size() {
-		return Trace{}, fmt.Errorf("collective: root index %d out of group", rootIdx)
-	}
-	tr := Trace{Steps: 1, Events: ws.events[:0]}
-	if g.Size() == 1 {
-		return tr, nil
-	}
-	sync := transport.SendsNonBlocking(ep)
-	if me == rootIdx {
-		m := wire.DenseMsg(tagBase, x)
-		bytes := wire.PayloadBytes(m)
-		for j := 0; j < g.Size(); j++ {
-			if j == rootIdx {
-				continue
-			}
-			if err := ws.send(ep, sync, g.Ranks[j], m); err != nil {
-				return tr, err
-			}
-			tr.add(0, ep.Rank(), g.Ranks[j], bytes)
-		}
-		if err := ws.drainSends(); err != nil {
-			return tr, err
-		}
-		ws.events = tr.Events
-		return tr, nil
-	}
-	in, err := ep.Recv(g.Ranks[rootIdx], tagBase)
-	if err != nil {
-		return tr, err
-	}
-	if len(in.Dense) != len(x) {
-		return tr, fmt.Errorf("collective: broadcast length %d, want %d", len(in.Dense), len(x))
-	}
-	copy(x, in.Dense)
 	ws.events = tr.Events
 	return tr, nil
 }

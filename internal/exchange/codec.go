@@ -296,7 +296,7 @@ func QuantizeSparseBits(v *sparse.Vector, bits int) {
 }
 
 // QuantizeDenseBits applies the same b-bit max-abs fixed-point rounding to
-// a dense vector in place (the WLG runtime's dense exchange).
+// a dense vector in place (the engine's ring/star dense exchanges).
 func QuantizeDenseBits(x []float64, bits int) {
 	var scale float64
 	for _, v := range x {

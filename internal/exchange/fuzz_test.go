@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 
@@ -118,8 +119,9 @@ func TestSnapshotCorruptLengthBounded(t *testing.T) {
 // TestTruncatedCheckpointRejectedOnLoad is the durability contract end to
 // end: a PSCK blob saved through the fsynced DirStore, then truncated on
 // disk (a torn write the rename discipline is supposed to prevent, or
-// media damage), must be rejected at decode — a resumed run fails loudly
-// instead of training from garbage.
+// media damage), must be rejected by Load itself — the truncation took the
+// integrity trailer with it — so a resumed run fails loudly instead of
+// training from garbage. The bytes that are left must not decode either.
 func TestTruncatedCheckpointRejectedOnLoad(t *testing.T) {
 	store, err := checkpoint.NewDirStore(t.TempDir(), "rank-0.ckpt")
 	if err != nil {
@@ -132,11 +134,10 @@ func TestTruncatedCheckpointRejectedOnLoad(t *testing.T) {
 	if err := os.Truncate(store.Path(), int64(len(full)/2)); err != nil {
 		t.Fatal(err)
 	}
-	data, ok, err := store.Load()
-	if err != nil || !ok {
-		t.Fatalf("load after truncate: ok=%v err=%v", ok, err)
+	if _, ok, err := store.Load(); ok || !errors.Is(err, checkpoint.ErrChecksum) {
+		t.Fatalf("load after truncate: ok=%v err=%v, want ErrChecksum", ok, err)
 	}
-	if _, err := DecodeSnapshot(data); err == nil {
+	if _, err := DecodeSnapshot(full[:len(full)/2]); err == nil {
 		t.Fatal("truncated checkpoint decoded successfully")
 	}
 }

@@ -141,7 +141,6 @@ type State struct {
 	residual *sparse.Vector
 	merged   *sparse.Vector
 	next     *sparse.Vector
-	dense    *sparse.Vector // EncodeDense's sparsify scratch
 	sel      []float64
 
 	// Age-scoring state: ageRes[k] is the age (rounds waited) of the
@@ -169,7 +168,6 @@ func NewState(kind Kind, budgetBytes int64) *State {
 		residual:    new(sparse.Vector),
 		merged:      new(sparse.Vector),
 		next:        new(sparse.Vector),
-		dense:       new(sparse.Vector),
 	}
 }
 
@@ -363,22 +361,6 @@ func rebuildScored(dst, src *sparse.Vector, scores []float64, theta float64, tie
 		dst.Index = append(dst.Index, idx)
 		dst.Value = append(dst.Value, src.Value[i])
 	}
-}
-
-// EncodeDense applies the error-feedback selection to a dense buffer in
-// place: the values are sparsified, pushed through Encode, and scattered
-// back with dropped coordinates zeroed. The buffer's dense transport
-// shape — and therefore its wire size — is unchanged; this is the elastic
-// WLG runtime's operating point, where the GG's result cache and recovery
-// replies need dense frames. Returns the selection's nnz.
-func (s *State) EncodeDense(x []float64) int {
-	s.dense = sparse.FromDenseInto(s.dense, x)
-	s.Encode(s.dense)
-	for i := range x {
-		x[i] = 0
-	}
-	s.dense.AddIntoDense(x, 1)
-	return s.dense.NNZ()
 }
 
 func (s *State) effDecay() float64 {

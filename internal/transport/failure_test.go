@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +239,60 @@ func TestTCPDialBudgetNotExceeded(t *testing.T) {
 	}
 	if elapsed > 4*budget {
 		t.Fatalf("dial retries ran %v, far beyond the %v budget", elapsed, budget)
+	}
+}
+
+// TestTCPBootstrapAcceptTimesOut starts rank 0 of a 2-rank mesh alone: the
+// higher rank never dials, so establishment must give up with ErrTimeout
+// inside the DialTimeout budget instead of blocking in Accept forever. A
+// peer that connects but never hand-shakes is bounded by the same budget.
+func TestTCPBootstrapAcceptTimesOut(t *testing.T) {
+	ports := freePorts(t, 2)
+	addrs := []string{
+		fmt.Sprintf("127.0.0.1:%d", ports[0]),
+		fmt.Sprintf("127.0.0.1:%d", ports[1]), // never starts
+	}
+	const budget = 300 * time.Millisecond
+	for _, silentDialer := range []bool{false, true} {
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			ep, err := NewTCPEndpoint(0, addrs, TCPOptions{DialTimeout: budget})
+			if err == nil {
+				ep.Close()
+			}
+			done <- err
+		}()
+		if silentDialer {
+			conn, err := dialRetry(addrs[0], 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close() // connected, but the handshake never comes
+		}
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrTimeout) {
+				t.Fatalf("silentDialer=%v: err = %v, want ErrTimeout in chain", silentDialer, err)
+			}
+			if elapsed := time.Since(start); elapsed > 4*budget {
+				t.Fatalf("silentDialer=%v: establishment ran %v, far beyond the %v budget", silentDialer, elapsed, budget)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("silentDialer=%v: NewTCPEndpoint still blocked long after its %v budget", silentDialer, budget)
+		}
+	}
+}
+
+// dialRetry dials addr until it accepts or the budget runs out.
+func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
+	deadline := time.Now().Add(budget)
+	for {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err == nil || time.Now().After(deadline) {
+			return conn, err
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +28,9 @@ const maxCorruptRun = 8
 // TCPOptions configures mesh establishment and failure detection.
 type TCPOptions struct {
 	// DialTimeout bounds the TOTAL wall time NewTCPEndpoint spends
-	// retrying dials to peers that have not started listening yet,
-	// including the individual dial attempts themselves. Default 30s.
+	// establishing the mesh: retrying dials to peers that have not started
+	// listening yet (the individual dial attempts included), and waiting
+	// for higher ranks to dial in and hand-shake. Default 30s.
 	DialTimeout time.Duration
 	// RetryInterval is the pause between dial attempts. Default 50ms.
 	RetryInterval time.Duration
@@ -143,26 +145,44 @@ func NewTCPEndpoint(rank int, addrs []string, opts TCPOptions) (Endpoint, error)
 	var setup sync.WaitGroup
 
 	// Accept connections from all higher ranks (a rejoining incarnation
-	// instead dials everyone; its peers' accept loops adopt it).
+	// instead dials everyone; its peers' accept loops adopt it). Accepts
+	// and handshakes share the dial budget, so a higher rank that never
+	// shows up fails establishment instead of hanging it.
 	higher := size - 1 - rank
 	if opts.Rejoin {
 		higher = 0
 	}
+	acceptBy := time.Now().Add(opts.DialTimeout)
+	tcpLn := ln.(*net.TCPListener)
 	setup.Add(1)
 	go func() {
 		defer setup.Done()
+		tcpLn.SetDeadline(acceptBy)
+		defer tcpLn.SetDeadline(time.Time{}) // acceptRejoins waits indefinitely
+		// timedOut maps the net package's deadline error onto ErrTimeout.
+		timedOut := func(joined int, err error) error {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				return fmt.Errorf("%d of %d higher ranks joined within %v: %w", joined, higher, opts.DialTimeout, ErrTimeout)
+			}
+			return err
+		}
 		for i := 0; i < higher; i++ {
 			conn, err := ln.Accept()
 			if err != nil {
-				setErr(fmt.Errorf("transport: rank %d accept: %w", rank, err))
+				setErr(fmt.Errorf("transport: rank %d accept: %w", rank, timedOut(i, err)))
 				return
 			}
+			conn.SetReadDeadline(acceptBy)
 			m, err := wire.Decode(conn)
-			if err != nil || m.Tag != handshakeTag || len(m.Ints) != 1 {
+			if err == nil && (m.Tag != handshakeTag || len(m.Ints) != 1) {
+				err = fmt.Errorf("unexpected frame (tag %d, %d ints)", m.Tag, len(m.Ints))
+			}
+			if err != nil {
 				conn.Close()
-				setErr(fmt.Errorf("transport: rank %d bad handshake: %v", rank, err))
+				setErr(fmt.Errorf("transport: rank %d bad handshake: %w", rank, timedOut(i, err)))
 				return
 			}
+			conn.SetReadDeadline(time.Time{})
 			peer := int(m.Ints[0])
 			if err := checkRank(peer, size); err != nil || peer <= rank {
 				conn.Close()
@@ -310,18 +330,16 @@ func (e *tcpEndpoint) acceptRejoins() {
 			conn.Close()
 			continue
 		}
-		// Acknowledge before installing: the dialer blocks on this ack, so
-		// nobody else writes to the connection yet.
-		ack := wire.Control(handshakeTag, int64(e.rank))
-		ack.From = int32(e.rank)
-		if err := wire.Encode(conn, ack); err != nil {
-			conn.Close()
-			continue
-		}
 		p := &tcpPeer{conn: conn}
 		now := time.Now().UnixNano()
 		p.lastSend.Store(now)
 		p.lastRecv.Store(now)
+		// Install, THEN acknowledge: the dialer reports the mesh ready as
+		// soon as it reads the ack, so by then this rank must already see
+		// the peer alive. The ack is written under the new peer's send
+		// lock, taken before the peer is published, so no Send that finds
+		// it can interleave with the ack on the wire.
+		p.wmu.Lock()
 		e.mu.Lock()
 		select {
 		case <-e.closed:
@@ -343,6 +361,14 @@ func (e *tcpEndpoint) acceptRejoins() {
 			// its death was detected yet; stale observers of the old conn are
 			// ignored by peerDown's identity check.
 			old.conn.Close()
+		}
+		ack := wire.Control(handshakeTag, int64(e.rank))
+		ack.From = int32(e.rank)
+		err = wire.Encode(conn, ack)
+		p.wmu.Unlock()
+		if err != nil {
+			e.peerDown(peer, p, fmt.Errorf("rejoin ack: %w", err), false)
+			continue
 		}
 		e.wg.Add(1)
 		go e.readLoop(peer, p)

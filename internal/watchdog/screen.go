@@ -106,10 +106,9 @@ func (c ScreenConfig) Validate() error {
 	return nil
 }
 
-// screenRank is one rank's baseline state. prevIdx/prevVal (sparse) and
-// prevDense hold the last CLEAN contribution for the Δ-norm; the slices
-// are retained and reused, so a warmed steady state observes without
-// allocating.
+// screenRank is one rank's baseline state. prevIdx/prevVal hold the last
+// CLEAN contribution for the Δ-norm; the slices are retained and reused,
+// so a warmed steady state observes without allocating.
 type screenRank struct {
 	normEWMA  float64
 	deltaEWMA float64
@@ -117,7 +116,6 @@ type screenRank struct {
 	strikes   int // consecutive flagged observations
 	prevIdx   []int32
 	prevVal   []float64
-	prevDense []float64
 	havePrev  bool
 }
 
@@ -161,35 +159,6 @@ func (s *Screen) ObserveSparse(rank int, v *sparse.Vector) bool {
 	}
 	st.prevIdx = append(st.prevIdx[:0], v.Index...)
 	st.prevVal = append(st.prevVal[:0], v.Value...)
-	st.havePrev = true
-	return false
-}
-
-// ObserveDense screens one dense contribution; semantics match
-// ObserveSparse.
-func (s *Screen) ObserveDense(rank int, x []float64) bool {
-	if s == nil || rank < 0 || rank >= len(s.ranks) {
-		return false
-	}
-	st := &s.ranks[rank]
-	var normSq, deltaSq float64
-	if st.havePrev && len(st.prevDense) == len(x) {
-		for i, v := range x {
-			normSq += v * v
-			d := v - st.prevDense[i]
-			deltaSq += d * d
-		}
-	} else {
-		for _, v := range x {
-			normSq += v * v
-		}
-		deltaSq = normSq
-	}
-	norm, delta := math.Sqrt(normSq), math.Sqrt(deltaSq)
-	if s.judge(st, norm, delta) {
-		return true
-	}
-	st.prevDense = append(st.prevDense[:0], x...)
 	st.havePrev = true
 	return false
 }
@@ -247,7 +216,6 @@ func (s *Screen) Reset(rank int) {
 	st.normEWMA, st.deltaEWMA = 0, 0
 	st.clean, st.strikes = 0, 0
 	st.prevIdx, st.prevVal = st.prevIdx[:0], st.prevVal[:0]
-	st.prevDense = st.prevDense[:0]
 	st.havePrev = false
 }
 

@@ -8,14 +8,6 @@ import (
 	"psrahgadmm/internal/sparse"
 )
 
-func steadyDense(dim int, val float64) []float64 {
-	x := make([]float64, dim)
-	for i := range x {
-		x[i] = val
-	}
-	return x
-}
-
 func steadySparse(dim int, val float64) *sparse.Vector {
 	v := sparse.NewVector(dim, 0)
 	for j := 0; j < dim; j++ {
@@ -29,7 +21,7 @@ func steadySparse(dim int, val float64) *sparse.Vector {
 func warmScreen(t *testing.T, s *Screen, rank, rounds int) {
 	t.Helper()
 	for i := 0; i < rounds; i++ {
-		if s.ObserveDense(rank, steadyDense(4, 1)) {
+		if s.ObserveSparse(rank, steadySparse(4, 1)) {
 			t.Fatalf("warmup observation %d flagged", i)
 		}
 	}
@@ -40,11 +32,8 @@ func TestScreenNilIsNoOp(t *testing.T) {
 	if s != NewScreen(ScreenConfig{}, 4) {
 		t.Fatal("disabled config must yield a nil screen")
 	}
-	if s.ObserveDense(0, steadyDense(3, 1e30)) {
-		t.Fatal("nil screen flagged")
-	}
 	if s.ObserveSparse(0, steadySparse(3, 1e30)) {
-		t.Fatal("nil screen flagged sparse")
+		t.Fatal("nil screen flagged")
 	}
 	if s.Strikes(0) != 0 || s.StrikeLimit() != 0 {
 		t.Fatal("nil screen reported strikes")
@@ -57,7 +46,7 @@ func TestScreenImmatureNeverFlags(t *testing.T) {
 	// Warmup defaults to 3: the first three observations can be arbitrarily
 	// wild without flagging — there is no baseline to judge against yet.
 	for i, val := range []float64{1, 1e12, 3} {
-		if s.ObserveDense(0, steadyDense(4, val)) {
+		if s.ObserveSparse(0, steadySparse(4, val)) {
 			t.Fatalf("immature observation %d (val %v) flagged", i, val)
 		}
 	}
@@ -66,7 +55,7 @@ func TestScreenImmatureNeverFlags(t *testing.T) {
 func TestScreenFlagsNormOutlier(t *testing.T) {
 	s := NewScreen(ScreenConfig{Enabled: true}, 2)
 	warmScreen(t, s, 0, 4)
-	if !s.ObserveDense(0, steadyDense(4, 100)) {
+	if !s.ObserveSparse(0, steadySparse(4, 100)) {
 		t.Fatal("100× norm spike not flagged against a mature baseline")
 	}
 	if s.Strikes(0) != 1 {
@@ -74,7 +63,7 @@ func TestScreenFlagsNormOutlier(t *testing.T) {
 	}
 	// A clean observation resets the strike count: isolated spikes never
 	// accumulate into a quarantine.
-	if s.ObserveDense(0, steadyDense(4, 1)) {
+	if s.ObserveSparse(0, steadySparse(4, 1)) {
 		t.Fatal("clean observation flagged after a spike")
 	}
 	if s.Strikes(0) != 0 {
@@ -90,18 +79,8 @@ func TestScreenFlagsSignFlip(t *testing.T) {
 	// (each identical round contributes Δ = 0), so after a handful of
 	// rounds the flip's Δ = 2‖v‖ towers over Factor× the baseline.
 	warmScreen(t, s, 0, 9)
-	if !s.ObserveDense(0, steadyDense(4, -1)) {
+	if !s.ObserveSparse(0, steadySparse(4, -1)) {
 		t.Fatal("sign-flip (norm-preserving) not flagged — Δ-norm term broken")
-	}
-	// Same property on the sparse path.
-	sp := NewScreen(ScreenConfig{Enabled: true}, 2)
-	for i := 0; i < 9; i++ {
-		if sp.ObserveSparse(1, steadySparse(4, 1)) {
-			t.Fatalf("sparse warmup observation %d flagged", i)
-		}
-	}
-	if !sp.ObserveSparse(1, steadySparse(4, -1)) {
-		t.Fatal("sparse sign-flip not flagged")
 	}
 }
 
@@ -111,7 +90,7 @@ func TestScreenFlaggedObservationDoesNotPoisonBaseline(t *testing.T) {
 	// A persistent attacker keeps getting flagged: its outliers never enter
 	// the EWMA, so the baseline cannot be dragged up to cover it.
 	for i := 0; i < 10; i++ {
-		if !s.ObserveDense(0, steadyDense(4, 1000)) {
+		if !s.ObserveSparse(0, steadySparse(4, 1000)) {
 			t.Fatalf("attack observation %d slipped past the screen", i)
 		}
 	}
@@ -119,7 +98,7 @@ func TestScreenFlaggedObservationDoesNotPoisonBaseline(t *testing.T) {
 		t.Fatalf("strikes = %d, want 10 (consecutive flags accumulate)", s.Strikes(0))
 	}
 	// And the honest signal still passes afterwards.
-	if s.ObserveDense(0, steadyDense(4, 1)) {
+	if s.ObserveSparse(0, steadySparse(4, 1)) {
 		t.Fatal("honest observation flagged after sustained attack")
 	}
 }
@@ -127,13 +106,13 @@ func TestScreenFlaggedObservationDoesNotPoisonBaseline(t *testing.T) {
 func TestScreenNonFiniteAlwaysFlags(t *testing.T) {
 	s := NewScreen(ScreenConfig{Enabled: true}, 1)
 	// Even during warmup: NaN/Inf would poison the EWMA.
-	x := steadyDense(4, 1)
-	x[2] = math.NaN()
-	if !s.ObserveDense(0, x) {
+	x := steadySparse(4, 1)
+	x.Value[2] = math.NaN()
+	if !s.ObserveSparse(0, x) {
 		t.Fatal("NaN contribution not flagged during warmup")
 	}
-	x[2] = math.Inf(1)
-	if !s.ObserveDense(0, x) {
+	x.Value[2] = math.Inf(1)
+	if !s.ObserveSparse(0, x) {
 		t.Fatal("Inf contribution not flagged")
 	}
 }
@@ -141,7 +120,7 @@ func TestScreenNonFiniteAlwaysFlags(t *testing.T) {
 func TestScreenResetClearsBaseline(t *testing.T) {
 	s := NewScreen(ScreenConfig{Enabled: true}, 1)
 	warmScreen(t, s, 0, 4)
-	if !s.ObserveDense(0, steadyDense(4, 100)) {
+	if !s.ObserveSparse(0, steadySparse(4, 100)) {
 		t.Fatal("spike not flagged pre-reset")
 	}
 	s.Reset(0)
@@ -150,14 +129,14 @@ func TestScreenResetClearsBaseline(t *testing.T) {
 	}
 	// Post-reset the rank is a different regime: the same magnitude that
 	// flagged before is now an unmatched first observation and must pass.
-	if s.ObserveDense(0, steadyDense(4, 100)) {
+	if s.ObserveSparse(0, steadySparse(4, 100)) {
 		t.Fatal("post-reset observation judged against the stale baseline")
 	}
 }
 
 func TestScreenOutOfRangeRank(t *testing.T) {
 	s := NewScreen(ScreenConfig{Enabled: true}, 2)
-	if s.ObserveDense(-1, steadyDense(2, 1)) || s.ObserveDense(7, steadyDense(2, 1)) {
+	if s.ObserveSparse(-1, steadySparse(2, 1)) || s.ObserveSparse(7, steadySparse(2, 1)) {
 		t.Fatal("out-of-range rank flagged")
 	}
 	if s.Strikes(-1) != 0 || s.Strikes(7) != 0 {

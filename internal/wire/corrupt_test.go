@@ -75,9 +75,10 @@ func TestHeaderBitFlipsNeverDecodeSilently(t *testing.T) {
 	}
 }
 
-// TestVersion1FramesStillDecode hand-builds a legacy frame (no CRC trailer)
-// and checks the decoder accepts it unverified.
-func TestVersion1FramesStillDecode(t *testing.T) {
+// TestVersion1FramesRejected hand-builds a legacy frame (version byte 1,
+// no CRC trailer) and checks the decoder refuses it as a bad frame: nothing
+// un-checksummed is ever accepted.
+func TestVersion1FramesRejected(t *testing.T) {
 	for _, m := range frames() {
 		var buf bytes.Buffer
 		if err := Encode(&buf, m); err != nil {
@@ -85,13 +86,9 @@ func TestVersion1FramesStillDecode(t *testing.T) {
 		}
 		// Downgrade: flip the version byte to 1 and drop the trailer.
 		legacy := append([]byte(nil), buf.Bytes()[:buf.Len()-crcBytes]...)
-		legacy[2] = version1
-		got, err := Decode(bytes.NewReader(legacy))
-		if err != nil {
-			t.Fatalf("kind %v: legacy frame rejected: %v", m.Kind, err)
-		}
-		if got.Kind != m.Kind || got.Tag != m.Tag {
-			t.Fatalf("kind %v: legacy decode mismatch: %+v", m.Kind, got)
+		legacy[2] = 1
+		if _, err := Decode(bytes.NewReader(legacy)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("kind %v: legacy frame: err = %v, want ErrBadFrame", m.Kind, err)
 		}
 	}
 }

@@ -103,12 +103,9 @@ func IsReservedTag(tag int32) bool {
 const (
 	magic0 = 'P'
 	magic1 = 'S'
-	// version1 frames are header + payload with no integrity trailer; the
-	// decoder still accepts them so pre-checksum peers and archived frame
-	// corpora keep working.
-	version1 = 1
 	// version2 frames append a 4-byte CRC32C (Castagnoli) over header +
-	// payload. The encoder always emits version 2.
+	// payload. It is the only version: the trailer-less version 1 is
+	// rejected as a bad frame, so every accepted frame is CRC-verified.
 	version2    = 2
 	headerBytes = 16
 	// crcBytes is the version-2 integrity trailer size. It is part of
@@ -265,7 +262,7 @@ func DecodeFrom(r io.Reader, payload []byte) (Message, []byte, error) {
 	if hdr[0] != magic0 || hdr[1] != magic1 {
 		return Message{}, payload, fmt.Errorf("%w: bad magic %x%x", ErrBadFrame, hdr[0], hdr[1])
 	}
-	if hdr[2] != version1 && hdr[2] != version2 {
+	if hdr[2] != version2 {
 		return Message{}, payload, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, hdr[2])
 	}
 	m := Message{
@@ -281,24 +278,21 @@ func DecodeFrom(r io.Reader, payload []byte) (Message, []byte, error) {
 	if rerr != nil {
 		return Message{}, payload, rerr
 	}
-	if hdr[2] == version2 {
-		// Verify the trailer BEFORE the structural decoder touches the
-		// payload: corrupt bytes must surface as ErrFrameCorrupt (skippable,
-		// exactly one frame consumed), never as a wrong-but-well-formed
-		// message. Version-1 frames carry no trailer and decode unverified.
-		var trailer [crcBytes]byte
-		if _, err := io.ReadFull(r, trailer[:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Message{}, payload, err
+	// Verify the trailer BEFORE the structural decoder touches the payload:
+	// corrupt bytes must surface as ErrFrameCorrupt (skippable, exactly one
+	// frame consumed), never as a wrong-but-well-formed message.
+	var trailer [crcBytes]byte
+	if _, err := io.ReadFull(r, trailer[:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		sum := crc32.Update(0, castagnoli, hdr[:])
-		sum = crc32.Update(sum, castagnoli, p)
-		if sum != binary.LittleEndian.Uint32(trailer[:]) {
-			return Message{}, payload, fmt.Errorf("%w: tag %d from %d (%d payload bytes)",
-				ErrFrameCorrupt, m.Tag, m.From, plen)
-		}
+		return Message{}, payload, err
+	}
+	sum := crc32.Update(0, castagnoli, hdr[:])
+	sum = crc32.Update(sum, castagnoli, p)
+	if sum != binary.LittleEndian.Uint32(trailer[:]) {
+		return Message{}, payload, fmt.Errorf("%w: tag %d from %d (%d payload bytes)",
+			ErrFrameCorrupt, m.Tag, m.From, plen)
 	}
 	err := decodePayload(&m, p, hdr[3])
 	return m, payload, err

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -151,12 +153,11 @@ func TestDecodeBadVersion(t *testing.T) {
 	}
 }
 
-// downgradeV1 strips the CRC trailer and stamps version 1, so tampering
+// reseal recomputes a tampered frame's CRC trailer in place, so tampering
 // tests reach the structural validator instead of tripping the checksum.
-func downgradeV1(b []byte) []byte {
-	legacy := append([]byte(nil), b[:len(b)-crcBytes]...)
-	legacy[2] = version1
-	return legacy
+func reseal(b []byte) {
+	body := b[:len(b)-crcBytes]
+	binary.LittleEndian.PutUint32(b[len(body):], crc32.Update(0, castagnoli, body))
 }
 
 func TestDecodeBadKind(t *testing.T) {
@@ -164,8 +165,9 @@ func TestDecodeBadKind(t *testing.T) {
 	if err := Encode(&buf, Control(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	b := downgradeV1(buf.Bytes())
+	b := buf.Bytes()
 	b[3] = 42
+	reseal(b)
 	_, err := Decode(bytes.NewReader(b))
 	if !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
@@ -178,10 +180,11 @@ func TestDecodeCorruptSparseIndices(t *testing.T) {
 	if err := Encode(&buf, SparseMsg(1, sv)); err != nil {
 		t.Fatal(err)
 	}
-	b := downgradeV1(buf.Bytes())
+	b := buf.Bytes()
 	// Overwrite second entry's index (offset: 16 hdr + 8 dims + 12) to equal
 	// the first entry's index, violating strict ordering.
 	copy(b[16+8+12:16+8+16], b[16+8:16+8+4])
+	reseal(b)
 	_, err := Decode(bytes.NewReader(b))
 	if !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)

@@ -14,7 +14,10 @@
 // instead of the leader-to-leader PSR-Allreduce, each Leader sends its
 // node's sum to the Group Generator, which batches nodes into groups
 // (arrival order, same GQ threshold as Algorithm 2), sums each group, and
-// replies to the contributing Leaders. The GG also CACHES every flushed
+// replies to the contributing Leaders. The payloads are the same sparse
+// frames the fail-stop protocol ships, encoded by the same per-rank codec
+// state, so CodecBudgetBytes and every byte count mean one thing in both
+// modes. The GG also CACHES every flushed
 // (iteration, node) result. The cache is what makes re-election sound: a
 // result exists if and only if the GG holds it, so a member orphaned by
 // its Leader's death first asks the GG to recover the result — a hit means
@@ -39,12 +42,13 @@ package wlg
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/membership"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
-	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
 	"psrahgadmm/internal/wire"
 )
@@ -55,12 +59,12 @@ import (
 // tagGGRequest, below tagIterBase and far below the collective package's
 // ack band.
 const (
-	offElMemberW  = 0 // member → Leader: dense contribution w_i
+	offElMemberW  = 0 // member → Leader: encoded contribution w_i
 	offElReplyCtl = 2 // GG → requester: Control[status, contributors]
-	offElReplyW   = 3 // GG → requester: dense group aggregate
+	offElReplyW   = 3 // GG → requester: group aggregate
 	offElBcCtl    = 5 // Leader → member: Control[contributors]
-	offElBcW      = 6 // Leader → member: dense group aggregate
-	offElGGW      = 7 // Leader → GG: dense node sum (follows the contribute control)
+	offElBcW      = 6 // Leader → member: group aggregate
+	offElGGW      = 7 // Leader → GG: node sum (follows the contribute control)
 
 	// tagElControl carries every worker→GG control in elastic mode:
 	// Ints = [kind, node, iteration, count].
@@ -137,6 +141,8 @@ type elasticWorker struct {
 	members []int // all ranks of this node, rank order (election order)
 	tr      *membership.Tracker
 	pol     collective.RetryPolicy
+	codec   exchange.Codec
+	acc     *sparse.Accumulator // the Leader's node-sum scratch
 	skipped int64
 	short   int64
 	// skips[r] counts rank r's CONSECUTIVE skipped gathers under the
@@ -201,6 +207,8 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 		members:   topo.WorkersOf(topo.NodeOf(rank)),
 		tr:        membership.NewTracker(topo.Size()),
 		pol:       cfg.Retry,
+		codec:     codec,
+		acc:       sparse.NewAccumulator(0),
 		skips:     make([]int, topo.Size()),
 		screen:    watchdog.NewScreen(cfg.Screen, topo.Size()),
 		quorumTol: quorumTol,
@@ -241,34 +249,31 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 		startIter = joinIter
 	}
 
-	// Top-k runs its error-feedback selection over the dense buffer: the
-	// values are sparsified (dropped coordinates zeroed, residual carried)
-	// but the frames stay dense — the GG's result cache and recovery
-	// replies need them, so the elastic mode trades the byte savings for
-	// survivability. A rank that rejoined starts with a clean residual by
+	// A rank that rejoined starts with a clean top-k residual by
 	// construction (the State is created fresh for the new incarnation).
-	st := exchange.NewState(cfg.Codec, 0)
+	st := exchange.NewState(cfg.Codec, cfg.CodecBudgetBytes)
 
+	var dense []float64 // the densified aggregate handed to ApplyW
 	wd := newWatch(cfg, rank)
 	for iter := startIter; iter < cfg.MaxIter; iter++ {
-		buf := append([]float64(nil), f.ComputeW(iter)...)
+		raw := f.ComputeW(iter)
 		// Divergence is not a membership fact: a poisoned contribution (or
 		// aggregate, below) is an unrecoverable per-rank error that tears
 		// the run down — the elastic machinery only absorbs peer deaths.
-		if err := wd.checkOwn(iter, buf); err != nil {
+		if err := wd.checkOwn(iter, raw); err != nil {
 			return info(), err
 		}
-		if st != nil {
-			st.EncodeDense(buf)
-		} else {
-			codec.EncodeDense(buf)
-		}
+		// A fresh vector per round, unlike the fail-stop loop's reused one:
+		// a fabric that reorders may still hold last round's frame, which
+		// must not be rewritten under it.
+		own := sparse.FromDense(raw)
+		encodeContribution(codec, st, own)
 		// Self-observe the encoded contribution: the baseline this builds
 		// is what a quarantined incarnation's probation judges its
 		// self-probes against. Flagged observations never enter the
 		// baseline, so a compromise cannot drag its own baseline up.
-		w.screen.ObserveDense(w.rank, buf)
-		agg, contributors, err := w.iterate(iter, buf)
+		w.screen.ObserveSparse(w.rank, own)
+		agg, contributors, err := w.iterate(iter, own)
 		if errors.Is(err, errSelfQuarantined) {
 			// The log indicts this incarnation. Enter probation: screen
 			// local probes until quarantineRounds consecutive clean ones,
@@ -281,20 +286,21 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 			}
 			// The new incarnation starts with a clean error-feedback
 			// residual, like any other rejoiner.
-			st = exchange.NewState(cfg.Codec, 0)
+			st = exchange.NewState(cfg.Codec, cfg.CodecBudgetBytes)
 			iter = joinIter - 1
 			continue
 		}
 		if err != nil {
 			return info(), err
 		}
-		if err := wd.checkAgg(iter, agg); err != nil {
+		dense = agg.ToDenseInto(dense)
+		if err := wd.checkAgg(iter, dense); err != nil {
 			return info(), err
 		}
 		if contributors < topo.Size() {
 			w.short++
 		}
-		f.ApplyW(iter, agg, contributors)
+		f.ApplyW(iter, dense, contributors)
 	}
 	return info(), nil
 }
@@ -303,7 +309,7 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 // member or Leader path, and recover through the GG when the Leader is
 // lost mid-round. Each cycle either returns a result or strictly narrows
 // the world (a death observed) or burns one bounded recovery attempt.
-func (w *elasticWorker) iterate(iter int, own []float64) ([]float64, int, error) {
+func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (*sparse.Vector, int, error) {
 	for cycle := 0; cycle < elasticCycles; cycle++ {
 		// Fold the rejoin log in BEFORE electing — on every cycle, not
 		// just at iteration entry, because a recover reply inside this
@@ -329,7 +335,7 @@ func (w *elasticWorker) iterate(iter int, own []float64) ([]float64, int, error)
 		// Member path: hand the contribution to the Leader, wait for the
 		// aggregate. A re-sent contribution (same Leader after a recover
 		// miss) sits unconsumed under the iteration-scoped tag — harmless.
-		if err := w.ep.Send(leader, wire.DenseMsg(iterTag(iter, offElMemberW), own)); err != nil {
+		if err := w.ep.Send(leader, wire.SparseMsg(iterTag(iter, offElMemberW), own)); err != nil {
 			if _, down := w.tr.Observe(err); down {
 				continue // Leader died: re-elect
 			}
@@ -341,7 +347,8 @@ func (w *elasticWorker) iterate(iter int, own []float64) ([]float64, int, error)
 			var wm wire.Message
 			wm, err = collective.RecvRetry(w.ep, leader, iterTag(iter, offElBcW), w.pol)
 			if err == nil {
-				return wm.Dense, int(ctl.Ints[0]), nil
+				agg, err := sparsePayload(wm, own.Dim)
+				return agg, int(ctl.Ints[0]), err
 			}
 		}
 		if _, down := w.tr.Observe(err); !down && !errors.Is(err, collective.ErrUnavailable) {
@@ -351,7 +358,7 @@ func (w *elasticWorker) iterate(iter int, own []float64) ([]float64, int, error)
 		// The Leader is dead or silent. If it completed the round before
 		// vanishing the GG has the result cached; a miss proves nobody in
 		// the node has it, so re-electing and re-running is safe.
-		agg, contributors, hit, err := w.recoverFromGG(iter)
+		agg, contributors, hit, err := w.recoverFromGG(iter, own.Dim)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -394,8 +401,9 @@ func (w *elasticWorker) maxDelay() int {
 // member gets a single-attempt probe instead of the full budget — unless
 // its consecutive-skip count has reached maxDelay(), in which case the
 // Leader waits the full budget again so staleness stays bounded.
-func (w *elasticWorker) leadIterate(iter int, own []float64) ([]float64, int, error) {
-	sum := append([]float64(nil), own...)
+func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (*sparse.Vector, int, error) {
+	w.acc.Reset(own.Dim)
+	w.acc.Add(own)
 	count := 1
 	w.skips[w.rank] = 0
 	quorum := w.quorum()
@@ -422,7 +430,11 @@ func (w *elasticWorker) leadIterate(iter int, own []float64) ([]float64, int, er
 			}
 			return nil, 0, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
 		}
-		if w.screen.ObserveDense(m, msg.Dense) {
+		sv, err := sparsePayload(msg, own.Dim)
+		if err != nil {
+			return nil, 0, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
+		}
+		if w.screen.ObserveSparse(m, sv) {
 			// An outlier stays out of the node sum and its count; reaching
 			// the strike limit quarantines the member — locally at once
 			// (this gather and every later one excludes it), globally
@@ -433,7 +445,7 @@ func (w *elasticWorker) leadIterate(iter int, own []float64) ([]float64, int, er
 			}
 			continue
 		}
-		vec.AddInto(sum, msg.Dense)
+		w.acc.Add(sv)
 		w.skips[m] = 0
 		count++
 	}
@@ -441,7 +453,7 @@ func (w *elasticWorker) leadIterate(iter int, own []float64) ([]float64, int, er
 		w.reportQuarantines(iter)
 	}
 
-	agg, contributors, err := w.contribute(iter, sum, count)
+	agg, contributors, err := w.contribute(iter, w.acc.Sum(), count)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -460,7 +472,7 @@ func (w *elasticWorker) leadIterate(iter int, own []float64) ([]float64, int, er
 			w.tr.Observe(err)
 			continue
 		}
-		if err := w.ep.Send(m, wire.DenseMsg(iterTag(iter, offElBcW), agg)); err != nil {
+		if err := w.ep.Send(m, wire.SparseMsg(iterTag(iter, offElBcW), agg)); err != nil {
 			w.tr.Observe(err)
 		}
 	}
@@ -470,12 +482,12 @@ func (w *elasticWorker) leadIterate(iter int, own []float64) ([]float64, int, er
 // contribute sends the node sum to the GG and awaits the group reply,
 // re-contributing on a lost exchange (the GG deduplicates by node, so
 // at-least-once is safe).
-func (w *elasticWorker) contribute(iter int, sum []float64, count int) ([]float64, int, error) {
+func (w *elasticWorker) contribute(iter int, sum *sparse.Vector, count int) (*sparse.Vector, int, error) {
 	for attempt := 0; attempt < recontributeCap; attempt++ {
 		if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindContribute, int64(w.node), int64(iter), int64(count))); err != nil {
 			return nil, 0, fmt.Errorf("wlg: leader %d iter %d contribute: %w", w.rank, iter, err)
 		}
-		if err := w.ep.Send(w.gg, wire.DenseMsg(iterTag(iter, offElGGW), sum)); err != nil {
+		if err := w.ep.Send(w.gg, wire.SparseMsg(iterTag(iter, offElGGW), sum)); err != nil {
 			return nil, 0, fmt.Errorf("wlg: leader %d iter %d contribute payload: %w", w.rank, iter, err)
 		}
 		ctl, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyCtl), w.pol)
@@ -493,7 +505,8 @@ func (w *elasticWorker) contribute(iter int, sum []float64, count int) ([]float6
 			}
 			return nil, 0, fmt.Errorf("wlg: leader %d iter %d GG aggregate: %w", w.rank, iter, err)
 		}
-		return wm.Dense, int(ctl.Ints[1]), nil
+		agg, err := sparsePayload(wm, sum.Dim)
+		return agg, int(ctl.Ints[1]), err
 	}
 	return nil, 0, fmt.Errorf("wlg: leader %d iter %d: GG unresponsive after %d contributions: %w",
 		w.rank, iter, recontributeCap, collective.ErrUnavailable)
@@ -502,7 +515,7 @@ func (w *elasticWorker) contribute(iter int, sum []float64, count int) ([]float6
 // recoverFromGG asks the GG for the cached (iter, node) result. hit=false
 // with a nil error means the round was never flushed (or the reply was
 // lost): the caller re-elects and retries.
-func (w *elasticWorker) recoverFromGG(iter int) (agg []float64, contributors int, hit bool, err error) {
+func (w *elasticWorker) recoverFromGG(iter, dim int) (agg *sparse.Vector, contributors int, hit bool, err error) {
 	if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindRecover, int64(w.node), int64(iter), 0)); err != nil {
 		return nil, 0, false, fmt.Errorf("wlg: rank %d iter %d recover: %w", w.rank, iter, err)
 	}
@@ -524,7 +537,8 @@ func (w *elasticWorker) recoverFromGG(iter int) (agg []float64, contributors int
 		}
 		return nil, 0, false, fmt.Errorf("wlg: rank %d iter %d recover payload: %w", w.rank, iter, err)
 	}
-	return wm.Dense, int(ctl.Ints[1]), true, nil
+	agg, err = sparsePayload(wm, dim)
+	return agg, int(ctl.Ints[1]), err == nil, err
 }
 
 // runGGElastic is the elastic Group Generator: an any-source control loop
@@ -556,19 +570,21 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("wlg: %w", err)
 	}
-	var sortBuf []float64
-	var srcs [][]float64
+	var ws collective.Workspace // the robust flush's combine scratch
+	acc := sparse.NewAccumulator(0)
+	var srcs []*sparse.Vector
+	dim := -1 // learned from the first contribution; every later one must match
 	type entry struct {
 		node, leader int
-		w            []float64
+		w            *sparse.Vector
 		count        int64
 	}
 	type result struct {
-		w     []float64
+		w     *sparse.Vector
 		count int64
 	}
 	type key struct{ iter, node int }
-	queues := make(map[int][]*entry) // iteration → GQ (arrival order)
+	queues := make(map[int][]*entry) // iteration → GQ (arrival order, sorted at flush)
 	cache := make(map[key]*result)   // flushed results, the recovery source
 	done := make([]bool, topo.Size())
 
@@ -603,33 +619,37 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 			tr.Observe(err) // a dead Leader's successor recovers from the cache
 			return
 		}
-		if err := ep.Send(to, wire.DenseMsg(iterTag(iter, offElReplyW), res.w)); err != nil {
+		if err := ep.Send(to, wire.SparseMsg(iterTag(iter, offElReplyW), res.w)); err != nil {
 			tr.Observe(err)
 		}
 	}
 	flush := func(iter int, q []*entry) {
+		// Arrival decided who is in the group; node id decides the order
+		// its entries are summed in, so the aggregate's bits do not depend
+		// on which Leader reached the GG first.
+		slices.SortFunc(q, func(a, b *entry) int { return a.node - b.node })
 		cnt := q[0].count
 		for _, e := range q[1:] {
 			cnt += e.count
 		}
-		var sum []float64
+		var sum *sparse.Vector
 		if spec.Robust() && len(q) > 1 {
-			// CombineDense writes center × len(q) into sum; the workers'
-			// ApplyW divides by cnt = Σ counts, so with near-uniform node
-			// sizes the consensus lands on the robust center of the
-			// per-worker contributions. A single-entry group has nothing
-			// to trim and keeps the plain sum below.
+			// CombineSparse yields center × len(q) over the union support;
+			// the workers' ApplyW divides by cnt = Σ counts, so with
+			// near-uniform node sizes the consensus lands on the robust
+			// center of the per-worker contributions. A single-entry group
+			// has nothing to trim and keeps the plain sum below.
 			srcs = srcs[:0]
 			for _, e := range q {
 				srcs = append(srcs, e.w)
 			}
-			sum = make([]float64, len(q[0].w))
-			sortBuf = collective.CombineDense(spec, sum, srcs, sortBuf)
+			sum = ws.CombineSparse(spec, dim, srcs, nil)
 		} else {
-			sum = append([]float64(nil), q[0].w...)
-			for _, e := range q[1:] {
-				vec.AddInto(sum, e.w)
+			acc.Reset(dim)
+			for _, e := range q {
+				acc.Add(e.w)
 			}
+			sum = acc.Sum()
 		}
 		res := &result{w: sum, count: cnt}
 		rj.noteFlush(iter, res.w, res.count)
@@ -716,6 +736,11 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 				recheck()
 				continue
 			}
+			sv, err := sparsePayload(wm, dim)
+			if err != nil {
+				return fmt.Errorf("wlg: GG contribution payload from %d: %w", from, err)
+			}
+			dim = sv.Dim
 			if res, ok := cache[key{iter, node}]; ok {
 				reply(from, iter, res) // already flushed: serve the cache
 				continue
@@ -725,13 +750,13 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 				if e.node == node {
 					// A re-elected (or retrying) Leader supersedes the
 					// node's queued entry — never a double count.
-					e.leader, e.w, e.count = from, wm.Dense, count
+					e.leader, e.w, e.count = from, sv, count
 					replaced = true
 					break
 				}
 			}
 			if !replaced {
-				queues[iter] = append(queues[iter], &entry{node: node, leader: from, w: wm.Dense, count: count})
+				queues[iter] = append(queues[iter], &entry{node: node, leader: from, w: sv, count: count})
 			}
 			maybeFlush(iter)
 		case elKindQuarantine:
@@ -773,7 +798,7 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 				continue
 			}
 			if grant.warm != nil {
-				if err := ep.Send(from, wire.DenseMsg(tagElRejoinW, grant.warm)); err != nil {
+				if err := ep.Send(from, wire.SparseMsg(tagElRejoinW, grant.warm)); err != nil {
 					tr.Observe(err)
 					recheck()
 				}
@@ -783,4 +808,19 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// sparsePayload returns the sparse vector a data frame carries, or an
+// error wrapping collective.ErrPayloadKind when the frame is of another
+// kind or of the wrong dimension (dim < 0 accepts any) — a protocol
+// confusion that must surface as an error, never as a nil dereference or
+// an accumulator panic.
+func sparsePayload(m wire.Message, dim int) (*sparse.Vector, error) {
+	if m.Kind != wire.KindSparse || m.Sparse == nil {
+		return nil, fmt.Errorf("wlg: tag %d from %d carries kind %v, want sparse: %w", m.Tag, m.From, m.Kind, collective.ErrPayloadKind)
+	}
+	if dim >= 0 && m.Sparse.Dim != dim {
+		return nil, fmt.Errorf("wlg: tag %d from %d carries dimension %d, want %d: %w", m.Tag, m.From, m.Sparse.Dim, dim, collective.ErrPayloadKind)
+	}
+	return m.Sparse, nil
 }

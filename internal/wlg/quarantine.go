@@ -31,6 +31,7 @@ import (
 	"errors"
 
 	"psrahgadmm/internal/membership"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/wire"
 )
 
@@ -84,17 +85,13 @@ func (w *elasticWorker) logHasQuarantine(rank, inc int) bool {
 // when re-admission was never earned (the loop then falls through to the
 // farewell).
 func (w *elasticWorker) probation(fromIter int, f WorkerFuncs) (int, error) {
-	codec, err := w.cfg.codec()
-	if err != nil {
-		return 0, err
-	}
 	need := w.cfg.quarantineRounds()
 	clean := 0
-	var buf []float64
+	var sv *sparse.Vector
 	for probe := fromIter + 1; probe < w.cfg.MaxIter && clean < need; probe++ {
-		buf = append(buf[:0], f.ComputeW(probe)...)
-		codec.EncodeDense(buf)
-		if w.screen.ObserveDense(w.rank, buf) {
+		sv = sparse.FromDenseInto(sv, f.ComputeW(probe))
+		w.codec.EncodeSparse(sv)
+		if w.screen.ObserveSparse(w.rank, sv) {
 			clean = 0
 		} else {
 			clean++
@@ -103,12 +100,9 @@ func (w *elasticWorker) probation(fromIter int, f WorkerFuncs) (int, error) {
 	if clean < need {
 		return w.cfg.MaxIter, nil
 	}
-	joinIter, warm, warmCnt, err := w.announceRejoin()
+	joinIter, err := w.rejoinStart(f)
 	if err != nil {
 		return 0, err
-	}
-	if f.Rejoined != nil {
-		f.Rejoined(joinIter, warm, warmCnt)
 	}
 	// The grant's log entry (already folded in by announceRejoin) carries
 	// the new incarnation; the old indictment no longer matches it.

@@ -41,6 +41,7 @@ import (
 
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/membership"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/wire"
 )
 
@@ -68,7 +69,7 @@ var errDeadAtRejoin = errors.New("wlg: reported dead in rejoin grant")
 type rejoinGrant struct {
 	joinIter int
 	inc      int
-	warm     []float64 // latest flushed aggregate at grant time; nil = cold start
+	warm     *sparse.Vector // latest flushed aggregate at grant time; nil = cold start
 	warmCnt  int64
 }
 
@@ -89,7 +90,7 @@ type ggRejoin struct {
 	// incarnation) triples, piggybacked on every control reply.
 	log []int64
 	// Latest flushed aggregate, served as the rejoiner's warm start.
-	lastAgg  []float64
+	lastAgg  *sparse.Vector
 	lastCnt  int64
 	lastIter int
 }
@@ -112,8 +113,8 @@ func (g *ggRejoin) observe(iter int) {
 }
 
 // noteFlush retains the newest flushed aggregate for warm starts. The
-// slice is the cache's, never mutated after flush, so aliasing is safe.
-func (g *ggRejoin) noteFlush(iter int, w []float64, cnt int64) {
+// vector is the cache's, never mutated after flush, so aliasing is safe.
+func (g *ggRejoin) noteFlush(iter int, w *sparse.Vector, cnt int64) {
 	if iter >= g.lastIter {
 		g.lastIter, g.lastAgg, g.lastCnt = iter, w, cnt
 	}
@@ -193,24 +194,28 @@ func (g *ggRejoin) withLog(prefix ...int64) []int64 {
 }
 
 // rejoinStart runs the announce handshake for a returning incarnation and
-// surfaces the warm start through f.Rejoined. It returns the granted join
-// iteration — the first one this rank executes (possibly >= MaxIter, in
-// which case the caller's loop body never runs and the rank goes straight
-// to its done farewell).
+// surfaces the warm start, densified, through f.Rejoined. It returns the
+// granted join iteration — the first one this rank executes (possibly >=
+// MaxIter, in which case the caller's loop body never runs and the rank
+// goes straight to its done farewell).
 func (w *elasticWorker) rejoinStart(f WorkerFuncs) (int, error) {
 	joinIter, warm, warmCnt, err := w.announceRejoin()
 	if err != nil {
 		return 0, err
 	}
 	if f.Rejoined != nil {
-		f.Rejoined(joinIter, warm, warmCnt)
+		var dense []float64 // stays nil on a cold start
+		if warm != nil {
+			dense = warm.ToDense()
+		}
+		f.Rejoined(joinIter, dense, warmCnt)
 	}
 	return joinIter, nil
 }
 
 // announceRejoin sends the announcement and awaits the grant,
 // re-announcing on loss (the GG answers duplicates with the same grant).
-func (w *elasticWorker) announceRejoin() (joinIter int, warm []float64, warmCnt int, err error) {
+func (w *elasticWorker) announceRejoin() (joinIter int, warm *sparse.Vector, warmCnt int, err error) {
 	for cycle := 0; cycle < elasticCycles; cycle++ {
 		if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindRejoin, int64(w.node), 0, 0)); err != nil {
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin announce: %w", w.rank, err)
@@ -251,7 +256,8 @@ func (w *elasticWorker) announceRejoin() (joinIter int, warm []float64, warmCnt 
 			}
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin warm start: %w", w.rank, err)
 		}
-		return joinIter, wm.Dense, cnt, nil
+		warm, err = sparsePayload(wm, -1)
+		return joinIter, warm, cnt, err
 	}
 	return 0, nil, 0, fmt.Errorf("wlg: rank %d: no rejoin grant after %d announcements: %w",
 		w.rank, elasticCycles, collective.ErrUnavailable)

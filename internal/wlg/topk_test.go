@@ -1,11 +1,11 @@
 package wlg
 
 import (
-	"math"
 	"testing"
 
 	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 )
 
@@ -67,66 +67,45 @@ func TestTopKPlainRuntimeSelectsTopCoordinates(t *testing.T) {
 	}
 }
 
-// TestTopKElasticRuntimeValuesOnly checks the elastic composition: the
-// dense transport is unchanged but contributions still pass through the
-// error-feedback state. With nnz < KMin the selection is the identity, so
-// a fault-free elastic topk run must agree with exact consensus.
-func TestTopKElasticRuntimeValuesOnly(t *testing.T) {
+// TestTopKElasticFewerBytesThanSparse pins that the elastic data plane
+// rides the same sparse frames and the same per-rank error-feedback state
+// as the fail-stop one: on identical contributions (dim 64, so k = 32
+// truncates, steered further down by a byte budget) an elastic topk world
+// puts strictly fewer bytes on the wire than an elastic sparse world, and
+// every rank applies exactly the aggregates the fail-stop topk world does.
+// Contributions are integer-valued so the two modes' different summation
+// trees (PSR chunks vs the GG's node sums) cannot differ by rounding.
+func TestTopKElasticFewerBytesThanSparse(t *testing.T) {
 	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
-	cfg := Config{Topo: topo, MaxIter: 3, GroupThreshold: 0, Codec: exchange.TopK, Elastic: true}
-	dim := 5
-	agg, counts := runWLG(t, cfg, dim, func(r, iter int) []float64 {
-		return rankVec(dim, r)
-	})
-	wantSum := math.Ldexp(1, topo.Size()) - 1 // Σ 2^r
-	for r := 0; r < topo.Size(); r++ {
-		for iter := 0; iter < cfg.MaxIter; iter++ {
-			if counts[r][iter] != topo.Size() {
-				t.Fatalf("rank %d iter %d contributors = %d, want %d", r, iter, counts[r][iter], topo.Size())
-			}
-			for j, got := range agg[r][iter] {
-				if got != wantSum {
-					t.Fatalf("rank %d iter %d slot %d = %v, want %v", r, iter, j, got, wantSum)
-				}
-			}
-		}
-	}
-}
-
-// TestTopKShardBlocksBitIdentical routes the inter-Leader aggregation
-// through the shard-aware collective (ShardBlocks > 0) and checks every
-// rank's aggregate history against the classic PSR-Allreduce run bit for
-// bit: block ownership changes the message schedule, never the per-block
-// member-order reduction. Truncation is active (dim 64 ⇒ k 32), so the
-// error-feedback residuals must also evolve identically. Contributions
-// are integer-valued: the GG groups Leaders in (scheduling-dependent)
-// arrival order, so only exactly-associative values make the comparison
-// meaningful across runs.
-func TestTopKShardBlocksBitIdentical(t *testing.T) {
-	topo := simnet.Topology{Nodes: 3, WorkersPerNode: 2}
-	const dim = 64
-	contrib := func(r, iter int) []float64 {
+	const dim, iters = 64, 4
+	contrib := func(r, iter int, _ []float64) []float64 {
 		v := make([]float64, dim)
 		for j := range v {
 			v[j] = float64((j+3*r+iter)%dim - dim/3)
 		}
 		return v
 	}
-	mk := func(blocks int) Config {
-		return Config{Topo: topo, MaxIter: 4, GroupThreshold: 0, Codec: exchange.TopK, ShardBlocks: blocks}
+	run := func(codec exchange.Kind, elastic bool) ([][][]float64, int64) {
+		cfg := Config{Topo: topo, MaxIter: iters, Codec: codec, CodecBudgetBytes: 200, Elastic: elastic}
+		fab := transport.NewChanFabric(WorldSize(topo))
+		defer fab.Close()
+		agg := runWorld(t, fab, cfg, contrib)
+		var sent int64
+		for r := 0; r < fab.Size(); r++ {
+			sent += fab.Endpoint(r).Stats().BytesSent
+		}
+		return agg, sent
 	}
-	plainAgg, plainCnt := runWLG(t, mk(0), dim, contrib)
-	for _, blocks := range []int{1, 5, 16} {
-		shardAgg, shardCnt := runWLG(t, mk(blocks), dim, contrib)
-		for r := 0; r < topo.Size(); r++ {
-			for iter := 0; iter < 4; iter++ {
-				if plainCnt[r][iter] != shardCnt[r][iter] {
-					t.Fatalf("blocks=%d rank %d iter %d contributors %d, want %d",
-						blocks, r, iter, shardCnt[r][iter], plainCnt[r][iter])
-				}
-				if !vec.Equal(plainAgg[r][iter], shardAgg[r][iter]) {
-					t.Fatalf("blocks=%d rank %d iter %d aggregate diverged from classic PSR-Allreduce", blocks, r, iter)
-				}
+	_, sparseBytes := run(exchange.Sparse, true)
+	elasticAgg, topkBytes := run(exchange.TopK, true)
+	plainAgg, _ := run(exchange.TopK, false)
+	if topkBytes >= sparseBytes {
+		t.Fatalf("elastic topk sent %d bytes, elastic sparse %d: selection must shrink the frames", topkBytes, sparseBytes)
+	}
+	for r := 0; r < topo.Size(); r++ {
+		for iter := 0; iter < iters; iter++ {
+			if !vec.Equal(elasticAgg[r][iter], plainAgg[r][iter]) {
+				t.Fatalf("rank %d iter %d: elastic topk aggregate differs from the fail-stop one", r, iter)
 			}
 		}
 	}

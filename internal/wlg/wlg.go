@@ -12,6 +12,15 @@
 //     group runs PSR-Allreduce among its Leaders before the Leaders
 //     broadcast the aggregate back to their workers.
 //
+// Every data frame on every hop is a sparse vector (wire.SparseMsg): a
+// worker sparsifies its ComputeW output once, the codec encodes that
+// vector (value rounding, or top-k selection with error feedback), the
+// collectives and the GG sum sparse vectors, and each rank densifies once,
+// right before ApplyW. Which Leaders form a group depends on arrival; the
+// ORDER inside a group does not — the GG sorts every group by node id, so
+// PSR chunk ownership, summation order, and therefore every aggregate bit
+// and every byte count are a function of group composition alone.
+//
 // The runtime is algorithm-agnostic: the ADMM math is supplied through
 // callbacks, so the same machinery serves PSRA-HGADMM, its flat PSRA-ADMM
 // special case (threshold = all nodes), and the lasso example. It runs
@@ -21,11 +30,13 @@ package wlg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/watchdog"
 	"psrahgadmm/internal/wire"
@@ -39,7 +50,7 @@ func GGRank(topo simnet.Topology) int { return topo.Size() }
 func WorldSize(topo simnet.Topology) int { return topo.Size() + 1 }
 
 // LeaderOf returns the rank acting as Leader for node n (its first worker).
-func LeaderOf(topo simnet.Topology, n int) int { return topo.WorkersOf(n)[0] }
+func LeaderOf(topo simnet.Topology, n int) int { return n * topo.WorkersPerNode }
 
 // IsLeader reports whether rank r is its node's Leader.
 func IsLeader(topo simnet.Topology, r int) bool {
@@ -77,32 +88,18 @@ type Config struct {
 	// consensus, the "ungrouped" baseline of Figure 7).
 	GroupThreshold int
 	// Codec selects the exchange representation from the same codec axis
-	// the engine's registry binds (exchange.Kinds()). Lossy codecs round
-	// each worker's contribution in place before it enters the intra-node
+	// the engine's registry binds (exchange.Kinds()). Every codec encodes
+	// the worker's sparsified contribution before it enters the intra-node
 	// reduce, so the runtime aggregates exactly what a real lossy wire
-	// would deliver. Empty means the exact exchange. The top-k kinds
-	// additionally switch the plain runtime to sparse transport with a
-	// per-rank error-feedback state (see topk.go); the elastic runtime
-	// keeps dense frames and applies only the selection to the values.
+	// would deliver: the rounding kinds (dense-f32, the q8/q16 quantizers)
+	// round values, and the top-k kinds select coordinates through a
+	// per-rank error-feedback exchange.State. Empty means the exact
+	// exchange.
 	Codec exchange.Kind
-	// CodecBudgetBytes targets the top-k codecs' adaptive selection in the
-	// plain runtime: each rank steers its k so its own contribution's wire
-	// bytes approach this figure. 0 keeps the default fixed k. Ignored by
-	// non-topk codecs and by the elastic runtime (dense frames make byte
-	// feedback meaningless there).
+	// CodecBudgetBytes targets the top-k codecs' adaptive selection: each
+	// rank steers its k so its own contribution's wire bytes approach this
+	// figure. 0 keeps the default fixed k. Ignored by non-topk codecs.
 	CodecBudgetBytes int64
-	// ShardBlocks > 0 routes the sparse inter-Leader aggregation through
-	// the shard-aware collective: the model dimension is partitioned into
-	// this many contiguous blocks, each group's Leaders own blocks round-
-	// robin by group position, and every Leader reduces only the blocks it
-	// owns before the per-owner gather reassembles the full aggregate
-	// (full subscription — every Leader still receives all blocks back).
-	// The per-block reduction order matches the plain PSR-Allreduce, so
-	// the aggregate is bit-identical; what changes is the schedule. 0
-	// keeps the classic chunked PSR-Allreduce. Only the sparse-transport
-	// (top-k) plain runtime consults it; the dense and elastic paths
-	// ignore it.
-	ShardBlocks int
 	// Elastic selects fail-survive semantics: worker deaths shrink the
 	// world instead of aborting the run. Each rank keeps a membership view
 	// fed by transport evidence, nodes re-elect their Leader as the first
@@ -250,9 +247,6 @@ func (c Config) Validate() error {
 	if c.CodecBudgetBytes < 0 {
 		return fmt.Errorf("wlg: CodecBudgetBytes must be non-negative, got %d", c.CodecBudgetBytes)
 	}
-	if c.ShardBlocks < 0 {
-		return fmt.Errorf("wlg: ShardBlocks must be non-negative, got %d", c.ShardBlocks)
-	}
 	if c.MinBarrier < 0 {
 		return fmt.Errorf("wlg: MinBarrier must be non-negative, got %d", c.MinBarrier)
 	}
@@ -350,20 +344,30 @@ func RunWorkerInfo(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInfo, 
 	return &RunInfo{LiveWorkers: topo.Size()}, nil
 }
 
-// runWorkerPlain is the original fail-stop worker loop: every peer is
-// assumed alive, every wait is unbounded, and the first failure aborts.
+// encodeContribution turns sv into what the wire delivers, in place. st is
+// the rank's error-feedback state (exchange.NewState: nil unless the codec
+// is a top-k kind). Top-k runs its selection and then steers k from this
+// rank's own wire bytes — each rank observes only its contribution here,
+// unlike the engine where every rank sees the round total. Every other
+// codec rounds values.
+func encodeContribution(codec exchange.Codec, st *exchange.State, sv *sparse.Vector) {
+	if st == nil {
+		codec.EncodeSparse(sv)
+		return
+	}
+	st.Encode(sv)
+	st.Adapt(st.WireBytes(sv.NNZ()))
+}
+
+// runWorkerPlain is the fail-stop worker loop: every peer is assumed
+// alive, every wait is unbounded, and the first failure aborts.
 //
-// All per-iteration scratch — the contribution buffer, the collective
+// All per-iteration scratch — the sparse contribution, the collective
 // workspace, the leader's group membership and control payloads — is
 // allocated once before the loop and reused, so a warmed iteration
 // allocates nothing in the runtime itself (see DESIGN.md "Memory model &
 // buffer ownership"). Transport-level copies remain the fabric's business.
 func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
-	if exchange.IsTopK(cfg.Codec) {
-		// Top-k changes WHICH coordinates travel; its loop runs the sparse
-		// collectives end to end instead of rounding a dense exchange.
-		return runWorkerPlainTopK(ep, cfg, f)
-	}
 	topo := cfg.Topo
 	rank := ep.Rank()
 	node := topo.NodeOf(rank)
@@ -374,9 +378,13 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 	if err != nil {
 		return fmt.Errorf("wlg: %w", err)
 	}
+	st := exchange.NewState(cfg.Codec, cfg.CodecBudgetBytes)
 
 	var ws collective.Workspace
-	var buf []float64
+	var dense []float64        // the densified aggregate handed to ApplyW
+	sv := new(sparse.Vector)   // this rank's encoded contribution
+	part := new(sparse.Vector) // Leader: node partial sum
+	agg := new(sparse.Vector)  // group aggregate
 	members := make([]int, 0, topo.Nodes)
 	var ggReq [2]int64 // node, iter — rewritten only after the GG replied
 	var cnt [1]int64
@@ -384,17 +392,19 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 
 	for iter := cfg.StartIter; iter < cfg.MaxIter; iter++ {
 		w := f.ComputeW(iter)
+		// The scan runs on the raw ComputeW output: a NaN absorbed into a
+		// top-k error-feedback residual would re-poison every later round.
 		if err := wd.checkOwn(iter, w); err != nil {
 			return err
 		}
-		buf = append(buf[:0], w...)
-		// Lossy codecs round the contribution before it is communicated:
-		// the aggregate every worker applies is built from wire-precision
-		// values, matching what a real cluster would sum.
-		codec.EncodeDense(buf)
+		// Lossy codecs act before anything is communicated: the aggregate
+		// every worker applies is built from wire-precision values,
+		// matching what a real cluster would sum.
+		sv = sparse.FromDenseInto(sv, w)
+		encodeContribution(codec, st, sv)
 
 		// Step 9: intra-node reduce to the Leader over the bus.
-		if _, err := ws.ReduceDense(ep, intra, iterTag(iter, offIntraRed), 0, buf); err != nil {
+		if _, err := ws.ReduceSparse(ep, intra, iterTag(iter, offIntraRed), 0, sv, part); err != nil {
 			return fmt.Errorf("wlg: rank %d iter %d intra reduce: %w", rank, iter, err)
 		}
 
@@ -414,57 +424,40 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 				members = append(members, LeaderOf(topo, int(n)))
 			}
 			inter := collective.NewGroup(members...)
-			// PSR-Allreduce of W among the group's Leaders.
-			if _, err := ws.PSRAllreduceDense(ep, inter, iterTag(iter, offInterAR), buf); err != nil {
+			// PSR-Allreduce of W among the group's Leaders: the node
+			// partials carry whatever supports their workers shipped, and
+			// the scatter-reduce sums them block-wise without densifying.
+			if _, err := ws.PSRAllreduceSparse(ep, inter, iterTag(iter, offInterAR), part, agg); err != nil {
 				return fmt.Errorf("wlg: leader %d iter %d PSR allreduce: %w", rank, iter, err)
 			}
 			contributors = inter.Size() * topo.WorkersPerNode
 			// Step 4: broadcast the aggregate and its contributor count.
 			cnt[0] = int64(contributors)
-			if err := broadcastResult(ep, &ws, intra, iter, buf, cnt[:]); err != nil {
-				return err
+			if _, err := ws.BroadcastSparse(ep, intra, iterTag(iter, offIntraBc), 0, agg, nil); err != nil {
+				return fmt.Errorf("wlg: leader %d iter %d intra broadcast: %w", rank, iter, err)
+			}
+			for _, r := range intra.Ranks[1:] {
+				if err := ep.Send(r, wire.Control(iterTag(iter, offIntraBc2), cnt[:]...)); err != nil {
+					return fmt.Errorf("wlg: leader %d iter %d contributor broadcast: %w", rank, iter, err)
+				}
 			}
 		} else {
-			res, n, err := receiveResult(ep, intra, iter)
-			if err != nil {
-				return err
+			if _, err := ws.BroadcastSparse(ep, intra, iterTag(iter, offIntraBc), 0, nil, agg); err != nil {
+				return fmt.Errorf("wlg: rank %d iter %d receive W: %w", rank, iter, err)
 			}
-			// Copy into the worker-owned buffer: the received slice belongs
-			// to the transport and may be recycled or alias a peer.
-			buf = append(buf[:0], res...)
-			contributors = n
+			c, err := ep.Recv(intra.Ranks[0], iterTag(iter, offIntraBc2))
+			if err != nil {
+				return fmt.Errorf("wlg: rank %d iter %d receive count: %w", rank, iter, err)
+			}
+			contributors = int(c.Ints[0])
 		}
-		if err := wd.checkAgg(iter, buf); err != nil {
+		dense = agg.ToDenseInto(dense)
+		if err := wd.checkAgg(iter, dense); err != nil {
 			return err
 		}
-		f.ApplyW(iter, buf, contributors)
+		f.ApplyW(iter, dense, contributors)
 	}
 	return nil
-}
-
-func broadcastResult(ep transport.Endpoint, ws *collective.Workspace, intra collective.Group, iter int, w []float64, contributors []int64) error {
-	if _, err := ws.BroadcastDense(ep, intra, iterTag(iter, offIntraBc), 0, w); err != nil {
-		return fmt.Errorf("wlg: iter %d intra broadcast: %w", iter, err)
-	}
-	for _, r := range intra.Ranks[1:] {
-		if err := ep.Send(r, wire.Control(iterTag(iter, offIntraBc2), contributors...)); err != nil {
-			return fmt.Errorf("wlg: iter %d contributor broadcast: %w", iter, err)
-		}
-	}
-	return nil
-}
-
-func receiveResult(ep transport.Endpoint, intra collective.Group, iter int) ([]float64, int, error) {
-	leaderRank := intra.Ranks[0]
-	in, err := ep.Recv(leaderRank, iterTag(iter, offIntraBc))
-	if err != nil {
-		return nil, 0, fmt.Errorf("wlg: iter %d receive W: %w", iter, err)
-	}
-	cnt, err := ep.Recv(leaderRank, iterTag(iter, offIntraBc2))
-	if err != nil {
-		return nil, 0, fmt.Errorf("wlg: iter %d receive count: %w", iter, err)
-	}
-	return in.Dense, int(cnt.Ints[0]), nil
 }
 
 // Run executes a complete WLG world — every worker plus the Group
@@ -572,7 +565,10 @@ func RunWithInfo(fab transport.Fabric, cfg Config, funcs func(rank int) WorkerFu
 // iterations. Leaders of one iteration are batched into groups of
 // cfg.GroupThreshold in arrival order; once every node has reported for an
 // iteration, any remainder below the threshold forms a final smaller
-// group. Requests from different iterations may interleave (fast groups
+// group. Arrival decides which nodes share a group, never their order
+// inside it: each group is sorted by node id before the GG replies, so the
+// Leaders' PSR chunk ownership and summation order do not change from run
+// to run. Requests from different iterations may interleave (fast groups
 // start the next iteration while slow ones finish), which the per-iteration
 // queues absorb.
 func RunGG(ep transport.Endpoint, cfg Config) error {
@@ -584,7 +580,7 @@ func RunGG(ep transport.Endpoint, cfg Config) error {
 	}
 	topo := cfg.Topo
 	threshold := cfg.threshold()
-	queues := make(map[int][]int64) // iteration → GQ (node ids, arrival order)
+	queues := make(map[int][]int64) // iteration → GQ (node ids, sorted at flush)
 	reported := make(map[int]int)   // iteration → requests seen
 	remaining := (cfg.MaxIter - cfg.StartIter) * topo.Nodes
 
@@ -594,6 +590,7 @@ func RunGG(ep transport.Endpoint, cfg Config) error {
 			return nil
 		}
 		queues[iter] = nil
+		slices.Sort(q)
 		for _, nodeID := range q {
 			leader := LeaderOf(topo, int(nodeID))
 			if err := ep.Send(leader, wire.Control(iterTag(iter, offGGReply), q...)); err != nil {
