@@ -57,8 +57,10 @@ func TestPublicAPIAllAlgorithms(t *testing.T) {
 	for _, alg := range Algorithms() {
 		cfg := Config{
 			Algorithm: alg,
-			Topo:      Topology{Nodes: 2, WorkersPerNode: 2},
-			Rho:       1, Lambda: 1, MaxIter: 8,
+			// Three nodes: the smallest tree whose node partials a default
+			// trimmed mean (TrimF 1) does not trim away entirely.
+			Topo: Topology{Nodes: 3, WorkersPerNode: 2},
+			Rho:  1, Lambda: 1, MaxIter: 8,
 		}
 		if _, err := Train(cfg, train, RunOptions{}); err != nil {
 			t.Fatalf("%s: %v", alg, err)

@@ -88,11 +88,15 @@ func run(ring bool, inputs []*sparse.Vector) (*sparse.Vector, []collective.Trace
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			// One workspace per member; a long-lived caller keeps it
+			// across rounds so steady-state calls allocate nothing.
+			var ws collective.Workspace
+			results[i] = new(sparse.Vector)
 			var err error
 			if ring {
-				results[i], traces[i], err = collective.RingAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i])
+				traces[i], err = ws.RingAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i], results[i])
 			} else {
-				results[i], traces[i], err = collective.PSRAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i])
+				traces[i], err = ws.PSRAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i], results[i])
 			}
 			if err != nil {
 				log.Fatal(err)

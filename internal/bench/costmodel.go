@@ -89,11 +89,13 @@ func runSparseCollective(kind collectiveKind, inputs []*sparse.Vector, cost simn
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			var ws collective.Workspace
+			out := new(sparse.Vector)
 			switch kind {
 			case kindRing:
-				_, traces[i], errs[i] = collective.RingAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i])
+				traces[i], errs[i] = ws.RingAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i], out)
 			case kindPSR:
-				_, traces[i], errs[i] = collective.PSRAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i])
+				traces[i], errs[i] = ws.PSRAllreduceSparse(fab.Endpoint(i), g, 1, inputs[i], out)
 			}
 		}(i)
 	}

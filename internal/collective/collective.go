@@ -8,9 +8,14 @@
 //     parameter-server-inspired variant in which block j is *owned* by
 //     group member j; Scatter-Reduce sends every block directly to its
 //     owner in one step, Allgather broadcasts each owned block back.
+//   - ShardAllreduce (sparse): PSR over block-sharded state — a member
+//     exchanges only the blocks it subscribes to.
 //   - Reduce / Broadcast (sparse): the intra-node fan-in/fan-out the WLG
 //     hierarchy uses between workers and their Leader.
-//   - Barrier: BSP synchronization.
+//
+// Each schedule is written once, as a Workspace method. The owner-keyed
+// schedules (PSR, shard, Reduce's root) take the aggregator — mean,
+// trimmed mean, coordinate median — as their owner-side combine step.
 //
 // Every operation returns a Trace of the messages this rank *sent*
 // (payload bytes and logical step), which the simnet cost model folds into
@@ -19,8 +24,6 @@
 package collective
 
 import (
-	"fmt"
-
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/wire"
 )
@@ -105,27 +108,6 @@ func (t *Trace) Merge(other Trace) {
 	t.Steps += other.Steps
 }
 
-func (g Group) validate(ep transport.Endpoint) (int, error) {
-	if g.Size() == 0 {
-		return 0, fmt.Errorf("collective: empty group")
-	}
-	me := g.IndexOf(ep.Rank())
-	if me < 0 {
-		return 0, fmt.Errorf("collective: rank %d not in group %v", ep.Rank(), g.Ranks)
-	}
-	seen := make(map[int]bool, g.Size())
-	for _, r := range g.Ranks {
-		if r < 0 || r >= ep.Size() {
-			return 0, fmt.Errorf("collective: group rank %d out of world [0,%d)", r, ep.Size())
-		}
-		if seen[r] {
-			return 0, fmt.Errorf("collective: duplicate rank %d in group", r)
-		}
-		seen[r] = true
-	}
-	return me, nil
-}
-
 // sendAsync performs the send on a separate goroutine so a rank can post
 // its send and immediately turn around to receive, avoiding distributed
 // deadlock on fabrics with bounded buffering (TCP).
@@ -133,43 +115,4 @@ func sendAsync(ep transport.Endpoint, to int, m wire.Message) chan error {
 	ch := make(chan error, 1)
 	go func() { ch <- ep.Send(to, m) }()
 	return ch
-}
-
-// Barrier blocks until every member of g has entered it. Implemented as a
-// star: members signal g.Ranks[0], which releases everyone. tag must be
-// unique to this synchronization point.
-func Barrier(ep transport.Endpoint, g Group, tag int32) (Trace, error) {
-	me, err := g.validate(ep)
-	if err != nil {
-		return Trace{}, err
-	}
-	tr := Trace{Steps: 2}
-	if g.Size() == 1 {
-		return tr, nil
-	}
-	root := g.Ranks[0]
-	if me == 0 {
-		for i := 1; i < g.Size(); i++ {
-			if _, err := ep.Recv(transport.AnySource, tag); err != nil {
-				return tr, err
-			}
-		}
-		for i := 1; i < g.Size(); i++ {
-			m := wire.Control(tag + 1)
-			if err := ep.Send(g.Ranks[i], m); err != nil {
-				return tr, err
-			}
-			tr.add(1, ep.Rank(), g.Ranks[i], wire.PayloadBytes(m))
-		}
-		return tr, nil
-	}
-	m := wire.Control(tag)
-	if err := ep.Send(root, m); err != nil {
-		return tr, err
-	}
-	tr.add(0, ep.Rank(), root, wire.PayloadBytes(m))
-	if _, err := ep.Recv(root, tag+1); err != nil {
-		return tr, err
-	}
-	return tr, nil
 }

@@ -63,7 +63,19 @@ func sparseInputs(r *rand.Rand, n, dim int, density float64) ([]*sparse.Vector, 
 	return vs, want
 }
 
-type denseAllreduce func(transport.Endpoint, Group, int32, []float64) (Trace, error)
+// The tests call the collectives as method expressions on a Workspace of
+// their own, so a result or trace they keep is never rewritten by a later
+// call.
+type denseAllreduce func(*Workspace, transport.Endpoint, Group, int32, []float64) (Trace, error)
+
+type sparseAllreduce func(ws *Workspace, ep transport.Endpoint, g Group, tag int32, v, out *sparse.Vector) (Trace, error)
+
+func sparseAllreduces() map[string]sparseAllreduce {
+	return map[string]sparseAllreduce{
+		"ring": (*Workspace).RingAllreduceSparse,
+		"psr":  (*Workspace).PSRAllreduceSparse,
+	}
+}
 
 // denseAllreduces lists the ways a dense-valued vector is summed across a
 // group. Only the ring has a dense wire form; "psr" and "star" carry dense
@@ -71,33 +83,41 @@ type denseAllreduce func(transport.Endpoint, Group, int32, []float64) (Trace, er
 // collective, densify — which is all that is left of the dense data plane.
 func denseAllreduces() map[string]denseAllreduce {
 	return map[string]denseAllreduce{
-		"ring": RingAllreduceDense,
-		"psr": func(ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
-			sum, tr, err := PSRAllreduceSparse(ep, g, tag, sparse.FromDense(x))
+		"ring": (*Workspace).RingAllreduceDense,
+		"psr": func(ws *Workspace, ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
+			sum := new(sparse.Vector)
+			tr, err := ws.PSRAllreduceSparse(ep, g, tag, sparse.FromDense(x), sum)
 			if err == nil {
 				sum.ToDenseInto(x)
 			}
 			return tr, err
 		},
-		"star": func(ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
-			return reduceBroadcastDenseValued(ep, g, tag, 0, x)
+		"star": func(ws *Workspace, ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
+			return reduceBroadcastDenseValued(ws, ep, g, tag, 0, x)
 		},
 	}
 }
 
 // reduceBroadcastDenseValued sums dense-valued x at member rootIdx over
 // sparse frames and broadcasts the sum back into every member's x.
-func reduceBroadcastDenseValued(ep transport.Endpoint, g Group, tag int32, rootIdx int, x []float64) (Trace, error) {
-	sum, tr, err := ReduceSparse(ep, g, tag, rootIdx, sparse.FromDense(x))
+func reduceBroadcastDenseValued(ws *Workspace, ep transport.Endpoint, g Group, tag int32, rootIdx int, x []float64) (Trace, error) {
+	sum, got := new(sparse.Vector), new(sparse.Vector)
+	tr, err := ws.ReduceSparse(ep, g, tag, rootIdx, sparse.FromDense(x), sum)
 	if err != nil {
 		return tr, err
 	}
-	sum, tr2, err := BroadcastSparse(ep, g, tag+1, rootIdx, sum)
+	// tr's events alias ws storage the broadcast is about to reuse.
+	tr.Events = append([]Event(nil), tr.Events...)
+	tr2, err := ws.BroadcastSparse(ep, g, tag+1, rootIdx, sum, got)
 	tr.Merge(tr2)
-	if err == nil {
-		sum.ToDenseInto(x)
+	if err != nil {
+		return tr, err
 	}
-	return tr, err
+	if g.IndexOf(ep.Rank()) == rootIdx {
+		got = sum
+	}
+	got.ToDenseInto(x)
+	return tr, nil
 }
 
 func TestDenseAllreduceCorrectness(t *testing.T) {
@@ -112,7 +132,7 @@ func TestDenseAllreduceCorrectness(t *testing.T) {
 					results := make([][]float64, n)
 					runRanks(t, n, func(ep transport.Endpoint) error {
 						x := vec.Clone(xs[ep.Rank()])
-						if _, err := ar(ep, g, 100, x); err != nil {
+						if _, err := ar(new(Workspace), ep, g, 100, x); err != nil {
 							return err
 						}
 						mu.Lock()
@@ -150,7 +170,7 @@ func TestDenseAllreduceSubgroup(t *testing.T) {
 					return nil
 				}
 				x := vec.Clone(xs[ep.Rank()])
-				if _, err := ar(ep, g, 10, x); err != nil {
+				if _, err := ar(new(Workspace), ep, g, 10, x); err != nil {
 					return err
 				}
 				mu.Lock()
@@ -168,12 +188,7 @@ func TestDenseAllreduceSubgroup(t *testing.T) {
 }
 
 func TestSparseAllreduceCorrectness(t *testing.T) {
-	type sparseAR func(transport.Endpoint, Group, int32, *sparse.Vector) (*sparse.Vector, Trace, error)
-	algs := map[string]sparseAR{
-		"ring": RingAllreduceSparse,
-		"psr":  PSRAllreduceSparse,
-	}
-	for name, ar := range algs {
+	for name, ar := range sparseAllreduces() {
 		for _, n := range []int{1, 2, 4, 7} {
 			for _, dim := range []int{5, 64, 301} {
 				t.Run(fmt.Sprintf("%s/n=%d/dim=%d", name, n, dim), func(t *testing.T) {
@@ -183,8 +198,8 @@ func TestSparseAllreduceCorrectness(t *testing.T) {
 					var mu sync.Mutex
 					results := make([]*sparse.Vector, n)
 					runRanks(t, n, func(ep transport.Endpoint) error {
-						out, _, err := ar(ep, g, 50, vs[ep.Rank()])
-						if err != nil {
+						out := new(sparse.Vector)
+						if _, err := ar(new(Workspace), ep, g, 50, vs[ep.Rank()], out); err != nil {
 							return err
 						}
 						mu.Lock()
@@ -215,15 +230,13 @@ func TestSparseAllreduceAllRanksAgreeExactly(t *testing.T) {
 	n, dim := 5, 97
 	r := rand.New(rand.NewSource(99))
 	vs, _ := sparseInputs(r, n, dim, 0.3)
-	for name, ar := range map[string]func(transport.Endpoint, Group, int32, *sparse.Vector) (*sparse.Vector, Trace, error){
-		"ring": RingAllreduceSparse, "psr": PSRAllreduceSparse,
-	} {
+	for name, ar := range sparseAllreduces() {
 		t.Run(name, func(t *testing.T) {
 			var mu sync.Mutex
 			results := make([]*sparse.Vector, n)
 			runRanks(t, n, func(ep transport.Endpoint) error {
-				out, _, err := ar(ep, WorldGroup(n), 1, vs[ep.Rank()])
-				if err != nil {
+				out := new(sparse.Vector)
+				if _, err := ar(new(Workspace), ep, WorldGroup(n), 1, vs[ep.Rank()], out); err != nil {
 					return err
 				}
 				mu.Lock()
@@ -251,7 +264,7 @@ func TestReduceBroadcastDense(t *testing.T) {
 	runRanks(t, n, func(ep transport.Endpoint) error {
 		g := WorldGroup(n)
 		x := vec.Clone(xs[ep.Rank()])
-		if _, err := reduceBroadcastDenseValued(ep, g, 10, root, x); err != nil {
+		if _, err := reduceBroadcastDenseValued(new(Workspace), ep, g, 10, root, x); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -275,22 +288,25 @@ func TestReduceBroadcastSparse(t *testing.T) {
 	results := make([]*sparse.Vector, n)
 	runRanks(t, n, func(ep transport.Endpoint) error {
 		g := WorldGroup(n)
-		sum, _, err := ReduceSparse(ep, g, 20, root, vs[ep.Rank()])
-		if err != nil {
+		var ws Workspace
+		// A sentinel entry shows whether the reduce wrote sum.
+		sum := sparse.NewVector(dim+1, 1)
+		sum.Append(int32(dim), 1)
+		if _, err := ws.ReduceSparse(ep, g, 20, root, vs[ep.Rank()], sum); err != nil {
 			return err
 		}
-		if ep.Rank() != g.Ranks[root] && sum != nil {
-			return fmt.Errorf("non-root got non-nil reduce result")
-		}
+		out := sum
 		if ep.Rank() == g.Ranks[root] {
 			if err := sum.Check(); err != nil {
 				return err
 			}
 		} else {
-			sum = sparse.NewVector(dim, 0) // placeholder, replaced by bcast
+			if sum.Dim != dim+1 || sum.NNZ() != 1 {
+				return fmt.Errorf("non-root reduce result was written")
+			}
+			out = new(sparse.Vector)
 		}
-		out, _, err := BroadcastSparse(ep, g, 22, root, sum)
-		if err != nil {
+		if _, err := ws.BroadcastSparse(ep, g, 22, root, sum, out); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -305,42 +321,25 @@ func TestReduceBroadcastSparse(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	n := 6
-	var counter sync.Map
-	runRanks(t, n, func(ep transport.Endpoint) error {
-		counter.Store(ep.Rank(), "before")
-		if _, err := Barrier(ep, WorldGroup(n), 500); err != nil {
-			return err
-		}
-		// After the barrier every rank must have stored "before".
-		for r := 0; r < n; r++ {
-			if _, ok := counter.Load(r); !ok {
-				return fmt.Errorf("barrier released before rank %d arrived", r)
-			}
-		}
-		return nil
-	})
-}
-
 func TestGroupValidation(t *testing.T) {
 	f := transport.NewChanFabric(3)
 	defer f.Close()
 	ep := f.Endpoint(0)
 	x := []float64{1}
-	if _, err := RingAllreduceDense(ep, NewGroup(), 1, x); err == nil {
+	var ws Workspace
+	if _, err := ws.RingAllreduceDense(ep, NewGroup(), 1, x); err == nil {
 		t.Fatal("empty group accepted")
 	}
-	if _, err := RingAllreduceDense(ep, NewGroup(1, 2), 1, x); err == nil {
+	if _, err := ws.RingAllreduceDense(ep, NewGroup(1, 2), 1, x); err == nil {
 		t.Fatal("non-member rank accepted")
 	}
-	if _, err := RingAllreduceDense(ep, NewGroup(0, 0), 1, x); err == nil {
+	if _, err := ws.RingAllreduceDense(ep, NewGroup(0, 0), 1, x); err == nil {
 		t.Fatal("duplicate rank accepted")
 	}
-	if _, err := RingAllreduceDense(ep, NewGroup(0, 7), 1, x); err == nil {
+	if _, err := ws.RingAllreduceDense(ep, NewGroup(0, 7), 1, x); err == nil {
 		t.Fatal("out-of-world rank accepted")
 	}
-	if _, _, err := ReduceSparse(ep, NewGroup(0), 1, 5, sparse.FromDense(x)); err == nil {
+	if _, err := ws.ReduceSparse(ep, NewGroup(0), 1, 5, sparse.FromDense(x), new(sparse.Vector)); err == nil {
 		t.Fatal("out-of-range root accepted")
 	}
 }
@@ -375,16 +374,14 @@ func TestSingleMemberGroupNoTraffic(t *testing.T) {
 	runRanks(t, 1, func(ep transport.Endpoint) error {
 		g := WorldGroup(1)
 		x := []float64{1, 2}
-		if tr, err := RingAllreduceDense(ep, g, 1, x); err != nil || len(tr.Events) != 0 {
+		var ws Workspace
+		if tr, err := ws.RingAllreduceDense(ep, g, 1, x); err != nil || len(tr.Events) != 0 {
 			return fmt.Errorf("ring: %v %v", tr, err)
 		}
-		v := sparse.FromDense(x)
-		out, tr, err := PSRAllreduceSparse(ep, g, 5, v)
+		v, out := sparse.FromDense(x), new(sparse.Vector)
+		tr, err := ws.PSRAllreduceSparse(ep, g, 5, v, out)
 		if err != nil || len(tr.Events) != 0 || !vec.Equal(out.ToDense(), x) {
 			return fmt.Errorf("psr sparse: %v", err)
-		}
-		if _, err := Barrier(ep, g, 7); err != nil {
-			return err
 		}
 		return nil
 	})

@@ -26,14 +26,16 @@ func TestSparseCollectivesRejectWrongKind(t *testing.T) {
 	}
 	var ws Workspace
 	out := new(sparse.Vector)
+	// The first two run on a fresh Workspace; the rest share ws, so they
+	// also cover a workspace re-entered after an aborted call.
 	runs := []run{
 		{"reduce-root", func(ep transport.Endpoint, v *sparse.Vector) error {
-			_, _, err := ReduceSparse(ep, g, 0, 0, v)
+			_, err := new(Workspace).ReduceSparse(ep, g, 0, 0, v, out)
 			return err
 		}},
 		{"broadcast-member", func(ep transport.Endpoint, v *sparse.Vector) error {
 			// Receiving member with root index 1 (the injector).
-			_, _, err := BroadcastSparse(ep, g, 0, 1, v)
+			_, err := new(Workspace).BroadcastSparse(ep, g, 0, 1, v, out)
 			return err
 		}},
 		{"ring-allreduce", func(ep transport.Endpoint, v *sparse.Vector) error {

@@ -2,11 +2,14 @@ package collective
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"psrahgadmm/internal/raceflag"
 	"psrahgadmm/internal/shard"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
@@ -443,5 +446,95 @@ func TestParseAgg(t *testing.T) {
 	}
 	if _, err := ParseAgg("winsorized"); err == nil {
 		t.Fatal("ParseAgg accepted an unknown aggregator")
+	}
+}
+
+// TestCombineSparseMeanAllocBudget pins CombineSparse's mean form: the
+// member-order accumulator sum, bit for bit (NOT robustCenter's
+// sort-then-divide mean × n), and free of allocation on a warmed workspace.
+func TestCombineSparseMeanAllocBudget(t *testing.T) {
+	const n, dim = 6, 257
+	r := rand.New(rand.NewSource(23))
+	// density 0.4: supports overlap partially, so some coordinates sum two
+	// values, some five, some one.
+	vs, _ := sparseInputs(r, n, dim, 0.4)
+	vs[2] = nil // a dead rank's slot
+
+	acc := sparse.NewAccumulator(dim)
+	for _, v := range vs {
+		if v != nil {
+			acc.Add(v)
+		}
+	}
+	want := acc.Sum()
+
+	var ws Workspace
+	out := ws.CombineSparse(AggSpec{}, dim, vs, nil)
+	if err := out.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out.Index, want.Index) || !vec.Equal(out.Value, want.Value) {
+		t.Fatal("mean CombineSparse diverges bitwise from the accumulator sum")
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	if a := testing.AllocsPerRun(20, func() { out = ws.CombineSparse(AggSpec{}, dim, vs, out) }); a != 0 {
+		t.Fatalf("warmed mean CombineSparse allocates %v objects per call, want 0", a)
+	}
+}
+
+// TestAggTraceParity pins that the aggregator is only a combine step: on
+// both owner-keyed schedules a trimmed-mean run moves the same messages as
+// a mean run — same Steps, same (step, from, to) multiset on every member.
+// Bytes may differ (a robust center can be an exact zero where the sum is
+// not), so they are not compared.
+func TestAggTraceParity(t *testing.T) {
+	type hop struct{ step, from, to int }
+	for _, p := range []int{2, 3, 5, 8} {
+		r := rand.New(rand.NewSource(int64(300 + p)))
+		plan := randomPlan(r, 96, 2*p+1, p, 0.5)
+		vs := shardedInputs(r, plan, 0.5)
+		g := WorldGroup(p)
+		schedules := map[string]func(*Workspace, transport.Endpoint, *sparse.Vector, AggSpec) (Trace, error){
+			"psr": func(ws *Workspace, ep transport.Endpoint, out *sparse.Vector, spec AggSpec) (Trace, error) {
+				return ws.PSRAllreduceSparseAgg(ep, g, 600, vs[ep.Rank()], out, spec)
+			},
+			"shard": func(ws *Workspace, ep transport.Endpoint, out *sparse.Vector, spec AggSpec) (Trace, error) {
+				return ws.ShardAllreduceSparseAgg(ep, g, 600, plan, vs[ep.Rank()], out, spec)
+			},
+		}
+		for name, schedule := range schedules {
+			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
+				run := func(spec AggSpec) ([]int, []map[hop]int) {
+					steps := make([]int, p)
+					hops := make([]map[hop]int, p)
+					runRanks(t, p, func(ep transport.Endpoint) error {
+						tr, err := schedule(new(Workspace), ep, new(sparse.Vector), spec)
+						if err != nil {
+							return err
+						}
+						m := map[hop]int{}
+						for _, e := range tr.Events {
+							m[hop{e.Step, e.From, e.To}]++
+						}
+						steps[ep.Rank()], hops[ep.Rank()] = tr.Steps, m
+						return nil
+					})
+					return steps, hops
+				}
+				meanSteps, meanHops := run(AggSpec{})
+				trimSteps, trimHops := run(AggSpec{Kind: AggTrimmedMean, TrimF: 1})
+				for rk := 0; rk < p; rk++ {
+					if len(meanHops[rk]) == 0 {
+						t.Fatalf("rank %d sent nothing; the comparison would be vacuous", rk)
+					}
+					if meanSteps[rk] != trimSteps[rk] || !maps.Equal(meanHops[rk], trimHops[rk]) {
+						t.Fatalf("rank %d: trimmed-mean run moved different messages than the mean run\nmean: %d steps %v\ntrim: %d steps %v",
+							rk, meanSteps[rk], meanHops[rk], trimSteps[rk], trimHops[rk])
+					}
+				}
+			})
+		}
 	}
 }

@@ -32,6 +32,18 @@ import (
 // engine's bit-identity escape hatch. With Blocks > p each owner holds
 // several blocks but still reduces each one independently in member order.
 func (ws *Workspace) ShardAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, plan *shard.Plan, v, out *sparse.Vector) (Trace, error) {
+	return ws.ShardAllreduceSparseAgg(ep, g, tagBase, plan, v, out, AggSpec{})
+}
+
+// ShardAllreduceSparseAgg is the shard schedule with the aggregator as
+// each owned block's combine step, taken over the block's subscribers: the
+// member-order sum for the mean, center × m_b for the robust kinds, where
+// m_b is block b's subscriber count under the plan — a static property
+// (b ∈ Subs[i]), never a function of who happened to send nonzeros — so
+// the sharded z-update's divide-by-subscribers recovers the statistic
+// exactly as the replicated path's divide-by-p does. Messages, tags and
+// trace shape do not depend on spec.
+func (ws *Workspace) ShardAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBase int32, plan *shard.Plan, v, out *sparse.Vector, spec AggSpec) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
 		return Trace{}, err
@@ -119,34 +131,36 @@ func (ws *Workspace) ShardAllreduceSparse(ep transport.Endpoint, g Group, tagBas
 		return tr, err
 	}
 
-	// Reduce each owned block independently: block-width accumulator, member
-	// order (me contributes from v at position me), so float association
-	// matches PSRAllreduceSparse's per-chunk reduction bit for bit.
-	subCur := 0
+	// Combine each owned block independently over its subscribers, in
+	// member order (me contributes from v at position me), so the mean's
+	// float association matches PSRAllreduceSparse's per-chunk reduction bit
+	// for bit. A member's entries outside its subscription are ignored, mine
+	// included. The cursors advance monotonically with b (owned blocks
+	// ascend), giving each member's "subscribed to b?" test amortized O(1).
+	// ws.offsets and ws.cur are the PSR/ring assembly scratch, p-wide and
+	// idle in this schedule.
+	cursors := ws.offsets
+	for i := range cursors {
+		cursors[i] = 0
+	}
+	contrib := ws.cur
 	for bi := 0; bi < owned; bi++ {
 		b := me + bi*p
 		c := part.Chunk(b)
-		for subCur < len(subsMe) && int(subsMe[subCur]) < b {
-			subCur++
-		}
-		mine := subCur < len(subsMe) && int(subsMe[subCur]) == b
-		ws.acc.Reset(c.Len())
 		for i := 0; i < p; i++ {
-			src := v
-			if i != me {
-				src = arrivals[i]
-				if src == nil {
-					continue
-				}
-			} else if !mine {
-				// My own entries outside my subscription are ignored, like
-				// every other member's.
-				continue
+			subs := plan.Subs[i]
+			for cursors[i] < len(subs) && int(subs[cursors[i]]) < b {
+				cursors[i]++
 			}
-			from, to := src.Range(c.Lo, c.Hi)
-			ws.acc.AddRange(src, from, to, int32(c.Lo))
+			contrib[i] = nil
+			if cursors[i] < len(subs) && int(subs[cursors[i]]) == b {
+				contrib[i] = arrivals[i]
+				if i == me {
+					contrib[i] = v
+				}
+			}
 		}
-		ws.shRed[bi] = ws.acc.SumInto(ws.shRed[bi])
+		ws.shRed[bi] = ws.combine(spec, c.Lo, c.Len(), contrib, ws.shRed[bi])
 	}
 
 	// Allgather: send each subscriber of my blocks its reduced slices, again

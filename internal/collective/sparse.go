@@ -3,10 +3,8 @@ package collective
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"psrahgadmm/internal/sparse"
-	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/wire"
 )
 
@@ -24,100 +22,4 @@ func sparsePayload(in wire.Message) (*sparse.Vector, error) {
 			in.Tag, in.From, in.Kind, ErrPayloadKind)
 	}
 	return in.Sparse, nil
-}
-
-// wsPool backs the package-level convenience wrappers: they run through
-// pooled Workspaces instead of stack-allocating fresh scratch per call, so
-// callers that have not migrated to the Workspace methods still amortize
-// the block buffers. The wrappers copy the trace events out before
-// returning the workspace (a Workspace's Events are valid only until its
-// next call).
-var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
-
-func detachTrace(tr Trace) Trace {
-	if len(tr.Events) > 0 {
-		tr.Events = append([]Event(nil), tr.Events...)
-	} else {
-		tr.Events = nil
-	}
-	return tr
-}
-
-// RingAllreduceSparse sums the members' sparse vectors (all of dimension
-// v.Dim) with the ring schedule, transmitting only nonzeros. The returned
-// vector is the global sum. Unlike the dense variant, per-step message
-// sizes depend on where the nonzeros sit — which is exactly the sensitivity
-// the paper analyzes in eqs. (11)–(13): a block that accumulates all the
-// nonzeros grows linearly as it travels the ring.
-//
-// Convenience form: allocates the result and copies the trace. Hot-path
-// callers hold a Workspace and use its method directly.
-func RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, v *sparse.Vector) (*sparse.Vector, Trace, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	out := new(sparse.Vector)
-	tr, err := ws.RingAllreduceSparse(ep, g, tagBase, v, out)
-	tr = detachTrace(tr)
-	if err != nil {
-		return nil, tr, err
-	}
-	return out, tr, nil
-}
-
-// PSRAllreduceSparse sums the members' sparse vectors with the paper's
-// PSR-Allreduce schedule: block j goes straight to owner j (one
-// Scatter-Reduce step), then each owner sends its finished block to every
-// other member (one Allgather step). Sparse cost is bounded by c·θ in the
-// scatter step and c·θ·(N−1) in the gather step (paper eqs. 14–15),
-// independent of where the nonzeros concentrate — the robustness property
-// PSRA-HGADMM is built on.
-//
-// Convenience form: allocates the result and copies the trace. Hot-path
-// callers hold a Workspace and use its method directly.
-func PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, v *sparse.Vector) (*sparse.Vector, Trace, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	out := new(sparse.Vector)
-	tr, err := ws.PSRAllreduceSparse(ep, g, tagBase, v, out)
-	tr = detachTrace(tr)
-	if err != nil {
-		return nil, tr, err
-	}
-	return out, tr, nil
-}
-
-// ReduceSparse sums every member's vector at the root member and returns
-// the sum there; non-root members receive nil.
-func ReduceSparse(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, v *sparse.Vector) (*sparse.Vector, Trace, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	out := new(sparse.Vector)
-	tr, err := ws.ReduceSparse(ep, g, tagBase, rootIdx, v, out)
-	tr = detachTrace(tr)
-	if err != nil {
-		return nil, tr, err
-	}
-	if g.IndexOf(ep.Rank()) != rootIdx {
-		return nil, tr, nil
-	}
-	return out, tr, nil
-}
-
-// BroadcastSparse sends the root's vector to every member and returns each
-// member's copy (the root gets its own vector back unchanged).
-func BroadcastSparse(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, v *sparse.Vector) (*sparse.Vector, Trace, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	me := g.IndexOf(ep.Rank())
-	if me == rootIdx {
-		tr, err := ws.BroadcastSparse(ep, g, tagBase, rootIdx, v, nil)
-		return v, detachTrace(tr), err
-	}
-	out := new(sparse.Vector)
-	tr, err := ws.BroadcastSparse(ep, g, tagBase, rootIdx, v, out)
-	tr = detachTrace(tr)
-	if err != nil {
-		return nil, tr, err
-	}
-	return out, tr, nil
 }

@@ -27,12 +27,12 @@ func collectTraces(t *testing.T, ring bool, inputs []*sparse.Vector) []Trace {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var err error
+			ar := (*Workspace).PSRAllreduceSparse
 			if ring {
-				_, traces[i], err = RingAllreduceSparse(f.Endpoint(i), g, 1, inputs[i])
-			} else {
-				_, traces[i], err = PSRAllreduceSparse(f.Endpoint(i), g, 1, inputs[i])
+				ar = (*Workspace).RingAllreduceSparse
 			}
+			var err error
+			traces[i], err = ar(new(Workspace), f.Endpoint(i), g, 1, inputs[i], new(sparse.Vector))
 			if err != nil {
 				errCh <- fmt.Errorf("rank %d: %w", i, err)
 			}
@@ -192,7 +192,7 @@ func TestDenseTraceBytesMatchPayloads(t *testing.T) {
 			for j := range x {
 				x[j] = float64(i + j)
 			}
-			traces[i], _ = RingAllreduceDense(f.Endpoint(i), g, 1, x)
+			traces[i], _ = new(Workspace).RingAllreduceDense(f.Endpoint(i), g, 1, x)
 		}(i)
 	}
 	wg.Wait()

@@ -56,12 +56,13 @@ type Workspace struct {
 	shOut []*sparse.Vector
 	shArr []*sparse.Vector
 
-	// Robust-reduce scratch (robust.go): the coordinate × contributor
-	// matrix behind the trimmed-mean/median owner-side combine.
+	// Robust-combine scratch (robust.go): the coordinate × contributor
+	// matrix behind the trimmed-mean/median form of the combine step.
 	rb robustScratch
 }
 
-// validateGroup is Group.validate using ws.seen instead of a fresh map.
+// validateGroup checks that g is a non-empty, duplicate-free set of world
+// ranks containing the local one, and returns the local member index.
 // Every collective enters through here, so it also discards async-send
 // error channels left over from a previous call that aborted mid-protocol:
 // their errors belong to the aborted round, and the buffered channels let
@@ -133,9 +134,6 @@ func (ws *Workspace) ensureSparse(p int) {
 	if ws.myBlock == nil {
 		ws.myBlock = new(sparse.Vector)
 	}
-	if ws.acc == nil {
-		ws.acc = sparse.NewAccumulator(0)
-	}
 }
 
 // send delivers msg inline when the endpoint's sends cannot deadlock,
@@ -176,10 +174,12 @@ func (ws *Workspace) drainSends() error {
 	return first
 }
 
-// RingAllreduceSparse is the workspace form of the package-level
-// RingAllreduceSparse: the global sum is written into out (which must not
-// alias v) instead of freshly allocated. Float operations occur in the
-// identical order, so results are bit-identical.
+// RingAllreduceSparse sums the members' sparse vectors (all of dimension
+// v.Dim) with the ring schedule, transmitting only nonzeros; the global sum
+// is written into out (which must not alias v). Unlike the dense variant,
+// per-step message sizes depend on where the nonzeros sit — which is
+// exactly the sensitivity the paper analyzes in eqs. (11)–(13): a block
+// that accumulates all the nonzeros grows linearly as it travels the ring.
 func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
@@ -268,10 +268,24 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 	return tr, nil
 }
 
-// PSRAllreduceSparse is the workspace form of the package-level
-// PSRAllreduceSparse, writing the global sum into out (which must not
-// alias v). Bit-identical to the allocating form.
+// PSRAllreduceSparse sums the members' sparse vectors with the paper's
+// PSR-Allreduce schedule, writing the global sum into out (which must not
+// alias v): block j goes straight to owner j (one Scatter-Reduce step),
+// then each owner sends its finished block to every other member (one
+// Allgather step). Sparse cost is bounded by c·θ in the scatter step and
+// c·θ·(N−1) in the gather step (paper eqs. 14–15), independent of where
+// the nonzeros concentrate — the robustness property PSRA-HGADMM is built
+// on.
 func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector) (Trace, error) {
+	return ws.PSRAllreduceSparseAgg(ep, g, tagBase, v, out, AggSpec{})
+}
+
+// PSRAllreduceSparseAgg is the PSR-Allreduce schedule with the aggregator
+// as the owner-side combine step: every contribution to a block meets at
+// its owner, which writes the member-order sum (mean) or center × p
+// (robust kinds) — either way what the caller's divide-by-p turns into the
+// statistic. Messages, tags and trace shape do not depend on spec.
+func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector, spec AggSpec) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
 		return Trace{}, err
@@ -279,6 +293,8 @@ func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase 
 	p := g.Size()
 	tr := Trace{Steps: 2, Events: ws.events[:0]}
 	if p == 1 {
+		// The sum, and center × 1, of a single contribution is the
+		// contribution.
 		out.ReuseFrom(v)
 		return tr, nil
 	}
@@ -287,8 +303,8 @@ func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase 
 	ws.chunks = vec.SplitInto(ws.chunks, v.Dim, p)
 	mine := ws.chunks[me]
 
-	// Scatter-Reduce: send block j to its owner, accumulate arrivals into
-	// my own block.
+	// Scatter-Reduce: send block j to its owner, combine arrivals into my
+	// own block.
 	for j := 0; j < p; j++ {
 		if j == me {
 			continue
@@ -300,7 +316,7 @@ func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase 
 			return tr, err
 		}
 	}
-	// Collect contributions first, then reduce in member order so float
+	// Collect contributions first, then combine in member order so float
 	// association is independent of arrival order (bit-reproducibility).
 	arrivals := ws.arrS
 	for j := 0; j < p-1; j++ {
@@ -322,17 +338,11 @@ func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase 
 		arrivals[src] = sv
 	}
 	arrivals[me] = v.SliceInto(ws.own[me], mine.Lo, mine.Hi)
-	ws.acc.Reset(mine.Hi - mine.Lo)
-	for _, a := range arrivals {
-		if a != nil {
-			ws.acc.Add(a)
-		}
-	}
+	myBlock := ws.combine(spec, 0, mine.Hi-mine.Lo, arrivals, ws.myBlock)
+	ws.myBlock = myBlock
 	if err := ws.drainSends(); err != nil {
 		return tr, err
 	}
-	myBlock := ws.acc.SumInto(ws.myBlock)
-	ws.myBlock = myBlock
 
 	// Allgather: broadcast my finished block, collect the rest.
 	msg := wire.SparseMsg(tagBase+1, myBlock)
@@ -377,9 +387,9 @@ func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase 
 	return tr, nil
 }
 
-// ReduceSparse is the workspace form of the package-level ReduceSparse:
-// the root's sum is written into out (which must not alias v); non-root
-// members leave out untouched. Contributions are accumulated in member
+// ReduceSparse sums every member's vector at the root member: the root's
+// sum is written into out (which must not alias v); non-root members
+// leave out untouched. Contributions are accumulated in member
 // order regardless of arrival order, so overlapping supports sum
 // bit-identically on every run — the property the WLG leader gather
 // relies on when members ship partially-overlapping top-k selections.
@@ -422,21 +432,14 @@ func (ws *Workspace) ReduceSparse(ep transport.Endpoint, g Group, tagBase int32,
 		arrivals[src] = sv
 	}
 	arrivals[me] = v
-	ws.acc.Reset(v.Dim)
-	for _, a := range arrivals {
-		if a != nil {
-			ws.acc.Add(a)
-		}
-	}
-	ws.acc.SumInto(out)
+	ws.combine(AggSpec{}, 0, v.Dim, arrivals, out)
 	ws.events = tr.Events
 	return tr, nil
 }
 
-// BroadcastSparse is the workspace form of the package-level
-// BroadcastSparse: the root sends v (out is ignored and may be nil);
-// every other member receives into out, decoupled from the transport
-// buffer.
+// BroadcastSparse sends the root's vector to every member: the root
+// sends v (out is ignored and may be nil); every other member receives
+// into out, decoupled from the transport buffer.
 func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, v, out *sparse.Vector) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
@@ -478,8 +481,12 @@ func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int
 	return tr, nil
 }
 
-// RingAllreduceDense is the workspace form of the package-level
-// RingAllreduceDense (in place on x). Bit-identical results.
+// RingAllreduceDense sums x elementwise across the group, in place. Every
+// member must pass a slice of identical length. The algorithm is the
+// standard two-phase ring: len(g)-1 Scatter-Reduce steps in which each
+// member forwards one block to its successor while reducing the block
+// arriving from its predecessor, then len(g)-1 Allgather steps circulating
+// the finished blocks. tagBase reserves tags [tagBase, tagBase+2).
 func (ws *Workspace) RingAllreduceDense(ep transport.Endpoint, g Group, tagBase int32, x []float64) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
@@ -539,45 +546,6 @@ func (ws *Workspace) RingAllreduceDense(ep transport.Endpoint, g Group, tagBase 
 			return tr, fmt.Errorf("collective: ring gather block size %d, want %d", len(in.Dense), rc.Hi-rc.Lo)
 		}
 		copy(x[rc.Lo:rc.Hi], in.Dense)
-	}
-	ws.events = tr.Events
-	return tr, nil
-}
-
-// Barrier is the workspace form of the package-level Barrier.
-func (ws *Workspace) Barrier(ep transport.Endpoint, g Group, tag int32) (Trace, error) {
-	me, err := ws.validateGroup(ep, g)
-	if err != nil {
-		return Trace{}, err
-	}
-	tr := Trace{Steps: 2, Events: ws.events[:0]}
-	if g.Size() == 1 {
-		return tr, nil
-	}
-	root := g.Ranks[0]
-	if me == 0 {
-		for i := 1; i < g.Size(); i++ {
-			if _, err := ep.Recv(transport.AnySource, tag); err != nil {
-				return tr, err
-			}
-		}
-		for i := 1; i < g.Size(); i++ {
-			m := wire.Control(tag + 1)
-			if err := ep.Send(g.Ranks[i], m); err != nil {
-				return tr, err
-			}
-			tr.add(1, ep.Rank(), g.Ranks[i], wire.PayloadBytes(m))
-		}
-		ws.events = tr.Events
-		return tr, nil
-	}
-	m := wire.Control(tag)
-	if err := ep.Send(root, m); err != nil {
-		return tr, err
-	}
-	tr.add(0, ep.Rank(), root, wire.PayloadBytes(m))
-	if _, err := ep.Recv(root, tag+1); err != nil {
-		return tr, err
 	}
 	ws.events = tr.Events
 	return tr, nil

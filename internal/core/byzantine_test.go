@@ -317,3 +317,43 @@ func TestByzantineQuorumLostAborts(t *testing.T) {
 		t.Fatalf("err = %v, want wrapping watchdog.ErrQuorumLost", err)
 	}
 }
+
+// TestTrimFValidatedAgainstCombineFanIn: 2·TrimF must stay below the
+// number of contributions that meet at the run's combine point — node
+// partials under tree consensus, workers under flat and star. Checking
+// the tree against the worker count let TrimF 3 through on 4×4, where
+// the combine then silently clamped it to 1.
+func TestTrimFValidatedAgainstCombineFanIn(t *testing.T) {
+	trimmed, median := collective.AggTrimmedMeanName, collective.AggMedianName
+	for _, tc := range []struct {
+		alg        Algorithm // names the consensus
+		agg        string    // "" keeps the variant's aggregator
+		nodes, wpn int
+		trimF      int
+		ok         bool
+	}{
+		{PSRAHGADMMRobust, "", 4, 4, 1, true}, // tree: 4 node partials
+		{PSRAHGADMMRobust, "", 4, 4, 2, false},
+		{PSRAHGADMMRobust, "", 4, 4, 3, false},
+		{PSRAHGADMMRobust, "", 8, 2, 3, true},
+		{PSRAHGADMMRobust, "", 2, 8, 0, false}, // default TrimF 1 over 2 partials
+		{PSRAHGADMM, trimmed, 3, 1, 0, true},
+		{PSRAADMMRobust, "", 4, 4, 3, true}, // flat: 16 workers
+		{PSRAADMMRobust, "", 4, 4, 7, true},
+		{PSRAADMMRobust, "", 4, 4, 8, false},
+		{PSRAADMMRobust, "", 2, 2, 0, true},
+		{GCADMM, trimmed, 2, 2, 1, true}, // star: 4 workers
+		{GCADMM, trimmed, 2, 2, 2, false},
+		{GCADMMMedian, "", 2, 1, 9, true}, // only the trimmed mean reads TrimF
+		{PSRAHGADMM, median, 2, 2, 9, true},
+		{PSRAHGADMM, "", 2, 2, 9, true},
+	} {
+		cfg := baseConfig(tc.alg, tc.nodes, tc.wpn)
+		cfg.Aggregator = tc.agg
+		cfg.TrimF = tc.trimF
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s agg=%q %d×%d TrimF=%d: Validate() = %v, want ok=%v",
+				tc.alg, tc.agg, tc.nodes, tc.wpn, tc.trimF, err, tc.ok)
+		}
+	}
+}

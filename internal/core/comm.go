@@ -61,10 +61,9 @@ type crewJob struct {
 	out     *sparse.Vector
 	dense   []float64
 	plan    *shard.Plan // commShardSparse only
-	// spec selects the reduce statistic for the PSR and shard kinds. The
-	// mean spec routes through the unmodified sum kernels, so every
-	// pre-robust schedule stays bit-identical; the ring kinds are pairwise
-	// and ignore it (robust × ring is rejected at registration).
+	// spec is the PSR and shard kinds' owner-side combine step; the ring
+	// kinds are pairwise and ignore it (robust × ring is rejected by
+	// checkComposition).
 	spec collective.AggSpec
 }
 

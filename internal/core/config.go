@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"psrahgadmm/internal/collective"
+	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/transport"
@@ -248,20 +249,23 @@ type Config struct {
 	// Watchdog.MaxRollbacks is exhausted or no snapshot exists.
 	Watchdog watchdog.Config
 	// Aggregator selects the consensus reduce statistic: "mean" (the
-	// default — bit-identical to the pre-robust engine, every sum routed
-	// through the unmodified kernels), "trimmed-mean" (drop the TrimF
-	// largest and smallest contributions per coordinate before averaging),
-	// or "coordinate-median". Empty inherits the registered variant's
-	// Aggregator axis value. The robust statistics are non-associative, so
-	// they require a consensus strategy with a single combine point:
-	// flat/star/tree, not ring or group-local; with sharded state only the
-	// flat strategy reduces per block with per-block contributor sets.
+	// default — the exact sum, bit-identical to the pre-robust engine),
+	// "trimmed-mean" (drop the TrimF largest and smallest contributions
+	// per coordinate before averaging), or "coordinate-median". Empty
+	// inherits the registered variant's Aggregator axis value. The robust
+	// statistics are non-associative, so they require a consensus strategy
+	// with a single combine point: flat/star/tree, not ring or group-local;
+	// with sharded state only the flat strategy reduces per block with
+	// per-block contributor sets.
 	Aggregator string
 	// TrimF is trimmed-mean's per-side trim count — the number of
 	// Byzantine contributors the reduce tolerates. Defaults to 1 when the
-	// trimmed-mean aggregator is selected. It is also the robust quorum
-	// bound: once more than TrimF ranks are quarantined the run aborts
-	// with an error wrapping watchdog.ErrQuorumLost.
+	// trimmed-mean aggregator is selected, and must leave something to
+	// average: 2·TrimF < the contributions meeting at the combine point
+	// (workers for flat and star, node partials for the tree). Other
+	// aggregators ignore it. It is also the robust quorum bound: once more
+	// than TrimF ranks are quarantined the run aborts with an error
+	// wrapping watchdog.ErrQuorumLost.
 	TrimF int
 	// Screen enables contribution screening: every contribution entering a
 	// consensus reduce is scored against its sender's own EWMA baselines
@@ -299,47 +303,59 @@ func (c *Config) fill() {
 	if c.RhoTau <= 1 {
 		c.RhoTau = 2
 	}
-	if c.Aggregator == "" {
-		if v, ok := Lookup(c.Algorithm); ok {
-			c.Aggregator = v.Aggregator
-		}
-	}
-	if c.Aggregator == "" {
-		c.Aggregator = collective.AggMeanName
-	}
-	if c.Aggregator == collective.AggTrimmedMeanName && c.TrimF == 0 {
-		c.TrimF = 1
-	}
 	if c.QuarantineRounds <= 0 {
 		c.QuarantineRounds = 3
 	}
 }
 
-// aggSpec resolves the run's aggregator axis after fill.
-func (c Config) aggSpec() (collective.AggSpec, error) {
+// runAxes is where one run sits on the strategy axes: the registered
+// variant mapped through the Config's per-run overrides.
+type runAxes struct {
+	consensus ConsensusKind
+	sync      SyncKind
+	codec     exchange.Kind
+	sharded   bool
+	agg       collective.AggSpec
+}
+
+// axes resolves and checks the run's strategy axes: the composition
+// rules, and the trim count against the fan-in of the combine point it
+// will meet — node partials for the tree, workers for flat and star. Topo
+// must already be valid.
+func (c Config) axes() (runAxes, error) {
+	v, ok := Lookup(c.Algorithm)
+	if !ok {
+		return runAxes{}, fmt.Errorf("core: unknown algorithm %q", c.Algorithm)
+	}
+	ax := runAxes{sharded: v.Sharded || c.ShardedState}
+	ax.consensus, ax.sync, ax.codec = v.resolve(c)
 	name := c.Aggregator
 	if name == "" {
-		if v, ok := Lookup(c.Algorithm); ok {
-			name = v.Aggregator
-		}
+		name = v.Aggregator
 	}
-	kind, err := collective.ParseAgg(name)
-	if err != nil {
-		return collective.AggSpec{}, fmt.Errorf("core: %w", err)
+	var err error
+	if ax.agg, err = collective.ResolveAgg(name, c.TrimF); err != nil {
+		return runAxes{}, fmt.Errorf("core: %w", err)
 	}
-	f := c.TrimF
-	if kind == collective.AggTrimmedMean && f == 0 {
-		f = 1 // fill's default, applied here too so pre-fill Validate agrees
+	if err := checkComposition(ax.consensus, ax.codec, ax.sharded, ax.agg.Kind); err != nil {
+		return runAxes{}, fmt.Errorf("core: %s: %w", c.Algorithm, err)
 	}
-	return collective.AggSpec{Kind: kind, TrimF: f}, nil
+	fanIn, unit := c.Topo.Size(), "workers"
+	if ax.consensus == ConsensusTree {
+		fanIn, unit = c.Topo.Nodes, "node partials"
+	}
+	if f := ax.agg.Tolerance(fanIn); 2*f >= fanIn {
+		return runAxes{}, fmt.Errorf("core: TrimF %d trims everything: need 2·TrimF < %d %s", f, fanIn, unit)
+	}
+	return ax, nil
 }
 
 // Validate checks the configuration before a run.
 func (c Config) Validate() error {
-	if !c.Algorithm.Valid() {
-		return fmt.Errorf("core: unknown algorithm %q", c.Algorithm)
-	}
 	if err := c.Topo.Validate(); err != nil {
+		return err
+	}
+	if _, err := c.axes(); err != nil {
 		return err
 	}
 	if c.Rho <= 0 {
@@ -384,31 +400,8 @@ func (c Config) Validate() error {
 	if err := c.Screen.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if c.TrimF < 0 {
-		return fmt.Errorf("core: TrimF must be non-negative, got %d", c.TrimF)
-	}
 	if c.QuarantineRounds < 0 {
 		return fmt.Errorf("core: QuarantineRounds must be non-negative, got %d", c.QuarantineRounds)
-	}
-	spec, err := c.aggSpec()
-	if err != nil {
-		return err
-	}
-	if spec.Robust() {
-		if v, ok := Lookup(c.Algorithm); ok {
-			ck, _, _ := v.resolve(c)
-			switch ck {
-			case ConsensusFlat, ConsensusStar, ConsensusTree:
-			default:
-				return fmt.Errorf("core: aggregator %q needs a single combine point; %s consensus reduces pairwise", spec.Kind, ck)
-			}
-			if (v.Sharded || c.ShardedState) && ck != ConsensusFlat {
-				return fmt.Errorf("core: aggregator %q over sharded state requires flat-psr consensus (per-block contributor sets), not %s", spec.Kind, ck)
-			}
-		}
-		if 2*spec.TrimF >= c.Topo.Size() {
-			return fmt.Errorf("core: TrimF %d trims everything: need 2·TrimF < %d workers", spec.TrimF, c.Topo.Size())
-		}
 	}
 	if c.Faults != nil {
 		for r, bf := range c.Faults.ByzantineAtIteration {

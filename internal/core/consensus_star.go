@@ -25,10 +25,9 @@ type starStrategy struct {
 	fresh    []int
 	idle     []int
 	sub      []*worker
-	// Robust-aggregation scratch: cws carries the coordinate×contributor
-	// combine matrix (only its robust scratch is used — the star never
+	// Master-side combine: cws carries the combine scratch (the star never
 	// runs a wire collective through it), combined/combineSrcs are the
-	// master-side combine's destination and source list.
+	// combine's destination and source list.
 	cws         collective.Workspace
 	combined    *sparse.Vector
 	combineSrcs []*sparse.Vector
@@ -113,32 +112,19 @@ func (st *starStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	end := gatherStart + commT
 	st.masterFreeAt = end
 
-	// The master is the robust aggregators' natural combine point: it
-	// already sees every live contribution, so the trimmed-mean/median
-	// center (scaled ×contributors, which the z-update divides back out)
-	// drops straight in where the sum was. The mean path is untouched.
-	var wAgg []float64
-	if env.agg.Robust() {
-		srcs := st.combineSrcs[:0]
-		for i, wc := range st.wCur {
-			if !env.members.Alive(ws[i].rank) {
-				continue
-			}
+	// The master is the star's combine point: it already sees every live
+	// contribution, so the aggregator — the sum, or the trimmed-mean/median
+	// center scaled ×contributors — applies here, and the z-update divides
+	// the contributor count back out either way.
+	srcs := st.combineSrcs[:0]
+	for i, wc := range st.wCur {
+		if env.members.Alive(ws[i].rank) {
 			srcs = append(srcs, wc)
 		}
-		st.combineSrcs = srcs
-		st.combined = st.cws.CombineSparse(env.agg, env.dim, srcs, st.combined)
-		wAgg = st.combined.ToDense()
-	} else {
-		acc := sparse.NewAccumulator(env.dim)
-		for i, wc := range st.wCur {
-			if !env.members.Alive(ws[i].rank) {
-				continue
-			}
-			acc.Add(wc)
-		}
-		wAgg = acc.Sum().ToDense()
 	}
+	st.combineSrcs = srcs
+	st.combined = st.cws.CombineSparse(env.agg, env.dim, srcs, st.combined)
+	wAgg := st.combined.ToDense()
 	zDense := make([]float64, env.dim)
 	// The store picks the z-update's contributor scaling: the global count
 	// replicated, per-block live subscribers sharded; workers then retain

@@ -79,16 +79,14 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	if train.Rows() < cfg.Topo.Size() {
 		return nil, fmt.Errorf("core: %d rows cannot feed %d workers", train.Rows(), cfg.Topo.Size())
 	}
-	variant, ok := Lookup(cfg.Algorithm)
-	if !ok { // unreachable after Validate; kept for direct callers
-		return nil, fmt.Errorf("core: unknown algorithm %q", cfg.Algorithm)
+	ax, err := cfg.axes()
+	if err != nil { // unreachable after Validate
+		return nil, err
 	}
-	consensusKind, syncKind, codecKind := variant.resolve(cfg)
-	codec, err := exchange.For(codecKind)
+	codec, err := exchange.For(ax.codec)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", cfg.Algorithm, err)
 	}
-	sharded := variant.Sharded || cfg.ShardedState
 
 	ws := newWorkers(cfg, train)
 	// One scratch fabric serves every in-run collective; rank numbering
@@ -127,19 +125,16 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		ws:      ws,
 		fab:     fab,
 		codec:   codec,
-		sync:    newSyncModel(syncKind, cfg),
+		sync:    newSyncModel(ax.sync, cfg),
 		dim:     train.Dim(),
 		members: members,
 		elastic: cfg.Elastic,
+		// The aggregator spec rides every PSR/shard collective job as the
+		// owner-side combine step.
+		agg: ax.agg,
 	}
 	if f := cfg.Faults; f != nil && (f.CorruptProb > 0 || len(f.CorruptAtIteration) > 0) {
 		env.corruptible = true
-	}
-	// The aggregator spec rides every PSR/shard collective job; the mean
-	// spec routes through the unmodified sum kernels, so non-robust runs
-	// stay bit-identical to the pre-aggregator engine.
-	if env.agg, err = cfg.aggSpec(); err != nil { // unreachable after Validate; kept for direct callers
-		return nil, fmt.Errorf("core: %s: %w", cfg.Algorithm, err)
 	}
 	// The contribution screen (nil when disabled) scores every encoded
 	// contribution at the encodeSparse chokepoint; the quarantine
@@ -157,17 +152,17 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	// dense z or block-sharded z — and allocates every worker's storage.
 	// Placement composes freely with the sync model: the strategies route
 	// all placement-specific work through the store (see statestore.go).
-	env.store = newStateStore(env, sharded, cfg.ShardBlocks)
+	env.store = newStateStore(env, ax.sharded, cfg.ShardBlocks)
 	env.store.initWorkers()
 	// The top-k codecs carry per-rank error-feedback state: the residual
 	// of dropped (and quantized-away) mass, merged back before the next
 	// selection, plus the adaptive k driven by CodecBudgetBytes. Every
 	// other codec leaves states nil, keeping the encode path — and every
 	// golden history — byte-identical to the stateless engine.
-	if exchange.IsTopK(codecKind) {
+	if exchange.IsTopK(ax.codec) {
 		env.states = make([]*exchange.State, cfg.Topo.Size())
 		for r := range env.states {
-			s := exchange.NewState(codecKind, cfg.CodecBudgetBytes)
+			s := exchange.NewState(ax.codec, cfg.CodecBudgetBytes)
 			s.DisableErrorFeedback = cfg.CodecNoErrorFeedback
 			s.AgeScoring = cfg.CodecAgeScoring
 			if cfg.CodecTopK > 0 {
@@ -184,7 +179,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	defer env.pool.close()
 	env.crew = newCrew(env)
 	defer env.crew.close()
-	strat, err := newStrategy(consensusKind, env, cfg)
+	strat, err := newStrategy(ax.consensus, env, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", cfg.Algorithm, err)
 	}

@@ -28,9 +28,10 @@ func TestRegistryVariantsReachReferenceOptimum(t *testing.T) {
 			cfg := baseConfig(v.Name, 1, 2)
 			tol := 0.02
 			if v.Aggregator == collective.AggTrimmedMeanName {
-				// A trimmed mean needs 2·TrimF < N contributors; run the
-				// robust variants on 2×2, where one trim per side still
-				// leaves half of the four contributions. A robust center
+				// A trimmed mean needs 2·TrimF < N contributors at its
+				// combine point — workers for flat, node partials for the
+				// tree; run the robust variants on 4×1, where either way one
+				// trim per side still leaves half of four. A robust center
 				// is NOT the mean: with ~30 rows per worker the per-rank
 				// duals spread widely, so the trimmed fixed point sits a
 				// few percent off f* (the heterogeneity bias every robust
@@ -38,7 +39,7 @@ func TestRegistryVariantsReachReferenceOptimum(t *testing.T) {
 				// that nearby robust consensus; the Byzantine chaos test
 				// checks tightness on an IID-sharded problem where the
 				// bias vanishes.
-				cfg = baseConfig(v.Name, 2, 2)
+				cfg = baseConfig(v.Name, 4, 1)
 				tol = 0.2
 			}
 			// Generous budget and tight inner solves: the lossy and

@@ -135,9 +135,10 @@ func TestWSparseMatchesDefinition(t *testing.T) {
 	for _, w := range ws {
 		w.initReplicated()
 	}
+	pool := newComputePool()
+	defer pool.close()
 	for iter := 0; iter < 3; iter++ {
-		calTimes := parallelXUpdates(cfg, ws, iter)
-		_ = calTimes
+		pool.run(cfg, ws, iter)
 		bigW := make([]float64, train.Dim())
 		for _, w := range ws {
 			w.wSparse(cfg.Rho).AddIntoDense(bigW, 1)

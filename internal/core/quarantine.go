@@ -41,24 +41,16 @@ type quarantineCtl struct {
 	fTol  int            // robust tolerance f; -1 when no robust aggregator
 }
 
-// newQuarantineCtl sizes the controller for the world; fTol is derived
-// from the aggregator: trimmed-mean tolerates TrimF per side, the
-// coordinate median a minority, and the mean nothing (no bound is
-// enforced — quarantine under mean only ever removes poison from an exact
-// sum, like an elastic death).
+// newQuarantineCtl sizes the controller for the world; fTol is the
+// aggregator's tolerance over it. Under the mean no bound is enforced —
+// quarantine then only ever removes poison from an exact sum, like an
+// elastic death.
 func newQuarantineCtl(cfg Config, agg collective.AggSpec) *quarantineCtl {
-	q := &quarantineCtl{
+	return &quarantineCtl{
 		clean: make([]int, cfg.Topo.Size()),
 		probe: new(sparse.Vector),
-		fTol:  -1,
+		fTol:  agg.Tolerance(cfg.Topo.Size()),
 	}
-	switch agg.Kind {
-	case collective.AggTrimmedMean:
-		q.fTol = agg.TrimF
-	case collective.AggMedian:
-		q.fTol = (cfg.Topo.Size() - 1) / 2
-	}
-	return q
 }
 
 // sweep runs the quarantine state machine at the end of iteration iter:

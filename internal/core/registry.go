@@ -39,9 +39,8 @@ var registry = struct {
 }{byName: map[Algorithm]Variant{}}
 
 // Register adds a variant to the registry. It panics on a duplicate name
-// or an inexpressible combination (the hierarchical sparse strategies have
-// no dense wire format), since registrations are package-init-time
-// programming errors, not runtime conditions.
+// or a combination checkComposition rejects, since registrations are
+// package-init-time programming errors, not runtime conditions.
 func Register(v Variant) {
 	if v.Name == "" {
 		panic("core: Register: empty algorithm name")
@@ -62,48 +61,48 @@ func Register(v Variant) {
 	default:
 		panic(fmt.Sprintf("core: Register(%s): unknown sync %q", v.Name, v.Sync))
 	}
-	if sparseOnly(v.Consensus) && denseKind(v.Codec) {
-		panic(fmt.Sprintf("core: Register(%s): %s consensus cannot carry the %s codec",
-			v.Name, v.Consensus, v.Codec))
+	agg, err := collective.ParseAgg(v.Aggregator)
+	if err == nil {
+		err = checkComposition(v.Consensus, v.Codec, v.Sharded, agg)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("core: Register(%s): %v", v.Name, err))
+	}
+	registry.byName[v.Name] = v
+	registry.order = append(registry.order, v.Name)
+}
+
+// checkComposition is the one statement of which axis values combine.
+// Register applies it to a variant's registered axes, Config.Validate to
+// the axes a run resolves to.
+func checkComposition(ck ConsensusKind, codec exchange.Kind, sharded bool, agg collective.Agg) error {
+	// The hierarchical sparse strategies have no dense wire format.
+	sparseOnly := ck == ConsensusFlat || ck == ConsensusTree || ck == ConsensusGroupLocal
+	if sparseOnly && (codec == exchange.Dense || codec == exchange.DenseF32) {
+		return fmt.Errorf("%s consensus requires a sparse codec, not %s", ck, codec)
 	}
 	// Sharded state composes with every sync model (the StateStore layer
 	// scales each block by its live subscribers regardless of admission
 	// order); only the consensus axis is constrained — the ring hierarchy
 	// and group-local consensus assume a full-width aggregate.
-	if v.Sharded {
-		switch v.Consensus {
-		case ConsensusFlat, ConsensusStar, ConsensusTree:
-		default:
-			panic(fmt.Sprintf("core: Register(%s): sharded state does not support %s consensus", v.Name, v.Consensus))
-		}
+	fullWidth := ck == ConsensusFlat || ck == ConsensusStar || ck == ConsensusTree
+	if sharded && !fullWidth {
+		return fmt.Errorf("sharded state supports flat-psr, star, and tree consensus, not %s", ck)
 	}
 	// Robust aggregators are non-associative: every contribution must meet
 	// at one combine point (a PSR owner, the star master, a single tree
 	// merge). The pairwise ring and the group-local split have no such
 	// point, and sharded robustness needs flat's per-block contributor
 	// sets.
-	if agg, err := collective.ParseAgg(v.Aggregator); err != nil {
-		panic(fmt.Sprintf("core: Register(%s): %v", v.Name, err))
-	} else if agg != collective.AggMean {
-		switch v.Consensus {
-		case ConsensusFlat, ConsensusStar, ConsensusTree:
-		default:
-			panic(fmt.Sprintf("core: Register(%s): %s consensus cannot host the %s aggregator", v.Name, v.Consensus, v.Aggregator))
+	if agg != collective.AggMean {
+		if !fullWidth {
+			return fmt.Errorf("aggregator %q needs a single combine point; %s consensus reduces pairwise", agg, ck)
 		}
-		if v.Sharded && v.Consensus != ConsensusFlat {
-			panic(fmt.Sprintf("core: Register(%s): sharded %s state cannot host the %s aggregator", v.Name, v.Consensus, v.Aggregator))
+		if sharded && ck != ConsensusFlat {
+			return fmt.Errorf("aggregator %q over sharded state requires flat-psr consensus (per-block contributor sets), not %s", agg, ck)
 		}
 	}
-	registry.byName[v.Name] = v
-	registry.order = append(registry.order, v.Name)
-}
-
-func sparseOnly(k ConsensusKind) bool {
-	return k == ConsensusFlat || k == ConsensusTree || k == ConsensusGroupLocal
-}
-
-func denseKind(k exchange.Kind) bool {
-	return k == exchange.Dense || k == exchange.DenseF32
+	return nil
 }
 
 // Lookup returns the registered variant for name.

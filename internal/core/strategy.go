@@ -114,9 +114,9 @@ type strategyEnv struct {
 	// (the W collective, the z-update's contributor scaling, delivery,
 	// wire encoding) routes through it; see statestore.go.
 	store stateStore
-	// agg is the run's consensus reduce statistic. The zero value (mean)
-	// stamps every collective job with the bit-identical sum kernels; the
-	// robust kinds swap in the owner-side trimmed-mean/median combine.
+	// agg is the run's consensus reduce statistic, the combine step of
+	// every owner-keyed collective: the zero value (mean) sums, the robust
+	// kinds take the trimmed-mean/median center.
 	agg collective.AggSpec
 	// screen, non-nil when Config.Screen is enabled, scores every encoded
 	// contribution at the encodeSparse chokepoint. The engine reads the
@@ -238,32 +238,20 @@ func (env *strategyEnv) encodeSparse(rank int, v *sparse.Vector) {
 	env.screen.ObserveSparse(rank, v)
 }
 
-// newStrategy instantiates the consensus strategy for one run.
+// newStrategy instantiates the consensus strategy for one run. Whether
+// kind composes with the run's codec, placement and aggregator was settled
+// by Config.Validate (checkComposition).
 func newStrategy(kind ConsensusKind, env *strategyEnv, cfg Config) (ConsensusStrategy, error) {
-	if env.store.Sharded() {
-		switch kind {
-		case ConsensusFlat, ConsensusStar, ConsensusTree:
-		default:
-			return nil, fmt.Errorf("core: sharded state supports flat-psr, star, and tree consensus, not %s", kind)
-		}
-	}
 	switch kind {
 	case ConsensusStar:
 		return newStarStrategy(env), nil
 	case ConsensusFlat:
-		if env.codec.DenseExchange() {
-			return nil, fmt.Errorf("core: %s consensus requires a sparse codec, got %s", kind, env.codec.Kind())
-		}
 		return newFlatStrategy(env), nil
 	case ConsensusRing:
 		return newRingStrategy(env, cfg), nil
-	case ConsensusTree, ConsensusGroupLocal:
-		if env.codec.DenseExchange() {
-			return nil, fmt.Errorf("core: %s consensus requires a sparse codec, got %s", kind, env.codec.Kind())
-		}
-		if kind == ConsensusTree {
-			return newTreeStrategy(env, cfg), nil
-		}
+	case ConsensusTree:
+		return newTreeStrategy(env, cfg), nil
+	case ConsensusGroupLocal:
 		return newGroupStrategy(env, cfg), nil
 	}
 	return nil, fmt.Errorf("core: unknown consensus strategy %q", kind)

@@ -472,35 +472,6 @@ func solverZUpdate(dst, w []float64, lambda, rho float64, n int) {
 // countNonzero counts nonzero entries of a dense slice.
 func countNonzero(x []float64) int { return vec.CountNonzero(x) }
 
-// parallelXUpdates runs every listed worker's xUpdate concurrently (the
-// updates are independent) and returns each worker's compute time indexed
-// as the input. Results are deterministic: each worker's state is private
-// and the caller consumes results in fixed order.
-func parallelXUpdates(cfg Config, ws []*worker, iter int) []float64 {
-	times := make([]float64, len(ws))
-	par := runtime.GOMAXPROCS(0)
-	if par > len(ws) {
-		par = len(ws)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for p := 0; p < par; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				times[i] = ws[i].xUpdate(cfg, iter)
-			}
-		}()
-	}
-	for i := range ws {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return times
-}
-
 // meanZInto writes the average of the listed workers' consensus views —
 // the iterate the engine evaluates the global objective at — into a
 // caller-owned buffer. Under exact consensus all views are equal and the

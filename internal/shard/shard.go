@@ -164,7 +164,8 @@ func (m *Map) Plan(ranks []int) *Plan {
 
 // FullPlan is the plan where every one of p members subscribes to every
 // block — how a conventional full-width allreduce rides the shard-aware
-// schedule (the WLG GG's per-block-owner aggregation).
+// schedule. No runtime path builds one; it is the reference the collective
+// tests hold ShardAllreduceSparse against PSRAllreduceSparse with.
 func FullPlan(part Partition, p int) *Plan {
 	all := make([]int32, part.Blocks)
 	for b := range all {

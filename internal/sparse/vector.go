@@ -192,6 +192,9 @@ func (v *Vector) Range(lo, hi int) (from, to int) {
 	if lo < 0 || hi < lo || hi > v.Dim {
 		panic("sparse: Range bounds out of range")
 	}
+	if lo == 0 && hi == v.Dim {
+		return 0, len(v.Index) // the whole vector: nothing to search for
+	}
 	from = sort.Search(len(v.Index), func(k int) bool { return int(v.Index[k]) >= lo })
 	to = from + sort.Search(len(v.Index)-from, func(k int) bool { return int(v.Index[from+k]) >= hi })
 	return from, to

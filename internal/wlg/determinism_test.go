@@ -164,3 +164,41 @@ func TestRobustFlushOverPartialSupports(t *testing.T) {
 		}
 	}
 }
+
+// TestRobustSingleEntryGroupMatchesMean: with GroupThreshold 1 every GG
+// flush is a one-node group, where a robust center × 1 is the node sum
+// itself — so a robust run must reproduce the mean run bit for bit, on
+// the same combine path rather than through a single-entry special case.
+func TestRobustSingleEntryGroupMatchesMean(t *testing.T) {
+	topo := simnet.Topology{Nodes: 3, WorkersPerNode: 2}
+	const dim, iters = 48, 4
+	run := func(aggregator string) [][][]float64 {
+		cfg := Config{Topo: topo, MaxIter: iters, Elastic: true, GroupThreshold: 1, Aggregator: aggregator}
+		fab := transport.NewChanFabric(WorldSize(topo))
+		defer fab.Close()
+		return runWorld(t, fab, cfg, func(r, iter int, prev []float64) []float64 {
+			w := make([]float64, dim)
+			for j := range w {
+				if (j+r)%3 == 0 {
+					continue
+				}
+				w[j] = math.Sin(float64(131*r+17*j+7*iter)) * math.Pow(10, float64(r%4))
+				if prev != nil {
+					w[j] += prev[j] / 16
+				}
+			}
+			return w
+		})
+	}
+	mean := run(collective.AggMeanName)
+	for _, aggregator := range []string{collective.AggTrimmedMeanName, collective.AggMedianName} {
+		robust := run(aggregator)
+		for r := range mean {
+			for iter := range mean[r] {
+				if !vec.Equal(robust[r][iter], mean[r][iter]) {
+					t.Fatalf("%s: rank %d iteration %d: single-entry group aggregate differs from the mean run", aggregator, r, iter)
+				}
+			}
+		}
+	}
+}

@@ -187,16 +187,9 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 	if err != nil {
 		return nil, fmt.Errorf("wlg: %w", err)
 	}
-	spec, err := cfg.aggSpec()
+	spec, err := collective.ResolveAgg(cfg.Aggregator, cfg.TrimF)
 	if err != nil {
 		return nil, fmt.Errorf("wlg: %w", err)
-	}
-	quorumTol := -1
-	switch spec.Kind {
-	case collective.AggTrimmedMean:
-		quorumTol = spec.TrimF
-	case collective.AggMedian:
-		quorumTol = (topo.Nodes - 1) / 2
 	}
 	w := &elasticWorker{
 		ep:        ep,
@@ -211,7 +204,7 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 		acc:       sparse.NewAccumulator(0),
 		skips:     make([]int, topo.Size()),
 		screen:    watchdog.NewScreen(cfg.Screen, topo.Size()),
-		quorumTol: quorumTol,
+		quorumTol: spec.Tolerance(topo.Nodes),
 	}
 	// Elastic retries converge on shared targets (a dead Leader, the GG);
 	// decorrelated jitter spreads the survivors' attempts instead of
@@ -562,16 +555,15 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 	pol := cfg.Retry
 	rj := newGGRejoin(tr, topo.Size(), cfg.StartIter)
 	// The GG is the single combine point of the elastic topology, which is
-	// exactly what a robust (non-associative) aggregator needs: the robust
-	// center is taken here, at node granularity, over the node sums of one
-	// group. Leaders still SUM their members — the screen, not the
+	// exactly what a robust (non-associative) aggregator needs: the
+	// aggregator is applied here, at node granularity, over the node sums of
+	// one group. Leaders still SUM their members — the screen, not the
 	// statistic, is the intra-node defense — so the trim bound is on nodes.
-	spec, err := cfg.aggSpec()
+	spec, err := collective.ResolveAgg(cfg.Aggregator, cfg.TrimF)
 	if err != nil {
 		return fmt.Errorf("wlg: %w", err)
 	}
-	var ws collective.Workspace // the robust flush's combine scratch
-	acc := sparse.NewAccumulator(0)
+	var ws collective.Workspace // the flush's combine scratch
 	var srcs []*sparse.Vector
 	dim := -1 // learned from the first contribution; every later one must match
 	type entry struct {
@@ -632,26 +624,15 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		for _, e := range q[1:] {
 			cnt += e.count
 		}
-		var sum *sparse.Vector
-		if spec.Robust() && len(q) > 1 {
-			// CombineSparse yields center × len(q) over the union support;
-			// the workers' ApplyW divides by cnt = Σ counts, so with
-			// near-uniform node sizes the consensus lands on the robust
-			// center of the per-worker contributions. A single-entry group
-			// has nothing to trim and keeps the plain sum below.
-			srcs = srcs[:0]
-			for _, e := range q {
-				srcs = append(srcs, e.w)
-			}
-			sum = ws.CombineSparse(spec, dim, srcs, nil)
-		} else {
-			acc.Reset(dim)
-			for _, e := range q {
-				acc.Add(e.w)
-			}
-			sum = acc.Sum()
+		// CombineSparse yields the sum under the mean and center × len(q)
+		// over the union support otherwise; the workers' ApplyW divides by
+		// cnt = Σ counts, so with near-uniform node sizes a robust consensus
+		// lands on the robust center of the per-worker contributions.
+		srcs = srcs[:0]
+		for _, e := range q {
+			srcs = append(srcs, e.w)
 		}
-		res := &result{w: sum, count: cnt}
+		res := &result{w: ws.CombineSparse(spec, dim, srcs, nil), count: cnt}
 		rj.noteFlush(iter, res.w, res.count)
 		for _, e := range q {
 			cache[key{iter, e.node}] = res

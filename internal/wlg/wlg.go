@@ -200,24 +200,6 @@ func (c Config) threshold() int {
 	return t
 }
 
-// aggSpec resolves the configured aggregator, defaulting to the exact
-// mean and TrimF=1 for the trimmed mean.
-func (c Config) aggSpec() (collective.AggSpec, error) {
-	name := c.Aggregator
-	if name == "" {
-		name = collective.AggMeanName
-	}
-	kind, err := collective.ParseAgg(name)
-	if err != nil {
-		return collective.AggSpec{}, err
-	}
-	f := c.TrimF
-	if kind == collective.AggTrimmedMean && f == 0 {
-		f = 1
-	}
-	return collective.AggSpec{Kind: kind, TrimF: f}, nil
-}
-
 // quarantineRounds returns the effective clean-probe requirement (0
 // defaults to 3).
 func (c Config) quarantineRounds() int {
@@ -259,18 +241,16 @@ func (c Config) Validate() error {
 	if err := c.Watchdog.Validate(); err != nil {
 		return fmt.Errorf("wlg: %w", err)
 	}
-	if c.TrimF < 0 {
-		return fmt.Errorf("wlg: TrimF must be non-negative, got %d", c.TrimF)
-	}
-	spec, err := c.aggSpec()
+	spec, err := collective.ResolveAgg(c.Aggregator, c.TrimF)
 	if err != nil {
 		return fmt.Errorf("wlg: %w", err)
 	}
 	if spec.Robust() && !c.Elastic {
 		return fmt.Errorf("wlg: aggregator %q requires Elastic mode (a robust statistic is non-associative and needs the GG as the single combine point; the fail-stop leader PSR-Allreduce is sum-only)", c.Aggregator)
 	}
-	if spec.Kind == collective.AggTrimmedMean && 2*spec.TrimF >= c.Topo.Nodes {
-		return fmt.Errorf("wlg: TrimF %d trims everything: need 2·TrimF < %d nodes", spec.TrimF, c.Topo.Nodes)
+	// The GG combines node sums, so the trim is bounded by the node count.
+	if f := spec.Tolerance(c.Topo.Nodes); 2*f >= c.Topo.Nodes {
+		return fmt.Errorf("wlg: TrimF %d trims everything: need 2·TrimF < %d nodes", f, c.Topo.Nodes)
 	}
 	if err := c.Screen.Validate(); err != nil {
 		return fmt.Errorf("wlg: %w", err)
