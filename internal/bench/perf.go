@@ -20,7 +20,6 @@ import (
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
-	"psrahgadmm/internal/vec"
 )
 
 // PerfEntry records one benchmark of the steady-state perf suite.
@@ -33,8 +32,9 @@ type PerfEntry struct {
 }
 
 // PerfReport is the schema of BENCH_psra.json: one entry per layer of the
-// hot path (vec kernel, sparse reduce, codec, collective, full engine
-// iteration), recorded on one machine as a comparison point — absolute
+// hot path that could allocate (sparse reduce, codec, collective, full
+// engine iteration — the vec kernels cannot, and benchmark/kernels.go times
+// them), recorded on one machine as a comparison point — absolute
 // numbers are machine-dependent; allocs/op is the portable column and the
 // one the alloc-budget tests enforce. ShardScale adds the sharded-state
 // comparison at simnet scale: per-rank resident bytes and total wire
@@ -108,29 +108,7 @@ func Perf(seed int64) (*PerfReport, error) {
 		rep.Benchmarks = append(rep.Benchmarks, perfEntry(name, testing.Benchmark(fn)))
 	}
 
-	// Layer 1: vec kernels.
-	{
-		r := rand.New(rand.NewSource(seed))
-		x := make([]float64, 4096)
-		y := make([]float64, 4096)
-		for i := range x {
-			x[i], y[i] = r.NormFloat64(), r.NormFloat64()
-		}
-		add("vec/dot-4096", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = vec.Dot(x, y)
-			}
-		})
-		add("vec/axpy-4096", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				vec.Axpy(1e-9, x, y)
-			}
-		})
-	}
-
-	// Layer 2: sparse reduce (the accumulator behind every aggregation).
+	// Layer 1: sparse reduce (the accumulator behind every aggregation).
 	{
 		r := rand.New(rand.NewSource(seed + 1))
 		const dim = 1 << 16
@@ -152,7 +130,7 @@ func Perf(seed int64) (*PerfReport, error) {
 		})
 	}
 
-	// Layer 2b: the robust reduce at the same scale as the plain sum above
+	// Layer 1b: the robust reduce at the same scale as the plain sum above
 	// — 8 sparse contributors through the trimmed-mean combine, scratch and
 	// destination recycled across ops like the reducer's steady state.
 	{
@@ -174,7 +152,7 @@ func Perf(seed int64) (*PerfReport, error) {
 		})
 	}
 
-	// Layer 3: codec encode (exact passthrough vs 8-bit quantization).
+	// Layer 2: codec encode (exact passthrough vs 8-bit quantization).
 	for _, kind := range []exchange.Kind{exchange.Sparse, exchange.SparseQ8} {
 		codec, err := exchange.For(kind)
 		if err != nil {
@@ -189,7 +167,7 @@ func Perf(seed int64) (*PerfReport, error) {
 		})
 	}
 
-	// Layer 3b: the stateful top-k error-feedback encode — merge the
+	// Layer 2b: the stateful top-k error-feedback encode — merge the
 	// residual, select k survivors, carry the dropped mass — at the same
 	// density as the plain codec benchmarks.
 	{
@@ -213,7 +191,7 @@ func Perf(seed int64) (*PerfReport, error) {
 		})
 	}
 
-	// Layer 4: the sparse PSR-Allreduce across a 4-member world with
+	// Layer 3: the sparse PSR-Allreduce across a 4-member world with
 	// persistent workspaces — the engine crew's exact steady state. The
 	// zero-copy fabric matches what the engine actually runs on (the
 	// copying fabric's per-send Sparse.Clone is what used to make this
@@ -266,7 +244,7 @@ func Perf(seed int64) (*PerfReport, error) {
 		})
 	}
 
-	// Layer 5: one full engine iteration (flat PSR / BSP / sparse — the
+	// Layer 4: one full engine iteration (flat PSR / BSP / sparse — the
 	// alloc-budget composition), MaxIter = b.N so setup amortizes away.
 	{
 		train, _, err := dataset.Generate(dataset.SynthConfig{
@@ -296,7 +274,7 @@ func Perf(seed int64) (*PerfReport, error) {
 		}
 	}
 
-	// Layer 6: sharded state at simnet scale — 64 and 256 ranks, plus the
+	// Layer 5: sharded state at simnet scale — 64 and 256 ranks, plus the
 	// 64-rank config re-run with GOMAXPROCS > 1 to exercise the crew
 	// executor's real parallelism (the engine's numerics are scheduling-
 	// independent, so only the timing column moves).

@@ -5,6 +5,7 @@ import (
 
 	"psrahgadmm/internal/checkpoint"
 	"psrahgadmm/internal/exchange"
+	"psrahgadmm/internal/sparse"
 )
 
 // Checkpoint/resume for the in-process engine: the crash-recovery half of
@@ -102,19 +103,20 @@ func buildSnapshot(cfg Config, env *strategyEnv, strat ConsensusStrategy, nextIt
 	}
 	snap.Workers = make([]exchange.WorkerSnap, 0, len(env.ws))
 	for _, w := range env.ws {
-		wsnap := exchange.WorkerSnap{
+		// The z state travels in the layout the rank holds: the compact
+		// subscribed-block concatenation (the full dimension replicated).
+		// The PSCK format is the same for every placement — only the
+		// slice's length differs.
+		snap.Workers = append(snap.Workers, exchange.WorkerSnap{
 			Rank:     int32(w.rank),
 			Clock:    w.clock,
 			CalTotal: w.calTotal,
 			XA:       append([]float64(nil), w.xA...),
 			YA:       append([]float64(nil), w.yA...),
-		}
-		// The store encodes the z state in the layout the rank actually
-		// holds: the full dimension replicated, the compact subscribed-
-		// block concatenation sharded. The PSCK format is unchanged between
-		// placements — only the slice's length differs.
-		env.store.snapshotZ(w, &wsnap)
-		snap.Workers = append(snap.Workers, wsnap)
+			ZDense:   append([]float64(nil), w.zStore...),
+			ZIdx:     append([]int32(nil), w.zSparse.Index...),
+			ZVal:     append([]float64(nil), w.zSparse.Value...),
+		})
 	}
 	return snap
 }
@@ -195,17 +197,23 @@ func applySnapshot(snap *exchange.Snapshot, cfg *Config, env *strategyEnv, strat
 		}
 		seen[r] = true
 		w := env.ws[r]
-		if len(s.XA) != len(w.xA) || len(s.YA) != len(w.yA) {
+		if len(s.XA) != len(w.xA) || len(s.YA) != len(w.yA) || len(s.ZDense) != len(w.zStore) {
 			return 0, fmt.Errorf("core: snapshot rank %d state shape does not match this dataset (or its shard layout)", r)
+		}
+		if len(s.ZIdx) != len(s.ZVal) {
+			return 0, fmt.Errorf("core: snapshot rank %d sparse z index/value length mismatch", r)
 		}
 		// Copy INTO the existing slices: the worker's solver aliases yA
 		// (and zA) — reassigning the slice headers would silently detach
-		// the objective from the dual variable. The store validates and
-		// restores the z state in the layout this placement gives the rank.
+		// the objective from the dual variable. The sparse view is rebuilt
+		// fresh.
 		copy(w.xA, s.XA)
 		copy(w.yA, s.YA)
-		if err := env.store.restoreZ(w, s); err != nil {
-			return 0, err
+		copy(w.zStore, s.ZDense)
+		w.zSparse = &sparse.Vector{
+			Dim:   w.dim,
+			Index: append([]int32(nil), s.ZIdx...),
+			Value: append([]float64(nil), s.ZVal...),
 		}
 		w.clock = s.Clock
 		w.calTotal = s.CalTotal

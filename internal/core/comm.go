@@ -21,7 +21,6 @@ const (
 	commPSRSparse commKind = iota
 	commRingSparse
 	commRingDense
-	commShardSparse
 )
 
 // errRoundCorrupt marks a round failure caused by a wire frame failing its
@@ -60,7 +59,9 @@ type crewJob struct {
 	in      *sparse.Vector
 	out     *sparse.Vector
 	dense   []float64
-	plan    *shard.Plan // commShardSparse only
+	// plan, when non-nil, turns commPSRSparse into the shard-aware schedule
+	// (PSR key ownership applied to the plan's blocks).
+	plan *shard.Plan
 	// spec is the PSR and shard kinds' owner-side combine step; the ring
 	// kinds are pairwise and ignore it (robust × ring is rejected by
 	// checkComposition).
@@ -84,7 +85,7 @@ type crew struct {
 	jobs    []chan crewJob
 	wg      sync.WaitGroup
 	wss     []collective.Workspace
-	outs    []*sparse.Vector // aggregate sinks for members beyond the first
+	outs    []*sparse.Vector // per-member result sinks (see groupAllreduce)
 	dense   [][]float64      // dense in-place buffers, grown to dim once
 	traces  []collective.Trace
 	errs    []error
@@ -132,13 +133,15 @@ func (c *crew) serve(r int) {
 		var tr collective.Trace
 		switch job.kind {
 		case commPSRSparse:
-			tr, err = c.wss[r].PSRAllreduceSparseAgg(c.eps[r], job.g, job.tagBase, job.in, job.out, job.spec)
+			if job.plan != nil {
+				tr, err = c.wss[r].ShardAllreduceSparseAgg(c.eps[r], job.g, job.tagBase, job.plan, job.in, job.out, job.spec)
+			} else {
+				tr, err = c.wss[r].PSRAllreduceSparseAgg(c.eps[r], job.g, job.tagBase, job.in, job.out, job.spec)
+			}
 		case commRingSparse:
 			tr, err = c.wss[r].RingAllreduceSparse(c.eps[r], job.g, job.tagBase, job.in, job.out)
 		case commRingDense:
 			tr, err = c.wss[r].RingAllreduceDense(c.eps[r], job.g, job.tagBase, job.dense)
-		case commShardSparse:
-			tr, err = c.wss[r].ShardAllreduceSparseAgg(c.eps[r], job.g, job.tagBase, job.plan, job.in, job.out, job.spec)
 		default:
 			err = fmt.Errorf("core: unknown comm kind %d", job.kind)
 		}
@@ -261,15 +264,21 @@ func (c *crew) mergedTrace(ranks []int) collective.Trace {
 
 // groupAllreduce runs the *actual* collective implementation among the
 // given world ranks over the engine's scratch fabric — the crew's
-// persistent member goroutines — writing the aggregate into the
-// caller-owned out and returning the merged trace. The engine's virtual
-// clock is driven by real message sizes, not an analytic formula; this is
-// what keeps the Figure 6/7 communication times honest about sparsity.
-// Each invocation draws a fresh tag window, so a retried attempt can never
-// match an aborted attempt's stale messages. The returned trace aliases
-// crew scratch (consume it before the next collective); out is untouched
-// by later rounds, so strategies may retain it.
-func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, inputs []*sparse.Vector, out *sparse.Vector) (collective.Trace, error) {
+// persistent member goroutines — and returns the merged trace. The engine's
+// virtual clock is driven by real message sizes, not an analytic formula;
+// this is what keeps the Figure 6/7 communication times honest about
+// sparsity. Each invocation draws a fresh tag window, so a retried attempt
+// can never match an aborted attempt's stale messages. The returned trace
+// aliases crew scratch (consume it before the next collective).
+//
+// With a nil plan every member ends up with the full aggregate and member
+// 0's copy lands in the caller-owned out, which later rounds never touch,
+// so strategies may retain it. With a plan (commPSRSparse only) the
+// shard-aware schedule runs: each member ships only the blocks it
+// subscribes to or owns and receives its RESTRICTED result — its own
+// subscription, not the full W — in c.outs[r], valid until the next
+// collective; no rank holds the full reduction and out is untouched.
+func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, plan *shard.Plan, inputs []*sparse.Vector, out *sparse.Vector) (collective.Trace, error) {
 	if len(ranks) != len(inputs) {
 		panic("core: groupAllreduce ranks/inputs mismatch")
 	}
@@ -280,39 +289,13 @@ func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, inputs []*spar
 	c.wg.Add(len(ranks))
 	for i, r := range ranks {
 		dst := out
-		if i != 0 {
+		if i != 0 || plan != nil {
 			dst = c.outs[r]
 		}
-		c.jobs[r] <- crewJob{kind: kind, g: g, tagBase: tagBase, in: inputs[i], out: dst, spec: env.agg}
+		c.jobs[r] <- crewJob{kind: kind, g: g, tagBase: tagBase, in: inputs[i], out: dst, plan: plan, spec: env.agg}
 	}
 	c.wg.Wait()
 	if err := c.collect("group allreduce", ranks); err != nil {
-		return collective.Trace{}, err
-	}
-	return c.mergedTrace(ranks), nil
-}
-
-// groupShardAllreduce runs the shard-aware PSR-Allreduce among the given
-// world ranks: each member ships only the blocks it subscribes to or owns,
-// and each member's RESTRICTED reduced result — its own subscription, not
-// the full W — lands in c.outs[r]. Unlike groupAllreduce there is no
-// single caller-owned aggregate: the whole point is that no rank holds the
-// full reduction. Results alias crew-owned vectors valid until the next
-// shard collective.
-func groupShardAllreduce(env *strategyEnv, ranks []int, plan *shard.Plan, inputs []*sparse.Vector) (collective.Trace, error) {
-	if len(ranks) != len(inputs) {
-		panic("core: groupShardAllreduce ranks/inputs mismatch")
-	}
-	c := env.crew
-	tagBase := env.nextTagBase()
-	g := collective.Group{Ranks: ranks}
-	c.stop.Store(false)
-	c.wg.Add(len(ranks))
-	for i, r := range ranks {
-		c.jobs[r] <- crewJob{kind: commShardSparse, g: g, tagBase: tagBase, in: inputs[i], out: c.outs[r], plan: plan, spec: env.agg}
-	}
-	c.wg.Wait()
-	if err := c.collect("shard allreduce", ranks); err != nil {
 		return collective.Trace{}, err
 	}
 	return c.mergedTrace(ranks), nil
@@ -357,10 +340,6 @@ func traceBytes(tr collective.Trace) int64 {
 	}
 	return n
 }
-
-// traceAlias lets sibling files name collective.Trace in struct literals
-// without re-importing.
-type traceAlias = collective.Trace
 
 // denseFanTrace models a one-step dense fan over the node bus: reduce=true
 // is the workers→leader fan-in, reduce=false the leader→workers fan-out.
@@ -419,34 +398,33 @@ func intraBcastTrace(workers []int, leader, aggNNZ int) collective.Trace {
 const ggRequestBytes = 4 + 8*2
 
 // zFromW applies the L1 z-update (eq. 10, N·ρ scaling) directly on a
-// sparse W: only entries with |W_j| > λ survive, which is why the
-// downstream distribution ships z rather than W — same math, a fraction of
-// the bytes.
+// sparse W summing n contributors: only entries with |W_j| > λ survive,
+// which is why the downstream distribution ships z rather than W — same
+// math, a fraction of the bytes.
 func zFromW(w *sparse.Vector, lambda, rho float64, n int) *sparse.Vector {
-	inv := 1 / (rho * float64(n))
-	out := sparse.NewVector(w.Dim, 0)
-	for k, idx := range w.Index {
-		if v := vec.SoftThreshold(w.Value[k], lambda) * inv; v != 0 {
-			out.Index = append(out.Index, idx)
-			out.Value = append(out.Value, v)
-		}
-	}
-	return out
+	return zFromWBlocks(w, lambda, rho, []int{0, w.Dim}, []int{n})
 }
 
-// zFromWBlocks is zFromW with per-block contributor counts — the sharded
-// tree path's z-update: entry j averages over counts[BlockOf(j)], the live
-// subscribers whose objective actually couples to block j (block-wise
-// general-form consensus). When every count equals n it reproduces
-// zFromW(w, lambda, rho, n) bit for bit: the scalar expression is the same.
-func zFromWBlocks(w *sparse.Vector, lambda, rho float64, part shard.Partition, counts []int) *sparse.Vector {
+// zFromWBlocks is zFromW with per-block contributor counts: block b covers
+// [offs[b], offs[b+1]) and entry j averages over counts[b], the live
+// subscribers whose objective actually couples to block b (block-wise
+// general-form consensus). The scalar expression is
+// solver.ZUpdateL1Blocks'; a block with no live subscriber keeps z = 0.
+func zFromWBlocks(w *sparse.Vector, lambda, rho float64, offs, counts []int) *sparse.Vector {
 	out := sparse.NewVector(w.Dim, 0)
+	// Indices arrive sorted: advance a block cursor, not a per-entry BlockOf.
+	b, hi := -1, 0
+	var inv float64
 	for k, idx := range w.Index {
-		n := counts[part.BlockOf(int(idx))]
-		if n <= 0 {
-			continue
+		for int(idx) >= hi {
+			b++
+			hi = offs[b+1]
+			inv = 0
+			if n := counts[b]; n > 0 {
+				inv = 1 / (rho * float64(n))
+			}
 		}
-		if v := vec.SoftThreshold(w.Value[k], lambda) * (1 / (rho * float64(n))); v != 0 {
+		if v := vec.SoftThreshold(w.Value[k], lambda) * inv; v != 0 {
 			out.Index = append(out.Index, idx)
 			out.Value = append(out.Value, v)
 		}

@@ -219,18 +219,19 @@ type Config struct {
 	// z-update's contributor scaling grows back, so a kill-then-rejoin
 	// run converges to the same full-data optimum as an undisturbed one.
 	Elastic bool
-	// ShardedState switches the consensus state from replicated dense z to
+	// ShardedState switches the consensus state from replicated z to
 	// block-sharded z: the model splits into ShardBlocks contiguous blocks
 	// with deterministic owners (block b → group position b mod p), each
 	// rank subscribes only to the blocks its shard's features touch, and
 	// the z-update scales per block by its live subscriber count
 	// (general-form consensus). No rank materializes the full model;
-	// IterStat.ResidentBytes reports the per-rank footprint. State
-	// placement is owned by the engine's StateStore layer (statestore.go),
-	// so sharding composes with every sync model — BSP, SSP, and async;
-	// only the consensus axis is constrained (flat/star/tree — the ring
-	// hierarchy and group-local consensus assume full-width aggregates).
-	// False keeps the replicated engine bit-identical to its goldens. The
+	// IterStat.ResidentBytes reports the per-rank footprint. There is one
+	// state layout (statestore.go) — False is the same engine under the map
+	// with one block that every rank subscribes to, reduced by the classic
+	// PSR-Allreduce, and stays bit-identical to its goldens — so sharding
+	// composes with every sync model (BSP, SSP, async); only the consensus
+	// axis is constrained (flat/star/tree — the ring hierarchy and
+	// group-local consensus assume full-width aggregates). The
 	// psra-hgadmm-sharded* variants set this implicitly.
 	ShardedState bool
 	// ShardBlocks is the sharded-state block count (0 defaults to the
@@ -479,10 +480,10 @@ type IterStat struct {
 	PeerDowns int64
 	// ResidentBytes is the largest per-rank consensus-state footprint this
 	// iteration: 8·(len(zStore)+len(xA)+len(yA)+len(zA)) over live ranks.
-	// Under sharded state zStore holds only the rank's subscribed blocks;
-	// replicated runs report the full-dimension figure. The StateStore
-	// reports it every iteration under every sync model (BSP, SSP, async)
-	// — stale ranks' frozen state counts at its last applied size.
+	// zStore holds the rank's subscribed blocks: only those its data touches
+	// under sharded state, the full dimension replicated. Reported every
+	// iteration under every sync model (BSP, SSP, async) — stale ranks'
+	// frozen state counts at its last applied size.
 	ResidentBytes int64
 }
 

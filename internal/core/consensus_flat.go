@@ -34,8 +34,7 @@ type flatStrategy struct {
 	slots []flatPend
 	wBuf  [][2]*sparse.Vector
 
-	// Round scratch, reused across rounds. The densified aggregate lives
-	// in the replicated store (which owns W's dense form).
+	// Round scratch, reused across rounds.
 	idle       []int
 	sub        []*worker
 	finishes   []float64
@@ -146,7 +145,7 @@ func (st *flatStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	}
 	st.ranks, st.inputs = ranks, inputs
 	start := maxf(cutoff, st.lastEnd)
-	// The store picks the collective: full-width PSR-Allreduce into st.agg
+	// The store picks the schedule: full-width PSR-Allreduce into st.agg
 	// replicated, the shard-aware restricted reduction sharded.
 	tr, err := env.store.allreduceW(ranks, inputs, st.agg)
 	if err != nil {
@@ -159,11 +158,10 @@ func (st *flatStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	end := start + commT
 	st.lastEnd = end
 
-	env.store.beginApply(cfg, st.agg)
 	calSum, commSum := 0.0, 0.0
 	for _, i := range fresh {
 		p := st.clocks[i].pending
-		env.store.applyReduced(cfg, ws[i], contributors)
+		env.store.applyReduced(cfg, ws[i], st.agg)
 		calSum += p.cals[0]
 		commSum += end - p.starts[0] - p.cals[0]
 		ws[i].clock = end

@@ -138,7 +138,7 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 			// gets its own vector rather than crew scratch.
 			agg = new(sparse.Vector)
 			var err error
-			tr, err = groupAllreduce(env, leaders, commPSRSparse, inputs, agg)
+			tr, err = groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
 			if err != nil {
 				return timing, err
 			}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"psrahgadmm/internal/collective"
+	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/sparse"
+	"psrahgadmm/internal/vec"
 )
 
 // ringStrategy is the hierarchical Ring-Allreduce: workers reduce their w
@@ -161,7 +164,7 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		commT = cfg.Cost.TraceTime(topo, scaled)
 		timing.bytes += traceBytes(scaled)
 	} else {
-		tr, err := groupAllreduce(env, leaders, commRingSparse, inputsS, st.aggS)
+		tr, err := groupAllreduce(env, leaders, commRingSparse, nil, inputsS, st.aggS)
 		if err != nil {
 			return timing, err
 		}
@@ -182,7 +185,7 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	if dense {
 		env.codec.EncodeDense(bigW)
 		zDense = make([]float64, env.dim)
-		solverZUpdate(zDense, bigW, cfg.Lambda, cfg.Rho, contributors)
+		solver.ZUpdateL1(zDense, bigW, cfg.Lambda, cfg.Rho, contributors)
 		env.codec.EncodeDense(zDense)
 	} else {
 		zSparse = zFromW(agg, cfg.Lambda, cfg.Rho, contributors)
@@ -193,9 +196,9 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	applied := 0
 	for _, n := range freshNodes {
 		p := st.clocks[n].pending
-		var bc traceAlias
+		var bc collective.Trace
 		if dense {
-			bc = denseFanTrace(p.ranks, p.ranks[0], env.codec.ZMsgBytes(countNonzero(zDense)), false)
+			bc = denseFanTrace(p.ranks, p.ranks[0], env.codec.ZMsgBytes(vec.CountNonzero(zDense)), false)
 		} else {
 			bc = intraBcastTrace(p.ranks, p.ranks[0], zSparse.NNZ())
 		}

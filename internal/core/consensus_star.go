@@ -126,16 +126,15 @@ func (st *starStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	st.combined = st.cws.CombineSparse(env.agg, env.dim, srcs, st.combined)
 	wAgg := st.combined.ToDense()
 	zDense := make([]float64, env.dim)
-	// The store picks the z-update's contributor scaling: the global count
-	// replicated, per-block live subscribers sharded; workers then retain
-	// whatever storage their placement gives them (store.applyZ).
-	env.store.zUpdateDense(zDense, wAgg, cfg, contributors)
+	// Each block averages over its live subscribers (the live count under
+	// the replicated one-block map); workers retain their subscribed blocks.
+	env.store.zUpdateDense(zDense, wAgg, cfg)
 	env.codec.EncodeDense(zDense)
 
 	calSum, commSum := 0.0, 0.0
 	for _, i := range fresh {
 		p := st.clocks[i].pending
-		env.store.applyZ(cfg, ws[i], zDense, nil)
+		ws[i].applyZ(cfg, zDense, nil)
 		calSum += p.cals[0]
 		commSum += end - p.starts[0] - p.cals[0]
 		ws[i].clock = end

@@ -182,7 +182,7 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		// The aggregate travels up the tree as a later merge's input, so
 		// each merge gets its own result vector rather than crew scratch.
 		agg := new(sparse.Vector)
-		tr, err := groupAllreduce(env, leaders, commPSRSparse, inputs, agg)
+		tr, err := groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -239,11 +239,10 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// representative re-broadcasts down its subtree, and node Leaders
 	// broadcast to their fresh workers over the bus; stale nodes are still
 	// computing and receive nothing this round.
-	// The store picks the z-update's contributor scaling: the live worker
-	// count replicated, per-block live subscribers sharded (general-form
-	// consensus); workers retain whatever storage their placement gives
-	// them when the delivery lands (store.applyZ via applyNodeZ).
-	zSparse := env.store.zFromW(root.value, cfg, env.members.LiveCount())
+	// Each block averages over its live subscribers (general-form
+	// consensus; the live worker count under the replicated one-block map),
+	// and workers retain their subscribed blocks when the delivery lands.
+	zSparse := env.store.zFromW(root.value, cfg)
 	zDense := zSparse.ToDense()
 	wBytes := env.codec.ZMsgBytes(zSparse.NNZ())
 	calSum, commSum := 0.0, 0.0

@@ -148,12 +148,10 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			env.byz[r] = byzRank{mode: bf.Mode, from: bf.Iteration, until: bf.Until}
 		}
 	}
-	// The stateStore owns the consensus state's placement — replicated
-	// dense z or block-sharded z — and allocates every worker's storage.
-	// Placement composes freely with the sync model: the strategies route
-	// all placement-specific work through the store (see statestore.go).
+	// The stateStore owns the consensus state's placement — the shard map,
+	// the one-block full map when replicated — and allocates every worker's
+	// storage under it (see statestore.go).
 	env.store = newStateStore(env, ax.sharded, cfg.ShardBlocks)
-	env.store.initWorkers()
 	// The top-k codecs carry per-rank error-feedback state: the residual
 	// of dropped (and quantized-away) mass, merged back before the next
 	// selection, plus the adaptive k driven by CodecBudgetBytes. Every
@@ -229,16 +227,12 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	// membership view.
 	finish := func() {
 		res.SystemTime = res.TotalCalTime + res.TotalCommTime
-		live := env.liveWorkers()
-		if len(live) == 0 {
-			live = ws
-		}
 		alive := members.Alive
 		if members.LiveCount() == 0 {
 			alive = func(int) bool { return true }
 		}
 		z := make([]float64, env.dim)
-		env.store.assembleInto(z, live, alive)
+		env.store.assembleInto(z, alive)
 		res.Z = z
 		res.LiveWorkers = members.LiveCount()
 		res.Epoch = members.Epoch()
@@ -314,7 +308,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 				}
 				ffab.Revive(r)
 				members.MarkUp(r)
-				env.store.rejoin(ws[r], zPrev, maxClock)
+				ws[r].rejoin(zPrev, maxClock)
 				if env.states != nil {
 					// The rejoiner's residual described contributions its
 					// dead incarnation never shipped; restart error feedback
@@ -407,18 +401,18 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			PeerDowns:   health.TotalPeerDowns(),
 		}
 		// Per-rank consensus-state footprint: max over live ranks, reported
-		// every iteration under every sync model. In replicated mode every
-		// rank carries the full dimension; sharded, only the subscribed
-		// blocks — the number the store's placement shrinks.
+		// every iteration under every sync model. Replicated, every rank
+		// carries the full dimension; sharded, only the subscribed blocks —
+		// the number the placement shrinks.
 		var resident int64
 		for _, w := range live {
-			if rb := env.store.residentBytes(w); rb > resident {
+			if rb := w.residentBytes(); rb > resident {
 				resident = rb
 			}
 		}
 		stat.ResidentBytes = resident
 		health.ResidentBytes.Set(resident)
-		env.store.assembleInto(zbar, live, isAlive)
+		env.store.assembleInto(zbar, isAlive)
 		stat.PrimalRes, stat.DualRes = residuals(live, zbar, zPrev, cfg.Rho)
 		copy(zPrev, zbar)
 		if iter%cfg.EvalEvery == 0 || iter == cfg.MaxIter-1 {

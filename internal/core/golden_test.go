@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/transport"
 )
 
 // The golden-history regression suite pins the exact per-iteration output
@@ -51,6 +52,20 @@ func goldenCases() []goldenCase {
 		}
 		return cfg
 	}
+	// rejoined kills rank 3 (node 1's non-Leader) at iteration 4 and revives
+	// it at 8: the live count, the z-update's divisor, the rejoin warm start
+	// and the revived rank's first apply all land inside the pinned history.
+	rejoined := func(alg Algorithm) Config {
+		cfg := base(alg)
+		cfg.MaxIter = 12
+		cfg.Elastic = true
+		cfg.Faults = &transport.FaultPlan{
+			Seed:              5,
+			KillAtIteration:   map[int]int{3: 4},
+			RejoinAtIteration: map[int]int{3: 8},
+		}
+		return cfg
+	}
 	return []goldenCase{
 		{"psra-hgadmm", func() Config { return base(PSRAHGADMM) }},
 		{"psra-hgadmm-group", func() Config {
@@ -83,6 +98,14 @@ func goldenCases() []goldenCase {
 			cfg.ShardBlocks = 4
 			return cfg
 		}},
+		// Kill+rejoin goldens, one per consensus shape (flat, tree, star).
+		// Every case above is fault-free; these pin the degraded rounds and
+		// the rejoin/apply bodies. Generated before the replicated placement
+		// became the one-block full shard map, so they hold that refactor to
+		// the replicated engine's faulted trajectory too.
+		{"psra-admm-rejoin", func() Config { return rejoined(PSRAADMM) }},
+		{"psra-hgadmm-rejoin", func() Config { return rejoined(PSRAHGADMM) }},
+		{"gc-admm-rejoin", func() Config { return rejoined(GCADMM) }},
 	}
 }
 

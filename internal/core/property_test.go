@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"psrahgadmm/internal/exchange"
+	"psrahgadmm/internal/shard"
 	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/vec"
@@ -36,6 +38,90 @@ func TestZFromWMatchesDenseUpdate(t *testing.T) {
 		want := make([]float64, dim)
 		solver.ZUpdateL1(want, w.ToDense(), lambda, rho, n)
 		return vec.Equal(got.ToDense(), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: worker.applyW — the z-update applied over the reduced W's
+// support, straight into the compact subscribed-block store — equals the
+// reference dense solver.ZUpdateL1Blocks restricted to the rank's
+// subscription bit for bit, its sparse view equals sparse.FromDenseInto of
+// that, and the dual update reads the same z. W deliberately covers
+// coordinates outside the subscription (the replicated aggregate is
+// full-width) and counts include blocks with no live subscriber.
+func TestApplyWMatchesBlockUpdate(t *testing.T) {
+	f := func(seed int64, dimRaw, blocksRaw, worldRaw uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		dim := int(dimRaw%90) + 1
+		part := shard.NewPartition(dim, int(blocksRaw%12)+1)
+		world := int(worldRaw%5) + 1
+		cfg := Config{Lambda: r.Float64() * 2, Rho: r.Float64() + 0.1}
+
+		active := make([][]int32, world)
+		for i := range active {
+			density := r.Float64()
+			for j := 0; j < dim; j++ {
+				if r.Float64() < density {
+					active[i] = append(active[i], int32(j))
+				}
+			}
+		}
+		m := shard.NewMap(part, active)
+		if r.Intn(4) == 0 {
+			m = shard.FullMap(part, world)
+		}
+		offs := make([]int, part.Blocks+1)
+		counts := make([]int, part.Blocks)
+		for b := range counts {
+			offs[b] = part.Chunk(b).Lo
+			counts[b] = r.Intn(world + 1)
+		}
+		offs[part.Blocks] = dim
+		bigW := sparse.NewVector(dim, 0)
+		for j := 0; j < dim; j++ {
+			if r.Float64() < 0.5 {
+				bigW.Append(int32(j), r.NormFloat64()*4)
+			}
+		}
+		ref := make([]float64, dim)
+		solver.ZUpdateL1Blocks(ref, bigW.ToDense(), cfg.Lambda, cfg.Rho, offs, counts)
+
+		for rank, cols := range active {
+			w := &worker{rank: rank, dim: dim, active: cols}
+			w.xA, w.yA = make([]float64, len(cols)), make([]float64, len(cols))
+			for i := range cols {
+				w.xA[i], w.yA[i] = r.NormFloat64(), r.NormFloat64()
+			}
+			y0 := vec.Clone(w.yA)
+			w.initStore(m)
+			for i := range w.zStore {
+				w.zStore[i] = r.NormFloat64() // stale state applyW must overwrite
+			}
+			w.applyW(cfg, bigW, counts)
+
+			want := make([]float64, dim) // ref restricted to the subscription
+			for i, b := range m.Subs[rank] {
+				c := part.Chunk(int(b))
+				copy(want[c.Lo:c.Hi], ref[c.Lo:c.Hi])
+				if !vec.Equal(w.zStore[w.subOff[i]:w.subOff[i+1]], ref[c.Lo:c.Hi]) {
+					return false
+				}
+			}
+			wantSparse := sparse.FromDenseInto(new(sparse.Vector), want)
+			if w.zSparse.Check() != nil || w.zSparse.Dim != dim ||
+				!slices.Equal(w.zSparse.Index, wantSparse.Index) ||
+				!vec.Equal(w.zSparse.Value, wantSparse.Value) {
+				return false
+			}
+			for i, c := range cols {
+				if w.yA[i] != y0[i]+cfg.Rho*(w.xA[i]-want[c]) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -92,8 +178,9 @@ func TestResidualProperties(t *testing.T) {
 	train, _ := testData(t, 60)
 	cfg := baseConfig(GCADMM, 2, 2)
 	ws := newWorkers(cfg, train)
+	replicated := shard.FullMap(shard.NewPartition(train.Dim(), 1), len(ws))
 	for _, w := range ws {
-		w.initReplicated()
+		w.initStore(replicated)
 	}
 	z := make([]float64, train.Dim())
 	zPrev := make([]float64, train.Dim())
@@ -132,26 +219,28 @@ func TestWSparseMatchesDefinition(t *testing.T) {
 	}
 	_ = res
 	ws := newWorkers(cfg, train)
+	replicated := shard.FullMap(shard.NewPartition(train.Dim(), 1), len(ws))
 	for _, w := range ws {
-		w.initReplicated()
+		w.initStore(replicated)
 	}
 	pool := newComputePool()
 	defer pool.close()
 	for iter := 0; iter < 3; iter++ {
 		pool.run(cfg, ws, iter)
-		bigW := make([]float64, train.Dim())
-		for _, w := range ws {
-			w.wSparse(cfg.Rho).AddIntoDense(bigW, 1)
+		vs := make([]*sparse.Vector, len(ws))
+		for i, w := range ws {
+			vs[i] = w.wSparse(cfg.Rho)
 		}
+		bigW := sumSparse(train.Dim(), vs)
 		for _, w := range ws {
-			w.applyW(cfg, bigW, len(ws))
+			w.applyW(cfg, bigW, []int{len(ws)})
 		}
 	}
 	for _, w := range ws {
 		got := w.wSparse(cfg.Rho).ToDense()
 		want := make([]float64, train.Dim())
 		// Reconstruct: active coords from (xA, yA); off-active from ρ·z.
-		copy(want, w.zDense)
+		copy(want, w.zStore) // the full dimension under the one-block map
 		vec.Scale(cfg.Rho, want)
 		for i, c := range w.active {
 			want[c] = w.yA[i] + cfg.Rho*w.xA[i]

@@ -83,7 +83,7 @@ func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []fl
 			continue
 		}
 		// Re-admission: the same warm-start mechanics a crash rejoin uses
-		// (store.rejoin + codec reset), except the fabric never closed —
+		// (worker.rejoin + codec reset), except the fabric never closed —
 		// the rank was excluded, not dead. The screen baseline resets:
 		// the returning regime must earn a fresh one.
 		var maxClock float64
@@ -93,7 +93,7 @@ func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []fl
 			}
 		}
 		members.Unquarantine(r)
-		env.store.rejoin(env.ws[r], zPrev, maxClock)
+		env.ws[r].rejoin(zPrev, maxClock)
 		if env.states != nil {
 			env.states[r].Reset()
 		}

@@ -1,211 +1,86 @@
 package core
 
 import (
-	"fmt"
-
 	"psrahgadmm/internal/collective"
-	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/shard"
 	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/sparse"
+	"psrahgadmm/internal/vec"
 )
 
-// The StateStore layer: ONE owner for the consensus state's placement.
-// Every difference between the replicated engine (each rank holds the full
-// dense z) and the block-sharded engine (each rank holds only the compact
-// concatenation of its subscribed blocks) lives behind this interface —
-// allocation, the collective that reduces W, the z-update's contributor
-// scaling, delivery to workers, rejoin warm-starts, full-dimension
-// assembly for evaluation, wire encoding, ResidentBytes accounting, and
-// the checkpoint encode/decode of the z state.
+// stateStore is the consensus state's placement, and there is ONE layout:
+// the dimension is block-partitioned and each rank holds the compact
+// concatenation of the blocks it subscribes to (worker.zStore). Sharded
+// state subscribes a rank to the blocks its active columns fall into;
+// replicated state is the same layout under the map with one block that
+// every rank subscribes to (shard.FullMap) — zStore is then the full
+// dimension, every per-block live count is the live count, and the bodies
+// below perform the classic engine's float operations in its order, so a
+// fully subscribed run is bit-identical for any block count.
 //
-// The strategies and the engine never ask "am I sharded?" beyond the one
-// capability check in newStrategy; they call the store. This is what lets
-// state placement compose freely with the SyncModel axis: an SSP or async
-// round admits workers exactly as before, feeds every LIVE rank's cached
-// (possibly stale) contribution into the store's collective, and the store
-// scales each block by its live subscriber count — a stale block's laggard
-// simply keeps serving its previous contribution under the Max_delay
-// bound, with EF residuals and the divergence watchdog applied to whatever
-// storage the rank actually holds.
+// The one decision placement still makes is which schedule reduces W on
+// the flat path (allreduceW) and therefore which vector holds a rank's
+// result (applyReduced). Everything else — the z-update's per-block
+// live-subscriber divisor, delivery, rejoin, assembly, the per-block codec,
+// checkpoints — has one body, here or on the worker.
 //
-// Determinism contract: for a given placement the store performs the exact
-// float operations, in the exact order, that the pre-store engine did —
-// replicated runs and sharded BSP runs stay bit-identical to their
-// goldens, and a fully subscribed sharded run still reproduces the
-// replicated trajectory bit for bit.
-type stateStore interface {
-	// Sharded reports the placement (the one capability check newStrategy
-	// keys on: ring/group-local consensus cannot run over sharded state).
-	Sharded() bool
-	// initWorkers allocates every worker's consensus storage for this
-	// placement. Called once, before the first iteration.
-	initWorkers()
-	// allreduceW reduces the live ranks' contributions: replicated, a
-	// full-width PSR-Allreduce whose aggregate lands in the caller-owned
-	// agg; sharded, the shard-aware collective where each member receives
-	// only its subscription (in crew.outs) and agg stays untouched.
-	allreduceW(ranks []int, inputs []*sparse.Vector, agg *sparse.Vector) (collective.Trace, error)
-	// beginApply prepares one round's apply state from the collective's
-	// result: the densified W replicated, the per-block live subscriber
-	// counts sharded. Call once per round, before applyReduced.
-	beginApply(cfg Config, agg *sparse.Vector)
-	// applyReduced applies the reduced W to one fresh worker (the flat
-	// path, where every member holds a reduction result).
-	applyReduced(cfg Config, w *worker, contributors int)
-	// zUpdateDense computes z into dst from a dense W sum (the star path):
-	// scaled by the global contributor count replicated, per block by live
-	// subscribers sharded.
-	zUpdateDense(dst, wsum []float64, cfg Config, contributors int)
-	// zFromW computes sparse z from a sparse W sum (the tree path), with
-	// the same contributor scaling split as zUpdateDense.
-	zFromW(wsum *sparse.Vector, cfg Config, contributors int) *sparse.Vector
-	// applyZ delivers the consensus iterate to one worker, which retains
-	// it in whatever storage this placement gives it.
-	applyZ(cfg Config, w *worker, zDense []float64, zSparse *sparse.Vector)
-	// rejoin warm-starts a revived rank's consensus view from the
-	// cluster's current full-dimension iterate.
-	rejoin(w *worker, z []float64, clock float64)
-	// assembleInto reconstructs the full-dimension consensus summary the
-	// engine evaluates: the mean over live workers' views replicated (live
-	// is the engine's fallback-corrected live list), the per-block live-
-	// subscriber average sharded (alive is the matching liveness filter).
-	assembleInto(out []float64, live []*worker, alive func(rank int) bool)
-	// encodeSparse routes a stateless-codec contribution through the wire
-	// format: whole-vector replicated, per-block scaling sharded.
-	encodeSparse(v *sparse.Vector)
-	// residentBytes is one rank's consensus-state footprint under this
-	// placement — the figure IterStat.ResidentBytes reports every
-	// iteration, under every sync model.
-	residentBytes(w *worker) int64
-	// snapshotZ captures the rank's z state into a checkpoint entry, in
-	// the layout the rank actually holds.
-	snapshotZ(w *worker, s *exchange.WorkerSnap)
-	// restoreZ validates and restores a checkpoint entry's z state into
-	// the rank's storage.
-	restoreZ(w *worker, s *exchange.WorkerSnap) error
-}
-
-// newStateStore builds the run's store: sharded when the variant or the
-// config asks for it, replicated otherwise. Must run after env.ws is
-// populated (the sharded subscription map derives from the workers' active
-// column sets).
-func newStateStore(env *strategyEnv, sharded bool, blocks int) stateStore {
-	if !sharded {
-		return &replicatedStore{env: env}
-	}
-	if blocks <= 0 {
-		blocks = len(env.ws)
-	}
-	return newShardedStore(env, blocks)
-}
-
-// replicatedStore is the classic placement: every rank allocates the full
-// dense z (zStore aliases zDense), the collective reduces full-width, and
-// the z-update divides by the global contributor count.
-type replicatedStore struct {
-	env *strategyEnv
-	// bigW is the flat path's densified aggregate, grown once and reused
-	// (the zero-alloc steady state the bench snapshot pins).
-	bigW []float64
-}
-
-func (s *replicatedStore) Sharded() bool { return false }
-
-func (s *replicatedStore) initWorkers() {
-	for _, w := range s.env.ws {
-		w.initReplicated()
-	}
-}
-
-func (s *replicatedStore) allreduceW(ranks []int, inputs []*sparse.Vector, agg *sparse.Vector) (collective.Trace, error) {
-	return groupAllreduce(s.env, ranks, commPSRSparse, inputs, agg)
-}
-
-func (s *replicatedStore) beginApply(cfg Config, agg *sparse.Vector) {
-	s.bigW = agg.ToDenseInto(s.bigW)
-}
-
-func (s *replicatedStore) applyReduced(cfg Config, w *worker, contributors int) {
-	w.applyW(cfg, s.bigW, contributors)
-}
-
-func (s *replicatedStore) zUpdateDense(dst, wsum []float64, cfg Config, contributors int) {
-	solverZUpdate(dst, wsum, cfg.Lambda, cfg.Rho, contributors)
-}
-
-func (s *replicatedStore) zFromW(wsum *sparse.Vector, cfg Config, contributors int) *sparse.Vector {
-	return zFromW(wsum, cfg.Lambda, cfg.Rho, contributors)
-}
-
-func (s *replicatedStore) applyZ(cfg Config, w *worker, zDense []float64, zSparse *sparse.Vector) {
-	w.applyZDense(cfg, zDense, zSparse)
-}
-
-func (s *replicatedStore) rejoin(w *worker, z []float64, clock float64) {
-	w.rejoinReplicated(z, clock)
-}
-
-func (s *replicatedStore) assembleInto(out []float64, live []*worker, alive func(rank int) bool) {
-	meanZInto(out, live)
-}
-
-func (s *replicatedStore) encodeSparse(v *sparse.Vector) { s.env.codec.EncodeSparse(v) }
-
-func (s *replicatedStore) residentBytes(w *worker) int64 { return w.residentBytes() }
-
-func (s *replicatedStore) snapshotZ(w *worker, snap *exchange.WorkerSnap) {
-	snapshotWorkerZ(w, snap)
-}
-
-func (s *replicatedStore) restoreZ(w *worker, snap *exchange.WorkerSnap) error {
-	return restoreWorkerZ(w, snap)
-}
-
-// shardedStore block-partitions the dimension and subscribes each rank to
-// the blocks its active columns fall into; workers hold only the compact
-// subscribed concatenation (no full-dimension iterate exists on any rank).
 // The map is immutable for the run — elastic regroups change who is ALIVE,
-// never who subscribes to what — so SSP/async staleness composes cleanly:
-// a stale rank's cached contribution keeps feeding its blocks' sums, and
-// the per-block live-subscriber scaling is unchanged by admission order.
-type shardedStore struct {
+// never who subscribes to what — so placement composes with the SyncModel
+// axis: an SSP or async round feeds every LIVE rank's cached (possibly
+// stale) contribution into the collective, and each block is scaled by its
+// live subscriber count whatever the admission order.
+type stateStore struct {
 	env  *strategyEnv
 	smap *shard.Map
+	// sharded selects the shard-aware W collective; replicated state reduces
+	// full-width through PSR-Allreduce.
+	sharded bool
 	// The live-plan cache projects the map onto the current live group,
 	// invalidated by membership epoch (group composition is a pure
 	// function of who is alive).
 	plan      *shard.Plan
 	planRanks []int
 	planEpoch int
-	// counts holds the per-block live subscriber counts — the per-block
-	// divisor of the sharded z-update, refreshed per round.
+	// counts holds the per-block live subscriber counts — the z-update's
+	// per-block divisor, refreshed per round.
 	counts []int
-	// offs caches the partition's block boundaries ([0, ..., dim]) for the
-	// per-block codec and z-update paths.
+	// offs is the partition's block boundaries [0, ..., dim].
 	offs []int
 }
 
-func newShardedStore(env *strategyEnv, blocks int) *shardedStore {
-	part := shard.NewPartition(env.dim, blocks)
-	active := make([][]int32, len(env.ws))
-	for i, w := range env.ws {
-		active[i] = w.active
+// newStateStore builds the run's map — subscriptions derived from the
+// workers' active columns when sharded, the one-block full map otherwise —
+// and allocates every worker's consensus storage under it. Must run after
+// env.ws is populated.
+func newStateStore(env *strategyEnv, sharded bool, blocks int) *stateStore {
+	s := &stateStore{env: env, sharded: sharded}
+	if sharded {
+		if blocks <= 0 {
+			blocks = len(env.ws)
+		}
+		active := make([][]int32, len(env.ws))
+		for i, w := range env.ws {
+			active[i] = w.active
+		}
+		s.smap = shard.NewMap(shard.NewPartition(env.dim, blocks), active)
+	} else {
+		s.smap = shard.FullMap(shard.NewPartition(env.dim, 1), len(env.ws))
 	}
-	return &shardedStore{env: env, smap: shard.NewMap(part, active)}
-}
-
-func (s *shardedStore) Sharded() bool { return true }
-
-func (s *shardedStore) initWorkers() {
-	for _, w := range s.env.ws {
-		w.initShard(s.smap)
+	part := s.smap.Part
+	s.offs = make([]int, part.Blocks+1)
+	for b := 0; b < part.Blocks; b++ {
+		s.offs[b] = part.Chunk(b).Lo
 	}
+	s.offs[part.Blocks] = part.Dim
+	for _, w := range env.ws {
+		w.initStore(s.smap)
+	}
+	return s
 }
 
 // livePlan projects the shard map onto the given live group ranks, cached
 // across rounds and rebuilt only when the membership epoch moves.
-func (s *shardedStore) livePlan(ranks []int) *shard.Plan {
+func (s *stateStore) livePlan(ranks []int) *shard.Plan {
 	if s.plan != nil && s.planEpoch == s.env.members.Epoch() && equalRanks(s.planRanks, ranks) {
 		return s.plan
 	}
@@ -215,109 +90,67 @@ func (s *shardedStore) livePlan(ranks []int) *shard.Plan {
 	return s.plan
 }
 
-// liveCounts refreshes the per-block live subscriber counts.
-func (s *shardedStore) liveCounts() []int {
+// liveCounts refreshes the per-block live subscriber counts. Each block
+// averages over its live subscribers, not the world — off-subscription
+// ranks never fed the block's W sum, so dividing by the world would bias z.
+func (s *stateStore) liveCounts() []int {
 	s.counts = s.smap.LiveCounts(s.counts, s.env.members.Alive)
 	return s.counts
 }
 
-// blockOffs returns the partition's block boundary offsets
-// [Chunk(0).Lo, ..., dim], built once.
-func (s *shardedStore) blockOffs() []int {
-	if s.offs == nil {
-		part := s.smap.Part
-		s.offs = make([]int, part.Blocks+1)
-		for b := 0; b < part.Blocks; b++ {
-			s.offs[b] = part.Chunk(b).Lo
-		}
-		s.offs[part.Blocks] = part.Dim
+// allreduceW reduces the live ranks' contributions for the flat path and
+// refreshes the round's live counts. Sharded, the shard-aware schedule
+// ships only subscribed or owned blocks and leaves each member's RESTRICTED
+// result in its crew slot — no rank materializes the full W and agg stays
+// untouched; replicated, PSR-Allreduce lands the full aggregate in agg.
+func (s *stateStore) allreduceW(ranks []int, inputs []*sparse.Vector, agg *sparse.Vector) (collective.Trace, error) {
+	var plan *shard.Plan
+	if s.sharded {
+		plan = s.livePlan(ranks)
 	}
-	return s.offs
-}
-
-func (s *shardedStore) allreduceW(ranks []int, inputs []*sparse.Vector, agg *sparse.Vector) (collective.Trace, error) {
-	// Shard-aware collective: each member ships only the blocks it
-	// subscribes to or owns, and receives back only its subscription — no
-	// rank materializes the full W (agg stays untouched; the restricted
-	// results land in crew.outs).
-	return groupShardAllreduce(s.env, ranks, s.livePlan(ranks), inputs)
-}
-
-func (s *shardedStore) beginApply(cfg Config, agg *sparse.Vector) {
 	s.liveCounts()
+	return groupAllreduce(s.env, ranks, commPSRSparse, plan, inputs, agg)
 }
 
-func (s *shardedStore) applyReduced(cfg Config, w *worker, contributors int) {
-	// The rank's restricted reduction came back in its own crew slot; the
-	// z-update averages each block over its live subscribers.
-	w.applyWShard(cfg, s.env.crew.outs[w.rank], s.counts)
-}
-
-func (s *shardedStore) zUpdateDense(dst, wsum []float64, cfg Config, contributors int) {
-	// Each block averages over its live subscribers, not the global
-	// contributor count — off-subscription ranks never fed the block's W
-	// sum, so dividing by the world would bias z.
-	solver.ZUpdateL1Blocks(dst, wsum, cfg.Lambda, cfg.Rho, s.blockOffs(), s.liveCounts())
-}
-
-func (s *shardedStore) zFromW(wsum *sparse.Vector, cfg Config, contributors int) *sparse.Vector {
-	return zFromWBlocks(wsum, cfg.Lambda, cfg.Rho, s.smap.Part, s.liveCounts())
-}
-
-func (s *shardedStore) applyZ(cfg Config, w *worker, zDense []float64, zSparse *sparse.Vector) {
-	w.applyZShard(cfg, zDense, zSparse)
-}
-
-func (s *shardedStore) rejoin(w *worker, z []float64, clock float64) {
-	w.rejoinShard(z, clock)
-}
-
-func (s *shardedStore) assembleInto(out []float64, live []*worker, alive func(rank int) bool) {
-	assembleShardedZ(out, s.env.ws, s.smap, alive)
-}
-
-func (s *shardedStore) encodeSparse(v *sparse.Vector) {
-	// Sharded runs quantize per block: each block scales against its own
-	// max-abs, so a loud block cannot wash out a quiet one that travels to
-	// a different owner. Exact codecs pass through untouched.
-	exchange.EncodeSparseBlocks(s.env.codec, v, s.blockOffs())
-}
-
-func (s *shardedStore) residentBytes(w *worker) int64 { return w.residentBytes() }
-
-func (s *shardedStore) snapshotZ(w *worker, snap *exchange.WorkerSnap) {
-	snapshotWorkerZ(w, snap)
-}
-
-func (s *shardedStore) restoreZ(w *worker, snap *exchange.WorkerSnap) error {
-	return restoreWorkerZ(w, snap)
-}
-
-// snapshotWorkerZ captures the rank's consensus storage as the rank holds
-// it: the full dimension replicated, the compact subscribed-block
-// concatenation sharded. The PSCK format is unchanged between placements —
-// only the slice's length differs.
-func snapshotWorkerZ(w *worker, snap *exchange.WorkerSnap) {
-	snap.ZDense = append([]float64(nil), w.zStore...)
-	snap.ZIdx = append([]int32(nil), w.zSparse.Index...)
-	snap.ZVal = append([]float64(nil), w.zSparse.Value...)
-}
-
-// restoreWorkerZ validates and restores one rank's z state. It copies INTO
-// the existing zStore slice (which shares zDense's backing replicated and
-// IS the state sharded) and rebuilds the sparse view fresh.
-func restoreWorkerZ(w *worker, snap *exchange.WorkerSnap) error {
-	if len(snap.ZDense) != len(w.zStore) {
-		return fmt.Errorf("core: snapshot rank %d state shape does not match this dataset (or its shard layout)", w.rank)
+// applyReduced applies the round's reduced W to one fresh worker: its own
+// restricted crew slot sharded, the shared aggregate replicated.
+func (s *stateStore) applyReduced(cfg Config, w *worker, agg *sparse.Vector) {
+	if s.sharded {
+		agg = s.env.crew.outs[w.rank]
 	}
-	if len(snap.ZIdx) != len(snap.ZVal) {
-		return fmt.Errorf("core: snapshot rank %d sparse z index/value length mismatch", w.rank)
+	w.applyW(cfg, agg, s.counts)
+}
+
+// zUpdateDense computes z into dst from a dense W sum (the star path).
+func (s *stateStore) zUpdateDense(dst, wsum []float64, cfg Config) {
+	solver.ZUpdateL1Blocks(dst, wsum, cfg.Lambda, cfg.Rho, s.offs, s.liveCounts())
+}
+
+// zFromW computes sparse z from a sparse W sum (the tree path).
+func (s *stateStore) zFromW(wsum *sparse.Vector, cfg Config) *sparse.Vector {
+	return zFromWBlocks(wsum, cfg.Lambda, cfg.Rho, s.offs, s.liveCounts())
+}
+
+// assembleInto reconstructs the full-dimension consensus summary the engine
+// evaluates: per block, the live subscribers' stored views are summed in
+// rank order then averaged. Under exact consensus all views are equal and
+// the mean is that view; under SSP they may differ transiently and the mean
+// is the natural cluster-wide summary. Blocks with no live subscriber stay
+// zero (no data couples to them, so their z is provably zero).
+func (s *stateStore) assembleInto(out []float64, alive func(rank int) bool) {
+	vec.Zero(out)
+	for b := 0; b < s.smap.Part.Blocks; b++ {
+		dst := out[s.offs[b]:s.offs[b+1]]
+		n := 0
+		for _, r := range s.smap.Subscribers(b) {
+			if !alive(int(r)) {
+				continue
+			}
+			vec.AddInto(dst, s.env.ws[r].blockView(b))
+			n++
+		}
+		if n > 0 {
+			vec.Scale(1/float64(n), dst)
+		}
 	}
-	copy(w.zStore, snap.ZDense)
-	w.zSparse = &sparse.Vector{
-		Dim:   w.dim,
-		Index: append([]int32(nil), snap.ZIdx...),
-		Value: append([]float64(nil), snap.ZVal...),
-	}
-	return nil
 }

@@ -109,11 +109,10 @@ type strategyEnv struct {
 	pool *computePool
 	// ts is the cost model's per-run scratch for trace timing.
 	ts simnet.TimeScratch
-	// store owns the consensus state's placement — replicated dense z or
-	// block-sharded z. Everything placement-specific the strategies touch
-	// (the W collective, the z-update's contributor scaling, delivery,
-	// wire encoding) routes through it; see statestore.go.
-	store stateStore
+	// store owns the consensus state's placement: the run's shard map, the
+	// flat path's W collective and the z-update's per-block live-subscriber
+	// divisor; see statestore.go.
+	store *stateStore
 	// agg is the run's consensus reduce statistic, the combine step of
 	// every owner-keyed collective: the zero value (mean) sums, the robust
 	// kinds take the trimmed-mean/median center.
@@ -221,7 +220,11 @@ func (env *strategyEnv) nextTagBase() int32 {
 
 // encodeSparse routes one rank's contribution through the codec: stateful
 // top-k error feedback when the run carries per-rank exchange state, the
-// store's stateless path otherwise. rank is a world rank. This is the
+// stateless per-block rounding otherwise — each block of the store's
+// partition scales against its own max-abs, so a loud block cannot wash out
+// a quiet one that travels to a different owner (under the replicated
+// one-block map that is the whole vector, i.e. codec.EncodeSparse). rank is
+// a world rank. This is the
 // single chokepoint every strategy's contributions pass through on their
 // way into a reduce, so the Byzantine poison (after the codec — what a
 // compromised worker ships) and the contribution screen (after the
@@ -230,7 +233,7 @@ func (env *strategyEnv) encodeSparse(rank int, v *sparse.Vector) {
 	if env.states != nil {
 		env.states[rank].Encode(v)
 	} else {
-		env.store.encodeSparse(v)
+		exchange.EncodeSparseBlocks(env.codec, v, env.store.offs)
 	}
 	if env.byz != nil {
 		env.poisonSparse(rank, v)
@@ -332,7 +335,7 @@ func applyNodeZ(env *strategyEnv, cfg Config, p *pendingCompute,
 	zDense []float64, zSparse *sparse.Vector, end float64,
 	commSum *float64, applied *int) {
 	for i, r := range p.ranks {
-		env.store.applyZ(cfg, env.ws[r], zDense, zSparse)
+		env.ws[r].applyZ(cfg, zDense, zSparse)
 		*commSum += end - p.starts[i] - p.cals[i]
 		env.ws[r].clock = end
 		*applied++

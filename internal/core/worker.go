@@ -46,22 +46,16 @@ type worker struct {
 	xA, yA  []float64 // primal/dual over active columns
 	zA      []float64 // consensus gathered onto active columns
 
-	// Consensus view. zStore is what the hot paths actually read: in
-	// replicated mode it shares zDense's backing (and activePos aliases
-	// active), so the unified indirection reads the identical memory; in
-	// sharded mode it is the compact concatenation of the rank's
-	// subscribed blocks, zDense is nil, and no full-dimension iterate
-	// exists on this rank.
-	zDense    []float64      // full-dimension copy (replicated mode only)
-	zStore    []float64      // consensus storage the hot paths index
+	// Consensus view: zStore is the compact concatenation of the rank's
+	// subscribed blocks under the run's shard map (the full dimension under
+	// the replicated one-block full map); no other copy of z exists on this
+	// rank. subOff[i] is the zStore offset of subscribed block
+	// smap.Subs[rank][i]; the trailing entry is len(zStore).
+	smap      *shard.Map
+	subOff    []int
+	zStore    []float64
 	activePos []int32        // zStore position of each active column
-	zSparse   *sparse.Vector // same iterate, sparse (w construction)
-
-	// Sharded-state view (nil smap means replicated mode). subOff[i] is
-	// the zStore offset of subscribed block Subs[rank][i]; the trailing
-	// entry is len(zStore).
-	smap   *shard.Map
-	subOff []int
+	zSparse   *sparse.Vector // same iterate, sparse and in global coordinates (w construction)
 
 	// clock is the worker's virtual time; calTotal accumulates compute.
 	clock    float64
@@ -75,21 +69,16 @@ type worker struct {
 	// clean.
 	poisonNaN bool
 
-	// Steady-state reuse (see DESIGN.md "Memory model & buffer
-	// ownership"): zScratch is applyW's z-update destination; zOwn
-	// double-buffers the sparse consensus view derived in applyZDense's
-	// nil-zSparse path. The double buffer keeps the vector the worker read
-	// this round intact while the next one is built, and because zOwn is
-	// worker-private it can never alias a strategy-shared z vector.
-	zScratch []float64
-	zOwn     [2]*sparse.Vector
-	zOwnIdx  int
+	// zOwn double-buffers the sparse consensus view (see nextZ and DESIGN.md
+	// "Memory model & buffer ownership").
+	zOwn    [2]sparse.Vector
+	zOwnIdx int
 }
 
 // newWorkers shards the dataset and initializes per-rank solver state
 // (x=y=0, paper Algorithm 1 line 2). Consensus storage is NOT allocated
-// here — the run's stateStore owns placement and calls initReplicated or
-// initShard on every worker before the first iteration.
+// here — the run's stateStore owns placement and calls initStore on every
+// worker before the first iteration.
 func newWorkers(cfg Config, train *dataset.Dataset) []*worker {
 	n := cfg.Topo.Size()
 	shards := train.Shard(n)
@@ -104,22 +93,10 @@ func newWorkers(cfg Config, train *dataset.Dataset) []*worker {
 	return ws
 }
 
-// initReplicated gives the worker the replicated consensus placement: the
-// full-dimension dense z, with zStore sharing zDense's backing and
-// activePos aliasing active so the unified indirection reads the identical
-// memory the pre-sharding engine did. Called once by replicatedStore.
-func (w *worker) initReplicated() {
-	w.zDense = make([]float64, w.dim)
-	w.zStore = w.zDense
-	w.activePos = w.active
-	w.zSparse = sparse.NewVector(w.dim, 0)
-}
-
-// initShard gives the worker the block-sharded consensus placement: no
-// full-dimension iterate exists, zStore is the compact concatenation of
-// the subscribed blocks, and activePos targets each active column's
-// position in the compact store. Called once by shardedStore.
-func (w *worker) initShard(m *shard.Map) {
+// initStore allocates the worker's consensus storage under the run's shard
+// map: zStore is the compact concatenation of the subscribed blocks, and
+// activePos targets each active column's position in it.
+func (w *worker) initStore(m *shard.Map) {
 	w.smap = m
 	subs := m.Subs[w.rank]
 	w.subOff = make([]int, len(subs)+1)
@@ -130,8 +107,7 @@ func (w *worker) initShard(m *shard.Map) {
 	}
 	w.subOff[len(subs)] = total
 	w.zStore = make([]float64, total)
-	w.zDense = nil
-	w.zSparse = sparse.NewVector(w.dim, 0)
+	w.zSparse = w.nextZ()
 	w.activePos = make([]int32, len(w.active))
 	si := 0
 	for i, c := range w.active {
@@ -141,6 +117,18 @@ func (w *worker) initShard(m *shard.Map) {
 		}
 		w.activePos[i] = int32(w.subOff[si] + int(c) - m.Part.Chunk(b).Lo)
 	}
+}
+
+// nextZ flips the worker-private double buffer and returns the emptied side
+// to build the next sparse consensus view in. The vector w.zSparse points
+// at is never the one returned — the last round's wSparse merge may still
+// be comparing against it — and because zOwn is worker-private it can never
+// alias a strategy-shared z vector.
+func (w *worker) nextZ() *sparse.Vector {
+	nb := &w.zOwn[w.zOwnIdx]
+	w.zOwnIdx = 1 - w.zOwnIdx
+	nb.Reset(w.dim)
+	return nb
 }
 
 // subIdx returns the subscription position of block b, or -1 when the
@@ -204,9 +192,7 @@ func (w *worker) buildActive(dim int) {
 // subspace and returns the deterministic virtual compute time, scaled by
 // the straggler and jitter factors for (iter, rank).
 func (w *worker) xUpdate(cfg Config, iter int) float64 {
-	// Gather the consensus onto the active columns. In replicated mode
-	// zStore/activePos alias zDense/active, so these are the identical
-	// memory reads the pre-sharding engine performed.
+	// Gather the consensus onto the active columns.
 	for i, p := range w.activePos {
 		w.zA[i] = w.zStore[p]
 	}
@@ -270,184 +256,100 @@ func (w *worker) wSparseInto(out *sparse.Vector, rho float64) *sparse.Vector {
 	return out
 }
 
-// applyZDense consumes the new consensus iterate (the Leader-distributed,
-// already-thresholded z) under the replicated placement and performs the
-// dual update (eq. 6) over the active subspace; off-active duals are
-// identically zero (see the worker doc comment). zSparse may be nil, in
-// which case it is derived from zDense. The worker copies the dense form
-// and retains the sparse one. Dispatch between placements is the
-// stateStore's job (applyZShard is the sharded counterpart).
-func (w *worker) applyZDense(cfg Config, zDense []float64, zSparse *sparse.Vector) {
-	copy(w.zDense, zDense)
-	if zSparse != nil {
-		w.zSparse = zSparse
-	} else {
-		// Derive the sparse view into the worker-private double buffer:
-		// never overwrite the vector w.zSparse currently points at — the
-		// last round's wSparse merge may still be comparing against it, and
-		// a strategy-shared vector must never be clobbered.
-		nb := w.zOwn[w.zOwnIdx]
-		if nb == nil {
-			nb = new(sparse.Vector)
-			w.zOwn[w.zOwnIdx] = nb
-		}
-		w.zOwnIdx = 1 - w.zOwnIdx
-		w.zSparse = sparse.FromDenseInto(nb, zDense)
-	}
-	for i, c := range w.active {
-		w.yA[i] += cfg.Rho * (w.xA[i] - zDense[c])
-	}
-}
-
-// applyZShard is applyZDense's sharded counterpart, given a full-dimension
-// z (the star/tree delivery paths): the store keeps only the subscribed blocks,
-// the retained sparse view is restricted to the subscription, and the dual
-// update runs through the compact positions.
-func (w *worker) applyZShard(cfg Config, zDense []float64, zSparse *sparse.Vector) {
-	subs := w.smap.Subs[w.rank]
-	for i, b := range subs {
+// keepZ retains the subscribed blocks of a full-dimension consensus iterate:
+// dense in zStore, sparse (global coordinates) in zSparse. zSparse, when
+// given, is zDense's sparse form and is restricted to the subscription; nil
+// derives the view from the stored blocks.
+func (w *worker) keepZ(zDense []float64, zSparse *sparse.Vector) {
+	nb := w.nextZ()
+	for i, b := range w.smap.Subs[w.rank] {
 		c := w.smap.Part.Chunk(int(b))
-		copy(w.zStore[w.subOff[i]:w.subOff[i+1]], zDense[c.Lo:c.Hi])
-	}
-	nb := w.zOwn[w.zOwnIdx]
-	if nb == nil {
-		nb = new(sparse.Vector)
-		w.zOwn[w.zOwnIdx] = nb
-	}
-	w.zOwnIdx = 1 - w.zOwnIdx
-	nb.Reset(w.dim)
-	if zSparse != nil {
-		for _, b := range subs {
-			c := w.smap.Part.Chunk(int(b))
+		view := w.zStore[w.subOff[i]:w.subOff[i+1]]
+		copy(view, zDense[c.Lo:c.Hi])
+		if zSparse != nil {
 			from, to := zSparse.Range(c.Lo, c.Hi)
 			nb.Index = append(nb.Index, zSparse.Index[from:to]...)
 			nb.Value = append(nb.Value, zSparse.Value[from:to]...)
-		}
-	} else {
-		for i, b := range subs {
-			c := w.smap.Part.Chunk(int(b))
-			for p := w.subOff[i]; p < w.subOff[i+1]; p++ {
-				if v := w.zStore[p]; v != 0 {
-					nb.Index = append(nb.Index, int32(c.Lo+p-w.subOff[i]))
-					nb.Value = append(nb.Value, v)
-				}
-			}
-		}
-	}
-	w.zSparse = nb
-	for i, p := range w.activePos {
-		w.yA[i] += cfg.Rho * (w.xA[i] - w.zStore[p])
-	}
-}
-
-// applyWShard consumes the sharded collective's reduced W — sparse, global
-// coordinates, restricted to the rank's subscription — and computes the
-// subscribed blocks' z directly into the compact store, scaling block b by
-// counts[b] (its live subscriber count). The scalar expression is
-// ZUpdateL1's, so equal counts reproduce the replicated flat path's values
-// bit for bit.
-func (w *worker) applyWShard(cfg Config, bigW *sparse.Vector, counts []int) {
-	vec.Zero(w.zStore)
-	nb := w.zOwn[w.zOwnIdx]
-	if nb == nil {
-		nb = new(sparse.Vector)
-		w.zOwn[w.zOwnIdx] = nb
-	}
-	w.zOwnIdx = 1 - w.zOwnIdx
-	nb.Reset(w.dim)
-	subs := w.smap.Subs[w.rank]
-	si := 0
-	for k, idx := range bigW.Index {
-		b := w.smap.Part.BlockOf(int(idx))
-		for si < len(subs) && int(subs[si]) < b {
-			si++ // indices sorted → blocks non-decreasing
-		}
-		if si >= len(subs) || int(subs[si]) != b {
-			continue // outside my subscription: not my state
-		}
-		n := counts[b]
-		if n <= 0 {
 			continue
 		}
-		v := vec.SoftThreshold(bigW.Value[k], cfg.Lambda) * (1 / (cfg.Rho * float64(n)))
-		if v == 0 {
-			continue
-		}
-		c := w.smap.Part.Chunk(b)
-		w.zStore[w.subOff[si]+int(idx)-c.Lo] = v
-		nb.Index = append(nb.Index, idx)
-		nb.Value = append(nb.Value, v)
-	}
-	w.zSparse = nb
-	for i, p := range w.activePos {
-		w.yA[i] += cfg.Rho * (w.xA[i] - w.zStore[p])
-	}
-}
-
-// applyW consumes a raw aggregated W summing `contributors` workers (the
-// flat PSRA-ADMM and GC-ADMM paths, where every worker receives W itself):
-// the z-update (eq. 10, corrected N·ρ scaling) followed by applyZDense.
-// ZUpdateL1 overwrites every destination element, so the scratch carries
-// no state between rounds.
-func (w *worker) applyW(cfg Config, bigW []float64, contributors int) {
-	if cap(w.zScratch) < len(bigW) {
-		w.zScratch = make([]float64, len(bigW))
-	}
-	z := w.zScratch[:len(bigW)]
-	solver.ZUpdateL1(z, bigW, cfg.Lambda, cfg.Rho, contributors)
-	w.applyZDense(cfg, z, nil)
-}
-
-// rejoinReplicated re-admits a revived rank at an iteration boundary under
-// the replicated placement. The consensus view warm-starts from the
-// cluster's current iterate — the rejoiner's first x-update then solves
-// against live consensus, not the stale z it died holding — while xA/yA
-// keep their frozen pre-death values (any restart point is valid for ADMM,
-// and the stale primal/dual pair is closer to the optimum than zero). The
-// clock jump is supplied by the engine (the live maximum).
-func (w *worker) rejoinReplicated(z []float64, clock float64) {
-	copy(w.zDense, z)
-	// Derive the sparse view through the same double buffer applyZDense
-	// uses, so the vector the last pre-death round published is never
-	// clobbered.
-	nb := w.zOwn[w.zOwnIdx]
-	if nb == nil {
-		nb = new(sparse.Vector)
-		w.zOwn[w.zOwnIdx] = nb
-	}
-	w.zOwnIdx = 1 - w.zOwnIdx
-	w.zSparse = sparse.FromDenseInto(nb, z)
-	if clock > w.clock {
-		w.clock = clock
-	}
-}
-
-// rejoinShard is rejoinReplicated's sharded counterpart: the cluster's
-// iterate is restricted to the rank's subscription — the only state this
-// rank ever holds.
-func (w *worker) rejoinShard(z []float64, clock float64) {
-	subs := w.smap.Subs[w.rank]
-	for i, b := range subs {
-		c := w.smap.Part.Chunk(int(b))
-		copy(w.zStore[w.subOff[i]:w.subOff[i+1]], z[c.Lo:c.Hi])
-	}
-	nb := w.zOwn[w.zOwnIdx]
-	if nb == nil {
-		nb = new(sparse.Vector)
-		w.zOwn[w.zOwnIdx] = nb
-	}
-	w.zOwnIdx = 1 - w.zOwnIdx
-	nb.Reset(w.dim)
-	for _, b := range subs {
-		c := w.smap.Part.Chunk(int(b))
-		for j := c.Lo; j < c.Hi; j++ {
-			if v := z[j]; v != 0 {
-				nb.Index = append(nb.Index, int32(j))
+		for j, v := range view {
+			if v != 0 {
+				nb.Index = append(nb.Index, int32(c.Lo+j))
 				nb.Value = append(nb.Value, v)
 			}
 		}
 	}
 	w.zSparse = nb
+}
+
+// applyZ consumes the new consensus iterate — the already-thresholded z the
+// star and tree paths deliver at full dimension — and performs the dual
+// update (eq. 6) over the active subspace; off-active duals are identically
+// zero (see the worker doc comment).
+func (w *worker) applyZ(cfg Config, zDense []float64, zSparse *sparse.Vector) {
+	w.keepZ(zDense, zSparse)
+	w.dualUpdate(cfg.Rho)
+}
+
+// dualUpdate performs y ← y + ρ(x − z) (eq. 6) over the active subspace.
+func (w *worker) dualUpdate(rho float64) {
+	for i, p := range w.activePos {
+		w.yA[i] += rho * (w.xA[i] - w.zStore[p])
+	}
+}
+
+// applyW consumes a reduced W (the flat path, where every member holds a
+// reduction result) — sparse, global coordinates, covering at least the
+// rank's subscription — and computes the subscribed blocks' z straight into
+// the compact store: the z-update (eq. 10, corrected N·ρ scaling) over the
+// aggregate's support only, since SoftThreshold(0) = 0. Block b is scaled by
+// counts[b], its live subscriber count; the scalar expression is
+// solver.ZUpdateL1Blocks'. Then the dual update.
+func (w *worker) applyW(cfg Config, bigW *sparse.Vector, counts []int) {
+	vec.Zero(w.zStore)
+	nb := w.nextZ()
+	subs := w.smap.Subs[w.rank]
+	// Indices arrive sorted, so a cursor over the subscription replaces a
+	// per-entry BlockOf: [lo, hi) is subscribed block subs[si], stored at
+	// off, and entries below lo fall outside the subscription.
+	si, lo, hi, off := -1, 0, 0, 0
+	var inv float64
+scan:
+	for k, idx := range bigW.Index {
+		j := int(idx)
+		for j >= hi {
+			if si++; si == len(subs) {
+				break scan
+			}
+			c := w.smap.Part.Chunk(int(subs[si]))
+			lo, hi, off = c.Lo, c.Hi, w.subOff[si]-c.Lo
+			inv = 0 // a block with no live subscriber keeps z = 0
+			if n := counts[subs[si]]; n > 0 {
+				inv = 1 / (cfg.Rho * float64(n))
+			}
+		}
+		if j < lo {
+			continue
+		}
+		if v := vec.SoftThreshold(bigW.Value[k], cfg.Lambda) * inv; v != 0 {
+			w.zStore[off+j] = v
+			nb.Index = append(nb.Index, idx)
+			nb.Value = append(nb.Value, v)
+		}
+	}
+	w.zSparse = nb
+	w.dualUpdate(cfg.Rho)
+}
+
+// rejoin re-admits a revived rank at an iteration boundary. The consensus
+// view warm-starts from the cluster's current iterate, restricted to the
+// rank's subscription — the rejoiner's first x-update then solves against
+// live consensus, not the stale z it died holding — while xA/yA keep their
+// frozen pre-death values (any restart point is valid for ADMM, and the
+// stale primal/dual pair is closer to the optimum than zero). The clock
+// jump is supplied by the engine (the live maximum).
+func (w *worker) rejoin(z []float64, clock float64) {
+	w.keepZ(z, nil)
 	if clock > w.clock {
 		w.clock = clock
 	}
@@ -462,54 +364,6 @@ func (w *worker) localLoss(z []float64) float64 {
 		loss += solver.LogLoss(w.shard.Labels[r] * m.RowDot(r, z))
 	}
 	return loss
-}
-
-// solverZUpdate is a thin alias keeping the consensus strategies readable.
-func solverZUpdate(dst, w []float64, lambda, rho float64, n int) {
-	solver.ZUpdateL1(dst, w, lambda, rho, n)
-}
-
-// countNonzero counts nonzero entries of a dense slice.
-func countNonzero(x []float64) int { return vec.CountNonzero(x) }
-
-// meanZInto writes the average of the listed workers' consensus views —
-// the iterate the engine evaluates the global objective at — into a
-// caller-owned buffer. Under exact consensus all views are equal and the
-// mean is that view; under SSP they may differ transiently and the mean is
-// the natural cluster-wide summary.
-func meanZInto(out []float64, ws []*worker) {
-	for i := range out {
-		out[i] = 0
-	}
-	for _, w := range ws {
-		vec.AddInto(out, w.zDense)
-	}
-	vec.Scale(1/float64(len(ws)), out)
-}
-
-// assembleShardedZ reconstructs the full-dimension consensus summary from
-// sharded workers: per block, the live subscribers' stored views are summed
-// in rank order then averaged — the per-coordinate operation order of
-// meanZInto, so a fully subscribed sharded world assembles the identical
-// bits. Blocks with no live subscriber stay zero (no data couples to them,
-// so their z is provably zero). ws must be indexed by world rank.
-func assembleShardedZ(out []float64, ws []*worker, m *shard.Map, alive func(rank int) bool) {
-	vec.Zero(out)
-	for b := 0; b < m.Part.Blocks; b++ {
-		c := m.Part.Chunk(b)
-		dst := out[c.Lo:c.Hi]
-		n := 0
-		for _, r := range m.Subscribers(b) {
-			if !alive(int(r)) {
-				continue
-			}
-			vec.AddInto(dst, ws[r].blockView(b))
-			n++
-		}
-		if n > 0 {
-			vec.Scale(1/float64(n), dst)
-		}
-	}
 }
 
 // computePool is the run's persistent x-update executor: GOMAXPROCS

@@ -4,8 +4,8 @@
 // contiguous blocks with a deterministic block→owner map, and every rank
 // subscribes only to the blocks its data touches. The consensus iterate is
 // then general-form consensus in the style of block-wise ADMM — no rank
-// materializes the full model — while a run with every rank subscribed to
-// every block reproduces the replicated-state engine bit for bit.
+// materializes the full model — and replicated state is its special case,
+// the map in which every rank subscribes to every block (FullMap).
 //
 // The layout is exactly vec.Split's (the first Dim%Blocks blocks get one
 // extra coordinate), so block boundaries agree with every existing chunked
@@ -162,20 +162,45 @@ func (m *Map) Plan(ranks []int) *Plan {
 	return pl
 }
 
-// FullPlan is the plan where every one of p members subscribes to every
-// block — how a conventional full-width allreduce rides the shard-aware
-// schedule. No runtime path builds one; it is the reference the collective
-// tests hold ShardAllreduceSparse against PSRAllreduceSparse with.
-func FullPlan(part Partition, p int) *Plan {
+// FullMap is the map in which every one of world ranks subscribes to every
+// block BY CONSTRUCTION, whatever its data touches — global consensus as the
+// full-subscription case of general-form consensus. With a one-block
+// partition it is the replicated placement: every rank holds all of z and
+// every per-block live count is the live count.
+func FullMap(part Partition, world int) *Map {
 	all := make([]int32, part.Blocks)
 	for b := range all {
 		all[b] = int32(b)
 	}
-	pl := &Plan{Part: part, Subs: make([][]int32, p)}
-	for i := range pl.Subs {
-		pl.Subs[i] = all
+	everyone := make([]int32, world)
+	for r := range everyone {
+		everyone[r] = int32(r)
 	}
-	return pl
+	m := &Map{
+		Part:        part,
+		World:       world,
+		Subs:        make([][]int32, world),
+		subscribers: make([][]int32, part.Blocks),
+	}
+	for r := range m.Subs {
+		m.Subs[r] = all
+	}
+	for b := range m.subscribers {
+		m.subscribers[b] = everyone
+	}
+	return m
+}
+
+// FullPlan is the full map's plan over all p members — how a conventional
+// full-width allreduce rides the shard-aware schedule. No runtime path
+// builds one; it is the reference the collective tests hold
+// ShardAllreduceSparse against PSRAllreduceSparse with.
+func FullPlan(part Partition, p int) *Plan {
+	ranks := make([]int, p)
+	for i := range ranks {
+		ranks[i] = i
+	}
+	return FullMap(part, p).Plan(ranks)
 }
 
 // OwnerPos returns the group position owning block b.

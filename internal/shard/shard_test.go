@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 
 	"psrahgadmm/internal/vec"
@@ -89,6 +90,51 @@ func TestFullPlanAndOwnership(t *testing.T) {
 	for i, subs := range pl.Subs {
 		if len(subs) != part.Blocks {
 			t.Fatalf("full plan member %d subscribes to %d blocks, want %d", i, len(subs), part.Blocks)
+		}
+	}
+}
+
+// TestFullMapSubscribesEveryone pins the replicated placement's map: every
+// rank subscribes to every block by construction — FullMap is handed no
+// active columns at all — every block's live count is the live count, and
+// its plan over the whole world is FullPlan.
+func TestFullMapSubscribesEveryone(t *testing.T) {
+	for _, tc := range []struct{ dim, blocks, world int }{{9, 1, 1}, {100, 1, 6}, {100, 8, 3}, {7, 7, 5}} {
+		part := NewPartition(tc.dim, tc.blocks)
+		m := FullMap(part, tc.world)
+		if m.World != tc.world || len(m.Subs) != tc.world || !m.FullSubscription() {
+			t.Fatalf("%+v: world %d, %d subscription lists, full=%v", tc, m.World, len(m.Subs), m.FullSubscription())
+		}
+		for b := 0; b < part.Blocks; b++ {
+			subs := m.Subscribers(b)
+			if len(subs) != tc.world {
+				t.Fatalf("%+v: block %d has %d subscribers, want %d", tc, b, len(subs), tc.world)
+			}
+			for r, got := range subs {
+				if int(got) != r || int(m.Subs[r][b]) != b {
+					t.Fatalf("%+v: block %d subscribers %v, rank %d subs %v", tc, b, subs, r, m.Subs[r])
+				}
+			}
+		}
+		alive := func(r int) bool { return r%2 == 0 }
+		live := (tc.world + 1) / 2
+		for b, n := range m.LiveCounts(nil, alive) {
+			if n != live {
+				t.Fatalf("%+v: block %d live count %d, want the live count %d", tc, b, n, live)
+			}
+		}
+		world := make([]int, tc.world)
+		for i := range world {
+			world[i] = i
+		}
+		got, want := m.Plan(world), FullPlan(part, tc.world)
+		if got.Part != want.Part || got.Members() != want.Members() {
+			t.Fatalf("%+v: plan %+v, FullPlan %+v", tc, got, want)
+		}
+		for i := range want.Subs {
+			if !slices.Equal(got.Subs[i], want.Subs[i]) {
+				t.Fatalf("%+v: member %d subscribes to %v, FullPlan says %v", tc, i, got.Subs[i], want.Subs[i])
+			}
 		}
 	}
 }

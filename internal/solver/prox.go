@@ -22,19 +22,6 @@ func ZUpdateL1(dst, w []float64, lambda, rho float64, n int) {
 	}
 }
 
-// ZUpdateL1At is the scalar form of ZUpdateL1 — one coordinate's z-update
-// under an n-contributor penalty. The sharded engine applies it per block
-// with that block's live subscriber count (general-form consensus: the
-// quadratic penalty on a coordinate sums only over the ranks whose
-// objective couples to it). The expression is identical to ZUpdateL1's
-// loop body, so equal counts give bit-identical results.
-func ZUpdateL1At(wi, lambda, rho float64, n int) float64 {
-	if n <= 0 {
-		panic("solver: ZUpdateL1At requires n >= 1")
-	}
-	return vec.SoftThreshold(wi, lambda) * (1 / (rho * float64(n)))
-}
-
 // ZUpdateL1Blocks is ZUpdateL1 with a per-block contributor count: block b
 // covers dst[offs[b]:offs[b+1]] (offs has len(counts)+1 entries, the
 // partition's cumulative block offsets) and is scaled by counts[b] — the
