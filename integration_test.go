@@ -104,20 +104,25 @@ func TestWLGRuntimeMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same consensus iterate: the runtime runs full-dimension TRON, the
-	// engine active-subspace TRON, so agreement is to subproblem
-	// tolerance, not bitwise.
+	// Same consensus iterate, bit for bit: psra-worker's callbacks and
+	// core.Run are the same recursion. On a shard's column support both run
+	// the same TRON body on the same compacted objective (solver's
+	// restriction for the callbacks' full-dimension one, the engine's own
+	// compaction), so equal (y, z) in give equal bits out. Off the support
+	// the callbacks hand the consensus y_j + ρ(z_j − y_j/ρ) and the engine
+	// ρ·z_j: identical when z_j = 0, which at λ = 1 is all but a handful of
+	// coordinates, and otherwise within a rounding that leaves this problem's
+	// aggregate untouched. (A denser z — λ = 0.1, say — does pick up last-bit
+	// differences in W there, which TRON's discrete stopping rule then
+	// amplifies to ~1e-9; that would be rounding, not a different recursion.)
 	if len(zWLG) != len(res.Z) {
 		t.Fatalf("dimension mismatch %d vs %d", len(zWLG), len(res.Z))
 	}
-	var maxDiff float64
 	for i := range zWLG {
-		if d := math.Abs(zWLG[i] - res.Z[i]); d > maxDiff {
-			maxDiff = d
+		if zWLG[i] != res.Z[i] {
+			t.Fatalf("WLG runtime and engine differ at coordinate %d: %v vs %v (Δ = %v)",
+				i, zWLG[i], res.Z[i], math.Abs(zWLG[i]-res.Z[i]))
 		}
-	}
-	if maxDiff > 1e-4 {
-		t.Fatalf("WLG runtime and engine diverge: max |Δz| = %v", maxDiff)
 	}
 }
 

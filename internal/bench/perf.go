@@ -18,8 +18,10 @@ import (
 	"psrahgadmm/internal/dataset"
 	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
+	"psrahgadmm/internal/vec"
 )
 
 // PerfEntry records one benchmark of the steady-state perf suite.
@@ -106,6 +108,52 @@ func Perf(seed int64) (*PerfReport, error) {
 	}
 	add := func(name string, fn func(b *testing.B)) {
 		rep.Benchmarks = append(rep.Benchmarks, perfEntry(name, testing.Benchmark(fn)))
+	}
+
+	// Layer 0: the x-update as psra-worker's callbacks call it — solver.TRON
+	// on a full-dimension objective over one rank's shard (1/8 of the
+	// benchmark's news20-like problem, ~5% of the columns touched), warm-
+	// started from two ADMM rounds and re-solved from that fixed state. The
+	// restriction to the shard's support owns its scratch, so the row gates
+	// 0 allocs/op for every caller that lets TRON make a fresh Workspace.
+	{
+		train, _, err := dataset.Generate(dataset.News20Like(0.02, seed+6))
+		if err != nil {
+			return nil, err
+		}
+		const (
+			ranks       = 8
+			rho, lambda = 1.0, 1.0
+		)
+		opts := solver.TronOptions{MaxIter: 10, MaxCG: 20}
+		dim := train.Dim()
+		z, w, bigW := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+		xs, ys := make([][]float64, ranks), make([][]float64, ranks)
+		objs := make([]*solver.LogisticProx, ranks)
+		for r, sh := range train.Shard(ranks) {
+			xs[r], ys[r] = make([]float64, dim), make([]float64, dim)
+			objs[r] = solver.NewLogisticProx(sh.X, sh.Labels, rho, ys[r], z)
+		}
+		for round := 0; round < 2; round++ {
+			vec.Zero(bigW)
+			for r, obj := range objs {
+				solver.TRON(obj, xs[r], opts)
+				solver.WLocal(w, ys[r], xs[r], rho)
+				vec.AddInto(bigW, w)
+			}
+			solver.ZUpdateL1(z, bigW, lambda, rho, ranks)
+			for r := range objs {
+				solver.DualUpdate(ys[r], xs[r], z, rho)
+			}
+		}
+		x := make([]float64, dim)
+		add("solver/tron-shard-fulldim", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(x, xs[0])
+				solver.TRON(objs[0], x, opts)
+			}
+		})
 	}
 
 	// Layer 1: sparse reduce (the accumulator behind every aggregation).

@@ -25,15 +25,14 @@ func maxf(a, b float64) float64 {
 
 // worker holds one rank's private ADMM state.
 //
-// The subproblem is solved in the shard's *active feature subspace*: for a
-// coordinate j no sample of the shard touches, the x-subproblem objective
-// reduces to y_j·x_j + (ρ/2)(x_j − z_j)², whose minimizer is closed-form —
-// and since y_j starts at 0, induction over the dual update gives
-// y_j ≡ 0 and x_j ≡ z_j there forever, hence w_j = ρ·z_j. Restricting
-// TRON to the active columns is therefore *exact*, and it is what makes
-// million-dimension problems feasible: per-worker dense work scales with
-// the shard's support, not the global dimension. (LIBLINEAR-style sparse
-// solvers make the same move.)
+// The subproblem is solved in the shard's *active feature subspace*: the
+// columns its samples touch (sparse.CSR.CompactColumns). Off those columns
+// the x-subproblem is separable with a closed-form minimiser, and all the
+// consensus ever sees of them is w_j = ρ·z_j — solver's restriction doc
+// states the invariant. A worker therefore stores x and y over the active
+// columns only and emits ρ·z_j elsewhere (wSparseInto); the restriction is
+// *exact*, and per-worker dense work scales with the shard's support, not
+// the global dimension.
 type worker struct {
 	rank  int
 	dim   int              // full model dimension
@@ -86,7 +85,7 @@ func newWorkers(cfg Config, train *dataset.Dataset) []*worker {
 	ws := make([]*worker, n)
 	for i := range ws {
 		w := &worker{rank: i, dim: dim, shard: shards[i]}
-		w.buildActive(dim)
+		w.buildActive()
 		w.obj = solver.NewLogisticProx(w.compact, w.shard.Labels, cfg.Rho, w.yA, w.zA)
 		ws[i] = w
 	}
@@ -158,31 +157,8 @@ func (w *worker) residentBytes() int64 {
 }
 
 // buildActive computes the shard's active column set and the remapped CSR.
-func (w *worker) buildActive(dim int) {
-	seen := make(map[int32]struct{})
-	for _, c := range w.shard.X.ColIdx {
-		seen[c] = struct{}{}
-	}
-	w.active = make([]int32, 0, len(seen))
-	for c := range seen {
-		w.active = append(w.active, c)
-	}
-	sort.Slice(w.active, func(a, b int) bool { return w.active[a] < w.active[b] })
-	remap := make(map[int32]int32, len(w.active))
-	for i, c := range w.active {
-		remap[c] = int32(i)
-	}
-	src := w.shard.X
-	w.compact = &sparse.CSR{
-		NRows:  src.NRows,
-		NCols:  len(w.active),
-		RowPtr: src.RowPtr,
-		ColIdx: make([]int32, len(src.ColIdx)),
-		Val:    src.Val,
-	}
-	for k, c := range src.ColIdx {
-		w.compact.ColIdx[k] = remap[c]
-	}
+func (w *worker) buildActive() {
+	w.active, w.compact = w.shard.X.CompactColumns()
 	w.xA = make([]float64, len(w.active))
 	w.yA = make([]float64, len(w.active))
 	w.zA = make([]float64, len(w.active))
@@ -219,7 +195,7 @@ func (w *worker) xUpdate(cfg Config, iter int) float64 {
 
 // wSparse assembles w_i = y_i + ρ·x_i (eq. 8) as a sparse vector: the
 // active columns carry y_A + ρ·x_A; off-active columns carry ρ·z_j on the
-// consensus support (the closed-form x_j = z_j, y_j = 0 there).
+// consensus support (see the worker doc comment).
 func (w *worker) wSparse(rho float64) *sparse.Vector {
 	return w.wSparseInto(sparse.NewVector(w.dim, len(w.active)+w.zSparse.NNZ()), rho)
 }
@@ -284,8 +260,8 @@ func (w *worker) keepZ(zDense []float64, zSparse *sparse.Vector) {
 
 // applyZ consumes the new consensus iterate — the already-thresholded z the
 // star and tree paths deliver at full dimension — and performs the dual
-// update (eq. 6) over the active subspace; off-active duals are identically
-// zero (see the worker doc comment).
+// update (eq. 6) over the active subspace; no off-active dual is stored (see
+// the worker doc comment).
 func (w *worker) applyZ(cfg Config, zDense []float64, zSparse *sparse.Vector) {
 	w.keepZ(zDense, zSparse)
 	w.dualUpdate(cfg.Rho)

@@ -59,11 +59,13 @@ type LogisticProx struct {
 	margins []float64 // Ax cache from last Eval
 	d       []float64 // σ(1−σ) curvature cache
 	av      []float64 // scratch for HessVec
+
+	restriction // TRON solves over Data's column support
 }
 
 // NewLogisticProx constructs the subproblem objective. Labels must match
 // Data.NRows; Y and Z must match Data.NCols and may be updated in place by
-// the caller between TRON solves.
+// the caller between TRON solves, as may Rho (which a solve needs positive).
 func NewLogisticProx(data *sparse.CSR, labels []float64, rho float64, y, z []float64) *LogisticProx {
 	if len(labels) != data.NRows {
 		panic("solver: labels length != rows")
@@ -119,6 +121,15 @@ func (o *LogisticProx) HessVec(v, hv []float64) {
 	vec.Axpy(o.Rho, v, hv)
 }
 
+func (o *LogisticProx) solveRestricted(x []float64, opts TronOptions) (TronResult, bool) {
+	return o.solve(o, o.Data, o.Rho, o.Y, o.Z, x, opts)
+}
+
+func (o *LogisticProx) over(compact *sparse.CSR, y, z []float64) (Objective, *float64) {
+	t := NewLogisticProx(compact, o.Labels, o.Rho, y, z)
+	return t, &t.Rho
+}
+
 // LocalLoss returns only the data-fit part Σ log(1+exp(−b·aᵀx)) at x,
 // without the augmented-Lagrangian terms. The engine sums this across
 // workers to report the paper's global objective (eq. 17).
@@ -144,6 +155,8 @@ type LeastSquaresProx struct {
 
 	resid []float64
 	av    []float64
+
+	restriction // TRON solves over Data's column support
 }
 
 // NewLeastSquaresProx constructs the lasso subproblem objective.
@@ -194,6 +207,15 @@ func (o *LeastSquaresProx) HessVec(v, hv []float64) {
 	vec.Axpy(o.Rho, v, hv)
 }
 
+func (o *LeastSquaresProx) solveRestricted(x []float64, opts TronOptions) (TronResult, bool) {
+	return o.solve(o, o.Data, o.Rho, o.Y, o.Z, x, opts)
+}
+
+func (o *LeastSquaresProx) over(compact *sparse.CSR, y, z []float64) (Objective, *float64) {
+	t := NewLeastSquaresProx(compact, o.B, o.Rho, y, z)
+	return t, &t.Rho
+}
+
 // LocalLoss returns ½‖Ax−b‖² at x.
 func (o *LeastSquaresProx) LocalLoss(x []float64) float64 {
 	m := o.Data
@@ -203,4 +225,99 @@ func (o *LeastSquaresProx) LocalLoss(x []float64) float64 {
 		loss += 0.5 * r * r
 	}
 	return loss
+}
+
+// restriction is the one fact TRON needs about a prox-augmented loss over a
+// CSR, ℓ(Ax) + yᵀx + (ρ/2)‖x − z‖²: outside A's column support it is
+// separable, coordinate j contributing y_j·x_j + (ρ/2)(x_j − z_j)² and
+// nothing else, so the minimiser there is the closed form
+// x_j = z_j − y_j/ρ and only the touched columns need a Newton solve. Per
+// worker, dense work then scales with the shard's support rather than the
+// model's dimension, which is what makes high-dimensional sparse problems
+// tractable (LIBLINEAR-style sparse solvers make the same move).
+//
+// The ADMM invariant behind it: off-support the recursion gives
+// x_j = z_j − y_j/ρ and y_j⁺ = y_j + ρ(x_j − z_j⁺) = ρ(z_j − z_j⁺), which
+// is non-zero whenever z_j moves, but the contribution the consensus sees
+// is w_j = y_j + ρ·x_j = ρ·z_j whatever (x_j, y_j) are. A caller holding
+// full-dimension x and y (psra-worker's callbacks) carries the pair above;
+// internal/core stores no off-support state at all and emits ρ·z_j, i.e.
+// the representative (x_j, y_j) = (z_j, 0) of the same class. Both feed the
+// consensus identical w.
+//
+// Both prox objectives embed one restriction. It is built at the first
+// solve, so an objective that is only ever evaluated pays nothing, and it
+// holds the compact twin (the same loss over sparse.CSR.CompactColumns'
+// matrix, whose Y and Z are the gather buffers below) plus the solve's
+// scratch, so steady-state solves allocate nothing.
+type restriction struct {
+	built      bool
+	active     []int32   // touched columns, sorted; nil when none is untouched
+	twin       Objective // nil when every column is touched
+	twinRho    *float64  // twin's Rho field
+	xA, yA, zA []float64 // x, y, z gathered onto active
+	ws         Workspace // the compact solve's scratch
+}
+
+// restricted is the optional interface TRONWorkspace looks for. It is
+// unexported on purpose: the restriction is how this package solves its own
+// prox objectives, not a knob or an extension point.
+type restricted interface {
+	// solveRestricted minimises the objective from x in place as
+	// restriction.solve describes; ok is false when every column of the
+	// data matrix is touched and the caller must solve at full dimension.
+	solveRestricted(x []float64, opts TronOptions) (res TronResult, ok bool)
+}
+
+// twinMaker builds an objective's compact twin: the same loss over compact
+// with y and z as its dual and consensus terms, and the address of its Rho.
+type twinMaker interface {
+	over(compact *sparse.CSR, y, z []float64) (twin Objective, rho *float64)
+}
+
+// solve gathers (x, y, z) onto data's touched columns, runs TRON there on
+// the compact twin, writes the closed form everywhere else and scatters the
+// solved coordinates back. y, z and rho are read afresh on every call: the
+// caller mutates them between solves. On the touched columns the result is,
+// bit for bit, what TRONWorkspace returns for the twin from the gathered
+// start; with no touched column there is no Newton solve at all.
+func (s *restriction) solve(obj twinMaker, data *sparse.CSR, rho float64, y, z, x []float64, opts TronOptions) (TronResult, bool) {
+	if !s.built {
+		s.built = true
+		if active, compact := data.CompactColumns(); compact != data {
+			s.active = active
+			s.xA = make([]float64, len(active))
+			s.yA = make([]float64, len(active))
+			s.zA = make([]float64, len(active))
+			s.twin, s.twinRho = obj.over(compact, s.yA, s.zA)
+		}
+	}
+	if s.twin == nil {
+		return TronResult{}, false
+	}
+	for i, c := range s.active {
+		s.xA[i], s.yA[i], s.zA[i] = x[c], y[c], z[c]
+	}
+	*s.twinRho = rho
+	var res TronResult
+	if len(s.active) > 0 {
+		res = tron(s.twin, s.xA, opts, &s.ws)
+	} else {
+		res = TronResult{F: s.twin.Eval(s.xA, s.xA), Converged: true}
+	}
+	// Off-support the gradient y_j + ρ(x_j − z_j) vanishes at the closed
+	// form, so res.GradNorm already is the full gradient norm; res.F gains
+	// the separable terms to stay the whole objective at the returned x.
+	k := 0
+	for j := range x {
+		if k < len(s.active) && int(s.active[k]) == j {
+			x[j] = s.xA[k]
+			k++
+			continue
+		}
+		x[j] = z[j] - y[j]/rho
+		diff := x[j] - z[j]
+		res.F += y[j]*x[j] + 0.5*rho*diff*diff
+	}
+	return res, true
 }

@@ -81,20 +81,41 @@ func (ws *Workspace) ensure(n int) {
 // trust-region Newton method of Lin & Moré: an inner Steihaug conjugate
 // gradient solve truncated at the trust boundary, and the classic
 // ratio-based radius update.
+//
+// A prox objective of this package whose data matrix leaves columns
+// untouched is solved over the touched columns only (see restriction): the
+// Newton solve runs at the support's dimension and every other coordinate
+// gets its closed form. TronResult then reports the compact solve's Iters,
+// CGIters and FunEvals, the whole objective's F and the full gradient norm
+// at the returned x, and the relative stop ‖g‖ ≤ GradTol·‖g₀‖ is relative
+// to the start gradient on the support, which is internal/core's semantics
+// (off-support the start point does not matter: the coordinate is solved
+// exactly from anywhere). There is no way to ask for the full-dimension
+// solve over untouched columns.
 func TRON(obj Objective, x []float64, opts TronOptions) TronResult {
 	var ws Workspace
 	return TRONWorkspace(obj, x, opts, &ws)
 }
 
-// TRONWorkspace is TRON with caller-owned scratch (see Workspace).
+// TRONWorkspace is TRON with caller-owned scratch (see Workspace). A
+// restricted solve runs on scratch the objective owns and leaves ws alone.
 func TRONWorkspace(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResult {
-	opts.fill()
-	n := obj.Dim()
-	if len(x) != n {
+	if len(x) != obj.Dim() {
 		panic("solver: TRON x length mismatch")
 	}
+	opts.fill()
+	if r, ok := obj.(restricted); ok {
+		if res, ok := r.solveRestricted(x, opts); ok {
+			return res
+		}
+	}
+	return tron(obj, x, opts, ws)
+}
 
-	ws.ensure(n)
+// tron is the trust-region Newton body over all of obj's variables; opts
+// arrive filled and x has obj's dimension.
+func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResult {
+	ws.ensure(len(x))
 	g := ws.g
 	s := ws.s
 	r := ws.r
@@ -138,8 +159,7 @@ func TRONWorkspace(obj Objective, x []float64, opts TronOptions, ws *Workspace) 
 		}
 
 		// Steihaug CG: solve H s ≈ −g within the trust region.
-		cgIters, atBoundary := steihaugCG(obj, g, s, r, d, hd, delta, opts, &res)
-		_ = cgIters
+		atBoundary := steihaugCG(obj, g, s, r, d, hd, delta, opts, &res)
 
 		// Predicted reduction: −gᵀs − ½ sᵀHs. Using H s = −(r − (−g)) ⇒
 		// sᵀHs = −sᵀ(r+g)... compute directly for clarity and safety.
@@ -192,9 +212,10 @@ func TRONWorkspace(obj Objective, x []float64, opts TronOptions, ws *Workspace) 
 }
 
 // steihaugCG approximately solves H s = −g inside ‖s‖ ≤ delta. It writes
-// the step into s and returns the CG iteration count and whether the step
-// hit the trust boundary. r, d, hd are caller-provided scratch.
-func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts TronOptions, res *TronResult) (int, bool) {
+// the step into s, counts its Hessian-vector products in res.CGIters and
+// reports whether the step hit the trust boundary. r, d, hd are
+// caller-provided scratch.
+func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts TronOptions, res *TronResult) bool {
 	vec.Zero(s)
 	vec.ScaleTo(r, -1, g) // r = −g
 	copy(d, r)
@@ -203,7 +224,7 @@ func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts Tro
 
 	for it := 0; it < opts.MaxCG; it++ {
 		if math.Sqrt(rsq) <= tol {
-			return it, false
+			return false
 		}
 		obj.HessVec(d, hd)
 		res.CGIters++
@@ -212,7 +233,7 @@ func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts Tro
 			// Negative curvature: walk to the boundary along d.
 			tau := boundaryTau(s, d, delta)
 			vec.Axpy(tau, d, s)
-			return it + 1, true
+			return true
 		}
 		alpha := rsq / dhd
 		// Tentative step.
@@ -222,7 +243,7 @@ func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts Tro
 			vec.Axpy(-alpha, d, s)
 			tau := boundaryTau(s, d, delta)
 			vec.Axpy(tau, d, s)
-			return it + 1, true
+			return true
 		}
 		vec.Axpy(-alpha, hd, r)
 		rsqNew := vec.Nrm2Sq(r)
@@ -232,7 +253,7 @@ func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts Tro
 			d[i] = r[i] + beta*d[i]
 		}
 	}
-	return opts.MaxCG, false
+	return false
 }
 
 // boundaryTau returns τ ≥ 0 with ‖s + τ·d‖ = delta.

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"psrahgadmm/internal/vec"
@@ -162,6 +164,77 @@ func TestRowSlice(t *testing.T) {
 		_, pv := m.Row(3)
 		if len(pv) > 0 && pv[0] == s.Val[0] {
 			t.Fatal("RowSlice shares storage with parent")
+		}
+	}
+}
+
+// mapCompact is core.worker.buildActive's compaction loop as it stood before
+// CompactColumns replaced it (two map builds and a sort per rank), kept as
+// the reference the goldens were recorded against.
+func mapCompact(src *CSR) ([]int32, *CSR) {
+	seen := make(map[int32]struct{})
+	for _, c := range src.ColIdx {
+		seen[c] = struct{}{}
+	}
+	active := make([]int32, 0, len(seen))
+	for c := range seen {
+		active = append(active, c)
+	}
+	sort.Slice(active, func(a, b int) bool { return active[a] < active[b] })
+	remap := make(map[int32]int32, len(active))
+	for i, c := range active {
+		remap[c] = int32(i)
+	}
+	compact := &CSR{
+		NRows:  src.NRows,
+		NCols:  len(active),
+		RowPtr: src.RowPtr,
+		ColIdx: make([]int32, len(src.ColIdx)),
+		Val:    src.Val,
+	}
+	for k, c := range src.ColIdx {
+		compact.ColIdx[k] = remap[c]
+	}
+	return active, compact
+}
+
+func TestCompactColumnsMatchesMapLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	// A rank's input is a RowSlice of the training matrix: wide, a few
+	// percent of the columns touched, some rows empty.
+	wide := randCSR(r, 64, 900, 0.01)
+	cases := map[string]*CSR{
+		"no rows":         NewCSR(0, 7, 0),
+		"no columns":      randCSR(r, 3, 0, 0),
+		"all rows empty":  randCSR(r, 5, 9, 0),
+		"every column":    randCSR(r, 30, 6, 0.9),
+		"first and last":  wide.RowSlice(0, 1),
+		"trailing unused": randCSR(r, 8, 40, 0.05),
+	}
+	for i := 0; i < 8; i++ {
+		cases["shard "+string(rune('0'+i))] = wide.RowSlice(8*i, 8*i+8)
+	}
+	for name, m := range cases {
+		wantActive, want := mapCompact(m)
+		active, compact := m.CompactColumns()
+		if err := compact.Check(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(active, wantActive) {
+			t.Fatalf("%s: active = %v, want %v", name, active, wantActive)
+		}
+		if compact.NRows != want.NRows || compact.NCols != want.NCols ||
+			!slices.Equal(compact.RowPtr, want.RowPtr) ||
+			!slices.Equal(compact.ColIdx, want.ColIdx) ||
+			!slices.Equal(compact.Val, want.Val) {
+			t.Fatalf("%s: compact matrix differs from the map-built one", name)
+		}
+		if m.NNZ() > 0 && (&compact.Val[0] != &m.Val[0] || &compact.RowPtr[0] != &m.RowPtr[0]) {
+			t.Fatalf("%s: compact does not share RowPtr/Val with the receiver", name)
+		}
+		if (compact == m) != (len(active) == m.NCols) {
+			t.Fatalf("%s: receiver returned as compact = %v with %d of %d columns touched",
+				name, compact == m, len(active), m.NCols)
 		}
 	}
 }
