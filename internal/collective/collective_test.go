@@ -78,20 +78,22 @@ func sparseAllreduces() map[string]sparseAllreduce {
 }
 
 // denseAllreduces lists the ways a dense-valued vector is summed across a
-// group. Only the ring has a dense wire form; "psr" and "star" carry dense
-// values the way the WLG runtime does — sparsify, run the sparse
-// collective, densify — which is all that is left of the dense data plane.
+// group. No schedule has a dense wire form: every one carries dense values
+// the way both runtimes do — sparsify, run the sparse collective, densify.
 func denseAllreduces() map[string]denseAllreduce {
-	return map[string]denseAllreduce{
-		"ring": (*Workspace).RingAllreduceDense,
-		"psr": func(ws *Workspace, ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
+	viaSparse := func(ar sparseAllreduce) denseAllreduce {
+		return func(ws *Workspace, ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
 			sum := new(sparse.Vector)
-			tr, err := ws.PSRAllreduceSparse(ep, g, tag, sparse.FromDense(x), sum)
+			tr, err := ar(ws, ep, g, tag, sparse.FromDense(x), sum)
 			if err == nil {
 				sum.ToDenseInto(x)
 			}
 			return tr, err
-		},
+		}
+	}
+	return map[string]denseAllreduce{
+		"ring": viaSparse((*Workspace).RingAllreduceSparse),
+		"psr":  viaSparse((*Workspace).PSRAllreduceSparse),
 		"star": func(ws *Workspace, ep transport.Endpoint, g Group, tag int32, x []float64) (Trace, error) {
 			return reduceBroadcastDenseValued(ws, ep, g, tag, 0, x)
 		},
@@ -325,21 +327,21 @@ func TestGroupValidation(t *testing.T) {
 	f := transport.NewChanFabric(3)
 	defer f.Close()
 	ep := f.Endpoint(0)
-	x := []float64{1}
+	v, out := sparse.FromDense([]float64{1}), new(sparse.Vector)
 	var ws Workspace
-	if _, err := ws.RingAllreduceDense(ep, NewGroup(), 1, x); err == nil {
+	if _, err := ws.RingAllreduceSparse(ep, NewGroup(), 1, v, out); err == nil {
 		t.Fatal("empty group accepted")
 	}
-	if _, err := ws.RingAllreduceDense(ep, NewGroup(1, 2), 1, x); err == nil {
+	if _, err := ws.RingAllreduceSparse(ep, NewGroup(1, 2), 1, v, out); err == nil {
 		t.Fatal("non-member rank accepted")
 	}
-	if _, err := ws.RingAllreduceDense(ep, NewGroup(0, 0), 1, x); err == nil {
+	if _, err := ws.RingAllreduceSparse(ep, NewGroup(0, 0), 1, v, out); err == nil {
 		t.Fatal("duplicate rank accepted")
 	}
-	if _, err := ws.RingAllreduceDense(ep, NewGroup(0, 7), 1, x); err == nil {
+	if _, err := ws.RingAllreduceSparse(ep, NewGroup(0, 7), 1, v, out); err == nil {
 		t.Fatal("out-of-world rank accepted")
 	}
-	if _, err := ws.ReduceSparse(ep, NewGroup(0), 1, 5, sparse.FromDense(x), new(sparse.Vector)); err == nil {
+	if _, err := ws.ReduceSparse(ep, NewGroup(0), 1, 5, v, out); err == nil {
 		t.Fatal("out-of-range root accepted")
 	}
 }
@@ -374,14 +376,12 @@ func TestSingleMemberGroupNoTraffic(t *testing.T) {
 	runRanks(t, 1, func(ep transport.Endpoint) error {
 		g := WorldGroup(1)
 		x := []float64{1, 2}
-		var ws Workspace
-		if tr, err := ws.RingAllreduceDense(ep, g, 1, x); err != nil || len(tr.Events) != 0 {
-			return fmt.Errorf("ring: %v %v", tr, err)
-		}
-		v, out := sparse.FromDense(x), new(sparse.Vector)
-		tr, err := ws.PSRAllreduceSparse(ep, g, 5, v, out)
-		if err != nil || len(tr.Events) != 0 || !vec.Equal(out.ToDense(), x) {
-			return fmt.Errorf("psr sparse: %v", err)
+		for name, ar := range sparseAllreduces() {
+			v, out := sparse.FromDense(x), new(sparse.Vector)
+			tr, err := ar(new(Workspace), ep, g, 5, v, out)
+			if err != nil || len(tr.Events) != 0 || !vec.Equal(out.ToDense(), x) {
+				return fmt.Errorf("%s: %v %v", name, tr, err)
+			}
 		}
 		return nil
 	})

@@ -175,36 +175,3 @@ func TestRingWorstCaseGrowsPSRBounded(t *testing.T) {
 		t.Fatalf("ring/psr ratio should grow with n: %v (n=4) vs %v (n=12)", r4, r12)
 	}
 }
-
-func TestDenseTraceBytesMatchPayloads(t *testing.T) {
-	// Dense ring trace bytes must equal the actual chunk payload sizes.
-	n, dim := 4, 100
-	f := transport.NewChanFabric(n)
-	defer f.Close()
-	g := WorldGroup(n)
-	traces := make([]Trace, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			x := make([]float64, dim)
-			for j := range x {
-				x[j] = float64(i + j)
-			}
-			traces[i], _ = new(Workspace).RingAllreduceDense(f.Endpoint(i), g, 1, x)
-		}(i)
-	}
-	wg.Wait()
-	chunks := vec.Split(dim, n)
-	for i, tr := range traces {
-		for _, e := range tr.Events {
-			// Every dense ring message is one chunk: 4-byte length prefix
-			// plus 8 bytes per element; chunk sizes are 25 here.
-			want := 4 + 8*(chunks[0].Hi-chunks[0].Lo)
-			if e.Bytes != want {
-				t.Fatalf("member %d event bytes %d, want %d", i, e.Bytes, want)
-			}
-		}
-	}
-}

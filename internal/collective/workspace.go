@@ -176,10 +176,10 @@ func (ws *Workspace) drainSends() error {
 
 // RingAllreduceSparse sums the members' sparse vectors (all of dimension
 // v.Dim) with the ring schedule, transmitting only nonzeros; the global sum
-// is written into out (which must not alias v). Unlike the dense variant,
-// per-step message sizes depend on where the nonzeros sit — which is
-// exactly the sensitivity the paper analyzes in eqs. (11)–(13): a block
-// that accumulates all the nonzeros grows linearly as it travels the ring.
+// is written into out (which must not alias v). Per-step message sizes
+// depend on where the nonzeros sit — which is exactly the sensitivity the
+// paper analyzes in eqs. (11)–(13): a block that accumulates all the
+// nonzeros grows linearly as it travels the ring.
 func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
@@ -477,76 +477,6 @@ func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int
 		return tr, err
 	}
 	out.ReuseFrom(sv)
-	ws.events = tr.Events
-	return tr, nil
-}
-
-// RingAllreduceDense sums x elementwise across the group, in place. Every
-// member must pass a slice of identical length. The algorithm is the
-// standard two-phase ring: len(g)-1 Scatter-Reduce steps in which each
-// member forwards one block to its successor while reducing the block
-// arriving from its predecessor, then len(g)-1 Allgather steps circulating
-// the finished blocks. tagBase reserves tags [tagBase, tagBase+2).
-func (ws *Workspace) RingAllreduceDense(ep transport.Endpoint, g Group, tagBase int32, x []float64) (Trace, error) {
-	me, err := ws.validateGroup(ep, g)
-	if err != nil {
-		return Trace{}, err
-	}
-	p := g.Size()
-	tr := Trace{Steps: 2 * (p - 1), Events: ws.events[:0]}
-	if p == 1 {
-		return tr, nil
-	}
-	sync := transport.SendsNonBlocking(ep)
-	ws.chunks = vec.SplitInto(ws.chunks, len(x), p)
-	next := g.Ranks[(me+1)%p]
-	prev := g.Ranks[(me-1+p)%p]
-
-	for s := 0; s < p-1; s++ {
-		sendIdx := (me - s + p*p) % p
-		recvIdx := (me - s - 1 + p*p) % p
-		sc := ws.chunks[sendIdx]
-		msg := wire.DenseMsg(tagBase, x[sc.Lo:sc.Hi])
-		if err := ws.send(ep, sync, next, msg); err != nil {
-			return tr, err
-		}
-		in, err := ep.Recv(prev, tagBase)
-		if err != nil {
-			return tr, err
-		}
-		if err := ws.drainSends(); err != nil {
-			return tr, err
-		}
-		tr.add(s, ep.Rank(), next, wire.PayloadBytes(msg))
-		rc := ws.chunks[recvIdx]
-		if len(in.Dense) != rc.Hi-rc.Lo {
-			return tr, fmt.Errorf("collective: ring scatter block size %d, want %d", len(in.Dense), rc.Hi-rc.Lo)
-		}
-		vec.AddInto(x[rc.Lo:rc.Hi], in.Dense)
-	}
-
-	for s := 0; s < p-1; s++ {
-		sendIdx := (me + 1 - s + p*p) % p
-		recvIdx := (me - s + p*p) % p
-		sc := ws.chunks[sendIdx]
-		msg := wire.DenseMsg(tagBase+1, x[sc.Lo:sc.Hi])
-		if err := ws.send(ep, sync, next, msg); err != nil {
-			return tr, err
-		}
-		in, err := ep.Recv(prev, tagBase+1)
-		if err != nil {
-			return tr, err
-		}
-		if err := ws.drainSends(); err != nil {
-			return tr, err
-		}
-		tr.add(p-1+s, ep.Rank(), next, wire.PayloadBytes(msg))
-		rc := ws.chunks[recvIdx]
-		if len(in.Dense) != rc.Hi-rc.Lo {
-			return tr, fmt.Errorf("collective: ring gather block size %d, want %d", len(in.Dense), rc.Hi-rc.Lo)
-		}
-		copy(x[rc.Lo:rc.Hi], in.Dense)
-	}
 	ws.events = tr.Events
 	return tr, nil
 }

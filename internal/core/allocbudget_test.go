@@ -95,3 +95,50 @@ func TestRobustSteadyStateAllocBudget(t *testing.T) {
 		t.Fatalf("robust steady-state allocations: %.2f objects/iter exceeds budget %g", got, budget)
 	}
 }
+
+// runAllocBytes is runMallocs in bytes (runtime.MemStats.TotalAlloc).
+func runAllocBytes(t *testing.T, cfg Config, train *dataset.Dataset) int64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg, train, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestTreeRoundAllocatesBelowDimension pins the one data plane's point: a
+// warmed psra-hgadmm iteration allocates in proportion to what travels —
+// the contributions' and the iterate's nonzeros — never a dimension-sized
+// vector. Delivering z densely (one ToDense per round) alone cost 8·dim
+// bytes per iteration.
+func TestTreeRoundAllocatesBelowDimension(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const dim = 60000
+	train, _, err := dataset.Generate(dataset.SynthConfig{
+		Name: "wide", Dim: dim, TrainRows: 240, TestRows: 10, RowNNZ: 12,
+		ZipfS: 1.3, SignalNNZ: 30, NoiseFlip: 0.02, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(PSRAHGADMM, 2, 2)
+	cfg.EvalEvery = 1 << 20
+
+	best := math.Inf(1)
+	for trial := 0; trial < 3; trial++ {
+		c1, c2 := cfg, cfg
+		c1.MaxIter, c2.MaxIter = 20, 60
+		b1 := runAllocBytes(t, c1, train)
+		b2 := runAllocBytes(t, c2, train)
+		best = math.Min(best, float64(b2-b1)/40)
+	}
+	t.Logf("tree steady state: %.0f bytes/iter (8·dim = %d)", best, 8*dim)
+	if best >= 8*dim {
+		t.Fatalf("tree steady state allocates %.0f bytes/iter, want < 8·dim = %d", best, 8*dim)
+	}
+}

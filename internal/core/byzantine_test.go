@@ -294,6 +294,69 @@ func TestByzantineBoundedWindowReadmission(t *testing.T) {
 	}
 }
 
+// TestByzantineReachesDenseRing: a scheduled Byzantine rank and the
+// contribution screen act on the dense-exchange ring exactly as on every
+// sparse one. The dense exchange rounds the node partial rather than each
+// contribution, so it skips the codec half of the encodeSparse chokepoint —
+// and used to skip the poison and the screen with it: the plan below left
+// admmlib's history bit-identical to the fault-free run, with no quarantine
+// event, although Validate accepts it. 4×2, not 2×2: with the plain mean a
+// four-rank world's poisoned aggregate drags every baseline at once (the
+// non-robust mean's known weakness, see the test above).
+func TestByzantineReachesDenseRing(t *testing.T) {
+	train, _ := testData(t, 160)
+	run := func(faults *transport.FaultPlan) *Result {
+		cfg := baseConfig(ADMMLib, 4, 2)
+		cfg.MaxIter = 30
+		cfg.Screen = watchdog.ScreenConfig{Enabled: true}
+		cfg.Faults = faults
+		res, err := Run(cfg, train, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const attacker, from, until = 2, 5, 12
+	clean := goldenFromResult(run(nil))
+	res := run(&transport.FaultPlan{
+		Seed: 3,
+		ByzantineAtIteration: map[int]transport.ByzantineFault{
+			attacker: {Iteration: from, Mode: transport.ByzantineScale, Until: until},
+		},
+	})
+	poisoned := goldenFromResult(res)
+	for i := 0; i < from; i++ {
+		if poisoned.History[i] != clean.History[i] {
+			t.Fatalf("iter %d differs before the attack starts", i)
+		}
+	}
+	// Under SSP the attacker's node may sit out the round its poisoned batch
+	// launched in, so the history moves at the attack's start or a bounded
+	// number of rounds later — but while the window is open.
+	first := from
+	for first < len(clean.History) && poisoned.History[first] == clean.History[first] {
+		first++
+	}
+	if first >= until {
+		t.Fatalf("history is bit-identical to the fault-free run through iteration %d: the poison never reached the ring", first-1)
+	}
+	if len(res.Quarantines) == 0 || res.Quarantines[0].Rank != attacker || res.Quarantines[0].Readmitted {
+		t.Fatalf("first quarantine event should indict rank %d, got %+v", attacker, res.Quarantines)
+	}
+	readmitted := false
+	for _, ev := range res.Quarantines {
+		if ev.Rank == attacker && ev.Readmitted {
+			if ev.Iter < until {
+				t.Fatalf("rank %d readmitted at %d, inside the attack window [%d, %d)", attacker, ev.Iter, from, until)
+			}
+			readmitted = true
+		}
+	}
+	if !readmitted {
+		t.Fatalf("rank %d was never readmitted after the window closed (events %+v)", attacker, res.Quarantines)
+	}
+}
+
 // TestByzantineQuorumLostAborts: with TrimF = 1 a second quarantined rank
 // exceeds what the trim can out-vote; the run must abort with an error
 // wrapping watchdog.ErrQuorumLost rather than keep aggregating.

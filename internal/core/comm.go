@@ -20,7 +20,6 @@ type commKind int
 const (
 	commPSRSparse commKind = iota
 	commRingSparse
-	commRingDense
 )
 
 // errRoundCorrupt marks a round failure caused by a wire frame failing its
@@ -49,21 +48,19 @@ func (a *abortOnError) observe(err error) {
 	}
 }
 
-// crewJob is one member's share of a collective round: the sparse kinds
-// read in and write the aggregate into out; the dense kind sums in place
-// into dense.
+// crewJob is one member's share of a collective round: it reads in and
+// writes the aggregate into out.
 type crewJob struct {
 	kind    commKind
 	g       collective.Group
 	tagBase int32
 	in      *sparse.Vector
 	out     *sparse.Vector
-	dense   []float64
 	// plan, when non-nil, turns commPSRSparse into the shard-aware schedule
 	// (PSR key ownership applied to the plan's blocks).
 	plan *shard.Plan
-	// spec is the PSR and shard kinds' owner-side combine step; the ring
-	// kinds are pairwise and ignore it (robust × ring is rejected by
+	// spec is the PSR and shard kinds' owner-side combine step; the ring is
+	// pairwise and ignores it (robust × ring is rejected by
 	// checkComposition).
 	spec collective.AggSpec
 }
@@ -86,7 +83,6 @@ type crew struct {
 	wg      sync.WaitGroup
 	wss     []collective.Workspace
 	outs    []*sparse.Vector // per-member result sinks (see groupAllreduce)
-	dense   [][]float64      // dense in-place buffers, grown to dim once
 	traces  []collective.Trace
 	errs    []error
 	eps     []transport.Endpoint // pre-boxed (latched when retryable)
@@ -104,7 +100,6 @@ func newCrew(env *strategyEnv) *crew {
 		jobs:   make([]chan crewJob, n),
 		wss:    make([]collective.Workspace, n),
 		outs:   make([]*sparse.Vector, n),
-		dense:  make([][]float64, n),
 		traces: make([]collective.Trace, n),
 		errs:   make([]error, n),
 		eps:    make([]transport.Endpoint, n),
@@ -140,8 +135,6 @@ func (c *crew) serve(r int) {
 			}
 		case commRingSparse:
 			tr, err = c.wss[r].RingAllreduceSparse(c.eps[r], job.g, job.tagBase, job.in, job.out)
-		case commRingDense:
-			tr, err = c.wss[r].RingAllreduceDense(c.eps[r], job.g, job.tagBase, job.dense)
 		default:
 			err = fmt.Errorf("core: unknown comm kind %d", job.kind)
 		}
@@ -301,37 +294,6 @@ func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, plan *shard.Pl
 	return c.mergedTrace(ranks), nil
 }
 
-// groupAllreduceDense runs the real dense Ring-Allreduce among the given
-// world ranks — ADMMLib's exchange: the full parameter vector circulates
-// regardless of sparsity. Inputs are copied into crew-owned per-member
-// buffers and summed in place; member 0's result is copied into the
-// caller-owned out (len == dim). Failure handling as in groupAllreduce.
-func groupAllreduceDense(env *strategyEnv, ranks []int, inputs [][]float64, out []float64) (collective.Trace, error) {
-	if len(ranks) != len(inputs) {
-		panic("core: groupAllreduceDense ranks/inputs mismatch")
-	}
-	c := env.crew
-	tagBase := env.nextTagBase()
-	g := collective.Group{Ranks: ranks}
-	c.stop.Store(false)
-	c.wg.Add(len(ranks))
-	for i, r := range ranks {
-		if cap(c.dense[r]) < len(inputs[i]) {
-			c.dense[r] = make([]float64, len(inputs[i]))
-		}
-		buf := c.dense[r][:len(inputs[i])]
-		copy(buf, inputs[i])
-		c.dense[r] = buf
-		c.jobs[r] <- crewJob{kind: commRingDense, g: g, tagBase: tagBase, dense: buf}
-	}
-	c.wg.Wait()
-	if err := c.collect("dense group allreduce", ranks); err != nil {
-		return collective.Trace{}, err
-	}
-	copy(out, c.dense[ranks[0]])
-	return c.mergedTrace(ranks), nil
-}
-
 // traceBytes sums payload bytes across a merged trace.
 func traceBytes(tr collective.Trace) int64 {
 	var n int64
@@ -339,6 +301,30 @@ func traceBytes(tr collective.Trace) int64 {
 		n += int64(e.Bytes)
 	}
 	return n
+}
+
+// denseRingTrace is the merged trace of a dense Ring-Allreduce of a
+// dim-vector among leaders — ADMMLib's exchange, whose defining property is
+// that its volume depends on the dimension alone. Member i's scatter step s
+// ships chunk (i−s) mod p to its successor and its gather step t ships
+// chunk (i+1−t) mod p — which, numbering the gather steps on from the
+// scatter's (s = p−1+t), is chunk (i−s) mod p again — each a full dense
+// chunk whatever the data holds. The values themselves travel the sparse
+// ring (the sums are identical); this is what the round is charged. Events
+// are in the order crew.mergedTrace produces, member-major and step-minor.
+func denseRingTrace(leaders []int, dim int) collective.Trace {
+	p := len(leaders)
+	chunks := vec.Split(dim, p)
+	tr := collective.Trace{Steps: 2 * (p - 1)}
+	for i, r := range leaders {
+		for s := 0; s < 2*(p-1); s++ {
+			tr.Events = append(tr.Events, collective.Event{
+				Step: s, From: r, To: leaders[(i+1)%p],
+				Bytes: 4 + wire.DenseEntryBytes*chunks[(i-s+2*p)%p].Len(),
+			})
+		}
+	}
+	return tr
 }
 
 // denseFanTrace models a one-step dense fan over the node bus: reduce=true
@@ -430,15 +416,6 @@ func zFromWBlocks(w *sparse.Vector, lambda, rho float64, offs, counts []int) *sp
 		}
 	}
 	return out
-}
-
-// sumSparse adds vs in index order (deterministic association).
-func sumSparse(dim int, vs []*sparse.Vector) *sparse.Vector {
-	acc := sparse.NewAccumulator(dim)
-	for _, v := range vs {
-		acc.Add(v)
-	}
-	return acc.Sum()
 }
 
 // starGatherTrace models AD-ADMM's master-side exchange for one round:

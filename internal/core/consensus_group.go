@@ -16,64 +16,18 @@ import (
 // SSP/async the isolation compounds: stale nodes are simply absent from
 // the round's grouping instead of gating it.
 type groupStrategy struct {
-	env    *strategyEnv
-	clocks []sspClock // per node
-	pend   []*sparse.Vector
-	// Reusable barrier scratch.
-	finishes []float64
-	fresh    []int
+	nodeFrame
 }
 
 func newGroupStrategy(env *strategyEnv, cfg Config) *groupStrategy {
-	return &groupStrategy{
-		env:    env,
-		clocks: make([]sspClock, cfg.Topo.Nodes),
-		pend:   make([]*sparse.Vector, cfg.Topo.Nodes),
-	}
-}
-
-// reconcile absorbs membership changes exactly as treeStrategy.reconcile
-// does (see that method for the staleness contract).
-func (st *groupStrategy) reconcile() {
-	env := st.env
-	for n := range st.clocks {
-		p := st.clocks[n].pending
-		if p == nil || !env.prunePending(p) {
-			continue
-		}
-		if len(p.ranks) == 0 {
-			st.clocks[n] = sspClock{}
-			st.pend[n] = nil
-			continue
-		}
-		st.pend[n] = sumSparse(env.dim, p.vs)
-	}
+	return &groupStrategy{newNodeFrame(env, cfg)}
 }
 
 func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	env := st.env
 	topo := cfg.Topo
-	wpn := topo.WorkersPerNode
 	var timing iterTiming
-
-	if env.reconciles() {
-		st.reconcile()
-	}
-	liveNodes, _ := env.liveNodes(topo)
-
-	for _, n := range liveNodes {
-		if st.clocks[n].pending != nil {
-			continue
-		}
-		c := launchNodeSparse(env, cfg, n, iter)
-		st.pend[n] = c.sum
-		st.clocks[n].pending = c.pending
-	}
-	chargeLaunchBytes(st.clocks, iter, &timing)
-
-	cutoff := sspCutoff(st.clocks, env.sync.Quorum(len(liveNodes), wpn), env.sync.Delay(), &st.finishes)
-	st.fresh = admitted(st.clocks, cutoff, st.fresh)
-	freshNodes := st.fresh
+	st.open(cfg, iter, &timing)
 
 	// GG batching in virtual-arrival order over this round's fresh nodes.
 	type nodeAgg struct {
@@ -84,11 +38,11 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		workers []int
 	}
 	ggRTT := 2 * (cfg.Cost.InterAlpha + float64(ggRequestBytes)*cfg.Cost.InterBeta)
-	order := make([]*nodeAgg, 0, len(freshNodes))
-	for _, n := range freshNodes {
+	order := make([]*nodeAgg, 0, len(st.fresh))
+	for _, n := range st.fresh {
 		p := st.clocks[n].pending
 		order = append(order, &nodeAgg{
-			node: n, leader: p.ranks[0], sum: st.pend[n],
+			node: n, leader: p.ranks[0], sum: st.wCur[n],
 			ready:   p.finish,
 			workers: p.ranks,
 		})
@@ -155,41 +109,18 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 
 	// Phase 2 — apply: each group's z averages over its members'
 	// SURVIVING workers, the scaling that keeps a degraded group's
-	// consensus exact.
-	calSum, commSum := 0.0, 0.0
-	applied := 0
+	// consensus exact. Bookkeeping clears after the whole round (settle) so
+	// group membership stays stable while groups are processed.
 	for _, gr := range results {
 		contributors := 0
 		for _, na := range gr.group {
 			contributors += len(na.workers)
 		}
-		zSparse := zFromW(gr.agg, cfg.Lambda, cfg.Rho, contributors)
-		zDense := zSparse.ToDense()
+		z := zFromW(gr.agg, cfg.Lambda, cfg.Rho, contributors)
 		for _, na := range gr.group {
-			bc := intraBcastTrace(na.workers, na.leader, zSparse.NNZ())
-			timing.bytes += traceBytes(bc)
-			end := gr.start + gr.commT + cfg.Cost.TraceTime(topo, bc)
-			applyNodeZ(env, cfg, st.clocks[na.node].pending, zDense, zSparse, end, &commSum, &applied)
+			st.deliver(cfg, na.node, z, gr.start+gr.commT, &timing)
 		}
 	}
-
-	// Compute time sums in rank order (comm follows group order); fresh
-	// bookkeeping clears after the whole round so group membership stays
-	// stable while groups are processed.
-	for _, n := range freshNodes {
-		for _, c := range st.clocks[n].pending.cals {
-			calSum += c
-		}
-	}
-	for _, n := range freshNodes {
-		st.clocks[n].pending = nil
-		st.clocks[n].staleness = 0
-		st.pend[n] = nil
-	}
-	bumpStale(st.clocks)
-	if applied > 0 {
-		timing.cal = calSum / float64(applied)
-		timing.comm = commSum / float64(applied)
-	}
+	st.settle(&timing)
 	return timing, nil
 }

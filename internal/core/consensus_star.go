@@ -124,17 +124,15 @@ func (st *starStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	}
 	st.combineSrcs = srcs
 	st.combined = st.cws.CombineSparse(env.agg, env.dim, srcs, st.combined)
-	wAgg := st.combined.ToDense()
-	zDense := make([]float64, env.dim)
 	// Each block averages over its live subscribers (the live count under
 	// the replicated one-block map); workers retain their subscribed blocks.
-	env.store.zUpdateDense(zDense, wAgg, cfg)
-	env.codec.EncodeDense(zDense)
+	z := env.store.zFromW(st.combined, cfg)
+	env.codec.EncodeSparse(z)
 
 	calSum, commSum := 0.0, 0.0
 	for _, i := range fresh {
 		p := st.clocks[i].pending
-		ws[i].applyZ(cfg, zDense, nil)
+		ws[i].applyZ(cfg, z)
 		calSum += p.cals[0]
 		commSum += end - p.starts[0] - p.cals[0]
 		ws[i].clock = end

@@ -54,80 +54,21 @@ func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *entryHeap) Push(x any)   { *h = append(*h, x.(*aggEntry)) }
 func (h *entryHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
+// treeStrategy adds no state to the node frame: the tree is rebuilt from
+// the nodes' partials every round.
 type treeStrategy struct {
-	env    *strategyEnv
-	clocks []sspClock // per node
-	wCur   []*sparse.Vector
-	pend   []*sparse.Vector
-	// Reusable barrier scratch.
-	finishes []float64
-	fresh    []int
+	nodeFrame
 }
 
 func newTreeStrategy(env *strategyEnv, cfg Config) *treeStrategy {
-	nodes := cfg.Topo.Nodes
-	st := &treeStrategy{
-		env:    env,
-		clocks: make([]sspClock, nodes),
-		wCur:   make([]*sparse.Vector, nodes),
-		pend:   make([]*sparse.Vector, nodes),
-	}
-	for n := range st.wCur {
-		st.wCur[n] = sparse.NewVector(env.dim, 0)
-	}
-	return st
-}
-
-// reconcile absorbs membership changes since the last attempt: dead
-// members leave every in-flight batch and the node partial sums are
-// rebuilt from the survivors' retained contributions. A node with no
-// survivors drops out entirely. Cached stale contributions (wCur) are
-// left as-is — under SSP a dead worker's w can linger in a live node's
-// cached partial for at most MaxDelay rounds (bounded staleness); under
-// BSP every round is fresh and degraded consensus is exact.
-func (st *treeStrategy) reconcile() {
-	env := st.env
-	for n := range st.clocks {
-		p := st.clocks[n].pending
-		if p == nil || !env.prunePending(p) {
-			continue
-		}
-		if len(p.ranks) == 0 {
-			st.clocks[n] = sspClock{}
-			st.pend[n] = nil
-			continue
-		}
-		st.pend[n] = sumSparse(env.dim, p.vs)
-	}
+	return &treeStrategy{newNodeFrame(env, cfg)}
 }
 
 func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	env := st.env
 	topo := cfg.Topo
 	var timing iterTiming
-
-	if env.reconciles() {
-		st.reconcile()
-	}
-	liveNodes, ranksOf := env.liveNodes(topo)
-
-	for _, n := range liveNodes {
-		if st.clocks[n].pending != nil {
-			continue
-		}
-		c := launchNodeSparse(env, cfg, n, iter)
-		st.pend[n] = c.sum
-		st.clocks[n].pending = c.pending
-	}
-	chargeLaunchBytes(st.clocks, iter, &timing)
-
-	cutoff := sspCutoff(st.clocks, env.sync.Quorum(len(liveNodes), topo.WorkersPerNode), env.sync.Delay(), &st.finishes)
-	freshSet := make(map[int]bool, topo.Nodes)
-	st.fresh = admitted(st.clocks, cutoff, st.fresh)
-	for _, n := range st.fresh {
-		st.wCur[n] = st.pend[n]
-		freshSet[n] = true
-	}
+	liveNodes, ranksOf, cutoff := st.open(cfg, iter, &timing)
 
 	// Leaves: fresh nodes arrive at their finish time; stale nodes' cached
 	// partials are available at the cutoff (the GG retained them). Fully
@@ -137,7 +78,7 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	pending := make(entryHeap, 0, len(liveNodes))
 	for _, n := range liveNodes {
 		ready := cutoff
-		if freshSet[n] {
+		if st.isFresh[n] {
 			ready = st.clocks[n].pending.finish
 		}
 		pending = append(pending, &aggEntry{
@@ -242,23 +183,14 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// Each block averages over its live subscribers (general-form
 	// consensus; the live worker count under the replicated one-block map),
 	// and workers retain their subscribed blocks when the delivery lands.
-	zSparse := env.store.zFromW(root.value, cfg)
-	zDense := zSparse.ToDense()
-	wBytes := env.codec.ZMsgBytes(zSparse.NNZ())
-	calSum, commSum := 0.0, 0.0
-	applied := 0
-	var deliver func(e *aggEntry, t float64)
-	deliver = func(e *aggEntry, t float64) {
-		if e.leafNode >= 0 {
-			n := e.leafNode
-			if !freshSet[n] {
-				return
+	z := env.store.zFromW(root.value, cfg)
+	wBytes := env.codec.ZMsgBytes(z.NNZ())
+	var descend func(e *aggEntry, t float64)
+	descend = func(e *aggEntry, t float64) {
+		if n := e.leafNode; n >= 0 {
+			if st.isFresh[n] {
+				st.deliver(cfg, n, z, t, &timing)
 			}
-			p := st.clocks[n].pending
-			bc := intraBcastTrace(p.ranks, p.ranks[0], zSparse.NNZ())
-			timing.bytes += traceBytes(bc)
-			end := t + cfg.Cost.TraceTime(topo, bc)
-			applyNodeZ(env, cfg, p, zDense, zSparse, end, &commSum, &applied)
 			return
 		}
 		// Child 0's rep is e.rep and already holds W; the others receive
@@ -271,41 +203,20 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		}
 		timing.bytes += traceBytes(tr)
 		tNext := t + cfg.Cost.TraceTime(topo, tr)
-		deliver(e.children[0], t)
+		descend(e.children[0], t)
 		for _, c := range e.children[1:] {
-			deliver(c, tNext)
+			descend(c, tNext)
 		}
 	}
 	if root.leafNode >= 0 {
 		// Single-node cluster: no tree was built.
-		deliver(root, root.ready)
+		descend(root, root.ready)
 	} else {
 		// Every member of the final group holds W at root.ready.
 		for _, c := range root.children {
-			deliver(c, root.ready)
+			descend(c, root.ready)
 		}
 	}
-	// Compute time is summed in rank order (delivery order drives comm),
-	// so grouped and ungrouped runs report bit-identical CalTime.
-	for n := 0; n < topo.Nodes; n++ {
-		if !freshSet[n] {
-			continue
-		}
-		for _, c := range st.clocks[n].pending.cals {
-			calSum += c
-		}
-	}
-	for n := range st.clocks {
-		if freshSet[n] {
-			st.clocks[n].pending = nil
-			st.clocks[n].staleness = 0
-			st.pend[n] = nil
-		}
-	}
-	bumpStale(st.clocks)
-	if applied > 0 {
-		timing.cal = calSum / float64(applied)
-		timing.comm = commSum / float64(applied)
-	}
+	st.settle(&timing)
 	return timing, nil
 }

@@ -11,6 +11,7 @@ import (
 	"psrahgadmm/internal/metrics"
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/solver"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
@@ -136,8 +137,8 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	if f := cfg.Faults; f != nil && (f.CorruptProb > 0 || len(f.CorruptAtIteration) > 0) {
 		env.corruptible = true
 	}
-	// The contribution screen (nil when disabled) scores every encoded
-	// contribution at the encodeSparse chokepoint; the quarantine
+	// The contribution screen (nil when disabled) scores every
+	// contribution at the inspect chokepoint; the quarantine
 	// controller below turns its strikes into membership transitions at
 	// iteration boundaries.
 	env.screen = watchdog.NewScreen(cfg.Screen, cfg.Topo.Size())
@@ -302,13 +303,16 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 					maxClock = w.clock
 				}
 			}
+			// The warm start every rejoiner of this boundary restricts to its
+			// subscription: the cluster's current iterate, sparsified once.
+			zWarm := sparse.FromDense(zPrev)
 			for _, r := range rs {
 				if members.Alive(r) {
 					continue // e.g. a KillAfterSends trigger that never fired
 				}
 				ffab.Revive(r)
 				members.MarkUp(r)
-				ws[r].rejoin(zPrev, maxClock)
+				ws[r].rejoin(zWarm, maxClock)
 				if env.states != nil {
 					// The rejoiner's residual described contributions its
 					// dead incarnation never shipped; restart error feedback

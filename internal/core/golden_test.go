@@ -52,16 +52,17 @@ func goldenCases() []goldenCase {
 		}
 		return cfg
 	}
-	// rejoined kills rank 3 (node 1's non-Leader) at iteration 4 and revives
-	// it at 8: the live count, the z-update's divisor, the rejoin warm start
-	// and the revived rank's first apply all land inside the pinned history.
-	rejoined := func(alg Algorithm) Config {
+	// rejoined kills rank 3 (node 1's non-Leader) at iteration killAt and
+	// revives it at 8: the live count, the z-update's divisor, the rejoin warm
+	// start and the revived rank's first apply all land inside the pinned
+	// history.
+	rejoined := func(alg Algorithm, killAt int) Config {
 		cfg := base(alg)
 		cfg.MaxIter = 12
 		cfg.Elastic = true
 		cfg.Faults = &transport.FaultPlan{
 			Seed:              5,
-			KillAtIteration:   map[int]int{3: 4},
+			KillAtIteration:   map[int]int{3: killAt},
 			RejoinAtIteration: map[int]int{3: 8},
 		}
 		return cfg
@@ -103,9 +104,16 @@ func goldenCases() []goldenCase {
 		// the rejoin/apply bodies. Generated before the replicated placement
 		// became the one-block full shard map, so they hold that refactor to
 		// the replicated engine's faulted trajectory too.
-		{"psra-admm-rejoin", func() Config { return rejoined(PSRAADMM) }},
-		{"psra-hgadmm-rejoin", func() Config { return rejoined(PSRAHGADMM) }},
-		{"gc-admm-rejoin", func() Config { return rejoined(GCADMM) }},
+		{"psra-admm-rejoin", func() Config { return rejoined(PSRAADMM, 4) }},
+		{"psra-hgadmm-rejoin", func() Config { return rejoined(PSRAHGADMM, 4) }},
+		{"gc-admm-rejoin", func() Config { return rejoined(GCADMM, 4) }},
+		// The dense-exchange ring under SSP with a member dying in flight: a
+		// kill at 5 (not 4 — node 1 is idle at that boundary) finds node 1's
+		// batch pending, so reconcile re-sums and re-rounds the node partial
+		// from the survivor's retained contribution. Generated while the ring
+		// still had a dense data plane; it holds the sparse one to that
+		// arithmetic.
+		{"admmlib-rejoin", func() Config { return rejoined(ADMMLib, 5) }},
 	}
 }
 

@@ -44,79 +44,171 @@ func TestZFromWMatchesDenseUpdate(t *testing.T) {
 	}
 }
 
+// storeFixture draws a partition, a subscription map over it — derived from
+// random active columns, or (one time in four) the full map — and one
+// worker per rank with random primal/dual state and its store initialized.
+func storeFixture(r *rand.Rand, dimRaw, blocksRaw, worldRaw uint8) (*shard.Map, []*worker) {
+	dim := int(dimRaw%90) + 1
+	part := shard.NewPartition(dim, int(blocksRaw%12)+1)
+	world := int(worldRaw%5) + 1
+	active := make([][]int32, world)
+	for i := range active {
+		density := r.Float64()
+		for j := 0; j < dim; j++ {
+			if r.Float64() < density {
+				active[i] = append(active[i], int32(j))
+			}
+		}
+	}
+	m := shard.NewMap(part, active)
+	if r.Intn(4) == 0 {
+		m = shard.FullMap(part, world)
+	}
+	ws := make([]*worker, world)
+	for rank, cols := range active {
+		w := &worker{rank: rank, dim: dim, active: cols}
+		w.xA, w.yA = make([]float64, len(cols)), make([]float64, len(cols))
+		for i := range cols {
+			w.xA[i], w.yA[i] = r.NormFloat64(), r.NormFloat64()
+		}
+		w.initStore(m)
+		ws[rank] = w
+	}
+	return m, ws
+}
+
+// movingSparse draws a vector whose support sits in a random window of the
+// dimension at a random density — full, sparse or empty — so consecutive
+// draws shrink, grow and move the support.
+func movingSparse(r *rand.Rand, dim int) *sparse.Vector {
+	lo, hi := r.Intn(dim+1), r.Intn(dim+1)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	density := []float64{0, 0.1, 0.5, 1}[r.Intn(4)]
+	v := sparse.NewVector(dim, 0)
+	for j := lo; j < hi; j++ {
+		if r.Float64() < density {
+			v.Append(int32(j), r.NormFloat64()*4)
+		}
+	}
+	return v
+}
+
+// holdsRestricted reports whether w holds exactly ref restricted to its
+// subscription — zStore block by block, zSparse the sparse form of that in
+// global coordinates — and returns the restriction. A stale entry left in
+// zStore by an earlier iterate fails the block comparison.
+func holdsRestricted(w *worker, ref []float64) ([]float64, bool) {
+	want := make([]float64, w.dim)
+	for i, b := range w.smap.Subs[w.rank] {
+		c := w.smap.Part.Chunk(int(b))
+		copy(want[c.Lo:c.Hi], ref[c.Lo:c.Hi])
+		if !vec.Equal(w.zStore[w.subOff[i]:w.subOff[i+1]], ref[c.Lo:c.Hi]) {
+			return nil, false
+		}
+	}
+	wantSparse := sparse.FromDenseInto(new(sparse.Vector), want)
+	return want, w.zSparse.Check() == nil && w.zSparse.Dim == w.dim &&
+		slices.Equal(w.zSparse.Index, wantSparse.Index) &&
+		vec.Equal(w.zSparse.Value, wantSparse.Value)
+}
+
+// dualMoved reports whether w's dual is y0 + ρ(x − z) over its active
+// columns.
+func dualMoved(w *worker, y0, z []float64, rho float64) bool {
+	for i, c := range w.active {
+		if w.yA[i] != y0[i]+rho*(w.xA[i]-z[c]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: worker.applyW — the z-update applied over the reduced W's
 // support, straight into the compact subscribed-block store — equals the
 // reference dense solver.ZUpdateL1Blocks restricted to the rank's
 // subscription bit for bit, its sparse view equals sparse.FromDenseInto of
-// that, and the dual update reads the same z. W deliberately covers
-// coordinates outside the subscription (the replicated aggregate is
-// full-width) and counts include blocks with no live subscriber.
+// that, and the dual update reads the same z — across a SEQUENCE of applies
+// whose supports shrink and move, so an entry of an earlier iterate
+// surviving in the store is caught. W deliberately covers coordinates
+// outside the subscription (the replicated aggregate is full-width) and
+// counts include blocks with no live subscriber.
 func TestApplyWMatchesBlockUpdate(t *testing.T) {
 	f := func(seed int64, dimRaw, blocksRaw, worldRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		dim := int(dimRaw%90) + 1
-		part := shard.NewPartition(dim, int(blocksRaw%12)+1)
-		world := int(worldRaw%5) + 1
-		cfg := Config{Lambda: r.Float64() * 2, Rho: r.Float64() + 0.1}
-
-		active := make([][]int32, world)
-		for i := range active {
-			density := r.Float64()
-			for j := 0; j < dim; j++ {
-				if r.Float64() < density {
-					active[i] = append(active[i], int32(j))
-				}
-			}
-		}
-		m := shard.NewMap(part, active)
-		if r.Intn(4) == 0 {
-			m = shard.FullMap(part, world)
-		}
+		m, ws := storeFixture(r, dimRaw, blocksRaw, worldRaw)
+		part := m.Part
 		offs := make([]int, part.Blocks+1)
-		counts := make([]int, part.Blocks)
-		for b := range counts {
+		for b := 0; b < part.Blocks; b++ {
 			offs[b] = part.Chunk(b).Lo
-			counts[b] = r.Intn(world + 1)
 		}
-		offs[part.Blocks] = dim
-		bigW := sparse.NewVector(dim, 0)
-		for j := 0; j < dim; j++ {
-			if r.Float64() < 0.5 {
-				bigW.Append(int32(j), r.NormFloat64()*4)
+		offs[part.Blocks] = part.Dim
+		counts := make([]int, part.Blocks)
+		ref := make([]float64, part.Dim)
+		for step := 0; step < 5; step++ {
+			cfg := Config{Lambda: r.Float64() * 2, Rho: r.Float64() + 0.1}
+			for b := range counts {
+				counts[b] = r.Intn(len(ws) + 1)
 			}
-		}
-		ref := make([]float64, dim)
-		solver.ZUpdateL1Blocks(ref, bigW.ToDense(), cfg.Lambda, cfg.Rho, offs, counts)
-
-		for rank, cols := range active {
-			w := &worker{rank: rank, dim: dim, active: cols}
-			w.xA, w.yA = make([]float64, len(cols)), make([]float64, len(cols))
-			for i := range cols {
-				w.xA[i], w.yA[i] = r.NormFloat64(), r.NormFloat64()
-			}
-			y0 := vec.Clone(w.yA)
-			w.initStore(m)
-			for i := range w.zStore {
-				w.zStore[i] = r.NormFloat64() // stale state applyW must overwrite
-			}
-			w.applyW(cfg, bigW, counts)
-
-			want := make([]float64, dim) // ref restricted to the subscription
-			for i, b := range m.Subs[rank] {
-				c := part.Chunk(int(b))
-				copy(want[c.Lo:c.Hi], ref[c.Lo:c.Hi])
-				if !vec.Equal(w.zStore[w.subOff[i]:w.subOff[i+1]], ref[c.Lo:c.Hi]) {
+			bigW := movingSparse(r, part.Dim)
+			solver.ZUpdateL1Blocks(ref, bigW.ToDense(), cfg.Lambda, cfg.Rho, offs, counts)
+			for _, w := range ws {
+				y0 := vec.Clone(w.yA)
+				w.applyW(cfg, bigW, counts)
+				want, ok := holdsRestricted(w, ref)
+				if !ok || !dualMoved(w, y0, want, cfg.Rho) {
 					return false
 				}
 			}
-			wantSparse := sparse.FromDenseInto(new(sparse.Vector), want)
-			if w.zSparse.Check() != nil || w.zSparse.Dim != dim ||
-				!slices.Equal(w.zSparse.Index, wantSparse.Index) ||
-				!vec.Equal(w.zSparse.Value, wantSparse.Value) {
-				return false
-			}
-			for i, c := range cols {
-				if w.yA[i] != y0[i]+cfg.Rho*(w.xA[i]-want[c]) {
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the store after ANY sequence of applyW, applyZ and rejoin is
+// the last iterate restricted to the subscription — the twin of the test
+// above for keepZ, the one delivery body. Each op's iterate arrives in
+// global coordinates over the whole dimension with a support that shrinks
+// and moves; applyZ and applyW move the dual, rejoin leaves it and only
+// ever advances the clock.
+func TestKeepZHoldsLastIterate(t *testing.T) {
+	f := func(seed int64, dimRaw, blocksRaw, worldRaw uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		m, ws := storeFixture(r, dimRaw, blocksRaw, worldRaw)
+		dim := m.Part.Dim
+		ones := make([]int, m.Part.Blocks)
+		for b := range ones {
+			ones[b] = 1
+		}
+		for step := 0; step < 8; step++ {
+			cfg := Config{Rho: r.Float64() + 0.1} // λ = 0, one contributor: applyW's z is W/ρ
+			v := movingSparse(r, dim)
+			op := r.Intn(3)
+			for _, w := range ws {
+				y0, clock := vec.Clone(w.yA), w.clock
+				ref := v.ToDense()
+				switch op {
+				case 0:
+					w.applyZ(cfg, v)
+				case 1:
+					w.rejoin(v, clock+float64(r.Intn(3)-1))
+				case 2:
+					w.applyW(cfg, v, ones)
+					vec.Scale(1/cfg.Rho, ref)
+				}
+				want, ok := holdsRestricted(w, ref)
+				if !ok {
+					return false
+				}
+				if op == 1 {
+					if !vec.Equal(w.yA, y0) || w.clock < clock {
+						return false
+					}
+				} else if !dualMoved(w, y0, want, cfg.Rho) {
 					return false
 				}
 			}
@@ -227,11 +319,11 @@ func TestWSparseMatchesDefinition(t *testing.T) {
 	defer pool.close()
 	for iter := 0; iter < 3; iter++ {
 		pool.run(cfg, ws, iter)
-		vs := make([]*sparse.Vector, len(ws))
-		for i, w := range ws {
-			vs[i] = w.wSparse(cfg.Rho)
+		acc := sparse.NewAccumulator(train.Dim())
+		for _, w := range ws {
+			acc.Add(w.wSparse(cfg.Rho))
 		}
-		bigW := sumSparse(train.Dim(), vs)
+		bigW := acc.Sum()
 		for _, w := range ws {
 			w.applyW(cfg, bigW, []int{len(ws)})
 		}

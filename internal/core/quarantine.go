@@ -12,7 +12,7 @@ import (
 // of the failure ladder. Crash faults are caught by the transport
 // (PeerDownError) and absorbed by elastic membership; a Byzantine rank
 // never crashes, it keeps sending poison. The contribution screen scores
-// every encoded contribution at the encodeSparse chokepoint; this file
+// every contribution at the inspect chokepoint; this file
 // turns sustained strikes into membership facts at iteration boundaries:
 //
 //	quarantined:  excluded from every collective, every z-update divisor,
@@ -60,6 +60,7 @@ func newQuarantineCtl(cfg Config, agg collective.AggSpec) *quarantineCtl {
 func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []float64, res *Result) error {
 	members := env.members
 	limit := env.screen.StrikeLimit()
+	var zWarm *sparse.Vector // zPrev, sparsified by the sweep's first re-admission
 
 	// Probe quarantined ranks. The rank's x/y froze at quarantine, so the
 	// clean part of its contribution is constant; what the probe tracks is
@@ -70,10 +71,7 @@ func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []fl
 			continue
 		}
 		v := env.ws[r].wSparseInto(q.probe, cfg.Rho)
-		if env.byz != nil {
-			env.poisonSparse(r, v)
-		}
-		if env.screen.ObserveSparse(r, v) {
+		if env.inspect(r, v) {
 			q.clean[r] = 0
 		} else {
 			q.clean[r]++
@@ -93,7 +91,10 @@ func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []fl
 			}
 		}
 		members.Unquarantine(r)
-		env.ws[r].rejoin(zPrev, maxClock)
+		if zWarm == nil {
+			zWarm = sparse.FromDense(zPrev)
+		}
+		env.ws[r].rejoin(zWarm, maxClock)
 		if env.states != nil {
 			env.states[r].Reset()
 		}

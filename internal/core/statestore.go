@@ -3,7 +3,6 @@ package core
 import (
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/shard"
-	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/vec"
 )
@@ -121,12 +120,7 @@ func (s *stateStore) applyReduced(cfg Config, w *worker, agg *sparse.Vector) {
 	w.applyW(cfg, agg, s.counts)
 }
 
-// zUpdateDense computes z into dst from a dense W sum (the star path).
-func (s *stateStore) zUpdateDense(dst, wsum []float64, cfg Config) {
-	solver.ZUpdateL1Blocks(dst, wsum, cfg.Lambda, cfg.Rho, s.offs, s.liveCounts())
-}
-
-// zFromW computes sparse z from a sparse W sum (the tree path).
+// zFromW computes z from a W sum (the star and tree paths).
 func (s *stateStore) zFromW(wsum *sparse.Vector, cfg Config) *sparse.Vector {
 	return zFromWBlocks(wsum, cfg.Lambda, cfg.Rho, s.offs, s.liveCounts())
 }

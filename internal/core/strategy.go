@@ -117,8 +117,8 @@ type strategyEnv struct {
 	// every owner-keyed collective: the zero value (mean) sums, the robust
 	// kinds take the trimmed-mean/median center.
 	agg collective.AggSpec
-	// screen, non-nil when Config.Screen is enabled, scores every encoded
-	// contribution at the encodeSparse chokepoint. The engine reads the
+	// screen, non-nil when Config.Screen is enabled, scores every
+	// contribution at the inspect chokepoint. The engine reads the
 	// strike counts at iteration boundaries and turns them into
 	// membership quarantines.
 	screen *watchdog.Screen
@@ -218,27 +218,36 @@ func (env *strategyEnv) nextTagBase() int32 {
 	return b
 }
 
-// encodeSparse routes one rank's contribution through the codec: stateful
+// encodeSparse routes one rank's contribution through the codec — stateful
 // top-k error feedback when the run carries per-rank exchange state, the
-// stateless per-block rounding otherwise — each block of the store's
+// stateless per-block rounding otherwise: each block of the store's
 // partition scales against its own max-abs, so a loud block cannot wash out
 // a quiet one that travels to a different owner (under the replicated
-// one-block map that is the whole vector, i.e. codec.EncodeSparse). rank is
-// a world rank. This is the
-// single chokepoint every strategy's contributions pass through on their
-// way into a reduce, so the Byzantine poison (after the codec — what a
-// compromised worker ships) and the contribution screen (after the
-// poison — the screen judges the wire bytes) both live here.
+// one-block map that is the whole vector, i.e. codec.EncodeSparse) — and
+// then through inspect. rank is a world rank. Every sparse-exchange
+// contribution passes through here on its way into a reduce; the
+// dense-exchange ring rounds the node partial instead of the contribution
+// (nodeFrame.partial) and calls inspect alone.
 func (env *strategyEnv) encodeSparse(rank int, v *sparse.Vector) {
 	if env.states != nil {
 		env.states[rank].Encode(v)
 	} else {
 		exchange.EncodeSparseBlocks(env.codec, v, env.store.offs)
 	}
+	env.inspect(rank, v)
+}
+
+// inspect is the chokepoint every contribution of every codec crosses
+// between the worker and a reduce: the Byzantine poison (after the codec —
+// what a compromised worker ships) and then the contribution screen (after
+// the poison — the screen judges what the wire carries). It reports whether
+// the screen flagged the contribution; fault-free and screen-off it does
+// nothing.
+func (env *strategyEnv) inspect(rank int, v *sparse.Vector) bool {
 	if env.byz != nil {
 		env.poisonSparse(rank, v)
 	}
-	env.screen.ObserveSparse(rank, v)
+	return env.screen.ObserveSparse(rank, v)
 }
 
 // newStrategy instantiates the consensus strategy for one run. Whether
@@ -258,86 +267,4 @@ func newStrategy(kind ConsensusKind, env *strategyEnv, cfg Config) (ConsensusStr
 		return newGroupStrategy(env, cfg), nil
 	}
 	return nil, fmt.Errorf("core: unknown consensus strategy %q", kind)
-}
-
-// nodeContribution is the result of launching one node's compute: the
-// Leader-held partial sum plus the barrier bookkeeping.
-type nodeContribution struct {
-	sum     *sparse.Vector
-	pending *pendingCompute
-}
-
-// launchNodeSparse runs the x-update on one idle node's workers, encodes
-// each worker's w through the codec, reduces to the node Leader over the
-// bus, and returns the partial sum with its availability time. Workers'
-// clocks are NOT advanced here — they move to the round's end when the
-// consensus is applied — so the launch is identical under BSP and SSP.
-// The fan-in's wire bytes ride on the pending batch (see pendingCompute)
-// and are charged by chargeLaunchBytes in the consuming round.
-func launchNodeSparse(env *strategyEnv, cfg Config, n, iter int) nodeContribution {
-	topo := cfg.Topo
-	ranks := env.liveWorkersOf(topo, n)
-	sub := make([]*worker, len(ranks))
-	for i, r := range ranks {
-		sub[i] = env.ws[r]
-	}
-	// The pool's times slice is per-round scratch; the pending batch
-	// outlives the round, so it keeps its own copy.
-	cals := append([]float64(nil), env.pool.run(cfg, sub, iter)...)
-	starts := make([]float64, len(ranks))
-	vs := make([]*sparse.Vector, len(ranks))
-	nnzs := make([]int, len(ranks))
-	ready := 0.0
-	for i, w := range sub {
-		starts[i] = w.clock
-		vs[i] = w.wSparse(cfg.Rho)
-		env.encodeSparse(ranks[i], vs[i])
-		nnzs[i] = vs[i].NNZ()
-		ready = maxf(ready, w.clock+cals[i])
-	}
-	tr := env.codec.WireTrace(intraReduceTrace(ranks, ranks[0], nnzs))
-	return nodeContribution{
-		sum: sumSparse(env.dim, vs),
-		pending: &pendingCompute{
-			finish:      ready + cfg.Cost.TraceTime(topo, tr),
-			ranks:       ranks,
-			starts:      starts,
-			cals:        cals,
-			vs:          vs,
-			launchIter:  iter,
-			launchBytes: traceBytes(tr),
-		},
-	}
-}
-
-// chargeLaunchBytes charges the launch fan-in of every batch launched
-// this iteration into the attempt's timing. Keying on the launch
-// iteration (rather than the launch call, which an elastic retry skips
-// because the batch survives attempts) keeps Bytes identical whether or
-// not the round needed retries, and leaves SSP attribution unchanged: a
-// stale batch was charged in its own launch round.
-func chargeLaunchBytes(clocks []sspClock, iter int, timing *iterTiming) {
-	for i := range clocks {
-		if p := clocks[i].pending; p != nil && p.launchIter == iter {
-			timing.bytes += p.launchBytes
-		}
-	}
-}
-
-// applyNodeZ delivers the consensus iterate to a pending batch's members
-// at virtual time end and folds their wait+transfer time into commSum.
-// Compute time is summed separately by the caller: the strategies
-// accumulate cal in rank order but comm in delivery order, and float
-// summation order is part of the determinism contract. The batch's own
-// rank list is authoritative — in a degraded run it holds only the
-// members that were live at launch (minus any pruned since).
-func applyNodeZ(env *strategyEnv, cfg Config, p *pendingCompute,
-	zDense []float64, zSparse *sparse.Vector, end float64,
-	commSum *float64, applied *int) {
-	for i, r := range p.ranks {
-		env.ws[r].applyZ(cfg, zDense, zSparse)
-		*commSum += end - p.starts[i] - p.cals[i]
-		env.ws[r].clock = end
-		*applied++
-	}
 }

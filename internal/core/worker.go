@@ -49,12 +49,14 @@ type worker struct {
 	// subscribed blocks under the run's shard map (the full dimension under
 	// the replicated one-block full map); no other copy of z exists on this
 	// rank. subOff[i] is the zStore offset of subscribed block
-	// smap.Subs[rank][i]; the trailing entry is len(zStore).
+	// smap.Subs[rank][i]; the trailing entry is len(zStore). zSparse is the
+	// same iterate, sparse and in global coordinates (w construction), and
+	// zStore is zero off its support — see beginZ.
 	smap      *shard.Map
 	subOff    []int
 	zStore    []float64
-	activePos []int32        // zStore position of each active column
-	zSparse   *sparse.Vector // same iterate, sparse and in global coordinates (w construction)
+	activePos []int32 // zStore position of each active column
+	zSparse   *sparse.Vector
 
 	// clock is the worker's virtual time; calTotal accumulates compute.
 	clock    float64
@@ -232,38 +234,53 @@ func (w *worker) wSparseInto(out *sparse.Vector, rho float64) *sparse.Vector {
 	return out
 }
 
-// keepZ retains the subscribed blocks of a full-dimension consensus iterate:
-// dense in zStore, sparse (global coordinates) in zSparse. zSparse, when
-// given, is zDense's sparse form and is restricted to the subscription; nil
-// derives the view from the stored blocks.
-func (w *worker) keepZ(zDense []float64, zSparse *sparse.Vector) {
-	nb := w.nextZ()
-	for i, b := range w.smap.Subs[w.rank] {
-		c := w.smap.Part.Chunk(int(b))
-		view := w.zStore[w.subOff[i]:w.subOff[i+1]]
-		copy(view, zDense[c.Lo:c.Hi])
-		if zSparse != nil {
-			from, to := zSparse.Range(c.Lo, c.Hi)
-			nb.Index = append(nb.Index, zSparse.Index[from:to]...)
-			nb.Value = append(nb.Value, zSparse.Value[from:to]...)
-			continue
+// sub returns subscribed block i's global range [lo, hi) and the offset
+// that maps a global index in it to its zStore position.
+func (w *worker) sub(i int) (lo, hi, off int) {
+	c := w.smap.Part.Chunk(int(w.smap.Subs[w.rank][i]))
+	return c.Lo, c.Hi, w.subOff[i] - c.Lo
+}
+
+// beginZ zeroes zStore ahead of a new iterate and returns the emptied
+// sparse view to build it in. zStore is zero off support(zSparse) — the
+// invariant initStore establishes and keepZ, applyW and a snapshot restore
+// (which rewrites both) preserve — so clearing the previous iterate's
+// support clears the store, and accepting an iterate costs its nonzeros,
+// not the subscription's width.
+func (w *worker) beginZ() *sparse.Vector {
+	si, hi, off := -1, 0, 0
+	for _, idx := range w.zSparse.Index {
+		for int(idx) >= hi { // zSparse lies inside the subscription
+			si++
+			_, hi, off = w.sub(si)
 		}
-		for j, v := range view {
-			if v != 0 {
-				nb.Index = append(nb.Index, int32(c.Lo+j))
-				nb.Value = append(nb.Value, v)
-			}
+		w.zStore[off+int(idx)] = 0
+	}
+	return w.nextZ()
+}
+
+// keepZ retains the subscribed blocks of a consensus iterate given in
+// global coordinates: scattered into zStore, and as they are in zSparse.
+func (w *worker) keepZ(z *sparse.Vector) {
+	nb := w.beginZ()
+	for i := range w.smap.Subs[w.rank] {
+		lo, hi, off := w.sub(i)
+		from, to := z.Range(lo, hi)
+		for k := from; k < to; k++ {
+			w.zStore[off+int(z.Index[k])] = z.Value[k]
 		}
+		nb.Index = append(nb.Index, z.Index[from:to]...)
+		nb.Value = append(nb.Value, z.Value[from:to]...)
 	}
 	w.zSparse = nb
 }
 
 // applyZ consumes the new consensus iterate — the already-thresholded z the
-// star and tree paths deliver at full dimension — and performs the dual
-// update (eq. 6) over the active subspace; no off-active dual is stored (see
-// the worker doc comment).
-func (w *worker) applyZ(cfg Config, zDense []float64, zSparse *sparse.Vector) {
-	w.keepZ(zDense, zSparse)
+// star and the hierarchical paths deliver — and performs the dual update
+// (eq. 6) over the active subspace; no off-active dual is stored (see the
+// worker doc comment).
+func (w *worker) applyZ(cfg Config, z *sparse.Vector) {
+	w.keepZ(z)
 	w.dualUpdate(cfg.Rho)
 }
 
@@ -282,35 +299,21 @@ func (w *worker) dualUpdate(rho float64) {
 // counts[b], its live subscriber count; the scalar expression is
 // solver.ZUpdateL1Blocks'. Then the dual update.
 func (w *worker) applyW(cfg Config, bigW *sparse.Vector, counts []int) {
-	vec.Zero(w.zStore)
-	nb := w.nextZ()
-	subs := w.smap.Subs[w.rank]
-	// Indices arrive sorted, so a cursor over the subscription replaces a
-	// per-entry BlockOf: [lo, hi) is subscribed block subs[si], stored at
-	// off, and entries below lo fall outside the subscription.
-	si, lo, hi, off := -1, 0, 0, 0
-	var inv float64
-scan:
-	for k, idx := range bigW.Index {
-		j := int(idx)
-		for j >= hi {
-			if si++; si == len(subs) {
-				break scan
-			}
-			c := w.smap.Part.Chunk(int(subs[si]))
-			lo, hi, off = c.Lo, c.Hi, w.subOff[si]-c.Lo
-			inv = 0 // a block with no live subscriber keeps z = 0
-			if n := counts[subs[si]]; n > 0 {
-				inv = 1 / (cfg.Rho * float64(n))
-			}
+	nb := w.beginZ()
+	for i, b := range w.smap.Subs[w.rank] {
+		n := counts[b]
+		if n <= 0 {
+			continue // a block with no live subscriber keeps z = 0
 		}
-		if j < lo {
-			continue
-		}
-		if v := vec.SoftThreshold(bigW.Value[k], cfg.Lambda) * inv; v != 0 {
-			w.zStore[off+j] = v
-			nb.Index = append(nb.Index, idx)
-			nb.Value = append(nb.Value, v)
+		inv := 1 / (cfg.Rho * float64(n))
+		lo, hi, off := w.sub(i)
+		from, to := bigW.Range(lo, hi)
+		for k := from; k < to; k++ {
+			if v := vec.SoftThreshold(bigW.Value[k], cfg.Lambda) * inv; v != 0 {
+				w.zStore[off+int(bigW.Index[k])] = v
+				nb.Index = append(nb.Index, bigW.Index[k])
+				nb.Value = append(nb.Value, v)
+			}
 		}
 	}
 	w.zSparse = nb
@@ -324,8 +327,8 @@ scan:
 // frozen pre-death values (any restart point is valid for ADMM, and the
 // stale primal/dual pair is closer to the optimum than zero). The clock
 // jump is supplied by the engine (the live maximum).
-func (w *worker) rejoin(z []float64, clock float64) {
-	w.keepZ(z, nil)
+func (w *worker) rejoin(z *sparse.Vector, clock float64) {
+	w.keepZ(z)
 	if clock > w.clock {
 		w.clock = clock
 	}

@@ -39,29 +39,6 @@ func BenchmarkCodecEncodeSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecEncodeDense is the dense-exchange analogue (ADMMLib's
-// fp32 rounding and the quantizers over a full parameter vector).
-func BenchmarkCodecEncodeDense(b *testing.B) {
-	for _, k := range Kinds() {
-		b.Run(string(k), func(b *testing.B) {
-			c, err := For(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rand.New(rand.NewSource(8))
-			x := make([]float64, 1<<16)
-			for i := range x {
-				x[i] = r.NormFloat64()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.EncodeDense(x)
-			}
-		})
-	}
-}
-
 // BenchmarkCodecWireTraceInto measures re-costing a collective trace to
 // wire sizes into caller scratch — per-round work on the engine hot path.
 func BenchmarkCodecWireTraceInto(b *testing.B) {

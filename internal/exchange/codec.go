@@ -5,12 +5,16 @@
 // single-precision parameter exchange, or Q-GADMM-style fixed-point
 // quantization — and therefore how many bytes every collective costs.
 //
-// Both execution paths share this package: the DES-clock engine
-// (internal/core) uses codecs to encode contributions and to rescale
-// collective traces to wire sizes, and the real-fabric WLG runtime
-// (internal/wlg) uses the same codecs to round the vectors it actually
-// ships. Lossy encodings are applied to VALUES before a collective runs,
-// so both paths aggregate exactly what a real cluster would.
+// Both execution paths share this package, and in both a value always
+// travels as a sparse vector: the DES-clock engine (internal/core) uses
+// codecs to round contributions and to rescale collective traces to wire
+// sizes, and the real-fabric WLG runtime (internal/wlg) uses the same
+// codecs to round the vectors it actually ships. Lossy encodings are
+// applied to VALUES before a collective runs, so both paths aggregate
+// exactly what a real cluster would. The dense kinds are a cost model, not
+// a second representation: in the engine they charge dimension-sized
+// messages (DenseMsgBytes, ZMsgBytes) and move the rounding point from the
+// contribution to the node partial.
 package exchange
 
 import (
@@ -48,19 +52,18 @@ const (
 // Kinds lists every implemented codec.
 func Kinds() []Kind { return []Kind{Sparse, SparseQ8, SparseQ16, Dense, DenseF32, TopK, TopKQ8} }
 
-// Codec is the exchange-representation strategy. Encode* round values in
-// place to what survives the wire; the *Bytes methods and WireTrace give
-// the corresponding payload sizes for the virtual cost model.
+// Codec is the exchange-representation strategy. EncodeSparse rounds
+// values in place to what survives the wire; the *Bytes methods and
+// WireTrace give the corresponding payload sizes for the virtual cost
+// model.
 type Codec interface {
 	Kind() Kind
-	// DenseExchange reports whether contributions travel as full dense
+	// DenseExchange reports whether the exchange is charged as full dense
 	// vectors (true) or index/value sparse payloads (false).
 	DenseExchange() bool
-	// EncodeSparse lossily rounds a sparse contribution in place. Exact
-	// codecs are no-ops.
+	// EncodeSparse lossily rounds a sparse vector's values in place,
+	// dropping entries that round to zero. Exact codecs are no-ops.
 	EncodeSparse(v *sparse.Vector)
-	// EncodeDense lossily rounds a dense vector in place.
-	EncodeDense(x []float64)
 	// WireTrace rescales a collective trace — built at nominal sparse
 	// (12-byte-entry) or dense (8-byte-entry) sizes — to this codec's
 	// wire format.
@@ -110,7 +113,6 @@ type sparseCodec struct{}
 func (sparseCodec) Kind() Kind                                     { return Sparse }
 func (sparseCodec) DenseExchange() bool                            { return false }
 func (sparseCodec) EncodeSparse(*sparse.Vector)                    {}
-func (sparseCodec) EncodeDense([]float64)                          {}
 func (sparseCodec) WireTrace(tr collective.Trace) collective.Trace { return tr }
 func (sparseCodec) WireTraceInto(_ []collective.Event, tr collective.Trace) collective.Trace {
 	return tr
@@ -133,7 +135,6 @@ func (c quantCodec) Kind() Kind {
 }
 func (quantCodec) DenseExchange() bool             { return false }
 func (c quantCodec) EncodeSparse(v *sparse.Vector) { QuantizeSparseBits(v, c.bits) }
-func (c quantCodec) EncodeDense(x []float64)       { QuantizeDenseBits(x, c.bits) }
 func (c quantCodec) WireTrace(tr collective.Trace) collective.Trace {
 	return ScaleTraceBytes(tr, EntryBytes(c.bits), wire.SparseEntryBytes)
 }
@@ -150,7 +151,6 @@ type denseCodec struct{}
 func (denseCodec) Kind() Kind                                     { return Dense }
 func (denseCodec) DenseExchange() bool                            { return true }
 func (denseCodec) EncodeSparse(*sparse.Vector)                    {}
-func (denseCodec) EncodeDense([]float64)                          {}
 func (denseCodec) WireTrace(tr collective.Trace) collective.Trace { return tr }
 func (denseCodec) WireTraceInto(_ []collective.Event, tr collective.Trace) collective.Trace {
 	return tr
@@ -167,7 +167,6 @@ type f32Codec struct{}
 func (f32Codec) Kind() Kind                    { return DenseF32 }
 func (f32Codec) DenseExchange() bool           { return true }
 func (f32Codec) EncodeSparse(v *sparse.Vector) { RoundF32Sparse(v) }
-func (f32Codec) EncodeDense(x []float64)       { RoundF32(x) }
 func (f32Codec) WireTrace(tr collective.Trace) collective.Trace {
 	return ScaleTraceBytes(tr, 1, 2)
 }
@@ -293,34 +292,6 @@ func QuantizeSparseBits(v *sparse.Vector, bits int) {
 	}
 	v.Index = v.Index[:kept]
 	v.Value = v.Value[:kept]
-}
-
-// QuantizeDenseBits applies the same b-bit max-abs fixed-point rounding to
-// a dense vector in place (the engine's ring/star dense exchanges).
-func QuantizeDenseBits(x []float64, bits int) {
-	var scale float64
-	for _, v := range x {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	if scale == 0 {
-		return
-	}
-	levels := float64(int(1)<<(bits-1) - 1)
-	for i, v := range x {
-		q := math.Round(v / scale * levels)
-		x[i] = q / levels * scale
-	}
-}
-
-// RoundF32 rounds every element to float32 precision in place, modeling
-// ADMMLib's single-precision parameter exchange (the accuracy cost §2 of
-// the paper attributes to reduced-precision schemes).
-func RoundF32(x []float64) {
-	for i, v := range x {
-		x[i] = float64(float32(v))
-	}
 }
 
 // RoundF32Sparse rounds a sparse vector's values to float32 precision.

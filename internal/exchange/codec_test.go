@@ -44,9 +44,7 @@ func TestExactCodecsAreIdentity(t *testing.T) {
 		c, _ := For(k)
 		v := sparse.FromDense([]float64{0.1, 0, -2.5})
 		c.EncodeSparse(v)
-		d := []float64{0.1, -2.5}
-		c.EncodeDense(d)
-		if v.Value[0] != 0.1 || v.Value[1] != -2.5 || d[0] != 0.1 || d[1] != -2.5 {
+		if v.NNZ() != 2 || v.Value[0] != 0.1 || v.Value[1] != -2.5 {
 			t.Fatalf("%s: exact codec changed values", k)
 		}
 	}
@@ -99,8 +97,7 @@ func TestTracedBytesMatchEncoded(t *testing.T) {
 		c, _ := For(k)
 		v := sparse.FromDense(spVals)
 		c.EncodeSparse(v)
-		x := append([]float64(nil), dense...)
-		c.EncodeDense(x)
+		x := dense
 
 		// The frames the in-process and TCP fabrics actually ship.
 		spMsg := wire.SparseMsg(0, v)
@@ -185,21 +182,23 @@ func TestTracedBytesMatchEncoded(t *testing.T) {
 	}
 }
 
-func TestQuantizeDenseBitsBound(t *testing.T) {
-	x := []float64{1, -0.5, 0.3, 0}
-	QuantizeDenseBits(x, 8)
-	// Max-abs element is exactly representable; every element stays within
-	// half a quantization level of its original.
-	if x[0] != 1 || x[3] != 0 {
-		t.Fatalf("endpoints moved: %v", x)
+func TestQuantizeSparseBitsBound(t *testing.T) {
+	v := sparse.FromDense([]float64{1, -0.5, 0.3, 0, 1e-4})
+	QuantizeSparseBits(v, 8)
+	x := v.ToDense()
+	// Max-abs element is exactly representable, a stored zero never
+	// appears, and a value below half a level rounds away; every element
+	// stays within half a quantization level of its original.
+	if x[0] != 1 || x[3] != 0 || x[4] != 0 || v.NNZ() != 3 || v.Check() != nil {
+		t.Fatalf("endpoints moved: %+v", v)
 	}
 	if math.Abs(x[1]+0.5) > 0.5/127+1e-12 || math.Abs(x[2]-0.3) > 0.5/127+1e-12 {
 		t.Fatalf("quantization error too large: %v", x)
 	}
-	// All-zero input is a no-op.
-	z := []float64{0, 0}
-	QuantizeDenseBits(z, 8)
-	if z[0] != 0 || z[1] != 0 {
+	// The empty vector is a no-op.
+	z := sparse.NewVector(2, 0)
+	QuantizeSparseBits(z, 8)
+	if z.NNZ() != 0 || z.Dim != 2 {
 		t.Fatal("zero vector changed")
 	}
 }

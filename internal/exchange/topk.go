@@ -58,11 +58,6 @@ func (c topkCodec) EncodeSparse(v *sparse.Vector) {
 		QuantizeSparseBits(v, c.bits)
 	}
 }
-func (c topkCodec) EncodeDense(x []float64) {
-	if c.bits > 0 {
-		QuantizeDenseBits(x, c.bits)
-	}
-}
 func (c topkCodec) WireTrace(tr collective.Trace) collective.Trace {
 	if c.bits == 0 {
 		return tr
