@@ -19,6 +19,7 @@ package collective
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"psrahgadmm/internal/sparse"
@@ -145,44 +146,28 @@ func robustCenter(sorted []float64, spec AggSpec) float64 {
 // robustScratch is the combine state for the robust kinds: a
 // coordinate × contributor value matrix over the touched coordinates of one
 // block. Like sparse.Accumulator it is reset-clean — rows are zeroed as
-// they are extracted, and reset() scrubs rows left behind by an aborted
-// call — so a warmed workspace combines without allocating.
+// they are extracted, and reset() scrubs what an aborted call left behind —
+// so a warmed workspace combines without allocating.
 type robustScratch struct {
 	vals    []float64 // row-major: vals[coord*n + slot]
-	seen    []bool
-	touched []int32
+	touched sparse.IndexSet
 	sortBuf []float64
 	w, n    int // current block width and contributor-slot count
 }
 
 // reset re-targets the scratch for a block of the given width with n
-// contributor slots, scrubbing any rows a previous (possibly aborted) use
-// left behind.
+// contributor slots. Rows are zeroed as they are extracted, so the matrix
+// is already clean unless the dimensions changed (rows re-map onto
+// different flat positions) or an aborted call left rows behind.
 func (rb *robustScratch) reset(width, n int) {
-	for _, i := range rb.touched {
-		row := rb.vals[int(i)*rb.n : int(i)*rb.n+rb.n]
-		for k := range row {
-			row[k] = 0
-		}
-		rb.seen[i] = false
-	}
-	rb.touched = rb.touched[:0]
-	if need := width * n; cap(rb.vals) < need {
+	need := width * n
+	if cap(rb.vals) < need {
 		rb.vals = make([]float64, need)
-	} else {
-		rb.vals = rb.vals[:need]
-		// Dimension change re-maps rows onto different flat positions, so
-		// the scrub above may have missed stale cells; clear the lot.
-		if width != rb.w || n != rb.n {
-			for k := range rb.vals {
-				rb.vals[k] = 0
-			}
-		}
+	} else if width != rb.w || n != rb.n || rb.touched.Len() > 0 {
+		clear(rb.vals[:need])
 	}
-	if cap(rb.seen) < width {
-		rb.seen = make([]bool, width)
-	}
-	rb.seen = rb.seen[:width]
+	rb.vals = rb.vals[:need]
+	rb.touched.Reset(width)
 	if cap(rb.sortBuf) < n {
 		rb.sortBuf = make([]float64, n)
 	}
@@ -200,10 +185,7 @@ func (rb *robustScratch) addSlot(slot int, v *sparse.Vector, from, to int, base 
 		if int(i) >= rb.w || i < 0 {
 			panic("collective: robust addSlot index out of block range")
 		}
-		if !rb.seen[i] {
-			rb.seen[i] = true
-			rb.touched = append(rb.touched, i)
-		}
+		rb.touched.Mark(i)
 		rb.vals[int(i)*n+slot] = v.Value[k]
 	}
 }
@@ -213,29 +195,27 @@ func (rb *robustScratch) addSlot(slot int, v *sparse.Vector, from, to int, base 
 // coordinates are zero for every contributor, so their center is exactly 0
 // and they are skipped — matching the mean's no-stored-zeros output.
 func (rb *robustScratch) finishInto(dst *sparse.Vector, spec AggSpec) *sparse.Vector {
-	slices.Sort(rb.touched)
 	if dst == nil {
-		dst = sparse.NewVector(rb.w, len(rb.touched))
+		dst = sparse.NewVector(rb.w, rb.touched.Len())
 	} else {
 		dst.Reset(rb.w)
 	}
 	n := rb.n
 	scale := float64(n)
 	sb := rb.sortBuf[:n]
-	for _, i := range rb.touched {
-		row := rb.vals[int(i)*n : int(i)*n+n]
-		copy(sb, row)
-		for k := range row {
-			row[k] = 0
-		}
-		rb.seen[i] = false
-		slices.Sort(sb)
-		if v := robustCenter(sb, spec) * scale; v != 0 {
-			dst.Index = append(dst.Index, i)
-			dst.Value = append(dst.Value, v)
+	for w, word := rb.touched.TakeWord(0); w >= 0; w, word = rb.touched.TakeWord(w + 1) {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			row := rb.vals[i*n : i*n+n]
+			copy(sb, row)
+			clear(row)
+			slices.Sort(sb)
+			if v := robustCenter(sb, spec) * scale; v != 0 {
+				dst.Index = append(dst.Index, int32(i))
+				dst.Value = append(dst.Value, v)
+			}
 		}
 	}
-	rb.touched = rb.touched[:0]
 	return dst
 }
 
@@ -257,9 +237,6 @@ func emptyBlock(dst *sparse.Vector, width int) *sparse.Vector {
 // zeros.
 func (ws *Workspace) combine(spec AggSpec, lo, width int, srcs []*sparse.Vector, dst *sparse.Vector) *sparse.Vector {
 	if !spec.Robust() {
-		if ws.acc == nil {
-			ws.acc = sparse.NewAccumulator(0)
-		}
 		ws.acc.Reset(width)
 		for _, s := range srcs {
 			if s != nil {

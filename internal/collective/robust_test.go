@@ -429,6 +429,35 @@ func TestRobustScratchDimensionChange(t *testing.T) {
 	}
 }
 
+// TestRobustScratchAbortedUse: a combine that panics after scattering some
+// entries (a malformed contributor) leaves rows and marks behind; the next
+// combine at the same dimensions must not see them.
+func TestRobustScratchAbortedUse(t *testing.T) {
+	var ws Workspace
+	spec := AggSpec{Kind: AggMedian}
+	good := sparse.NewVector(200, 0)
+	for _, j := range []int32{0, 63, 64, 130, 199} {
+		good.Append(j, 100)
+	}
+	bad := &sparse.Vector{Dim: 200, Index: []int32{7, 70, 500}, Value: []float64{9, 9, 9}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("out-of-range contributor index did not panic")
+			}
+		}()
+		ws.CombineSparse(spec, 200, []*sparse.Vector{good, good, bad}, nil)
+	}()
+	// Row 7 was left as [0 0 9]. One contributor now stores 1 there and two
+	// store nothing: median(1, 0, 0) = 0, where a stale 9 would make it 1.
+	one := sparse.NewVector(200, 0)
+	one.Append(7, 1)
+	none := sparse.NewVector(200, 0)
+	if out := ws.CombineSparse(spec, 200, []*sparse.Vector{one, none, none}, nil); out.NNZ() != 0 {
+		t.Fatalf("aborted combine leaked into the next one: got %v %v", out.Index, out.Value)
+	}
+}
+
 func TestParseAgg(t *testing.T) {
 	for name, want := range map[string]Agg{
 		"":                 AggMean,

@@ -44,7 +44,7 @@ type Workspace struct {
 	own     []*sparse.Vector
 	cur     []*sparse.Vector
 	arrS    []*sparse.Vector
-	acc     *sparse.Accumulator
+	acc     sparse.Accumulator
 	myBlock *sparse.Vector
 	spare   *sparse.Vector
 

@@ -283,6 +283,30 @@ func TestTRONSolvesLogisticProx(t *testing.T) {
 	}
 }
 
+// A poisoned solve (here ρ = NaN, so every gradient entry is NaN) must not
+// be reported as converged with a zero gradient norm — on the full-dimension
+// path and on the restricted one alike.
+func TestTRONNaNGradientIsNotConverged(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	full, labels := smallLogistic(r, 20, 6)
+	untouched := sparse.NewCSR(0, 9, 0) // columns 6..8 hold no entry
+	for i := 0; i < full.NRows; i++ {
+		untouched.AppendRow(full.Row(i))
+	}
+	for name, data := range map[string]*sparse.CSR{"every column touched": full, "restricted": untouched} {
+		y, z := make([]float64, data.NCols), make([]float64, data.NCols)
+		for oname, obj := range map[string]Objective{
+			"logistic":      NewLogisticProx(data, labels, math.NaN(), y, z),
+			"least-squares": NewLeastSquaresProx(data, labels, math.NaN(), y, z),
+		} {
+			res := TRON(obj, make([]float64, data.NCols), TronOptions{MaxIter: 10, MaxCG: 20})
+			if res.Converged || !math.IsNaN(res.GradNorm) {
+				t.Errorf("%s, %s: %+v, want Converged false and GradNorm NaN", name, oname, res)
+			}
+		}
+	}
+}
+
 func TestLogLossStable(t *testing.T) {
 	// Huge positive margin: loss → 0 without overflow.
 	if l := LogLoss(1000); l != 0 {

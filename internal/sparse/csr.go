@@ -100,31 +100,68 @@ func (m *CSR) Row(r int) ([]int32, []float64) {
 // RowNNZ returns the nonzero count of row r.
 func (m *CSR) RowNNZ(r int) int { return int(m.RowPtr[r+1] - m.RowPtr[r]) }
 
-// RowDot returns <row r, x> for dense x of length NCols.
-func (m *CSR) RowDot(r int, x []float64) float64 {
-	var s float64
-	for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-		s += m.Val[k] * x[m.ColIdx[k]]
+// The kernels below are the x-update's inner loops. Each ranges over its
+// row as two equal-length sub-slices, so the one bounds check left per
+// nonzero is the gather or scatter itself and nothing is re-loaded through
+// m. Every sum takes its terms in stored order: that order fixes its bits,
+// and the golden histories with them (DESIGN.md §3.3).
+
+// rowDot continues the running sum s over one row's entries, in order.
+func rowDot(s float64, cols []int32, vals, x []float64) float64 {
+	vals = vals[:len(cols)]
+	for k, c := range cols {
+		s += vals[k] * x[c]
 	}
 	return s
 }
 
+// rowAxpy adds a·row into dst, entry by entry in order.
+func rowAxpy(dst []float64, cols []int32, vals []float64, a float64) {
+	vals = vals[:len(cols)]
+	for k, c := range cols {
+		dst[c] += vals[k] * a
+	}
+}
+
+// RowDot returns <row r, x> for dense x of length NCols.
+func (m *CSR) RowDot(r int, x []float64) float64 {
+	cols, vals := m.Row(r)
+	return rowDot(0, cols, vals, x)
+}
+
 // MulVec computes dst = A·x, where x has length NCols and dst length NRows.
+// Rows are walked two at a time, each with its own accumulator advanced in
+// that row's column order: the pair's common prefix interleaved, then the
+// longer row's tail (and an odd last row) alone. Two independent add chains
+// hide the add latency one running sum serialises on; no row's order changes.
 func (m *CSR) MulVec(dst, x []float64) {
 	if len(x) != m.NCols || len(dst) != m.NRows {
 		panic("sparse: MulVec dimension mismatch")
 	}
-	for r := 0; r < m.NRows; r++ {
-		var s float64
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+	rp := m.RowPtr[:m.NRows+1]
+	r := 0
+	for ; r+1 < len(dst); r += 2 {
+		lo, mid, hi := rp[r], rp[r+1], rp[r+2]
+		c0, v0 := m.ColIdx[lo:mid], m.Val[lo:mid]
+		c1, v1 := m.ColIdx[mid:hi], m.Val[mid:hi]
+		n := min(len(c0), len(c1))
+		var s0, s1 float64
+		p1, q0, q1 := c1[:n], v0[:n], v1[:n]
+		for k, c := range c0[:n] {
+			s0 += q0[k] * x[c]
+			s1 += q1[k] * x[p1[k]]
 		}
-		dst[r] = s
+		dst[r], dst[r+1] = rowDot(s0, c0[n:], v0[n:], x), rowDot(s1, c1[n:], v1[n:], x)
+	}
+	if r < len(dst) {
+		dst[r] = m.RowDot(r, x)
 	}
 }
 
 // MulTransVec computes dst = Aᵀ·y, where y has length NRows and dst length
-// NCols. dst is overwritten.
+// NCols. dst is overwritten. Rows are scattered strictly one after another:
+// a column's sum takes its terms in row order, which pairing rows would
+// break (a CSC gather keeps it, and measured slower).
 func (m *CSR) MulTransVec(dst, y []float64) {
 	if len(y) != m.NRows || len(dst) != m.NCols {
 		panic("sparse: MulTransVec dimension mismatch")
@@ -132,22 +169,18 @@ func (m *CSR) MulTransVec(dst, y []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for r := 0; r < m.NRows; r++ {
-		yr := y[r]
-		if yr == 0 {
-			continue
-		}
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			dst[m.ColIdx[k]] += m.Val[k] * yr
+	rp := m.RowPtr[:m.NRows+1]
+	for r, yr := range y {
+		if yr != 0 {
+			rowAxpy(dst, m.ColIdx[rp[r]:rp[r+1]], m.Val[rp[r]:rp[r+1]], yr)
 		}
 	}
 }
 
 // AddScaledRow accumulates alpha * row r into dense dst (length NCols).
 func (m *CSR) AddScaledRow(dst []float64, r int, alpha float64) {
-	for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-		dst[m.ColIdx[k]] += alpha * m.Val[k]
-	}
+	cols, vals := m.Row(r)
+	rowAxpy(dst, cols, vals, alpha)
 }
 
 // RowSlice returns a new CSR holding rows [lo, hi) of m; storage is copied

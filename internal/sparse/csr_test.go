@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -276,30 +277,206 @@ func TestColumnDensityMatchesChunkOf(t *testing.T) {
 	}
 }
 
-func BenchmarkMulVec(b *testing.B) {
-	r := rand.New(rand.NewSource(24))
-	m := randCSR(r, 500, 2000, 0.02)
-	x := make([]float64, 2000)
-	for i := range x {
-		x[i] = r.NormFloat64()
+// The four kernels as they stood before they were rebuilt (one running sum
+// per row, indexed through m): the arithmetic every golden history was
+// recorded with, and the reference the rebuilt kernels must equal bit for
+// bit.
+
+func refRowDot(m *CSR, r int, x []float64) float64 {
+	var s float64
+	for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+		s += m.Val[k] * x[m.ColIdx[k]]
 	}
-	dst := make([]float64, 500)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(dst, x)
+	return s
+}
+
+func refMulVec(m *CSR, dst, x []float64) {
+	for r := 0; r < m.NRows; r++ {
+		var s float64
+		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+			s += m.Val[k] * x[m.ColIdx[k]]
+		}
+		dst[r] = s
 	}
 }
 
-func BenchmarkMulTransVec(b *testing.B) {
-	r := rand.New(rand.NewSource(25))
-	m := randCSR(r, 500, 2000, 0.02)
-	y := make([]float64, 500)
+func refMulTransVec(m *CSR, dst, y []float64) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	for r := 0; r < m.NRows; r++ {
+		yr := y[r]
+		if yr == 0 {
+			continue
+		}
+		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+			dst[m.ColIdx[k]] += m.Val[k] * yr
+		}
+	}
+}
+
+func refAddScaledRow(m *CSR, dst []float64, r int, alpha float64) {
+	for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+		dst[m.ColIdx[k]] += alpha * m.Val[k]
+	}
+}
+
+// awkward draws a float64 that is, one time in three, a value summation
+// order and zero tests are sensitive to: ±0, a denormal, or something many
+// orders of magnitude off the rest.
+func awkward(r *rand.Rand) float64 {
+	switch r.Intn(12) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Float64frombits(uint64(r.Intn(1<<20) + 1)) // denormal
+	case 3:
+		return r.NormFloat64() * 1e12
+	}
+	return r.NormFloat64()
+}
+
+// csrWithRowLens builds a matrix whose row r holds rowLens[r] entries (capped
+// at cols) at random columns.
+func csrWithRowLens(r *rand.Rand, cols int, rowLens []int) *CSR {
+	m := NewCSR(0, cols, 0)
+	for _, n := range rowLens {
+		cs := make([]int32, 0, n)
+		for _, c := range r.Perm(cols)[:min(n, cols)] {
+			cs = append(cs, int32(c))
+		}
+		slices.Sort(cs)
+		vs := make([]float64, len(cs))
+		for k := range vs {
+			vs[k] = awkward(r)
+		}
+		m.AppendRow(cs, vs)
+	}
+	return m
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// checkKernelsMatchReference runs all four kernels and their references on
+// m with awkward operands and reports the first difference in any bit.
+func checkKernelsMatchReference(t *testing.T, r *rand.Rand, m *CSR) {
+	t.Helper()
+	if err := m.Check(); err != nil {
+		t.Fatal(err)
+	}
+	x, y := make([]float64, m.NCols), make([]float64, m.NRows)
+	for i := range x {
+		x[i] = awkward(r)
+	}
 	for i := range y {
-		y[i] = r.NormFloat64()
+		y[i] = awkward(r)
 	}
-	dst := make([]float64, 2000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.MulTransVec(dst, y)
+	got, want := make([]float64, m.NRows), make([]float64, m.NRows)
+	m.MulVec(got, x)
+	refMulVec(m, want, x)
+	if !sameBits(got, want) {
+		t.Fatalf("MulVec differs from the reference loop\nRowPtr %v\ngot  %v\nwant %v", m.RowPtr, got, want)
 	}
+	for i := range want {
+		if g, w := m.RowDot(i, x), refRowDot(m, i, x); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("RowDot(%d) = %v, reference %v", i, g, w)
+		}
+	}
+	// Stale contents of dst must not survive: MulTransVec overwrites.
+	gotT, wantT := make([]float64, m.NCols), make([]float64, m.NCols)
+	for i := range gotT {
+		gotT[i] = math.NaN()
+	}
+	m.MulTransVec(gotT, y)
+	refMulTransVec(m, wantT, y)
+	if !sameBits(gotT, wantT) {
+		t.Fatalf("MulTransVec differs from the reference loop\nRowPtr %v\ngot  %v\nwant %v", m.RowPtr, gotT, wantT)
+	}
+	copy(gotT, x)
+	copy(wantT, x)
+	for i, alpha := range y {
+		m.AddScaledRow(gotT, i, alpha)
+		refAddScaledRow(m, wantT, i, alpha)
+	}
+	if !sameBits(gotT, wantT) {
+		t.Fatalf("AddScaledRow differs from the reference loop\ngot  %v\nwant %v", gotT, wantT)
+	}
+}
+
+func TestCSRKernelsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	shapes := map[string][]int{
+		"no rows":                  {},
+		"one row":                  {7},
+		"two rows":                 {7, 4},
+		"three rows":               {3, 9, 5},
+		"odd row count":            {5, 2, 8, 8, 1, 6, 3, 9, 4, 7, 2},
+		"one empty row":            {0},
+		"all rows empty":           {0, 0, 0, 0, 0},
+		"empty first":              {0, 6, 3, 4},
+		"empty middle":             {6, 3, 0, 0, 4, 2},
+		"empty last":               {6, 3, 4, 0},
+		"empty odd last":           {6, 3, 0},
+		"empty beside a long row":  {0, 50, 50, 0, 0, 50, 50},
+		"rows of length one":       {1, 1, 1, 1, 1},
+		"length one beside long":   {1, 50, 50, 1, 1},
+		"1:50 and 50:1 in a pair":  {1, 50, 50, 1, 2, 100, 100, 2},
+		"equal lengths in a pair":  {9, 9, 30, 30},
+		"long odd last row":        {2, 2, 60},
+		"every column in each row": {64, 64, 64},
+	}
+	for name, rowLens := range shapes {
+		for _, cols := range []int{1, 2, 64, 301} {
+			t.Run(name, func(t *testing.T) {
+				checkKernelsMatchReference(t, r, csrWithRowLens(r, cols, rowLens))
+			})
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		rowLens := make([]int, r.Intn(12))
+		for i := range rowLens {
+			// Mostly short rows, now and then one 50 times longer.
+			rowLens[i] = r.Intn(5)
+			if r.Intn(4) == 0 {
+				rowLens[i] = r.Intn(200)
+			}
+		}
+		checkKernelsMatchReference(t, r, csrWithRowLens(r, r.Intn(250)+1, rowLens))
+	}
+	// A row whose multiplier is ±0 is skipped, not multiplied through: only
+	// a non-finite stored value can tell (Inf·0 = NaN), so no finite case
+	// above holds MulTransVec to it.
+	m := NewCSR(0, 2, 0)
+	m.AppendRow([]int32{0, 1}, []float64{math.Inf(1), 1})
+	m.AppendRow([]int32{0}, []float64{3})
+	m.AppendRow([]int32{1}, []float64{math.Inf(-1)})
+	got, want := make([]float64, 2), make([]float64, 2)
+	y := []float64{0, 2, math.Copysign(0, -1)}
+	m.MulTransVec(got, y)
+	refMulTransVec(m, want, y)
+	if !sameBits(got, want) || got[0] != 6 || got[1] != 0 {
+		t.Fatalf("MulTransVec with zero multipliers on non-finite rows = %v, reference %v, want [6 0]", got, want)
+	}
+}
+
+func FuzzCSRKernelsMatchReference(f *testing.F) {
+	f.Add(uint8(0), uint16(1), int64(1))
+	f.Add(uint8(1), uint16(1), int64(2))
+	f.Add(uint8(2), uint16(50), int64(3))
+	f.Add(uint8(3), uint16(50), int64(4))
+	f.Add(uint8(41), uint16(1376), int64(5))
+	f.Fuzz(func(t *testing.T, rows uint8, cols uint16, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		nc := int(cols)%2048 + 1
+		rowLens := make([]int, int(rows)%48)
+		for i := range rowLens {
+			// Empty, single-entry, short and long rows, side by side.
+			rowLens[i] = []int{0, 1, r.Intn(8), r.Intn(nc + 1)}[r.Intn(4)]
+		}
+		checkKernelsMatchReference(t, r, csrWithRowLens(r, nc, rowLens))
+	})
 }

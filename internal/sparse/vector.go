@@ -11,7 +11,7 @@ package sparse
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 )
 
@@ -214,24 +214,97 @@ func Concat(dim int, offsets []int, blocks []*Vector) *Vector {
 	return ConcatInto(nil, dim, offsets, blocks)
 }
 
+// IndexSet is a set of indices in [0, n) that drains in ascending order
+// without sorting, a two-level bitset: bit i of words is "i is marked", bit
+// w of summary is "words[w] != 0", so a walk costs O(n/4096 + members). It
+// is the touched set of every scatter-then-extract reduction (Accumulator,
+// collective's robust combine). The zero value is an empty set over [0, 0).
+type IndexSet struct {
+	words, summary []uint64
+}
+
+// Reset empties the set and re-targets it to [0, n), allocating only when n
+// exceeds the capacity. An empty set's words are all zero out to their
+// capacity, so re-slicing exposes nothing stale.
+func (s *IndexSet) Reset(n int) {
+	for w, _ := s.TakeWord(0); w >= 0; w, _ = s.TakeWord(w + 1) {
+	}
+	nw, ns := (n+63)>>6, (n+4095)>>12
+	if cap(s.words) < nw {
+		s.words, s.summary = make([]uint64, nw), make([]uint64, ns)
+	}
+	s.words, s.summary = s.words[:nw], s.summary[:ns]
+}
+
+// Mark adds i, which must lie in [0, n).
+func (s *IndexSet) Mark(i int32) { mark(s.words, s.summary, i) }
+
+// mark is Mark on locals: a scatter loop storing to other memory between
+// marks would otherwise re-load both slice headers through s per entry.
+func mark(words, summary []uint64, i int32) {
+	w := uint32(i) >> 6
+	if words[w] == 0 {
+		summary[w>>6] |= 1 << (w & 63)
+	}
+	words[w] |= 1 << (uint32(i) & 63)
+}
+
+// Len returns the number of marked indices.
+func (s *IndexSet) Len() int {
+	n := 0
+	for w := s.next(0); w >= 0; w = s.next(w + 1) {
+		n += bits.OnesCount64(s.words[w])
+	}
+	return n
+}
+
+// TakeWord removes and returns the first non-empty word at or after word
+// index from — bit b of word stands for index w<<6 + b — or (-1, 0) when
+// none is left. Taking from 0, then from w+1, and peeling bits off each word
+// with TrailingZeros64 visits every member in ascending order and leaves
+// the set empty.
+func (s *IndexSet) TakeWord(from int) (w int, word uint64) {
+	if w = s.next(from); w < 0 {
+		return -1, 0
+	}
+	word, s.words[w] = s.words[w], 0
+	s.summary[w>>6] &^= 1 << (w & 63)
+	return w, word
+}
+
+// next returns the first non-empty word at or after from, or -1.
+func (s *IndexSet) next(from int) int {
+	sw := from >> 6
+	if sw >= len(s.summary) {
+		return -1
+	}
+	m := s.summary[sw] >> (from & 63) << (from & 63)
+	for m == 0 {
+		if sw++; sw == len(s.summary) {
+			return -1
+		}
+		m = s.summary[sw]
+	}
+	return sw<<6 + bits.TrailingZeros64(m)
+}
+
 // Accumulator sums many sparse vectors of a fixed dimension without
-// repeated merge allocations: it keeps a dense scratch plus a touched-index
-// set. Intended for reduce fan-ins where dozens of sparse vectors with
-// overlapping supports are combined.
+// repeated merge allocations: a dense scratch plus the IndexSet of touched
+// coordinates, drained in ascending order — what sorting a touched list
+// would yield. Invariant: dense is zero off the set, out to its capacity.
+// Intended for reduce fan-ins where dozens of sparse vectors with
+// overlapping supports are combined. The zero value has dimension 0.
 type Accumulator struct {
 	dim     int
 	dense   []float64
-	touched []int32
-	seen    []bool
+	touched IndexSet
 }
 
 // NewAccumulator returns an empty accumulator of the given dimension.
 func NewAccumulator(dim int) *Accumulator {
-	return &Accumulator{
-		dim:   dim,
-		dense: make([]float64, dim),
-		seen:  make([]bool, dim),
-	}
+	a := new(Accumulator)
+	a.Reset(dim)
+	return a
 }
 
 // Add accumulates v (which must have matching dimension).
@@ -239,12 +312,11 @@ func (a *Accumulator) Add(v *Vector) {
 	if v.Dim != a.dim {
 		panic("sparse: Accumulator dimension mismatch")
 	}
+	dense, words, summary := a.dense, a.touched.words, a.touched.summary
+	vals := v.Value[:len(v.Index)]
 	for k, i := range v.Index {
-		if !a.seen[i] {
-			a.seen[i] = true
-			a.touched = append(a.touched, i)
-		}
-		a.dense[i] += v.Value[k]
+		dense[i] += vals[k]
+		mark(words, summary, i)
 	}
 }
 
@@ -255,16 +327,16 @@ func (a *Accumulator) Add(v *Vector) {
 // additions are the same dense[i] += value sequence Add performs on a
 // SliceInto copy, so sums are bit-identical to the slice-then-Add path.
 func (a *Accumulator) AddRange(v *Vector, from, to int, base int32) {
-	for k := from; k < to; k++ {
-		i := v.Index[k] - base
-		if int(i) >= a.dim || i < 0 {
+	dense, words, summary := a.dense, a.touched.words, a.touched.summary
+	idx, vals := v.Index[from:to], v.Value[from:to]
+	vals = vals[:len(idx)]
+	for k, gi := range idx {
+		i := gi - base
+		if int(i) >= len(dense) || i < 0 {
 			panic("sparse: AddRange index out of accumulator range")
 		}
-		if !a.seen[i] {
-			a.seen[i] = true
-			a.touched = append(a.touched, i)
-		}
-		a.dense[i] += v.Value[k]
+		dense[i] += vals[k]
+		mark(words, summary, i)
 	}
 }
 
@@ -274,15 +346,10 @@ func (a *Accumulator) AddDense(x []float64) {
 		panic("sparse: Accumulator dense dimension mismatch")
 	}
 	for i, xv := range x {
-		if xv == 0 {
-			continue
+		if xv != 0 {
+			a.dense[i] += xv
+			a.touched.Mark(int32(i))
 		}
-		i32 := int32(i)
-		if !a.seen[i32] {
-			a.seen[i32] = true
-			a.touched = append(a.touched, i32)
-		}
-		a.dense[i] += xv
 	}
 }
 
@@ -292,57 +359,41 @@ func (a *Accumulator) Sum() *Vector {
 	return a.SumInto(nil)
 }
 
-// SumInto is Sum writing into dst (allocated when nil, grown only when too
-// small) so steady-state reduce fan-ins extract their total without
-// allocating. dst is reset to the accumulator's dimension first.
+// SumInto is Sum writing into dst (allocated when nil, at exactly the
+// touched count; grown only when too small) so steady-state reduce fan-ins
+// extract their total without allocating. dst is reset to the accumulator's
+// dimension first.
 func (a *Accumulator) SumInto(dst *Vector) *Vector {
-	slices.Sort(a.touched)
 	if dst == nil {
-		dst = NewVector(a.dim, len(a.touched))
+		dst = NewVector(a.dim, a.touched.Len())
 	} else {
 		dst.Reset(a.dim)
 	}
-	for _, i := range a.touched {
-		if v := a.dense[i]; v != 0 {
-			dst.Index = append(dst.Index, i)
-			dst.Value = append(dst.Value, v)
+	for w, word := a.touched.TakeWord(0); w >= 0; w, word = a.touched.TakeWord(w + 1) {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			if v := a.dense[i]; v != 0 {
+				dst.Index = append(dst.Index, int32(i))
+				dst.Value = append(dst.Value, v)
+			}
+			a.dense[i] = 0
 		}
-		a.dense[i] = 0
-		a.seen[i] = false
 	}
-	a.touched = a.touched[:0]
 	return dst
 }
 
 // Reset empties the accumulator and re-dimensions it, growing the dense
 // scratch only when dim exceeds its capacity. Used when a pooled
 // accumulator is re-targeted (e.g. after an elastic regroup changes the
-// block layout).
+// block layout). By the invariant a dim inside the capacity re-slices onto
+// zeros; only an aborted use (entries added, never extracted) is scrubbed.
 func (a *Accumulator) Reset(dim int) {
-	for _, i := range a.touched {
-		a.dense[i] = 0
-		a.seen[i] = false
+	if a.touched.Len() > 0 {
+		clear(a.dense[:cap(a.dense)])
 	}
-	a.touched = a.touched[:0]
-	if dim == a.dim {
-		return
-	}
+	a.touched.Reset(dim)
 	if cap(a.dense) < dim {
 		a.dense = make([]float64, dim)
-		a.seen = make([]bool, dim)
-	} else {
-		// Shrinking then regrowing within capacity: clear the newly
-		// exposed tail, which a smaller dim's Sum never visited.
-		grown := a.dense[:dim]
-		seen := a.seen[:dim]
-		for i := a.dim; i < dim; i++ {
-			grown[i] = 0
-			seen[i] = false
-		}
-		a.dense = grown
-		a.seen = seen
 	}
-	a.dim = dim
-	a.dense = a.dense[:dim]
-	a.seen = a.seen[:dim]
+	a.dim, a.dense = dim, a.dense[:dim]
 }

@@ -266,18 +266,34 @@ func BenchmarkMerge(b *testing.B) {
 }
 
 func BenchmarkAccumulator(b *testing.B) {
-	r := rand.New(rand.NewSource(15))
-	dim := 1 << 16
-	vs := make([]*Vector, 16)
-	for i := range vs {
-		vs[i] = randSparse(r, dim, 0.02)
-	}
-	acc := NewAccumulator(dim)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, v := range vs {
-			acc.Add(v)
+	for _, c := range []struct {
+		name        string
+		dim, inputs int
+		density     float64
+	}{
+		{"dim65536-16x1300", 1 << 16, 16, 0.02},
+		// One PSR reduce of engine-news20-8: the model's dimension, eight
+		// ranks' ≈ 1 400-entry contributions.
+		{"dim27103-8x1400", 27103, 8, 1400.0 / 27103},
+	} {
+		r := rand.New(rand.NewSource(15))
+		vs := make([]*Vector, c.inputs)
+		entries := 0
+		for i := range vs {
+			vs[i] = randSparse(r, c.dim, c.density)
+			entries += vs[i].NNZ()
 		}
-		_ = acc.Sum()
+		acc := NewAccumulator(c.dim)
+		var out *Vector
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, v := range vs {
+					acc.Add(v)
+				}
+				out = acc.SumInto(out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
+		})
 	}
 }

@@ -97,6 +97,8 @@ func AddInto(dst, src []float64) {
 
 // Nrm2 returns the Euclidean norm ||x||_2, guarding against overflow the
 // same way the reference BLAS dnrm2 does (scaling by the running maximum).
+// Like dnrm2 it returns scale·√ssq unconditionally: 0 for the zero vector,
+// NaN (not 0) when NaN entries poisoned ssq without ever raising scale.
 func Nrm2(x []float64) float64 {
 	var scale, ssq float64
 	ssq = 1
@@ -113,9 +115,6 @@ func Nrm2(x []float64) float64 {
 			r := av / scale
 			ssq += r * r
 		}
-	}
-	if scale == 0 {
-		return 0
 	}
 	return scale * math.Sqrt(ssq)
 }

@@ -142,6 +142,23 @@ func TestNrm2Overflow(t *testing.T) {
 	}
 }
 
+// A NaN entry never raises the running scale, so a vector whose non-zero
+// entries are all NaN used to come back with norm 0 — "converged" to any
+// caller that tests a gradient norm.
+func TestNrm2PropagatesNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, x := range [][]float64{{nan}, {nan, 0}, {nan, nan}, {nan, 1}, {1, nan}, {0, nan, 0}} {
+		if got := Nrm2(x); !math.IsNaN(got) {
+			t.Errorf("Nrm2(%v) = %v, want NaN", x, got)
+		}
+	}
+	for _, x := range [][]float64{nil, {}, {0}, {0, 0, 0}, {math.Copysign(0, -1)}} {
+		if got := Nrm2(x); got != 0 || math.Signbit(got) {
+			t.Errorf("Nrm2(%v) = %v, want 0", x, got)
+		}
+	}
+}
+
 func TestDistSq(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{2, 0, 3}
