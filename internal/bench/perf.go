@@ -22,6 +22,7 @@ import (
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
+	"psrahgadmm/internal/wire"
 )
 
 // PerfEntry records one benchmark of the steady-state perf suite.
@@ -239,13 +240,12 @@ func Perf(seed int64) (*PerfReport, error) {
 		})
 	}
 
-	// Layer 3: the sparse PSR-Allreduce across a 4-member world with
-	// persistent workspaces — the engine crew's exact steady state. The
-	// zero-copy fabric matches what the engine actually runs on (the
-	// copying fabric's per-send Sparse.Clone is what used to make this
-	// the one allocating entry in the report).
-	{
-		const n = 4
+	// Layer 3: the sparse PSR-Allreduce with persistent workspaces — the
+	// engine crew's exact steady state, on the zero-copy fabric the engine
+	// runs on — across a 4-member world, and across the 64-member one where
+	// a round is 8 064 small messages and the fabric, not the reduce, is
+	// the cost.
+	for _, n := range []int{4, 64} {
 		fab := transport.NewChanFabricZeroCopy(n)
 		defer fab.Close()
 		g := collective.WorldGroup(n)
@@ -259,8 +259,8 @@ func Perf(seed int64) (*PerfReport, error) {
 			outs[i] = new(sparse.Vector)
 			eps[i] = fab.Endpoint(i)
 		}
-		add("collective/psr-allreduce-sparse-4", func(b *testing.B) {
-			// Persistent member goroutines signalled per op: spawning four
+		add(fmt.Sprintf("collective/psr-allreduce-sparse-%d", n), func(b *testing.B) {
+			// Persistent member goroutines signalled per op: spawning the
 			// goroutines inside the measured loop would charge the harness's
 			// own allocations to the collective.
 			starts := make([]chan struct{}, n)
@@ -288,6 +288,31 @@ func Perf(seed int64) (*PerfReport, error) {
 			b.StopTimer()
 			for m := 0; m < n; m++ {
 				close(starts[m])
+			}
+		})
+	}
+
+	// Layer 3b: the in-process mailbox alone, in the shape one member of
+	// that 64-rank round sees it — 63 peers each deliver one small frame,
+	// then the owner receives them all from anyone.
+	{
+		const n = 64
+		fab := transport.NewChanFabricZeroCopy(n)
+		defer fab.Close()
+		msg := wire.SparseMsg(7, perfSparse(rand.New(rand.NewSource(seed+7)), 256, 0.05))
+		add("transport/chan-fanin-64", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for s := 1; s < n; s++ {
+					if err := fab.Endpoint(s).Send(0, msg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for s := 1; s < n; s++ {
+					if _, err := fab.Endpoint(0).Recv(transport.AnySource, 7); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
 		})
 	}

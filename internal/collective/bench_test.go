@@ -25,7 +25,18 @@ func benchSparseVec(r *rand.Rand, dim int, density float64) *sparse.Vector {
 // persistent per-member workspaces, the exact setup the core crew keeps
 // warm. allocs/op is the whole world's per-round allocation.
 func BenchmarkPSRAllreduceSparse(b *testing.B) {
-	benchAllreduceSparse(b, func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error {
+	benchAllreduceSparse(b, transport.NewChanFabric(4), func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error {
+		_, err := ws.PSRAllreduceSparse(ep, g, 64, in, out)
+		return err
+	})
+}
+
+// BenchmarkPSRAllreduceSparse64 is the same round among 64 members on the
+// zero-copy fabric, the world of engine-wide-64: 8 064 messages of a few
+// hundred bytes, so the fabric and the per-message bookkeeping are the
+// cost, not the reduce (and, on the copying fabric, not 24 000 clones).
+func BenchmarkPSRAllreduceSparse64(b *testing.B) {
+	benchAllreduceSparse(b, transport.NewChanFabricZeroCopy(64), func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error {
 		_, err := ws.PSRAllreduceSparse(ep, g, 64, in, out)
 		return err
 	})
@@ -34,16 +45,15 @@ func BenchmarkPSRAllreduceSparse(b *testing.B) {
 // BenchmarkRingAllreduceSparse is the GR-ADMM ring schedule at the same
 // size, for direct comparison.
 func BenchmarkRingAllreduceSparse(b *testing.B) {
-	benchAllreduceSparse(b, func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error {
+	benchAllreduceSparse(b, transport.NewChanFabric(4), func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error {
 		_, err := ws.RingAllreduceSparse(ep, g, 64, in, out)
 		return err
 	})
 }
 
-func benchAllreduceSparse(b *testing.B, call func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error) {
-	const n = 4
-	fab := transport.NewChanFabric(n)
+func benchAllreduceSparse(b *testing.B, fab *transport.ChanFabric, call func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error) {
 	defer fab.Close()
+	n := fab.Size()
 	g := WorldGroup(n)
 	r := rand.New(rand.NewSource(21))
 	wss := make([]Workspace, n)

@@ -3,12 +3,14 @@ package collective
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
+	"psrahgadmm/internal/wire"
 )
 
 // runRanks executes fn concurrently for every rank on a fresh chan fabric,
@@ -353,6 +355,49 @@ func TestGroupIndexOf(t *testing.T) {
 	}
 	if !g.Contains(4) || g.Contains(0) {
 		t.Fatal("Contains wrong")
+	}
+}
+
+// TestMemberIndexMatchesIndexOf: the table validateGroup stamps answers
+// Group.IndexOf for the validated group — and only for it: a rank of an
+// earlier call's group, a non-member and an out-of-world sender are all −1
+// — without clearing or allocating between calls.
+func TestMemberIndexMatchesIndexOf(t *testing.T) {
+	const world = 9
+	f := transport.NewChanFabric(world)
+	defer f.Close()
+	ep := f.Endpoint(2)
+	var ws Workspace
+	for _, g := range []Group{NewGroup(5, 2, 7), NewGroup(2, 3), WorldGroup(world), NewGroup(8, 2)} {
+		if _, err := ws.validateGroup(ep, g); err != nil {
+			t.Fatal(err)
+		}
+		for from := int32(-2); from < world+3; from++ {
+			if got, want := ws.memberIndex(from), g.IndexOf(int(from)); got != want {
+				t.Fatalf("group %v: memberIndex(%d) = %d, IndexOf = %d", g.Ranks, from, got, want)
+			}
+		}
+	}
+	// A rejected group leaves no stamp a later call could mistake for its own.
+	if _, err := ws.validateGroup(ep, NewGroup(2, 4, 4)); err == nil {
+		t.Fatal("duplicate rank accepted")
+	}
+	if _, err := ws.validateGroup(ep, NewGroup(2)); err != nil || ws.memberIndex(4) != -1 {
+		t.Fatalf("after a rejected group: err %v, memberIndex(4) = %d, want -1", err, ws.memberIndex(4))
+	}
+	g := WorldGroup(world)
+	if allocs := testing.AllocsPerRun(100, func() { ws.validateGroup(ep, g) }); allocs != 0 {
+		t.Fatalf("validateGroup allocates %v objects per call, want 0", allocs)
+	}
+
+	// End to end: a frame on the collective's tag from outside the group is
+	// refused, not indexed.
+	if err := f.Endpoint(6).Send(2, wire.SparseMsg(40, sparse.FromDense([]float64{1}))); err != nil {
+		t.Fatal(err)
+	}
+	v, out := sparse.FromDense([]float64{1}), new(sparse.Vector)
+	if _, err := ws.ReduceSparse(ep, NewGroup(2, 3), 40, 0, v, out); err == nil || !strings.Contains(err.Error(), "unexpected sender 6") {
+		t.Fatalf("frame from a non-member: %v, want unexpected sender 6", err)
 	}
 }
 

@@ -121,7 +121,7 @@ func (ws *Workspace) ShardAllreduceSparseAgg(ep transport.Endpoint, g Group, tag
 		if sv.Dim != part.Dim {
 			return tr, fmt.Errorf("collective: shard scatter dim %d, want %d", sv.Dim, part.Dim)
 		}
-		src := g.IndexOf(int(in.From))
+		src := ws.memberIndex(in.From)
 		if src < 0 || src == me || arrivals[src] != nil || !planPairs(plan, src, me) {
 			return tr, fmt.Errorf("collective: shard scatter unexpected sender %d", in.From)
 		}
@@ -210,7 +210,7 @@ func (ws *Workspace) ShardAllreduceSparseAgg(ep transport.Endpoint, g Group, tag
 		if sv.Dim != part.Dim {
 			return tr, fmt.Errorf("collective: shard gather dim %d, want %d", sv.Dim, part.Dim)
 		}
-		src := g.IndexOf(int(in.From))
+		src := ws.memberIndex(in.From)
 		if src < 0 || src == me || gathered[src] != nil || !planPairs(plan, me, src) {
 			return tr, fmt.Errorf("collective: shard gather unexpected sender %d", in.From)
 		}

@@ -31,7 +31,11 @@ import (
 // collective completes on all members — see DESIGN.md "Memory model &
 // buffer ownership" for the per-schedule argument.
 type Workspace struct {
-	seen    []bool // group validation scratch, world-sized
+	// pos is the world-sized member table of the group the current call
+	// validated: pos[r] names rank r's member index when its gen is this
+	// call's (see memberIndex). Generation-stamped, so nothing is cleared.
+	pos     []memberPos
+	gen     uint64
 	chunks  []vec.Chunk
 	offsets []int
 	events  []Event
@@ -80,31 +84,36 @@ func (ws *Workspace) validateGroup(ep transport.Endpoint, g Group) (int, error) 
 		return 0, fmt.Errorf("collective: rank %d not in group %v", ep.Rank(), g.Ranks)
 	}
 	n := ep.Size()
-	if cap(ws.seen) < n {
-		ws.seen = make([]bool, n)
+	if len(ws.pos) < n {
+		ws.pos = make([]memberPos, n)
 	}
-	ws.seen = ws.seen[:n]
-	var err error
-	marked := 0
-	for _, r := range g.Ranks {
+	ws.gen++
+	for i, r := range g.Ranks {
 		if r < 0 || r >= n {
-			err = fmt.Errorf("collective: group rank %d out of world [0,%d)", r, n)
-			break
+			return 0, fmt.Errorf("collective: group rank %d out of world [0,%d)", r, n)
 		}
-		if ws.seen[r] {
-			err = fmt.Errorf("collective: duplicate rank %d in group", r)
-			break
+		if ws.pos[r].gen == ws.gen {
+			return 0, fmt.Errorf("collective: duplicate rank %d in group", r)
 		}
-		ws.seen[r] = true
-		marked++
-	}
-	for _, r := range g.Ranks[:marked] {
-		ws.seen[r] = false
-	}
-	if err != nil {
-		return 0, err
+		ws.pos[r] = memberPos{gen: ws.gen, idx: i}
 	}
 	return me, nil
+}
+
+// memberPos is one entry of Workspace.pos.
+type memberPos struct {
+	gen uint64
+	idx int
+}
+
+// memberIndex is Group.IndexOf for the group the current call validated,
+// in O(1): the member index of the world rank a message claims to come
+// from, or -1 for a non-member or an out-of-world rank.
+func (ws *Workspace) memberIndex(from int32) int {
+	if from < 0 || int(from) >= len(ws.pos) || ws.pos[from].gen != ws.gen {
+		return -1
+	}
+	return ws.pos[from].idx
 }
 
 // ensureSparse sizes the sparse block/arrival state for a p-member group.
@@ -331,7 +340,7 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		if sv.Dim != mine.Hi-mine.Lo {
 			return tr, fmt.Errorf("collective: psr sparse scatter dim %d, want %d", sv.Dim, mine.Hi-mine.Lo)
 		}
-		src := g.IndexOf(int(in.From))
+		src := ws.memberIndex(in.From)
 		if src < 0 || src == me || arrivals[src] != nil {
 			return tr, fmt.Errorf("collective: psr sparse scatter unexpected sender %d", in.From)
 		}
@@ -367,7 +376,7 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		if err != nil {
 			return tr, err
 		}
-		src := g.IndexOf(int(in.From))
+		src := ws.memberIndex(in.From)
 		if src < 0 || src == me {
 			return tr, fmt.Errorf("collective: psr sparse gather from unexpected rank %d", in.From)
 		}
@@ -425,7 +434,7 @@ func (ws *Workspace) ReduceSparse(ep transport.Endpoint, g Group, tagBase int32,
 		if sv.Dim != v.Dim {
 			return tr, fmt.Errorf("collective: sparse reduce dim %d, want %d", sv.Dim, v.Dim)
 		}
-		src := g.IndexOf(int(in.From))
+		src := ws.memberIndex(in.From)
 		if src < 0 || src == me || arrivals[src] != nil {
 			return tr, fmt.Errorf("collective: sparse reduce unexpected sender %d", in.From)
 		}

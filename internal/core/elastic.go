@@ -53,6 +53,10 @@ func (l latchEndpoint) Send(to int, m wire.Message) error {
 	return l.Endpoint.Send(to, m)
 }
 
+// SendNonBlocking forwards the question to the wrapped endpoint, as
+// transport.NonBlockingSender asks of wrappers: the latch adds no wait.
+func (l latchEndpoint) SendNonBlocking() bool { return transport.SendsNonBlocking(l.Endpoint) }
+
 func (l latchEndpoint) Recv(from int, tag int32) (wire.Message, error) {
 	for {
 		if l.stop.Load() {

@@ -131,20 +131,25 @@ func (s *stateStore) zFromW(wsum *sparse.Vector, cfg Config) *sparse.Vector {
 // the mean is that view; under SSP they may differ transiently and the mean
 // is the natural cluster-wide summary. Blocks with no live subscriber stay
 // zero (no data couples to them, so their z is provably zero).
+//
+// A view is added over its support only, rank by rank: zStore is +0 off
+// support(zSparse) (see beginZ) and zSparse lies inside the rank's
+// subscription, a sum that starts at +0 never becomes −0, and x + (+0) is x
+// bit for bit for every other x, NaN included — so the terms skipped are
+// exactly the ones that change nothing, each coordinate still sums its
+// subscribers in rank order, and the result equals the dense per-block sum
+// of the stored views. An explicit −0 or NaN a view does hold is an entry
+// of zSparse and is added like any other.
 func (s *stateStore) assembleInto(out []float64, alive func(rank int) bool) {
 	vec.Zero(out)
-	for b := 0; b < s.smap.Part.Blocks; b++ {
-		dst := out[s.offs[b]:s.offs[b+1]]
-		n := 0
-		for _, r := range s.smap.Subscribers(b) {
-			if !alive(int(r)) {
-				continue
-			}
-			vec.AddInto(dst, s.env.ws[r].blockView(b))
-			n++
+	for r, w := range s.env.ws {
+		if alive(r) {
+			w.zSparse.AddIntoDense(out, 1)
 		}
-		if n > 0 {
-			vec.Scale(1/float64(n), dst)
+	}
+	for b := 0; b < s.smap.Part.Blocks; b++ {
+		if n := s.smap.LiveSubscribers(b, alive); n > 0 {
+			vec.Scale(1/float64(n), out[s.offs[b]:s.offs[b+1]])
 		}
 	}
 }

@@ -1,0 +1,146 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"sync/atomic"
+	"testing"
+
+	"psrahgadmm/internal/sparse"
+	"psrahgadmm/internal/transport"
+	"psrahgadmm/internal/vec"
+)
+
+// blockView returns w's stored view of subscribed block b (the no-copy
+// zStore slice), or nil when unsubscribed.
+func blockView(w *worker, b int) []float64 {
+	subs := w.smap.Subs[w.rank]
+	i := sort.Search(len(subs), func(k int) bool { return int(subs[k]) >= b })
+	if i < len(subs) && int(subs[i]) == b {
+		return w.zStore[w.subOff[i]:w.subOff[i+1]]
+	}
+	return nil
+}
+
+// assembleDense is the body assembleInto had while it cost the dimension:
+// every live subscriber's dense view added in rank order, then averaged.
+func assembleDense(s *stateStore, out []float64, alive func(rank int) bool) {
+	vec.Zero(out)
+	for b := 0; b < s.smap.Part.Blocks; b++ {
+		dst := out[s.offs[b]:s.offs[b+1]]
+		n := 0
+		for _, r := range s.smap.Subscribers(b) {
+			if !alive(int(r)) {
+				continue
+			}
+			vec.AddInto(dst, blockView(s.env.ws[r], b))
+			n++
+		}
+		if n > 0 {
+			vec.Scale(1/float64(n), dst)
+		}
+	}
+}
+
+// TestAssembleIntoMatchesDenseSum: adding each view over its support is the
+// dense rank-order sum bit for bit — under the replicated map and a
+// 256-block sharded one, with every rank holding a different iterate (SSP),
+// ranks dead, blocks left without a live subscriber, and views that carry
+// explicit −0 and NaN entries.
+func TestAssembleIntoMatchesDenseSum(t *testing.T) {
+	const dim, world = 3000, 7
+	negZero := math.Copysign(0, -1)
+	for _, sharded := range []bool{false, true} {
+		r := rand.New(rand.NewSource(24))
+		env := &strategyEnv{dim: dim}
+		for rank := 0; rank < world; rank++ {
+			w := &worker{rank: rank, dim: dim}
+			// Rank 0 alone touches the first columns, so killing it leaves
+			// those blocks of the sharded map without a live subscriber.
+			lo := 40
+			if rank == 0 {
+				lo = 0
+			}
+			for c := lo; c < dim; c++ {
+				if c < 40 || r.Intn(9) == 0 {
+					w.active = append(w.active, int32(c))
+				}
+			}
+			env.ws = append(env.ws, w)
+		}
+		s := newStateStore(env, sharded, 256)
+		if got := s.smap.Part.Blocks; sharded != (got == 256) {
+			t.Fatalf("sharded=%v: %d blocks", sharded, got)
+		}
+		for round := 0; round < 3; round++ { // later iterates overwrite earlier supports
+			for _, w := range env.ws {
+				z := sparse.NewVector(dim, 0)
+				for c := 0; c < dim; c++ {
+					switch r.Intn(12) {
+					case 0, 1, 2:
+						z.Append(int32(c), r.NormFloat64())
+					case 3:
+						z.Append(int32(c), negZero)
+					case 4:
+						z.Append(int32(c), 0)
+					case 5:
+						if r.Intn(20) == 0 {
+							z.Append(int32(c), math.NaN())
+						}
+					}
+				}
+				w.keepZ(z)
+			}
+			for _, dead := range [][]int{nil, {0}, {0, 3, 6}, {1, 2, 3, 4, 5, 6}} {
+				alive := func(rank int) bool {
+					for _, d := range dead {
+						if d == rank {
+							return false
+						}
+					}
+					return true
+				}
+				if sharded && !alive(0) {
+					if counts := s.smap.LiveCounts(nil, alive); counts[0] != 0 {
+						t.Fatalf("block 0 has %d live subscribers with rank 0 dead, want none", counts[0])
+					}
+				}
+				got, want := make([]float64, dim), make([]float64, dim)
+				got[0], got[dim-1] = 5, math.NaN() // the output is overwritten, not accumulated into
+				s.assembleInto(got, alive)
+				assembleDense(s, want, alive)
+				nans := 0
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("sharded=%v round %d dead %v: out[%d] = %x, dense sum %x",
+							sharded, round, dead, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+					}
+					if math.IsNaN(want[j]) {
+						nans++
+					}
+				}
+				if len(dead) == 0 && nans == 0 {
+					t.Fatalf("sharded=%v round %d: no NaN reached the sum; the case is not covered", sharded, round)
+				}
+			}
+		}
+	}
+}
+
+// TestLatchEndpointForwardsNonBlocking: the latch adds no wait to Send, so
+// it answers what the endpoint it wraps answers — an elastic run over the
+// in-process fabric sends inline, one over a fault-injecting fabric (whose
+// sends may sleep) does not.
+func TestLatchEndpointForwardsNonBlocking(t *testing.T) {
+	var stop atomic.Bool
+	fab := transport.NewChanFabric(2)
+	defer fab.Close()
+	if !transport.SendsNonBlocking(latchEndpoint{fab.Endpoint(0), &stop}) {
+		t.Fatal("latch over a ChanFabric endpoint does not advertise non-blocking sends")
+	}
+	faulty := transport.NewFaultFabric(fab, transport.FaultPlan{})
+	if transport.SendsNonBlocking(latchEndpoint{faulty.Endpoint(0), &stop}) {
+		t.Fatal("latch over a FaultFabric endpoint advertises non-blocking sends")
+	}
+}

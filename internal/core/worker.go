@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"psrahgadmm/internal/dataset"
@@ -130,26 +129,6 @@ func (w *worker) nextZ() *sparse.Vector {
 	w.zOwnIdx = 1 - w.zOwnIdx
 	nb.Reset(w.dim)
 	return nb
-}
-
-// subIdx returns the subscription position of block b, or -1 when the
-// worker does not subscribe to it.
-func (w *worker) subIdx(b int) int {
-	subs := w.smap.Subs[w.rank]
-	i := sort.Search(len(subs), func(k int) bool { return int(subs[k]) >= b })
-	if i < len(subs) && int(subs[i]) == b {
-		return i
-	}
-	return -1
-}
-
-// blockView returns the worker's stored view of subscribed block b (the
-// no-copy zStore slice), or nil when unsubscribed.
-func (w *worker) blockView(b int) []float64 {
-	if i := w.subIdx(b); i >= 0 {
-		return w.zStore[w.subOff[i]:w.subOff[i+1]]
-	}
-	return nil
 }
 
 // residentBytes is the rank's consensus-state footprint: the z storage the

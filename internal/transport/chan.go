@@ -9,14 +9,17 @@ import (
 	"psrahgadmm/internal/wire"
 )
 
-// inboxDepth bounds each rank's unread message queue. The ADMM algorithms
-// are at most a few messages ahead per peer, so this never fills in
-// practice; if it does, Send blocks, which is exactly MPI's eager-limit
-// behaviour.
+// inboxDepth bounds each rank's undrained messages: the ones delivered
+// since its owner last entered Recv. The ADMM algorithms are at most a few
+// messages ahead per peer (a flat PSR round parks 2(p−1) in one inbox), so
+// the bound is never reached in practice; if it is, Send blocks until the
+// owner drains, which is exactly MPI's eager-limit behaviour. It is a
+// bound, not a size: a mailbox holds what is in flight and nothing is
+// allocated up front (DESIGN.md §6.1, "The in-process mailbox").
 const inboxDepth = 4096
 
-// ChanFabric is an in-process fabric connecting n rank goroutines with
-// channels. Construct it once, hand Endpoint(i) to goroutine i.
+// ChanFabric is an in-process fabric connecting n rank goroutines through
+// one mailbox per rank. Construct it once, hand Endpoint(i) to goroutine i.
 type ChanFabric struct {
 	size      int
 	zeroCopy  bool
@@ -47,19 +50,16 @@ func newChanFabric(n int, zeroCopy bool) *ChanFabric {
 	f := &ChanFabric{size: n, zeroCopy: zeroCopy}
 	f.endpoints = make([]*chanEndpoint, n)
 	for i := range f.endpoints {
-		ep := &chanEndpoint{
-			fabric: f,
-			rank:   i,
-			inbox:  make(chan wire.Message, inboxDepth),
-		}
-		ep.life.Store(&chanLife{done: make(chan struct{})})
+		ep := &chanEndpoint{fabric: f, rank: i}
+		ep.arrived.L, ep.space.L = &ep.mu, &ep.mu
+		ep.life.Store(new(chanLife))
 		f.endpoints[i] = ep
 	}
 	return f
 }
 
 // Reopen resurrects a closed endpoint as a fresh life: stale messages from
-// the previous life are drained and a new open state installed, so a
+// the previous life are dropped and a new open state installed, so a
 // rejoining rank starts with an empty inbox. The caller must guarantee the
 // previous owner goroutine has quiesced (no Recv in flight on this
 // endpoint); concurrent Sends from peers are safe — they land in either
@@ -69,16 +69,11 @@ func (f *ChanFabric) Reopen(i int) {
 		panic(err)
 	}
 	ep := f.endpoints[i]
-	for {
-		select {
-		case <-ep.inbox:
-			continue
-		default:
-		}
-		break
-	}
+	ep.mu.Lock()
+	ep.q = nil
 	ep.buf = pending{}
-	ep.life.Store(&chanLife{done: make(chan struct{})})
+	ep.life.Store(new(chanLife))
+	ep.mu.Unlock()
 }
 
 // Size returns the number of ranks.
@@ -100,17 +95,24 @@ func (f *ChanFabric) Close() {
 }
 
 // chanLife is one open-until-closed lifetime of an endpoint. Reopen swaps
-// in a fresh life; the per-life once keeps Close idempotent within it.
+// in a fresh life, so a Send that loaded the old one still sees it closed.
 type chanLife struct {
-	done chan struct{}
-	once sync.Once
+	closed atomic.Bool
 }
 
+// chanEndpoint is one rank's mailbox. mu guards q, the messages delivered
+// since the owner last drained, in arrival order; buf belongs to the owner
+// goroutine alone and holds what it drained but has not matched yet. q
+// grows to the in-flight high-water mark and is refilled from index 0.
 type chanEndpoint struct {
 	fabric *ChanFabric
 	rank   int
-	inbox  chan wire.Message
-	buf    pending
+
+	mu      sync.Mutex
+	q       []wire.Message
+	arrived sync.Cond // the owner, parked in Recv on an empty q
+	space   sync.Cond // senders held at inboxDepth
+	buf     pending
 
 	life  atomic.Pointer[chanLife]
 	stats statsCounter
@@ -138,29 +140,30 @@ func (e *chanEndpoint) Send(to int, m wire.Message) error {
 		}
 	}
 	dst := e.fabric.endpoints[to]
-	closed := e.life.Load().done
-	dstClosed := dst.life.Load().done
-	// Check closed states first: select{} picks randomly among ready cases,
-	// and a send to a closed-but-drainable inbox must still fail.
-	select {
-	case <-closed:
-		return ErrClosed
-	default:
+	own, dstLife := e.life.Load(), dst.life.Load()
+	dst.mu.Lock()
+	// A send to a closed-but-drainable inbox must still fail, and a sender
+	// held at the bound re-checks both lives on every wake: Close
+	// broadcasts space on every endpoint.
+	for {
+		if own.closed.Load() {
+			dst.mu.Unlock()
+			return ErrClosed
+		}
+		if dstLife.closed.Load() {
+			dst.mu.Unlock()
+			return fmt.Errorf("transport: send to closed rank %d: %w", to, ErrClosed)
+		}
+		if len(dst.q) < inboxDepth {
+			break
+		}
+		dst.space.Wait()
 	}
-	select {
-	case <-dstClosed:
-		return fmt.Errorf("transport: send to closed rank %d: %w", to, ErrClosed)
-	default:
-	}
-	select {
-	case <-closed:
-		return ErrClosed
-	case <-dstClosed:
-		return fmt.Errorf("transport: send to closed rank %d: %w", to, ErrClosed)
-	case dst.inbox <- m:
-		e.stats.record(m)
-		return nil
-	}
+	dst.q = append(dst.q, m)
+	dst.mu.Unlock()
+	dst.arrived.Signal()
+	e.stats.record(m)
+	return nil
 }
 
 func (e *chanEndpoint) Recv(from int, tag int32) (wire.Message, error) {
@@ -171,64 +174,101 @@ func (e *chanEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.M
 	return e.recv(from, tag, d)
 }
 
+// recvDeadline is the expiry of one parked RecvTimeout; expired is guarded
+// by the endpoint's mu.
+type recvDeadline struct {
+	timer   *time.Timer
+	expired bool
+}
+
+func (e *chanEndpoint) armDeadline(d time.Duration) *recvDeadline {
+	dl := new(recvDeadline)
+	dl.timer = time.AfterFunc(d, func() {
+		e.mu.Lock()
+		dl.expired = true
+		e.mu.Unlock()
+		e.arrived.Signal()
+	})
+	return dl
+}
+
 func (e *chanEndpoint) recv(from int, tag int32, d time.Duration) (wire.Message, error) {
 	if from != AnySource {
 		if err := checkRank(from, e.fabric.size); err != nil {
 			return wire.Message{}, err
 		}
 	}
-	timeout, stop := deadlineChan(d)
-	defer stop()
-	closed := e.life.Load().done
+	// The deadline is armed only when the wait is about to park: a match
+	// that is already delivered, and every d <= 0, costs no timer and no
+	// allocation.
+	var dl *recvDeadline
+	defer func() {
+		if dl != nil {
+			dl.timer.Stop()
+		}
+	}()
 	for {
 		if m, ok := e.buf.take(from, tag); ok {
 			return m, nil
 		}
-		// Drain already-delivered messages before consulting the closed
-		// state: a message that made it into the inbox before Close must
-		// still be matched (see the Endpoint.Recv contract).
-	drain:
-		for {
-			select {
-			case m := <-e.inbox:
-				if matches(m, from, tag) {
-					return m, nil
-				}
-				e.buf.put(m)
-			default:
-				break drain
+		e.mu.Lock()
+		// Closed and expired are consulted only on an empty q, so a message
+		// delivered before Close is always matched first (see the
+		// Endpoint.Recv contract).
+		for len(e.q) == 0 {
+			switch {
+			case e.life.Load().closed.Load():
+				e.mu.Unlock()
+				return wire.Message{}, ErrClosed
+			case dl != nil && dl.expired:
+				e.mu.Unlock()
+				return wire.Message{}, fmt.Errorf("transport: recv from %d tag %d: %w", from, tag, ErrTimeout)
+			case dl == nil && d > 0:
+				dl = e.armDeadline(d)
 			}
+			e.arrived.Wait()
 		}
-		select {
-		case <-closed:
-			return wire.Message{}, ErrClosed
-		default:
+		// Take the whole batch under one lock: trade slices when buf is
+		// drained (its slots are zeroed, its slice reset), append otherwise
+		// and zero q so the mailbox pins no payload.
+		atBound := len(e.q) >= inboxDepth
+		if len(e.buf.msgs) == 0 {
+			e.q, e.buf.msgs = e.buf.msgs, e.q
+		} else {
+			e.buf.put(e.q...)
+			clear(e.q)
+			e.q = e.q[:0]
 		}
-		select {
-		case <-closed:
-			// Loop once more: drain anything that raced in, then report
-			// ErrClosed from the check above.
-		case <-timeout:
-			return wire.Message{}, fmt.Errorf("transport: recv from %d tag %d: %w", from, tag, ErrTimeout)
-		case m := <-e.inbox:
-			if matches(m, from, tag) {
-				return m, nil
-			}
-			e.buf.put(m)
+		e.mu.Unlock()
+		if atBound {
+			e.space.Broadcast()
 		}
 	}
 }
 
 // SendNonBlocking reports that Send completes without a concurrent
-// receiver: delivery is a buffered-channel push (it can block only if a
-// peer falls inboxDepth messages behind, which the lockstep collectives
-// never approach). Collectives use this to skip the send goroutine.
+// receiver: delivery is an append to the destination's mailbox (it can
+// block only if a peer falls inboxDepth messages behind, which the lockstep
+// collectives never approach). Collectives use this to skip the send
+// goroutine.
 func (e *chanEndpoint) SendNonBlocking() bool { return true }
 
 func (e *chanEndpoint) Stats() Stats { return e.stats.snapshot() }
 
+// Close marks the life closed and wakes whoever may be parked on it: the
+// owner's Recv, and senders held at the bound of any inbox — this
+// endpoint's own goroutine may be one of them, in any peer's mailbox. n
+// wakes on a rare path. Taking each lock orders the wake after the
+// waiter's closed check.
 func (e *chanEndpoint) Close() error {
-	l := e.life.Load()
-	l.once.Do(func() { close(l.done) })
+	if e.life.Load().closed.Swap(true) {
+		return nil
+	}
+	for _, ep := range e.fabric.endpoints {
+		ep.mu.Lock()
+		ep.arrived.Broadcast()
+		ep.space.Broadcast()
+		ep.mu.Unlock()
+	}
 	return nil
 }

@@ -200,21 +200,28 @@ func TestCloseDrainsDeliveredMessages(t *testing.T) {
 	}
 }
 
-func waitInboxLen(t *testing.T, ep Endpoint, want int) {
+// inboxLen is the number of delivered messages ep's owner has not drained.
+func inboxLen(t *testing.T, ep Endpoint) int {
 	t.Helper()
-	var inbox chan wire.Message
 	switch e := ep.(type) {
 	case *chanEndpoint:
-		inbox = e.inbox
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.q)
 	case *tcpEndpoint:
-		inbox = e.inbox
+		return len(e.inbox)
 	default:
 		t.Fatalf("unknown endpoint type %T", ep)
+		return 0
 	}
+}
+
+func waitInboxLen(t *testing.T, ep Endpoint, want int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for len(inbox) < want {
+	for inboxLen(t, ep) < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("inbox never reached %d messages (have %d)", want, len(inbox))
+			t.Fatalf("inbox never reached %d messages (have %d)", want, inboxLen(t, ep))
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -518,6 +518,15 @@ func (e *faultEndpoint) Send(to int, m wire.Message) error {
 			_ = e.under.Send(to, m)
 		}
 	}
+	if errors.Is(err, ErrClosed) && e.fab.killed(self) == nil {
+		// The entry checks and the delivery are not one step: a kill landing
+		// in between surfaces from the fabric underneath as a bare closed
+		// endpoint. As in recv, prefer the typed cause over ErrClosed noise,
+		// so a survivor is not taken for the victim.
+		if d := e.fab.killed(to); d != nil {
+			err = d
+		}
+	}
 	if flush != nil {
 		// The held message arrives after its successor: order swapped.
 		e.fab.reorders.Add(1)

@@ -4,8 +4,8 @@
 // interchangeable implementations:
 //
 //   - ChanFabric: all ranks are goroutines in one process, messages travel
-//     over channels. This is the default for the engine, the tests, and the
-//     benchmark harness.
+//     through per-rank mailboxes. This is the default for the engine, the
+//     tests, and the benchmark harness.
 //   - TCPFabric: each rank is a peer in a full TCP mesh using the wire
 //     codec. This is the "custom RPC" substitute for MPI when ranks live in
 //     separate processes (see cmd/psra-worker).
@@ -184,27 +184,47 @@ func checkRank(rank, size int) error {
 	return nil
 }
 
-// pending is an ordered buffer of received-but-unmatched messages.
+// pending is the arrival-ordered buffer of received-but-unmatched
+// messages. msgs[head:] are live; msgs[:head] are vacated slots, zeroed so
+// that a taken message's payload is not pinned by the buffer.
 type pending struct {
 	msgs []wire.Message
+	head int
 }
 
 // take removes and returns the first buffered message matching (from, tag).
+// The gap is closed from the head side — a match is usually at or near the
+// head, so this moves the few messages before it, not the rest of the
+// batch — and a drained buffer resets to msgs[:0].
 func (p *pending) take(from int, tag int32) (wire.Message, bool) {
-	for i, m := range p.msgs {
-		if m.Tag != tag {
+	for i := p.head; i < len(p.msgs); i++ {
+		if !matches(p.msgs[i], from, tag) {
 			continue
 		}
-		if from != AnySource && int(m.From) != from {
-			continue
+		m := p.msgs[i]
+		copy(p.msgs[p.head+1:i+1], p.msgs[p.head:i])
+		p.msgs[p.head] = wire.Message{}
+		p.head++
+		if p.head == len(p.msgs) {
+			p.msgs, p.head = p.msgs[:0], 0
 		}
-		p.msgs = append(p.msgs[:i], p.msgs[i+1:]...)
 		return m, true
 	}
 	return wire.Message{}, false
 }
 
-func (p *pending) put(m wire.Message) { p.msgs = append(p.msgs, m) }
+// put appends ms in arrival order. The vacated prefix is reclaimed once it
+// is at least as long as the live part, so a buffer that never fully drains
+// stays within a constant factor of its live high-water mark at amortised
+// constant cost per message.
+func (p *pending) put(ms ...wire.Message) {
+	if p.head > 0 && p.head >= len(p.msgs)-p.head {
+		n := copy(p.msgs, p.msgs[p.head:])
+		clear(p.msgs[n:])
+		p.msgs, p.head = p.msgs[:n], 0
+	}
+	p.msgs = append(p.msgs, ms...)
+}
 
 // matches reports whether m satisfies a Recv(from, tag) call.
 func matches(m wire.Message, from int, tag int32) bool {
