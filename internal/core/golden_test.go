@@ -114,6 +114,18 @@ func goldenCases() []goldenCase {
 		// still had a dense data plane; it holds the sparse one to that
 		// arithmetic.
 		{"admmlib-rejoin", func() Config { return rejoined(ADMMLib, 5) }},
+		// The worker-granular and relaxed-barrier paths, recorded before the
+		// five strategies moved onto one barrier frame: flat serving stale
+		// contributions through its double buffer (async), flat with per-rank
+		// codec state (top-k), the robust combine at each of its three combine
+		// points (PSR owner, per-block PSR owner, star master), and the tree
+		// under SSP over sharded state.
+		{"psra-admm-async", func() Config { return base(PSRAADMMAsync) }},
+		{"psra-admm-topk", func() Config { return base(PSRAADMMTopK) }},
+		{"psra-admm-robust", func() Config { return base(PSRAADMMRobust) }},
+		{"psra-admm-sharded-robust", func() Config { return base(PSRAADMMShardedRobust) }},
+		{"gc-admm-median", func() Config { return base(GCADMMMedian) }},
+		{"psra-hgadmm-sharded-ssp", func() Config { return base(PSRAHGADMMShardedSSP) }},
 	}
 }
 
