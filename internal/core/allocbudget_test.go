@@ -142,3 +142,41 @@ func TestTreeRoundAllocatesBelowDimension(t *testing.T) {
 		t.Fatalf("tree steady state allocates %.0f bytes/iter, want < 8·dim = %d", best, 8*dim)
 	}
 }
+
+// TestStrategyAllocBudgets holds every consensus strategy to the barrier
+// frame's promise: opening, delivering and settling a round reuse the
+// frame's buffers, so what a warmed iteration still allocates is the
+// strategy's own — the tree's entries and per-merge vectors, the star
+// trace, zFromW's result. Each budget is half the figure the strategy
+// measured (4×2 world, objects/iteration) while its launch still allocated
+// batches, contributions and partials per round: gc-admm 97, ad-admm 61,
+// psra-hgadmm 178, gr-admm 188, admmlib 139, psra-hgadmm-group 175,
+// psra-hgadmm-sharded-ssp 116.
+func TestStrategyAllocBudgets(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	train, _ := testData(t, 240)
+	for _, tc := range []struct {
+		alg    Algorithm
+		budget float64
+	}{
+		{GCADMM, 48},
+		{ADADMM, 30},
+		{PSRAHGADMM, 89},
+		{GRADMM, 94},
+		{ADMMLib, 69},
+		{PSRAHGADMMGroup, 87},
+		{PSRAHGADMMShardedSSP, 58},
+	} {
+		t.Run(string(tc.alg), func(t *testing.T) {
+			cfg := baseConfig(tc.alg, 4, 2)
+			cfg.EvalEvery = 1 << 20
+			got := marginalAllocs(t, cfg, train, 30, 130)
+			t.Logf("steady-state allocations: %.2f objects/iter (budget %g)", got, tc.budget)
+			if got > tc.budget {
+				t.Fatalf("steady-state allocations: %.2f objects/iter exceeds budget %g", got, tc.budget)
+			}
+		})
+	}
+}

@@ -327,57 +327,6 @@ func denseRingTrace(leaders []int, dim int) collective.Trace {
 	return tr
 }
 
-// denseFanTrace models a one-step dense fan over the node bus: reduce=true
-// is the workers→leader fan-in, reduce=false the leader→workers fan-out.
-// Every message has the same fixed size (dense vectors).
-func denseFanTrace(workers []int, leader int, msgBytes int, reduce bool) collective.Trace {
-	tr := collective.Trace{Steps: 1}
-	for _, r := range workers {
-		if r == leader {
-			continue
-		}
-		e := collective.Event{Step: 0, From: r, To: leader, Bytes: msgBytes}
-		if !reduce {
-			e.From, e.To = leader, r
-		}
-		tr.Events = append(tr.Events, e)
-	}
-	return tr
-}
-
-// intraReduceTrace models the intra-node fan-in of workers' w vectors to
-// their Leader: one step, wpn−1 messages over the bus. Message sizes use
-// the senders' actual sparse sizes.
-func intraReduceTrace(workers []int, leader int, nnzs []int) collective.Trace {
-	tr := collective.Trace{Steps: 1}
-	for i, r := range workers {
-		if r == leader {
-			continue
-		}
-		tr.Events = append(tr.Events, collective.Event{
-			Step: 0, From: r, To: leader,
-			Bytes: 8 + wire.SparseEntryBytes*nnzs[i],
-		})
-	}
-	return tr
-}
-
-// intraBcastTrace models the Leader broadcasting the aggregate back: one
-// step, wpn−1 bus messages of the aggregate's size.
-func intraBcastTrace(workers []int, leader, aggNNZ int) collective.Trace {
-	tr := collective.Trace{Steps: 1}
-	for _, r := range workers {
-		if r == leader {
-			continue
-		}
-		tr.Events = append(tr.Events, collective.Event{
-			Step: 0, From: leader, To: r,
-			Bytes: 8 + wire.SparseEntryBytes*aggNNZ,
-		})
-	}
-	return tr
-}
-
 // ggRequestBytes is the payload of a Leader→GG grouping request plus the
 // reply (a handful of int64s). The GG round trip is charged at inter-node
 // cost.

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/sparse"
 )
 
@@ -16,16 +15,15 @@ import (
 // SSP/async the isolation compounds: stale nodes are simply absent from
 // the round's grouping instead of gating it.
 type groupStrategy struct {
-	nodeFrame
+	barrierFrame // one participant per node
 }
 
 func newGroupStrategy(env *strategyEnv, cfg Config) *groupStrategy {
-	return &groupStrategy{newNodeFrame(env, cfg)}
+	return &groupStrategy{newBarrierFrame(env, cfg.Topo.WorkersPerNode)}
 }
 
 func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	env := st.env
-	topo := cfg.Topo
 	var timing iterTiming
 	st.open(cfg, iter, &timing)
 
@@ -83,27 +81,22 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		start += ggRTT
 		timing.bytes += int64(len(group) * ggRequestBytes * 2)
 
-		var agg *sparse.Vector
-		var tr collective.Trace
-		if len(group) == 1 {
-			agg, tr = group[0].sum, collective.Trace{}
-		} else {
+		agg, commT := group[0].sum, 0.0
+		if len(group) > 1 {
 			// The aggregate is retained into results for phase 2, so it
 			// gets its own vector rather than crew scratch.
 			agg = new(sparse.Vector)
-			var err error
-			tr, err = groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
+			tr, err := groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
 			if err != nil {
 				return timing, err
 			}
-			tr = env.codec.WireTrace(tr)
+			commT = st.charge(cfg, st.wire(tr), &timing)
 		}
-		timing.bytes += traceBytes(tr)
 		results = append(results, groupResult{
 			group: group,
 			agg:   agg,
 			start: start,
-			commT: cfg.Cost.TraceTime(topo, tr),
+			commT: commT,
 		})
 	}
 

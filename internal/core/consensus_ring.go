@@ -15,7 +15,7 @@ import "psrahgadmm/internal/sparse"
 // ADMMLib's communication volume is flat in cluster size and why PSRA's
 // sparse exchange undercuts it.
 type ringStrategy struct {
-	nodeFrame
+	barrierFrame // one participant per node
 	// lastRingEnd serializes consecutive rings through the Leaders' NICs.
 	lastRingEnd float64
 	// agg is the ring's result sink.
@@ -23,39 +23,30 @@ type ringStrategy struct {
 }
 
 func newRingStrategy(env *strategyEnv, cfg Config) *ringStrategy {
-	return &ringStrategy{nodeFrame: newNodeFrame(env, cfg), agg: new(sparse.Vector)}
+	return &ringStrategy{barrierFrame: newBarrierFrame(env, cfg.Topo.WorkersPerNode), agg: new(sparse.Vector)}
 }
 
 func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	env := st.env
-	topo := cfg.Topo
 	dense := env.codec.DenseExchange()
 	var timing iterTiming
-	liveNodes, ranksOf, cutoff := st.open(cfg, iter, &timing)
+	cutoff := st.open(cfg, iter, &timing)
 
 	// The ring runs among every live node's Leader (the node's first
 	// surviving rank) — stale Leaders serve their cached partial.
-	leaders := make([]int, len(liveNodes))
-	inputs := make([]*sparse.Vector, len(liveNodes))
-	for i, n := range liveNodes {
-		leaders[i] = ranksOf[n][0]
-		inputs[i] = st.wCur[n]
-	}
 	ringStart := maxf(cutoff, st.lastRingEnd)
 	var commT float64
-	agg := inputs[0]
-	if len(liveNodes) > 1 {
-		tr, err := groupAllreduce(env, leaders, commRingSparse, nil, inputs, st.agg)
+	agg := st.inputs[0]
+	if len(st.live) > 1 {
+		tr, err := groupAllreduce(env, st.leaders, commRingSparse, nil, st.inputs, st.agg)
 		if err != nil {
 			return timing, err
 		}
 		agg = st.agg
 		if dense {
-			tr = denseRingTrace(leaders, env.dim)
+			tr = denseRingTrace(st.leaders, env.dim)
 		}
-		tr = env.codec.WireTrace(tr)
-		commT = cfg.Cost.TraceTime(topo, tr)
-		timing.bytes += traceBytes(tr)
+		commT = st.charge(cfg, st.wire(tr), &timing)
 	} else if dense {
 		// Copy: the rounding below mutates the aggregate, and the cached
 		// partial must stay intact for later stale rounds.
@@ -76,8 +67,8 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		env.codec.EncodeSparse(z)
 	}
 
-	for _, n := range st.fresh {
-		st.deliver(cfg, n, z, ringEnd, &timing)
+	for _, p := range st.fresh {
+		st.deliver(cfg, p, z, ringEnd, &timing)
 	}
 	st.settle(&timing)
 	return timing, nil

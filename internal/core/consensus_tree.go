@@ -54,37 +54,36 @@ func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *entryHeap) Push(x any)   { *h = append(*h, x.(*aggEntry)) }
 func (h *entryHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// treeStrategy adds no state to the node frame: the tree is rebuilt from
-// the nodes' partials every round.
+// treeStrategy adds no state to the barrier frame: the tree is rebuilt
+// from the nodes' partials every round.
 type treeStrategy struct {
-	nodeFrame
+	barrierFrame // one participant per node
 }
 
 func newTreeStrategy(env *strategyEnv, cfg Config) *treeStrategy {
-	return &treeStrategy{newNodeFrame(env, cfg)}
+	return &treeStrategy{newBarrierFrame(env, cfg.Topo.WorkersPerNode)}
 }
 
 func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	env := st.env
-	topo := cfg.Topo
 	var timing iterTiming
-	liveNodes, ranksOf, cutoff := st.open(cfg, iter, &timing)
+	cutoff := st.open(cfg, iter, &timing)
 
 	// Leaves: fresh nodes arrive at their finish time; stale nodes' cached
 	// partials are available at the cutoff (the GG retained them). Fully
 	// dead nodes are gone: their shards leave the consensus, and the
 	// z-update rescales to the surviving worker count below.
 	seq := 0
-	pending := make(entryHeap, 0, len(liveNodes))
-	for _, n := range liveNodes {
+	pending := make(entryHeap, 0, len(st.live))
+	for i, n := range st.live {
 		ready := cutoff
 		if st.isFresh[n] {
 			ready = st.clocks[n].pending.finish
 		}
 		pending = append(pending, &aggEntry{
 			seq:      seq,
-			rep:      ranksOf[n][0],
-			value:    st.wCur[n],
+			rep:      st.leaders[i],
+			value:    st.inputs[i],
 			ready:    ready,
 			leafNode: n,
 		})
@@ -104,8 +103,8 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// is then node-granular — one Byzantine worker poisons its node's
 	// partial and the trim drops that whole node — which is the honest
 	// granularity of a hierarchy that sums within nodes first.
-	if env.agg.Robust() && threshold < len(liveNodes) {
-		threshold = len(liveNodes)
+	if env.agg.Robust() && threshold < len(st.live) {
+		threshold = len(st.live)
 	}
 	ggRTT := 2 * (cfg.Cost.InterAlpha + float64(ggRequestBytes)*cfg.Cost.InterBeta)
 
@@ -127,13 +126,11 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr = env.codec.WireTrace(tr)
-		timing.bytes += traceBytes(tr)
 		e := &aggEntry{
 			seq:      seq,
 			rep:      group[0].rep,
 			value:    agg,
-			ready:    start + cfg.Cost.TraceTime(topo, tr),
+			ready:    start + st.charge(cfg, st.wire(tr), &timing),
 			children: group,
 			leafNode: -1,
 		}
@@ -201,8 +198,7 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 				Step: 0, From: e.rep, To: c.rep, Bytes: wBytes,
 			})
 		}
-		timing.bytes += traceBytes(tr)
-		tNext := t + cfg.Cost.TraceTime(topo, tr)
+		tNext := t + st.charge(cfg, tr, &timing)
 		descend(e.children[0], t)
 		for _, c := range e.children[1:] {
 			descend(c, tNext)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/wire"
 )
@@ -91,25 +90,6 @@ func (l latchEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.M
 	}
 }
 
-// liveWorkersOf returns node n's live world ranks in topology order.
-func (env *strategyEnv) liveWorkersOf(topo simnet.Topology, n int) []int {
-	return env.members.Live(topo.WorkersOf(n))
-}
-
-// liveNodes returns the nodes with at least one live worker, plus each
-// node's live rank list indexed by node.
-func (env *strategyEnv) liveNodes(topo simnet.Topology) (nodes []int, ranksOf [][]int) {
-	ranksOf = make([][]int, topo.Nodes)
-	nodes = make([]int, 0, topo.Nodes)
-	for n := 0; n < topo.Nodes; n++ {
-		ranksOf[n] = env.liveWorkersOf(topo, n)
-		if len(ranksOf[n]) > 0 {
-			nodes = append(nodes, n)
-		}
-	}
-	return nodes, ranksOf
-}
-
 // liveWorkers returns the live workers' state in rank order. With nobody
 // dead it returns the full slice unchanged, so the happy path sums in
 // exactly the pre-elastic order.
@@ -126,15 +106,6 @@ func (env *strategyEnv) liveWorkers() []*worker {
 	return out
 }
 
-// allRanks returns the full world rank list [0, n).
-func allRanks(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // prunePending drops dead members from an in-flight batch in place,
 // reporting whether anything was removed. A batch can shrink to zero
 // members; the caller then discards it entirely.
@@ -147,9 +118,7 @@ func (env *strategyEnv) prunePending(p *pendingCompute) bool {
 		p.ranks[keep] = p.ranks[i]
 		p.starts[keep] = p.starts[i]
 		p.cals[keep] = p.cals[i]
-		if p.vs != nil {
-			p.vs[keep] = p.vs[i]
-		}
+		p.vs[keep] = p.vs[i]
 		keep++
 	}
 	if keep == len(p.ranks) {
@@ -158,8 +127,6 @@ func (env *strategyEnv) prunePending(p *pendingCompute) bool {
 	p.ranks = p.ranks[:keep]
 	p.starts = p.starts[:keep]
 	p.cals = p.cals[:keep]
-	if p.vs != nil {
-		p.vs = p.vs[:keep]
-	}
+	p.vs = p.vs[:keep]
 	return true
 }

@@ -88,7 +88,7 @@ func TestElasticSurvivesScheduledKills(t *testing.T) {
 // matter here: the fault fabric's one-shot any-source death report races
 // against queued deliveries, so a round retry fires on some executions
 // and not others, and Bytes accounting must be retry-invariant (launch
-// fan-in bytes ride on the pending batch; see nodeFrame.open).
+// fan-in bytes ride on the pending batch; see barrierFrame.open).
 func TestElasticDeterministic(t *testing.T) {
 	train, test := testData(t, 160)
 	run := func() *Result {

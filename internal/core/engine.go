@@ -321,7 +321,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 				}
 			}
 		}
-		if (cfg.Elastic || env.screen != nil) && members.LiveCount() == 0 {
+		if env.reconciles() && members.LiveCount() == 0 {
 			return fail(iter, errors.New("no live workers remain"))
 		}
 		if rs := corruptAt[iter]; len(rs) > 0 {

@@ -126,6 +126,13 @@ func goldenCases() []goldenCase {
 		{"psra-admm-sharded-robust", func() Config { return base(PSRAADMMShardedRobust) }},
 		{"gc-admm-median", func() Config { return base(GCADMMMedian) }},
 		{"psra-hgadmm-sharded-ssp", func() Config { return base(PSRAHGADMMShardedSSP) }},
+		// Kill+rejoin under a relaxed barrier. A kill at 6 (not 4 — until its
+		// first admission rank 3 holds the cold-start cache anyway) finds a
+		// cached contribution; rank 3 comes back at 8 and is stale for the
+		// rounds after, serving an EMPTY one — the frame dropped what it held
+		// when it left. Recorded after that fix; the engine before it fed those
+		// rounds the pre-death vector.
+		{"psra-admm-async-rejoin", func() Config { return rejoined(PSRAADMMAsync, 6) }},
 	}
 }
 

@@ -298,7 +298,7 @@ func TestResidualProperties(t *testing.T) {
 	}
 }
 
-// Property: wSparse equals the mathematical w = y + ρx reconstructed at
+// Property: wSparseInto yields the mathematical w = y + ρx reconstructed at
 // full dimension, where off-active x_j = z_j and y_j = 0.
 func TestWSparseMatchesDefinition(t *testing.T) {
 	train, _ := testData(t, 80)
@@ -321,7 +321,7 @@ func TestWSparseMatchesDefinition(t *testing.T) {
 		pool.run(cfg, ws, iter)
 		acc := sparse.NewAccumulator(train.Dim())
 		for _, w := range ws {
-			acc.Add(w.wSparse(cfg.Rho))
+			acc.Add(w.wSparseInto(new(sparse.Vector), cfg.Rho))
 		}
 		bigW := acc.Sum()
 		for _, w := range ws {
@@ -329,7 +329,7 @@ func TestWSparseMatchesDefinition(t *testing.T) {
 		}
 	}
 	for _, w := range ws {
-		got := w.wSparse(cfg.Rho).ToDense()
+		got := w.wSparseInto(new(sparse.Vector), cfg.Rho).ToDense()
 		want := make([]float64, train.Dim())
 		// Reconstruct: active coords from (xA, yA); off-active from ρ·z.
 		copy(want, w.zStore) // the full dimension under the one-block map

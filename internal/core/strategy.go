@@ -227,7 +227,7 @@ func (env *strategyEnv) nextTagBase() int32 {
 // then through inspect. rank is a world rank. Every sparse-exchange
 // contribution passes through here on its way into a reduce; the
 // dense-exchange ring rounds the node partial instead of the contribution
-// (nodeFrame.partial) and calls inspect alone.
+// (barrierFrame.formPartial) and calls inspect alone.
 func (env *strategyEnv) encodeSparse(rank int, v *sparse.Vector) {
 	if env.states != nil {
 		env.states[rank].Encode(v)

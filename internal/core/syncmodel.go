@@ -42,7 +42,7 @@ func SyncKinds() []SyncKind { return []SyncKind{SyncBSP, SyncSSP, SyncAsync} }
 
 // SyncModel decides how many participants a round waits for and how stale
 // a laggard may grow. Implementations are stateless; the per-participant
-// bookkeeping ([]sspClock) lives in the strategy.
+// bookkeeping ([]sspClock) lives in the strategies' barrier frame.
 type SyncModel interface {
 	Kind() SyncKind
 	// Quorum returns the partial-barrier size in participants, given the
@@ -96,18 +96,20 @@ func (asyncSync) Kind() SyncKind      { return SyncAsync }
 func (asyncSync) Quorum(_, _ int) int { return 1 }
 func (s asyncSync) Delay() int        { return s.maxDelay }
 
-// pendingCompute is an in-flight x-update batch (one node for the
-// hierarchical strategies, one worker for star/flat) whose result becomes
-// visible at finish. The per-member encoded contributions (vs) are
-// retained so an elastic run can rebuild the batch's partial sum exactly
-// when a member dies between launch and admission — recomputing w from
-// worker state would be wrong once AdaptiveRho has moved ρ.
+// pendingCompute is a participant's in-flight x-update batch (one node for
+// the hierarchical strategies, one worker for star/flat) whose partial w
+// becomes visible at finish. The per-member encoded contributions (vs) are
+// retained so an elastic run can re-form the partial exactly when a member
+// dies between launch and admission — recomputing w from worker state
+// would be wrong once AdaptiveRho has moved ρ. The barrier frame owns the
+// storage behind every field and refills it at each launch.
 type pendingCompute struct {
 	finish float64
 	ranks  []int            // per-member world ranks (live at launch)
 	starts []float64        // per-member clock at compute start
 	cals   []float64        // per-member compute time
 	vs     []*sparse.Vector // per-member encoded w contribution
+	w      *sparse.Vector   // the batch's partial: Σ vs, the cached one once admitted
 	// launchIter/launchBytes record the launch fan-in so its bytes are
 	// charged by the launch ITERATION, not the launch call: the batch
 	// survives elastic round retries (compute runs once), so a retried

@@ -121,7 +121,7 @@ func (w *worker) initStore(m *shard.Map) {
 
 // nextZ flips the worker-private double buffer and returns the emptied side
 // to build the next sparse consensus view in. The vector w.zSparse points
-// at is never the one returned — the last round's wSparse merge may still
+// at is never the one returned — the last round's wSparseInto merge may still
 // be comparing against it — and because zOwn is worker-private it can never
 // alias a strategy-shared z vector.
 func (w *worker) nextZ() *sparse.Vector {
@@ -174,16 +174,10 @@ func (w *worker) xUpdate(cfg Config, iter int) float64 {
 	return t
 }
 
-// wSparse assembles w_i = y_i + ρ·x_i (eq. 8) as a sparse vector: the
-// active columns carry y_A + ρ·x_A; off-active columns carry ρ·z_j on the
-// consensus support (see the worker doc comment).
-func (w *worker) wSparse(rho float64) *sparse.Vector {
-	return w.wSparseInto(sparse.NewVector(w.dim, len(w.active)+w.zSparse.NNZ()), rho)
-}
-
-// wSparseInto is wSparse writing into out (emptied first, backing arrays
-// reused). The merge order and zero-skipping are identical to the
-// allocating form, so reuse never perturbs the bit-exact histories.
+// wSparseInto assembles w_i = y_i + ρ·x_i (eq. 8) as a sparse vector in
+// out (emptied first, backing arrays reused): the active columns carry
+// y_A + ρ·x_A; off-active columns carry ρ·z_j on the consensus support (see
+// the worker doc comment). Exact zeros are skipped.
 func (w *worker) wSparseInto(out *sparse.Vector, rho float64) *sparse.Vector {
 	out.Reset(w.dim)
 	ai, zi := 0, 0
