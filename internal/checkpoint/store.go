@@ -34,14 +34,6 @@ const sumTrailerLen = len(sumMagic) + 4
 
 var sumTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendSum returns data with the integrity trailer appended.
-func appendSum(data []byte) []byte {
-	out := make([]byte, 0, len(data)+sumTrailerLen)
-	out = append(out, data...)
-	out = append(out, sumMagic...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(data, sumTable))
-}
-
 // checkSum verifies and strips the trailer; a file without one fails like
 // any other file whose trailer does not match.
 func checkSum(data []byte) ([]byte, error) {
@@ -91,15 +83,22 @@ func NewDirStore(dir, name string) (*DirStore, error) {
 // Path returns the snapshot's final path.
 func (s *DirStore) Path() string { return filepath.Join(s.dir, s.name) }
 
-// Save atomically replaces the stored snapshot, appending the integrity
-// trailer Load verifies.
+// Save atomically replaces the stored snapshot: the caller's bytes, read
+// once for the CRC and once by the write and never copied or kept, then the
+// integrity trailer Load verifies.
 func (s *DirStore) Save(data []byte) error {
-	data = appendSum(data)
 	tmp, err := os.CreateTemp(s.dir, s.name+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	var trailer [sumTrailerLen]byte
+	copy(trailer[:], sumMagic)
+	binary.LittleEndian.PutUint32(trailer[len(sumMagic):], crc32.Checksum(data, sumTable))
+	_, err = tmp.Write(data)
+	if err == nil {
+		_, err = tmp.Write(trailer[:])
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("checkpoint: %w", err)

@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -115,6 +117,57 @@ func TestDirStoreRejectsLegacyFile(t *testing.T) {
 	}
 	if _, ok, err := s.Load(); ok || !errors.Is(err, ErrChecksum) {
 		t.Fatalf("legacy load: ok=%v err=%v, want ErrChecksum", ok, err)
+	}
+}
+
+// TestDirStoreSaveLayout pins what Save puts on disk — blob ‖ "PSCKSUM1" ‖
+// little-endian CRC32C(blob), the layout every earlier build wrote and
+// reads — and that Save only reads the caller's slice: it writes neither
+// inside it nor into the spare capacity behind it (an append-in-place
+// trailer would), it leaves no temp file, and what was saved does not
+// follow later writes to the slice.
+func TestDirStoreSaveLayout(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDirStore(dir, "engine.psck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 4096, 1<<20 + 3} {
+		backing := make([]byte, n+64)
+		for i := range backing {
+			backing[i] = byte(i*131 + n)
+		}
+		before := append([]byte(nil), backing...)
+		blob := backing[:n] // 64 bytes of spare capacity behind it
+		if err := s.Save(blob); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(backing, before) {
+			t.Fatalf("n=%d: Save wrote to the caller's slice or its spare capacity", n)
+		}
+		want := append(append([]byte(nil), blob...), "PSCKSUM1"...)
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli)))
+		file, err := os.ReadFile(s.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, want) {
+			t.Fatalf("n=%d: file is not blob ‖ PSCKSUM1 ‖ crc32c(blob) (%d bytes, want %d)", n, len(file), len(want))
+		}
+		for i := range backing {
+			backing[i] ^= 0xff
+		}
+		got, ok, err := s.Load()
+		if err != nil || !ok || !bytes.Equal(got, before[:n]) {
+			t.Fatalf("n=%d: load after the caller reused its slice: ok=%v err=%v", n, ok, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("n=%d: %d directory entries after Save, want only the snapshot", n, len(entries))
+		}
 	}
 }
 

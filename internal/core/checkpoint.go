@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"psrahgadmm/internal/checkpoint"
@@ -84,13 +85,17 @@ func (st *ringStrategy) stateRestore(vals []float64) error {
 // nextIter. Dead workers' state is captured too — it is frozen at their
 // last applied update and harmless, and keeping every rank makes the
 // format independent of who died when.
+//
+// The snapshot ALIASES zPrev and every worker's x, y and sparse z: it is
+// built between rounds, when nothing writes them, and saveCheckpoint has
+// encoded it before the loop moves on. It must not outlive that.
 func buildSnapshot(cfg Config, env *strategyEnv, strat ConsensusStrategy, nextIter int, zPrev []float64, res *Result) *exchange.Snapshot {
 	snap := &exchange.Snapshot{
 		Algorithm:  string(cfg.Algorithm),
 		Iter:       int32(nextIter),
 		Rho:        cfg.Rho,
 		Epoch:      int32(env.members.Epoch()),
-		ZPrev:      append([]float64(nil), zPrev...),
+		ZPrev:      zPrev,
 		TotalCal:   res.TotalCalTime,
 		TotalComm:  res.TotalCommTime,
 		TotalBytes: res.TotalBytes,
@@ -103,19 +108,17 @@ func buildSnapshot(cfg Config, env *strategyEnv, strat ConsensusStrategy, nextIt
 	}
 	snap.Workers = make([]exchange.WorkerSnap, 0, len(env.ws))
 	for _, w := range env.ws {
-		// The z state travels in the layout the rank holds: the compact
-		// subscribed-block concatenation (the full dimension replicated).
-		// The PSCK format is the same for every placement — only the
-		// slice's length differs.
+		// z travels once, as the sparse view: zStore is its scatter (beginZ)
+		// and applySnapshot rebuilds it. ZDense, the field psra-worker's
+		// full-dimension ranks write, stays empty.
 		snap.Workers = append(snap.Workers, exchange.WorkerSnap{
 			Rank:     int32(w.rank),
 			Clock:    w.clock,
 			CalTotal: w.calTotal,
-			XA:       append([]float64(nil), w.xA...),
-			YA:       append([]float64(nil), w.yA...),
-			ZDense:   append([]float64(nil), w.zStore...),
-			ZIdx:     append([]int32(nil), w.zSparse.Index...),
-			ZVal:     append([]float64(nil), w.zSparse.Value...),
+			XA:       w.xA,
+			YA:       w.yA,
+			ZIdx:     w.zSparse.Index,
+			ZVal:     w.zSparse.Value,
 		})
 	}
 	return snap
@@ -174,6 +177,29 @@ func rollbackToSnapshot(ck *CheckpointOptions, cfg *Config, env *strategyEnv, st
 	return iter, true, nil
 }
 
+// checkSnap reports how s does not fit this worker. A CRC-valid file is
+// still outside input, and keepZ trusts its argument to be a well-formed
+// sparse vector inside the rank's subscription.
+func (w *worker) checkSnap(s *exchange.WorkerSnap) error {
+	if len(s.XA) != len(w.xA) || len(s.YA) != len(w.yA) || (len(s.ZDense) != 0 && len(s.ZDense) != len(w.zStore)) {
+		return errors.New("state shape does not match this dataset (or its shard layout)")
+	}
+	z := sparse.Vector{Dim: w.dim, Index: s.ZIdx, Value: s.ZVal}
+	if err := z.Check(); err != nil {
+		return fmt.Errorf("z view: %w", err)
+	}
+	inside := 0
+	for i := range w.smap.Subs[w.rank] {
+		lo, hi, _ := w.sub(i)
+		from, to := z.Range(lo, hi)
+		inside += to - from
+	}
+	if inside != z.NNZ() {
+		return fmt.Errorf("z view: %d of %d entries lie outside the rank's subscription", z.NNZ()-inside, z.NNZ())
+	}
+	return nil
+}
+
 // applySnapshot validates snap against the run and copies its state into
 // the live workers, returning the snapshot's iteration. restoreMembers
 // additionally restores the membership view (epoch + dead set) — wanted on
@@ -196,25 +222,22 @@ func applySnapshot(snap *exchange.Snapshot, cfg *Config, env *strategyEnv, strat
 			return 0, fmt.Errorf("core: snapshot worker %d has invalid rank %d", i, r)
 		}
 		seen[r] = true
-		w := env.ws[r]
-		if len(s.XA) != len(w.xA) || len(s.YA) != len(w.yA) || len(s.ZDense) != len(w.zStore) {
-			return 0, fmt.Errorf("core: snapshot rank %d state shape does not match this dataset (or its shard layout)", r)
+		if err := env.ws[r].checkSnap(s); err != nil {
+			return 0, fmt.Errorf("core: snapshot rank %d %w", r, err)
 		}
-		if len(s.ZIdx) != len(s.ZVal) {
-			return 0, fmt.Errorf("core: snapshot rank %d sparse z index/value length mismatch", r)
-		}
+	}
+	// Every record is valid: no worker is touched unless all can be.
+	for i := range snap.Workers {
+		s := &snap.Workers[i]
+		w := env.ws[s.Rank]
 		// Copy INTO the existing slices: the worker's solver aliases yA
 		// (and zA) — reassigning the slice headers would silently detach
-		// the objective from the dual variable. The sparse view is rebuilt
-		// fresh.
+		// the objective from the dual variable. keepZ copies the sparse view
+		// and scatters it; a file that also carries the scatter as ZDense
+		// (earlier builds) restores to the same state.
 		copy(w.xA, s.XA)
 		copy(w.yA, s.YA)
-		copy(w.zStore, s.ZDense)
-		w.zSparse = &sparse.Vector{
-			Dim:   w.dim,
-			Index: append([]int32(nil), s.ZIdx...),
-			Value: append([]float64(nil), s.ZVal...),
-		}
+		w.keepZ(&sparse.Vector{Dim: w.dim, Index: s.ZIdx, Value: s.ZVal})
 		w.clock = s.Clock
 		w.calTotal = s.CalTotal
 	}

@@ -45,6 +45,10 @@ type RunOptions struct {
 	// creates a private one when nil; the same numbers always surface in
 	// every IterStat.
 	Health *metrics.Health
+	// afterRound, when non-nil, gets the run's workers after each round's
+	// stats and before the divergence check: where an in-package test
+	// plants state the fault plan cannot express.
+	afterRound func(iter int, ws []*worker)
 }
 
 // Run trains L1-regularized logistic regression on train with the
@@ -438,15 +442,24 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		if opts.OnIteration != nil {
 			opts.OnIteration(stat)
 		}
+		if opts.afterRound != nil {
+			opts.afterRound(iter, ws)
+		}
 		// Divergence check BEFORE the adaptive penalty and the checkpoint
 		// save: a poisoned iteration must neither steer ρ nor be persisted
 		// as a "good" snapshot. The iterate scan runs first — a NaN that a
 		// zero gather or a sparse merge masked out of the residuals is still
-		// poison in somebody's x/y/z.
+		// poison in somebody's x/y/z. Scanning z's stored values is scanning
+		// zStore: it is +0 off support(zSparse) (beginZ) and no producer drops
+		// a NaN or Inf from the support. The trip names the global coordinate.
 		if wd != nil {
 			var trip *watchdog.TripError
 			for _, w := range live {
-				if bad := watchdog.ScanNonFinite([]string{"x", "y", "z"}, w.xA, w.yA, w.zStore); bad != "" {
+				bad := watchdog.ScanNonFinite([]string{"x", "y"}, w.xA, w.yA)
+				if k := watchdog.FirstNonFinite(w.zSparse.Value); bad == "" && k >= 0 {
+					bad = fmt.Sprintf("z[%d] = %v", w.zSparse.Index[k], w.zSparse.Value[k])
+				}
+				if bad != "" {
 					trip = &watchdog.TripError{Iter: iter, Reason: fmt.Sprintf("non-finite iterate on rank %d: %s", w.rank, bad)}
 					break
 				}

@@ -48,9 +48,13 @@ func TestZFromWMatchesDenseUpdate(t *testing.T) {
 // random active columns, or (one time in four) the full map — and one
 // worker per rank with random primal/dual state and its store initialized.
 func storeFixture(r *rand.Rand, dimRaw, blocksRaw, worldRaw uint8) (*shard.Map, []*worker) {
-	dim := int(dimRaw%90) + 1
-	part := shard.NewPartition(dim, int(blocksRaw%12)+1)
-	world := int(worldRaw%5) + 1
+	return storeFixtureOn(r, int(dimRaw%90)+1, int(blocksRaw%12)+1, int(worldRaw%5)+1, r.Intn(4) == 0)
+}
+
+// storeFixtureOn is storeFixture at a given shape and placement: full
+// subscribes every rank to every block whatever its columns touch.
+func storeFixtureOn(r *rand.Rand, dim, blocks, world int, full bool) (*shard.Map, []*worker) {
+	part := shard.NewPartition(dim, blocks)
 	active := make([][]int32, world)
 	for i := range active {
 		density := r.Float64()
@@ -61,7 +65,7 @@ func storeFixture(r *rand.Rand, dimRaw, blocksRaw, worldRaw uint8) (*shard.Map, 
 		}
 	}
 	m := shard.NewMap(part, active)
-	if r.Intn(4) == 0 {
+	if full {
 		m = shard.FullMap(part, world)
 	}
 	ws := make([]*worker, world)

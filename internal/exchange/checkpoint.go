@@ -55,15 +55,17 @@ type Snapshot struct {
 	Workers    []WorkerSnap
 }
 
+// snapWriter fills the blob EncodeSnapshot sized exactly: buf is what is
+// left to write, so a put is one store in place and nothing grows.
 type snapWriter struct{ buf []byte }
 
-func (w *snapWriter) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *snapWriter) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *snapWriter) u32(v uint32)  { binary.LittleEndian.PutUint32(w.buf, v); w.buf = w.buf[4:] }
+func (w *snapWriter) u64(v uint64)  { binary.LittleEndian.PutUint64(w.buf, v); w.buf = w.buf[8:] }
 func (w *snapWriter) i32(v int32)   { w.u32(uint32(v)) }
 func (w *snapWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 func (w *snapWriter) str(s string) {
 	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+	w.buf = w.buf[copy(w.buf, s):]
 }
 func (w *snapWriter) i32s(v []int32) {
 	w.u32(uint32(len(v)))
@@ -76,6 +78,17 @@ func (w *snapWriter) f64s(v []float64) {
 	for _, x := range v {
 		w.f64(x)
 	}
+}
+
+// snapSize is s's encoded length: 68 bytes of header scalars and length
+// prefixes, 40 per worker record, and the vectors' elements.
+func snapSize(s *Snapshot) int {
+	n := 68 + len(s.Algorithm) + 4*len(s.Dead) + 8*(len(s.ZPrev)+len(s.Strategy))
+	for i := range s.Workers {
+		ws := &s.Workers[i]
+		n += 40 + 4*len(ws.ZIdx) + 8*(len(ws.XA)+len(ws.YA)+len(ws.ZDense)+len(ws.ZVal))
+	}
+	return n
 }
 
 type snapReader struct {
@@ -158,10 +171,12 @@ func (r *snapReader) f64s() []float64 {
 	return v
 }
 
-// EncodeSnapshot serializes a snapshot to its binary form.
+// EncodeSnapshot serializes a snapshot to its binary form: one allocation
+// of exactly the blob's size. It only reads s, and the blob shares nothing
+// with it.
 func EncodeSnapshot(s *Snapshot) []byte {
-	w := &snapWriter{buf: make([]byte, 0, 64)}
-	w.buf = append(w.buf, snapMagic...)
+	blob := make([]byte, snapSize(s))
+	w := snapWriter{buf: blob[copy(blob, snapMagic):]}
 	w.u32(snapVersion)
 	w.str(s.Algorithm)
 	w.i32(s.Iter)
@@ -185,7 +200,7 @@ func EncodeSnapshot(s *Snapshot) []byte {
 		w.i32s(ws.ZIdx)
 		w.f64s(ws.ZVal)
 	}
-	return w.buf
+	return blob
 }
 
 // DecodeSnapshot parses a binary snapshot, rejecting unknown magic or

@@ -53,6 +53,19 @@ func fuzzSnapshotSharded() *Snapshot {
 	}
 }
 
+// fuzzSnapshotSparseOnly is the shape the engine writes: z travels once, as
+// the sparse view in global coordinates, and every rank's ZDense is the
+// zero-length vector — valid PSCK v1, and a different path through the
+// decoder's "n == 0" returns than a populated dense field.
+func fuzzSnapshotSparseOnly() *Snapshot {
+	s := fuzzSnapshotSharded()
+	for i := range s.Workers {
+		s.Workers[i].ZDense = nil
+	}
+	s.Workers = append(s.Workers, WorkerSnap{Rank: 2, Clock: 3, CalTotal: 2, XA: []float64{4}, YA: []float64{0.4}})
+	return s
+}
+
 // FuzzPSCKDecode drives DecodeSnapshot with arbitrary bytes. Invariants:
 // never panic; corrupt length prefixes must error without attempting an
 // allocation beyond the bytes present; and any blob that decodes must
@@ -68,6 +81,9 @@ func FuzzPSCKDecode(f *testing.F) {
 	for _, cut := range []int{len(sharded) / 3, len(sharded) - 2} {
 		f.Add(append([]byte(nil), sharded[:cut]...))
 	}
+	sparseOnly := EncodeSnapshot(fuzzSnapshotSparseOnly())
+	f.Add(append([]byte(nil), sparseOnly...))
+	f.Add(append([]byte(nil), sparseOnly[:len(sparseOnly)-5]...))
 	// Valid prefix with a huge vector-length prefix appended.
 	f.Add(append(append([]byte(nil), full[:8]...), 0xff, 0xff, 0xff, 0x7f))
 
@@ -86,7 +102,7 @@ func FuzzPSCKDecode(f *testing.F) {
 // boundary: no truncation may decode successfully, and none may panic.
 // Both the replicated and the sharded worker shapes are exercised.
 func TestSnapshotTruncationRejected(t *testing.T) {
-	for _, snap := range []*Snapshot{fuzzSnapshot(), fuzzSnapshotSharded()} {
+	for _, snap := range []*Snapshot{fuzzSnapshot(), fuzzSnapshotSharded(), fuzzSnapshotSparseOnly()} {
 		full := EncodeSnapshot(snap)
 		for cut := 0; cut < len(full); cut++ {
 			if _, err := DecodeSnapshot(full[:cut]); err == nil {

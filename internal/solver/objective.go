@@ -96,8 +96,17 @@ func (o *LogisticProx) Eval(x, g []float64) float64 {
 	// grad = Aᵀc + y + ρ(x−z), with c_j = −b_j·σ(−b_j·m_j).
 	for j := 0; j < m.NRows; j++ {
 		bm := o.Labels[j] * o.margins[j]
-		loss += LogLoss(bm)
-		s := Sigmoid(-bm)
+		// LogLoss(bm) and s = Sigmoid(−bm), bit for bit, from one exp(−|bm|).
+		var s float64
+		if bm >= 0 {
+			e := math.Exp(-bm)
+			loss += math.Log1p(e)
+			s = e / (1 + e)
+		} else {
+			e := math.Exp(bm)
+			loss += -bm + math.Log1p(e)
+			s = 1 / (1 + e)
+		}
 		o.d[j] = s * (1 - s)
 		o.av[j] = -o.Labels[j] * s // reuse av as c scratch
 	}

@@ -167,17 +167,27 @@ const residualTiny = 1e-9
 // (which a zero gather could mask) and to name the culprit in the trip.
 func ScanNonFinite(names []string, vecs ...[]float64) string {
 	for i, v := range vecs {
-		for j, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				name := ""
-				if i < len(names) {
-					name = names[i]
-				}
-				return fmt.Sprintf("%s[%d] = %v", name, j, x)
+		if j := FirstNonFinite(v); j >= 0 {
+			name := ""
+			if i < len(names) {
+				name = names[i]
 			}
+			return fmt.Sprintf("%s[%d] = %v", name, j, v[j])
 		}
 	}
 	return ""
+}
+
+// FirstNonFinite returns the index of v's first NaN/Inf, or -1 when every
+// value is finite. x−x is ±0 for a finite x and NaN for ±Inf and NaN, so
+// one subtract-and-compare per element is the whole test.
+func FirstNonFinite(v []float64) int {
+	for j, x := range v {
+		if x-x != 0 {
+			return j
+		}
+	}
+	return -1
 }
 
 func maxf(a, b float64) float64 {
