@@ -160,8 +160,9 @@ func (ws *Workspace) send(ep transport.Endpoint, sync bool, to int, m wire.Messa
 // returned early on error, discarding their outcomes. A retry of the
 // round reuses the workspace's buffers, and the orphaned goroutines
 // still read them (the transport counts encoded bytes as it delivers) —
-// so the caller must first unblock the fabric (abort latch flipped, or
-// fabric closed), then AbandonSends before reusing the workspace.
+// so the caller must first make sure they can finish (the engine's abort
+// latch refuses no send; a closed fabric fails them), then AbandonSends
+// before reusing the workspace.
 func (ws *Workspace) AbandonSends() {
 	for i, c := range ws.errcs {
 		<-c

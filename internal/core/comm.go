@@ -30,24 +30,6 @@ const (
 // persistently poisoned link still fails fast with a typed cause.
 var errRoundCorrupt = errors.New("core: corrupt frame detected mid-round")
 
-// abortOnError closes the scratch fabric the first time a group member
-// reports an error, so every other member's blocked Recv unblocks with
-// ErrClosed instead of waiting forever on a rank that will never send.
-// Only clean fail-stop runs use it — the run is aborting anyway, and a
-// dead scratch fabric is the price of the no-hang guarantee. Runs that
-// may need to retry a round (elastic regroups, corrupt-frame drops) latch
-// instead: their fabric must survive the failed attempt.
-type abortOnError struct {
-	fab  transport.Fabric
-	once sync.Once
-}
-
-func (a *abortOnError) observe(err error) {
-	if err != nil {
-		a.once.Do(a.fab.Close)
-	}
-}
-
 // crewJob is one member's share of a collective round: it reads in and
 // writes the aggregate into out.
 type crewJob struct {
@@ -78,17 +60,21 @@ type crewJob struct {
 // goroutine, so per-rank result slots need no locks: wg.Wait() is the
 // barrier that orders every slot write before the dispatcher reads it.
 type crew struct {
-	env     *strategyEnv
-	jobs    []chan crewJob
-	wg      sync.WaitGroup
-	wss     []collective.Workspace
-	outs    []*sparse.Vector // per-member result sinks (see groupAllreduce)
-	traces  []collective.Trace
-	errs    []error
-	eps     []transport.Endpoint // pre-boxed (latched when retryable)
-	stop    atomic.Bool          // round abort latch, reset per round
-	latched bool                 // endpoints latch instead of abort-closing
-	abort   abortOnError         // clean fail-stop unblock
+	env    *strategyEnv
+	jobs   []chan crewJob
+	wg     sync.WaitGroup
+	wss    []collective.Workspace
+	outs   []*sparse.Vector // per-member result sinks (see groupAllreduce)
+	traces []collective.Trace
+	errs   []error
+	eps    []transport.Endpoint // pre-boxed
+	// stop is the round abort latch, reset per round. The first member to
+	// fail sets it and wakes every endpoint, whose receivers then stop with
+	// errRoundAborted (roundAborted is their standing reason). The fabric
+	// survives the attempt — an elastic regroup or a corrupt-frame retry
+	// re-runs the round over it — and stragglers of the aborted attempt,
+	// which are still delivered, sit under a tag window no retry draws.
+	stop atomic.Bool
 
 	mergedEvents []collective.Event // mergedTrace scratch
 }
@@ -104,22 +90,23 @@ func newCrew(env *strategyEnv) *crew {
 		errs:   make([]error, n),
 		eps:    make([]transport.Endpoint, n),
 	}
-	// A run that may retry a failed round — elastic regroups, corrupt-
-	// frame drops — latches: the fabric must survive the attempt. A clean
-	// fail-stop run keeps raw endpoints and the closing abort.
-	c.latched = env.elastic || env.corruptible
-	c.abort.fab = env.fab
 	for r := 0; r < n; r++ {
-		if c.latched {
-			c.eps[r] = latchEndpoint{env.fab.Endpoint(r), &c.stop}
-		} else {
-			c.eps[r] = env.fab.Endpoint(r)
-		}
+		ep := env.fab.Endpoint(r).(transport.Wakeable)
+		ep.StopWhen(c.roundAborted)
+		c.eps[r] = ep
 		c.outs[r] = new(sparse.Vector)
 		c.jobs[r] = make(chan crewJob)
 		go c.serve(r)
 	}
 	return c
+}
+
+// roundAborted is every crew endpoint's reason to stop waiting.
+func (c *crew) roundAborted(int, int32) error {
+	if c.stop.Load() {
+		return errRoundAborted
+	}
+	return nil
 }
 
 func (c *crew) serve(r int) {
@@ -140,17 +127,15 @@ func (c *crew) serve(r int) {
 		}
 		c.traces[r], c.errs[r] = tr, err
 		if err != nil {
-			// Unblock the rest of the group: flip the latch in a retryable
-			// run (the fabric must survive the next attempt), close the
-			// fabric in a clean fail-stop one.
-			if c.latched {
-				c.stop.Store(true)
-			} else {
-				c.abort.observe(err)
+			// Unblock the rest of the group: set the latch, then wake.
+			if !c.stop.Swap(true) {
+				for _, ep := range c.eps {
+					ep.(transport.Wakeable).Wake()
+				}
 			}
 			// The failed attempt may have abandoned async sends that still
-			// read this workspace's buffers; with the fabric now unblocked
-			// they finish promptly, and a retry must not reuse the buffers
+			// read this workspace's buffers; nothing refuses them, so they
+			// finish promptly, and a retry must not reuse the buffers
 			// until they do. wg.Done() below orders the wait before the
 			// dispatcher can launch the next round.
 			c.wss[r].AbandonSends()
@@ -168,8 +153,9 @@ func (c *crew) close() {
 
 // collect classifies the round's member errors. Non-elastic, it picks the
 // most informative one: a typed PeerDownError beats a generic failure,
-// which beats the errRoundAborted/ErrClosed noise the latch itself
-// produced on the other members; a round whose only real failure is a
+// which beats the errRoundAborted noise the latch itself produced on the
+// other members (and a killed member's own ErrClosed); a round whose only
+// real failure is a
 // checksum-dropped frame is wrapped in errRoundCorrupt for the engine to
 // retry. Elastic, it translates errors into membership facts — a
 // PeerDownError marks its peer dead, a member's own ErrClosed marks that

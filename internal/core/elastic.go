@@ -1,14 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"sync/atomic"
-	"time"
-
-	"psrahgadmm/internal/transport"
-	"psrahgadmm/internal/wire"
-)
+import "errors"
 
 // Elastic membership for the in-process engine: the fail-survive half of
 // the failure model. When Config.Elastic is set, a dead rank does not
@@ -24,71 +16,13 @@ import (
 var errPeersLost = errors.New("core: live peers lost mid-round")
 
 // errRoundAborted is the latch's local unblock signal: another member of
-// the same collective failed, so this member's attempt is void. Never
-// escapes runGroup.
+// the same collective failed, so this member's attempt is void (see
+// crew.stop). Never escapes groupAllreduce.
 var errRoundAborted = errors.New("core: round attempt aborted")
 
 // errScheduledKill is the cause recorded for deaths injected by
 // FaultPlan.KillAtIteration.
 var errScheduledKill = errors.New("scheduled kill (fault plan)")
-
-// latchPoll is how often a latched Recv re-checks the abort flag.
-const latchPoll = 2 * time.Millisecond
-
-// latchEndpoint wraps a group member's endpoint with a shared abort
-// latch. The elastic engine must NOT close the fabric on failure (the
-// survivors keep using it), so blocked members are instead unblocked by
-// polling: once any member errors, every other member's next poll
-// returns errRoundAborted and the attempt unwinds cleanly.
-type latchEndpoint struct {
-	transport.Endpoint
-	stop *atomic.Bool
-}
-
-func (l latchEndpoint) Send(to int, m wire.Message) error {
-	if l.stop.Load() {
-		return errRoundAborted
-	}
-	return l.Endpoint.Send(to, m)
-}
-
-// SendNonBlocking forwards the question to the wrapped endpoint, as
-// transport.NonBlockingSender asks of wrappers: the latch adds no wait.
-func (l latchEndpoint) SendNonBlocking() bool { return transport.SendsNonBlocking(l.Endpoint) }
-
-func (l latchEndpoint) Recv(from int, tag int32) (wire.Message, error) {
-	for {
-		if l.stop.Load() {
-			return wire.Message{}, errRoundAborted
-		}
-		m, err := l.Endpoint.RecvTimeout(from, tag, latchPoll)
-		if err == nil || !errors.Is(err, transport.ErrTimeout) {
-			return m, err
-		}
-	}
-}
-
-func (l latchEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.Message, error) {
-	if d <= 0 {
-		return l.Recv(from, tag)
-	}
-	deadline := time.Now().Add(d)
-	for {
-		if l.stop.Load() {
-			return wire.Message{}, errRoundAborted
-		}
-		step := latchPoll
-		if rem := time.Until(deadline); rem <= 0 {
-			return wire.Message{}, fmt.Errorf("core: latched recv: %w", transport.ErrTimeout)
-		} else if rem < step {
-			step = rem
-		}
-		m, err := l.Endpoint.RecvTimeout(from, tag, step)
-		if err == nil || !errors.Is(err, transport.ErrTimeout) {
-			return m, err
-		}
-	}
-}
 
 // liveWorkers returns the live workers' state in rank order. With nobody
 // dead it returns the full slice unchanged, so the happy path sums in

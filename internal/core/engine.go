@@ -138,9 +138,6 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		// owner-side combine step.
 		agg: ax.agg,
 	}
-	if f := cfg.Faults; f != nil && (f.CorruptProb > 0 || len(f.CorruptAtIteration) > 0) {
-		env.corruptible = true
-	}
 	// The contribution screen (nil when disabled) scores every
 	// contribution at the inspect chokepoint; the quarantine
 	// controller below turns its strikes into membership transitions at

@@ -4,11 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"psrahgadmm/internal/sparse"
-	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 )
 
@@ -125,22 +123,5 @@ func TestAssembleIntoMatchesDenseSum(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLatchEndpointForwardsNonBlocking: the latch adds no wait to Send, so
-// it answers what the endpoint it wraps answers — an elastic run over the
-// in-process fabric sends inline, one over a fault-injecting fabric (whose
-// sends may sleep) does not.
-func TestLatchEndpointForwardsNonBlocking(t *testing.T) {
-	var stop atomic.Bool
-	fab := transport.NewChanFabric(2)
-	defer fab.Close()
-	if !transport.SendsNonBlocking(latchEndpoint{fab.Endpoint(0), &stop}) {
-		t.Fatal("latch over a ChanFabric endpoint does not advertise non-blocking sends")
-	}
-	faulty := transport.NewFaultFabric(fab, transport.FaultPlan{})
-	if transport.SendsNonBlocking(latchEndpoint{faulty.Endpoint(0), &stop}) {
-		t.Fatal("latch over a FaultFabric endpoint advertises non-blocking sends")
 	}
 }

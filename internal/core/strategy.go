@@ -85,17 +85,10 @@ type strategyEnv struct {
 	// live filter is an identity and the happy path is bit-identical to
 	// the pre-elastic engine.
 	members *membership.Tracker
-	// elastic enables degraded-mode continuation: collectives run under
-	// the abort latch instead of closing the fabric, and strategies prune
-	// dead ranks instead of failing.
+	// elastic enables degraded-mode continuation: a round that lost peers
+	// is retried over the survivors, and strategies prune dead ranks
+	// instead of failing.
 	elastic bool
-	// corruptible marks a run whose fault plan can corrupt frames. Such
-	// runs also latch their collectives (even fail-stop ones): a
-	// checksum-dropped frame is retried over the SAME fabric, which must
-	// therefore survive the failed attempt. Clean fail-stop runs keep the
-	// raw endpoints — the latch's poll loop costs allocations the
-	// steady-state budget does not pay for a fault-free run.
-	corruptible bool
 	// seq numbers collective invocations so every attempt — including
 	// retries of a failed round — gets a fresh, globally unique tag
 	// window. Stale messages from an aborted attempt can then never be

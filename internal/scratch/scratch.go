@@ -1,8 +1,7 @@
-// Package scratch provides length-bucketed free lists for the hot-path
-// buffers the engine and transports churn through: []float64 vector
-// scratch and []byte wire-encode buffers. It wraps sync.Pool so buffers
-// are reclaimed under memory pressure, while steady-state iterations hit
-// the pool and perform no heap allocation.
+// Package scratch provides a length-bucketed free list for the []byte
+// wire-encode buffers the transports churn through. It wraps sync.Pool so
+// buffers are reclaimed under memory pressure, while steady-state
+// iterations hit the pool and perform no heap allocation.
 //
 // Buckets are powers of two: a request for n capacity is served from the
 // bucket holding the next power of two ≥ n, so a returned buffer is
@@ -34,53 +33,6 @@ func bucketFor(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
-}
-
-// Floats pools []float64 scratch by capacity bucket. The zero value is
-// ready to use.
-type Floats struct {
-	buckets [maxBucket + 1]sync.Pool
-	boxes   sync.Pool // *[]float64 headers, recycled so Put never allocates
-}
-
-// Get returns a zeroed slice of length n with capacity ≥ n.
-func (p *Floats) Get(n int) []float64 {
-	if n < 0 {
-		panic("scratch: negative length")
-	}
-	b := bucketFor(n)
-	if b > maxBucket {
-		return make([]float64, n)
-	}
-	if v, ok := p.buckets[b].Get().(*[]float64); ok {
-		s := (*v)[:n]
-		*v = nil
-		p.boxes.Put(v)
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	return make([]float64, n, 1<<b)
-}
-
-// Put returns a buffer to the pool. nil and zero-capacity slices are
-// ignored.
-func (p *Floats) Put(s []float64) {
-	c := cap(s)
-	if c == 0 {
-		return
-	}
-	b := bits.Len(uint(c)) - 1 // largest power of two ≤ cap
-	if b > maxBucket {
-		return
-	}
-	box, ok := p.boxes.Get().(*[]float64)
-	if !ok {
-		box = new([]float64)
-	}
-	*box = s[: 0 : 1<<b] // clamp so Get's reslice never exceeds the bucket size
-	p.buckets[b].Put(box)
 }
 
 // Bytes pools []byte buffers by capacity bucket (wire encode scratch).

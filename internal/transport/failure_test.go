@@ -203,17 +203,20 @@ func TestCloseDrainsDeliveredMessages(t *testing.T) {
 // inboxLen is the number of delivered messages ep's owner has not drained.
 func inboxLen(t *testing.T, ep Endpoint) int {
 	t.Helper()
+	var box *mailbox
 	switch e := ep.(type) {
 	case *chanEndpoint:
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return len(e.q)
+		box = &e.box
 	case *tcpEndpoint:
-		return len(e.inbox)
+		box = &e.box
+	case *faultEndpoint:
+		return inboxLen(t, e.under)
 	default:
 		t.Fatalf("unknown endpoint type %T", ep)
-		return 0
 	}
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	return len(box.q)
 }
 
 func waitInboxLen(t *testing.T, ep Endpoint, want int) {

@@ -138,15 +138,15 @@ func ValidByzantineMode(mode string) bool {
 	return false
 }
 
-// faultPoll is how often blocked Recvs on a FaultFabric re-check failure
-// state. Coarse enough to stay cheap, fine enough that a kill surfaces to
-// every blocked rank within a few milliseconds.
-const faultPoll = 2 * time.Millisecond
-
 // FaultFabric wraps another Fabric and injects drops, delays, partitions,
 // and peer kills according to a deterministic FaultPlan. It implements
 // Fabric, so the engine and the WLG runtime run on it unchanged — this is
 // the harness the no-hang tests drive and the knob Config.Faults exposes.
+//
+// It injects on the send side only. A receive is the wrapped endpoint's
+// own: each faultEndpoint's stopErr stands in that endpoint's mailbox as
+// its reason to stop, and Kill and noteCorrupt — the two things that change
+// what stopErr reads — release mu and then wake the receivers concerned.
 type FaultFabric struct {
 	under Fabric
 	plan  FaultPlan
@@ -188,7 +188,9 @@ func (e *FrameCorruptError) Error() string {
 
 func (e *FrameCorruptError) Unwrap() error { return wire.ErrFrameCorrupt }
 
-// NewFaultFabric wraps under with the given plan.
+// NewFaultFabric wraps under with the given plan. Every endpoint of under
+// must be Wakeable: a kill has to reach receivers blocked underneath, and
+// nothing polls on their behalf.
 func NewFaultFabric(under Fabric, plan FaultPlan) *FaultFabric {
 	if plan.MaxDelay <= 0 {
 		plan.MaxDelay = 10 * time.Millisecond
@@ -205,16 +207,22 @@ func NewFaultFabric(under Fabric, plan FaultPlan) *FaultFabric {
 		f.cut[pairKey(p[0], p[1])] = true
 	}
 	for i := range f.eps {
+		u := under.Endpoint(i)
+		w, ok := u.(Wakeable)
+		if !ok {
+			panic(fmt.Sprintf("transport: NewFaultFabric over %T, which cannot be woken", u))
+		}
 		f.eps[i] = &faultEndpoint{
 			fab:       f,
-			under:     under.Endpoint(i),
+			under:     w,
 			rng:       rand.New(rand.NewSource(plan.Seed ^ int64(i)*0x5851f42d4c957f2d)),
 			killAfter: -1,
-			reported:  make(map[int]bool),
+			reported:  make([]bool, under.Size()),
 		}
 		if n, ok := plan.KillAfterSends[i]; ok {
 			f.eps[i].killAfter = n
 		}
+		f.eps[i].StopWhen(nil)
 	}
 	return f
 }
@@ -251,9 +259,13 @@ func (f *FaultFabric) Kill(rank int) {
 		f.down[rank] = &PeerDownError{Peer: rank, Cause: errors.New("killed by fault plan")}
 	}
 	f.mu.Unlock()
-	// Closing the victim's underlying endpoint unblocks its own Recvs and
-	// makes peers' direct sends to it fail, as a real crash would.
-	f.under.Endpoint(rank).Close()
+	// Closing the victim's underlying endpoint makes peers' direct sends to
+	// it fail, as a real crash would; the wake has every blocked receiver —
+	// the victim's own included — consult stopErr again.
+	f.eps[rank].under.Close()
+	for _, e := range f.eps {
+		e.under.Wake()
+	}
 }
 
 // Revive brings a killed rank back as a new incarnation: the kill record
@@ -271,7 +283,7 @@ func (f *FaultFabric) Revive(rank int) {
 	f.down[rank] = nil
 	f.corruptQ[rank] = nil // a fresh incarnation starts with a clean inbox
 	for _, e := range f.eps {
-		delete(e.reported, rank)
+		e.reported[rank] = false
 	}
 	f.mu.Unlock()
 	ep := f.eps[rank]
@@ -337,18 +349,18 @@ func (f *FaultFabric) ArmCorrupt(rank int) {
 	ep.rmu.Unlock()
 }
 
-// noteCorrupt queues a detected-corrupt record for the recipient's Recv.
+// noteCorrupt queues a detected-corrupt record for the recipient's Recv
+// and wakes it.
 func (f *FaultFabric) noteCorrupt(to, from int, tag int32) {
 	f.mu.Lock()
 	f.corruptQ[to] = append(f.corruptQ[to], corruptRecord{from: from, tag: tag})
 	f.mu.Unlock()
+	f.eps[to].under.Wake()
 }
 
 // takeCorrupt removes and returns the first queued corrupt record matching
-// a Recv(from, tag) on rank self, or nil.
+// a Recv(from, tag) on rank self, or nil. The caller holds mu.
 func (f *FaultFabric) takeCorrupt(self, from int, tag int32) *corruptRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	q := f.corruptQ[self]
 	for i := range q {
 		if q[i].tag != tag {
@@ -370,53 +382,6 @@ func (f *FaultFabric) killed(rank int) *PeerDownError {
 	return f.down[rank]
 }
 
-// recvDownError mirrors the TCP fabric's policy: a targeted Recv fails as
-// soon as its source is killed, and an AnySource Recv fails on a killed
-// rank — but each kill is reported at most ONCE per observing endpoint
-// (the reported set). The first report lets a blocked collective abort
-// and its caller register the death; after that an any-source wait
-// tolerates the known-dead rank like a departed peer, so an elastic
-// caller's retried collective over the survivors is not re-failed by old
-// news. When every remote rank is dead the wait fails regardless: nobody
-// is left to send.
-func (f *FaultFabric) recvDownError(e *faultEndpoint, self, from int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if from != AnySource {
-		if d := f.down[from]; d != nil {
-			return d
-		}
-		return nil
-	}
-	var unreported *PeerDownError
-	var first *PeerDownError
-	allDown := true
-	for r := range f.down {
-		if r == self {
-			continue
-		}
-		d := f.down[r]
-		if d == nil {
-			allDown = false
-			continue
-		}
-		if first == nil {
-			first = d
-		}
-		if unreported == nil && !e.reported[r] {
-			unreported = d
-		}
-	}
-	if unreported != nil {
-		e.reported[unreported.Peer] = true
-		return unreported
-	}
-	if allDown && first != nil {
-		return first
-	}
-	return nil
-}
-
 func (f *FaultFabric) partitioned(a, b int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -426,7 +391,7 @@ func (f *FaultFabric) partitioned(a, b int) bool {
 // faultEndpoint decorates one rank's endpoint with the fabric's plan.
 type faultEndpoint struct {
 	fab   *FaultFabric
-	under Endpoint
+	under Wakeable
 
 	rmu        sync.Mutex // guards rng, sends, held, and corruptArm (determinism + race safety)
 	rng        *rand.Rand
@@ -437,7 +402,7 @@ type faultEndpoint struct {
 	// reported tracks which kills this endpoint's any-source waits have
 	// already surfaced (one report per death per observer); guarded by the
 	// fabric mutex alongside the down records it mirrors.
-	reported map[int]bool
+	reported []bool
 }
 
 func (e *faultEndpoint) Rank() int { return e.under.Rank() }
@@ -521,8 +486,8 @@ func (e *faultEndpoint) Send(to int, m wire.Message) error {
 	if errors.Is(err, ErrClosed) && e.fab.killed(self) == nil {
 		// The entry checks and the delivery are not one step: a kill landing
 		// in between surfaces from the fabric underneath as a bare closed
-		// endpoint. As in recv, prefer the typed cause over ErrClosed noise,
-		// so a survivor is not taken for the victim.
+		// endpoint. As in stopErr, prefer the typed cause over ErrClosed
+		// noise, so a survivor is not taken for the victim.
 		if d := e.fab.killed(to); d != nil {
 			err = d
 		}
@@ -571,66 +536,54 @@ func (e *faultEndpoint) corruptDeliver(to int, m wire.Message, bitDraw int) erro
 }
 
 func (e *faultEndpoint) Recv(from int, tag int32) (wire.Message, error) {
-	return e.recv(from, tag, 0)
+	return e.under.Recv(from, tag)
 }
 
 func (e *faultEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.Message, error) {
-	return e.recv(from, tag, d)
+	return e.under.RecvTimeout(from, tag, d)
 }
 
-// recv polls the underlying endpoint in short slices so that kills — which
-// the underlying fabric may have no way to observe (a ChanFabric rank has
-// no connection to break) — still surface to blocked receivers within
-// faultPoll, preserving the no-hang guarantee on every fabric.
-func (e *faultEndpoint) recv(from int, tag int32, d time.Duration) (wire.Message, error) {
-	self := e.Rank()
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
+// stopErr is the reason a Recv(from, tag) that nothing delivered matches
+// must stop waiting — messages already delivered, even by a peer killed
+// since, win over it. This rank's own kill reads as a closed endpoint; a
+// kill always precedes the abort cascade that closes the fabric, so the
+// typed PeerDownError comes before the ErrClosed the mailbox would report;
+// and a frame bound for this wait that was corrupted in transit is reported
+// promptly and typed — the in-process analogue of a TCP reader's checksum
+// skip plus the receiver noticing the gap.
+func (e *faultEndpoint) stopErr(from int, tag int32) error {
+	f, self := e.fab, e.Rank()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.down[self] != nil {
+		return ErrClosed
 	}
-	for {
-		slice := faultPoll
-		if d > 0 {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				return wire.Message{}, fmt.Errorf("transport: recv from %d tag %d: %w", from, tag, ErrTimeout)
-			}
-			if remaining < slice {
-				slice = remaining
-			}
-		}
-		// Poll the real endpoint first: messages already delivered (even
-		// by a peer killed since) win over the failure report.
-		m, err := e.under.RecvTimeout(from, tag, slice)
-		if err == nil {
-			return m, nil
-		}
-		if !errors.Is(err, ErrTimeout) {
-			// A kill always precedes the abort cascade that closes the
-			// fabric, so prefer the typed cause over ErrClosed noise.
-			if e.fab.killed(self) != nil {
-				return wire.Message{}, ErrClosed
-			}
-			if derr := e.fab.recvDownError(e, self, from); derr != nil {
-				return wire.Message{}, derr
-			}
-			return m, err
-		}
-		if e.fab.killed(self) != nil {
-			return wire.Message{}, ErrClosed
-		}
-		if derr := e.fab.recvDownError(e, self, from); derr != nil {
-			return wire.Message{}, derr
-		}
-		// No real message and no failure: if a frame bound for this wait
-		// was corrupted in transit, report the loss promptly and typed —
-		// the in-process analogue of a TCP reader's checksum skip plus the
-		// receiver noticing the gap.
-		if rec := e.fab.takeCorrupt(self, from, tag); rec != nil {
-			return wire.Message{}, &FrameCorruptError{From: rec.from, Tag: rec.tag}
-		}
+	if err := recvDownError(f.down, e.reported, self, from); err != nil {
+		return err
 	}
+	if rec := f.takeCorrupt(self, from, tag); rec != nil {
+		return &FrameCorruptError{From: rec.from, Tag: rec.tag}
+	}
+	return nil
 }
+
+// StopWhen adds the caller's reason behind the fault layer's own: a kill
+// precedes whatever abort it sets off above, so the typed cause is
+// reported, not the abort's.
+func (e *faultEndpoint) StopWhen(stop Interrupt) {
+	if stop == nil {
+		e.under.StopWhen(e.stopErr)
+		return
+	}
+	e.under.StopWhen(func(from int, tag int32) error {
+		if err := e.stopErr(from, tag); err != nil {
+			return err
+		}
+		return stop(from, tag)
+	})
+}
+
+func (e *faultEndpoint) Wake() { e.under.Wake() }
 
 func (e *faultEndpoint) Stats() Stats { return e.under.Stats() }
 

@@ -74,11 +74,11 @@ func TestMailboxFootprint(t *testing.T) {
 		psrRound(t, f, int32(2*round))
 	}
 	for r, ep := range f.endpoints {
-		if held := cap(ep.q) + cap(ep.buf.msgs); held > 4*2*(p-1) {
+		if held := cap(ep.box.q) + cap(ep.box.pending.msgs); held > 4*2*(p-1) {
 			t.Errorf("rank %d holds %d message slots after 50 rounds, want <= %d", r, held, 4*2*(p-1))
 		}
-		if len(ep.q) != 0 || len(ep.buf.msgs) != 0 || ep.buf.head != 0 {
-			t.Errorf("rank %d not drained: q %d, buf %d from %d", r, len(ep.q), len(ep.buf.msgs), ep.buf.head)
+		if box := &ep.box; len(box.q) != 0 || len(box.pending.msgs) != 0 || box.pending.head != 0 {
+			t.Errorf("rank %d not drained: q %d, pending %d from %d", r, len(box.q), len(box.pending.msgs), box.pending.head)
 		}
 	}
 }
@@ -314,9 +314,9 @@ func TestMailboxReopenUnderConcurrentSenders(t *testing.T) {
 	f.Endpoint(0).Close() // a sender held at the bound sees stop only once woken
 	wg.Wait()
 	f.Reopen(0)
-	ep := f.endpoints[0]
-	if len(ep.q) != 0 || len(ep.buf.msgs) != 0 {
-		t.Fatalf("reopened with %d queued and %d buffered messages", len(ep.q), len(ep.buf.msgs))
+	box := &f.endpoints[0].box
+	if len(box.q) != 0 || len(box.pending.msgs) != 0 {
+		t.Fatalf("reopened with %d queued and %d buffered messages", len(box.q), len(box.pending.msgs))
 	}
 	if err := f.Endpoint(1).Send(0, wire.Control(2, 42)); err != nil {
 		t.Fatal(err)
@@ -327,25 +327,55 @@ func TestMailboxReopenUnderConcurrentSenders(t *testing.T) {
 }
 
 // TestRecvTimeoutQueuedMessageAllocatesNothing: a deadline costs a timer
-// only when the wait has to park. A latched engine run asks for every
-// message with a 2 ms deadline, and nearly all of them are already there.
+// only when the wait has to park, on every fabric — collective.RecvRetry
+// asks for every message with one, and nearly all of them are already
+// there.
 func TestRecvTimeoutQueuedMessageAllocatesNothing(t *testing.T) {
-	f := NewChanFabricZeroCopy(2)
-	defer f.Close()
-	a, b := f.Endpoint(0), f.Endpoint(1)
-	msg := wire.Control(7, 1)
-	exchange := func() {
-		if err := a.Send(1, msg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.RecvTimeout(0, 7, time.Minute); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exchange() // q and buf trade slices: both grow once
-	exchange()
-	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
-		t.Fatalf("RecvTimeout of a delivered message allocates %v objects, want 0", allocs)
+	const runs = 200
+	for name, build := range map[string]func(t *testing.T) []Endpoint{
+		"chan": func(t *testing.T) []Endpoint { return world(t, "chan", 2) },
+		"chan-zero-copy": func(t *testing.T) []Endpoint {
+			f := NewChanFabricZeroCopy(2)
+			t.Cleanup(f.Close)
+			return []Endpoint{f.Endpoint(0), f.Endpoint(1)}
+		},
+		"fault-over-chan": func(t *testing.T) []Endpoint {
+			f := NewFaultFabric(NewChanFabric(2), FaultPlan{})
+			t.Cleanup(f.Close)
+			return []Endpoint{f.Endpoint(0), f.Endpoint(1)}
+		},
+		"fault-over-chan-zero-copy": func(t *testing.T) []Endpoint {
+			f := NewFaultFabric(NewChanFabricZeroCopy(2), FaultPlan{})
+			t.Cleanup(f.Close)
+			return []Endpoint{f.Endpoint(0), f.Endpoint(1)}
+		},
+		"tcp": func(t *testing.T) []Endpoint {
+			// No heartbeats: the ticker's frames would be counted too.
+			return tcpWorld(t, 2, func(int) TCPOptions {
+				return TCPOptions{DialTimeout: 10 * time.Second, HeartbeatInterval: -1}
+			})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eps := build(t)
+			// Deliver everything first (the TCP reader does so on its own
+			// time, and allocates as it decodes), then measure the receives:
+			// the warm-up run drains the batch, the rest match from pending.
+			for i := 0; i <= runs; i++ {
+				if err := eps[0].Send(1, wire.Control(7, int64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitInboxLen(t, eps[1], runs+1)
+			allocs := testing.AllocsPerRun(runs, func() {
+				if _, err := eps[1].RecvTimeout(0, 7, time.Minute); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("RecvTimeout of a delivered message allocates %v objects, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -358,17 +388,17 @@ type killOnSendFabric struct {
 }
 
 type killOnSendEndpoint struct {
-	Endpoint
-	fab *killOnSendFabric
+	Wakeable // the fault fabric must be able to wake what it wraps
+	fab      *killOnSendFabric
 }
 
 func (f *killOnSendFabric) Endpoint(i int) Endpoint {
-	return killOnSendEndpoint{f.ChanFabric.Endpoint(i), f}
+	return killOnSendEndpoint{f.ChanFabric.Endpoint(i).(Wakeable), f}
 }
 
 func (e killOnSendEndpoint) Send(to int, m wire.Message) error {
 	e.fab.ff.Kill(to)
-	return e.Endpoint.Send(to, m)
+	return e.Wakeable.Send(to, m)
 }
 
 // TestFaultSendRacesKill: a survivor whose send races a peer's kill learns

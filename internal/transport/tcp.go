@@ -84,12 +84,12 @@ type tcpEndpoint struct {
 	ln    net.Listener
 	peers []*tcpPeer // indexed by rank; peers[rank] == nil; guarded by mu after setup
 
-	inbox chan wire.Message
-	buf   pending
+	// box is fed by the connection readers (and loopback sends). A reader
+	// held at its bound stops reading, which is the socket's back-pressure.
+	box mailbox
 
 	mu       sync.Mutex
 	down     []*PeerDownError // indexed by rank, nil while alive
-	downCh   chan struct{}    // closed and replaced on every down event
 	reported []bool           // crashes already surfaced to an any-source wait
 	firstErr error            // first decode error seen by any reader
 
@@ -126,12 +126,12 @@ func NewTCPEndpoint(rank int, addrs []string, opts TCPOptions) (Endpoint, error)
 		opts:     opts,
 		ln:       ln,
 		peers:    make([]*tcpPeer, size),
-		inbox:    make(chan wire.Message, inboxDepth),
 		down:     make([]*PeerDownError, size),
-		downCh:   make(chan struct{}),
 		reported: make([]bool, size),
 		closed:   make(chan struct{}),
 	}
+	e.box.init()
+	e.box.stopWhen(e.stopErr)
 
 	var mu sync.Mutex
 	var firstErr error
@@ -352,10 +352,8 @@ func (e *tcpEndpoint) acceptRejoins() {
 		e.peers[peer] = p
 		e.down[peer] = nil
 		e.reported[peer] = false
-		// Wake blocked Recvs so targeted waits on the revived rank resume.
-		close(e.downCh)
-		e.downCh = make(chan struct{})
 		e.mu.Unlock()
+		e.box.wake() // targeted waits on the revived rank resume
 		if old != nil {
 			// A new incarnation supersedes the old connection whether or not
 			// its death was detected yet; stale observers of the old conn are
@@ -402,10 +400,9 @@ func (e *tcpEndpoint) peerDown(peer int, p *tcpPeer, cause error, graceful bool)
 		return
 	}
 	e.down[peer] = &PeerDownError{Peer: peer, Cause: cause, Graceful: graceful}
-	close(e.downCh)
-	e.downCh = make(chan struct{})
 	cur := e.peers[peer]
 	e.mu.Unlock()
+	e.box.wake()
 	if cur != nil {
 		cur.conn.Close()
 	}
@@ -421,58 +418,17 @@ func (e *tcpEndpoint) peerErr(peer int) error {
 	return nil
 }
 
-// recvDownError decides whether a Recv(from, ...) can still be satisfied.
-// A targeted Recv fails as soon as its source is down, gracefully or not.
-// An AnySource Recv fails on a CRASHED peer — a rank that vanished without
-// a goodbye may be exactly the one whose message the caller is waiting
-// for, so continuing risks a hang — but each crash is reported only ONCE:
-// the report lets the caller register the death, after which later
-// any-source waits tolerate the known-dead rank like a graceful departure
-// (ranks that Closed after finishing) as long as at least one remote peer
-// is still alive. Without the once-only rule an elastic caller that
-// already pruned the dead rank would have every subsequent wait re-failed
-// by old news — the Group Generator's request loop would spin instead of
-// serving survivors. A fully departed world fails regardless: nobody is
-// left to send.
-func (e *tcpEndpoint) recvDownError(from int) error {
+// stopErr is the mailbox's reason to stop waiting: the endpoint is closed,
+// or the peers that could still satisfy the Recv are down (recvDownError).
+func (e *tcpEndpoint) stopErr(from int, _ int32) error {
+	select {
+	case <-e.closed:
+		return ErrClosed
+	default:
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if from != AnySource {
-		if d := e.down[from]; d != nil {
-			return d
-		}
-		return nil
-	}
-	var first *PeerDownError
-	allDown := true
-	for r := 0; r < e.size; r++ {
-		if r == e.rank {
-			continue
-		}
-		d := e.down[r]
-		if d == nil {
-			allDown = false
-			continue
-		}
-		if first == nil {
-			first = d
-		}
-		if !d.Graceful && !e.reported[r] {
-			e.reported[r] = true
-			return d // a crash can strand this wait forever — fail now
-		}
-	}
-	if allDown && first != nil {
-		return first
-	}
-	return nil // live peers remain (or single-rank world: loopback only)
-}
-
-// curDownCh returns the channel that will be closed on the next down event.
-func (e *tcpEndpoint) curDownCh() <-chan struct{} {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.downCh
+	return recvDownError(e.down, e.reported, e.rank, from)
 }
 
 // noteDecodeError counts a corrupted frame and logs the first one, so a
@@ -551,10 +507,8 @@ func (e *tcpEndpoint) readLoop(peer int, p *tcpPeer) {
 			continue // shutdown announcement; the EOF that follows is clean
 		}
 		m.From = int32(peer) // trust the mesh, not the frame
-		select {
-		case e.inbox <- m:
-		case <-e.closed:
-			return
+		if e.box.put(&m, nil) != nil {
+			return // closed while held at the bound
 		}
 	}
 }
@@ -614,13 +568,11 @@ func (e *tcpEndpoint) Send(to int, m wire.Message) error {
 	if to == e.rank {
 		// Loopback without touching the network.
 		m.From = int32(e.rank)
-		select {
-		case e.inbox <- m:
-			e.stats.record(m)
-			return nil
-		case <-e.closed:
+		if e.box.put(&m, nil) != nil {
 			return ErrClosed
 		}
+		e.stats.record(m)
+		return nil
 	}
 	if err := e.peerErr(to); err != nil {
 		return err
@@ -653,67 +605,18 @@ func (e *tcpEndpoint) Send(to int, m wire.Message) error {
 }
 
 func (e *tcpEndpoint) Recv(from int, tag int32) (wire.Message, error) {
-	return e.recv(from, tag, 0)
+	return e.RecvTimeout(from, tag, 0)
 }
 
+// RecvTimeout matches what the readers delivered before it consults
+// stopErr: a reader puts every decoded frame before it reports the
+// failure, so frames a peer sent before it died (or that arrived before
+// Close) are still matched first.
 func (e *tcpEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.Message, error) {
-	return e.recv(from, tag, d)
-}
-
-func (e *tcpEndpoint) recv(from int, tag int32, d time.Duration) (wire.Message, error) {
-	if from != AnySource {
-		if err := checkRank(from, e.size); err != nil {
-			return wire.Message{}, err
-		}
+	if err := checkSource(from, e.size); err != nil {
+		return wire.Message{}, err
 	}
-	timeout, stop := deadlineChan(d)
-	defer stop()
-	for {
-		if m, ok := e.buf.take(from, tag); ok {
-			return m, nil
-		}
-		// Drain already-delivered messages before consulting closed/down
-		// state: frames that arrived before a peer died (or before Close)
-		// must still be matched. The reader pushes every decoded frame
-		// into the inbox before it reports the failure, so this drain sees
-		// everything the dead peer managed to send.
-	drain:
-		for {
-			select {
-			case m := <-e.inbox:
-				if matches(m, from, tag) {
-					return m, nil
-				}
-				e.buf.put(m)
-			default:
-				break drain
-			}
-		}
-		select {
-		case <-e.closed:
-			return wire.Message{}, ErrClosed
-		default:
-		}
-		if err := e.recvDownError(from); err != nil {
-			return wire.Message{}, err
-		}
-		downCh := e.curDownCh()
-		select {
-		case <-e.closed:
-			// Loop once more to drain racing deliveries, then report
-			// ErrClosed via the check above.
-		case <-downCh:
-			// A peer just went down; re-evaluate whether this Recv can
-			// still complete.
-		case <-timeout:
-			return wire.Message{}, fmt.Errorf("transport: recv from %d tag %d: %w", from, tag, ErrTimeout)
-		case m := <-e.inbox:
-			if matches(m, from, tag) {
-				return m, nil
-			}
-			e.buf.put(m)
-		}
-	}
+	return e.box.recv(from, tag, d)
 }
 
 func (e *tcpEndpoint) Stats() Stats { return e.stats.snapshot() }
@@ -736,6 +639,7 @@ func (e *tcpEndpoint) Close() error {
 	e.closeOnce.Do(func() {
 		e.sayGoodbye()
 		close(e.closed)
+		e.box.close()
 		e.teardown()
 	})
 	e.wg.Wait()

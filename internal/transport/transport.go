@@ -3,16 +3,20 @@
 // ordered, tagged point-to-point messaging between ranks, with two
 // interchangeable implementations:
 //
-//   - ChanFabric: all ranks are goroutines in one process, messages travel
-//     through per-rank mailboxes. This is the default for the engine, the
-//     tests, and the benchmark harness.
+//   - ChanFabric: all ranks are goroutines in one process and a Send is an
+//     append to the destination's mailbox. This is the default for the
+//     engine, the tests, and the benchmark harness.
 //   - TCPFabric: each rank is a peer in a full TCP mesh using the wire
-//     codec. This is the "custom RPC" substitute for MPI when ranks live in
-//     separate processes (see cmd/psra-worker).
+//     codec, one reader per connection feeding the rank's mailbox. This is
+//     the "custom RPC" substitute for MPI when ranks live in separate
+//     processes (see cmd/psra-worker).
 //
-// Collectives (package collective) and the WLG runtime (package wlg) are
-// written purely against Endpoint, so every algorithm runs unchanged on
-// either fabric.
+// On both, a rank waits for a message in exactly one place — mailbox.recv —
+// and whatever else may end that wait (a dead peer, an injected fault, the
+// engine aborting a round) is a reason the mailbox consults, not a loop
+// around it. Collectives (package collective) and the WLG runtime (package
+// wlg) are written purely against Endpoint, so every algorithm runs
+// unchanged on either fabric.
 package transport
 
 import (
@@ -184,6 +188,14 @@ func checkRank(rank, size int) error {
 	return nil
 }
 
+// checkSource validates the from argument of a Recv.
+func checkSource(from, size int) error {
+	if from == AnySource {
+		return nil
+	}
+	return checkRank(from, size)
+}
+
 // pending is the arrival-ordered buffer of received-but-unmatched
 // messages. msgs[head:] are live; msgs[:head] are vacated slots, zeroed so
 // that a taken message's payload is not pinned by the buffer.
@@ -229,15 +241,4 @@ func (p *pending) put(ms ...wire.Message) {
 // matches reports whether m satisfies a Recv(from, tag) call.
 func matches(m wire.Message, from int, tag int32) bool {
 	return m.Tag == tag && (from == AnySource || int(m.From) == from)
-}
-
-// deadlineChan turns a timeout into a select-able channel. The returned
-// stop func must be called to release the timer; the channel is nil (never
-// ready) when d <= 0.
-func deadlineChan(d time.Duration) (<-chan time.Time, func()) {
-	if d <= 0 {
-		return nil, func() {}
-	}
-	t := time.NewTimer(d)
-	return t.C, func() { t.Stop() }
 }
