@@ -74,8 +74,6 @@ type (
 	// ExchangeKind names a wire codec (what travels): exact sparse,
 	// quantized sparse, dense fp64, or dense fp32.
 	ExchangeKind = exchange.Kind
-	// ConsensusMode selects PSRA-HGADMM's aggregation breadth.
-	ConsensusMode = core.ConsensusMode
 	// Topology is the virtual cluster layout (nodes × workers/node).
 	Topology = simnet.Topology
 	// CostModel is the α/β virtual-time model.
@@ -154,8 +152,8 @@ const (
 	ADADMM = core.ADADMM
 	// GCADMM is classic synchronous master-worker consensus ADMM.
 	GCADMM = core.GCADMM
-	// PSRAHGADMMGroup is the group-local consensus reading as a named
-	// variant (equivalent to PSRAHGADMM with Consensus: ConsensusGroup).
+	// PSRAHGADMMGroup is the group-local reading of Algorithms 1–3: each
+	// WLG group computes z from its own members only.
 	PSRAHGADMMGroup = core.PSRAHGADMMGroup
 	// PSRAHGADMMSSPQ8 composes the staged aggregation tree with SSP
 	// admission and an 8-bit quantized sparse exchange — a combination the
@@ -190,12 +188,6 @@ const (
 	// PSRAADMMShardedRobust composes block-sharded consensus state with the
 	// trimmed-mean reduce: each shard owner trims its own blocks.
 	PSRAADMMShardedRobust = core.PSRAADMMShardedRobust
-)
-
-// PSRA-HGADMM consensus modes (see Config.Consensus).
-const (
-	ConsensusGlobal = core.ConsensusGlobal
-	ConsensusGroup  = core.ConsensusGroup
 )
 
 // Train runs L1-regularized logistic regression with the configured

@@ -68,26 +68,25 @@ func TestPublicAPIAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestPublicAPIConsensusModes covers both PSRA-HGADMM readings.
-func TestPublicAPIConsensusModes(t *testing.T) {
+// TestPublicAPIBothReadings covers both PSRA-HGADMM readings.
+func TestPublicAPIBothReadings(t *testing.T) {
 	train, _, err := Generate(News20Like(0.0005, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ConsensusMode{ConsensusGlobal, ConsensusGroup} {
+	for _, alg := range []Algorithm{PSRAHGADMM, PSRAHGADMMGroup} {
 		cfg := Config{
-			Algorithm:      PSRAHGADMM,
-			Consensus:      mode,
+			Algorithm:      alg,
 			Topo:           Topology{Nodes: 4, WorkersPerNode: 1},
 			GroupThreshold: 2,
 			Rho:            1, Lambda: 1, MaxIter: 10,
 		}
 		res, err := Train(cfg, train, RunOptions{})
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%s: %v", alg, err)
 		}
 		if res.FinalObjective() >= res.History[0].Objective {
-			t.Fatalf("%s: no progress", mode)
+			t.Fatalf("%s: no progress", alg)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func BenchmarkAllreduceSparseCost(b *testing.B) { runExperiment(b, "costmodel") 
 func BenchmarkDesignAblations(b *testing.B) { runExperiment(b, "ablation") }
 
 // trainBench runs one engine training at a fixed small configuration.
-func trainBench(b *testing.B, alg Algorithm, consensus ConsensusMode) {
+func trainBench(b *testing.B, alg Algorithm) {
 	b.Helper()
 	train, _, err := Generate(News20Like(0.001, 1))
 	if err != nil {
@@ -62,7 +62,6 @@ func trainBench(b *testing.B, alg Algorithm, consensus ConsensusMode) {
 	}
 	cfg := Config{
 		Algorithm: alg,
-		Consensus: consensus,
 		Topo:      Topology{Nodes: 4, WorkersPerNode: 2},
 		Rho:       1, Lambda: 1, MaxIter: 10,
 		EvalEvery: 10,
@@ -78,14 +77,12 @@ func trainBench(b *testing.B, alg Algorithm, consensus ConsensusMode) {
 }
 
 // Per-algorithm engine benchmarks (10 iterations, 8 workers).
-func BenchmarkEnginePSRAHGADMM(b *testing.B) { trainBench(b, PSRAHGADMM, ConsensusGlobal) }
-func BenchmarkEnginePSRAHGADMMGroup(b *testing.B) {
-	trainBench(b, PSRAHGADMM, ConsensusGroup)
-}
-func BenchmarkEnginePSRAADMM(b *testing.B) { trainBench(b, PSRAADMM, "") }
-func BenchmarkEngineADMMLib(b *testing.B)  { trainBench(b, ADMMLib, "") }
-func BenchmarkEngineADADMM(b *testing.B)   { trainBench(b, ADADMM, "") }
-func BenchmarkEngineGCADMM(b *testing.B)   { trainBench(b, GCADMM, "") }
+func BenchmarkEnginePSRAHGADMM(b *testing.B)      { trainBench(b, PSRAHGADMM) }
+func BenchmarkEnginePSRAHGADMMGroup(b *testing.B) { trainBench(b, PSRAHGADMMGroup) }
+func BenchmarkEnginePSRAADMM(b *testing.B)        { trainBench(b, PSRAADMM) }
+func BenchmarkEngineADMMLib(b *testing.B)         { trainBench(b, ADMMLib) }
+func BenchmarkEngineADADMM(b *testing.B)          { trainBench(b, ADADMM) }
+func BenchmarkEngineGCADMM(b *testing.B)          { trainBench(b, GCADMM) }
 
 // BenchmarkGroupThresholdAblation sweeps the GQ threshold at fixed
 // cluster size under stragglers (timing/consensus trade-off).
@@ -97,8 +94,7 @@ func BenchmarkGroupThresholdAblation(b *testing.B) {
 	for _, th := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("threshold=%d", th), func(b *testing.B) {
 			cfg := Config{
-				Algorithm: PSRAHGADMM,
-				Consensus: ConsensusGroup,
+				Algorithm: PSRAHGADMMGroup,
 				Topo:      Topology{Nodes: 8, WorkersPerNode: 1},
 				Rho:       1, Lambda: 1, MaxIter: 10,
 				GroupThreshold: th,
@@ -124,7 +120,7 @@ func BenchmarkGroupThresholdAblation(b *testing.B) {
 // flat PSRA-ADMM at identical numerics.
 func BenchmarkHierarchyAblation(b *testing.B) {
 	for _, alg := range []Algorithm{PSRAHGADMM, PSRAADMM} {
-		b.Run(string(alg), func(b *testing.B) { trainBench(b, alg, "") })
+		b.Run(string(alg), func(b *testing.B) { trainBench(b, alg) })
 	}
 }
 
@@ -165,7 +161,7 @@ func BenchmarkComputeModelAblation(b *testing.B) {
 		name string
 		alg  Algorithm
 	}{{"BSP", PSRAHGADMM}, {"SSP", ADMMLib}} {
-		b.Run(row.name, func(b *testing.B) { trainBench(b, row.alg, "") })
+		b.Run(row.name, func(b *testing.B) { trainBench(b, row.alg) })
 	}
 }
 

@@ -62,7 +62,6 @@ func main() {
 		lambda    = flag.Float64("lambda", 1, "L1 regularization weight λ")
 		iters     = flag.Int("iters", 100, "outer iterations")
 		threshold = flag.Int("threshold", 0, "GQ grouping threshold in nodes (0 = all nodes)")
-		consensus = flag.String("consensus", string(psra.ConsensusGlobal), "global | group (PSRA-HGADMM aggregation breadth)")
 		minBarr   = flag.Int("min-barrier", 0, "SSP partial-barrier size in workers (0 = half the workers, the paper's Min_barrier)")
 		maxDelay  = flag.Int("max-delay", 0, "SSP/async staleness bound in rounds (0 = the paper's Max_delay of 5)")
 		dataPath  = flag.String("data", "", "LIBSVM training file (overrides -synth)")
@@ -128,7 +127,6 @@ func main() {
 		Lambda:           *lambda,
 		MaxIter:          *iters,
 		GroupThreshold:   *threshold,
-		Consensus:        psra.ConsensusMode(*consensus),
 		MinBarrier:       *minBarr,
 		MaxDelay:         *maxDelay,
 		Elastic:          elastic != "off",

@@ -119,17 +119,8 @@ func main() {
 	if *rank < 0 || *rank >= world {
 		fatal(fmt.Errorf("rank %d out of [0,%d)", *rank, world))
 	}
-	if *rejoin && !*elastic {
-		fatal(fmt.Errorf("-rejoin requires -elastic: the fail-stop protocol cannot re-admit ranks"))
-	}
 	if *minBarr > 0 && !*elastic {
 		fatal(fmt.Errorf("-min-barrier requires -elastic: the fail-stop gather is a full barrier"))
-	}
-	if *screenOn && !*elastic {
-		fatal(fmt.Errorf("-screen requires -elastic: quarantine is a membership transition only the elastic protocol can absorb"))
-	}
-	if *aggName != "" && *aggName != "mean" && !*elastic {
-		fatal(fmt.Errorf("-aggregator=%s requires -elastic: the robust combine point is the elastic GG", *aggName))
 	}
 	if *snapEvery < 1 {
 		fatal(fmt.Errorf("-snapshot-every must be >= 1, got %d", *snapEvery))
@@ -137,17 +128,6 @@ func main() {
 	if err := validateExplicitFlags(); err != nil {
 		fatal(err)
 	}
-
-	ep, err := transport.NewTCPEndpoint(*rank, addrList, transport.TCPOptions{
-		DialTimeout:       *timeout,
-		HeartbeatInterval: *heartbeat,
-		PeerTimeout:       *peerDead,
-		Rejoin:            *rejoin,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer ep.Close()
 
 	cfg := wlg.Config{
 		Topo:             topo,
@@ -174,6 +154,24 @@ func main() {
 			ResidualFactor: *wdFactor,
 		}
 	}
+	// Before the mesh: establishment waits for every rank (up to -timeout),
+	// and a mistyped -codec or -aggregator should not cost that wait on
+	// every process.
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
+
+	ep, err := transport.NewTCPEndpoint(*rank, addrList, transport.TCPOptions{
+		DialTimeout:       *timeout,
+		HeartbeatInterval: *heartbeat,
+		PeerTimeout:       *peerDead,
+		Rejoin:            *rejoin,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	defer ep.Close()
+
 	if *rank == wlg.GGRank(topo) {
 		fmt.Printf("rank %d: group generator serving %d nodes × %d iterations\n", *rank, *nodes, *iters)
 		if err := wlg.RunGG(ep, cfg); err != nil {

@@ -59,20 +59,21 @@ func main() {
 	}
 
 	// 3. Quantized exchange: value bits vs bytes moved.
-	for _, bits := range []int{0, 16, 8} {
+	// Config.Codec swaps the variant's exchange codec for the run; empty
+	// keeps the registered one (exact sparse for psra-hgadmm).
+	for _, q := range []struct {
+		label string
+		codec psra.ExchangeKind
+	}{{"64-bit", ""}, {"16-bit", "sparse-q16"}, {" 8-bit", "sparse-q8"}} {
 		cfg := base
 		cfg.MaxIter = 40
-		cfg.QuantBits = bits
+		cfg.Codec = q.codec
 		res, err := psra.Train(cfg, train, psra.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		label := fmt.Sprintf("%2d-bit", bits)
-		if bits == 0 {
-			label = "64-bit"
-		}
 		fmt.Printf("%s values: objective %9.4f, %8d bytes communicated\n",
-			label, res.FinalObjective(), res.TotalBytes)
+			q.label, res.FinalObjective(), res.TotalBytes)
 	}
 
 	// 4. The registry: every runnable variant is a (consensus, sync, codec)

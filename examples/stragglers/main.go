@@ -23,8 +23,7 @@ func main() {
 
 	run := func(threshold int) *psra.Result {
 		cfg := psra.Config{
-			Algorithm:      psra.PSRAHGADMM,
-			Consensus:      psra.ConsensusGroup,
+			Algorithm:      psra.PSRAHGADMMGroup,
 			Topo:           psra.Topology{Nodes: 16, WorkersPerNode: 2},
 			Rho:            1,
 			Lambda:         1,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"psrahgadmm/internal/core"
+	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/metrics"
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/solver"
@@ -98,19 +99,18 @@ func Ablation(opts Options) error {
 	t3b := metrics.NewTable(
 		fmt.Sprintf("Ablation 3b — quantized w exchange, %s (%d iters)", dcfg.Name, iters),
 		"value_bits", "rel_error", "comm_bytes")
-	for _, bits := range []int{0, 16, 8} {
+	for _, q := range []struct {
+		bits  int
+		codec exchange.Kind
+	}{{64, exchange.Sparse}, {16, exchange.SparseQ16}, {8, exchange.SparseQ8}} {
 		cfg := runCfg(core.PSRAHGADMM, nodes, wpn, opts)
 		cfg.MaxIter = iters
-		cfg.QuantBits = bits
+		cfg.Codec = q.codec
 		res, err := core.Run(cfg, l.train, core.RunOptions{FStar: fstar, HaveFStar: true})
 		if err != nil {
-			return fmt.Errorf("ablation quant %d: %w", bits, err)
+			return fmt.Errorf("ablation quant %d: %w", q.bits, err)
 		}
-		label := bits
-		if bits == 0 {
-			label = 64
-		}
-		t3b.AddRow(label, res.History[len(res.History)-1].RelError, metrics.Bytes(res.TotalBytes))
+		t3b.AddRow(q.bits, res.History[len(res.History)-1].RelError, metrics.Bytes(res.TotalBytes))
 	}
 	if err := emit(opts, t3b); err != nil {
 		return err

@@ -12,7 +12,7 @@ import (
 // versus without it, under injected stragglers — §5.5's methodology of
 // randomly selected nodes with prolonged computation time (a fixed
 // additive delay, so straggler damage does not shrink as shards shrink).
-// Runs use the group-local consensus mode, the reading of Algorithms 1–3
+// Runs use psra-hgadmm-group, the reading of Algorithms 1–3
 // under which fast groups proceed without waiting for slow nodes; the
 // ungrouped baseline (threshold = all nodes) is a single global group,
 // which every iteration must wait for the slowest node. The headline is
@@ -29,8 +29,7 @@ func Fig7(opts Options) error {
 			return err
 		}
 		run := func(nodes, threshold int) (cell, error) {
-			cfg := runCfg(core.PSRAHGADMM, nodes, wpn, opts)
-			cfg.Consensus = core.ConsensusGroup
+			cfg := runCfg(core.PSRAHGADMMGroup, nodes, wpn, opts)
 			cfg.GroupThreshold = threshold
 			// A slow node is picked rarely but pauses for a fixed virtual
 			// delay large next to a shard's compute at scale.

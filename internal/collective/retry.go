@@ -154,7 +154,8 @@ func RecvRetry(ep transport.Endpoint, from int, tag int32, pol RetryPolicy) (wir
 
 // SendAck sends m to `to` and waits for the receiver's acknowledgement on
 // AckTag(m.Tag), resending the payload on each timeout — the recovery path
-// for FaultFabric drops. The receiver must use RecvAck on the same tag.
+// for FaultFabric drops. The receiver acknowledges each copy it takes with
+// a control message on AckTag(m.Tag).
 //
 // When the ack budget is exhausted the sender probes the peer's liveness:
 // a dead peer returns its PeerDownError; a live peer means the data (or
@@ -185,19 +186,6 @@ func SendAck(ep transport.Endpoint, to int, m wire.Message, pol RetryPolicy) err
 		return err
 	}
 	return nil // peer alive: assume delivered (ack lost), proceed
-}
-
-// RecvAck receives a message from `from` on tag with RecvRetry semantics
-// and acknowledges it on AckTag(tag) so a SendAck sender stops resending.
-// A failed ack send to an already-dead sender is ignored — the data
-// arrived, which is all the caller needs.
-func RecvAck(ep transport.Endpoint, from int, tag int32, pol RetryPolicy) (wire.Message, error) {
-	m, err := RecvRetry(ep, from, tag, pol)
-	if err != nil {
-		return wire.Message{}, err
-	}
-	_ = ep.Send(int(m.From), wire.Control(AckTag(tag), 0))
-	return m, nil
 }
 
 // probeTag is a tag no protocol sends on: a RecvTimeout against it can

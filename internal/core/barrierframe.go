@@ -13,7 +13,7 @@ import (
 // frame owns what they all share — the per-participant clocks, the cached
 // and in-flight partials, every buffer a round reuses — and the round's
 // bookends: open (reconcile membership, launch every idle live participant,
-// charge the fan-in, admit the SyncModel's quorum), deliver/arrive (hand an
+// charge the fan-in, admit the sync model's quorum), deliver/arrive (hand an
 // admitted batch the round's result) and settle (close the admitted batches
 // and average the round's timing). A strategy's Round reads
 // open → its own aggregation → deliver → settle, and what stays in the
@@ -59,6 +59,13 @@ type barrierFrame struct {
 	isFresh []bool
 	commSum float64
 	applied int
+	// busyUntil is when the shared resource consecutive rounds serialize
+	// through comes free — the star master's NIC, the ring Leaders' NICs,
+	// the flat collective's delivery: such a round starts at
+	// max(cutoff, busyUntil). Tree and group-local leave it zero. It is the
+	// one strategy scalar a checkpoint carries, which is why it lives here
+	// and not in three strategies under three names.
+	busyUntil float64
 
 	// Reusable scratch: the launch's idle list and pool batch, the barrier's
 	// finish times, the fan-in's message sizes, and the bus and wire traces'
@@ -108,6 +115,10 @@ func newBarrierFrame(env *strategyEnv, per int) barrierFrame {
 	}
 	return f
 }
+
+// frame is how the engine reaches the state every strategy embeds
+// (ConsensusStrategy.frame).
+func (f *barrierFrame) frame() *barrierFrame { return f }
 
 // muster lists the live participants and each one's live ranks.
 func (f *barrierFrame) muster() {
@@ -277,7 +288,7 @@ func (f *barrierFrame) charge(cfg Config, tr collective.Trace, timing *iterTimin
 }
 
 // open starts a round: membership changes are reconciled, every idle live
-// participant launches, and the SyncModel's quorum is admitted — the
+// participant launches, and the sync model's quorum is admitted — the
 // admitted batches' partials become the cached ones, and live / ranksOf /
 // leaders / inputs / fresh / isFresh describe the round. It returns the
 // barrier cutoff.
@@ -299,7 +310,7 @@ func (f *barrierFrame) open(cfg Config, iter int, timing *iterTiming) (cutoff fl
 			timing.bytes += b.launchBytes
 		}
 	}
-	cutoff = sspCutoff(f.clocks, env.sync.Quorum(len(f.live), f.per), env.sync.Delay(), &f.finishes)
+	cutoff = sspCutoff(f.clocks, env.sync.quorum(len(f.live), f.per), env.sync.delay(), &f.finishes)
 	f.fresh = admitted(f.clocks, cutoff, f.fresh)
 	f.commSum, f.applied = 0, 0
 	clear(f.isFresh)

@@ -46,41 +46,6 @@ func (c *CheckpointOptions) interval() int {
 	return 10
 }
 
-// resumableStrategy is implemented by consensus strategies carrying
-// cross-round scalar state beyond the workers and clocks (the star
-// master's next-free time, the ring/flat collective serialization times).
-// Strategies without such state — tree and group rebuild everything from
-// the workers each round — simply do not implement it.
-type resumableStrategy interface {
-	stateSnapshot() []float64
-	stateRestore(vals []float64) error
-}
-
-func scalarRestore(what string, dst []*float64, vals []float64) error {
-	if len(vals) != len(dst) {
-		return fmt.Errorf("core: %s: want %d strategy scalars, snapshot has %d", what, len(dst), len(vals))
-	}
-	for i, p := range dst {
-		*p = vals[i]
-	}
-	return nil
-}
-
-func (st *starStrategy) stateSnapshot() []float64 { return []float64{st.masterFreeAt} }
-func (st *starStrategy) stateRestore(vals []float64) error {
-	return scalarRestore("star", []*float64{&st.masterFreeAt}, vals)
-}
-
-func (st *flatStrategy) stateSnapshot() []float64 { return []float64{st.lastEnd} }
-func (st *flatStrategy) stateRestore(vals []float64) error {
-	return scalarRestore("flat", []*float64{&st.lastEnd}, vals)
-}
-
-func (st *ringStrategy) stateSnapshot() []float64 { return []float64{st.lastRingEnd} }
-func (st *ringStrategy) stateRestore(vals []float64) error {
-	return scalarRestore("ring", []*float64{&st.lastRingEnd}, vals)
-}
-
 // buildSnapshot captures the state a run must restore to continue from
 // nextIter. Dead workers' state is captured too — it is frozen at their
 // last applied update and harmless, and keeping every rank makes the
@@ -103,8 +68,11 @@ func buildSnapshot(cfg Config, env *strategyEnv, strat ConsensusStrategy, nextIt
 	for _, r := range env.members.Dead() {
 		snap.Dead = append(snap.Dead, int32(r))
 	}
-	if rs, ok := strat.(resumableStrategy); ok {
-		snap.Strategy = rs.stateSnapshot()
+	// The one strategy scalar, when the strategy keeps it: star, flat and
+	// ring after any round; tree and group-local (which rebuild everything
+	// from the workers each round) never, so they write none.
+	if b := strat.frame().busyUntil; b != 0 {
+		snap.Strategy = []float64{b}
 	}
 	snap.Workers = make([]exchange.WorkerSnap, 0, len(env.ws))
 	for _, w := range env.ws {
@@ -214,6 +182,9 @@ func applySnapshot(snap *exchange.Snapshot, cfg *Config, env *strategyEnv, strat
 	if len(snap.ZPrev) != env.dim {
 		return 0, fmt.Errorf("core: snapshot dimension %d, run dimension %d", len(snap.ZPrev), env.dim)
 	}
+	if len(snap.Strategy) > 1 {
+		return 0, fmt.Errorf("core: snapshot carries %d strategy scalars, a strategy keeps at most one", len(snap.Strategy))
+	}
 	seen := make([]bool, len(env.ws))
 	for i := range snap.Workers {
 		s := &snap.Workers[i]
@@ -252,12 +223,9 @@ func applySnapshot(snap *exchange.Snapshot, cfg *Config, env *strategyEnv, strat
 			return 0, err
 		}
 	}
-	if rs, ok := strat.(resumableStrategy); ok {
-		if err := rs.stateRestore(snap.Strategy); err != nil {
-			return 0, err
-		}
-	} else if len(snap.Strategy) > 0 {
-		return 0, fmt.Errorf("core: snapshot carries %d strategy scalars but %s keeps none", len(snap.Strategy), cfg.Algorithm)
+	strat.frame().busyUntil = 0
+	if len(snap.Strategy) == 1 {
+		strat.frame().busyUntil = snap.Strategy[0]
 	}
 	copy(zPrev, snap.ZPrev)
 	res.TotalCalTime = snap.TotalCal

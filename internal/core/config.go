@@ -4,16 +4,18 @@
 //   - ConsensusStrategy (strategy.go, consensus_*.go): HOW the aggregate
 //     W = Σ(yᵢ + ρxᵢ) is formed and z redistributed — star, ring, flat
 //     PSR, staged aggregation tree, group-local.
-//   - SyncModel (syncmodel.go): WHEN a round admits its participants —
+//   - sync model (syncmodel.go): WHEN a round admits its participants —
 //     BSP barrier, SSP partial barrier (Min_barrier/Max_delay), or
 //     bounded-delay async.
-//   - ExchangeCodec (package exchange): WHAT travels — exact sparse,
-//     quantized sparse, dense fp64, or dense fp32.
+//   - exchange codec (package exchange): WHAT travels — exact sparse,
+//     quantized sparse, top-k, dense fp64, or dense fp32.
 //
 // Named algorithms are registry entries (registry.go) binding one triple:
 // PSRA-HGADMM is (tree, bsp, sparse), ADMMLib is (ring, ssp, dense-f32),
 // AD-ADMM is (star, ssp, dense), and so on — see Variants() for the full
-// zoo, including compositions the paper's monoliths could not express.
+// zoo, including compositions the paper's monoliths could not express. A
+// registered name is how a run says its composition; Config.Codec and
+// Config.Aggregator override one axis value each and inherit when empty.
 //
 // The engine executes real numerics (TRON subproblem solves, exact sparse
 // aggregation through the collective implementations) under a deterministic
@@ -32,15 +34,6 @@ import (
 	"psrahgadmm/internal/watchdog"
 )
 
-// ConsensusMode selects PSRA-HGADMM's aggregation breadth per iteration.
-type ConsensusMode string
-
-// The implemented consensus modes.
-const (
-	ConsensusGlobal ConsensusMode = "global"
-	ConsensusGroup  ConsensusMode = "group"
-)
-
 // Algorithm names one registered consensus-ADMM variant (see registry.go
 // for the bindings and Algorithms()/Variants() for enumeration).
 type Algorithm string
@@ -53,8 +46,14 @@ const (
 	ADMMLib    Algorithm = "admmlib"
 	ADADMM     Algorithm = "ad-admm"
 	GCADMM     Algorithm = "gc-admm"
-	// PSRAHGADMMGroup names the group-local consensus reading directly
-	// (equivalent to PSRAHGADMM with Consensus=group).
+	// PSRAHGADMMGroup is the group-local reading of the paper's Algorithms
+	// 1–3, which are ambiguous about how far a group's aggregate propagates
+	// (see DESIGN.md): one grouping round per iteration, each group computing
+	// z from its own members only, so fast groups never wait for slow nodes —
+	// the reading Figure 7's straggler isolation requires. PSRAHGADMM is the
+	// other one: group partials re-enter the GG queue and merge in a staged
+	// tree until W is exact global consensus, which Figure 5's convergence
+	// requires.
 	PSRAHGADMMGroup Algorithm = "psra-hgadmm-group"
 	// PSRAHGADMMSSPQ8 is a composition the monolithic switch could not
 	// express: the staged aggregation tree under SSP with an 8-bit
@@ -123,19 +122,6 @@ type Config struct {
 	// (PSRA-HGADMM only). 0 or out of range means all nodes — exact
 	// global consensus, the paper's "ungrouped" baseline.
 	GroupThreshold int
-	// Consensus selects how far PSRA-HGADMM's group aggregates propagate
-	// each iteration. The paper's Algorithms 1–3 are ambiguous here, so
-	// both readings are implemented (see DESIGN.md):
-	//
-	//   - ConsensusGlobal (default): group partials re-enter the GG queue
-	//     and merge in a staged tree until W is exact global consensus —
-	//     the reading Figure 5's convergence requires.
-	//   - ConsensusGroup: one grouping round per iteration; each group
-	//     computes z from its own members only (scaled by the group's
-	//     worker count). Fast groups never wait for slow nodes — the
-	//     reading Figure 7's straggler isolation requires — at the cost
-	//     of consensus breadth per iteration.
-	Consensus ConsensusMode
 	// MinBarrier is the SSP partial-barrier size in workers (ADMMLib,
 	// AD-ADMM). 0 defaults to half the workers, the paper's setting.
 	MinBarrier int
@@ -166,11 +152,14 @@ type Config struct {
 	AdaptiveRho bool
 	// RhoMu and RhoTau are the balancing parameters (defaults 10 and 2).
 	RhoMu, RhoTau float64
-	// QuantBits, when 8 or 16, quantizes every communicated w
-	// contribution to that many value bits with a per-vector max-abs
-	// scale (the Q-GADMM-style lossy option). 0 keeps full float64
-	// precision. Applies to the PSRA algorithms' sparse exchange.
-	QuantBits int
+	// Codec overrides the exchange codec for this run — e.g.
+	// exchange.SparseQ8, the Q-GADMM-style lossy option that quantizes every
+	// communicated w contribution to 8 value bits against a max-abs scale.
+	// Empty inherits the registered variant's Codec axis value. An override
+	// is held to the same rules as a registration: the kind must exist and
+	// compose with the variant's consensus strategy (the tree, flat and
+	// group-local strategies have no dense wire format).
+	Codec exchange.Kind
 	// CodecBudgetBytes targets the top-k codecs' adaptive selection: after
 	// every round each live rank steers its selection budget k so the
 	// observed per-iteration trace bytes approach this figure, clamped to
@@ -295,9 +284,6 @@ func (c *Config) fill() {
 	if c.GroupThreshold < 1 || c.GroupThreshold > c.Topo.Nodes {
 		c.GroupThreshold = c.Topo.Nodes
 	}
-	if c.Consensus == "" {
-		c.Consensus = ConsensusGlobal
-	}
 	if c.RhoMu <= 0 {
 		c.RhoMu = 10
 	}
@@ -314,7 +300,7 @@ func (c *Config) fill() {
 type runAxes struct {
 	consensus ConsensusKind
 	sync      SyncKind
-	codec     exchange.Kind
+	codec     exchange.Codec
 	sharded   bool
 	agg       collective.AggSpec
 }
@@ -328,17 +314,23 @@ func (c Config) axes() (runAxes, error) {
 	if !ok {
 		return runAxes{}, fmt.Errorf("core: unknown algorithm %q", c.Algorithm)
 	}
-	ax := runAxes{sharded: v.Sharded || c.ShardedState}
-	ax.consensus, ax.sync, ax.codec = v.resolve(c)
+	ax := runAxes{consensus: v.Consensus, sync: v.Sync, sharded: v.Sharded || c.ShardedState}
+	kind := c.Codec
+	if kind == "" {
+		kind = v.Codec
+	}
+	var err error
+	if ax.codec, err = exchange.For(kind); err != nil {
+		return runAxes{}, fmt.Errorf("core: %s: %w", c.Algorithm, err)
+	}
 	name := c.Aggregator
 	if name == "" {
 		name = v.Aggregator
 	}
-	var err error
 	if ax.agg, err = collective.ResolveAgg(name, c.TrimF); err != nil {
 		return runAxes{}, fmt.Errorf("core: %w", err)
 	}
-	if err := checkComposition(ax.consensus, ax.codec, ax.sharded, ax.agg.Kind); err != nil {
+	if err := checkComposition(ax.consensus, kind, ax.sharded, ax.agg.Kind); err != nil {
 		return runAxes{}, fmt.Errorf("core: %s: %w", c.Algorithm, err)
 	}
 	fanIn, unit := c.Topo.Size(), "workers"
@@ -367,12 +359,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxIter <= 0 {
 		return fmt.Errorf("core: MaxIter must be positive, got %d", c.MaxIter)
-	}
-	if c.Consensus != "" && c.Consensus != ConsensusGlobal && c.Consensus != ConsensusGroup {
-		return fmt.Errorf("core: unknown consensus mode %q", c.Consensus)
-	}
-	if c.QuantBits != 0 && c.QuantBits != 8 && c.QuantBits != 16 {
-		return fmt.Errorf("core: QuantBits must be 0, 8 or 16, got %d", c.QuantBits)
 	}
 	if c.CodecBudgetBytes < 0 {
 		return fmt.Errorf("core: CodecBudgetBytes must be non-negative, got %d", c.CodecBudgetBytes)

@@ -14,10 +14,10 @@ import "psrahgadmm/internal/sparse"
 // owns every per-round buffer, so a warmed BSP round touches no heap (see
 // DESIGN.md "Memory model & buffer ownership").
 type flatStrategy struct {
-	barrierFrame // one participant per worker
-	// lastEnd serializes consecutive collectives: a new round cannot start
-	// before the previous one's result has been delivered.
-	lastEnd float64
+	// One participant per worker. busyUntil serializes consecutive
+	// collectives: a new round cannot start before the previous one's result
+	// has been delivered.
+	barrierFrame
 	// agg is the replicated collective's result sink.
 	agg *sparse.Vector
 }
@@ -39,8 +39,8 @@ func (st *flatStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	if err != nil {
 		return timing, err
 	}
-	end := maxf(cutoff, st.lastEnd) + st.charge(cfg, st.wire(tr), &timing)
-	st.lastEnd = end
+	end := maxf(cutoff, st.busyUntil) + st.charge(cfg, st.wire(tr), &timing)
+	st.busyUntil = end
 
 	// Every member of the collective holds its result; the fresh ones
 	// apply it.

@@ -15,9 +15,9 @@ import "psrahgadmm/internal/sparse"
 // ADMMLib's communication volume is flat in cluster size and why PSRA's
 // sparse exchange undercuts it.
 type ringStrategy struct {
-	barrierFrame // one participant per node
-	// lastRingEnd serializes consecutive rings through the Leaders' NICs.
-	lastRingEnd float64
+	// One participant per node. busyUntil serializes consecutive rings
+	// through the Leaders' NICs.
+	barrierFrame
 	// agg is the ring's result sink.
 	agg *sparse.Vector
 }
@@ -34,7 +34,7 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 
 	// The ring runs among every live node's Leader (the node's first
 	// surviving rank) — stale Leaders serve their cached partial.
-	ringStart := maxf(cutoff, st.lastRingEnd)
+	ringStart := maxf(cutoff, st.busyUntil)
 	var commT float64
 	agg := st.inputs[0]
 	if len(st.live) > 1 {
@@ -54,7 +54,7 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		agg = st.agg
 	}
 	ringEnd := ringStart + commT
-	st.lastRingEnd = ringEnd
+	st.busyUntil = ringEnd
 
 	// Leaders hold W after the ring; they apply the z-update — averaging
 	// over the surviving workers — and fan the thresholded z to their

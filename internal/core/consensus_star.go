@@ -14,9 +14,9 @@ import (
 // (Zhang & Kwok's async consensus update: stale workers' previous w's
 // stay in the sum).
 type starStrategy struct {
-	barrierFrame // one participant per worker
-	// masterFreeAt serializes consecutive rounds through the master's NIC.
-	masterFreeAt float64
+	// One participant per worker. busyUntil serializes consecutive rounds
+	// through the master's NIC.
+	barrierFrame
 	// Master-side combine: cws carries the combine scratch (the star never
 	// runs a wire collective through it), combined is its destination.
 	cws      collective.Workspace
@@ -37,8 +37,8 @@ func (st *starStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// fresh workers' contributions and returns z to them. Only fresh
 	// workers pay wire time this round.
 	tr := st.wire(starGatherTrace(st.leaders[0], st.fresh, env.dim))
-	end := maxf(cutoff, st.masterFreeAt) + st.charge(cfg, tr, &timing)
-	st.masterFreeAt = end
+	end := maxf(cutoff, st.busyUntil) + st.charge(cfg, tr, &timing)
+	st.busyUntil = end
 
 	// The master is the star's combine point: it already sees every live
 	// worker's cached contribution (fresh or stale), so the aggregator — the

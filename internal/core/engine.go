@@ -88,10 +88,6 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	if err != nil { // unreachable after Validate
 		return nil, err
 	}
-	codec, err := exchange.For(ax.codec)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", cfg.Algorithm, err)
-	}
 
 	ws := newWorkers(cfg, train)
 	// One scratch fabric serves every in-run collective; rank numbering
@@ -129,8 +125,8 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	env := &strategyEnv{
 		ws:      ws,
 		fab:     fab,
-		codec:   codec,
-		sync:    newSyncModel(ax.sync, cfg),
+		codec:   ax.codec,
+		sync:    syncModel{ax.sync, cfg.MinBarrier, cfg.MaxDelay},
 		dim:     train.Dim(),
 		members: members,
 		elastic: cfg.Elastic,
@@ -159,10 +155,10 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	// selection, plus the adaptive k driven by CodecBudgetBytes. Every
 	// other codec leaves states nil, keeping the encode path — and every
 	// golden history — byte-identical to the stateless engine.
-	if exchange.IsTopK(ax.codec) {
+	if exchange.IsTopK(ax.codec.Kind()) {
 		env.states = make([]*exchange.State, cfg.Topo.Size())
 		for r := range env.states {
-			s := exchange.NewState(ax.codec, cfg.CodecBudgetBytes)
+			s := exchange.NewState(ax.codec.Kind(), cfg.CodecBudgetBytes)
 			s.DisableErrorFeedback = cfg.CodecNoErrorFeedback
 			s.AgeScoring = cfg.CodecAgeScoring
 			if cfg.CodecTopK > 0 {

@@ -35,15 +35,18 @@ type iterStatJSON struct {
 }
 
 type resultJSON struct {
-	Algorithm      string         `json:"algorithm"`
+	Algorithm string `json:"algorithm"`
+	// The composition that ran: the variant's axes with the run's
+	// overrides applied.
 	Consensus      string         `json:"consensus"`
+	Sync           string         `json:"sync"`
+	Codec          string         `json:"codec"`
 	Nodes          int            `json:"nodes"`
 	WorkersPerNode int            `json:"workers_per_node"`
 	Rho            float64        `json:"rho"`
 	Lambda         float64        `json:"lambda"`
 	MaxIter        int            `json:"max_iter"`
 	GroupThreshold int            `json:"group_threshold"`
-	QuantBits      int            `json:"quant_bits"`
 	Stopped        bool           `json:"stopped_early"`
 	TotalCalTime   float64        `json:"total_cal_time_s"`
 	TotalCommTime  float64        `json:"total_comm_time_s"`
@@ -55,16 +58,18 @@ type resultJSON struct {
 // WriteJSON serializes the run (configuration summary plus full history)
 // as indented JSON, with NaN fields rendered as null.
 func (r *Result) WriteJSON(w io.Writer) error {
+	ax, _ := r.Config.axes() // a completed run's config passed Validate
 	out := resultJSON{
 		Algorithm:      string(r.Config.Algorithm),
-		Consensus:      string(r.Config.Consensus),
+		Consensus:      string(ax.consensus),
+		Sync:           string(ax.sync),
+		Codec:          string(ax.codec.Kind()),
 		Nodes:          r.Config.Topo.Nodes,
 		WorkersPerNode: r.Config.Topo.WorkersPerNode,
 		Rho:            r.Config.Rho,
 		Lambda:         r.Config.Lambda,
 		MaxIter:        r.Config.MaxIter,
 		GroupThreshold: r.Config.GroupThreshold,
-		QuantBits:      r.Config.QuantBits,
 		Stopped:        r.Stopped,
 		TotalCalTime:   r.TotalCalTime,
 		TotalCommTime:  r.TotalCommTime,

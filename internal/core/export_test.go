@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"psrahgadmm/internal/exchange"
 )
 
 func TestWriteJSON(t *testing.T) {
 	train, test := testData(t, 80)
 	cfg := baseConfig(PSRAHGADMM, 2, 2)
+	cfg.Codec = exchange.SparseQ8 // the history names what ran, not what was registered
 	cfg.MaxIter = 6
 	cfg.EvalEvery = 3 // some iterations carry NaN objective → null in JSON
 	res, err := Run(cfg, train, RunOptions{Test: test})
@@ -34,6 +37,12 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if parsed["algorithm"] != "psra-hgadmm" {
 		t.Fatalf("algorithm = %v", parsed["algorithm"])
+	}
+	if parsed["consensus"] != "tree" || parsed["sync"] != "bsp" || parsed["codec"] != "sparse-q8" {
+		t.Fatalf("resolved axes = (%v, %v, %v), want (tree, bsp, sparse-q8)", parsed["consensus"], parsed["sync"], parsed["codec"])
+	}
+	if _, ok := parsed["quant_bits"]; ok {
+		t.Fatal("quant_bits is still written")
 	}
 	hist, ok := parsed["history"].([]any)
 	if !ok || len(hist) != 6 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"psrahgadmm/internal/exchange"
@@ -103,19 +104,19 @@ func TestAdaptRhoRule(t *testing.T) {
 
 func TestQuantizedCommunication(t *testing.T) {
 	train, test := testData(t, 160)
-	run := func(bits int) *Result {
+	run := func(codec exchange.Kind) *Result {
 		cfg := baseConfig(PSRAHGADMM, 4, 2)
 		cfg.MaxIter = 25
-		cfg.QuantBits = bits
+		cfg.Codec = codec
 		res, err := Run(cfg, train, RunOptions{Test: test})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	full := run(0)
-	q16 := run(16)
-	q8 := run(8)
+	full := run("")
+	q16 := run(exchange.SparseQ16)
+	q8 := run(exchange.SparseQ8)
 
 	// Bytes must shrink monotonically with precision.
 	if !(q8.TotalBytes < q16.TotalBytes && q16.TotalBytes < full.TotalBytes) {
@@ -162,12 +163,71 @@ func TestQuantEntryBytes(t *testing.T) {
 	}
 }
 
-func TestQuantBitsValidation(t *testing.T) {
-	train, _ := testData(t, 60)
-	cfg := baseConfig(PSRAHGADMM, 2, 1)
-	cfg.QuantBits = 7
-	if _, err := Run(cfg, train, RunOptions{}); err == nil {
-		t.Fatal("QuantBits=7 accepted")
+// TestCodecOverride: Config.Codec is the registered variant with one axis
+// value swapped — the same history, bit for bit, as the variant registered
+// with that codec — and an override that names no codec, or one the
+// variant's consensus strategy cannot carry, is an error where the parent's
+// knob was a silent no-op.
+func TestCodecOverride(t *testing.T) {
+	train, test := testData(t, 120)
+	for _, tc := range []struct {
+		base  Algorithm
+		codec exchange.Kind
+		named Algorithm
+	}{
+		{PSRAADMM, exchange.TopK, PSRAADMMTopK},
+		{PSRAHGADMM, exchange.TopKQ8, PSRAHGADMMTopKQ8},
+	} {
+		run := func(alg Algorithm, codec exchange.Kind) *Result {
+			cfg := baseConfig(alg, 3, 2)
+			cfg.MaxIter = 8
+			cfg.Codec = codec
+			res, err := Run(cfg, train, RunOptions{Test: test})
+			if err != nil {
+				t.Fatalf("%s + %q: %v", alg, codec, err)
+			}
+			return res
+		}
+		over, named := run(tc.base, tc.codec), run(tc.named, "")
+		if len(over.History) != len(named.History) {
+			t.Fatalf("%s + %s ran %d iterations, %s %d", tc.base, tc.codec, len(over.History), tc.named, len(named.History))
+		}
+		for i := range named.History {
+			if !statBitEqual(over.History[i], named.History[i]) {
+				t.Fatalf("%s + %s diverges from %s at iteration %d:\ngot  %+v\nwant %+v", tc.base, tc.codec, tc.named, i, over.History[i], named.History[i])
+			}
+		}
+		if !bitsEqual(over.Z, named.Z) {
+			t.Fatalf("%s + %s: final iterate differs from %s's", tc.base, tc.codec, tc.named)
+		}
+	}
+
+	for _, tc := range []struct {
+		alg   Algorithm
+		codec exchange.Kind
+		want  string
+	}{
+		{PSRAHGADMM, exchange.Dense, "tree consensus requires a sparse codec, not dense"},
+		{PSRAADMM, exchange.Dense, "flat-psr consensus requires a sparse codec, not dense"},
+		{PSRAHGADMMGroup, exchange.DenseF32, "group-local consensus requires a sparse codec, not dense-f32"},
+		{PSRAHGADMM, "sparse-q7", `unknown codec "sparse-q7"`},
+		{ADMMLib, "sparse-q7", `unknown codec "sparse-q7"`},
+	} {
+		cfg := baseConfig(tc.alg, 2, 1)
+		cfg.Codec = tc.codec
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s + %q: Validate = %v, want an error containing %q", tc.alg, tc.codec, err, tc.want)
+		}
+	}
+	// The ring and the star carry every codec, dense or sparse.
+	for _, alg := range []Algorithm{ADMMLib, GCADMM} {
+		for _, k := range exchange.Kinds() {
+			cfg := baseConfig(alg, 2, 1)
+			cfg.Codec = k
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s + %s: %v", alg, k, err)
+			}
+		}
 	}
 }
 

@@ -10,12 +10,13 @@ import (
 	"strconv"
 	"testing"
 
+	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/transport"
 )
 
 // The golden-history regression suite pins the exact per-iteration output
-// of every paper variant (plus the consensus-mode and quantized readings)
+// of every paper variant (plus the group-local and quantized readings)
 // to files under testdata/golden. Histories are serialized with float64
 // bit patterns, so ANY change to the arithmetic, its association order, or
 // the virtual-clock bookkeeping fails the test — this is what licenses
@@ -69,21 +70,17 @@ func goldenCases() []goldenCase {
 	}
 	return []goldenCase{
 		{"psra-hgadmm", func() Config { return base(PSRAHGADMM) }},
-		{"psra-hgadmm-group", func() Config {
-			cfg := base(PSRAHGADMM)
-			cfg.Consensus = ConsensusGroup
-			return cfg
-		}},
+		{"psra-hgadmm-group", func() Config { return base(PSRAHGADMMGroup) }},
 		{"psra-admm", func() Config { return base(PSRAADMM) }},
 		{"psra-admm-q8", func() Config {
 			cfg := base(PSRAADMM)
-			cfg.QuantBits = 8
+			cfg.Codec = exchange.SparseQ8
 			return cfg
 		}},
 		{"gr-admm", func() Config { return base(GRADMM) }},
 		{"gr-admm-q16", func() Config {
 			cfg := base(GRADMM)
-			cfg.QuantBits = 16
+			cfg.Codec = exchange.SparseQ16
 			return cfg
 		}},
 		{"admmlib", func() Config { return base(ADMMLib) }},

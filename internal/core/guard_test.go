@@ -126,6 +126,7 @@ func TestStoreIsScatterOfSparseView(t *testing.T) {
 			m, ws := storeFixtureOn(r, 30+r.Intn(60), blocks, 1+r.Intn(4), full)
 			env, dim := fixtureEnv(ws), m.Part.Dim
 			cfg := Config{Algorithm: PSRAADMM, Rho: 1}
+			strat := &flatStrategy{} // a zero frame: no strategy scalar to carry
 			zPrev, res := make([]float64, dim), &Result{}
 			var blob []byte
 			var saved []heldState
@@ -155,7 +156,7 @@ func TestStoreIsScatterOfSparseView(t *testing.T) {
 						w.rejoin(v, float64(step))
 					}
 				case 3:
-					blob = exchange.EncodeSnapshot(buildSnapshot(cfg, env, nil, step, zPrev, res))
+					blob = exchange.EncodeSnapshot(buildSnapshot(cfg, env, strat, step, zPrev, res))
 					saved = saved[:0]
 					for _, w := range ws {
 						saved = append(saved, holdState(w))
@@ -168,7 +169,7 @@ func TestStoreIsScatterOfSparseView(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := applySnapshot(snap, &cfg, env, nil, zPrev, res, true); err != nil {
+					if _, err := applySnapshot(snap, &cfg, env, strat, zPrev, res, true); err != nil {
 						t.Fatalf("full=%v seed %d step %d: restore: %v", full, seed, step, err)
 					}
 					for i, w := range ws {
@@ -365,8 +366,8 @@ func buildSnapshotDenseZ(cfg Config, env *strategyEnv, strat ConsensusStrategy, 
 	for _, r := range env.members.Dead() {
 		snap.Dead = append(snap.Dead, int32(r))
 	}
-	if rs, ok := strat.(resumableStrategy); ok {
-		snap.Strategy = rs.stateSnapshot()
+	if b := strat.frame().busyUntil; b != 0 {
+		snap.Strategy = []float64{b}
 	}
 	snap.Workers = make([]exchange.WorkerSnap, 0, len(env.ws))
 	for _, w := range env.ws {
@@ -388,11 +389,21 @@ func buildSnapshotDenseZ(cfg Config, env *strategyEnv, strat ConsensusStrategy, 
 // earlier builds wrote (dense ZDense + sparse view) and its sparse-only twin
 // restore to bit-identical worker state, and runs resumed from the two files
 // continue with one history — the uninterrupted run's — under the replicated
-// and the block-sharded placement.
+// and the block-sharded placement. Every consensus strategy is a row: the
+// snapshot carries the frame's one serialisation scalar for star, flat and
+// ring and none for tree and group-local, a blob with two is refused, and a
+// blob with none restores.
 func TestOldLayoutSnapshotRestoresLikeSparseOnly(t *testing.T) {
 	train, test := testData(t, 160)
 	const cut = 7
-	for _, alg := range []Algorithm{PSRAHGADMM, PSRAADMM, PSRAHGADMMSharded} {
+	for _, tc := range []struct {
+		alg     Algorithm
+		scalars int
+	}{
+		{PSRAHGADMM, 0}, {PSRAADMM, 1}, {PSRAHGADMMSharded, 0},
+		{GCADMM, 1}, {GRADMM, 1}, {PSRAHGADMMGroup, 0},
+	} {
+		alg := tc.alg
 		t.Run(string(alg), func(t *testing.T) {
 			mk := func() Config {
 				cfg := baseConfig(alg, 3, 2)
@@ -421,6 +432,9 @@ func TestOldLayoutSnapshotRestoresLikeSparseOnly(t *testing.T) {
 					t.Fatalf("the engine wrote %d dense z values for rank %d; z travels once, sparse", len(snap.Workers[i].ZDense), i)
 				}
 			}
+			if len(snap.Strategy) != tc.scalars {
+				t.Fatalf("snapshot carries %d strategy scalars %v, want %d", len(snap.Strategy), snap.Strategy, tc.scalars)
+			}
 
 			// Restore the engine's snapshot into a live environment and
 			// re-save it from there the way earlier builds did.
@@ -438,6 +452,22 @@ func TestOldLayoutSnapshotRestoresLikeSparseOnly(t *testing.T) {
 				return env, strat, cfg, zPrev, res
 			}
 			envNew, stratNew, cfgNew, zPrev, res := restore(newBlob)
+			if got := stratNew.frame().busyUntil; (tc.scalars == 1 && got != snap.Strategy[0]) || (tc.scalars == 0 && got != 0) {
+				t.Fatalf("restored busyUntil %v from strategy scalars %v", got, snap.Strategy)
+			}
+			held := holdState(envNew.ws[0])
+			snap.Strategy = []float64{1, 2}
+			if _, err := applySnapshot(snap, &cfgNew, envNew, stratNew, zPrev, res, true); err == nil || !strings.Contains(err.Error(), "strategy scalars") {
+				t.Fatalf("a snapshot with two strategy scalars: err %v, want a refusal", err)
+			}
+			if d := held.diff(holdState(envNew.ws[0])); d != "" {
+				t.Fatalf("the refused snapshot touched rank 0's %s", d)
+			}
+			snap.Strategy = nil
+			if _, err := applySnapshot(snap, &cfgNew, envNew, stratNew, zPrev, res, true); err != nil || stratNew.frame().busyUntil != 0 {
+				t.Fatalf("a snapshot with no strategy scalar: err %v, busyUntil %v", err, stratNew.frame().busyUntil)
+			}
+			envNew, stratNew, cfgNew, zPrev, res = restore(newBlob)
 			oldBlob := exchange.EncodeSnapshot(buildSnapshotDenseZ(cfgNew, envNew, stratNew, cut, zPrev, res))
 			if len(oldBlob) <= len(newBlob) {
 				t.Fatalf("old layout %d bytes, sparse-only %d: the old layout carries z twice", len(oldBlob), len(newBlob))

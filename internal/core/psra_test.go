@@ -11,8 +11,7 @@ import (
 
 func TestGroupConsensusMakesProgress(t *testing.T) {
 	train, test := testData(t, 160)
-	cfg := baseConfig(PSRAHGADMM, 8, 1)
-	cfg.Consensus = ConsensusGroup
+	cfg := baseConfig(PSRAHGADMMGroup, 8, 1)
 	cfg.GroupThreshold = 2
 	cfg.MaxIter = 40
 	cfg.Jitter = simnet.Jitter{Seed: 4, Amp: 0.5} // rotates group membership
@@ -35,8 +34,7 @@ func TestGroupConsensusIsolatesStragglerDelay(t *testing.T) {
 	// mechanism in unit-test form.
 	train, _ := testData(t, 240)
 	run := func(threshold int) float64 {
-		cfg := baseConfig(PSRAHGADMM, 16, 1)
-		cfg.Consensus = ConsensusGroup
+		cfg := baseConfig(PSRAHGADMMGroup, 16, 1)
 		cfg.GroupThreshold = threshold
 		cfg.MaxIter = 20
 		cfg.EvalEvery = 20
@@ -56,11 +54,10 @@ func TestGroupConsensusIsolatesStragglerDelay(t *testing.T) {
 
 func TestGroupConsensusEqualsGlobalWhenSingleGroup(t *testing.T) {
 	// With threshold = all nodes the group reading degenerates to one
-	// global group — the trajectories of the two modes must agree.
+	// global group — the trajectories of the two readings must agree.
 	train, _ := testData(t, 120)
-	run := func(mode ConsensusMode) []IterStat {
-		cfg := baseConfig(PSRAHGADMM, 4, 2)
-		cfg.Consensus = mode
+	run := func(alg Algorithm) []IterStat {
+		cfg := baseConfig(alg, 4, 2)
 		cfg.GroupThreshold = 4
 		cfg.MaxIter = 12
 		res, err := Run(cfg, train, RunOptions{})
@@ -69,8 +66,8 @@ func TestGroupConsensusEqualsGlobalWhenSingleGroup(t *testing.T) {
 		}
 		return res.History
 	}
-	global := run(ConsensusGlobal)
-	group := run(ConsensusGroup)
+	global := run(PSRAHGADMM)
+	group := run(PSRAHGADMMGroup)
 	for i := range global {
 		g, p := global[i].Objective, group[i].Objective
 		if math.Abs(g-p) > 1e-6*(1+math.Abs(g)) {

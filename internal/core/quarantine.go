@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/watchdog"
@@ -111,7 +109,7 @@ func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []fl
 			continue
 		}
 		if env.screen.Strikes(r) >= limit {
-			members.Quarantine(r, fmt.Errorf("contribution screen: %d consecutive outlier contributions at iteration %d", limit, iter))
+			members.Quarantine(r)
 			q.clean[r] = 0
 			res.Quarantines = append(res.Quarantines, QuarantineEvent{Rank: r, Iter: iter})
 		}

@@ -18,7 +18,9 @@ type Variant struct {
 	Name      Algorithm
 	Consensus ConsensusKind
 	Sync      SyncKind
-	Codec     exchange.Kind
+	// Codec is the variant's exchange codec; Config.Codec overrides it per
+	// run.
+	Codec exchange.Kind
 	// Sharded runs the variant with block-sharded consensus state: the
 	// model dimension is block-partitioned, every rank holds only the
 	// blocks its data touches, and the z-update averages each block over
@@ -139,28 +141,6 @@ func (a Algorithm) Valid() bool {
 	return ok
 }
 
-// resolve maps the registered triple through the Config's compatibility
-// overrides: the legacy Consensus=group mode turns the staged tree into
-// group-local consensus, and QuantBits upgrades the exact sparse codec to
-// its quantized variant — exactly the knobs the pre-registry engine
-// honored.
-func (v Variant) resolve(cfg Config) (ConsensusKind, SyncKind, exchange.Kind) {
-	ck := v.Consensus
-	if ck == ConsensusTree && cfg.Consensus == ConsensusGroup {
-		ck = ConsensusGroupLocal
-	}
-	ek := v.Codec
-	if ek == exchange.Sparse {
-		switch cfg.QuantBits {
-		case 8:
-			ek = exchange.SparseQ8
-		case 16:
-			ek = exchange.SparseQ16
-		}
-	}
-	return ck, v.Sync, ek
-}
-
 func init() {
 	// The paper's six variants. Registration order is presentation order:
 	// the contribution first, then the ablations, then the baselines.
@@ -189,8 +169,7 @@ func init() {
 		Description: "baseline: classic fully synchronous master-worker global consensus ADMM",
 	})
 
-	// Named reading of the paper's group-local consensus (also reachable
-	// via Config.Consensus=group on psra-hgadmm).
+	// The group-local reading of the paper's Algorithms 1-3.
 	Register(Variant{
 		Name: PSRAHGADMMGroup, Consensus: ConsensusGroupLocal, Sync: SyncBSP, Codec: exchange.Sparse,
 		Description: "group-local reading of Algorithms 1-3: each WLG group computes z from its own members only",

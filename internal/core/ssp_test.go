@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"psrahgadmm/internal/simnet"
@@ -36,6 +37,31 @@ func TestSSPCutoffBasics(t *testing.T) {
 	clocks[3].staleness = 0
 	if got := sspCutoff(clocks, 1, 5, &scratch); got != 1 {
 		t.Fatalf("skip-nil cutoff = %v", got)
+	}
+}
+
+// TestSyncModelRows pins the sync axis: BSP waits for everyone and never
+// lets staleness accrue, SSP waits for MinBarrier workers rounded up to whole
+// participants (never fewer than one) under MaxDelay, async for one under
+// MaxDelay — at worker granularity (8 participants of 1) and at node
+// granularity (4 participants of 2 workers).
+func TestSyncModelRows(t *testing.T) {
+	for _, tc := range []struct {
+		kind                     SyncKind
+		minBarrier               int
+		workerQuorum, nodeQuorum int
+		delay                    int
+	}{
+		{SyncBSP, 3, 8, 4, math.MaxInt},
+		{SyncSSP, 3, 3, 2, 5},
+		{SyncSSP, 0, 1, 1, 5},
+		{SyncAsync, 3, 1, 1, 5},
+	} {
+		s := syncModel{tc.kind, tc.minBarrier, 5}
+		if w, n, d := s.quorum(8, 1), s.quorum(4, 2), s.delay(); w != tc.workerQuorum || n != tc.nodeQuorum || d != tc.delay {
+			t.Fatalf("%s MinBarrier %d: quorum %d of 8 workers, %d of 4 nodes, delay %d; want %d, %d, %d",
+				tc.kind, tc.minBarrier, w, n, d, tc.workerQuorum, tc.nodeQuorum, tc.delay)
+		}
 	}
 }
 

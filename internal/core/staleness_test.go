@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"psrahgadmm/internal/dataset"
-	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/membership"
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/sparse"
@@ -25,16 +23,12 @@ func newTestStrategy(t *testing.T, cfg Config, train *dataset.Dataset) (*strateg
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec, err := exchange.For(ax.codec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fab := transport.NewChanFabricZeroCopy(cfg.Topo.Size())
 	env := &strategyEnv{
 		ws:      newWorkers(cfg, train),
 		fab:     fab,
-		codec:   codec,
-		sync:    newSyncModel(ax.sync, cfg),
+		codec:   ax.codec,
+		sync:    syncModel{ax.sync, cfg.MinBarrier, cfg.MaxDelay},
 		dim:     train.Dim(),
 		members: membership.NewTracker(cfg.Topo.Size()),
 		elastic: cfg.Elastic,
@@ -104,7 +98,7 @@ func TestRejoinerServesColdStartUntilAdmitted(t *testing.T) {
 				for _, r := range tc.ranks {
 					switch {
 					case iter == leave && tc.quarantine:
-						env.members.Quarantine(r, errors.New("test"))
+						env.members.Quarantine(r)
 					case iter == leave:
 						env.members.MarkDown(r, errScheduledKill)
 					case iter == back:

@@ -17,7 +17,7 @@ import (
 // and the thresholded z redistributed. Each strategy is one file
 // implementing one round of its topology's protocol against the shared
 // substrate — the virtual clock, the real collective implementations over
-// the scratch fabric, the SyncModel barrier, and the ExchangeCodec wire
+// the scratch fabric, the sync-model barrier, and the ExchangeCodec wire
 // format. The engine's Run loop is strategy-agnostic; adding a topology
 // means adding one strategy file and a registry entry, not a seventh copy
 // of the iteration loop.
@@ -58,6 +58,8 @@ func ConsensusKinds() []ConsensusKind {
 // passed per round because AdaptiveRho mutates it mid-run.
 type ConsensusStrategy interface {
 	Round(cfg Config, iter int) (iterTiming, error)
+	// frame is the barrier frame the strategy embeds, which implements it.
+	frame() *barrierFrame
 }
 
 // iterTiming aggregates one iteration's virtual-time accounting.
@@ -78,7 +80,7 @@ type strategyEnv struct {
 	// selection; every other codec takes the stateless path untouched
 	// (bit-identical to the pre-topk engine).
 	states []*exchange.State
-	sync   SyncModel
+	sync   syncModel
 	dim    int
 	// members is the run's monotonic membership view. It is always
 	// present; in a non-elastic run nothing is ever marked down, so every

@@ -7,7 +7,7 @@ import (
 	"psrahgadmm/internal/sparse"
 )
 
-// The SyncModel axis: WHEN a consensus round admits its participants.
+// The sync-model axis: WHEN a consensus round admits its participants.
 // Every strategy runs the same per-round protocol — launch compute on idle
 // participants, admit a quorum at a cutoff time, aggregate, apply — and
 // the sync model only decides the quorum size and the staleness bound:
@@ -40,61 +40,40 @@ const (
 // SyncKinds lists every implemented synchronization model.
 func SyncKinds() []SyncKind { return []SyncKind{SyncBSP, SyncSSP, SyncAsync} }
 
-// SyncModel decides how many participants a round waits for and how stale
-// a laggard may grow. Implementations are stateless; the per-participant
-// bookkeeping ([]sspClock) lives in the strategies' barrier frame.
-type SyncModel interface {
-	Kind() SyncKind
-	// Quorum returns the partial-barrier size in participants, given the
-	// total participant count and how many workers each participant
-	// represents (1 for worker granularity, WorkersPerNode for node
-	// granularity).
-	Quorum(participants, workersPer int) int
-	// Delay is the staleness bound in rounds after which a pending
-	// participant forces the barrier to wait for it.
-	Delay() int
+// syncModel is one row of the axis bound to the run's barrier parameters —
+// the bounded-delay model's two numbers. It is stateless; the
+// per-participant bookkeeping ([]sspClock) lives in the strategies' barrier
+// frame.
+type syncModel struct {
+	kind SyncKind
+	// minBarrier is the partial-barrier size in workers, maxDelay the
+	// staleness bound in rounds; BSP reads neither.
+	minBarrier, maxDelay int
 }
 
-// newSyncModel binds a SyncKind to the run's barrier parameters.
-func newSyncModel(kind SyncKind, cfg Config) SyncModel {
-	switch kind {
+// quorum returns the partial-barrier size in participants, given the total
+// participant count and how many workers each participant represents (1 for
+// worker granularity, WorkersPerNode for node granularity — MinBarrier is
+// configured in workers and rounds up to whole nodes exactly as ADMMLib
+// does).
+func (s syncModel) quorum(participants, per int) int {
+	switch s.kind {
 	case SyncSSP:
-		return sspSync{minBarrier: cfg.MinBarrier, maxDelay: cfg.MaxDelay}
+		return max((s.minBarrier+per-1)/per, 1)
 	case SyncAsync:
-		return asyncSync{maxDelay: cfg.MaxDelay}
-	default:
-		return bspSync{}
+		return 1
 	}
+	return participants
 }
 
-// bspSync is the full barrier: quorum of everyone, staleness impossible.
-type bspSync struct{}
-
-func (bspSync) Kind() SyncKind                 { return SyncBSP }
-func (bspSync) Quorum(participants, _ int) int { return participants }
-func (bspSync) Delay() int                     { return math.MaxInt }
-
-// sspSync is the Min_barrier/Max_delay partial barrier. MinBarrier is
-// configured in workers; node-granular strategies round it up to whole
-// nodes exactly as ADMMLib does.
-type sspSync struct{ minBarrier, maxDelay int }
-
-func (sspSync) Kind() SyncKind { return SyncSSP }
-func (s sspSync) Quorum(participants, workersPer int) int {
-	k := (s.minBarrier + workersPer - 1) / workersPer
-	if k < 1 {
-		k = 1
+// delay is the staleness bound in rounds after which a pending participant
+// forces the barrier to wait for it; under BSP staleness is impossible.
+func (s syncModel) delay() int {
+	if s.kind == SyncBSP {
+		return math.MaxInt
 	}
-	return k
+	return s.maxDelay
 }
-func (s sspSync) Delay() int { return s.maxDelay }
-
-// asyncSync fires on the fastest participant, bounded by Max_delay.
-type asyncSync struct{ maxDelay int }
-
-func (asyncSync) Kind() SyncKind      { return SyncAsync }
-func (asyncSync) Quorum(_, _ int) int { return 1 }
-func (s asyncSync) Delay() int        { return s.maxDelay }
 
 // pendingCompute is a participant's in-flight x-update batch (one node for
 // the hierarchical strategies, one worker for star/flat) whose partial w

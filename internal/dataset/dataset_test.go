@@ -235,7 +235,10 @@ func TestGenerateShapeMatchesConfig(t *testing.T) {
 	}
 	// Zipf head: the most popular block of features should hold far more
 	// mass than the tail block.
-	counts := train.X.ColumnDensity(10)
+	var counts [10]int
+	for _, c := range train.X.ColIdx {
+		counts[int(c)*10/train.Dim()]++
+	}
 	if counts[0] <= counts[9]*2 {
 		t.Fatalf("no popularity skew: head %d tail %d", counts[0], counts[9])
 	}
@@ -268,7 +271,10 @@ func TestGenerateIsLearnable(t *testing.T) {
 		for r := 0; r < train.Rows(); r++ {
 			m := train.X.RowDot(r, w)
 			if m*train.Labels[r] <= 0 {
-				train.X.AddScaledRow(w, r, train.Labels[r])
+				cols, vals := train.X.Row(r)
+				for k, c := range cols {
+					w[c] += train.Labels[r] * vals[k]
+				}
 				mistakes++
 			}
 		}

@@ -2,73 +2,12 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"psrahgadmm/internal/sparse"
 )
 
-// Transformations applied to datasets before training. The published
-// corpora behind Table 1 ship preprocessed (news20.binary and webspam are
-// L2 row-normalized), so the library provides the same preprocessing for
-// raw LIBSVM inputs.
-
-// NormalizeRowsL2 scales every sample to unit Euclidean norm, in place.
-// Zero rows are left untouched. This is the preprocessing the paper's
-// corpora ship with, and it conditions the logistic subproblems (row norms
-// bound the Hessian's diagonal).
-func (d *Dataset) NormalizeRowsL2() {
-	m := d.X
-	for r := 0; r < m.NRows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		var sq float64
-		for k := lo; k < hi; k++ {
-			sq += m.Val[k] * m.Val[k]
-		}
-		if sq == 0 {
-			continue
-		}
-		inv := 1 / math.Sqrt(sq)
-		for k := lo; k < hi; k++ {
-			m.Val[k] *= inv
-		}
-	}
-}
-
-// MaxAbsColumnScale divides every column by its maximum absolute value
-// (computed over this dataset), returning the per-column scales so a test
-// split can be scaled identically. Columns never touched keep scale 1.
-func (d *Dataset) MaxAbsColumnScale() []float64 {
-	m := d.X
-	maxima := make([]float64, d.Dim())
-	for k, c := range m.ColIdx {
-		if a := math.Abs(m.Val[k]); a > maxima[c] {
-			maxima[c] = a
-		}
-	}
-	scales := make([]float64, d.Dim())
-	for i, mx := range maxima {
-		if mx > 0 {
-			scales[i] = mx
-		} else {
-			scales[i] = 1
-		}
-	}
-	d.ApplyColumnScale(scales)
-	return scales
-}
-
-// ApplyColumnScale divides each column c by scales[c], in place (used to
-// apply a training split's scales to its test split).
-func (d *Dataset) ApplyColumnScale(scales []float64) {
-	if len(scales) != d.Dim() {
-		panic("dataset: ApplyColumnScale dimension mismatch")
-	}
-	m := d.X
-	for k, c := range m.ColIdx {
-		m.Val[k] /= scales[c]
-	}
-}
+// Row-order transformations applied to datasets before training.
 
 // Shuffle permutes the sample order deterministically from seed. Row
 // sharding is contiguous, so shuffling first removes any ordering bias in
@@ -111,44 +50,4 @@ func NewLike(name string, dim, nnz int) *Dataset {
 		X:      sparse.NewCSR(0, dim, nnz),
 		Labels: nil,
 	}
-}
-
-// StratifiedSplit partitions the dataset into train/test with the given
-// test fraction, preserving the positive/negative label ratio in both
-// splits. Deterministic from seed.
-func (d *Dataset) StratifiedSplit(testFrac float64, seed int64) (train, test *Dataset, err error) {
-	if testFrac <= 0 || testFrac >= 1 {
-		return nil, nil, fmt.Errorf("dataset: test fraction %v out of (0,1)", testFrac)
-	}
-	r := rand.New(rand.NewSource(seed))
-	var pos, neg []int
-	for i, l := range d.Labels {
-		if l > 0 {
-			pos = append(pos, i)
-		} else {
-			neg = append(neg, i)
-		}
-	}
-	r.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
-	r.Shuffle(len(neg), func(i, j int) { neg[i], neg[j] = neg[j], neg[i] })
-
-	take := func(idx []int) (tr, te []int) {
-		cut := int(float64(len(idx)) * testFrac)
-		return idx[cut:], idx[:cut]
-	}
-	posTr, posTe := take(pos)
-	negTr, negTe := take(neg)
-
-	build := func(name string, rows []int) *Dataset {
-		out := NewLike(name, d.Dim(), 0)
-		for _, row := range rows {
-			cols, vals := d.X.Row(row)
-			out.X.AppendRow(cols, vals)
-			out.Labels = append(out.Labels, d.Labels[row])
-		}
-		return out
-	}
-	trainRows := append(append([]int(nil), posTr...), negTr...)
-	testRows := append(append([]int(nil), posTe...), negTe...)
-	return build(d.Name+"/train", trainRows), build(d.Name+"/test", testRows), nil
 }

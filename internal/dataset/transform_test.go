@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -16,77 +15,6 @@ func transformFixture(t *testing.T) *Dataset {
 		t.Fatal(err)
 	}
 	return d
-}
-
-func TestNormalizeRowsL2(t *testing.T) {
-	d := transformFixture(t)
-	d.NormalizeRowsL2()
-	for r := 0; r < d.Rows(); r++ {
-		_, vals := d.X.Row(r)
-		var sq float64
-		for _, v := range vals {
-			sq += v * v
-		}
-		if math.Abs(sq-1) > 1e-12 {
-			t.Fatalf("row %d norm² = %v", r, sq)
-		}
-	}
-	if err := d.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// Row 0 was (3,4): must become (0.6, 0.8).
-	_, vals := d.X.Row(0)
-	if math.Abs(vals[0]-0.6) > 1e-12 || math.Abs(vals[1]-0.8) > 1e-12 {
-		t.Fatalf("row 0 = %v", vals)
-	}
-}
-
-func TestNormalizeRowsL2EmptyRow(t *testing.T) {
-	d, err := ReadLIBSVM(strings.NewReader("+1 1:2\n-1\n"), 2, "e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.NormalizeRowsL2() // must not panic on the empty row
-	if err := d.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMaxAbsColumnScale(t *testing.T) {
-	d := transformFixture(t)
-	scales := d.MaxAbsColumnScale()
-	// Column maxima: col0 max |5|, col1 max |6|, col2 max |10|.
-	want := []float64{5, 6, 10}
-	if !vec.WithinTol(scales, want, 1e-12) {
-		t.Fatalf("scales = %v, want %v", scales, want)
-	}
-	// After scaling every |value| ≤ 1 and each column's max is exactly 1.
-	maxima := make([]float64, d.Dim())
-	for k, c := range d.X.ColIdx {
-		if a := math.Abs(d.X.Val[k]); a > maxima[c] {
-			maxima[c] = a
-		}
-	}
-	for c, mx := range maxima {
-		if math.Abs(mx-1) > 1e-12 {
-			t.Fatalf("column %d post-scale max = %v", c, mx)
-		}
-	}
-}
-
-func TestApplyColumnScaleToTestSplit(t *testing.T) {
-	train := transformFixture(t)
-	test := transformFixture(t)
-	scales := train.MaxAbsColumnScale()
-	test.ApplyColumnScale(scales)
-	// Both splits must now be identical (they started identical).
-	for r := 0; r < train.Rows(); r++ {
-		_, a := train.X.Row(r)
-		_, b := test.X.Row(r)
-		if !vec.WithinTol(a, b, 1e-12) {
-			t.Fatalf("row %d differs after shared scaling", r)
-		}
-	}
 }
 
 func TestShuffleAndReorder(t *testing.T) {
@@ -133,40 +61,5 @@ func TestReorderRejectsBadPermutation(t *testing.T) {
 			}()
 			d.Reorder(bad)
 		}()
-	}
-}
-
-func TestStratifiedSplit(t *testing.T) {
-	train, _, err := Generate(SynthConfig{
-		Name: "ss", Dim: 100, TrainRows: 200, TestRows: 1, RowNNZ: 5,
-		ZipfS: 1.3, SignalNNZ: 20, Seed: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, te, err := train.StratifiedSplit(0.25, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Rows()+te.Rows() != train.Rows() {
-		t.Fatalf("split lost rows: %d + %d != %d", tr.Rows(), te.Rows(), train.Rows())
-	}
-	if err := tr.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if err := te.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// Label ratios preserved within a couple of samples.
-	frac := func(d *Dataset) float64 { return d.Summary().PosFrac }
-	if math.Abs(frac(tr)-frac(te)) > 0.05 {
-		t.Fatalf("stratification broken: train %v vs test %v", frac(tr), frac(te))
-	}
-	// Invalid fractions rejected.
-	if _, _, err := train.StratifiedSplit(0, 1); err == nil {
-		t.Fatal("testFrac 0 accepted")
-	}
-	if _, _, err := train.StratifiedSplit(1, 1); err == nil {
-		t.Fatal("testFrac 1 accepted")
 	}
 }

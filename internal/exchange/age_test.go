@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"math"
 	"testing"
 
 	"psrahgadmm/internal/sparse"
@@ -149,6 +150,26 @@ func TestEncodeSparseBlocksPerBlockScale(t *testing.T) {
 	QuantizeSparseBits(global, 8)
 	if global.NNZ() >= got.NNZ() {
 		t.Fatalf("global scale kept %d entries, per-block %d: expected per-block to preserve more", global.NNZ(), got.NNZ())
+	}
+
+	// The whole-vector quantizer is the one-block call, bit for bit.
+	for bits, kind := range map[int]Kind{8: SparseQ8, 16: SparseQ16} {
+		qc, err := For(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, oneBlock := build(), build()
+		QuantizeSparseBits(whole, bits)
+		EncodeSparseBlocks(qc, oneBlock, []int{0, oneBlock.Dim})
+		if whole.NNZ() != oneBlock.NNZ() {
+			t.Fatalf("%d bits: QuantizeSparseBits kept %d entries, the one-block encode %d", bits, whole.NNZ(), oneBlock.NNZ())
+		}
+		for k := range whole.Index {
+			if whole.Index[k] != oneBlock.Index[k] || math.Float64bits(whole.Value[k]) != math.Float64bits(oneBlock.Value[k]) {
+				t.Fatalf("%d bits, entry %d: QuantizeSparseBits (%d,%v), one-block encode (%d,%v)",
+					bits, k, whole.Index[k], whole.Value[k], oneBlock.Index[k], oneBlock.Value[k])
+			}
+		}
 	}
 
 	// Exact codecs are no-ops.

@@ -35,147 +35,149 @@ const (
 	// 4-byte index + 8-byte value per nonzero.
 	Sparse Kind = "sparse"
 	// SparseQ8 and SparseQ16 quantize sparse values to 8/16-bit fixed
-	// point with a per-vector max-abs scale (Q-GADMM-style).
+	// point with a per-vector max-abs scale (Q-GADMM-style): every sparse
+	// entry costs 4 index bytes plus bits/8 value bytes on the wire. z still
+	// travels at full precision (it is already thresholded and sparse).
 	SparseQ8  Kind = "sparse-q8"
 	SparseQ16 Kind = "sparse-q16"
 	// Dense ships full dense float64 vectors (the master-worker
 	// baselines' exchange).
 	Dense Kind = "dense"
 	// DenseF32 ships dense vectors rounded to float32 precision at half
-	// the bytes (ADMMLib's single-precision parameter exchange).
+	// the bytes (ADMMLib's single-precision parameter exchange); the
+	// thresholded z fans out as 4-byte index + 4-byte value entries.
 	DenseF32 Kind = "dense-f32"
-
-	// TopK and TopKQ8 are declared in topk.go: top-k sparsification with
-	// per-rank error feedback, exact or 8-bit-quantized survivors.
+	// TopK keeps only the k largest-magnitude coordinates of each
+	// contribution, exact float64 values (12-byte entries).
+	TopK Kind = "topk"
+	// TopKQ8 composes top-k selection with the 8-bit quantizer: the k
+	// survivors travel as 5-byte entries, and the quantization error joins
+	// the dropped coordinates in the error-feedback residual.
+	TopKQ8 Kind = "topk-q8"
 )
 
-// Kinds lists every implemented codec.
-func Kinds() []Kind { return []Kind{Sparse, SparseQ8, SparseQ16, Dense, DenseF32, TopK, TopKQ8} }
+// Codec is one row of the exchange-representation axis: a kind is fully
+// described by whether it is charged as dense vectors, its value precision,
+// how a nominal trace rescales to its wire format, and what the consensus
+// iterate costs. Everything a codec does derives from its row. Selection and
+// error feedback — the top-k kinds' other half — need per-rank memory and
+// run through State.Encode (topk.go); a State-less call site rounds values
+// only, so it degrades to the exact/q8 codec instead of silently dropping
+// coordinates.
+type Codec struct {
+	kind Kind
+	// dense: the exchange is charged as full dense vectors, not index/value
+	// sparse payloads.
+	dense bool
+	// bits is the value precision: 0 exact float64, 8 or 16 fixed point
+	// against a max-abs scale, 32 float32.
+	bits int
+	// twelfths rescales a trace built at nominal sizes (12-byte sparse or
+	// 8-byte dense entries) to the wire format, bytes·twelfths/12: 12 is the
+	// identity, 5 and 6 the q8/q16 entry, 6 also float32's halving. One
+	// constant denominator keeps the per-event division a multiply.
+	twelfths int
+	// zHeader + zEntry·nnz is the wire payload of the consensus iterate. The
+	// z indices always travel exactly; only value precision varies.
+	zHeader, zEntry int
+}
 
-// Codec is the exchange-representation strategy. EncodeSparse rounds
-// values in place to what survives the wire; the *Bytes methods and
-// WireTrace give the corresponding payload sizes for the virtual cost
-// model.
-type Codec interface {
-	Kind() Kind
-	// DenseExchange reports whether the exchange is charged as full dense
-	// vectors (true) or index/value sparse payloads (false).
-	DenseExchange() bool
-	// EncodeSparse lossily rounds a sparse vector's values in place,
-	// dropping entries that round to zero. Exact codecs are no-ops.
-	EncodeSparse(v *sparse.Vector)
-	// WireTrace rescales a collective trace — built at nominal sparse
-	// (12-byte-entry) or dense (8-byte-entry) sizes — to this codec's
-	// wire format.
-	WireTrace(tr collective.Trace) collective.Trace
-	// WireTraceInto is WireTrace writing the rescaled events into dst's
-	// backing array (grown only when too small). Identity codecs return
-	// tr unchanged without touching dst. Callers on the hot path keep the
-	// returned Events slice and pass it back as dst next round, so the
-	// steady state rescales without allocating.
-	WireTraceInto(dst []collective.Event, tr collective.Trace) collective.Trace
-	// SparseMsgBytes is the nominal payload of one sparse vector with nnz
-	// entries, before WireTrace scaling.
-	SparseMsgBytes(nnz int) int
-	// DenseMsgBytes is the wire payload of one dense vector of dim
-	// entries.
-	DenseMsgBytes(dim int) int
-	// ZMsgBytes is the wire payload of the distributed consensus iterate
-	// with nnz nonzeros. The z indices always travel exactly; only value
-	// precision varies.
-	ZMsgBytes(nnz int) int
+// exact is the twelfths of a kind whose traces travel at nominal size.
+const exact = wire.SparseEntryBytes
+
+// The axis: kind, dense, bits, twelfths, z header, z entry.
+var codecs = []Codec{
+	{Sparse, false, 0, exact, 8, wire.SparseEntryBytes},
+	{SparseQ8, false, 8, EntryBytes(8), 8, wire.SparseEntryBytes},
+	{SparseQ16, false, 16, EntryBytes(16), 8, wire.SparseEntryBytes},
+	{Dense, true, 0, exact, 4, wire.SparseEntryBytes},
+	{DenseF32, true, 32, exact / 2, 4, 4 + 4},
+	{TopK, false, 0, exact, 8, wire.SparseEntryBytes},
+	{TopKQ8, false, 8, EntryBytes(8), 8, wire.SparseEntryBytes},
+}
+
+// Kinds lists every implemented codec.
+func Kinds() []Kind {
+	out := make([]Kind, len(codecs))
+	for i, c := range codecs {
+		out[i] = c.kind
+	}
+	return out
 }
 
 // For returns the codec implementing kind.
 func For(kind Kind) (Codec, error) {
-	switch kind {
-	case Sparse:
-		return sparseCodec{}, nil
-	case SparseQ8:
-		return quantCodec{bits: 8}, nil
-	case SparseQ16:
-		return quantCodec{bits: 16}, nil
-	case Dense:
-		return denseCodec{}, nil
-	case DenseF32:
-		return f32Codec{}, nil
-	case TopK:
-		return topkCodec{}, nil
-	case TopKQ8:
-		return topkCodec{bits: 8}, nil
+	for _, c := range codecs {
+		if c.kind == kind {
+			return c, nil
+		}
 	}
-	return nil, fmt.Errorf("exchange: unknown codec %q", kind)
+	return Codec{}, fmt.Errorf("exchange: unknown codec %q", kind)
 }
 
-// sparseCodec is the exact sparse float64 exchange.
-type sparseCodec struct{}
+// IsTopK reports whether kind is a top-k sparsifying codec (and therefore
+// needs a per-rank State to be convergent).
+func IsTopK(k Kind) bool { return k == TopK || k == TopKQ8 }
 
-func (sparseCodec) Kind() Kind                                     { return Sparse }
-func (sparseCodec) DenseExchange() bool                            { return false }
-func (sparseCodec) EncodeSparse(*sparse.Vector)                    {}
-func (sparseCodec) WireTrace(tr collective.Trace) collective.Trace { return tr }
-func (sparseCodec) WireTraceInto(_ []collective.Event, tr collective.Trace) collective.Trace {
-	return tr
-}
-func (sparseCodec) SparseMsgBytes(nnz int) int { return 8 + wire.SparseEntryBytes*nnz }
-func (sparseCodec) DenseMsgBytes(dim int) int  { return 4 + wire.DenseEntryBytes*dim }
-func (sparseCodec) ZMsgBytes(nnz int) int      { return 8 + wire.SparseEntryBytes*nnz }
+func (c Codec) Kind() Kind { return c.kind }
 
-// quantCodec is the b-bit fixed-point sparse exchange: values quantize to
-// bits-wide levels against a per-vector max-abs scale, and every sparse
-// entry costs 4 index bytes plus bits/8 value bytes on the wire. z still
-// travels at full precision (it is already thresholded and sparse).
-type quantCodec struct{ bits int }
+// DenseExchange reports whether the exchange is charged as full dense
+// vectors (true) or index/value sparse payloads (false).
+func (c Codec) DenseExchange() bool { return c.dense }
 
-func (c quantCodec) Kind() Kind {
-	if c.bits == 8 {
-		return SparseQ8
+// EncodeSparse lossily rounds a sparse vector's values in place to what
+// survives the wire, dropping entries that round to zero. Exact codecs are
+// no-ops.
+func (c Codec) EncodeSparse(v *sparse.Vector) {
+	if c.bits == 0 {
+		return
 	}
-	return SparseQ16
+	offs := [2]int{0, v.Dim}
+	EncodeSparseBlocks(c, v, offs[:])
 }
-func (quantCodec) DenseExchange() bool             { return false }
-func (c quantCodec) EncodeSparse(v *sparse.Vector) { QuantizeSparseBits(v, c.bits) }
-func (c quantCodec) WireTrace(tr collective.Trace) collective.Trace {
-	return ScaleTraceBytes(tr, EntryBytes(c.bits), wire.SparseEntryBytes)
-}
-func (c quantCodec) WireTraceInto(dst []collective.Event, tr collective.Trace) collective.Trace {
-	return ScaleTraceBytesInto(dst, tr, EntryBytes(c.bits), wire.SparseEntryBytes)
-}
-func (quantCodec) SparseMsgBytes(nnz int) int { return 8 + wire.SparseEntryBytes*nnz }
-func (quantCodec) DenseMsgBytes(dim int) int  { return 4 + wire.DenseEntryBytes*dim }
-func (quantCodec) ZMsgBytes(nnz int) int      { return 8 + wire.SparseEntryBytes*nnz }
 
-// denseCodec is the exact dense float64 exchange.
-type denseCodec struct{}
+// WireTrace rescales a collective trace — built at nominal sparse
+// (12-byte-entry) or dense (8-byte-entry) sizes — to this codec's wire
+// format. The input trace is never mutated.
+func (c Codec) WireTrace(tr collective.Trace) collective.Trace { return c.WireTraceInto(nil, tr) }
 
-func (denseCodec) Kind() Kind                                     { return Dense }
-func (denseCodec) DenseExchange() bool                            { return true }
-func (denseCodec) EncodeSparse(*sparse.Vector)                    {}
-func (denseCodec) WireTrace(tr collective.Trace) collective.Trace { return tr }
-func (denseCodec) WireTraceInto(_ []collective.Event, tr collective.Trace) collective.Trace {
-	return tr
+// WireTraceInto is WireTrace writing the rescaled events into dst's
+// backing array (grown only when too small). Identity codecs return tr
+// unchanged without touching dst. Callers on the hot path keep the
+// returned Events slice and pass it back as dst next round, so the steady
+// state rescales without allocating.
+func (c Codec) WireTraceInto(dst []collective.Event, tr collective.Trace) collective.Trace {
+	if c.twelfths == exact {
+		return tr
+	}
+	dst = dst[:0]
+	for _, e := range tr.Events {
+		e.Bytes = e.Bytes * c.twelfths / exact
+		dst = append(dst, e)
+	}
+	return collective.Trace{Steps: tr.Steps, Events: dst}
 }
-func (denseCodec) SparseMsgBytes(nnz int) int { return 8 + wire.SparseEntryBytes*nnz }
-func (denseCodec) DenseMsgBytes(dim int) int  { return 4 + wire.DenseEntryBytes*dim }
-func (denseCodec) ZMsgBytes(nnz int) int      { return 4 + wire.SparseEntryBytes*nnz }
 
-// f32Codec is ADMMLib's single-precision dense exchange: values round to
-// float32, dense payloads halve, and the thresholded z fans out as 4-byte
-// index + 4-byte value entries.
-type f32Codec struct{}
+// SparseMsgBytes is the nominal payload of one sparse vector with nnz
+// entries, before WireTrace scaling.
+func (c Codec) SparseMsgBytes(nnz int) int {
+	if c.bits == 32 {
+		return 8 + (4+4)*nnz
+	}
+	return 8 + wire.SparseEntryBytes*nnz
+}
 
-func (f32Codec) Kind() Kind                    { return DenseF32 }
-func (f32Codec) DenseExchange() bool           { return true }
-func (f32Codec) EncodeSparse(v *sparse.Vector) { RoundF32Sparse(v) }
-func (f32Codec) WireTrace(tr collective.Trace) collective.Trace {
-	return ScaleTraceBytes(tr, 1, 2)
+// DenseMsgBytes is the wire payload of one dense vector of dim entries.
+func (c Codec) DenseMsgBytes(dim int) int {
+	if c.bits == 32 {
+		return 4 + wire.DenseEntryBytes*dim/2
+	}
+	return 4 + wire.DenseEntryBytes*dim
 }
-func (f32Codec) WireTraceInto(dst []collective.Event, tr collective.Trace) collective.Trace {
-	return ScaleTraceBytesInto(dst, tr, 1, 2)
-}
-func (f32Codec) SparseMsgBytes(nnz int) int { return 8 + (4+4)*nnz }
-func (f32Codec) DenseMsgBytes(dim int) int  { return 4 + wire.DenseEntryBytes*dim/2 }
-func (f32Codec) ZMsgBytes(nnz int) int      { return 4 + 8*nnz }
+
+// ZMsgBytes is the wire payload of the distributed consensus iterate with
+// nnz nonzeros.
+func (c Codec) ZMsgBytes(nnz int) int { return c.zHeader + c.zEntry*nnz }
 
 // EncodeSparseBlocks applies c's lossy sparse value rounding independently
 // to each contiguous block of a global-coordinate vector: offs lists the
@@ -183,19 +185,13 @@ func (f32Codec) ZMsgBytes(nnz int) int      { return 4 + 8*nnz }
 // v.Dim). Quantizing codecs derive their max-abs scale per block — matching
 // what the sharded collective's separate per-owner messages would
 // experience if each block traveled as its own vector — and exact codecs
-// are no-ops. Top-k kinds round values only (selection is State's job,
-// exactly as in Codec.EncodeSparse).
+// are no-ops. Top-k kinds round values only (selection is State's job).
 func EncodeSparseBlocks(c Codec, v *sparse.Vector, offs []int) {
-	var bits int
-	switch c.Kind() {
-	case SparseQ8, TopKQ8:
-		bits = 8
-	case SparseQ16:
-		bits = 16
-	case DenseF32:
-		RoundF32Sparse(v)
+	switch c.bits {
+	case 0:
 		return
-	default:
+	case 32:
+		RoundF32Sparse(v)
 		return
 	}
 	if len(offs) < 2 || offs[0] != 0 || offs[len(offs)-1] != v.Dim {
@@ -204,8 +200,9 @@ func EncodeSparseBlocks(c Codec, v *sparse.Vector, offs []int) {
 	// Linear cursor, not per-block binary search: in-place compaction
 	// rewrites the prefix while later blocks still need their original
 	// entries, so reads must stay ahead of writes (kept <= consumed holds
-	// throughout).
-	levels := float64(int(1)<<(bits-1) - 1)
+	// throughout). Exact zeros after rounding are dropped to preserve the
+	// no-stored-zeros invariant.
+	levels := float64(int(1)<<(c.bits-1) - 1)
 	n := len(v.Index)
 	kept, r := 0, 0
 	for b := 0; b+1 < len(offs); b++ {
@@ -234,25 +231,6 @@ func EncodeSparseBlocks(c Codec, v *sparse.Vector, offs []int) {
 	v.Value = v.Value[:kept]
 }
 
-// ScaleTraceBytes multiplies every event's byte count by num/den — how
-// lossy codecs rescale a trace built at nominal entry sizes without
-// forking the collectives. The input trace is never mutated.
-func ScaleTraceBytes(tr collective.Trace, num, den int) collective.Trace {
-	return ScaleTraceBytesInto(nil, tr, num, den)
-}
-
-// ScaleTraceBytesInto is ScaleTraceBytes writing the scaled events into
-// dst's backing array, which grows only when too small. The returned
-// trace aliases dst (when large enough), never tr's events.
-func ScaleTraceBytesInto(dst []collective.Event, tr collective.Trace, num, den int) collective.Trace {
-	dst = dst[:0]
-	for _, e := range tr.Events {
-		e.Bytes = e.Bytes * num / den
-		dst = append(dst, e)
-	}
-	return collective.Trace{Steps: tr.Steps, Events: dst}
-}
-
 // EntryBytes returns the wire size of one sparse element under b-bit
 // quantization: 4-byte index plus bits/8 value bytes (12 bytes exact).
 func EntryBytes(bits int) int {
@@ -264,35 +242,9 @@ func EntryBytes(bits int) int {
 
 // QuantizeSparseBits rounds a sparse vector's values to b-bit fixed point
 // with a per-vector scale (max-abs), in place — the Q-GADMM-style lossy
-// communication option. b must be 8 or 16; exact zeros after rounding are
-// dropped to preserve the no-stored-zeros invariant.
-func QuantizeSparseBits(v *sparse.Vector, bits int) {
-	if v.NNZ() == 0 {
-		return
-	}
-	var scale float64
-	for _, val := range v.Value {
-		if a := math.Abs(val); a > scale {
-			scale = a
-		}
-	}
-	if scale == 0 {
-		return
-	}
-	levels := float64(int(1)<<(bits-1) - 1)
-	kept := 0
-	for i := range v.Value {
-		q := math.Round(v.Value[i] / scale * levels)
-		val := q / levels * scale
-		if val != 0 {
-			v.Index[kept] = v.Index[i]
-			v.Value[kept] = val
-			kept++
-		}
-	}
-	v.Index = v.Index[:kept]
-	v.Value = v.Value[:kept]
-}
+// communication option, and EncodeSparseBlocks over the one block [0, Dim).
+// b must be 8 or 16.
+func QuantizeSparseBits(v *sparse.Vector, bits int) { Codec{bits: bits}.EncodeSparse(v) }
 
 // RoundF32Sparse rounds a sparse vector's values to float32 precision.
 func RoundF32Sparse(v *sparse.Vector) {

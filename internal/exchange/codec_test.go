@@ -3,6 +3,7 @@ package exchange
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"psrahgadmm/internal/collective"
@@ -50,28 +51,61 @@ func TestExactCodecsAreIdentity(t *testing.T) {
 	}
 }
 
+// TestWireTraceScaling pins every row of the codec table: each accessor,
+// the rescale of one fixed trace and the rounding of one fixed vector, as
+// literals, so a mistyped row fails here and not in a golden history three
+// packages away.
 func TestWireTraceScaling(t *testing.T) {
 	tr := collective.Trace{Steps: 1, Events: []collective.Event{
-		{Step: 0, From: 0, To: 1, Bytes: 120},
+		{From: 0, To: 1, Bytes: 120}, {From: 1, To: 0, Bytes: 7},
 	}}
+	exactIdx, exactVal := []int32{0, 2, 3, 5, 7}, []float64{1, -0.5, 0.3, 1e-4, 1e-300}
+	q8Idx, q8Val := []int32{0, 2, 3}, []float64{1, -0.5039370078740157, 0.2992125984251969}
 	cases := []struct {
-		kind Kind
-		want int
+		kind               Kind
+		dense              bool
+		sparse10, dense100 int    // SparseMsgBytes(10), DenseMsgBytes(100)
+		z7                 int    // ZMsgBytes(7)
+		wire               [2]int // WireTrace of {120, 7}
+		encIdx             []int32
+		encVal             []float64
 	}{
-		{Sparse, 120},   // identity
-		{SparseQ8, 50},  // 12-byte entries → 5-byte entries
-		{SparseQ16, 60}, // → 6-byte entries
-		{Dense, 120},    // identity
-		{DenseF32, 60},  // halved values
+		{Sparse, false, 128, 804, 92, [2]int{120, 7}, exactIdx, exactVal},
+		{SparseQ8, false, 128, 804, 92, [2]int{50, 2}, q8Idx, q8Val}, // 12-byte entries → 5
+		{SparseQ16, false, 128, 804, 92, [2]int{60, 3}, []int32{0, 2, 3, 5}, // → 6
+			[]float64{1, -0.500015259254738, 0.2999969481490524, 9.155552842799158e-05}},
+		{Dense, true, 128, 804, 88, [2]int{120, 7}, exactIdx, exactVal},
+		{DenseF32, true, 88, 404, 60, [2]int{60, 3}, []int32{0, 2, 3, 5}, // halved values
+			[]float64{1, -0.5, 0.30000001192092896, 9.999999747378752e-05}},
+		{TopK, false, 128, 804, 92, [2]int{120, 7}, exactIdx, exactVal},
+		{TopKQ8, false, 128, 804, 92, [2]int{50, 2}, q8Idx, q8Val},
+	}
+	if len(cases) != len(Kinds()) {
+		t.Fatalf("%d rows pinned, %d kinds implemented", len(cases), len(Kinds()))
 	}
 	for _, tc := range cases {
-		c, _ := For(tc.kind)
-		got := c.WireTrace(tr).Events[0].Bytes
-		if got != tc.want {
-			t.Fatalf("%s: WireTrace bytes %d, want %d", tc.kind, got, tc.want)
+		c, err := For(tc.kind)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if tr.Events[0].Bytes != 120 {
+		if c.Kind() != tc.kind || c.DenseExchange() != tc.dense {
+			t.Fatalf("%s: Kind %s, DenseExchange %v", tc.kind, c.Kind(), c.DenseExchange())
+		}
+		if s, d, z := c.SparseMsgBytes(10), c.DenseMsgBytes(100), c.ZMsgBytes(7); s != tc.sparse10 || d != tc.dense100 || z != tc.z7 {
+			t.Fatalf("%s: SparseMsgBytes(10) %d, DenseMsgBytes(100) %d, ZMsgBytes(7) %d, want %d, %d, %d",
+				tc.kind, s, d, z, tc.sparse10, tc.dense100, tc.z7)
+		}
+		got := c.WireTrace(tr)
+		if got.Steps != 1 || len(got.Events) != 2 || got.Events[0].Bytes != tc.wire[0] || got.Events[1].Bytes != tc.wire[1] {
+			t.Fatalf("%s: WireTrace %+v, want bytes %v", tc.kind, got, tc.wire)
+		}
+		if tr.Events[0].Bytes != 120 || tr.Events[1].Bytes != 7 {
 			t.Fatalf("%s: WireTrace mutated its input", tc.kind)
+		}
+		v := sparse.FromDense([]float64{1, 0, -0.5, 0.3, 0, 1e-4, 0, 1e-300})
+		c.EncodeSparse(v)
+		if v.Dim != 8 || !slices.Equal(v.Index, tc.encIdx) || !slices.Equal(v.Value, tc.encVal) {
+			t.Fatalf("%s: EncodeSparse gave %v %v, want %v %v", tc.kind, v.Index, v.Value, tc.encIdx, tc.encVal)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // sparsification convergent. The selection budget k adapts per round from
 // observed trace bytes against a target budget, clamped to [KMin, KMax].
 //
-// The codec itself (topkCodec) is stateless like every other Codec; the
+// The codec row itself (codec.go) is stateless like every other; the
 // error-feedback residual and selection scratch live in a State, one per
 // rank, owned by the runtime (the engine's strategy environment or a WLG
 // worker loop) and carried across rounds. Ranks that die and rejoin Reset
@@ -19,60 +19,9 @@ package exchange
 import (
 	"math"
 
-	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/wire"
 )
-
-// Top-k codec kinds.
-const (
-	// TopK keeps only the k largest-magnitude coordinates of each
-	// contribution, exact float64 values (12-byte entries).
-	TopK Kind = "topk"
-	// TopKQ8 composes top-k selection with the 8-bit quantizer: the k
-	// survivors travel as 5-byte entries, and the quantization error joins
-	// the dropped coordinates in the error-feedback residual.
-	TopKQ8 Kind = "topk-q8"
-)
-
-// IsTopK reports whether kind is a top-k sparsifying codec (and therefore
-// needs a per-rank State to be convergent).
-func IsTopK(k Kind) bool { return k == TopK || k == TopKQ8 }
-
-// topkCodec is the stateless face of the top-k family. Selection and
-// error feedback need per-rank memory and run through State.Encode; the
-// codec's own Encode* methods apply only the value rounding (quantization
-// for topk-q8), so a State-less call site degrades to the exact/q8 codec
-// instead of silently dropping coordinates.
-type topkCodec struct{ bits int }
-
-func (c topkCodec) Kind() Kind {
-	if c.bits == 8 {
-		return TopKQ8
-	}
-	return TopK
-}
-func (topkCodec) DenseExchange() bool { return false }
-func (c topkCodec) EncodeSparse(v *sparse.Vector) {
-	if c.bits > 0 {
-		QuantizeSparseBits(v, c.bits)
-	}
-}
-func (c topkCodec) WireTrace(tr collective.Trace) collective.Trace {
-	if c.bits == 0 {
-		return tr
-	}
-	return ScaleTraceBytes(tr, EntryBytes(c.bits), wire.SparseEntryBytes)
-}
-func (c topkCodec) WireTraceInto(dst []collective.Event, tr collective.Trace) collective.Trace {
-	if c.bits == 0 {
-		return tr
-	}
-	return ScaleTraceBytesInto(dst, tr, EntryBytes(c.bits), wire.SparseEntryBytes)
-}
-func (topkCodec) SparseMsgBytes(nnz int) int { return 8 + wire.SparseEntryBytes*nnz }
-func (topkCodec) DenseMsgBytes(dim int) int  { return 4 + wire.DenseEntryBytes*dim }
-func (topkCodec) ZMsgBytes(nnz int) int      { return 8 + wire.SparseEntryBytes*nnz }
 
 // Default selection-budget bounds. The initial k is dim/DefaultKDivisor
 // (clamped) — a deliberately conservative halving: the residual here

@@ -121,14 +121,13 @@ func TestQuarantineLogEntryRoundTrip(t *testing.T) {
 }
 
 func TestTrackerQuarantine(t *testing.T) {
-	errBad := errors.New("screen tripped")
 	tr := NewTracker(4)
 	epoch := tr.Epoch()
 
-	if !tr.Quarantine(2, errBad) {
+	if !tr.Quarantine(2) {
 		t.Fatal("first Quarantine returned false")
 	}
-	if tr.Quarantine(2, errBad) {
+	if tr.Quarantine(2) {
 		t.Fatal("second Quarantine not idempotent")
 	}
 	if tr.Epoch() != epoch+1 {
@@ -145,9 +144,6 @@ func TestTrackerQuarantine(t *testing.T) {
 	}
 	if got := tr.Live([]int{0, 1, 2, 3}); len(got) != 3 {
 		t.Fatalf("Live kept the quarantined rank: %v", got)
-	}
-	if tr.QuarantineCause(2) != errBad {
-		t.Fatalf("QuarantineCause = %v", tr.QuarantineCause(2))
 	}
 	// Quarantine is not death: no incarnation change, not in Dead().
 	if tr.Incarnation(2) != 0 {
@@ -176,15 +172,12 @@ func TestTrackerQuarantine(t *testing.T) {
 	if tr.Epoch() != epoch+1 {
 		t.Fatalf("Unquarantine epoch = %d, want %d", tr.Epoch(), epoch+1)
 	}
-	if tr.QuarantineCause(2) != nil {
-		t.Fatal("cause survived Unquarantine")
-	}
 }
 
 func TestTrackerQuarantineDeadRank(t *testing.T) {
 	tr := NewTracker(3)
 	tr.MarkDown(1, errors.New("gone"))
-	if tr.Quarantine(1, errors.New("late evidence")) {
+	if tr.Quarantine(1) {
 		t.Fatal("a dead rank must not be quarantinable")
 	}
 	if tr.Quarantined(1) {
@@ -196,21 +189,18 @@ func TestTrackerRejoinClearsQuarantine(t *testing.T) {
 	// A new incarnation starts with a clean slate: evidence indicts a life,
 	// not a rank.
 	tr := NewTracker(3)
-	tr.Quarantine(1, errors.New("screen"))
+	tr.Quarantine(1)
 	if !tr.MarkUpAt(1, tr.Incarnation(1)+1) {
 		t.Fatal("MarkUpAt rejected the fresh incarnation")
 	}
 	if tr.Quarantined(1) || !tr.Alive(1) {
 		t.Fatal("fresh incarnation still carries the old quarantine")
 	}
-	if tr.QuarantineCause(1) != nil {
-		t.Fatal("stale cause survived the rejoin")
-	}
 }
 
 func TestTrackerQuarantineOutOfRange(t *testing.T) {
 	tr := NewTracker(2)
-	if tr.Quarantine(-1, errors.New("x")) || tr.Quarantine(5, errors.New("x")) {
+	if tr.Quarantine(-1) || tr.Quarantine(5) {
 		t.Fatal("out-of-range rank quarantined")
 	}
 	if tr.Unquarantine(-1) || tr.Unquarantine(5) {

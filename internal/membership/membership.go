@@ -59,11 +59,10 @@ type Tracker struct {
 	// exists, its endpoint keeps working, and it may be readmitted without
 	// a new incarnation (Unquarantine) or by one (markUpLocked clears the
 	// flag, so the incarnation-based rejoin path covers it too).
-	quar      []bool
-	quarCause []error
-	live      int
-	onDown    func(rank int, cause error)
-	onUp      func(rank, incarnation int)
+	quar   []bool
+	live   int
+	onDown func(rank int, cause error)
+	onUp   func(rank, incarnation int)
 }
 
 // NewTracker returns a tracker for ranks 0..world-1, all alive, epoch 0,
@@ -73,13 +72,12 @@ func NewTracker(world int) *Tracker {
 		panic("membership: world must be positive")
 	}
 	return &Tracker{
-		world:     world,
-		dead:      make([]bool, world),
-		inc:       make([]int, world),
-		causes:    make([]error, world),
-		quar:      make([]bool, world),
-		quarCause: make([]error, world),
-		live:      world,
+		world:  world,
+		dead:   make([]bool, world),
+		inc:    make([]int, world),
+		causes: make([]error, world),
+		quar:   make([]bool, world),
+		live:   world,
 	}
 }
 
@@ -187,7 +185,6 @@ func (t *Tracker) markUpLocked(rank, inc int) func(rank, incarnation int) {
 	t.dead[rank] = false
 	t.causes[rank] = nil
 	t.quar[rank] = false
-	t.quarCause[rank] = nil
 	if !wasCounted {
 		t.live++
 	}
@@ -200,7 +197,7 @@ func (t *Tracker) markUpLocked(rank, inc int) func(rank, incarnation int) {
 // bumps, but the rank is not dead — no incarnation change, no transport
 // teardown. Idempotent; a dead rank cannot be quarantined. Returns whether
 // the rank was newly quarantined.
-func (t *Tracker) Quarantine(rank int, cause error) bool {
+func (t *Tracker) Quarantine(rank int) bool {
 	if rank < 0 || rank >= t.world {
 		return false
 	}
@@ -210,7 +207,6 @@ func (t *Tracker) Quarantine(rank int, cause error) bool {
 		return false
 	}
 	t.quar[rank] = true
-	t.quarCause[rank] = cause
 	t.live--
 	t.epoch++
 	t.mu.Unlock()
@@ -230,7 +226,6 @@ func (t *Tracker) Unquarantine(rank int) bool {
 		return false
 	}
 	t.quar[rank] = false
-	t.quarCause[rank] = nil
 	t.live++
 	t.epoch++
 	t.mu.Unlock()
@@ -255,17 +250,6 @@ func (t *Tracker) QuarantinedCount() int {
 		}
 	}
 	return n
-}
-
-// QuarantineCause returns the recorded cause of a rank's quarantine, nil
-// while unquarantined.
-func (t *Tracker) QuarantineCause(rank int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rank < 0 || rank >= t.world {
-		return nil
-	}
-	return t.quarCause[rank]
 }
 
 // Incarnation returns the incarnation number of the rank's current (or,
@@ -392,7 +376,6 @@ func (t *Tracker) Restore(epoch int, dead []int) error {
 	t.inc = make([]int, t.world)
 	t.causes = make([]error, t.world)
 	t.quar = make([]bool, t.world)
-	t.quarCause = make([]error, t.world)
 	t.live = t.world
 	for _, r := range dead {
 		if !t.dead[r] {

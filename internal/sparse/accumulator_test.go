@@ -114,7 +114,7 @@ func requireClean(t *testing.T, acc *Accumulator, when string) {
 }
 
 // checkAgainstSorting drives acc, already at dimension dim, through Add,
-// AddRange from a non-zero base, AddDense and the allocating Sum, each
+// AddRange from a non-zero base and the allocating Sum, each
 // against the sorting reference, bit for bit.
 func checkAgainstSorting(t *testing.T, r *rand.Rand, acc *Accumulator, dim int) {
 	t.Helper()
@@ -161,16 +161,6 @@ func checkAgainstSorting(t *testing.T, r *rand.Rand, acc *Accumulator, dim int) 
 		acc.AddRange(g, from, to, base)
 	}
 	compare("AddRange", acc.SumInto(got))
-
-	dense := make([]float64, dim)
-	for _, v := range reduceInputs(r, dim) {
-		v.ToDenseInto(dense)
-		acc.AddDense(dense)
-		for k, i := range v.Index {
-			ref.add(i, v.Value[k])
-		}
-	}
-	compare("AddDense", acc.SumInto(got))
 
 	// The allocating Sum sizes its result by the marked count exactly:
 	// append growth here was enough garbage to move a 64-rank run's peak RSS.

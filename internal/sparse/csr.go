@@ -177,12 +177,6 @@ func (m *CSR) MulTransVec(dst, y []float64) {
 	}
 }
 
-// AddScaledRow accumulates alpha * row r into dense dst (length NCols).
-func (m *CSR) AddScaledRow(dst []float64, r int, alpha float64) {
-	cols, vals := m.Row(r)
-	rowAxpy(dst, cols, vals, alpha)
-}
-
 // RowSlice returns a new CSR holding rows [lo, hi) of m; storage is copied
 // so shards can outlive the parent. Column dimension is preserved.
 func (m *CSR) RowSlice(lo, hi int) *CSR {
@@ -250,26 +244,4 @@ func (m *CSR) CompactColumns() (active []int32, compact *CSR) {
 		compact.ColIdx[k] = rank[c>>6] + int32(bits.OnesCount64(below))
 	}
 	return active, compact
-}
-
-// ColumnDensity returns, for each of p contiguous column blocks, the number
-// of stored nonzeros whose column falls in that block. The cost analyses of
-// the sparse collectives (eqs. 11–16 of the paper) are parameterized by
-// exactly this distribution.
-func (m *CSR) ColumnDensity(p int) []int {
-	counts := make([]int, p)
-	base := m.NCols / p
-	rem := m.NCols % p
-	big := rem * (base + 1)
-	for _, c := range m.ColIdx {
-		ci := int(c)
-		var b int
-		if ci < big {
-			b = ci / (base + 1)
-		} else if base > 0 {
-			b = rem + (ci-big)/base
-		}
-		counts[b]++
-	}
-	return counts
 }

@@ -124,16 +124,6 @@ func TestMulTransVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestAddScaledRow(t *testing.T) {
-	m := NewCSR(0, 4, 0)
-	m.AppendRow([]int32{1, 3}, []float64{2, -1})
-	dst := []float64{1, 1, 1, 1}
-	m.AddScaledRow(dst, 0, 3)
-	if !vec.Equal(dst, []float64{1, 7, 1, -2}) {
-		t.Fatalf("AddScaledRow = %v", dst)
-	}
-}
-
 func TestRowSlice(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	m := randCSR(r, 10, 8, 0.4)
@@ -240,44 +230,7 @@ func TestCompactColumnsMatchesMapLoop(t *testing.T) {
 	}
 }
 
-func TestColumnDensity(t *testing.T) {
-	m := NewCSR(0, 10, 0)
-	m.AppendRow([]int32{0, 1, 9}, []float64{1, 1, 1})
-	m.AppendRow([]int32{4, 5}, []float64{1, 1})
-	counts := m.ColumnDensity(2)
-	// Blocks: [0,5) and [5,10). Nonzero columns 0,1,9,4,5 → 3 in first, 2 in second.
-	if counts[0] != 3 || counts[1] != 2 {
-		t.Fatalf("ColumnDensity = %v", counts)
-	}
-	total := 0
-	for _, c := range m.ColumnDensity(3) {
-		total += c
-	}
-	if total != m.NNZ() {
-		t.Fatalf("ColumnDensity total %d != nnz %d", total, m.NNZ())
-	}
-}
-
-func TestColumnDensityMatchesChunkOf(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
-		cols := r.Intn(50) + 2
-		p := r.Intn(7) + 1
-		m := randCSR(r, 8, cols, 0.3)
-		counts := m.ColumnDensity(p)
-		want := make([]int, p)
-		for _, c := range m.ColIdx {
-			want[vec.ChunkOf(cols, p, int(c))]++
-		}
-		for i := range want {
-			if counts[i] != want[i] {
-				t.Fatalf("ColumnDensity[%d] = %d, want %d", i, counts[i], want[i])
-			}
-		}
-	}
-}
-
-// The four kernels as they stood before they were rebuilt (one running sum
+// The three kernels as they stood before they were rebuilt (one running sum
 // per row, indexed through m): the arithmetic every golden history was
 // recorded with, and the reference the rebuilt kernels must equal bit for
 // bit.
@@ -312,12 +265,6 @@ func refMulTransVec(m *CSR, dst, y []float64) {
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
 			dst[m.ColIdx[k]] += m.Val[k] * yr
 		}
-	}
-}
-
-func refAddScaledRow(m *CSR, dst []float64, r int, alpha float64) {
-	for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-		dst[m.ColIdx[k]] += alpha * m.Val[k]
 	}
 }
 
@@ -361,7 +308,7 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// checkKernelsMatchReference runs all four kernels and their references on
+// checkKernelsMatchReference runs all three kernels and their references on
 // m with awkward operands and reports the first difference in any bit.
 func checkKernelsMatchReference(t *testing.T, r *rand.Rand, m *CSR) {
 	t.Helper()
@@ -395,15 +342,6 @@ func checkKernelsMatchReference(t *testing.T, r *rand.Rand, m *CSR) {
 	refMulTransVec(m, wantT, y)
 	if !sameBits(gotT, wantT) {
 		t.Fatalf("MulTransVec differs from the reference loop\nRowPtr %v\ngot  %v\nwant %v", m.RowPtr, gotT, wantT)
-	}
-	copy(gotT, x)
-	copy(wantT, x)
-	for i, alpha := range y {
-		m.AddScaledRow(gotT, i, alpha)
-		refAddScaledRow(m, wantT, i, alpha)
-	}
-	if !sameBits(gotT, wantT) {
-		t.Fatalf("AddScaledRow differs from the reference loop\ngot  %v\nwant %v", gotT, wantT)
 	}
 }
 

@@ -340,19 +340,6 @@ func (a *Accumulator) AddRange(v *Vector, from, to int, base int32) {
 	}
 }
 
-// AddDense accumulates a dense slice of matching dimension.
-func (a *Accumulator) AddDense(x []float64) {
-	if len(x) != a.dim {
-		panic("sparse: Accumulator dense dimension mismatch")
-	}
-	for i, xv := range x {
-		if xv != 0 {
-			a.dense[i] += xv
-			a.touched.Mark(int32(i))
-		}
-	}
-}
-
 // Sum extracts the accumulated total as a sparse vector and resets the
 // accumulator for reuse. Exact-zero sums are dropped.
 func (a *Accumulator) Sum() *Vector {

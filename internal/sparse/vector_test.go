@@ -210,16 +210,6 @@ func TestAccumulatorMatchesDenseSum(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddDense(t *testing.T) {
-	acc := NewAccumulator(4)
-	acc.AddDense([]float64{1, 0, 2, 0})
-	acc.AddDense([]float64{-1, 0, 1, 5})
-	got := acc.Sum().ToDense()
-	if !vec.Equal(got, []float64{0, 0, 3, 5}) {
-		t.Fatalf("AddDense sum = %v", got)
-	}
-}
-
 // Property: Merge is commutative and preserves invariants.
 func TestMergeCommutative(t *testing.T) {
 	f := func(seedA, seedB int64, dimRaw uint8) bool {

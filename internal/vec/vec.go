@@ -172,24 +172,6 @@ func Sum(x []float64) float64 {
 	return s
 }
 
-// KahanSum returns the compensated (Kahan–Babuška) sum of x. The consensus
-// reductions use this so that the order-of-magnitude spread between dual and
-// primal contributions does not lose low bits; it is what makes histories
-// bit-reproducible across schedule-equivalent collectives.
-func KahanSum(x []float64) float64 {
-	var s, c float64
-	for _, v := range x {
-		t := s + v
-		if math.Abs(s) >= math.Abs(v) {
-			c += (s - t) + v
-		} else {
-			c += (v - t) + s
-		}
-		s = t
-	}
-	return s + c
-}
-
 // Zero sets every element of x to 0.
 func Zero(x []float64) {
 	for i := range x {
@@ -209,18 +191,6 @@ func Clone(x []float64) []float64 {
 	out := make([]float64, len(x))
 	copy(out, x)
 	return out
-}
-
-// CloneInto copies x into dst, growing dst only when its capacity is too
-// small, and returns the destination. Steady-state callers that hold on
-// to the returned slice amortize to zero allocation.
-func CloneInto(dst, x []float64) []float64 {
-	if cap(dst) < len(x) {
-		dst = make([]float64, len(x))
-	}
-	dst = dst[:len(x)]
-	copy(dst, x)
-	return dst
 }
 
 // Equal reports whether a and b are elementwise identical (bitwise for NaN:

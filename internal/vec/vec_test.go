@@ -167,27 +167,6 @@ func TestDistSq(t *testing.T) {
 	}
 }
 
-func TestKahanSumBeatsNaive(t *testing.T) {
-	// 1 followed by many tiny values that a naive sum drops entirely.
-	n := 1 << 20
-	x := make([]float64, n+1)
-	x[0] = 1
-	tiny := 1e-16
-	for i := 1; i <= n; i++ {
-		x[i] = tiny
-	}
-	want := 1 + float64(n)*tiny
-	kahan := KahanSum(x)
-	if math.Abs(kahan-want) > 1e-18*want {
-		t.Fatalf("KahanSum = %.20f, want %.20f", kahan, want)
-	}
-	naive := Sum(x)
-	if math.Abs(naive-want) < math.Abs(kahan-want) {
-		t.Fatalf("naive sum unexpectedly beat Kahan: naive err %g kahan err %g",
-			math.Abs(naive-want), math.Abs(kahan-want))
-	}
-}
-
 func TestZeroFillClone(t *testing.T) {
 	x := []float64{1, 2, 3}
 	c := Clone(x)
@@ -372,36 +351,6 @@ func BenchmarkAxpy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Axpy(0.5, x, y)
-	}
-}
-
-func BenchmarkKahanSum(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	x := randVec(r, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = KahanSum(x)
-	}
-}
-
-func TestCloneInto(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	dst := CloneInto(nil, x)
-	if !Equal(dst, x) {
-		t.Fatal("CloneInto(nil) mismatch")
-	}
-	dst[0] = 99
-	if x[0] == 99 {
-		t.Fatal("CloneInto shares storage")
-	}
-	// Reuse path: same backing array, no growth.
-	big := make([]float64, 8)
-	out := CloneInto(big, x)
-	if len(out) != 4 || &out[0] != &big[0] {
-		t.Fatal("CloneInto did not reuse capacity")
-	}
-	if n := testing.AllocsPerRun(50, func() { out = CloneInto(out, x) }); n > 0 {
-		t.Errorf("warmed CloneInto allocates %.1f, want 0", n)
 	}
 }
 

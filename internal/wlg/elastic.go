@@ -434,7 +434,7 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (*sparse.Vecto
 			// through the evidence published below.
 			w.flagged++
 			if w.screen.Strikes(m) >= w.screen.StrikeLimit() {
-				w.tr.Quarantine(m, errQuarantinedByScreen)
+				w.tr.Quarantine(m)
 			}
 			continue
 		}

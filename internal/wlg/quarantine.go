@@ -40,10 +40,6 @@ import (
 // probation, never into a run failure.
 var errSelfQuarantined = errors.New("wlg: this rank is quarantined")
 
-// errQuarantinedByScreen is the membership cause recorded for a rank the
-// contribution screen excluded.
-var errQuarantinedByScreen = errors.New("wlg: quarantined by contribution screen")
-
 // reportQuarantines publishes evidence for every node member this rank
 // has quarantined but the rejoin log does not confirm yet. At-least-once:
 // called every led round, it keeps re-sending until the GG's log carries

@@ -160,7 +160,7 @@ func (g *ggRejoin) noteQuarantine(rank, iter, inc int) bool {
 	}
 	e := membership.QuarantineLogEntry(rank, iter, inc)
 	g.log = append(g.log, e[0], e[1], e[2])
-	g.tr.Quarantine(rank, errQuarantinedByScreen)
+	g.tr.Quarantine(rank)
 	return true
 }
 
@@ -322,6 +322,6 @@ func (w *elasticWorker) applyJoins(iter int) {
 			w.selfQuar = true
 			continue
 		}
-		w.tr.Quarantine(rank, errQuarantinedByScreen)
+		w.tr.Quarantine(rank)
 	}
 }
