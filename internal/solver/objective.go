@@ -21,8 +21,9 @@ type Objective interface {
 	// Eval returns f(x) and writes the gradient into g (length Dim).
 	Eval(x, g []float64) float64
 	// HessVec writes H·v into hv, where H is the Hessian at the point of
-	// the last Eval call.
-	HessVec(v, hv []float64)
+	// the last Eval call, and returns vᵀ·hv, rounded as vec.Dot(v, hv) on
+	// the finished hv: TRON reads it instead of a second sweep.
+	HessVec(v, hv []float64) float64
 }
 
 // LogLoss returns log(1 + e^{-m}) computed without overflow for any m.
@@ -120,14 +121,30 @@ func (o *LogisticProx) Eval(x, g []float64) float64 {
 }
 
 // HessVec implements Objective: hv = Aᵀ·D·A·v + ρ·v with D from last Eval.
-func (o *LogisticProx) HessVec(v, hv []float64) {
+func (o *LogisticProx) HessVec(v, hv []float64) float64 {
 	m := o.Data
 	m.MulVec(o.av, v)
 	for j := range o.av {
 		o.av[j] *= o.d[j]
 	}
 	m.MulTransVec(hv, o.av)
-	vec.Axpy(o.Rho, v, hv)
+	return addProxCurvature(o.Rho, v, hv)
+}
+
+// addProxCurvature finishes hv += ρ·v and returns vᵀ·hv in one pass,
+// rounded as vec.Axpy then vec.Dot; ρ = 0 leaves hv alone, as Axpy does.
+func addProxCurvature(rho float64, v, hv []float64) float64 {
+	if rho == 0 {
+		return vec.Dot(v, hv)
+	}
+	hv = hv[:len(v)]
+	var dot float64
+	for i, vi := range v {
+		h := hv[i] + rho*vi
+		hv[i] = h
+		dot += vi * h
+	}
+	return dot
 }
 
 func (o *LogisticProx) solveRestricted(x []float64, opts TronOptions) (TronResult, bool) {
@@ -209,11 +226,11 @@ func (o *LeastSquaresProx) Eval(x, g []float64) float64 {
 }
 
 // HessVec implements Objective: hv = AᵀAv + ρv.
-func (o *LeastSquaresProx) HessVec(v, hv []float64) {
+func (o *LeastSquaresProx) HessVec(v, hv []float64) float64 {
 	m := o.Data
 	m.MulVec(o.av, v)
 	m.MulTransVec(hv, o.av)
-	vec.Axpy(o.Rho, v, hv)
+	return addProxCurvature(o.Rho, v, hv)
 }
 
 func (o *LeastSquaresProx) solveRestricted(x []float64, opts TronOptions) (TronResult, bool) {

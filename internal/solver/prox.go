@@ -48,17 +48,6 @@ func ZUpdateL1Blocks(dst, w []float64, lambda, rho float64, offs []int, counts [
 	}
 }
 
-// ZUpdateL2 computes the consensus z-update for ridge regularization
-// g(z) = (lambda/2)·‖z‖²:
-//
-//	z = argmin_z (λ/2)‖z‖² + (Nρ/2)‖z‖² − zᵀW = W / (λ + Nρ)
-func ZUpdateL2(dst, w []float64, lambda, rho float64, n int) {
-	if n <= 0 {
-		panic("solver: ZUpdateL2 requires n >= 1")
-	}
-	vec.ScaleTo(dst, 1/(lambda+rho*float64(n)), w)
-}
-
 // DualUpdate performs yᵢ ← yᵢ + ρ(xᵢ − z) in place (paper eq. 6).
 func DualUpdate(y, x, z []float64, rho float64) {
 	for i := range y {

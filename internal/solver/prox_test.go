@@ -59,29 +59,6 @@ func TestZUpdateL1ZeroLambdaIsAverageScaled(t *testing.T) {
 	}
 }
 
-func TestZUpdateL2IsMinimizer(t *testing.T) {
-	r := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 20; trial++ {
-		dim := r.Intn(8) + 1
-		n := r.Intn(5) + 1
-		lambda := r.Float64() * 2
-		rho := r.Float64() + 0.1
-		w := make([]float64, dim)
-		for i := range w {
-			w[i] = r.NormFloat64()
-		}
-		z := make([]float64, dim)
-		ZUpdateL2(z, w, lambda, rho, n)
-		// Gradient of (λ+nρ)/2·‖z‖² − zᵀW is (λ+nρ)z − W = 0.
-		for i := range z {
-			g := (lambda+rho*float64(n))*z[i] - w[i]
-			if math.Abs(g) > 1e-12 {
-				t.Fatalf("L2 z-update gradient[%d] = %v", i, g)
-			}
-		}
-	}
-}
-
 func TestDualUpdate(t *testing.T) {
 	y := []float64{1, 2}
 	x := []float64{3, 4}

@@ -116,13 +116,8 @@ func TRONWorkspace(obj Objective, x []float64, opts TronOptions, ws *Workspace) 
 // arrive filled and x has obj's dimension.
 func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResult {
 	ws.ensure(len(x))
-	g := ws.g
-	s := ws.s
-	r := ws.r
-	d := ws.d
-	hd := ws.hd
-	xNew := ws.xNew
-	gNew := ws.gNew
+	g, gNew := ws.g, ws.gNew
+	s, hd, xNew := ws.s, ws.hd, ws.xNew
 
 	var res TronResult
 	f := obj.Eval(x, g)
@@ -159,15 +154,19 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 		}
 
 		// Steihaug CG: solve H s ≈ −g within the trust region.
-		atBoundary := steihaugCG(obj, g, s, r, d, hd, delta, opts, &res)
+		atBoundary := steihaugCG(obj, g, s, ws.r, ws.d, hd, delta, opts, &res)
 
-		// Predicted reduction: −gᵀs − ½ sᵀHs. Using H s = −(r − (−g)) ⇒
-		// sᵀHs = −sᵀ(r+g)... compute directly for clarity and safety.
-		obj.HessVec(s, hd)
+		// Predicted reduction: −gᵀs − ½ sᵀHs.
+		sHs := obj.HessVec(s, hd)
 		res.CGIters++
-		pred := -(vec.Dot(g, s) + 0.5*vec.Dot(s, hd))
+		// One pass for gᵀs and xNew = x + s.
+		var gs float64
+		for i, si := range s {
+			gs += g[i] * si
+			xNew[i] = x[i] + si
+		}
+		pred := -(gs + 0.5*sHs)
 
-		vec.Add(xNew, x, s)
 		fNew := obj.Eval(xNew, gNew)
 		res.FunEvals++
 		actual := f - fNew
@@ -195,7 +194,7 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 
 		if ratio > eta0 && actual > 0 {
 			copy(x, xNew)
-			copy(g, gNew)
+			g, gNew = gNew, g
 			f = fNew
 			gnorm = vec.Nrm2(g)
 		}
@@ -214,21 +213,25 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 // steihaugCG approximately solves H s = −g inside ‖s‖ ≤ delta. It writes
 // the step into s, counts its Hessian-vector products in res.CGIters and
 // reports whether the step hit the trust boundary. r, d, hd are
-// caller-provided scratch.
+// caller-provided scratch; r is left unspecified on a boundary exit. Each
+// step rounds every element and sum as the seven vec calls per step it
+// replaced did (DESIGN.md §3.3, "TRON's CG").
 func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts TronOptions, res *TronResult) bool {
-	vec.Zero(s)
-	vec.ScaleTo(r, -1, g) // r = −g
-	copy(d, r)
-	rsq := vec.Nrm2Sq(r)
+	s, r, d, hd = s[:len(g)], r[:len(g)], d[:len(g)], hd[:len(g)]
+	var rsq float64
+	for i, gi := range g {
+		ri := -gi
+		s[i], r[i], d[i] = 0, ri, ri
+		rsq += ri * ri
+	}
 	tol := opts.CGTol * math.Sqrt(rsq)
 
 	for it := 0; it < opts.MaxCG; it++ {
 		if math.Sqrt(rsq) <= tol {
 			return false
 		}
-		obj.HessVec(d, hd)
+		dhd := obj.HessVec(d, hd)
 		res.CGIters++
-		dhd := vec.Dot(d, hd)
 		if dhd <= 0 {
 			// Negative curvature: walk to the boundary along d.
 			tau := boundaryTau(s, d, delta)
@@ -236,24 +239,54 @@ func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts Tro
 			return true
 		}
 		alpha := rsq / dhd
-		// Tentative step.
-		vec.Axpy(alpha, d, s)
-		if vec.Nrm2(s) >= delta {
+		// Tentative step s += α·d, and r −= α·hd ahead of the boundary
+		// test. α = 0 (as when dhd overflows) leaves both alone, as Axpy
+		// does: 0·Inf would be NaN, and −0 + 0 is +0.
+		var ssq, rsqNew float64
+		if alpha == 0 {
+			ssq, rsqNew = vec.Nrm2Sq(s), rsq
+		} else {
+			nalpha := -alpha
+			for i, di := range d {
+				si := s[i] + alpha*di
+				s[i] = si
+				ssq += si * si
+				ri := r[i] + nalpha*hd[i]
+				r[i] = ri
+				rsqNew += ri * ri
+			}
+		}
+		if outsideRadius(s, ssq, delta) {
 			// Retract and project onto the boundary.
 			vec.Axpy(-alpha, d, s)
 			tau := boundaryTau(s, d, delta)
 			vec.Axpy(tau, d, s)
 			return true
 		}
-		vec.Axpy(-alpha, hd, r)
-		rsqNew := vec.Nrm2Sq(r)
 		beta := rsqNew / rsq
 		rsq = rsqNew
-		for i := range d {
-			d[i] = r[i] + beta*d[i]
+		for i, ri := range r {
+			d[i] = ri + beta*d[i]
 		}
 	}
 	return false
+}
+
+// outsideRadius is vec.Nrm2(s) >= delta, given ssq = Σs² summed plainly.
+// With ssq in [2⁻⁹⁰⁰, 2⁹⁰⁰] and len(s) < 2³¹, √ssq and Nrm2(s) are each
+// within a relative 6e-7 of ‖s‖, so √ssq decides outside a relative 1e-6
+// band around delta; Nrm2 decides the rest, NaN delta included.
+func outsideRadius(s []float64, ssq, delta float64) bool {
+	if ssq >= 0x1p-900 && ssq <= 0x1p900 {
+		n := math.Sqrt(ssq)
+		if n > delta*(1+1e-6) {
+			return true
+		}
+		if n < delta*(1-1e-6) {
+			return false
+		}
+	}
+	return vec.Nrm2(s) >= delta
 }
 
 // boundaryTau returns τ ≥ 0 with ‖s + τ·d‖ = delta.

@@ -1,10 +1,13 @@
 package solver
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"psrahgadmm/internal/dataset"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/vec"
 )
@@ -64,7 +67,7 @@ func (o *quadratic) Eval(x, g []float64) float64 {
 	return f
 }
 
-func (o *quadratic) HessVec(v, hv []float64) {
+func (o *quadratic) HessVec(v, hv []float64) float64 {
 	n := len(v)
 	for i := 0; i < n; i++ {
 		var s float64
@@ -73,6 +76,7 @@ func (o *quadratic) HessVec(v, hv []float64) {
 		}
 		hv[i] = s
 	}
+	return vec.Dot(v, hv)
 }
 
 // solveDense solves Qx=b by Gaussian elimination for the reference answer.
@@ -175,7 +179,8 @@ func checkGradient(t *testing.T, obj Objective, x []float64, tol float64) {
 	obj.Eval(x, g)
 }
 
-// checkHessVec compares H·v against finite differences of the gradient.
+// checkHessVec compares H·v against finite differences of the gradient,
+// and HessVec's return against vec.Dot(v, hv) bit for bit.
 func checkHessVec(t *testing.T, obj Objective, x []float64, tol float64) {
 	t.Helper()
 	n := obj.Dim()
@@ -187,7 +192,9 @@ func checkHessVec(t *testing.T, obj Objective, x []float64, tol float64) {
 	g := make([]float64, n)
 	obj.Eval(x, g)
 	hv := make([]float64, n)
-	obj.HessVec(v, hv)
+	if vhv, dot := obj.HessVec(v, hv), vec.Dot(v, hv); math.Float64bits(vhv) != math.Float64bits(dot) {
+		t.Fatalf("HessVec returned vᵀHv = %v, vec.Dot(v, hv) = %v", vhv, dot)
+	}
 
 	h := 1e-6
 	xp := vec.Clone(x)
@@ -357,6 +364,371 @@ func TestLocalLossMatchesEval(t *testing.T) {
 	if math.Abs(f-obj.LocalLoss(x)) > 1e-12*(1+math.Abs(f)) {
 		t.Fatalf("Eval %v != LocalLoss %v with zero prox terms", f, obj.LocalLoss(x))
 	}
+}
+
+// refTron and refSteihaugCG are tron and steihaugCG as they were before the
+// CG's passes were fused: seven dense sweeps per CG step. They are kept
+// verbatim but for HessVec's return, which they ignore, and vec.Add and
+// vec.ScaleTo (deleted), which are inlined. TestFusedCGMatchesSevenPassCG
+// holds the solver to them in Float64bits.
+func refTron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResult {
+	ws.ensure(len(x))
+	g := ws.g
+	s := ws.s
+	r := ws.r
+	d := ws.d
+	hd := ws.hd
+	xNew := ws.xNew
+	gNew := ws.gNew
+
+	var res TronResult
+	f := obj.Eval(x, g)
+	res.FunEvals++
+	gnorm0 := vec.Nrm2(g)
+	gnorm := gnorm0
+	converged := func() bool {
+		return gnorm <= opts.GradTol*gnorm0 || gnorm <= opts.GradTolAbs
+	}
+	if converged() {
+		res.F = f
+		res.GradNorm = gnorm
+		res.Converged = true
+		return res
+	}
+	delta := gnorm0
+
+	const (
+		eta0 = 1e-4
+		eta1 = 0.25
+		eta2 = 0.75
+	)
+	const (
+		sigma1 = 0.25
+		sigma2 = 0.5
+		sigma3 = 4.0
+	)
+
+	for res.Iters = 0; res.Iters < opts.MaxIter; res.Iters++ {
+		if converged() {
+			res.Converged = true
+			break
+		}
+		atBoundary := refSteihaugCG(obj, g, s, r, d, hd, delta, opts, &res)
+
+		obj.HessVec(s, hd)
+		res.CGIters++
+		pred := -(vec.Dot(g, s) + 0.5*vec.Dot(s, hd))
+
+		for i := range xNew {
+			xNew[i] = x[i] + s[i]
+		}
+		fNew := obj.Eval(xNew, gNew)
+		res.FunEvals++
+		actual := f - fNew
+
+		snorm := vec.Nrm2(s)
+		var ratio float64
+		if pred > 0 {
+			ratio = actual / pred
+		} else {
+			ratio = -1
+		}
+		switch {
+		case ratio < eta1:
+			delta = math.Max(sigma1*delta, math.Min(sigma2*snorm, delta*sigma2))
+		case ratio < eta2:
+		default:
+			if atBoundary {
+				delta = math.Min(sigma3*delta, math.Max(delta, 2*snorm))
+			}
+		}
+
+		if ratio > eta0 && actual > 0 {
+			copy(x, xNew)
+			copy(g, gNew)
+			f = fNew
+			gnorm = vec.Nrm2(g)
+		}
+		if delta <= 1e-12*gnorm0 || math.IsNaN(f) {
+			break
+		}
+	}
+	res.F = f
+	res.GradNorm = gnorm
+	if converged() {
+		res.Converged = true
+	}
+	return res
+}
+
+func refSteihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts TronOptions, res *TronResult) bool {
+	vec.Zero(s)
+	for i, gv := range g { // vec.ScaleTo(r, -1, g): r = −g
+		r[i] = -1 * gv
+	}
+	copy(d, r)
+	rsq := vec.Nrm2Sq(r)
+	tol := opts.CGTol * math.Sqrt(rsq)
+
+	for it := 0; it < opts.MaxCG; it++ {
+		if math.Sqrt(rsq) <= tol {
+			return false
+		}
+		obj.HessVec(d, hd)
+		res.CGIters++
+		dhd := vec.Dot(d, hd)
+		if dhd <= 0 {
+			tau := boundaryTau(s, d, delta)
+			vec.Axpy(tau, d, s)
+			return true
+		}
+		alpha := rsq / dhd
+		vec.Axpy(alpha, d, s)
+		if vec.Nrm2(s) >= delta {
+			vec.Axpy(-alpha, d, s)
+			tau := boundaryTau(s, d, delta)
+			vec.Axpy(tau, d, s)
+			return true
+		}
+		vec.Axpy(-alpha, hd, r)
+		rsqNew := vec.Nrm2Sq(r)
+		beta := rsqNew / rsq
+		rsq = rsqNew
+		for i := range d {
+			d[i] = r[i] + beta*d[i]
+		}
+	}
+	return false
+}
+
+// curvatureProbe records which CG branches an objective's Hessian products
+// can reach: a non-positive vᵀHv (the negative-curvature exit) and an
+// infinite one (α = rsq/dhd is 0).
+type curvatureProbe struct {
+	Objective
+	nonPositive, infinite bool
+}
+
+func (p *curvatureProbe) HessVec(v, hv []float64) float64 {
+	c := p.Objective.HessVec(v, hv)
+	p.nonPositive = p.nonPositive || c <= 0
+	p.infinite = p.infinite || math.IsInf(c, 1)
+	return c
+}
+
+// bitEqual is == on Float64bits: NaN payloads and signs count.
+func bitEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkAgainstSevenPass solves from x0 with tron and with refTron and fails
+// on any differing bit of x, F or GradNorm, or any differing count.
+func checkAgainstSevenPass(t *testing.T, name string, obj Objective, x0 []float64, opts TronOptions) {
+	t.Helper()
+	opts.fill()
+	x, xRef := vec.Clone(x0), vec.Clone(x0)
+	var ws, wsRef Workspace
+	got := tron(obj, x, opts, &ws)
+	want := refTron(obj, xRef, opts, &wsRef)
+	if got.Iters != want.Iters || got.CGIters != want.CGIters || got.FunEvals != want.FunEvals ||
+		got.Converged != want.Converged || !bitEqual(got.F, want.F) || !bitEqual(got.GradNorm, want.GradNorm) {
+		t.Fatalf("%s: fused %+v, seven-pass %+v", name, got, want)
+	}
+	for i := range x {
+		if !bitEqual(x[i], xRef[i]) {
+			t.Fatalf("%s: x[%d] = %v (%#x), seven-pass %v (%#x)", name, i,
+				x[i], math.Float64bits(x[i]), xRef[i], math.Float64bits(xRef[i]))
+		}
+	}
+}
+
+// TestFusedCGMatchesSevenPassCG: fusing the CG's sweeps and screening the
+// boundary test on the plain sum of squares moves no bit of any solve.
+func TestFusedCGMatchesSevenPassCG(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	worker := TronOptions{MaxIter: 10, MaxCG: 20}
+
+	// news20-like shards, compacted onto their support as internal/core
+	// compacts them, at every ρ the engine's runs use and at ρ = 0.
+	train, _, err := dataset.Generate(dataset.News20Like(0.01, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, shard := range train.Shard(8) {
+		_, compact := shard.X.CompactColumns()
+		n := compact.NCols
+		for _, rho := range []float64{0, 0.5, 1, 3} {
+			obj := NewLogisticProx(compact, shard.Labels, rho, randVec(r, n, 0.2), randVec(r, n, 0.5))
+			for _, opts := range []TronOptions{{}, worker} {
+				checkAgainstSevenPass(t, fmt.Sprintf("news20 shard %d ρ=%v %+v", k, rho, opts), obj, randVec(r, n, 0.3), opts)
+			}
+		}
+	}
+
+	for trial := 0; trial < 10; trial++ {
+		data, _, b := sparseShard(r, 10+r.Intn(30), 20+r.Intn(40), 0.1)
+		_, compact := data.CompactColumns()
+		n := compact.NCols
+		obj := NewLeastSquaresProx(compact, b, []float64{0, 0.7, 2}[trial%3], randVec(r, n, 0.2), randVec(r, n, 0.5))
+		checkAgainstSevenPass(t, fmt.Sprintf("least squares %d", trial), obj, randVec(r, n, 1), TronOptions{})
+
+		q := newQuadratic(r, 2+r.Intn(12))
+		checkAgainstSevenPass(t, fmt.Sprintf("quadratic %d", trial), q, make([]float64, len(q.b)), TronOptions{GradTol: 1e-8, MaxIter: 200})
+
+		// Indefinite: Q − 3·tr(Q)/n·I has negative eigenvalues.
+		ind := newQuadratic(r, 3+r.Intn(8))
+		var tr float64
+		for i := range ind.q {
+			tr += ind.q[i][i]
+		}
+		for i := range ind.q {
+			ind.q[i][i] -= 3 * tr / float64(len(ind.q))
+		}
+		probe := &curvatureProbe{Objective: ind}
+		checkAgainstSevenPass(t, fmt.Sprintf("indefinite %d", trial), probe, randVec(r, len(ind.b), 1), worker)
+		if !probe.nonPositive {
+			t.Fatalf("indefinite %d: no negative-curvature exit taken", trial)
+		}
+
+		// Curvature 1e-6 against a gradient of order one: the Newton step is
+		// ≈ 1e6 times the start radius ‖g₀‖, so CG steps end on the boundary.
+		flat := newQuadratic(r, 2+r.Intn(12))
+		for i := range flat.q {
+			vec.Scale(1e-6, flat.q[i])
+		}
+		checkAgainstSevenPass(t, fmt.Sprintf("boundary %d", trial), flat, make([]float64, len(flat.b)), TronOptions{MaxIter: 200})
+	}
+
+	// NaN- and Inf-poisoned data, ρ and dual.
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		data, labels, b := sparseShard(r, 20, 30, 0.2)
+		_, compact := data.CompactColumns()
+		n := compact.NCols
+		bad := *compact
+		bad.Val = vec.Clone(compact.Val)
+		bad.Val[len(bad.Val)/2] = poison
+		y := randVec(r, n, 0.2)
+		yBad := vec.Clone(y)
+		yBad[n/2] = poison
+		for name, obj := range map[string]Objective{
+			"logistic data":      NewLogisticProx(&bad, labels, 1, y, randVec(r, n, 0.5)),
+			"least-squares data": NewLeastSquaresProx(&bad, b, 0.5, y, randVec(r, n, 0.5)),
+			"ρ":                  NewLeastSquaresProx(compact, b, poison, y, randVec(r, n, 0.5)),
+			"dual":               NewLogisticProx(compact, labels, 1, yBad, randVec(r, n, 0.5)),
+		} {
+			checkAgainstSevenPass(t, fmt.Sprintf("%v in %s", poison, name), obj, randVec(r, n, 0.3), worker)
+		}
+	}
+}
+
+// checkCGAgainstSevenPass runs steihaugCG and refSteihaugCG on one system
+// and fails on a differing exit, count or bit of s. (A whole solve can hide
+// a wrong step: one whose s TRON rejects leaves x where it was.)
+func checkCGAgainstSevenPass(t *testing.T, name string, obj Objective, g []float64, delta float64, opts TronOptions) {
+	t.Helper()
+	var a, b Workspace
+	a.ensure(len(g))
+	b.ensure(len(g))
+	var resA, resB TronResult
+	got := steihaugCG(obj, g, a.s, a.r, a.d, a.hd, delta, opts, &resA)
+	want := refSteihaugCG(obj, g, b.s, b.r, b.d, b.hd, delta, opts, &resB)
+	if got != want || resA != resB {
+		t.Fatalf("%s: boundary %v, %+v; seven-pass %v, %+v", name, got, resA, want, resB)
+	}
+	for i := range a.s {
+		if !bitEqual(a.s[i], b.s[i]) {
+			t.Fatalf("%s: s[%d] = %v, seven-pass %v", name, i, a.s[i], b.s[i])
+		}
+	}
+}
+
+// TestSteihaugCGMatchesSevenPass drives the CG alone where a whole solve
+// may not show a difference: radii equal to an iterate's Nrm2 and one ulp
+// either side (the screen's band, where √Σs² may not decide and Nrm2 must),
+// and α = 0.
+func TestSteihaugCGMatchesSevenPass(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	opts := TronOptions{}
+	opts.fill()
+	for trial := 0; trial < 20; trial++ {
+		q := newQuadratic(r, 3+r.Intn(10))
+		n := len(q.b)
+		g := randVec(r, n, 1)
+		for steps := 1; steps <= 3; steps++ {
+			// The iterate after `steps` unconstrained steps.
+			var ws Workspace
+			ws.ensure(n)
+			o := opts
+			o.MaxCG = steps
+			refSteihaugCG(q, g, ws.s, ws.r, ws.d, ws.hd, math.Inf(1), o, &TronResult{})
+			norm := vec.Nrm2(ws.s)
+			for _, delta := range []float64{norm, math.Nextafter(norm, 0), math.Nextafter(norm, math.Inf(1)), 1e-9 * norm} {
+				checkCGAgainstSevenPass(t, fmt.Sprintf("trial %d, %d steps, δ=%v", trial, steps, delta), q, g, delta, o)
+			}
+		}
+	}
+
+	// Curvature 1e300 against a gradient of 1e10: H·d overflows, dhd = +Inf
+	// and α = rsq/dhd is 0, so every step must leave s (and r) alone.
+	huge := &curvatureProbe{Objective: &quadratic{
+		q: [][]float64{{1e300, 0, 0}, {0, 1e300, 0}, {0, 0, 1e300}},
+		b: []float64{-1e10, 2e10, 3e10},
+	}}
+	g := make([]float64, 3)
+	huge.Eval(make([]float64, 3), g)
+	checkCGAgainstSevenPass(t, "α = 0", huge, g, vec.Nrm2(g), opts)
+	if !huge.infinite {
+		t.Fatal("α = 0 case never saw dhd = +Inf")
+	}
+}
+
+// FuzzCGBoundaryTest: outsideRadius decides exactly what vec.Nrm2(s) >= delta
+// decides, for any bit pattern of s — ±0, subnormals, ±MaxFloat64, ±Inf,
+// NaN payloads — and any delta, above all Nrm2(s) itself and its two
+// neighbours. Each input is also tried with its exponents folded into
+// [2⁻³², 2³¹], where √Σs² is in range and the screen, not Nrm2, decides.
+func FuzzCGBoundaryTest(f *testing.F) {
+	raw := func(vs ...float64) []byte {
+		b := make([]byte, 0, 8*len(vs))
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(raw(3, 4), 5.0)
+	f.Add(raw(0, math.Copysign(0, -1)), 0.0)
+	f.Add(raw(5e-324, -5e-324, 2.2e-308), 1e-300)
+	f.Add(raw(math.MaxFloat64, -math.MaxFloat64), math.MaxFloat64)
+	f.Add(raw(math.Inf(1), 1), math.Inf(1))
+	f.Add(raw(math.Float64frombits(0x7ff8000000000bad), 2), 1.0)
+	f.Add(raw(1e154, 1e154, 1e-160), 1.5e154)
+	f.Add(raw(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 4.0)
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 8; i++ {
+		vs := randVec(r, 1+r.Intn(64), math.Ldexp(1, r.Intn(40)-20))
+		f.Add(raw(vs...), r.Float64()*8)
+	}
+	f.Fuzz(func(t *testing.T, b []byte, arbitrary float64) {
+		n := min(len(b)/8, 64)
+		if n == 0 {
+			return
+		}
+		s := make([]float64, n)
+		folded := make([]float64, n)
+		for i := range s {
+			u := binary.LittleEndian.Uint64(b[8*i:])
+			s[i] = math.Float64frombits(u)
+			// Keep sign and mantissa, map the exponent into [-32, 31].
+			folded[i] = math.Float64frombits(u&^(0x7ff<<52) | uint64(1023-32+(u>>52)&63)<<52)
+		}
+		for _, v := range [][]float64{s, folded} {
+			ssq, norm := vec.Nrm2Sq(v), vec.Nrm2(v)
+			for _, delta := range []float64{norm, math.Nextafter(norm, math.Inf(-1)), math.Nextafter(norm, math.Inf(1)),
+				math.Sqrt(ssq), arbitrary, 0, math.Inf(1), math.Inf(-1), math.NaN()} {
+				if got, want := outsideRadius(v, ssq, delta), norm >= delta; got != want {
+					t.Fatalf("s=%v δ=%v: screen %v, Nrm2 %v >= δ is %v (Σs² %v)", v, delta, got, norm, want, ssq)
+				}
+			}
+		}
+	})
 }
 
 func BenchmarkTRONLogistic(b *testing.B) {

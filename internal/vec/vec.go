@@ -37,41 +37,10 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// AxpyTo computes dst = y + alpha*x without modifying the inputs.
-// dst may alias y or x.
-func AxpyTo(dst []float64, alpha float64, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("vec: AxpyTo length mismatch")
-	}
-	for i := range dst {
-		dst[i] = y[i] + alpha*x[i]
-	}
-}
-
 // Scale computes x *= alpha in place.
 func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
-	}
-}
-
-// ScaleTo computes dst = alpha * x. dst may alias x.
-func ScaleTo(dst []float64, alpha float64, x []float64) {
-	if len(dst) != len(x) {
-		panic("vec: ScaleTo length mismatch")
-	}
-	for i, xv := range x {
-		dst[i] = alpha * xv
-	}
-}
-
-// Add computes dst = a + b elementwise. dst may alias either input.
-func Add(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("vec: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
 	}
 }
 
@@ -163,26 +132,10 @@ func DistSq(a, b []float64) float64 {
 	return s
 }
 
-// Sum returns the plain sum of elements.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
 // Zero sets every element of x to 0.
 func Zero(x []float64) {
 	for i := range x {
 		x[i] = 0
-	}
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
 	}
 }
 
@@ -234,17 +187,6 @@ func SoftThreshold(v, k float64) float64 {
 		return v + k
 	default:
 		return 0
-	}
-}
-
-// SoftThresholdVec applies SoftThreshold elementwise: dst_i = S(x_i, k).
-// dst may alias x.
-func SoftThresholdVec(dst, x []float64, k float64) {
-	if len(dst) != len(x) {
-		panic("vec: SoftThresholdVec length mismatch")
-	}
-	for i, v := range x {
-		dst[i] = SoftThreshold(v, k)
 	}
 }
 

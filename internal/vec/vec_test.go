@@ -66,31 +66,11 @@ func TestAxpyZeroAlphaNoop(t *testing.T) {
 	}
 }
 
-func TestAxpyTo(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{10, 20, 30}
-	dst := make([]float64, 3)
-	AxpyTo(dst, -1, x, y)
-	if !Equal(dst, []float64{9, 18, 27}) {
-		t.Fatalf("AxpyTo = %v", dst)
-	}
-	// Aliasing dst with y must be safe.
-	AxpyTo(y, -1, x, y)
-	if !Equal(y, []float64{9, 18, 27}) {
-		t.Fatalf("aliased AxpyTo = %v", y)
-	}
-}
-
-func TestScaleAndScaleTo(t *testing.T) {
+func TestScale(t *testing.T) {
 	x := []float64{1, -2, 4}
 	Scale(0.5, x)
 	if !Equal(x, []float64{0.5, -1, 2}) {
 		t.Fatalf("Scale = %v", x)
-	}
-	dst := make([]float64, 3)
-	ScaleTo(dst, 2, x)
-	if !Equal(dst, []float64{1, -2, 4}) {
-		t.Fatalf("ScaleTo = %v", dst)
 	}
 }
 
@@ -98,10 +78,6 @@ func TestAddSubAddInto(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
 	dst := make([]float64, 2)
-	Add(dst, a, b)
-	if !Equal(dst, []float64{4, 7}) {
-		t.Fatalf("Add = %v", dst)
-	}
 	Sub(dst, b, a)
 	if !Equal(dst, []float64{2, 3}) {
 		t.Fatalf("Sub = %v", dst)
@@ -177,10 +153,6 @@ func TestZeroFillClone(t *testing.T) {
 	if !Equal(c, []float64{1, 2, 3}) {
 		t.Fatalf("Clone shares backing array")
 	}
-	Fill(x, 7)
-	if !Equal(x, []float64{7, 7, 7}) {
-		t.Fatalf("Fill = %v", x)
-	}
 }
 
 func TestWithinTol(t *testing.T) {
@@ -211,14 +183,6 @@ func TestSoftThreshold(t *testing.T) {
 		if got := SoftThreshold(c.v, c.k); got != c.want {
 			t.Errorf("SoftThreshold(%v,%v) = %v, want %v", c.v, c.k, got, c.want)
 		}
-	}
-}
-
-func TestSoftThresholdVecAliasing(t *testing.T) {
-	x := []float64{5, -5, 1, -1}
-	SoftThresholdVec(x, x, 2)
-	if !Equal(x, []float64{3, -3, 0, 0}) {
-		t.Fatalf("SoftThresholdVec = %v", x)
 	}
 }
 

@@ -67,7 +67,9 @@ func runWLG(t *testing.T, cfg Config, dim int,
 // slot, so any aggregate identifies exactly which ranks were summed.
 func rankVec(dim, r int) []float64 {
 	v := make([]float64, dim)
-	vec.Fill(v, math.Ldexp(1, r))
+	for i := range v {
+		v[i] = math.Ldexp(1, r)
+	}
 	return v
 }
 
