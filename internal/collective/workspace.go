@@ -22,6 +22,10 @@ import (
 // are valid until the workspace's next call; callers that keep a trace
 // must copy it.
 //
+// A member that reads no allreduce result passes out == nil to the ring or
+// PSR schedule: it still sends, receives and checks every message and logs
+// the same trace, and skips only the final concatenation.
+//
 // When the endpoint advertises transport.NonBlockingSender, sends happen
 // inline instead of via the usual goroutine-per-send (the async form
 // exists only to avoid distributed deadlock on fabrics with bounded
@@ -186,10 +190,10 @@ func (ws *Workspace) drainSends() error {
 
 // RingAllreduceSparse sums the members' sparse vectors (all of dimension
 // v.Dim) with the ring schedule, transmitting only nonzeros; the global sum
-// is written into out (which must not alias v). Per-step message sizes
-// depend on where the nonzeros sit — which is exactly the sensitivity the
-// paper analyzes in eqs. (11)–(13): a block that accumulates all the
-// nonzeros grows linearly as it travels the ring.
+// is written into out (which must not alias v; nil skips the assembly).
+// Per-step message sizes depend on where the nonzeros sit — which is
+// exactly the sensitivity the paper analyzes in eqs. (11)–(13): a block
+// that accumulates all the nonzeros grows linearly as it travels the ring.
 func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
@@ -198,7 +202,9 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 	p := g.Size()
 	tr := Trace{Steps: 2 * (p - 1), Events: ws.events[:0]}
 	if p == 1 {
-		out.ReuseFrom(v)
+		if out != nil {
+			out.ReuseFrom(v)
+		}
 		return tr, nil
 	}
 	sync := transport.SendsNonBlocking(ep)
@@ -270,22 +276,30 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 		blocks[recvIdx] = sv
 	}
 
+	ws.events = tr.Events
+	ws.concat(out, v.Dim, blocks)
+	return tr, nil
+}
+
+// concat stitches the chunk-ordered blocks into out, unless out is nil.
+func (ws *Workspace) concat(out *sparse.Vector, dim int, blocks []*sparse.Vector) {
+	if out == nil {
+		return
+	}
 	for j, c := range ws.chunks {
 		ws.offsets[j] = c.Lo
 	}
-	sparse.ConcatInto(out, v.Dim, ws.offsets, blocks)
-	ws.events = tr.Events
-	return tr, nil
+	sparse.ConcatInto(out, dim, ws.offsets, blocks)
 }
 
 // PSRAllreduceSparse sums the members' sparse vectors with the paper's
 // PSR-Allreduce schedule, writing the global sum into out (which must not
-// alias v): block j goes straight to owner j (one Scatter-Reduce step),
-// then each owner sends its finished block to every other member (one
-// Allgather step). Sparse cost is bounded by c·θ in the scatter step and
-// c·θ·(N−1) in the gather step (paper eqs. 14–15), independent of where
-// the nonzeros concentrate — the robustness property PSRA-HGADMM is built
-// on.
+// alias v; nil skips the assembly): block j goes straight to owner j (one
+// Scatter-Reduce step), then each owner sends its finished block to every
+// other member (one Allgather step). Sparse cost is bounded by c·θ in the
+// scatter step and c·θ·(N−1) in the gather step (paper eqs. 14–15),
+// independent of where the nonzeros concentrate — the robustness property
+// PSRA-HGADMM is built on.
 func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector) (Trace, error) {
 	return ws.PSRAllreduceSparseAgg(ep, g, tagBase, v, out, AggSpec{})
 }
@@ -305,7 +319,9 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 	if p == 1 {
 		// The sum, and center × 1, of a single contribution is the
 		// contribution.
-		out.ReuseFrom(v)
+		if out != nil {
+			out.ReuseFrom(v)
+		}
 		return tr, nil
 	}
 	sync := transport.SendsNonBlocking(ep)
@@ -366,6 +382,7 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 			return tr, err
 		}
 	}
+	// A duplicate would overwrite its block and leave another's nil.
 	blocks := ws.cur
 	blocks[me] = myBlock
 	for j := 0; j < p-1; j++ {
@@ -381,6 +398,9 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		if src < 0 || src == me {
 			return tr, fmt.Errorf("collective: psr sparse gather from unexpected rank %d", in.From)
 		}
+		if blocks[src] != nil {
+			return tr, fmt.Errorf("collective: psr sparse gather duplicate sender %d", in.From)
+		}
 		if sv.Dim != ws.chunks[src].Hi-ws.chunks[src].Lo {
 			return tr, fmt.Errorf("collective: psr sparse gather dim %d, want %d", sv.Dim, ws.chunks[src].Hi-ws.chunks[src].Lo)
 		}
@@ -389,11 +409,8 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 	if err := ws.drainSends(); err != nil {
 		return tr, err
 	}
-	for j, c := range ws.chunks {
-		ws.offsets[j] = c.Lo
-	}
-	sparse.ConcatInto(out, v.Dim, ws.offsets, blocks)
 	ws.events = tr.Events
+	ws.concat(out, v.Dim, blocks)
 	return tr, nil
 }
 

@@ -222,6 +222,7 @@ func applySnapshot(snap *exchange.Snapshot, cfg *Config, env *strategyEnv, strat
 		if err := env.members.Restore(int(snap.Epoch), dead); err != nil {
 			return 0, err
 		}
+		env.store.dropCounts()
 	}
 	strat.frame().busyUntil = 0
 	if len(snap.Strategy) == 1 {

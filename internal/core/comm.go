@@ -31,7 +31,7 @@ const (
 var errRoundCorrupt = errors.New("core: corrupt frame detected mid-round")
 
 // crewJob is one member's share of a collective round: it reads in and
-// writes the aggregate into out.
+// writes the aggregate into out, or assembles none when out is nil.
 type crewJob struct {
 	kind    commKind
 	g       collective.Group
@@ -64,7 +64,7 @@ type crew struct {
 	jobs   []chan crewJob
 	wg     sync.WaitGroup
 	wss    []collective.Workspace
-	outs   []*sparse.Vector // per-member result sinks (see groupAllreduce)
+	outs   []*sparse.Vector // per-member restricted results of the shard schedule (see groupAllreduce)
 	traces []collective.Trace
 	errs   []error
 	eps    []transport.Endpoint // pre-boxed
@@ -250,13 +250,14 @@ func (c *crew) mergedTrace(ranks []int) collective.Trace {
 // can never match an aborted attempt's stale messages. The returned trace
 // aliases crew scratch (consume it before the next collective).
 //
-// With a nil plan every member ends up with the full aggregate and member
-// 0's copy lands in the caller-owned out, which later rounds never touch,
-// so strategies may retain it. With a plan (commPSRSparse only) the
-// shard-aware schedule runs: each member ships only the blocks it
-// subscribes to or owns and receives its RESTRICTED result — its own
-// subscription, not the full W — in c.outs[r], valid until the next
-// collective; no rank holds the full reduction and out is untouched.
+// With a nil plan only member 0 assembles the full aggregate, into the
+// caller-owned out, which later rounds never touch, so strategies may
+// retain it; the others run the same schedule with a nil out. With a plan
+// (commPSRSparse only) the shard-aware schedule runs: each member ships
+// only the blocks it subscribes to or owns and receives its RESTRICTED
+// result — its own subscription, not the full W — in c.outs[r], valid
+// until the next collective; no rank holds the full reduction and out is
+// untouched.
 func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, plan *shard.Plan, inputs []*sparse.Vector, out *sparse.Vector) (collective.Trace, error) {
 	if len(ranks) != len(inputs) {
 		panic("core: groupAllreduce ranks/inputs mismatch")
@@ -268,8 +269,10 @@ func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, plan *shard.Pl
 	c.wg.Add(len(ranks))
 	for i, r := range ranks {
 		dst := out
-		if i != 0 || plan != nil {
+		if plan != nil {
 			dst = c.outs[r]
+		} else if i > 0 {
+			dst = nil
 		}
 		c.jobs[r] <- crewJob{kind: kind, g: g, tagBase: tagBase, in: inputs[i], out: dst, plan: plan, spec: env.agg}
 	}

@@ -45,10 +45,10 @@ type RunOptions struct {
 	// creates a private one when nil; the same numbers always surface in
 	// every IterStat.
 	Health *metrics.Health
-	// afterRound, when non-nil, gets the run's workers after each round's
-	// stats and before the divergence check: where an in-package test
-	// plants state the fault plan cannot express.
-	afterRound func(iter int, ws []*worker)
+	// afterRound, when non-nil, gets the run's environment after each
+	// round's stats and before the divergence check: where an in-package
+	// test plants state the fault plan cannot express, or checks a round.
+	afterRound func(iter int, env *strategyEnv)
 }
 
 // Run trains L1-regularized logistic regression on train with the
@@ -217,21 +217,24 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	}
 
 	res := &Result{Config: cfg, History: make([]IterStat, 0, cfg.MaxIter)}
-	zPrev := make([]float64, train.Dim())
-	zbar := make([]float64, train.Dim())
+	// z̄ and its predecessor track their supports and swap every iteration.
+	zPrev := &zSummary{z: make([]float64, train.Dim())}
+	zbar := &zSummary{z: make([]float64, train.Dim())}
 
 	// finish stamps the shared exit-path fields — on success AND on
 	// failure, so a partial Result is never missing Z, SystemTime, or the
 	// membership view.
 	finish := func() {
 		res.SystemTime = res.TotalCalTime + res.TotalCommTime
-		alive := members.Alive
+		alive, counts := members.Alive, env.store.liveCounts()
 		if members.LiveCount() == 0 {
+			// Nobody is alive: summarize everyone, counted afresh.
 			alive = func(int) bool { return true }
+			counts = env.store.smap.LiveCounts(nil, alive)
 		}
-		z := make([]float64, env.dim)
-		env.store.assembleInto(z, alive)
-		res.Z = z
+		z := &zSummary{z: make([]float64, env.dim)}
+		env.store.assembleInto(z, alive, counts)
+		res.Z = z.z
 		res.LiveWorkers = members.LiveCount()
 		res.Epoch = members.Epoch()
 		res.Degraded = res.LiveWorkers < len(ws)
@@ -243,10 +246,11 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 
 	startIter := 0
 	if opts.Checkpoint != nil && opts.Checkpoint.Resume {
-		startIter, err = restoreCheckpoint(opts.Checkpoint, &cfg, env, strat, zPrev, res)
+		startIter, err = restoreCheckpoint(opts.Checkpoint, &cfg, env, strat, zPrev.z, res)
 		if err != nil {
 			return nil, fmt.Errorf("core: resume: %w", err)
 		}
+		zPrev.rescan()
 		// Replay scheduled kills and rejoins that predate the snapshot, in
 		// iteration order, so the fabric agrees with the restored
 		// membership view (a rank killed then revived must end up open).
@@ -302,7 +306,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			}
 			// The warm start every rejoiner of this boundary restricts to its
 			// subscription: the cluster's current iterate, sparsified once.
-			zWarm := sparse.FromDense(zPrev)
+			zWarm := sparse.FromDense(zPrev.z)
 			for _, r := range rs {
 				if members.Alive(r) {
 					continue // e.g. a KillAfterSends trigger that never fired
@@ -373,7 +377,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		// stats, so LiveWorkers, the assembled z̄, and the objective reflect
 		// the post-transition world.
 		if quar != nil {
-			if qerr := quar.sweep(env, cfg, iter, zPrev, res); qerr != nil {
+			if qerr := quar.sweep(env, cfg, iter, zPrev.z, res); qerr != nil {
 				return fail(iter, qerr)
 			}
 		}
@@ -413,11 +417,10 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		}
 		stat.ResidentBytes = resident
 		health.ResidentBytes.Set(resident)
-		env.store.assembleInto(zbar, isAlive)
+		env.store.assembleInto(zbar, isAlive, env.store.liveCounts())
 		stat.PrimalRes, stat.DualRes = residuals(live, zbar, zPrev, cfg.Rho)
-		copy(zPrev, zbar)
 		if iter%cfg.EvalEvery == 0 || iter == cfg.MaxIter-1 {
-			stat.Objective = globalObjective(cfg, live, zbar)
+			stat.Objective = globalObjective(cfg, live, zbar.z)
 			// Paper eq. 18: |f − f*| / |f*|. Gate on HaveFStar (f* = 0 is a
 			// legitimate optimum for trivially separable data, though the
 			// ratio is then undefined and stays NaN).
@@ -425,9 +428,10 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 				stat.RelError = absf(stat.Objective-opts.FStar) / absf(opts.FStar)
 			}
 			if opts.Test != nil {
-				stat.Accuracy = opts.Test.Accuracy(zbar)
+				stat.Accuracy = opts.Test.Accuracy(zbar.z)
 			}
 		}
+		zbar, zPrev = zPrev, zbar
 		res.History = append(res.History, stat)
 		res.TotalCalTime += timing.cal
 		res.TotalCommTime += timing.comm
@@ -436,7 +440,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			opts.OnIteration(stat)
 		}
 		if opts.afterRound != nil {
-			opts.afterRound(iter, ws)
+			opts.afterRound(iter, env)
 		}
 		// Divergence check BEFORE the adaptive penalty and the checkpoint
 		// save: a poisoned iteration must neither steer ρ nor be persisted
@@ -467,13 +471,14 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 				if rollbacks >= wdCfg.MaxRollbacks || ck == nil || ck.Store == nil {
 					return fail(iter, trip)
 				}
-				toIter, ok, rerr := rollbackToSnapshot(ck, &cfg, env, strat, zPrev, res)
+				toIter, ok, rerr := rollbackToSnapshot(ck, &cfg, env, strat, zPrev.z, res)
 				if rerr != nil {
 					return fail(iter, fmt.Errorf("rollback after %v: %w", trip, rerr))
 				}
 				if !ok {
 					return fail(iter, fmt.Errorf("no checkpoint to roll back to: %w", trip))
 				}
+				zPrev.rescan()
 				rollbacks++
 				// The snapshot restored iterates, z_prev, ρ, strategy
 				// scalars, and the virtual-clock totals; everything derived
@@ -501,7 +506,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			}
 		}
 		if ck := opts.Checkpoint; ck != nil && ck.Store != nil && (iter+1)%ck.interval() == 0 {
-			if err := saveCheckpoint(ck, cfg, env, strat, iter+1, zPrev, res); err != nil {
+			if err := saveCheckpoint(ck, cfg, env, strat, iter+1, zPrev.z, res); err != nil {
 				return fail(iter, fmt.Errorf("checkpoint: %w", err))
 			}
 		}

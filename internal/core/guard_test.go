@@ -102,12 +102,13 @@ func awkwardSparse(r *rand.Rand, dim int) *sparse.Vector {
 }
 
 // fixtureEnv is the part of a run's environment buildSnapshot and
-// applySnapshot read, over fixture workers.
+// applySnapshot read, over fixture workers. The store is only there for a
+// membership restore to drop its live-count cache.
 func fixtureEnv(ws []*worker) *strategyEnv {
 	for _, w := range ws {
 		w.obj = &solver.LogisticProx{} // setRho's target
 	}
-	return &strategyEnv{ws: ws, dim: ws[0].dim, members: membership.NewTracker(len(ws))}
+	return &strategyEnv{ws: ws, dim: ws[0].dim, members: membership.NewTracker(len(ws)), store: &stateStore{}}
 }
 
 // Property: after ANY sequence of keepZ, applyW (blocks with no live
@@ -305,12 +306,12 @@ func TestNaNInZViewOnlyTripsRollsBackAndReplays(t *testing.T) {
 		Test:       test,
 		Health:     health,
 		Checkpoint: &CheckpointOptions{Store: checkpoint.NewMemStore(), Every: 5},
-		afterRound: func(iter int, ws []*worker) {
+		afterRound: func(iter int, env *strategyEnv) {
 			if iter != tripIter || planted {
 				return
 			}
 			planted = true
-			w := ws[rank]
+			w := env.ws[rank]
 			z := w.zSparse.Clone()
 			k := z.NNZ() / 2 // mid-support: the first hit is not the first entry
 			z.Value[k] = math.NaN()

@@ -278,8 +278,8 @@ func TestResidualProperties(t *testing.T) {
 	for _, w := range ws {
 		w.initStore(replicated)
 	}
-	z := make([]float64, train.Dim())
-	zPrev := make([]float64, train.Dim())
+	z := &zSummary{z: make([]float64, train.Dim())}
+	zPrev := &zSummary{z: make([]float64, train.Dim())}
 	p, d := residuals(ws, z, zPrev, cfg.Rho)
 	// x=z=0 initially: perfect consensus, no movement.
 	if p != 0 || d != 0 {
@@ -295,7 +295,8 @@ func TestResidualProperties(t *testing.T) {
 		t.Fatalf("perturbed residuals %v %v", p, d)
 	}
 	// Move z: dual becomes positive.
-	z[0] = 0.5
+	z.z[0] = 0.5
+	z.rescan()
 	_, d = residuals(ws, z, zPrev, cfg.Rho)
 	if d <= 0 {
 		t.Fatalf("dual residual %v after z moved", d)

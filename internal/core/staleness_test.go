@@ -91,7 +91,7 @@ func TestRejoinerServesColdStartUntilAdmitted(t *testing.T) {
 			case *treeStrategy:
 				frame = &st.barrierFrame
 			}
-			zbar := make([]float64, env.dim)
+			zbar := &zSummary{z: make([]float64, env.dim)}
 			staleRounds, admittedBack := 0, false
 			for iter := 0; iter < cfg.MaxIter; iter++ {
 				env.curIter = iter
@@ -107,12 +107,12 @@ func TestRejoinerServesColdStartUntilAdmitted(t *testing.T) {
 						} else {
 							env.members.MarkUp(r)
 						}
-						env.store.assembleInto(zbar, env.members.Alive)
+						env.store.assembleInto(zbar, env.members.Alive, env.store.liveCounts())
 						var maxClock float64
 						for _, w := range env.liveWorkers() {
 							maxClock = maxf(maxClock, w.clock)
 						}
-						env.ws[r].rejoin(sparse.FromDense(zbar), maxClock)
+						env.ws[r].rejoin(sparse.FromDense(zbar.z), maxClock)
 					}
 				}
 				if _, err := strat.Round(cfg, iter); err != nil {

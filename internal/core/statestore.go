@@ -4,7 +4,6 @@ import (
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/shard"
 	"psrahgadmm/internal/sparse"
-	"psrahgadmm/internal/vec"
 )
 
 // stateStore is the consensus state's placement, and there is ONE layout:
@@ -41,10 +40,13 @@ type stateStore struct {
 	planRanks []int
 	planEpoch int
 	// counts holds the per-block live subscriber counts — the z-update's
-	// per-block divisor, refreshed per round.
-	counts []int
+	// per-block divisor — as of membership epoch countsEpoch (-1: none).
+	counts      []int
+	countsEpoch int
 	// offs is the partition's block boundaries [0, ..., dim].
 	offs []int
+	// touched collects z̄'s support across the live views (assembleInto).
+	touched sparse.IndexSet
 }
 
 // newStateStore builds the run's map — subscriptions derived from the
@@ -52,7 +54,7 @@ type stateStore struct {
 // and allocates every worker's consensus storage under it. Must run after
 // env.ws is populated.
 func newStateStore(env *strategyEnv, sharded bool, blocks int) *stateStore {
-	s := &stateStore{env: env, sharded: sharded}
+	s := &stateStore{env: env, sharded: sharded, countsEpoch: -1}
 	if sharded {
 		if blocks <= 0 {
 			blocks = len(env.ws)
@@ -89,13 +91,22 @@ func (s *stateStore) livePlan(ranks []int) *shard.Plan {
 	return s.plan
 }
 
-// liveCounts refreshes the per-block live subscriber counts. Each block
+// liveCounts returns the per-block live subscriber counts. Each block
 // averages over its live subscribers, not the world — off-subscription
 // ranks never fed the block's W sum, so dividing by the world would bias z.
+// Every change of who is alive moves the epoch, so they are counted once
+// per epoch (a restore may reuse an epoch number: see dropCounts).
 func (s *stateStore) liveCounts() []int {
-	s.counts = s.smap.LiveCounts(s.counts, s.env.members.Alive)
+	if e := s.env.members.Epoch(); e != s.countsEpoch {
+		s.counts = s.smap.LiveCounts(s.counts, s.env.members.Alive)
+		s.countsEpoch = e
+	}
 	return s.counts
 }
+
+// dropCounts forgets the cached counts: Tracker.Restore sets the epoch to a
+// snapshot's, a number this run may have counted under another dead set.
+func (s *stateStore) dropCounts() { s.countsEpoch = -1 }
 
 // allreduceW reduces the live ranks' contributions for the flat path and
 // refreshes the round's live counts. Sharded, the shard-aware schedule
@@ -125,31 +136,47 @@ func (s *stateStore) zFromW(wsum *sparse.Vector, cfg Config) *sparse.Vector {
 	return zFromWBlocks(wsum, cfg.Lambda, cfg.Rho, s.offs, s.liveCounts())
 }
 
-// assembleInto reconstructs the full-dimension consensus summary the engine
-// evaluates: per block, the live subscribers' stored views are summed in
-// rank order then averaged. Under exact consensus all views are equal and
-// the mean is that view; under SSP they may differ transiently and the mean
-// is the natural cluster-wide summary. Blocks with no live subscriber stay
+// assembleInto reconstructs into dst the full-dimension consensus summary
+// the engine evaluates: per block, the stored views of the ranks alive
+// admits are summed in rank order then averaged over counts[b], the block's
+// live subscriber count. Under exact consensus all views are equal and the
+// mean is that view; under SSP they may differ transiently and the mean is
+// the natural cluster-wide summary. Blocks with no live subscriber stay
 // zero (no data couples to them, so their z is provably zero).
 //
-// A view is added over its support only, rank by rank: zStore is +0 off
-// support(zSparse) (see beginZ) and zSparse lies inside the rank's
-// subscription, a sum that starts at +0 never becomes −0, and x + (+0) is x
-// bit for bit for every other x, NaN included — so the terms skipped are
-// exactly the ones that change nothing, each coordinate still sums its
-// subscribers in rank order, and the result equals the dense per-block sum
-// of the stored views. An explicit −0 or NaN a view does hold is an entry
-// of zSparse and is added like any other.
-func (s *stateStore) assembleInto(out []float64, alive func(rank int) bool) {
-	vec.Zero(out)
+// It costs the views' nonzeros, not the dimension. A view is added over its
+// support only, rank by rank: zStore is +0 off support(zSparse) (see
+// beginZ) and zSparse lies inside the rank's subscription, a sum that
+// starts at +0 never becomes −0, and x + (+0) is x bit for bit for every
+// other x, NaN included — so the terms skipped are exactly the ones that
+// change nothing, and the result equals the dense per-block sum of the
+// stored views (an explicit −0 or NaN is an entry, added like any other).
+// Only the union of those supports is scaled, since +0 · (1/n) is +0, and
+// only dst's previous support is cleared.
+func (s *stateStore) assembleInto(dst *zSummary, alive func(rank int) bool, counts []int) {
+	for _, j := range dst.supp {
+		dst.z[j] = 0
+	}
+	s.touched.Reset(len(dst.z))
 	for r, w := range s.env.ws {
 		if alive(r) {
-			w.zSparse.AddIntoDense(out, 1)
+			w.zSparse.AddIntoDense(dst.z, 1)
+			for _, j := range w.zSparse.Index {
+				s.touched.Mark(j)
+			}
 		}
 	}
-	for b := 0; b < s.smap.Part.Blocks; b++ {
-		if n := s.smap.LiveSubscribers(b, alive); n > 0 {
-			vec.Scale(1/float64(n), out[s.offs[b]:s.offs[b+1]])
+	dst.supp = s.touched.Drain(dst.supp[:0])
+	// The support ascends (a block cursor, as in zFromWBlocks) and lies in
+	// blocks a live view subscribes to, so every count read is at least 1.
+	b, hi := -1, 0
+	var inv float64
+	for _, j := range dst.supp {
+		for int(j) >= hi {
+			b++
+			hi = s.offs[b+1]
+			inv = 1 / float64(counts[b])
 		}
+		dst.z[j] *= inv
 	}
 }

@@ -71,6 +71,11 @@ func TestAssembleIntoMatchesDenseSum(t *testing.T) {
 		if got := s.smap.Part.Blocks; sharded != (got == 256) {
 			t.Fatalf("sharded=%v: %d blocks", sharded, got)
 		}
+		// One summary across every call, as the engine keeps one: each call
+		// clears only the support the last one left. The first call finds
+		// stale values on the support it is handed.
+		got := &zSummary{z: make([]float64, dim), supp: []int32{0, dim - 1}}
+		got.z[0], got.z[dim-1] = 5, math.NaN()
 		for round := 0; round < 3; round++ { // later iterates overwrite earlier supports
 			for _, w := range env.ws {
 				z := sparse.NewVector(dim, 0)
@@ -104,18 +109,34 @@ func TestAssembleIntoMatchesDenseSum(t *testing.T) {
 						t.Fatalf("block 0 has %d live subscribers with rank 0 dead, want none", counts[0])
 					}
 				}
-				got, want := make([]float64, dim), make([]float64, dim)
-				got[0], got[dim-1] = 5, math.NaN() // the output is overwritten, not accumulated into
-				s.assembleInto(got, alive)
+				want := make([]float64, dim)
+				s.assembleInto(got, alive, s.smap.LiveCounts(nil, alive))
 				assembleDense(s, want, alive)
 				nans := 0
 				for j := range want {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					if math.Float64bits(got.z[j]) != math.Float64bits(want[j]) {
 						t.Fatalf("sharded=%v round %d dead %v: out[%d] = %x, dense sum %x",
-							sharded, round, dead, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+							sharded, round, dead, j, math.Float64bits(got.z[j]), math.Float64bits(want[j]))
 					}
 					if math.IsNaN(want[j]) {
 						nans++
+					}
+				}
+				// The support is the live views' union, ascending.
+				union := make(map[int32]bool)
+				for r, w := range env.ws {
+					if alive(r) {
+						for _, j := range w.zSparse.Index {
+							union[j] = true
+						}
+					}
+				}
+				if len(got.supp) != len(union) {
+					t.Fatalf("sharded=%v round %d dead %v: support of %d entries, union of %d", sharded, round, dead, len(got.supp), len(union))
+				}
+				for k, j := range got.supp {
+					if !union[j] || k > 0 && j <= got.supp[k-1] {
+						t.Fatalf("sharded=%v round %d dead %v: support[%d] = %d is not the ascending union", sharded, round, dead, k, j)
 					}
 				}
 				if len(dead) == 0 && nans == 0 {

@@ -234,6 +234,12 @@ func TestIndexSet(t *testing.T) {
 		if s.Len() != 0 {
 			t.Fatalf("n %d: %d members left after a full drain", n, s.Len())
 		}
+		for _, m := range want {
+			s.Mark(m) // the same set again, drained into a slice
+		}
+		if got := s.Drain([]int32{-1}); !slices.Equal(got, append([]int32{-1}, want...)) || s.Len() != 0 {
+			t.Fatalf("n %d: Drain appended %v and left %d members, want %v after -1 and none", n, got, s.Len(), want)
+		}
 	}
 
 	// TakeWord starts at the word it is given, inside a summary word and

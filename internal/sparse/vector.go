@@ -272,6 +272,17 @@ func (s *IndexSet) TakeWord(from int) (w int, word uint64) {
 	return w, word
 }
 
+// Drain appends every member to dst in ascending order, leaving the set
+// empty, and returns the extended slice.
+func (s *IndexSet) Drain(dst []int32) []int32 {
+	for w, word := s.TakeWord(0); w >= 0; w, word = s.TakeWord(w + 1) {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
 // next returns the first non-empty word at or after from, or -1.
 func (s *IndexSet) next(from int) int {
 	sw := from >> 6
