@@ -130,6 +130,16 @@ func goldenCases() []goldenCase {
 		// when it left. Recorded after that fix; the engine before it fed those
 		// rounds the pre-death vector.
 		{"psra-admm-async-rejoin", func() Config { return rejoined(PSRAADMMAsync, 6) }},
+		// Every case above shards the data six ways, 20 rows of ≈ 190
+		// nonzeros per rank, which routes TRON to Steihaug CG. Twelve ranks
+		// hold 10 rows each and route every x-update to the exact row-space
+		// Newton step: this pins that step's arithmetic, its dogleg and its
+		// Hessian-product count (through CalTime) bit for bit.
+		{"psra-hgadmm-rowspace", func() Config {
+			cfg := base(PSRAHGADMM)
+			cfg.Topo = simnet.Topology{Nodes: 4, WorkersPerNode: 3}
+			return cfg
+		}},
 	}
 }
 

@@ -61,7 +61,8 @@ type LogisticProx struct {
 	d       []float64 // σ(1−σ) curvature cache
 	av      []float64 // scratch for HessVec
 
-	restriction // TRON solves over Data's column support
+	restriction            // TRON solves over Data's column support
+	newton      gramNewton // exact Newton steps on short shards
 }
 
 // NewLogisticProx constructs the subproblem objective. Labels must match
@@ -131,6 +132,14 @@ func (o *LogisticProx) HessVec(v, hv []float64) float64 {
 	return addProxCurvature(o.Rho, v, hv)
 }
 
+func (o *LogisticProx) newtonStep(g, s []float64) (float64, int, bool) {
+	return o.newton.step(o.Data, o.Rho, o.d, g, s)
+}
+
+func (o *LogisticProx) curvature(s []float64) float64 {
+	return o.newton.curvature(o.Data, o.Rho, o.d, s)
+}
+
 // addProxCurvature finishes hv += ρ·v and returns vᵀ·hv in one pass,
 // rounded as vec.Axpy then vec.Dot; ρ = 0 leaves hv alone, as Axpy does.
 func addProxCurvature(rho float64, v, hv []float64) float64 {
@@ -182,7 +191,8 @@ type LeastSquaresProx struct {
 	resid []float64
 	av    []float64
 
-	restriction // TRON solves over Data's column support
+	restriction            // TRON solves over Data's column support
+	newton      gramNewton // exact Newton steps on short shards
 }
 
 // NewLeastSquaresProx constructs the lasso subproblem objective.
@@ -231,6 +241,14 @@ func (o *LeastSquaresProx) HessVec(v, hv []float64) float64 {
 	m.MulVec(o.av, v)
 	m.MulTransVec(hv, o.av)
 	return addProxCurvature(o.Rho, v, hv)
+}
+
+func (o *LeastSquaresProx) newtonStep(g, s []float64) (float64, int, bool) {
+	return o.newton.step(o.Data, o.Rho, nil, g, s)
+}
+
+func (o *LeastSquaresProx) curvature(s []float64) float64 {
+	return o.newton.curvature(o.Data, o.Rho, nil, s)
 }
 
 func (o *LeastSquaresProx) solveRestricted(x []float64, opts TronOptions) (TronResult, bool) {

@@ -9,10 +9,11 @@ import (
 	"psrahgadmm/internal/vec"
 )
 
-// unrestricted hides everything but Objective's three methods, so TRON
-// cannot discover the restriction and solves at full dimension: the
-// reference the restricted path is compared against.
-type unrestricted struct{ Objective }
+// plain hides everything but Objective's three methods, so TRON can
+// discover neither the restriction nor the exact Newton step: it solves at
+// full dimension with Steihaug CG, the reference the restricted path and
+// the fused CG are compared against.
+type plain struct{ Objective }
 
 // sparseShard draws a shard the way a rank sees one: most columns
 // untouched, some rows empty.
@@ -130,7 +131,7 @@ func TestRestrictedSolveMatchesUnrestricted(t *testing.T) {
 		} {
 			x, xFull := vec.Clone(x0), vec.Clone(x0)
 			res := TRON(obj, x, tight)
-			full := TRON(unrestricted{obj}, xFull, tight)
+			full := TRON(plain{obj}, xFull, tight)
 			// 1e-10 relative sits at the rounding floor, where TRON may stop
 			// on a collapsed radius instead; either way both are at the optimum.
 			if res.GradNorm > 1e-7 || full.GradNorm > 1e-7 {
@@ -191,7 +192,7 @@ func TestRestrictEveryColumnTouchedIsThePlainSolve(t *testing.T) {
 	xPlain := vec.Clone(x)
 
 	got := TRON(obj, x, TronOptions{})
-	want := TRON(unrestricted{NewLogisticProx(data, labels, 1.5, y, z)}, xPlain, TronOptions{})
+	want := TRON(plain{NewLogisticProx(data, labels, 1.5, y, z)}, xPlain, TronOptions{})
 	if got != want || !vec.Equal(x, xPlain) {
 		t.Fatalf("full-support solve %+v differs from the plain body's %+v", got, want)
 	}
@@ -206,14 +207,20 @@ func TestRestrictEveryColumnTouchedIsThePlainSolve(t *testing.T) {
 
 // TestRestrictedSolveSteadyStateAllocatesNothing: the scratch is the
 // objective's, so solver.TRON — a fresh Workspace per call — is free after
-// the first solve.
+// the first solve, on the CG route and on the exact Newton one.
 func TestRestrictedSolveSteadyStateAllocatesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
 	data, labels, b := sparseShard(r, 20, 80, 0.04)
+	short, shortLabels, shortB := sparseShard(r, 6, 80, 0.3)
+	if newtonCost(data) != 0 || newtonCost(short) == 0 {
+		t.Fatal("shards do not cover both routes")
+	}
 	y, z := randVec(r, 80, 0.2), randVec(r, 80, 0.5)
 	for name, obj := range map[string]Objective{
-		"logistic":      NewLogisticProx(data, labels, 1, y, z),
-		"least squares": NewLeastSquaresProx(data, b, 1, y, z),
+		"logistic":                 NewLogisticProx(data, labels, 1, y, z),
+		"least squares":            NewLeastSquaresProx(data, b, 1, y, z),
+		"logistic, row space":      NewLogisticProx(short, shortLabels, 1, y, z),
+		"least squares, row space": NewLeastSquaresProx(short, shortB, 1, y, z),
 	} {
 		x := make([]float64, 80)
 		if n := testing.AllocsPerRun(10, func() {

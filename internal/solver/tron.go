@@ -44,9 +44,13 @@ func (o *TronOptions) fill() {
 	}
 }
 
-// TronResult reports the work a TRON solve performed. CGIters is the total
-// Hessian-vector product count, the dominant cost; the simnet compute model
-// charges virtual time proportional to it.
+// TronResult reports the work a TRON solve performed. CGIters counts
+// Hessian-product equivalents, the dominant cost, in the currency of one
+// Hessian-vector product (two sweeps of the data): each CG product counts
+// one, and an exact row-space Newton step counts its product plus its
+// Cholesky's share (newtonCost), and one more when it is cut back to a
+// dogleg point. The simnet compute model charges virtual time proportional
+// to it.
 type TronResult struct {
 	Iters     int
 	CGIters   int
@@ -81,6 +85,13 @@ func (ws *Workspace) ensure(n int) {
 // trust-region Newton method of Lin & Moré: an inner Steihaug conjugate
 // gradient solve truncated at the trust boundary, and the classic
 // ratio-based radius update.
+//
+// A prox objective of this package over a short, wide matrix (one whose
+// m×m factorisation costs at most two Hessian products, see newtonCost)
+// takes the exact Newton step instead of the CG solve, through its row
+// space (gramNewton), cut back to the dogleg point when it leaves the trust
+// region; ρ ≤ 0 or a non-positive pivot takes the CG step. MaxCG and CGTol
+// bound only CG steps.
 //
 // A prox objective of this package whose data matrix leaves columns
 // untouched is solved over the touched columns only (see restriction): the
@@ -134,6 +145,7 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 		return res
 	}
 	delta := gnorm0
+	newton, _ := obj.(exactNewton)
 
 	// Radius update constants from Lin & Moré.
 	const (
@@ -153,18 +165,34 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 			break
 		}
 
-		// Steihaug CG: solve H s ≈ −g within the trust region.
-		atBoundary := steihaugCG(obj, g, s, ws.r, ws.d, hd, delta, opts, &res)
-
-		// Predicted reduction: −gᵀs − ½ sᵀHs.
-		sHs := obj.HessVec(s, hd)
-		res.CGIters++
+		// The step: exact Newton fitted to the trust region where the
+		// objective solves its system in row space, else Steihaug CG
+		// (H s ≈ −g within the region) and a product for sᵀHs.
+		var sHs float64
+		exact, atBoundary := false, false
+		if newton != nil {
+			var gHg float64
+			var cost int
+			if gHg, cost, exact = newton.newtonStep(g, s); exact {
+				res.CGIters += cost
+				sHs, atBoundary = dogleg(newton, g, s, ws.d, gnorm, gHg, delta, &res)
+			}
+		}
+		if !exact {
+			atBoundary = steihaugCG(obj, g, s, ws.r, ws.d, hd, delta, opts, &res)
+			sHs = obj.HessVec(s, hd)
+			res.CGIters++
+		}
 		// One pass for gᵀs and xNew = x + s.
 		var gs float64
 		for i, si := range s {
 			gs += g[i] * si
 			xNew[i] = x[i] + si
 		}
+		if exact && !atBoundary {
+			sHs = -gs // H s = −g
+		}
+		// Predicted reduction: −gᵀs − ½ sᵀHs.
 		pred := -(gs + 0.5*sHs)
 
 		fNew := obj.Eval(xNew, gNew)

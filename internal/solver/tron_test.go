@@ -520,13 +520,16 @@ func (p *curvatureProbe) HessVec(v, hv []float64) float64 {
 func bitEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // checkAgainstSevenPass solves from x0 with tron and with refTron and fails
-// on any differing bit of x, F or GradNorm, or any differing count.
+// on any differing bit of x, F or GradNorm, or any differing count. tron
+// sees obj through plain, so it takes the CG step on every shape: the
+// short news20 shards would otherwise take the exact Newton step, which the
+// seven-pass reference does not know.
 func checkAgainstSevenPass(t *testing.T, name string, obj Objective, x0 []float64, opts TronOptions) {
 	t.Helper()
 	opts.fill()
 	x, xRef := vec.Clone(x0), vec.Clone(x0)
 	var ws, wsRef Workspace
-	got := tron(obj, x, opts, &ws)
+	got := tron(plain{obj}, x, opts, &ws)
 	want := refTron(obj, xRef, opts, &wsRef)
 	if got.Iters != want.Iters || got.CGIters != want.CGIters || got.FunEvals != want.FunEvals ||
 		got.Converged != want.Converged || !bitEqual(got.F, want.F) || !bitEqual(got.GradNorm, want.GradNorm) {
@@ -541,7 +544,9 @@ func checkAgainstSevenPass(t *testing.T, name string, obj Objective, x0 []float6
 }
 
 // TestFusedCGMatchesSevenPassCG: fusing the CG's sweeps and screening the
-// boundary test on the plain sum of squares moves no bit of any solve.
+// boundary test on the plain sum of squares moves no bit of any solve. The
+// CG path is pinned (see checkAgainstSevenPass): it is what the shapes that
+// route to CG, engine-guarded-16's and the reference optimum's, still run.
 func TestFusedCGMatchesSevenPassCG(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	worker := TronOptions{MaxIter: 10, MaxCG: 20}
@@ -643,7 +648,8 @@ func checkCGAgainstSevenPass(t *testing.T, name string, obj Objective, g []float
 // TestSteihaugCGMatchesSevenPass drives the CG alone where a whole solve
 // may not show a difference: radii equal to an iterate's Nrm2 and one ulp
 // either side (the screen's band, where √Σs² may not decide and Nrm2 must),
-// and α = 0.
+// and α = 0. It calls steihaugCG itself, so it stays on the CG path
+// whatever the shape.
 func TestSteihaugCGMatchesSevenPass(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	opts := TronOptions{}
