@@ -13,21 +13,21 @@
 //
 // Every process generates the identical synthetic dataset from -seed and
 // takes the shard matching its rank, so no data distribution step is
-// needed.
+// needed. Each worker is core.Rank, the engine's per-rank worker.
 //
 // With -elastic the run survives worker deaths: nodes re-elect their
 // Leader, inter-node aggregation routes through the GG (which caches
 // results for recovery), and surviving ranks train to completion on the
-// shrunken world. -start-iter resumes a run's tail after a restart.
+// shrunken world. -snapshot-dir saves this rank's (x, y, z) every
+// -snapshot-every iterations; -start-iter K resumes a run's tail from
+// every rank's iteration-K snapshot (exit 1 if it is another boundary).
 //
 // With -rejoin (requires -elastic) a relaunched process re-enters a run
 // that is still going: the endpoint re-dials the mesh as a new
 // incarnation of its rank, the GG grants a join iteration plus the latest
 // consensus aggregate for a warm start, and every live rank folds the
-// returner back in at the same boundary. Pair it with -snapshot-dir,
-// which saves this rank's (x, y, z) every -snapshot-every iterations, so
-// the relaunch also restores local primal/dual state instead of starting
-// from zero:
+// returner back in at the same boundary. A usable snapshot restores local
+// primal/dual state instead of zero:
 //
 //	psra-worker -rank 2 ... -elastic -snapshot-dir /tmp/psra   # dies
 //	psra-worker -rank 2 ... -elastic -snapshot-dir /tmp/psra -rejoin
@@ -61,10 +61,10 @@ import (
 
 	psra "psrahgadmm"
 	"psrahgadmm/internal/checkpoint"
+	"psrahgadmm/internal/core"
 	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/prof"
 	"psrahgadmm/internal/simnet"
-	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
@@ -94,7 +94,7 @@ func main() {
 		maxDelay  = flag.Int("max-delay", 0, "staleness bound in rounds for -min-barrier laggards (0 = the paper's Max_delay of 5)")
 		startIter = flag.Int("start-iter", 0, "first iteration to execute (resume a run's tail after a restart)")
 		rejoin    = flag.Bool("rejoin", false, "re-enter a running elastic mesh as a new incarnation of this rank (requires -elastic)")
-		snapDir   = flag.String("snapshot-dir", "", "directory for this rank's periodic state snapshots (warm-starts x/y/z with -rejoin)")
+		snapDir   = flag.String("snapshot-dir", "", "directory for this rank's periodic state snapshots (restored by -rejoin and -start-iter)")
 		snapEvery = flag.Int("snapshot-every", 5, "snapshot every k-th iteration (with -snapshot-dir)")
 		wdOn      = flag.Bool("watchdog", false, "divergence watchdog: scan contributions and aggregates for NaN/Inf and magnitude explosions (exit 5 on a trip)")
 		wdWindow  = flag.Int("watchdog-window", 0, "healthy iterations forming the explosion baseline (0 = default 8)")
@@ -161,6 +161,78 @@ func main() {
 		fatal(err)
 	}
 
+	// A worker restores before the mesh too: a relaunch that cannot resume
+	// exits 1 here instead of taking the established mesh down with it.
+	var funcs wlg.WorkerFuncs
+	if *rank != wlg.GGRank(topo) {
+		var preset psra.SynthConfig
+		switch *synth {
+		case "news20":
+			preset = psra.News20Like(*scale, *seed)
+		case "webspam":
+			preset = psra.WebspamLike(*scale, *seed)
+		case "url":
+			preset = psra.URLLike(*scale, *seed)
+		default:
+			fatal(fmt.Errorf("unknown preset %q", *synth))
+		}
+		train, _, err := psra.Generate(preset)
+		if err != nil {
+			fatal(err)
+		}
+		shard := train.Shard(topo.Size())[*rank]
+		fmt.Printf("rank %d: node %d, shard %d×%d (%d nnz)\n",
+			*rank, topo.NodeOf(*rank), shard.Rows(), shard.Dim(), shard.NNZ())
+		rk := core.NewRank(core.Config{Topo: topo, Rho: *rho, Lambda: *lambda}, *rank, shard)
+		var store checkpoint.Store
+		if *snapDir != "" {
+			if store, err = checkpoint.NewDirStore(*snapDir, fmt.Sprintf("rank-%d.ckpt", *rank)); err != nil {
+				fatal(err)
+			}
+		}
+		// A -rejoin survives a missing or refused snapshot; a -start-iter
+		// does not, since a world resumed from mixed boundaries is wrong.
+		if store != nil && (*rejoin || *startIter > 0) {
+			iter, err := rk.RestoreSnapshot(store)
+			switch {
+			case err == nil && (*rejoin || iter == *startIter):
+				fmt.Printf("rank %d: restored x/y/z from the iteration-%d snapshot\n", *rank, iter)
+			case *rejoin:
+				fmt.Printf("rank %d: %v; rejoining with zero local state\n", *rank, err)
+			case err == nil:
+				fatal(fmt.Errorf("-start-iter %d: the last snapshot is at iteration %d", *startIter, iter))
+			default:
+				fatal(fmt.Errorf("-start-iter %d: %w", *startIter, err))
+			}
+		}
+		funcs = wlg.WorkerFuncs{
+			ComputeW: rk.ComputeW,
+			ApplyW: func(iter int, bigW []float64, contributors int) {
+				rk.ApplyW(iter, bigW, contributors)
+				if *rank == 0 && (iter%5 == 0 || iter == *iters-1) {
+					z := rk.Z()
+					fmt.Printf("rank 0: iter %3d  local loss %.4f  ‖z‖₁ %.4f  z nnz %d  (group of %d workers)\n",
+						iter+1, rk.LocalLoss(z), vec.Nrm1(z), vec.CountNonzero(z), contributors)
+				}
+				// A failed save is reported, never fatal: it serves a relaunch.
+				if store != nil && (iter+1)%*snapEvery == 0 {
+					if err := rk.SaveSnapshot(store, iter+1); err != nil {
+						fmt.Fprintf(os.Stderr, "psra-worker: rank %d snapshot save failed: %v\n", *rank, err)
+					}
+				}
+			},
+			Rejoined: func(joinIter int, bigW []float64, contributors int) {
+				rk.Rejoined(joinIter, bigW, contributors)
+				if bigW == nil {
+					fmt.Printf("rank %d: rejoined at iteration %d (cold: no aggregate flushed yet)\n", *rank, joinIter)
+					return
+				}
+				fmt.Printf("rank %d: rejoined at iteration %d, warm-started from %d contributors\n",
+					*rank, joinIter, contributors)
+			},
+		}
+	}
+
 	ep, err := transport.NewTCPEndpoint(*rank, addrList, transport.TCPOptions{
 		DialTimeout:       *timeout,
 		HeartbeatInterval: *heartbeat,
@@ -172,95 +244,13 @@ func main() {
 	}
 	defer ep.Close()
 
+	info := new(wlg.RunInfo) // the GG's, never degraded
 	if *rank == wlg.GGRank(topo) {
 		fmt.Printf("rank %d: group generator serving %d nodes × %d iterations\n", *rank, *nodes, *iters)
-		if err := wlg.RunGG(ep, cfg); err != nil {
-			fatal(err)
-		}
-		if err := profiles.Stop(); err != nil {
-			fatal(err)
-		}
-		return
+		err = wlg.RunGG(ep, cfg)
+	} else {
+		info, err = wlg.RunWorkerInfo(ep, cfg, funcs)
 	}
-
-	var preset psra.SynthConfig
-	switch *synth {
-	case "news20":
-		preset = psra.News20Like(*scale, *seed)
-	case "webspam":
-		preset = psra.WebspamLike(*scale, *seed)
-	case "url":
-		preset = psra.URLLike(*scale, *seed)
-	default:
-		fatal(fmt.Errorf("unknown preset %q", *synth))
-	}
-	train, _, err := psra.Generate(preset)
-	if err != nil {
-		fatal(err)
-	}
-	shard := train.Shard(topo.Size())[*rank]
-	dim := train.Dim()
-	fmt.Printf("rank %d: node %d, shard %d×%d (%d nnz)\n",
-		*rank, topo.NodeOf(*rank), shard.Rows(), dim, shard.NNZ())
-
-	x := make([]float64, dim)
-	y := make([]float64, dim)
-	z := make([]float64, dim)
-	w := make([]float64, dim)
-	var store checkpoint.Store
-	if *snapDir != "" {
-		ds, err := checkpoint.NewDirStore(*snapDir, fmt.Sprintf("rank-%d.ckpt", *rank))
-		if err != nil {
-			fatal(err)
-		}
-		store = ds
-	}
-	if *rejoin && store != nil {
-		// Restore local primal/dual state from the last snapshot. Copy INTO
-		// the slices — the prox objective below captures y and z by
-		// reference, and the consensus runtime owns the same views.
-		if snap, ok := loadSnapshot(store, *rank, dim); ok {
-			copy(x, snap.XA)
-			copy(y, snap.YA)
-			copy(z, snap.ZDense)
-			fmt.Printf("rank %d: restored x/y/z from snapshot\n", *rank)
-		} else {
-			fmt.Printf("rank %d: no usable snapshot, rejoining with zero local state\n", *rank)
-		}
-	}
-	obj := solver.NewLogisticProx(shard.X, shard.Labels, *rho, y, z)
-
-	funcs := wlg.WorkerFuncs{
-		ComputeW: func(iter int) []float64 {
-			solver.TRON(obj, x, solver.TronOptions{MaxIter: 10, MaxCG: 20})
-			solver.WLocal(w, y, x, *rho)
-			return w
-		},
-		ApplyW: func(iter int, bigW []float64, contributors int) {
-			solver.ZUpdateL1(z, bigW, *lambda, *rho, contributors)
-			solver.DualUpdate(y, x, z, *rho)
-			if *rank == 0 && (iter%5 == 0 || iter == *iters-1) {
-				fmt.Printf("rank 0: iter %3d  local loss %.4f  ‖z‖₁ %.4f  z nnz %d  (group of %d workers)\n",
-					iter+1, obj.LocalLoss(z), vec.Nrm1(z), vec.CountNonzero(z), contributors)
-			}
-			if store != nil && ((iter+1)%*snapEvery == 0 || iter == *iters-1) {
-				saveSnapshot(store, *rank, iter+1, *rho, x, y, z)
-			}
-		},
-		Rejoined: func(joinIter int, bigW []float64, contributors int) {
-			if bigW == nil {
-				fmt.Printf("rank %d: rejoined at iteration %d (cold: no aggregate flushed yet)\n", *rank, joinIter)
-				return
-			}
-			// The GG's latest flushed aggregate is the freshest consensus
-			// view; derive z from it so the first local solve chases the
-			// world's current iterate, not the snapshot's stale one.
-			solver.ZUpdateL1(z, bigW, *lambda, *rho, contributors)
-			fmt.Printf("rank %d: rejoined at iteration %d, warm-started from %d contributors\n",
-				*rank, joinIter, contributors)
-		},
-	}
-	info, err := wlg.RunWorkerInfo(ep, cfg, funcs)
 	if err != nil {
 		fatal(err)
 	}
@@ -275,47 +265,6 @@ func main() {
 		os.Exit(4)
 	}
 	fmt.Printf("rank %d: done\n", *rank)
-}
-
-// saveSnapshot persists this rank's (x, y, z) as a one-worker PSCK
-// snapshot. A failed save is reported but never kills training: the
-// snapshot is an optimization for a future rejoin, not run state.
-func saveSnapshot(store checkpoint.Store, rank, iter int, rho float64, x, y, z []float64) {
-	snap := &exchange.Snapshot{
-		Algorithm: "psra-worker",
-		Iter:      int32(iter),
-		Rho:       rho,
-		Workers:   []exchange.WorkerSnap{{Rank: int32(rank), XA: x, YA: y, ZDense: z}},
-	}
-	if err := store.Save(exchange.EncodeSnapshot(snap)); err != nil {
-		fmt.Fprintf(os.Stderr, "psra-worker: rank %d snapshot save failed: %v\n", rank, err)
-	}
-}
-
-// loadSnapshot returns this rank's WorkerSnap from the store, or ok=false
-// when there is nothing usable (no file, corrupt bytes, wrong rank, or a
-// dimension mismatch from a differently-configured run). All of those are
-// survivable — the rejoin still warm-starts z from the GG's aggregate.
-func loadSnapshot(store checkpoint.Store, rank, dim int) (*exchange.WorkerSnap, bool) {
-	data, ok, err := store.Load()
-	if err != nil || !ok {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "psra-worker: rank %d snapshot load failed: %v\n", rank, err)
-		}
-		return nil, false
-	}
-	snap, err := exchange.DecodeSnapshot(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "psra-worker: rank %d snapshot rejected: %v\n", rank, err)
-		return nil, false
-	}
-	for i := range snap.Workers {
-		ws := &snap.Workers[i]
-		if int(ws.Rank) == rank && len(ws.XA) == dim && len(ws.YA) == dim && len(ws.ZDense) == dim {
-			return ws, true
-		}
-	}
-	return nil, false
 }
 
 // validateExplicitFlags rejects nonsense values for flags whose zero

@@ -8,6 +8,9 @@
 // program (goroutines over the channel fabric, the same code path the TCP
 // cluster uses), not the simulation engine.
 //
+// It writes its own callbacks, not core.Rank: the engine's per-rank worker
+// is logistic-only.
+//
 //	go run ./examples/lasso
 package main
 

@@ -2,8 +2,9 @@
 // mesh on localhost — every rank owns real sockets and exchanges real
 // frames; only the process boundary is collapsed (each rank is a
 // goroutine, so the example is self-contained and needs no orchestration).
-// For true multi-process runs, use cmd/psra-worker, which runs the same
-// code path.
+// Each worker is a core.Rank, the engine's per-rank worker, driven by the
+// WLG runtime. For true multi-process runs, use cmd/psra-worker, which runs
+// the same code path.
 //
 //	go run ./examples/tcpcluster
 package main
@@ -15,8 +16,8 @@ import (
 	"sync"
 
 	psra "psrahgadmm"
+	"psrahgadmm/internal/core"
 	"psrahgadmm/internal/simnet"
-	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/wlg"
@@ -49,79 +50,52 @@ func main() {
 	}
 	fmt.Printf("mesh of %d ranks (4 workers + 1 group generator) on %v\n", world, addrs)
 
-	// Establish the full mesh concurrently.
+	train, test, err := psra.Generate(psra.News20Like(0.0005, 11))
+	if err != nil {
+		log.Fatal(err)
+	}
+	shards := train.Shard(topo.Size())
+	ranks := make([]*core.Rank, topo.Size())
+	for r := range ranks {
+		ranks[r] = core.NewRank(core.Config{Topo: topo, Rho: rho, Lambda: lambda}, r, shards[r])
+	}
+
+	// Every rank joins the mesh concurrently, then plays its part: the
+	// Group Generator, or a worker driving its core.Rank.
+	cfg := wlg.Config{Topo: topo, MaxIter: maxIter, GroupThreshold: 0}
 	eps := make([]transport.Endpoint, world)
-	var setup sync.WaitGroup
-	for i := 0; i < world; i++ {
-		setup.Add(1)
-		go func(i int) {
-			defer setup.Done()
+	var wg sync.WaitGroup
+	for i := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			ep, err := transport.NewTCPEndpoint(i, addrs, transport.TCPOptions{})
+			if err == nil {
+				eps[i] = ep
+				if i == wlg.GGRank(topo) {
+					err = wlg.RunGG(ep, cfg)
+				} else {
+					err = wlg.RunWorker(ep, cfg, wlg.WorkerFuncs{ComputeW: ranks[i].ComputeW, ApplyW: ranks[i].ApplyW})
+				}
+			}
 			if err != nil {
 				log.Fatalf("rank %d: %v", i, err)
 			}
-			eps[i] = ep
-		}(i)
+		}()
 	}
-	setup.Wait()
+	wg.Wait()
 	defer func() {
 		for _, ep := range eps {
 			ep.Close()
 		}
 	}()
 
-	train, test, err := psra.Generate(psra.News20Like(0.0005, 11))
-	if err != nil {
-		log.Fatal(err)
-	}
-	shards := train.Shard(topo.Size())
-	dim := train.Dim()
-	cfg := wlg.Config{Topo: topo, MaxIter: maxIter, GroupThreshold: 0}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := wlg.RunGG(eps[wlg.GGRank(topo)], cfg); err != nil {
-			log.Fatal(err)
-		}
-	}()
-
-	finalZ := make([][]float64, topo.Size())
-	for rank := 0; rank < topo.Size(); rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			x := make([]float64, dim)
-			y := make([]float64, dim)
-			z := make([]float64, dim)
-			w := make([]float64, dim)
-			obj := solver.NewLogisticProx(shards[rank].X, shards[rank].Labels, rho, y, z)
-			funcs := wlg.WorkerFuncs{
-				ComputeW: func(iter int) []float64 {
-					solver.TRON(obj, x, solver.TronOptions{MaxIter: 10})
-					solver.WLocal(w, y, x, rho)
-					return w
-				},
-				ApplyW: func(iter int, bigW []float64, contributors int) {
-					solver.ZUpdateL1(z, bigW, lambda, rho, contributors)
-					solver.DualUpdate(y, x, z, rho)
-				},
-			}
-			if err := wlg.RunWorker(eps[rank], cfg, funcs); err != nil {
-				log.Fatal(err)
-			}
-			finalZ[rank] = vec.Clone(z)
-		}(rank)
-	}
-	wg.Wait()
-
-	for rank := 1; rank < topo.Size(); rank++ {
-		if !vec.WithinTol(finalZ[rank], finalZ[0], 1e-9) {
-			log.Fatalf("rank %d disagrees with rank 0 after %d iterations", rank, maxIter)
+	z := ranks[0].Z()
+	for r, rk := range ranks[1:] {
+		if !vec.WithinTol(rk.Z(), z, 1e-9) {
+			log.Fatalf("rank %d disagrees with rank 0 after %d iterations", r+1, maxIter)
 		}
 	}
-	z := finalZ[0]
 	fmt.Printf("consensus reached after %d iterations over TCP: ‖z‖₀ = %d\n",
 		maxIter, vec.CountNonzero(z))
 	fmt.Printf("test accuracy of the consensus model: %.3f\n", test.Accuracy(z))

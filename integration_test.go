@@ -1,128 +1,83 @@
 package psrahgadmm
 
-// Cross-path integration tests: the real message-passing WLG runtime
-// (goroutines over the channel fabric — the code path cmd/psra-worker
-// ships) and the deterministic simulation engine must agree on the
-// numerics, since they implement the same recursion over the same
-// substrate packages.
+// Cross-runtime integration tests: the real message-passing WLG runtime
+// (goroutines over the channel fabric, the code path cmd/psra-worker ships)
+// and the deterministic simulation engine run one per-rank worker —
+// core.Rank is the engine's worker in wlg.WorkerFuncs' shape — so they
+// differ only in how W is reduced, and their z iterates agree bit for bit.
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
+	"psrahgadmm/internal/core"
 	"psrahgadmm/internal/simnet"
-	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/wlg"
 )
 
-// runWLGLogistic trains L1-logreg over the real WLG runtime and returns
-// the consensus iterate after maxIter iterations.
-func runWLGLogistic(t *testing.T, train *Dataset, topo simnet.Topology, rho, lambda float64, maxIter, threshold int) []float64 {
+// runWLG trains cfg's L1-logreg over the real WLG runtime, one core.Rank a
+// worker, for cfg.MaxIter iterations and returns every rank's final z.
+func runWLG(t *testing.T, train *Dataset, cfg Config, threshold int) [][]float64 {
 	t.Helper()
+	topo := cfg.Topo
+	shards := train.Shard(topo.Size())
+	ranks := make([]*core.Rank, topo.Size())
+	for r := range ranks {
+		ranks[r] = core.NewRank(cfg, r, shards[r])
+	}
 	fab := transport.NewChanFabric(wlg.WorldSize(topo))
 	defer fab.Close()
-	cfg := wlg.Config{Topo: topo, MaxIter: maxIter, GroupThreshold: threshold}
-	shards := train.Shard(topo.Size())
-	dim := train.Dim()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, wlg.WorldSize(topo))
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := wlg.RunGG(fab.Endpoint(wlg.GGRank(topo)), cfg); err != nil {
-			errCh <- fmt.Errorf("GG: %w", err)
-		}
-	}()
-	finalZ := make([][]float64, topo.Size())
-	for rank := 0; rank < topo.Size(); rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			x := make([]float64, dim)
-			y := make([]float64, dim)
-			z := make([]float64, dim)
-			w := make([]float64, dim)
-			obj := solver.NewLogisticProx(shards[rank].X, shards[rank].Labels, rho, y, z)
-			funcs := wlg.WorkerFuncs{
-				ComputeW: func(iter int) []float64 {
-					solver.TRON(obj, x, solver.TronOptions{GradTol: 1e-9, MaxIter: 100, MaxCG: 100, CGTol: 1e-4})
-					solver.WLocal(w, y, x, rho)
-					return w
-				},
-				ApplyW: func(iter int, bigW []float64, contributors int) {
-					solver.ZUpdateL1(z, bigW, lambda, rho, contributors)
-					solver.DualUpdate(y, x, z, rho)
-				},
-			}
-			if err := wlg.RunWorker(fab.Endpoint(rank), cfg, funcs); err != nil {
-				errCh <- fmt.Errorf("worker %d: %w", rank, err)
-			}
-			finalZ[rank] = vec.Clone(z)
-		}(rank)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	wcfg := wlg.Config{Topo: topo, MaxIter: cfg.MaxIter, GroupThreshold: threshold}
+	if err := wlg.Run(fab, wcfg, func(r int) wlg.WorkerFuncs {
+		return wlg.WorkerFuncs{ComputeW: ranks[r].ComputeW, ApplyW: ranks[r].ApplyW}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	for rank := 1; rank < topo.Size(); rank++ {
-		if !vec.WithinTol(finalZ[rank], finalZ[0], 1e-9) {
-			t.Fatalf("WLG rank %d not in consensus with rank 0", rank)
-		}
+	zs := make([][]float64, len(ranks))
+	for r, rk := range ranks {
+		zs[r] = rk.Z()
 	}
-	return finalZ[0]
+	return zs
 }
 
+// TestWLGRuntimeMatchesEngine: one global group is exact consensus, so
+// every WLG rank ends on core.Run's z, bit for bit, under the default TRON
+// options psra-worker runs with. The λ = 0.1 run keeps z dense enough that
+// a second copy of the per-rank math, rounding differently off the shard's
+// support, would show. The world stays 2×2: the engine's z is the mean of
+// the ranks' equal views, which is exact for four ranks.
 func TestWLGRuntimeMatchesEngine(t *testing.T) {
 	train, _, err := Generate(News20Like(0.0005, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
-	const (
-		rho, lambda = 1.0, 1.0
-		iters       = 15
-	)
-
-	// Real runtime (exact consensus: one global group).
-	zWLG := runWLGLogistic(t, train, topo, rho, lambda, iters, 0)
-
-	// Simulation engine on the identical problem.
-	cfg := Config{
-		Algorithm: PSRAHGADMM,
-		Topo:      topo,
-		Rho:       rho, Lambda: lambda, MaxIter: iters,
-		Tron: solver.TronOptions{GradTol: 1e-9, MaxIter: 100, MaxCG: 100, CGTol: 1e-4},
-	}
-	res, err := Train(cfg, train, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same consensus iterate, bit for bit: psra-worker's callbacks and
-	// core.Run are the same recursion. On a shard's column support both run
-	// the same TRON body on the same compacted objective (solver's
-	// restriction for the callbacks' full-dimension one, the engine's own
-	// compaction), so equal (y, z) in give equal bits out. Off the support
-	// the callbacks hand the consensus y_j + ρ(z_j − y_j/ρ) and the engine
-	// ρ·z_j: identical when z_j = 0, which at λ = 1 is all but a handful of
-	// coordinates, and otherwise within a rounding that leaves this problem's
-	// aggregate untouched. (A denser z — λ = 0.1, say — does pick up last-bit
-	// differences in W there, which TRON's discrete stopping rule then
-	// amplifies to ~1e-9; that would be rounding, not a different recursion.)
-	if len(zWLG) != len(res.Z) {
-		t.Fatalf("dimension mismatch %d vs %d", len(zWLG), len(res.Z))
-	}
-	for i := range zWLG {
-		if zWLG[i] != res.Z[i] {
-			t.Fatalf("WLG runtime and engine differ at coordinate %d: %v vs %v (Δ = %v)",
-				i, zWLG[i], res.Z[i], math.Abs(zWLG[i]-res.Z[i]))
-		}
+	for _, lambda := range []float64{1, 0.1} {
+		t.Run(fmt.Sprintf("lambda=%g", lambda), func(t *testing.T) {
+			cfg := Config{
+				Algorithm: PSRAHGADMM,
+				Topo:      simnet.Topology{Nodes: 2, WorkersPerNode: 2},
+				Rho:       1, Lambda: lambda, MaxIter: 15,
+			}
+			zs := runWLG(t, train, cfg, 0)
+			res, err := Train(cfg, train, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vec.CountNonzero(res.Z) == 0 {
+				t.Fatal("the engine ended on the zero model; the comparison would be vacuous")
+			}
+			for r, z := range zs {
+				for i := range z {
+					if math.Float64bits(z[i]) != math.Float64bits(res.Z[i]) {
+						t.Fatalf("WLG rank %d and the engine differ at coordinate %d: %v vs %v (Δ = %v)",
+							r, i, z[i], res.Z[i], math.Abs(z[i]-res.Z[i]))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -133,71 +88,12 @@ func TestWLGRuntimeGroupedStillConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
-	z := runWLGLogisticGrouped(t, train, topo, 12)
+	cfg := Config{Topo: simnet.Topology{Nodes: 2, WorkersPerNode: 2}, Rho: 1, Lambda: 1, MaxIter: 12}
+	z := runWLG(t, train, cfg, 1)[0]
 	if vec.CountNonzero(z) == 0 {
 		t.Fatal("grouped WLG training produced the zero model")
 	}
 	if acc := train.Accuracy(z); acc < 0.6 {
 		t.Fatalf("grouped WLG training accuracy %v", acc)
 	}
-}
-
-// runWLGLogisticGrouped runs with threshold 1 (node-local groups) and
-// returns node 0's final z.
-func runWLGLogisticGrouped(t *testing.T, train *Dataset, topo simnet.Topology, iters int) []float64 {
-	t.Helper()
-	fab := transport.NewChanFabric(wlg.WorldSize(topo))
-	defer fab.Close()
-	cfg := wlg.Config{Topo: topo, MaxIter: iters, GroupThreshold: 1}
-	shards := train.Shard(topo.Size())
-	dim := train.Dim()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, wlg.WorldSize(topo))
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := wlg.RunGG(fab.Endpoint(wlg.GGRank(topo)), cfg); err != nil {
-			errCh <- err
-		}
-	}()
-	var z0 []float64
-	var mu sync.Mutex
-	for rank := 0; rank < topo.Size(); rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			x := make([]float64, dim)
-			y := make([]float64, dim)
-			z := make([]float64, dim)
-			w := make([]float64, dim)
-			obj := solver.NewLogisticProx(shards[rank].X, shards[rank].Labels, 1, y, z)
-			funcs := wlg.WorkerFuncs{
-				ComputeW: func(iter int) []float64 {
-					solver.TRON(obj, x, solver.TronOptions{MaxIter: 20})
-					solver.WLocal(w, y, x, 1)
-					return w
-				},
-				ApplyW: func(iter int, bigW []float64, contributors int) {
-					solver.ZUpdateL1(z, bigW, 1, 1, contributors)
-					solver.DualUpdate(y, x, z, 1)
-				},
-			}
-			if err := wlg.RunWorker(fab.Endpoint(rank), cfg, funcs); err != nil {
-				errCh <- err
-			}
-			if rank == 0 {
-				mu.Lock()
-				z0 = vec.Clone(z)
-				mu.Unlock()
-			}
-		}(rank)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	return z0
 }

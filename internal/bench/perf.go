@@ -111,12 +111,13 @@ func Perf(seed int64) (*PerfReport, error) {
 		rep.Benchmarks = append(rep.Benchmarks, perfEntry(name, testing.Benchmark(fn)))
 	}
 
-	// Layer 0: the x-update as psra-worker's callbacks call it — solver.TRON
-	// on a full-dimension objective over one rank's shard (1/8 of the
-	// benchmark's news20-like problem, ~5% of the columns touched), warm-
-	// started from two ADMM rounds and re-solved from that fixed state. The
-	// restriction to the shard's support owns its scratch, so the row gates
-	// 0 allocs/op for every caller that lets TRON make a fresh Workspace.
+	// Layer 0: the x-update as benchmark/mesh.go and examples/lasso call it
+	// (psra-worker runs core.Rank) — solver.TRON on a full-dimension
+	// objective over one rank's shard (1/8 of the benchmark's news20-like
+	// problem, ~5% of the columns touched), warm-started from two ADMM rounds
+	// and re-solved from that fixed state. The restriction to the shard's
+	// support owns its scratch, so the row gates 0 allocs/op for every caller
+	// that lets TRON make a fresh Workspace.
 	{
 		train, _, err := dataset.Generate(dataset.News20Like(0.02, seed+6))
 		if err != nil {

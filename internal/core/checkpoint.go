@@ -76,20 +76,35 @@ func buildSnapshot(cfg Config, env *strategyEnv, strat ConsensusStrategy, nextIt
 	}
 	snap.Workers = make([]exchange.WorkerSnap, 0, len(env.ws))
 	for _, w := range env.ws {
-		// z travels once, as the sparse view: zStore is its scatter (beginZ)
-		// and applySnapshot rebuilds it. ZDense, the field psra-worker's
-		// full-dimension ranks write, stays empty.
-		snap.Workers = append(snap.Workers, exchange.WorkerSnap{
-			Rank:     int32(w.rank),
-			Clock:    w.clock,
-			CalTotal: w.calTotal,
-			XA:       w.xA,
-			YA:       w.yA,
-			ZIdx:     w.zSparse.Index,
-			ZVal:     w.zSparse.Value,
-		})
+		snap.Workers = append(snap.Workers, w.snap())
 	}
 	return snap
+}
+
+// snap is the worker's PSCK record. z travels once, as the sparse view:
+// zStore is its scatter (beginZ) and restore rebuilds it, so ZDense stays
+// empty. The record aliases the worker's slices (see buildSnapshot).
+func (w *worker) snap() exchange.WorkerSnap {
+	return exchange.WorkerSnap{
+		Rank:     int32(w.rank),
+		Clock:    w.clock,
+		CalTotal: w.calTotal,
+		XA:       w.xA,
+		YA:       w.yA,
+		ZIdx:     w.zSparse.Index,
+		ZVal:     w.zSparse.Value,
+	}
+}
+
+// restore loads a record checkSnap accepted, copying INTO xA and yA (the
+// solver aliases yA). keepZ copies and scatters the sparse view; a ZDense
+// scatter alongside it (earlier builds) restores to the same state.
+func (w *worker) restore(s *exchange.WorkerSnap) {
+	copy(w.xA, s.XA)
+	copy(w.yA, s.YA)
+	w.keepZ(&sparse.Vector{Dim: w.dim, Index: s.ZIdx, Value: s.ZVal})
+	w.clock = s.Clock
+	w.calTotal = s.CalTotal
 }
 
 func saveCheckpoint(ck *CheckpointOptions, cfg Config, env *strategyEnv, strat ConsensusStrategy, nextIter int, zPrev []float64, res *Result) error {
@@ -105,15 +120,8 @@ func restoreCheckpoint(ck *CheckpointOptions, cfg *Config, env *strategyEnv, str
 	if ck.Store == nil {
 		return 0, nil
 	}
-	blob, ok, err := ck.Store.Load()
-	if err != nil {
-		return 0, err
-	}
+	snap, ok, err := loadSnapshot(ck.Store)
 	if !ok {
-		return 0, nil
-	}
-	snap, err := exchange.DecodeSnapshot(blob)
-	if err != nil {
 		return 0, err
 	}
 	return applySnapshot(snap, cfg, env, strat, zPrev, res, true)
@@ -130,19 +138,23 @@ func rollbackToSnapshot(ck *CheckpointOptions, cfg *Config, env *strategyEnv, st
 	if ck == nil || ck.Store == nil {
 		return 0, false, nil
 	}
-	blob, ok, err := ck.Store.Load()
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	snap, err := exchange.DecodeSnapshot(blob)
-	if err != nil {
+	snap, ok, err := loadSnapshot(ck.Store)
+	if !ok {
 		return 0, false, err
 	}
 	iter, err := applySnapshot(snap, cfg, env, strat, zPrev, res, false)
-	if err != nil {
-		return 0, false, err
+	return iter, err == nil, err
+}
+
+// loadSnapshot decodes the store's snapshot; ok is false when the store
+// holds none or it does not decode.
+func loadSnapshot(st checkpoint.Store) (snap *exchange.Snapshot, ok bool, err error) {
+	blob, ok, err := st.Load()
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	return iter, true, nil
+	snap, err = exchange.DecodeSnapshot(blob)
+	return snap, err == nil, err
 }
 
 // checkSnap reports how s does not fit this worker. A CRC-valid file is
@@ -199,18 +211,7 @@ func applySnapshot(snap *exchange.Snapshot, cfg *Config, env *strategyEnv, strat
 	}
 	// Every record is valid: no worker is touched unless all can be.
 	for i := range snap.Workers {
-		s := &snap.Workers[i]
-		w := env.ws[s.Rank]
-		// Copy INTO the existing slices: the worker's solver aliases yA
-		// (and zA) — reassigning the slice headers would silently detach
-		// the objective from the dual variable. keepZ copies the sparse view
-		// and scatters it; a file that also carries the scatter as ZDense
-		// (earlier builds) restores to the same state.
-		copy(w.xA, s.XA)
-		copy(w.yA, s.YA)
-		w.keepZ(&sparse.Vector{Dim: w.dim, Index: s.ZIdx, Value: s.ZVal})
-		w.clock = s.Clock
-		w.calTotal = s.CalTotal
+		env.ws[snap.Workers[i].Rank].restore(&snap.Workers[i])
 	}
 	cfg.Rho = snap.Rho
 	setRho(env.ws, snap.Rho)

@@ -80,17 +80,21 @@ type worker struct {
 // here — the run's stateStore owns placement and calls initStore on every
 // worker before the first iteration.
 func newWorkers(cfg Config, train *dataset.Dataset) []*worker {
-	n := cfg.Topo.Size()
-	shards := train.Shard(n)
-	dim := train.Dim()
-	ws := make([]*worker, n)
-	for i := range ws {
-		w := &worker{rank: i, dim: dim, shard: shards[i]}
-		w.buildActive()
-		w.obj = solver.NewLogisticProx(w.compact, w.shard.Labels, cfg.Rho, w.yA, w.zA)
-		ws[i] = w
+	shards := train.Shard(cfg.Topo.Size())
+	ws := make([]*worker, len(shards))
+	for i, sh := range shards {
+		ws[i] = newWorker(cfg, i, sh)
 	}
 	return ws
+}
+
+// newWorker builds rank's solver state over its shard, which keeps the
+// training set's full column space.
+func newWorker(cfg Config, rank int, sh *dataset.Dataset) *worker {
+	w := &worker{rank: rank, dim: sh.Dim(), shard: sh}
+	w.buildActive()
+	w.obj = solver.NewLogisticProx(w.compact, sh.Labels, cfg.Rho, w.yA, w.zA)
+	return w
 }
 
 // initStore allocates the worker's consensus storage under the run's shard

@@ -119,9 +119,10 @@ func appendEncodeSnapshot(s *Snapshot) []byte {
 
 // TestEncodeSnapshotExactSize pins the encoder's three promises — the blob
 // is sized exactly, it is the only allocation, and its bytes are the old
-// append-based encoder's — on the shapes the two runtimes write: nothing at
-// all, psra-worker's one dense rank, and the engine's sparse-only ranks
-// (plus the old engine layout, dense and sparse together).
+// append-based encoder's — on the shapes the runtimes write and wrote:
+// nothing at all, earlier psra-worker builds' one dense rank, and the
+// engine's sparse-only ranks (plus the old engine layout, dense and sparse
+// together).
 func TestEncodeSnapshotExactSize(t *testing.T) {
 	nan := math.Float64frombits(0xfff8dead0000beef)
 	cases := map[string]*Snapshot{

@@ -284,10 +284,12 @@ func (o *LeastSquaresProx) LocalLoss(x []float64) float64 {
 // x_j = z_j − y_j/ρ and y_j⁺ = y_j + ρ(x_j − z_j⁺) = ρ(z_j − z_j⁺), which
 // is non-zero whenever z_j moves, but the contribution the consensus sees
 // is w_j = y_j + ρ·x_j = ρ·z_j whatever (x_j, y_j) are. A caller holding
-// full-dimension x and y (psra-worker's callbacks) carries the pair above;
-// internal/core stores no off-support state at all and emits ρ·z_j, i.e.
-// the representative (x_j, y_j) = (z_j, 0) of the same class. Both feed the
-// consensus identical w.
+// full-dimension x and y (benchmark/mesh.go, examples/lasso; core's
+// ReferenceOptimum only evaluates one) carries the pair above; core's
+// worker, which core.Rank runs in psra-worker, stores no off-support state
+// and emits ρ·z_j, the representative (x_j, y_j) = (z_j, 0) of the same
+// class. Both feed the consensus the same w, up to the rounding of
+// y_j + ρ(z_j − y_j/ρ).
 //
 // Both prox objectives embed one restriction. It is built at the first
 // solve, so an objective that is only ever evaluated pays nothing, and it

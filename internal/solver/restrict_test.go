@@ -71,7 +71,7 @@ func TestRestrictedSolveIsTheEngineSolve(t *testing.T) {
 		x, y, z := randVec(r, cols, 0.3), randVec(r, cols, 0.2), randVec(r, cols, 0.5)
 		opts := TronOptions{}
 		if trial%2 == 1 {
-			opts = TronOptions{MaxIter: 10, MaxCG: 20} // psra-worker's
+			opts = TronOptions{MaxIter: 10, MaxCG: 20} // benchmark/mesh.go's
 		}
 
 		// The engine-style call, from the gathered start.
