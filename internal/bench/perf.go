@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -313,6 +314,32 @@ func Perf(seed int64) (*PerfReport, error) {
 					if _, err := fab.Endpoint(0).Recv(transport.AnySource, 7); err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		})
+	}
+
+	// Layer 3c: what a TCP connection reader does per received sparse frame
+	// — header, CRC32C and payload decoded into the vector it took from the
+	// pool — on a frame the size of a mesh-tcp-8 contribution. The frame
+	// scratch and the vector are reused across ops, as the reader reuses
+	// them across frames.
+	{
+		msg := wire.SparseMsg(7, perfSparse(rand.New(rand.NewSource(seed+8)), 27103, 0.66))
+		frame, err := wire.AppendMessage(nil, msg)
+		if err != nil {
+			return nil, err
+		}
+		rd := bytes.NewReader(frame)
+		var scratch []byte
+		reuse := new(sparse.Vector)
+		add("wire/decode-into-sparse", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(frame)
+				var err error
+				if _, scratch, err = wire.DecodeInto(rd, scratch, reuse); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

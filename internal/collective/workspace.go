@@ -33,7 +33,10 @@ import (
 // sender workspaces; that is safe here because every schedule below has
 // the property that a buffer, once sent, is not rewritten until the whole
 // collective completes on all members — see DESIGN.md "Memory model &
-// buffer ownership" for the per-schedule argument.
+// buffer ownership" for the per-schedule argument. When the endpoint is a
+// transport.Releaser (TCP), the reduce, broadcast, ring and PSR calls hand
+// each received block back to its decode pool once they have copied out of
+// it.
 type Workspace struct {
 	// pos is the world-sized member table of the group the current call
 	// validated: pos[r] names rank r's member index when its gen is this
@@ -160,6 +163,19 @@ func (ws *Workspace) send(ep transport.Endpoint, sync bool, to int, m wire.Messa
 	return nil
 }
 
+// release hands sv, which arrived over the call's endpoint from world rank
+// from, back to the endpoint's decode pool once the call has copied out of
+// it. The reduce root, the broadcast receiver and the ring and PSR
+// schedules call it for slots that hold received blocks — never for
+// ws-owned or caller storage. A call that fails first leaves what it
+// received to the collector, and the shard schedule never releases: its
+// result aliases what it received.
+func release(rel transport.Releaser, from int, sv *sparse.Vector) {
+	if rel != nil {
+		rel.Release(wire.Message{Kind: wire.KindSparse, From: int32(from), Sparse: sv})
+	}
+}
+
 // AbandonSends waits out async sends left behind by a collective that
 // returned early on error, discarding their outcomes. A retry of the
 // round reuses the workspace's buffers, and the orphaned goroutines
@@ -208,6 +224,7 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 		return tr, nil
 	}
 	sync := transport.SendsNonBlocking(ep)
+	rel, _ := ep.(transport.Releaser)
 	ws.ensureSparse(p)
 	ws.chunks = vec.SplitInto(ws.chunks, v.Dim, p)
 	next := g.Ranks[(me+1)%p]
@@ -248,6 +265,7 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 		// p+1 distinct buffers across calls.
 		ws.own[recvIdx], ws.spare = merged, ws.own[recvIdx]
 		blocks[recvIdx] = merged
+		release(rel, prev, sv)
 	}
 
 	for s := 0; s < p-1; s++ {
@@ -278,6 +296,14 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 
 	ws.events = tr.Events
 	ws.concat(out, v.Dim, blocks)
+	// Every block but the one this member finished in the reduce-scatter
+	// (own storage) arrived in the allgather, and the last send of any of
+	// them has been drained.
+	for j, b := range blocks {
+		if j != (me+1)%p {
+			release(rel, prev, b)
+		}
+	}
 	return tr, nil
 }
 
@@ -325,6 +351,7 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		return tr, nil
 	}
 	sync := transport.SendsNonBlocking(ep)
+	rel, _ := ep.(transport.Releaser)
 	ws.ensureSparse(p)
 	ws.chunks = vec.SplitInto(ws.chunks, v.Dim, p)
 	mine := ws.chunks[me]
@@ -366,6 +393,11 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 	arrivals[me] = v.SliceInto(ws.own[me], mine.Lo, mine.Hi)
 	myBlock := ws.combine(spec, 0, mine.Hi-mine.Lo, arrivals, ws.myBlock)
 	ws.myBlock = myBlock
+	for j, sv := range arrivals {
+		if j != me {
+			release(rel, g.Ranks[j], sv)
+		}
+	}
 	if err := ws.drainSends(); err != nil {
 		return tr, err
 	}
@@ -411,6 +443,11 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 	}
 	ws.events = tr.Events
 	ws.concat(out, v.Dim, blocks)
+	for j, sv := range blocks {
+		if j != me {
+			release(rel, g.Ranks[j], sv)
+		}
+	}
 	return tr, nil
 }
 
@@ -460,6 +497,12 @@ func (ws *Workspace) ReduceSparse(ep transport.Endpoint, g Group, tagBase int32,
 	}
 	arrivals[me] = v
 	ws.combine(AggSpec{}, 0, v.Dim, arrivals, out)
+	rel, _ := ep.(transport.Releaser)
+	for j, sv := range arrivals {
+		if j != me {
+			release(rel, g.Ranks[j], sv)
+		}
+	}
 	ws.events = tr.Events
 	return tr, nil
 }
@@ -504,6 +547,8 @@ func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int
 		return tr, err
 	}
 	out.ReuseFrom(sv)
+	rel, _ := ep.(transport.Releaser)
+	release(rel, g.Ranks[rootIdx], sv)
 	ws.events = tr.Events
 	return tr, nil
 }

@@ -354,16 +354,36 @@ func (s *restriction) solve(obj twinMaker, data *sparse.CSR, rho float64, y, z, 
 	// Off-support the gradient y_j + ρ(x_j − z_j) vanishes at the closed
 	// form, so res.GradNorm already is the full gradient norm; res.F gains
 	// the separable terms to stay the whole objective at the returned x.
-	k := 0
-	for j := range x {
-		if k < len(s.active) && int(s.active[k]) == j {
-			x[j] = s.xA[k]
-			k++
-			continue
-		}
-		x[j] = z[j] - y[j]/rho
-		diff := x[j] - z[j]
-		res.F += y[j]*x[j] + 0.5*rho*diff*diff
-	}
+	res.F = writeBack(s.active, s.xA, rho, y, z, x, res.F)
 	return res, true
+}
+
+// writeBack stores the solved coordinates xA at the sorted active columns
+// of x and the closed form x_j = z_j − y_j/ρ at every other column,
+// returning f plus the other columns' separable terms. The closed form runs
+// branch-free over each gap between consecutive active columns, and the
+// solved coordinate is stored after it: column order, so x and the sum
+// take the same operations in the same order as a walk over every column
+// that branches on membership (DESIGN.md §3.3).
+func writeBack(active []int32, xA []float64, rho float64, y, z, x []float64, f float64) float64 {
+	lo := 0
+	for k, c := range active {
+		f = closedForm(x[lo:c], y[lo:c], z[lo:c], rho, f)
+		x[c] = xA[k]
+		lo = int(c) + 1
+	}
+	return closedForm(x[lo:], y[lo:], z[lo:], rho, f)
+}
+
+// closedForm writes the untouched minimiser over one gap of columns and
+// returns f plus their separable terms y_j·x_j + (ρ/2)(x_j − z_j)².
+func closedForm(x, y, z []float64, rho, f float64) float64 {
+	y, z = y[:len(x)], z[:len(x)]
+	for j := range x {
+		xj := z[j] - y[j]/rho
+		diff := xj - z[j]
+		x[j] = xj
+		f += y[j]*xj + 0.5*rho*diff*diff
+	}
+	return f
 }

@@ -234,6 +234,75 @@ func TestRestrictedSolveSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// writeBackPerColumn is the write-back restriction.solve ran before the gap
+// loop, kept verbatim as the reference: one walk over every column,
+// branching on whether it is the next active one.
+func writeBackPerColumn(active []int32, xA []float64, rho float64, y, z, x []float64, f float64) float64 {
+	k := 0
+	for j := range x {
+		if k < len(active) && int(active[k]) == j {
+			x[j] = xA[k]
+			k++
+			continue
+		}
+		x[j] = z[j] - y[j]/rho
+		diff := x[j] - z[j]
+		f += y[j]*x[j] + 0.5*rho*diff*diff
+	}
+	return f
+}
+
+// TestWriteBackMatchesPerColumnReference holds the gap loop to the
+// per-column walk in Float64bits, on x and on the objective sum, for the
+// active sets whose gaps are empty or sit at the edges.
+func TestWriteBackMatchesPerColumnReference(t *testing.T) {
+	const n = 40
+	allBut := func(skip int32) []int32 {
+		var a []int32
+		for c := int32(0); c < n; c++ {
+			if c != skip {
+				a = append(a, c)
+			}
+		}
+		return a
+	}
+	shapes := map[string][]int32{
+		"empty":                {},
+		"all but the first":    allBut(0),
+		"all but one":          allBut(17),
+		"all but the last":     allBut(n - 1),
+		"first and last":       {0, n - 1},
+		"first only":           {0},
+		"last only":            {n - 1},
+		"adjacent runs":        {3, 4, 5, 9, 10, 38, 39},
+		"single interior":      {21},
+		"alternating columns":  {1, 3, 5, 7, 9, 11, 13},
+		"adjacent at the edge": {0, 1, 2, n - 2, n - 1},
+	}
+	r := rand.New(rand.NewSource(67))
+	for name, active := range shapes {
+		for _, rho := range []float64{1, 0.3, 2.7, 1e-3} {
+			// y/ρ and the squares round differently at every scale; a −0 in
+			// y and z checks the sign of the closed form too.
+			y, z := randVec(r, n, 1), randVec(r, n, 3)
+			y[7], z[8] = math.Copysign(0, -1), math.Copysign(0, -1)
+			xA := randVec(r, len(active), 1)
+			f0 := r.NormFloat64()
+			got, want := randVec(r, n, 1), randVec(r, n, 1)
+			fGot := writeBack(active, xA, rho, y, z, got, f0)
+			fWant := writeBackPerColumn(active, xA, rho, y, z, want, f0)
+			if math.Float64bits(fGot) != math.Float64bits(fWant) {
+				t.Fatalf("%s, ρ=%g: sum %v, per-column %v", name, rho, fGot, fWant)
+			}
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s, ρ=%g: x[%d] = %v, per-column %v", name, rho, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
 // TestRestrictEmptySupport: a shard with no stored entry has nothing to
 // solve — closed form only, no Newton iteration, and still an honest
 // TronResult.

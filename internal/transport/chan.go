@@ -101,12 +101,7 @@ func (e *chanEndpoint) Send(to int, m wire.Message) error {
 	// fabric, where serialization makes the copy implicit. Zero-copy
 	// fabrics shift that burden to the caller (see NewChanFabricZeroCopy).
 	if !e.fabric.zeroCopy {
-		if m.Dense != nil {
-			m.Dense = append([]float64(nil), m.Dense...)
-		}
-		if m.Sparse != nil {
-			m.Sparse = m.Sparse.Clone()
-		}
+		copyPayload(&m)
 	}
 	switch err := e.fabric.endpoints[to].box.put(&m, e.box.life.Load()); err {
 	case nil:

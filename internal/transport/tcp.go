@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/wire"
 )
 
@@ -447,16 +448,36 @@ func (e *tcpEndpoint) noteDecodeError(peer int, err error) {
 	}
 }
 
+// recvVecs pools the vectors connection readers decode sparse frames into,
+// process-wide like wire's encode buffers. A vector leaves the pool with
+// the message it carries and comes back only through Release.
+var recvVecs = sync.Pool{New: func() any { return new(sparse.Vector) }}
+
+// Release implements Releaser. Readers stamp From with the peer, never
+// with this rank, so a message from this rank is a self-send whose payload
+// is Send's private copy, not the pool's.
+func (e *tcpEndpoint) Release(m wire.Message) {
+	if m.Sparse != nil && int(m.From) != e.rank {
+		recvVecs.Put(m.Sparse)
+	}
+}
+
 func (e *tcpEndpoint) readLoop(peer int, p *tcpPeer) {
 	defer e.wg.Done()
-	// The frame scratch is grown by DecodeFrom only when a payload exceeds
-	// it, so the steady state reads every frame into the same buffer.
+	// The frame scratch is grown by DecodeInto only when a payload exceeds
+	// it, so the steady state reads every frame into the same buffer, and
+	// sparse payloads into pooled vectors. reuse is held until a frame
+	// delivers it.
 	var frame []byte
+	var reuse *sparse.Vector
 	corruptRun := 0
 	for {
+		if reuse == nil {
+			reuse = recvVecs.Get().(*sparse.Vector)
+		}
 		var m wire.Message
 		var err error
-		m, frame, err = wire.DecodeFrom(p.conn, frame)
+		m, frame, err = wire.DecodeInto(p.conn, frame, reuse)
 		if errors.Is(err, wire.ErrFrameCorrupt) {
 			// The checksum failed but the framing held: exactly one frame
 			// was consumed, so the stream is still aligned. Drop the frame
@@ -507,6 +528,9 @@ func (e *tcpEndpoint) readLoop(peer int, p *tcpPeer) {
 			continue // shutdown announcement; the EOF that follows is clean
 		}
 		m.From = int32(peer) // trust the mesh, not the frame
+		if m.Sparse != nil {
+			reuse = nil // the consumer's until it releases it
+		}
 		if e.box.put(&m, nil) != nil {
 			return // closed while held at the bound
 		}
@@ -566,8 +590,11 @@ func (e *tcpEndpoint) Send(to int, m wire.Message) error {
 		return err
 	}
 	if to == e.rank {
-		// Loopback without touching the network.
+		// Loopback without touching the network, and so without the copy
+		// serialization makes: take one, or the receiver would read the
+		// sender's buffers.
 		m.From = int32(e.rank)
+		copyPayload(&m)
 		if e.box.put(&m, nil) != nil {
 			return ErrClosed
 		}

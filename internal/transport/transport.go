@@ -79,9 +79,9 @@ type Endpoint interface {
 	Size() int
 	// Send delivers m to rank `to`. The From field is stamped by the
 	// fabric. Delivered payloads never alias the sender's buffers: the
-	// channel fabric deep-copies float payloads, the TCP fabric
-	// serializes. Senders may mutate their buffers as soon as Send
-	// returns.
+	// channel fabric and a TCP self-send deep-copy float payloads, the
+	// TCP fabric otherwise serializes. Senders may mutate their buffers as
+	// soon as Send returns.
 	Send(to int, m wire.Message) error
 	// Recv blocks until a message with the given tag from the given source
 	// (or from anyone when from == AnySource) is available.
@@ -125,6 +125,32 @@ type NonBlockingSender interface {
 func SendsNonBlocking(ep Endpoint) bool {
 	nb, ok := ep.(NonBlockingSender)
 	return ok && nb.SendNonBlocking()
+}
+
+// Releaser is the optional interface of endpoints that decode received
+// payloads into pooled storage: the TCP fabric. Release hands back the
+// payload of a message this endpoint's Recv returned, once the caller has
+// copied out of it; the next frame a connection reader decodes may then
+// overwrite it. Release is legal at most once per message and only when
+// nothing will read the payload again. Releasing a message whose payload
+// did not come from the pool — a loopback self-send's copy — is a no-op.
+// Wrappers must NOT forward Release: a wrapper may deliver one payload
+// twice (FaultPlan.DupProb) or hand it to someone who keeps it, so a
+// wrapped endpoint simply keeps allocating what it receives.
+type Releaser interface {
+	Release(m wire.Message)
+}
+
+// copyPayload gives m float payloads of its own, so that delivery does not
+// alias the sender's buffers (Endpoint.Send's contract) on paths that do
+// not serialize. Control integers are small and not copied.
+func copyPayload(m *wire.Message) {
+	if m.Dense != nil {
+		m.Dense = append([]float64(nil), m.Dense...)
+	}
+	if m.Sparse != nil {
+		m.Sparse = m.Sparse.Clone()
+	}
 }
 
 // Fabric is a set of endpoints sharing one world — the handle the engine

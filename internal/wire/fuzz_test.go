@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"psrahgadmm/internal/sparse"
@@ -63,12 +66,10 @@ func TestDecodeArbitraryBytesNeverPanics(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrom drives the frame decoder with arbitrary byte streams.
-// Invariants: never panic; a lying length prefix must not force an
-// allocation disproportionate to the bytes actually present (the chunked
-// readPayload guarantee); and any frame that decodes successfully must
-// re-encode to the identical bytes (the codec is canonical).
-func FuzzDecodeFrom(f *testing.F) {
+// addDecodeSeeds is the seed corpus both decoder fuzz targets start from:
+// one frame of each kind whole, cut in half and twice back to back, a
+// lying length prefix, and a version-1 frame.
+func addDecodeSeeds(f *testing.F) {
 	seed := func(m Message) {
 		var buf bytes.Buffer
 		if err := Encode(&buf, m); err != nil {
@@ -91,7 +92,15 @@ func FuzzDecodeFrom(f *testing.F) {
 	// A version-1 frame (no CRC trailer) is rejected, never decoded.
 	f.Add([]byte{magic0, magic1, 1, byte(KindControl), 9, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0,
 		1, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0})
+}
 
+// FuzzDecodeFrom drives the frame decoder with arbitrary byte streams.
+// Invariants: never panic; a lying length prefix must not force an
+// allocation disproportionate to the bytes actually present (the chunked
+// readPayload guarantee); and any frame that decodes successfully must
+// re-encode to the identical bytes (the codec is canonical).
+func FuzzDecodeFrom(f *testing.F) {
+	addDecodeSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var payload []byte
@@ -118,6 +127,90 @@ func FuzzDecodeFrom(f *testing.F) {
 		// plus one speculative chunk — never the claimed payload size.
 		if cap(payload) > 2*(len(data)+decodeChunk) {
 			t.Fatalf("decoder allocated %d bytes for a %d-byte input", cap(payload), len(data))
+		}
+	})
+}
+
+// dirtyVector is a reuse target holding garbage: n stored entries that are
+// neither sorted nor nonzero-free, and spare capacity past them.
+func dirtyVector(n int) *sparse.Vector {
+	v := &sparse.Vector{Dim: 3 * n, Index: make([]int32, n, n+1), Value: make([]float64, n, n+1)}
+	for k := range v.Index {
+		v.Index[k], v.Value[k] = int32(n-k), math.NaN()
+	}
+	return v
+}
+
+// sameMessage reports whether a and b carry the same header fields and the
+// same payload, compared in Float64bits.
+func sameMessage(a, b Message) bool {
+	if a.Kind != b.Kind || a.Tag != b.Tag || a.From != b.From ||
+		!slices.Equal(a.Ints, b.Ints) || len(a.Dense) != len(b.Dense) || (a.Sparse == nil) != (b.Sparse == nil) {
+		return false
+	}
+	for i := range a.Dense {
+		if math.Float64bits(a.Dense[i]) != math.Float64bits(b.Dense[i]) {
+			return false
+		}
+	}
+	if a.Sparse == nil {
+		return true
+	}
+	if a.Sparse.Dim != b.Sparse.Dim || !slices.Equal(a.Sparse.Index, b.Sparse.Index) ||
+		len(a.Sparse.Value) != len(b.Sparse.Value) {
+		return false
+	}
+	for k := range a.Sparse.Value {
+		if math.Float64bits(a.Sparse.Value[k]) != math.Float64bits(b.Sparse.Value[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeInto decodes every FuzzDecodeFrom input three times over: fresh,
+// into a dirty vector smaller than any payload it meets, and into a dirty
+// one larger. The pooled decodes must return what the fresh one does, bit
+// for bit, error for error, and a sparse payload must land in the vector
+// they were given.
+func FuzzDecodeInto(f *testing.F) {
+	addDecodeSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type stream struct {
+			r       *bytes.Reader
+			scratch []byte
+			reuse   *sparse.Vector
+		}
+		fresh := stream{r: bytes.NewReader(data)}
+		pooled := []stream{
+			{r: bytes.NewReader(data), reuse: dirtyVector(1)},
+			{r: bytes.NewReader(data), reuse: dirtyVector(64)},
+		}
+		for {
+			var want Message
+			var werr error
+			want, fresh.scratch, werr = DecodeFrom(fresh.r, fresh.scratch)
+			for i := range pooled {
+				s := &pooled[i]
+				var got Message
+				var err error
+				got, s.scratch, err = DecodeInto(s.r, s.scratch, s.reuse)
+				if fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("reuse %d: error %v, fresh decode's %v", i, err, werr)
+				}
+				if err != nil {
+					continue
+				}
+				if !sameMessage(got, want) {
+					t.Fatalf("reuse %d: decoded %+v, fresh decode %+v", i, got, want)
+				}
+				if want.Sparse != nil && got.Sparse != s.reuse {
+					t.Fatalf("reuse %d: sparse payload not decoded into the given vector", i)
+				}
+			}
+			if werr != nil {
+				return
+			}
 		}
 	})
 }

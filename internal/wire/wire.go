@@ -246,24 +246,38 @@ func Decode(r io.Reader) (Message, error) {
 	return m, err
 }
 
-// DecodeFrom is Decode reading the raw payload into scratch (grown only
-// when too small), returning the possibly-grown buffer for the caller to
-// reuse on the next frame. The decoded Message's payload fields are
-// always freshly allocated — they outlive the scratch — so only the
-// transient frame buffer is saved.
-func DecodeFrom(r io.Reader, payload []byte) (Message, []byte, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Message{}, payload, io.EOF
-		}
-		return Message{}, payload, err
+// DecodeFrom is Decode reading the frame into scratch (grown only when
+// too small), returning the possibly-grown buffer for the caller to reuse
+// on the next frame. It is DecodeInto with no vector to reuse, so the
+// decoded Message's payload fields are freshly allocated and outlive the
+// scratch.
+func DecodeFrom(r io.Reader, scratch []byte) (Message, []byte, error) {
+	return DecodeInto(r, scratch, nil)
+}
+
+// DecodeInto is DecodeFrom decoding a sparse payload into reuse when it is
+// non-nil: reuse's Dim, Index and Value are overwritten by position, its
+// arrays grown only when too small and never cleared, and the returned
+// Message's Sparse is reuse. Any other payload kind, and every payload when
+// reuse is nil, is freshly allocated. After an error reuse holds garbage
+// and no Message refers to it, so the caller may pass it again. Frames the
+// TCP fabric receives decode this way into pooled vectors (see
+// transport.Releaser).
+func DecodeInto(r io.Reader, scratch []byte, reuse *sparse.Vector) (Message, []byte, error) {
+	// The header is read into the scratch, not a local array: a local handed
+	// to an io.Reader escapes, and would be one allocation per frame.
+	if cap(scratch) < headerBytes {
+		scratch = make([]byte, headerBytes)
+	}
+	hdr := scratch[:headerBytes]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Message{}, scratch, err // io.EOF exactly at a frame boundary
 	}
 	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return Message{}, payload, fmt.Errorf("%w: bad magic %x%x", ErrBadFrame, hdr[0], hdr[1])
+		return Message{}, scratch, fmt.Errorf("%w: bad magic %x%x", ErrBadFrame, hdr[0], hdr[1])
 	}
 	if hdr[2] != version2 {
-		return Message{}, payload, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, hdr[2])
+		return Message{}, scratch, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, hdr[2])
 	}
 	m := Message{
 		Kind: Kind(hdr[3]),
@@ -272,38 +286,31 @@ func DecodeFrom(r io.Reader, payload []byte) (Message, []byte, error) {
 	}
 	plen := binary.LittleEndian.Uint32(hdr[12:16])
 	if plen > maxPayload {
-		return Message{}, payload, fmt.Errorf("%w: payload length %d too large", ErrBadFrame, plen)
+		return Message{}, scratch, fmt.Errorf("%w: payload length %d too large", ErrBadFrame, plen)
 	}
-	p, payload, rerr := readPayload(r, payload, int(plen))
+	sum := crc32.Checksum(hdr, castagnoli) // before the payload overwrites it
+	body, scratch, rerr := readPayload(r, scratch, int(plen)+crcBytes)
 	if rerr != nil {
-		return Message{}, payload, rerr
+		return Message{}, scratch, rerr
 	}
 	// Verify the trailer BEFORE the structural decoder touches the payload:
 	// corrupt bytes must surface as ErrFrameCorrupt (skippable, exactly one
 	// frame consumed), never as a wrong-but-well-formed message.
-	var trailer [crcBytes]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Message{}, payload, err
-	}
-	sum := crc32.Update(0, castagnoli, hdr[:])
-	sum = crc32.Update(sum, castagnoli, p)
-	if sum != binary.LittleEndian.Uint32(trailer[:]) {
-		return Message{}, payload, fmt.Errorf("%w: tag %d from %d (%d payload bytes)",
+	p := body[:plen]
+	if crc32.Update(sum, castagnoli, p) != binary.LittleEndian.Uint32(body[plen:]) {
+		return Message{}, scratch, fmt.Errorf("%w: tag %d from %d (%d payload bytes)",
 			ErrFrameCorrupt, m.Tag, m.From, plen)
 	}
-	err := decodePayload(&m, p, hdr[3])
-	return m, payload, err
+	err := decodePayload(&m, p, reuse)
+	return m, scratch, err
 }
 
-// readPayload reads plen payload bytes into scratch, growing it only as
-// bytes actually arrive (in decodeChunk steps, doubling capacity for
-// amortized-linear growth). The steady-state path — scratch already large
-// enough — reads in one ReadFull with zero allocation. It returns the
+// readPayload reads plen bytes (payload and trailer) into scratch, growing
+// it only as bytes actually arrive (in decodeChunk steps, doubling capacity
+// for amortized-linear growth). The steady-state path — scratch already
+// large enough — reads in one ReadFull with zero allocation. It returns the
 // filled prefix, the possibly-grown scratch for reuse, and any read error
-// (io.EOF mid-payload becomes io.ErrUnexpectedEOF).
+// (io.EOF mid-frame becomes io.ErrUnexpectedEOF).
 func readPayload(r io.Reader, scratch []byte, plen int) ([]byte, []byte, error) {
 	if cap(scratch) >= plen {
 		scratch = scratch[:cap(scratch)]
@@ -347,7 +354,7 @@ func readPayload(r io.Reader, scratch []byte, plen int) ([]byte, []byte, error) 
 	return buf, buf, nil
 }
 
-func decodePayload(m *Message, p []byte, rawKind byte) error {
+func decodePayload(m *Message, p []byte, reuse *sparse.Vector) error {
 	switch m.Kind {
 	case KindControl:
 		if len(p) < 4 {
@@ -386,22 +393,34 @@ func decodePayload(m *Message, p []byte, rawKind byte) error {
 		if uint64(len(p)) != 8+SparseEntryBytes*uint64(n) {
 			return fmt.Errorf("%w: sparse payload size mismatch", ErrBadFrame)
 		}
-		sv := sparse.NewVector(int(dim), int(n))
-		off := 8
-		for i := uint32(0); i < n; i++ {
-			idx := int32(binary.LittleEndian.Uint32(p[off : off+4]))
-			off += 4
-			val := math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8]))
-			off += 8
-			sv.Index = append(sv.Index, idx)
-			sv.Value = append(sv.Value, val)
+		sv := reuse
+		if sv == nil {
+			sv = sparse.NewVector(int(dim), int(n))
+		}
+		sv.Dim = int(dim)
+		sv.Index, sv.Value = resize(sv.Index, int(n)), resize(sv.Value, int(n))
+		idx, val, entries := sv.Index, sv.Value[:len(sv.Index)], p[8:]
+		for k := range idx {
+			e := entries[SparseEntryBytes*k : SparseEntryBytes*(k+1)]
+			idx[k] = int32(binary.LittleEndian.Uint32(e[0:4]))
+			val[k] = math.Float64frombits(binary.LittleEndian.Uint64(e[4:12]))
 		}
 		if err := sv.Check(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		m.Sparse = sv
 	default:
-		return fmt.Errorf("%w: unknown kind %d", ErrBadFrame, rawKind)
+		return fmt.Errorf("%w: unknown kind %d", ErrBadFrame, uint8(m.Kind))
 	}
 	return nil
+}
+
+// resize returns s with length n, reslicing when its capacity allows and
+// allocating exactly n otherwise. Nothing is cleared: the decoder
+// overwrites every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

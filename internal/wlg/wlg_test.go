@@ -315,37 +315,7 @@ func TestWLGOverTCP(t *testing.T) {
 	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
 	cfg := Config{Topo: topo, MaxIter: 2, GroupThreshold: 2}
 	n := WorldSize(topo)
-
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := newLoopback()
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.addr
-		ln.close()
-	}
-	eps := make([]transport.Endpoint, n)
-	var setup sync.WaitGroup
-	setupErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		setup.Add(1)
-		go func(i int) {
-			defer setup.Done()
-			eps[i], setupErrs[i] = transport.NewTCPEndpoint(i, addrs, transport.TCPOptions{})
-		}(i)
-	}
-	setup.Wait()
-	for i, err := range setupErrs {
-		if err != nil {
-			t.Fatalf("endpoint %d: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
+	eps := tcpMesh(t, n)
 
 	dim := 4
 	var mu sync.Mutex
