@@ -19,6 +19,14 @@ func runRanks(t *testing.T, n int, fn func(ep transport.Endpoint) error) {
 	t.Helper()
 	f := transport.NewChanFabric(n)
 	defer f.Close()
+	runFabric(t, f, fn)
+}
+
+// runFabric executes fn concurrently for every rank of f, failing the test
+// on any returned error.
+func runFabric(t *testing.T, f transport.Fabric, fn func(ep transport.Endpoint) error) {
+	t.Helper()
+	n := f.Size()
 	var wg sync.WaitGroup
 	errCh := make(chan error, n)
 	for r := 0; r < n; r++ {

@@ -32,6 +32,11 @@ func (s *releaseSpy) Recv(from int, tag int32) (wire.Message, error) {
 
 func (s *releaseSpy) Release(m wire.Message) { s.released = append(s.released, m) }
 
+// SendNonBlocking forwards the question, as transport asks of wrappers: the
+// chan endpoint underneath takes one sender at a time, so the calls must not
+// fall back to a goroutine per send.
+func (s *releaseSpy) SendNonBlocking() bool { return transport.SendsNonBlocking(s.Endpoint) }
+
 // check reports an error unless the caller released every payload it
 // received exactly once, with its sender, and nothing else; then it forgets
 // the call.

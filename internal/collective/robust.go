@@ -209,7 +209,7 @@ func (rb *robustScratch) finishInto(dst *sparse.Vector, spec AggSpec) *sparse.Ve
 			row := rb.vals[i*n : i*n+n]
 			copy(sb, row)
 			clear(row)
-			slices.Sort(sb)
+			sortContributors(sb)
 			if v := robustCenter(sb, spec) * scale; v != 0 {
 				dst.Index = append(dst.Index, int32(i))
 				dst.Value = append(dst.Value, v)
@@ -217,6 +217,28 @@ func (rb *robustScratch) finishInto(dst *sparse.Vector, spec AggSpec) *sparse.Ve
 		}
 	}
 	return dst
+}
+
+// maxInsertion is the longest slice slices.Sort hands to its insertion sort.
+const maxInsertion = 12
+
+// sortContributors sorts one coordinate's contributions ascending, bit for
+// bit as slices.Sort does: NaNs first, then by <. Up to maxInsertion values
+// slices.Sort is a stable insertion sort under that order, so this one —
+// the same sort without the generic pdqsort entry — leaves ±0 and NaN
+// payloads where slices.Sort leaves them. Longer slices go to slices.Sort.
+func sortContributors(s []float64) {
+	if len(s) > maxInsertion {
+		slices.Sort(s)
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && (x < s[j-1] || x != x && s[j-1] == s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
 }
 
 // emptyBlock resets (or allocates) dst as an empty block of the given

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -98,6 +99,71 @@ func TestRobustCenterMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortPalette is what contributions are drawn from when the sort is held to
+// slices.Sort: ties, both zeros, both infinities and three NaN payloads, so
+// that any departure from slices.Sort's order of equal values shows in the
+// bits.
+var sortPalette = []float64{
+	0, math.Copysign(0, -1), 1, -1, 2.5, -2.5, 1e300, -1e-300,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000000),
+}
+
+// contributorsFrom maps each byte to a palette value (high bit set: a value
+// of its own), one contribution a byte, at most 20.
+func contributorsFrom(data []byte) []float64 {
+	if len(data) > 20 {
+		data = data[:20]
+	}
+	vals := make([]float64, len(data))
+	for i, b := range data {
+		if b >= 128 {
+			vals[i] = float64(int(b) - 192)
+		} else {
+			vals[i] = sortPalette[int(b)%len(sortPalette)]
+		}
+	}
+	return vals
+}
+
+// checkSortContributors fails unless sortContributors leaves vals in the
+// order slices.Sort gives, Float64bits for Float64bits.
+func checkSortContributors(t *testing.T, vals []float64) {
+	t.Helper()
+	got := slices.Clone(vals)
+	want := slices.Clone(vals)
+	sortContributors(got)
+	slices.Sort(want)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sort of %v:\n got %v\nwant %v (slot %d: %#x, want %#x)",
+				vals, got, want, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestSortContributorsMatchesSlicesSort: the combine's small-n sort puts
+// every contribution where slices.Sort did, including which zero and which
+// NaN comes first, on both sides of the insertion-sort cutoff.
+func TestSortContributorsMatchesSlicesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	for i := 0; i < 20000; i++ {
+		data := make([]byte, r.Intn(21))
+		r.Read(data)
+		checkSortContributors(t, contributorsFrom(data))
+	}
+}
+
+func FuzzSortContributorsMatchesSlicesSort(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1})
+	f.Add([]byte{10, 11, 12, 10, 11, 12, 8, 9})
+	f.Add([]byte{200, 1, 0, 12, 130, 255, 1, 0, 10, 11, 12, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSortContributors(t, contributorsFrom(data))
+	})
 }
 
 // TestCombineSparseSuppressesOutlier pins the property the robust

@@ -77,6 +77,10 @@ func (e failingSendEndpoint) Send(to int, m wire.Message) error {
 	return e.Wakeable.Send(to, m)
 }
 
+// SendNonBlocking forwards the question, as transport asks of wrappers: the
+// chan endpoint underneath takes one sender at a time.
+func (e failingSendEndpoint) SendNonBlocking() bool { return transport.SendsNonBlocking(e.Wakeable) }
+
 // TestAbortedRoundUnblocksGroupAndRetryIsClean: one member of a 64-rank
 // flat PSR round fails after 20 of its 63 scatter sends. The 63 others are
 // by then parked — with no deadline — on a chunk it will never send; the

@@ -79,12 +79,15 @@ func (f *ChanFabric) Close() {
 }
 
 // chanEndpoint is one rank of a ChanFabric: its mailbox, which its peers
-// put into and it alone receives from.
+// put into and it alone receives from, and the traffic it sent. Only its
+// one sender at a time writes msgs and bytes (see Endpoint), so they are
+// plain fields, not atomics; nothing else on this fabric counts.
 type chanEndpoint struct {
 	fabric *ChanFabric
 	rank   int
 	box    mailbox
-	stats  statsCounter
+	msgs   int64
+	bytes  int64
 }
 
 func (e *chanEndpoint) Rank() int { return e.rank }
@@ -103,9 +106,12 @@ func (e *chanEndpoint) Send(to int, m wire.Message) error {
 	if !e.fabric.zeroCopy {
 		copyPayload(&m)
 	}
+	// Sized before the put: once delivered, the payload is the receiver's.
+	n := int64(wire.EncodedBytes(m))
 	switch err := e.fabric.endpoints[to].box.put(&m, e.box.life.Load()); err {
 	case nil:
-		e.stats.record(m)
+		e.msgs++
+		e.bytes += n
 		return nil
 	case errInboxClosed:
 		return fmt.Errorf("transport: send to closed rank %d: %w", to, ErrClosed)
@@ -115,7 +121,10 @@ func (e *chanEndpoint) Send(to int, m wire.Message) error {
 }
 
 func (e *chanEndpoint) Recv(from int, tag int32) (wire.Message, error) {
-	return e.RecvTimeout(from, tag, 0)
+	if err := checkSource(from, e.fabric.size); err != nil {
+		return wire.Message{}, err
+	}
+	return e.box.recv(from, tag, 0)
 }
 
 func (e *chanEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.Message, error) {
@@ -135,7 +144,7 @@ func (e *chanEndpoint) Wake()                   { e.box.wake() }
 // goroutine.
 func (e *chanEndpoint) SendNonBlocking() bool { return true }
 
-func (e *chanEndpoint) Stats() Stats { return e.stats.snapshot() }
+func (e *chanEndpoint) Stats() Stats { return Stats{MsgsSent: e.msgs, BytesSent: e.bytes} }
 
 // Close ends the life and wakes whoever may be parked on it: the owner's
 // Recv, and senders held at the bound of any inbox — this endpoint's own

@@ -403,6 +403,11 @@ type faultEndpoint struct {
 	// already surfaced (one report per death per observer); guarded by the
 	// fabric mutex alongside the down records it mirrors.
 	reported []bool
+	// smu serializes every Send forwarded to under, and the Stats read: a
+	// faultEndpoint does not advertise NonBlockingSender, so collectives
+	// send through it from concurrent goroutines, and a chan endpoint
+	// underneath takes one sender at a time.
+	smu sync.Mutex
 }
 
 func (e *faultEndpoint) Rank() int { return e.under.Rank() }
@@ -475,12 +480,12 @@ func (e *faultEndpoint) Send(to int, m wire.Message) error {
 	if corrupt {
 		err = e.corruptDeliver(to, m, corruptBit)
 	} else {
-		err = e.under.Send(to, m)
+		err = e.forward(to, m)
 		if err == nil && dup {
 			// Duplicate delivery: the same frame arrives twice. Best effort —
 			// the duplicate's failure is invisible, like a retransmit's.
 			e.fab.dups.Add(1)
-			_ = e.under.Send(to, m)
+			_ = e.forward(to, m)
 		}
 	}
 	if errors.Is(err, ErrClosed) && e.fab.killed(self) == nil {
@@ -495,9 +500,17 @@ func (e *faultEndpoint) Send(to int, m wire.Message) error {
 	if flush != nil {
 		// The held message arrives after its successor: order swapped.
 		e.fab.reorders.Add(1)
-		_ = e.under.Send(flush.to, flush.m)
+		_ = e.forward(flush.to, flush.m)
 	}
 	return err
+}
+
+// forward hands m to the wrapped endpoint, one sender at a time. It is
+// taken after any injected delay, so a sleeping send holds up no other.
+func (e *faultEndpoint) forward(to int, m wire.Message) error {
+	e.smu.Lock()
+	defer e.smu.Unlock()
+	return e.under.Send(to, m)
 }
 
 // heldSend is a message parked by reorder injection until the sender's
@@ -528,7 +541,7 @@ func (e *faultEndpoint) corruptDeliver(to int, m wire.Message, bitDraw int) erro
 	dm, derr := wire.Decode(bytes.NewReader(buf))
 	if derr == nil {
 		e.fab.silent.Add(1)
-		return e.under.Send(to, dm)
+		return e.forward(to, dm)
 	}
 	e.fab.corrupts.Add(1)
 	e.fab.noteCorrupt(to, e.Rank(), m.Tag)
@@ -585,6 +598,10 @@ func (e *faultEndpoint) StopWhen(stop Interrupt) {
 
 func (e *faultEndpoint) Wake() { e.under.Wake() }
 
-func (e *faultEndpoint) Stats() Stats { return e.under.Stats() }
+func (e *faultEndpoint) Stats() Stats {
+	e.smu.Lock()
+	defer e.smu.Unlock()
+	return e.under.Stats()
+}
 
 func (e *faultEndpoint) Close() error { return e.under.Close() }

@@ -116,11 +116,20 @@ func (b *mailbox) armDeadline(d time.Duration) *recvDeadline {
 
 // recv returns the first delivered message matching (from, tag), parking
 // until one arrives, the reason to stop or Close says it never will, or d
-// (when positive) runs out.
+// (when positive) runs out. A match the owner already drained is returned
+// at once: no lock, no deadline, no defer.
 func (b *mailbox) recv(from int, tag int32, d time.Duration) (wire.Message, error) {
+	if m, ok := b.pending.take(from, tag); ok {
+		return m, nil
+	}
+	return b.await(from, tag, d)
+}
+
+// await is recv once pending holds no match: it drains q into pending under
+// the lock, parking while q is empty, until a drained batch holds a match.
+func (b *mailbox) await(from int, tag int32, d time.Duration) (wire.Message, error) {
 	// The deadline is armed only when the wait is about to park: a match
-	// that is already delivered, and every d <= 0, costs no timer and no
-	// allocation.
+	// already delivered, and every d <= 0, costs no timer and no allocation.
 	var dl *recvDeadline
 	defer func() {
 		if dl != nil {
@@ -128,9 +137,6 @@ func (b *mailbox) recv(from int, tag int32, d time.Duration) (wire.Message, erro
 		}
 	}()
 	for {
-		if m, ok := b.pending.take(from, tag); ok {
-			return m, nil
-		}
 		b.mu.Lock()
 		// Reason, closed and expired are consulted only on an empty q, so a
 		// message delivered before a death, an abort or Close is always
@@ -171,6 +177,9 @@ func (b *mailbox) recv(from int, tag int32, d time.Duration) (wire.Message, erro
 		b.mu.Unlock()
 		if atBound {
 			b.space.Broadcast()
+		}
+		if m, ok := b.pending.take(from, tag); ok {
+			return m, nil
 		}
 	}
 }

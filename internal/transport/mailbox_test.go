@@ -329,7 +329,8 @@ func TestMailboxReopenUnderConcurrentSenders(t *testing.T) {
 // TestRecvTimeoutQueuedMessageAllocatesNothing: a deadline costs a timer
 // only when the wait has to park, on every fabric — collective.RecvRetry
 // asks for every message with one, and nearly all of them are already
-// there.
+// there — and a matched Recv, the collectives' receive, allocates nothing
+// either.
 func TestRecvTimeoutQueuedMessageAllocatesNothing(t *testing.T) {
 	const runs = 200
 	for name, build := range map[string]func(t *testing.T) []Endpoint{
@@ -360,13 +361,14 @@ func TestRecvTimeoutQueuedMessageAllocatesNothing(t *testing.T) {
 			eps := build(t)
 			// Deliver everything first (the TCP reader does so on its own
 			// time, and allocates as it decodes), then measure the receives:
-			// the warm-up run drains the batch, the rest match from pending.
-			for i := 0; i <= runs; i++ {
+			// the first warm-up run drains the batch, the rest match from
+			// pending.
+			for i := 0; i < 2*(runs+1); i++ {
 				if err := eps[0].Send(1, wire.Control(7, int64(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
-			waitInboxLen(t, eps[1], runs+1)
+			waitInboxLen(t, eps[1], 2*(runs+1))
 			allocs := testing.AllocsPerRun(runs, func() {
 				if _, err := eps[1].RecvTimeout(0, 7, time.Minute); err != nil {
 					t.Fatal(err)
@@ -374,6 +376,66 @@ func TestRecvTimeoutQueuedMessageAllocatesNothing(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("RecvTimeout of a delivered message allocates %v objects, want 0", allocs)
+			}
+			allocs = testing.AllocsPerRun(runs, func() {
+				if _, err := eps[1].Recv(0, 7); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Recv of a delivered message allocates %v objects, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestPendingMatchBeatsEveryStop: a message the owner already drained into
+// pending is returned by recv's short path before a reason to stop, Close or
+// an expired deadline is reported — the Recv contract's "delivered first".
+// (TestRecvTimeoutQueuedMessageAllocatesNothing holds a matched Recv at 0
+// allocations.)
+func TestPendingMatchBeatsEveryStop(t *testing.T) {
+	errStopped := errors.New("stopped")
+	for _, c := range []struct {
+		name string
+		stop func(f *ChanFabric)
+		recv func(ep Endpoint) (wire.Message, error)
+		want error
+	}{
+		{"reason to stop",
+			func(f *ChanFabric) { f.endpoints[0].StopWhen(func(int, int32) error { return errStopped }) },
+			func(ep Endpoint) (wire.Message, error) { return ep.Recv(1, 1) }, errStopped},
+		{"close",
+			func(f *ChanFabric) { f.Endpoint(0).Close() },
+			func(ep Endpoint) (wire.Message, error) { return ep.Recv(1, 1) }, ErrClosed},
+		{"expired deadline",
+			func(*ChanFabric) {},
+			func(ep Endpoint) (wire.Message, error) { return ep.RecvTimeout(1, 1, time.Nanosecond) }, ErrTimeout},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := NewChanFabric(2)
+			defer f.Close()
+			for _, m := range []wire.Message{wire.Control(1, 10), wire.Control(1, 11), wire.Control(2, 0)} {
+				if err := f.Endpoint(1).Send(0, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Matching tag 2 drains the whole batch: both tag-1 messages now
+			// wait in pending, not in the queue.
+			if _, err := f.Endpoint(0).Recv(1, 2); err != nil {
+				t.Fatal(err)
+			}
+			if box := &f.endpoints[0].box; len(box.q) != 0 || len(box.pending.msgs)-box.pending.head != 2 {
+				t.Fatalf("%d queued, %d pending; want 0 and 2", len(box.q), len(box.pending.msgs)-box.pending.head)
+			}
+			c.stop(f)
+			for _, want := range []int64{10, 11} {
+				if m, err := c.recv(f.Endpoint(0)); err != nil || m.Ints[0] != want {
+					t.Fatalf("pending message %d: %v %v", want, m, err)
+				}
+			}
+			if _, err := c.recv(f.Endpoint(0)); !errors.Is(err, c.want) {
+				t.Fatalf("after pending drained: %v, want %v", err, c.want)
 			}
 		})
 	}

@@ -69,9 +69,19 @@ func (e *PeerDownError) Unwrap() error { return e.Cause }
 // pair are delivered in send order, and Recv matches on (source, tag),
 // buffering non-matching messages until a matching Recv arrives.
 //
-// An Endpoint is safe for use by a single goroutine (one rank = one
-// goroutine); concurrent Sends from the owning goroutine's helpers must be
-// externally serialized.
+// An Endpoint belongs to one goroutine (one rank = one goroutine): Recv
+// and RecvTimeout are the owner's alone. Sends from the owner's helpers —
+// collectives send from a goroutine per message on any endpoint that does
+// not advertise NonBlockingSender — are safe exactly where the fabric says:
+//
+//   - a TCP endpoint's Send is safe for concurrent use;
+//   - a ChanFabric endpoint takes one sender at a time (it advertises
+//     NonBlockingSender, so collectives never send on it concurrently);
+//   - a FaultFabric endpoint serializes what it forwards, so it may be sent
+//     on concurrently whatever it wraps.
+//
+// Stats may be read by the owner, or by anyone once the Sends it is to
+// count have returned.
 type Endpoint interface {
 	// Rank returns this endpoint's 0-based rank.
 	Rank() int
@@ -184,6 +194,8 @@ type Stats struct {
 	FramesCorrupt int64
 }
 
+// statsCounter is the TCP endpoint's counters: its connection readers and
+// heartbeat goroutine count alongside its senders, so every field is atomic.
 type statsCounter struct {
 	msgs       atomic.Int64
 	bytes      atomic.Int64
