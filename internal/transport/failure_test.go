@@ -244,11 +244,83 @@ func TestTCPDialBudgetNotExceeded(t *testing.T) {
 	start := time.Now()
 	_, err := NewTCPEndpoint(1, addrs, TCPOptions{DialTimeout: budget})
 	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("expected dial failure: rank 0 never listened")
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout in chain: rank 0 never listened", err)
 	}
 	if elapsed > 4*budget {
 		t.Fatalf("dial retries ran %v, far beyond the %v budget", elapsed, budget)
+	}
+}
+
+// TestTCPDialPauseSchedule pins the retry schedule as a pure function: the
+// pauses double from 1ms to a 50ms cap, and each is cut to the budget left.
+func TestTCPDialPauseSchedule(t *testing.T) {
+	const ms = time.Millisecond
+	want := []time.Duration{1 * ms, 2 * ms, 4 * ms, 8 * ms, 16 * ms, 32 * ms, 50 * ms, 50 * ms}
+	var pause time.Duration
+	for i, w := range want {
+		if pause = dialPause(pause, time.Hour); pause != w {
+			t.Fatalf("pause %d = %v, want %v (schedule %v)", i, pause, w, want)
+		}
+	}
+	for _, c := range []struct{ prev, remaining, want time.Duration }{
+		{0, 300 * time.Microsecond, 300 * time.Microsecond},
+		{4 * ms, 3 * ms, 3 * ms},
+		{50 * ms, 20 * ms, 20 * ms},
+		{16 * ms, 0, 0},
+	} {
+		if got := dialPause(c.prev, c.remaining); got != c.want {
+			t.Fatalf("dialPause(%v, %v) = %v, want %v", c.prev, c.remaining, got, c.want)
+		}
+	}
+}
+
+// TestTCPDialLatePeer starts rank 0 about 30ms after rank 1 began dialling
+// it: rank 1's refused dials retry until rank 0 listens, the mesh comes up,
+// and a message round-trips.
+func TestTCPDialLatePeer(t *testing.T) {
+	ports := freePorts(t, 2)
+	addrs := []string{
+		fmt.Sprintf("127.0.0.1:%d", ports[0]),
+		fmt.Sprintf("127.0.0.1:%d", ports[1]),
+	}
+	opts := TCPOptions{DialTimeout: 10 * time.Second}
+	var eps [2]Endpoint
+	var errs [2]error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		eps[1], errs[1] = NewTCPEndpoint(1, addrs, opts)
+	}()
+	go func() {
+		defer wg.Done()
+		time.Sleep(30 * time.Millisecond)
+		eps[0], errs[0] = NewTCPEndpoint(0, addrs, opts)
+	}()
+	wg.Wait()
+	for _, ep := range eps {
+		if ep != nil {
+			defer ep.Close()
+		}
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if err := eps[1].Send(0, wire.Control(7, 41)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := eps[0].RecvTimeout(1, 7, 5*time.Second)
+	if err != nil || m.Ints[0] != 41 {
+		t.Fatalf("rank 0 recv: %v %v", m, err)
+	}
+	if err := eps[0].Send(1, wire.Control(8, m.Ints[0]+1)); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = eps[1].RecvTimeout(0, 8, 5*time.Second); err != nil || m.Ints[0] != 42 {
+		t.Fatalf("rank 1 recv: %v %v", m, err)
 	}
 }
 

@@ -31,10 +31,11 @@ type TCPOptions struct {
 	// DialTimeout bounds the TOTAL wall time NewTCPEndpoint spends
 	// establishing the mesh: retrying dials to peers that have not started
 	// listening yet (the individual dial attempts included), and waiting
-	// for higher ranks to dial in and hand-shake. Default 30s.
+	// for higher ranks to dial in and hand-shake. A failed dial is retried
+	// after 1ms, and each later pause doubles up to 50ms (1, 2, 4, …, 32,
+	// 50, 50, … ms), cut to what is left of the budget. A spent budget
+	// fails with ErrTimeout. Default 30s.
 	DialTimeout time.Duration
-	// RetryInterval is the pause between dial attempts. Default 50ms.
-	RetryInterval time.Duration
 	// HeartbeatInterval is how often an idle connection carries a
 	// keepalive frame (wire.TagHeartbeat), keeping silent peer failures
 	// detectable. Heartbeats are consumed by the transport, never surface
@@ -61,12 +62,26 @@ func (o *TCPOptions) fill() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 30 * time.Second
 	}
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = 50 * time.Millisecond
-	}
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = time.Second
 	}
+}
+
+// The dial retry schedule. Ranks started together always race — rank i
+// dials rank j < i right after its own Listen, often before j's — so the
+// first pause is short; doubling keeps a peer that is seconds late from
+// being dialled more than once per dialPauseMax.
+const (
+	dialPauseFirst = time.Millisecond
+	dialPauseMax   = 50 * time.Millisecond
+)
+
+// dialPause is the pause after a failed dial, given the previous pause
+// (0 before the first): dialPauseFirst, then double the previous, capped at
+// dialPauseMax and cut to the remaining budget. A cut pause spends the
+// budget, so the cut never feeds a later doubling.
+func dialPause(prev, remaining time.Duration) time.Duration {
+	return min(max(2*prev, dialPauseFirst), dialPauseMax, remaining)
 }
 
 // tcpEndpoint is one rank of a full TCP mesh. Every pair of ranks shares
@@ -204,11 +219,12 @@ func NewTCPEndpoint(rank int, addrs []string, opts TCPOptions) (Endpoint, error)
 		}
 	}()
 
-	// Dial all lower ranks — all peers when rejoining — retrying while
-	// they come up. The whole loop — attempts and pauses — shares one
-	// wall-clock budget of opts.DialTimeout, so each attempt is capped by
-	// the remaining budget rather than restarting the full timeout (which
-	// could overshoot ~2×).
+	// Dial all lower ranks — all peers when rejoining — retrying on
+	// dialPause's schedule while they come up. The whole loop — attempts
+	// and pauses — shares one wall-clock budget of opts.DialTimeout, so each
+	// attempt is capped by the remaining budget rather than restarting the
+	// full timeout (which could overshoot ~2×). The top of the loop reports
+	// a spent budget as ErrTimeout, whether a pause or an attempt spent it.
 	dialHigh := rank
 	if opts.Rejoin {
 		dialHigh = size
@@ -232,11 +248,13 @@ func NewTCPEndpoint(rank int, addrs []string, opts TCPOptions) (Endpoint, error)
 					e.mu.Unlock()
 				}
 			}
+			var pause time.Duration
+			var lastErr error
 			for {
 				remaining := time.Until(deadline)
 				if remaining <= 0 {
-					fail(fmt.Errorf("transport: rank %d dial rank %d (%s): %w",
-						rank, peer, addrs[peer], ErrTimeout))
+					fail(fmt.Errorf("transport: rank %d dial rank %d (%s): %w (last attempt: %v)",
+						rank, peer, addrs[peer], ErrTimeout, lastErr))
 					return
 				}
 				conn, err := net.DialTimeout("tcp", addrs[peer], remaining)
@@ -266,15 +284,9 @@ func NewTCPEndpoint(rank int, addrs []string, opts TCPOptions) (Endpoint, error)
 					mu.Unlock()
 					return
 				}
-				if remaining = time.Until(deadline); remaining <= 0 {
-					fail(fmt.Errorf("transport: rank %d dial rank %d (%s): %w", rank, peer, addrs[peer], err))
-					return
-				}
-				if pause := opts.RetryInterval; pause > remaining {
-					time.Sleep(remaining)
-				} else {
-					time.Sleep(pause)
-				}
+				lastErr = err
+				pause = dialPause(pause, time.Until(deadline))
+				time.Sleep(pause)
 			}
 		}(peer)
 	}
