@@ -3,9 +3,8 @@
 // (ICPP 2023) — together with every substrate it needs and the baselines
 // it is evaluated against.
 //
-// The library trains L1-regularized logistic regression (and, through the
-// solver package, other smooth-plus-prox objectives) across a cluster of
-// workers using the global consensus ADMM recursion, with the paper's
+// The library trains L1-regularized logistic regression across a cluster
+// of workers using the global consensus ADMM recursion, with the paper's
 // three stacked ideas:
 //
 //   - a decentralized rewrite of the z-update so consensus is a single

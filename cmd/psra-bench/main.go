@@ -29,13 +29,12 @@ func main() {
 		lambda     = flag.Float64("lambda", 1, "L1 regularization weight λ (paper: 1)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		perf       = flag.String("perf", "", "run the per-layer steady-state perf suite and write a JSON report to this path (the committed BENCH_psra.json)")
-		check      = flag.String("check", "", "rerun the perf suite and fail if allocs/op grew — or ns/op drifted past -ns-tolerance — versus the committed report at this path")
-		nsTol      = flag.Float64("ns-tolerance", 0, "fractional ns/op drift allowed by -check, e.g. 0.15 (0 = allocs-only, for noisy shared runners)")
+		check      = flag.String("check", "", "rerun the perf suite and fail if allocs/op grew or a shard-scale row's bytes changed versus the committed report at this path")
 	)
 	flag.Parse()
 
 	if *check != "" {
-		if err := bench.CheckPerfReport(*check, os.Stdout, *seed, *nsTol); err != nil {
+		if err := bench.CheckPerfReport(*check, os.Stdout, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "psra-bench:", err)
 			os.Exit(1)
 		}

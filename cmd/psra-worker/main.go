@@ -91,7 +91,7 @@ func main() {
 		peerDead  = flag.Duration("peer-timeout", 15*time.Second, "declare a peer dead after this much silence (0 disables)")
 		elastic   = flag.Bool("elastic", false, "survive peer deaths: re-elect Leaders and keep training (exit 4 when degraded)")
 		minBarr   = flag.Int("min-barrier", 0, "SSP partial barrier in workers: Leaders stop waiting for laggards once their per-node share is gathered (0 = full gather; requires -elastic)")
-		maxDelay  = flag.Int("max-delay", 0, "staleness bound in rounds for -min-barrier laggards (0 = the paper's Max_delay of 5)")
+		maxDelay  = flag.Int("max-delay", 0, "staleness bound in rounds for -min-barrier laggards (0 = the paper's Max_delay of 5; requires -min-barrier)")
 		startIter = flag.Int("start-iter", 0, "first iteration to execute (resume a run's tail after a restart)")
 		rejoin    = flag.Bool("rejoin", false, "re-enter a running elastic mesh as a new incarnation of this rank (requires -elastic)")
 		snapDir   = flag.String("snapshot-dir", "", "directory for this rank's periodic state snapshots (restored by -rejoin and -start-iter)")
@@ -118,9 +118,6 @@ func main() {
 	}
 	if *rank < 0 || *rank >= world {
 		fatal(fmt.Errorf("rank %d out of [0,%d)", *rank, world))
-	}
-	if *minBarr > 0 && !*elastic {
-		fatal(fmt.Errorf("-min-barrier requires -elastic: the fail-stop gather is a full barrier"))
 	}
 	if *snapEvery < 1 {
 		fatal(fmt.Errorf("-snapshot-every must be >= 1, got %d", *snapEvery))

@@ -31,7 +31,7 @@ func runWLG(t *testing.T, train *Dataset, cfg Config, threshold int) [][]float64
 	fab := transport.NewChanFabric(wlg.WorldSize(topo))
 	defer fab.Close()
 	wcfg := wlg.Config{Topo: topo, MaxIter: cfg.MaxIter, GroupThreshold: threshold}
-	if err := wlg.Run(fab, wcfg, func(r int) wlg.WorkerFuncs {
+	if _, err := wlg.RunWithInfo(fab, wcfg, func(r int) wlg.WorkerFuncs {
 		return wlg.WorkerFuncs{ComputeW: ranks[r].ComputeW, ApplyW: ranks[r].ApplyW}
 	}); err != nil {
 		t.Fatal(err)

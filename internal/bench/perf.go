@@ -112,8 +112,8 @@ func Perf(seed int64) (*PerfReport, error) {
 		rep.Benchmarks = append(rep.Benchmarks, perfEntry(name, testing.Benchmark(fn)))
 	}
 
-	// Layer 0: the x-update as benchmark/mesh.go and examples/lasso call it
-	// (psra-worker runs core.Rank) — solver.TRON on a full-dimension
+	// Layer 0: the x-update as benchmark/mesh.go calls it (psra-worker runs
+	// core.Rank) — solver.TRON on a full-dimension
 	// objective over one rank's shard (1/8 of the benchmark's news20-like
 	// problem, ~5% of the columns touched), warm-started from two ADMM rounds
 	// and re-solved from that fixed state. The restriction to the shard's
@@ -517,13 +517,12 @@ func WritePerfReport(path string, out io.Writer, seed int64) error {
 }
 
 // CheckPerfReport re-runs the perf suite and gates it against the
-// committed snapshot at path: any allocs/op increase fails, as does ns/op
-// drift beyond nsTol (fractional, e.g. 0.15 for 15%; <= 0 disables the
-// timing comparison, the right setting on shared CI runners where only
-// the alloc column is machine-independent). A benchmark present on one
-// side only also fails — a stale snapshot must be regenerated with
-// -perf, not silently ignored.
-func CheckPerfReport(path string, out io.Writer, seed int64, nsTol float64) error {
+// committed snapshot at path: any allocs/op increase fails. ns/op is
+// printed next to the snapshot's but never compared: only the alloc column
+// is machine-independent (the benchmark/ harness times end to end). A
+// benchmark present on one side only also fails — a stale snapshot must be
+// regenerated with -perf, not silently ignored.
+func CheckPerfReport(path string, out io.Writer, seed int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("bench: read snapshot: %w", err)
@@ -551,11 +550,6 @@ func CheckPerfReport(path string, out io.Writer, seed int64, nsTol float64) erro
 		status := "ok"
 		if e.AllocsPerOp > w.AllocsPerOp {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %d > snapshot %d", e.Name, e.AllocsPerOp, w.AllocsPerOp))
-			status = "FAIL"
-		}
-		if nsTol > 0 && w.NsPerOp > 0 && e.NsPerOp > w.NsPerOp*(1+nsTol) {
-			failures = append(failures, fmt.Sprintf("%s: ns/op %.1f exceeds snapshot %.1f by more than %.0f%%",
-				e.Name, e.NsPerOp, w.NsPerOp, nsTol*100))
 			status = "FAIL"
 		}
 		fmt.Fprintf(out, "%-4s %-36s allocs %d (snapshot %d)  ns/op %.1f (snapshot %.1f)\n",

@@ -63,9 +63,6 @@ func (g Group) IndexOf(r int) int {
 	return -1
 }
 
-// Contains reports whether world rank r is a member.
-func (g Group) Contains(r int) bool { return g.IndexOf(r) >= 0 }
-
 // Event records one message sent by the local rank during a collective.
 // Events with equal Step are logically concurrent across the cluster;
 // the cost model serializes same-source sends within a step through the
@@ -96,16 +93,6 @@ func (t *Trace) TotalBytes() int {
 		n += e.Bytes
 	}
 	return n
-}
-
-// Merge appends other's events shifted after t's steps, producing the trace
-// of two collectives executed back to back.
-func (t *Trace) Merge(other Trace) {
-	for _, e := range other.Events {
-		e.Step += t.Steps
-		t.Events = append(t.Events, e)
-	}
-	t.Steps += other.Steps
 }
 
 // sendAsync performs the send on a separate goroutine so a rank can post

@@ -72,11 +72,6 @@ func ParseAgg(name string) (Agg, error) {
 		name, AggMeanName, AggTrimmedMeanName, AggMedianName)
 }
 
-// AggNames lists the valid aggregator names.
-func AggNames() []string {
-	return []string{AggMeanName, AggTrimmedMeanName, AggMedianName}
-}
-
 // AggSpec is a fully-resolved aggregator choice. The zero value is the
 // mean.
 type AggSpec struct {

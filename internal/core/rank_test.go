@@ -30,7 +30,7 @@ func runRanks(t *testing.T, cfg Config, ranks []*Rank, start, end int, stores []
 	fab := transport.NewChanFabric(wlg.WorldSize(cfg.Topo))
 	defer fab.Close()
 	wcfg := wlg.Config{Topo: cfg.Topo, MaxIter: end, StartIter: start}
-	if err := wlg.Run(fab, wcfg, func(r int) wlg.WorkerFuncs {
+	if _, err := wlg.RunWithInfo(fab, wcfg, func(r int) wlg.WorkerFuncs {
 		rk := ranks[r]
 		return wlg.WorkerFuncs{
 			ComputeW: rk.ComputeW,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/exchange"
@@ -125,20 +124,6 @@ func Variants() []Variant {
 // Algorithms lists every registered algorithm name in registration order.
 func Algorithms() []Algorithm {
 	return append([]Algorithm(nil), registry.order...)
-}
-
-// AlgorithmsSorted lists every registered algorithm name alphabetically —
-// stable output for help text and scripted enumeration.
-func AlgorithmsSorted() []Algorithm {
-	out := Algorithms()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Valid reports whether a is a registered algorithm.
-func (a Algorithm) Valid() bool {
-	_, ok := Lookup(a)
-	return ok
 }
 
 func init() {

@@ -48,11 +48,6 @@ const (
 	ConsensusGroupLocal ConsensusKind = "group-local"
 )
 
-// ConsensusKinds lists every implemented consensus strategy.
-func ConsensusKinds() []ConsensusKind {
-	return []ConsensusKind{ConsensusStar, ConsensusRing, ConsensusFlat, ConsensusTree, ConsensusGroupLocal}
-}
-
 // ConsensusStrategy executes one aggregation round. Implementations keep
 // their own cross-round state (clocks, cached contributions); cfg is
 // passed per round because AdaptiveRho mutates it mid-run.

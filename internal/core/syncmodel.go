@@ -37,9 +37,6 @@ const (
 	SyncAsync SyncKind = "async"
 )
 
-// SyncKinds lists every implemented synchronization model.
-func SyncKinds() []SyncKind { return []SyncKind{SyncBSP, SyncSSP, SyncAsync} }
-
 // syncModel is one row of the axis bound to the run's barrier parameters —
 // the bounded-delay model's two numbers. It is stateless; the
 // per-participant bookkeeping ([]sspClock) lives in the strategies' barrier

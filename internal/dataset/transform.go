@@ -2,22 +2,11 @@ package dataset
 
 import (
 	"fmt"
-	"math/rand"
 
 	"psrahgadmm/internal/sparse"
 )
 
 // Row-order transformations applied to datasets before training.
-
-// Shuffle permutes the sample order deterministically from seed. Row
-// sharding is contiguous, so shuffling first removes any ordering bias in
-// how samples were collected (class-sorted files would otherwise give
-// workers one-class shards).
-func (d *Dataset) Shuffle(seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	perm := r.Perm(d.Rows())
-	d.Reorder(perm)
-}
 
 // Reorder rebuilds the dataset with rows in the given order; perm must be
 // a permutation of [0, Rows).

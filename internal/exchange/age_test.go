@@ -132,7 +132,7 @@ func TestEncodeSparseBlocksPerBlockScale(t *testing.T) {
 	hi8 := ref.Slice(8, 16)
 	QuantizeSparseBits(lo8, 8)
 	QuantizeSparseBits(hi8, 8)
-	want := sparse.Concat(16, []int{0, 8}, []*sparse.Vector{lo8, hi8})
+	want := sparse.ConcatInto(nil, 16, []int{0, 8}, []*sparse.Vector{lo8, hi8})
 	if got.NNZ() != want.NNZ() {
 		t.Fatalf("block quantization NNZ %d, want %d", got.NNZ(), want.NNZ())
 	}

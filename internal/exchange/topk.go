@@ -37,11 +37,8 @@ const (
 )
 
 // DefaultDecay is the residual damping factor applied when State.Decay is
-// unset; NoDecay (exactly 1) keeps the classical undamped accumulator.
-const (
-	DefaultDecay = 0.5
-	NoDecay      = 1.0
-)
+// unset; a Decay of exactly 1 keeps the classical undamped accumulator.
+const DefaultDecay = 0.5
 
 // State is one rank's top-k error-feedback memory: the residual of
 // dropped coordinates (and quantization error), the merge/selection

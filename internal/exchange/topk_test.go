@@ -26,7 +26,7 @@ func mergeWithResidual(v *sparse.Vector, st *State) *sparse.Vector {
 	if st.Residual().Dim != v.Dim {
 		return v.Clone()
 	}
-	return sparse.Merge(v, st.Residual())
+	return sparse.MergeInto(nil, v, st.Residual())
 }
 
 // topKSupport returns the index set a deterministic top-k of v would keep:
@@ -76,7 +76,7 @@ func TestTopKRoundTripProperty(t *testing.T) {
 	const dim = 512
 	st := NewState(TopK, 0)
 	st.KMin, st.KMax, st.K = 8, 64, 32
-	st.Decay = NoDecay // exact conservation needs the undamped residual
+	st.Decay = 1 // exact conservation needs the undamped residual
 	for trial := 0; trial < 200; trial++ {
 		v := randVector(r, dim, 8+r.Intn(120))
 		// merged = v + residual BEFORE encoding mutates either.
@@ -102,7 +102,7 @@ func TestTopKRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: kept %d of the %d top-k coordinates", trial, v.NNZ(), len(want))
 		}
 		// Error-feedback conservation: encoded + residual == merged.
-		back := sparse.Merge(v, st.Residual())
+		back := sparse.MergeInto(nil, v, st.Residual())
 		if back.NNZ() != merged.NNZ() {
 			t.Fatalf("trial %d: reconstruction nnz %d, merged %d", trial, back.NNZ(), merged.NNZ())
 		}
@@ -122,12 +122,12 @@ func TestTopKQ8ResidualCarriesQuantError(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	st := NewState(TopKQ8, 0)
 	st.KMin, st.KMax, st.K = 4, 32, 16
-	st.Decay = NoDecay // exact conservation needs the undamped residual
+	st.Decay = 1 // exact conservation needs the undamped residual
 	for trial := 0; trial < 100; trial++ {
 		v := randVector(r, 256, 40)
 		merged := mergeWithResidual(v, st)
 		st.Encode(v)
-		back := sparse.Merge(v, st.Residual())
+		back := sparse.MergeInto(nil, v, st.Residual())
 		if back.NNZ() != merged.NNZ() {
 			t.Fatalf("trial %d: reconstruction nnz %d, merged %d", trial, back.NNZ(), merged.NNZ())
 		}

@@ -34,13 +34,6 @@ import (
 	"psrahgadmm/internal/transport"
 )
 
-// View is an immutable snapshot of the tracker: the epoch and the live
-// ranks in ascending order.
-type View struct {
-	Epoch int
-	Live  []int
-}
-
 // Tracker maintains the epoch-stamped live set for one world. It is safe
 // for concurrent use: in the engine many collective goroutines observe
 // errors at once; in the WLG runtime every rank's goroutine shares one
@@ -96,9 +89,6 @@ func (t *Tracker) OnUp(fn func(rank, incarnation int)) {
 	t.onUp = fn
 	t.mu.Unlock()
 }
-
-// World returns the total rank count, dead or alive.
-func (t *Tracker) World() int { return t.world }
 
 // MarkDown records rank as dead with the given cause and bumps the epoch.
 // Idempotent: re-reporting a known death changes nothing. Returns whether
@@ -296,19 +286,6 @@ func (t *Tracker) LiveCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.live
-}
-
-// View returns the epoch and the ascending live rank list.
-func (t *Tracker) View() View {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := View{Epoch: t.epoch, Live: make([]int, 0, t.live)}
-	for r := 0; r < t.world; r++ {
-		if !t.dead[r] && !t.quar[r] {
-			v.Live = append(v.Live, r)
-		}
-	}
-	return v
 }
 
 // Live filters ranks down to its live members, preserving order.

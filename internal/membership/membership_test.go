@@ -37,9 +37,8 @@ func TestMarkDownEpochAndFilters(t *testing.T) {
 	if l := tr.FirstLive([]int{0, 2}); l != -1 {
 		t.Fatalf("all-dead set must elect -1, got %d", l)
 	}
-	v := tr.View()
-	if v.Epoch != 2 || !reflect.DeepEqual(v.Live, []int{1, 3, 4, 5}) {
-		t.Fatalf("view: %+v", v)
+	if got := tr.Live([]int{0, 1, 2, 3, 4, 5}); !reflect.DeepEqual(got, []int{1, 3, 4, 5}) {
+		t.Fatalf("live ranks: %v", got)
 	}
 	if !reflect.DeepEqual(tr.Dead(), []int{0, 2}) {
 		t.Fatalf("dead: %v", tr.Dead())

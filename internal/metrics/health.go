@@ -23,9 +23,6 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one event.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n events.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Get returns the total.
 func (c *Counter) Get() int64 { return c.v.Load() }
 
@@ -65,14 +62,6 @@ func (h *Health) ObserveDown(rank int) {
 	if rank >= 0 && rank < len(h.peerDowns) {
 		h.peerDowns[rank].Inc()
 	}
-}
-
-// PeerDowns returns the event count recorded for one rank.
-func (h *Health) PeerDowns(rank int) int64 {
-	if rank < 0 || rank >= len(h.peerDowns) {
-		return 0
-	}
-	return h.peerDowns[rank].Get()
 }
 
 // TotalPeerDowns sums the per-rank counters.

@@ -14,8 +14,8 @@ func TestHealthCounters(t *testing.T) {
 	h.ObserveDown(2)
 	h.ObserveDown(0)
 	h.ObserveDown(99) // out of range: ignored
-	if h.PeerDowns(2) != 2 || h.PeerDowns(0) != 1 || h.PeerDowns(1) != 0 {
-		t.Fatalf("per-rank counters: %d %d %d", h.PeerDowns(2), h.PeerDowns(0), h.PeerDowns(1))
+	if h.peerDowns[2].Get() != 2 || h.peerDowns[0].Get() != 1 || h.peerDowns[1].Get() != 0 {
+		t.Fatalf("per-rank counters: %d %d %d", h.peerDowns[2].Get(), h.peerDowns[0].Get(), h.peerDowns[1].Get())
 	}
 	if h.TotalPeerDowns() != 3 {
 		t.Fatalf("total %d", h.TotalPeerDowns())

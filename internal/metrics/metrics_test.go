@@ -10,8 +10,8 @@ func TestTableRender(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", 1.5)
 	tb.AddRow("b", 0.25)
-	if tb.Rows() != 2 {
-		t.Fatalf("Rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	var sb strings.Builder
 	if err := tb.Render(&sb); err != nil {

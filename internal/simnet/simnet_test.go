@@ -182,9 +182,9 @@ func TestStragglerRate(t *testing.T) {
 }
 
 func TestStragglerDisabled(t *testing.T) {
-	s := None()
+	var s Stragglers
 	if s.Enabled() {
-		t.Fatal("None() enabled")
+		t.Fatal("the zero Stragglers is enabled")
 	}
 	if s.NodeFactor(0, 0) != 1 {
 		t.Fatal("disabled injector altered factor")

@@ -21,9 +21,6 @@ type Stragglers struct {
 	Delay float64
 }
 
-// None returns a disabled injector.
-func None() Stragglers { return Stragglers{} }
-
 // Default returns the injector used by the Figure 7 experiments: each
 // iteration roughly a quarter of the nodes run 4× slower.
 func Default(seed int64) Stragglers {

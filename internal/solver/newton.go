@@ -7,25 +7,10 @@ import (
 	"psrahgadmm/internal/vec"
 )
 
-// exactNewton is the optional interface tron looks for: an objective that
-// can solve its Newton system exactly (see gramNewton). It is unexported on
-// purpose, like restricted: the row-space step is how this package solves
-// its own prox objectives on short shards, not a knob.
-type exactNewton interface {
-	// newtonStep writes s = −H⁻¹g, H the Hessian at the point of the last
-	// Eval, and returns gᵀHg and the step's cost in Hessian-product
-	// equivalents. ok is false when the objective's shape routes to CG,
-	// ρ is not positive, or a pivot is not positive and finite; s is then
-	// unspecified and the caller takes a CG step instead.
-	newtonStep(g, s []float64) (gHg float64, cost int, ok bool)
-	// curvature returns sᵀHs at the point of the last Eval from one A·s.
-	curvature(s []float64) float64
-}
-
-// gramNewton solves the Newton system of a prox objective over a short,
-// wide CSR exactly, in the matrix's row space. The Hessian there is
-// H = ρI + AᵀDA (D = diag(d) the objective's curvature cache, the identity
-// for least squares), and Woodbury gives
+// gramNewton solves the Newton system of a LogisticProx over a short, wide
+// CSR exactly, in the matrix's row space. The Hessian there is
+// H = ρI + AᵀDA (D = diag(d) the objective's curvature cache), and Woodbury
+// gives
 //
 //	s = −H⁻¹g = (AᵀD½q − g)/ρ,  M·q = D½·A·g,  M = ρI + D½GD½,
 //
@@ -88,8 +73,8 @@ func (gn *gramNewton) decide(a *sparse.CSR) {
 	}
 }
 
-// step implements exactNewton.newtonStep for the objective over a with
-// penalty rho and curvature d (nil: D = I).
+// step is LogisticProx.newtonStep for the objective over a with penalty rho
+// and curvature d.
 func (gn *gramNewton) step(a *sparse.CSR, rho float64, d, g, s []float64) (gHg float64, cost int, ok bool) {
 	if !gn.decided {
 		gn.decide(a)
@@ -102,10 +87,7 @@ func (gn *gramNewton) step(a *sparse.CSR, rho float64, d, g, s []float64) (gHg f
 	// gᵀHg = ρ‖g‖² + Σ dᵢuᵢ²; the right-hand side D½u replaces u in q.
 	var du float64
 	for i, ui := range q {
-		di := 1.0
-		if d != nil {
-			di = d[i]
-		}
+		di := d[i]
 		du += di * ui * ui
 		sd[i] = math.Sqrt(di)
 		q[i] = sd[i] * ui
@@ -183,12 +165,9 @@ func dot2(a, b []float64) float64 {
 	return s0 + s1
 }
 
-// curvature implements exactNewton.curvature: sᵀHs = ρ‖s‖² + Σ dᵢ(As)ᵢ².
+// curvature is LogisticProx.curvature: sᵀHs = ρ‖s‖² + Σ dᵢ(As)ᵢ².
 func (gn *gramNewton) curvature(a *sparse.CSR, rho float64, d, s []float64) float64 {
 	a.MulVec(gn.q, s)
-	if d == nil {
-		return rho*vec.Nrm2Sq(s) + vec.Nrm2Sq(gn.q)
-	}
 	var ds float64
 	for i, v := range gn.q {
 		ds += d[i] * v * v
@@ -206,7 +185,7 @@ func (gn *gramNewton) curvature(a *sparse.CSR, rho float64, d, s []float64) floa
 //     sᵀHs costs one MulVec (counted as a whole product).
 //
 // gnorm is ‖g‖ and sc is scratch of g's length.
-func dogleg(nt exactNewton, g, s, sc []float64, gnorm, gHg, delta float64, res *TronResult) (sHs float64, atBoundary bool) {
+func dogleg(nt *LogisticProx, g, s, sc []float64, gnorm, gHg, delta float64, res *TronResult) (sHs float64, atBoundary bool) {
 	if !outsideRadius(s, vec.Nrm2Sq(s), delta) {
 		return 0, false
 	}

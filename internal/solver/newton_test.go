@@ -11,50 +11,34 @@ import (
 	"psrahgadmm/internal/vec"
 )
 
-// newtonObjective is a prox objective of this package: one that can take
-// the exact step.
-type newtonObjective interface {
-	Objective
-	exactNewton
-}
-
 // newtonShard draws a short, wide shard that routes to the exact step, plus
 // a copy of its first row (G is then singular). Given a point x it also
 // appends its second row scaled to margins ±40 and ±1000 at x, where the
 // logistic curvature dᵢ is ≈ 4e-18 and 0: saturated rows.
-func newtonShard(r *rand.Rand, m, n int, x []float64) (*sparse.CSR, []float64, []float64) {
-	base, labels, b := sparseShard(r, m, n, 0.3)
+func newtonShard(r *rand.Rand, m, n int, x []float64) (*sparse.CSR, []float64) {
+	base, labels := sparseShard(r, m, n, 0.3)
 	a := sparse.NewCSR(0, n, 0)
 	for i := 0; i < m; i++ {
 		a.AppendRow(base.Row(i))
 	}
 	a.AppendRow(base.Row(0))
-	labels, b = append(labels, labels[0]), append(b, b[0])
+	labels = append(labels, labels[0])
 	if x != nil {
 		cols, vals := base.Row(1)
 		for _, margin := range []float64{40, 1000} {
 			v := vec.Clone(vals)
 			vec.Scale(margin/math.Abs(base.RowDot(1, x)), v)
 			a.AppendRow(cols, v)
-			labels, b = append(labels, labels[1]), append(b, b[1])
+			labels = append(labels, labels[1])
 		}
 	}
 	if newtonCost(a) == 0 {
 		panic(fmt.Sprintf("newtonShard: %d×%d with %d nonzeros routes to CG", a.NRows, n, a.NNZ()))
 	}
-	return a, labels, b
+	return a, labels
 }
 
-// curvatureOf returns obj's D after an Eval: the logistic σ(1−σ) cache, or
-// nil (D = I) for least squares.
-func curvatureOf(obj Objective) []float64 {
-	if lg, ok := obj.(*LogisticProx); ok {
-		return lg.d
-	}
-	return nil
-}
-
-// denseHessian returns H = ρI + AᵀDA as an n×n dense matrix (d nil: D = I).
+// denseHessian returns H = ρI + AᵀDA as an n×n dense matrix.
 func denseHessian(a *sparse.CSR, rho float64, d []float64) [][]float64 {
 	n := a.NCols
 	h := make([][]float64, n)
@@ -63,10 +47,7 @@ func denseHessian(a *sparse.CSR, rho float64, d []float64) [][]float64 {
 		h[i][i] = rho
 	}
 	for j := 0; j < a.NRows; j++ {
-		dj := 1.0
-		if d != nil {
-			dj = d[j]
-		}
+		dj := d[j]
 		cols, vals := a.Row(j)
 		for p, c := range cols {
 			for q, e := range cols {
@@ -133,55 +114,42 @@ func relDiff(a, b []float64) float64 {
 }
 
 // TestGramNewtonSolvesNewtonSystem: the row-space step solves H·s = −g to
-// rounding, against a dense n×n Cholesky, for both prox objectives, with
-// saturated rows (dᵢ ≈ 0) and a duplicated row (a singular G).
+// rounding, against a dense n×n Cholesky, with saturated rows (dᵢ ≈ 0) and
+// a duplicated row (a singular G).
 func TestGramNewtonSolvesNewtonSystem(t *testing.T) {
 	r := rand.New(rand.NewSource(70))
 	for trial := 0; trial < 12; trial++ {
 		m, n := 3+r.Intn(8), 30+r.Intn(50)
 		x := randVec(r, n, 0.3)
-		// Least squares has no saturation: its scaled rows would only make H
-		// ill-conditioned, so it gets a shard without them.
-		saturated, labels, _ := newtonShard(r, m, n, x)
-		plainRows, _, b := newtonShard(r, m, n, nil)
+		saturated, labels := newtonShard(r, m, n, x)
 		for _, rho := range []float64{0.5, 1, 3} {
 			y, z := randVec(r, n, 0.2), randVec(r, n, 0.5)
-			for name, obj := range map[string]newtonObjective{
-				"logistic":      NewLogisticProx(saturated, labels, rho, y, z),
-				"least squares": NewLeastSquaresProx(plainRows, b, rho, y, z),
-			} {
-				name := fmt.Sprintf("trial %d, %s, ρ=%v", trial, name, rho)
-				g := make([]float64, n)
-				obj.Eval(x, g)
-				d := curvatureOf(obj)
-				if d != nil && !(d[len(d)-1] == 0 && d[len(d)-2] < 1e-16) {
-					t.Fatalf("%s: saturated rows have d = %v, %v", name, d[len(d)-2], d[len(d)-1])
-				}
-				s := make([]float64, n)
-				gHg, cost, ok := obj.newtonStep(g, s)
-				if !ok || cost < 2 {
-					t.Fatalf("%s: no exact step (ok %v, cost %d)", name, ok, cost)
-				}
+			obj := NewLogisticProx(saturated, labels, rho, y, z)
+			name := fmt.Sprintf("trial %d, ρ=%v", trial, rho)
+			g := make([]float64, n)
+			obj.Eval(x, g)
+			d := obj.d
+			if !(d[len(d)-1] == 0 && d[len(d)-2] < 1e-16) {
+				t.Fatalf("%s: saturated rows have d = %v, %v", name, d[len(d)-2], d[len(d)-1])
+			}
+			s := make([]float64, n)
+			gHg, cost, ok := obj.newtonStep(g, s)
+			if !ok || cost < 2 {
+				t.Fatalf("%s: no exact step (ok %v, cost %d)", name, ok, cost)
+			}
 
-				var a *sparse.CSR
-				if d != nil {
-					a = saturated
-				} else {
-					a = plainRows
-				}
-				h := denseHessian(a, rho, d)
-				want := denseNewton(t, h, g)
-				if e := relDiff(s, want); e > 1e-10 {
-					t.Errorf("%s: ‖s − s_dense‖/‖s_dense‖ = %g", name, e)
-				}
-				hs := denseMul(h, s)
-				vec.Axpy(1, g, hs)
-				if e := vec.Nrm2(hs) / vec.Nrm2(g); e > 1e-10 {
-					t.Errorf("%s: ‖H·s + g‖/‖g‖ = %g", name, e)
-				}
-				if want := vec.Dot(g, denseMul(h, g)); math.Abs(gHg-want) > 1e-12*want {
-					t.Errorf("%s: gᵀHg = %v, dense %v", name, gHg, want)
-				}
+			h := denseHessian(saturated, rho, d)
+			want := denseNewton(t, h, g)
+			if e := relDiff(s, want); e > 1e-10 {
+				t.Errorf("%s: ‖s − s_dense‖/‖s_dense‖ = %g", name, e)
+			}
+			hs := denseMul(h, s)
+			vec.Axpy(1, g, hs)
+			if e := vec.Nrm2(hs) / vec.Nrm2(g); e > 1e-10 {
+				t.Errorf("%s: ‖H·s + g‖/‖g‖ = %g", name, e)
+			}
+			if want := vec.Dot(g, denseMul(h, g)); math.Abs(gHg-want) > 1e-12*want {
+				t.Errorf("%s: gᵀHg = %v, dense %v", name, gHg, want)
 			}
 		}
 	}
@@ -195,70 +163,66 @@ func TestTronDoglegOnBoundary(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 8; trial++ {
 		m, n := 3+r.Intn(8), 30+r.Intn(50)
-		a, labels, b := newtonShard(r, m, n, nil)
+		a, labels := newtonShard(r, m, n, nil)
 		y, z, x := randVec(r, n, 0.2), randVec(r, n, 0.5), randVec(r, n, 0.3)
-		for name, obj := range map[string]newtonObjective{
-			"logistic":      NewLogisticProx(a, labels, 0.05, y, z),
-			"least squares": NewLeastSquaresProx(a, b, 0.05, y, z),
+		obj := NewLogisticProx(a, labels, 0.05, y, z)
+		g, sN := make([]float64, n), make([]float64, n)
+		obj.Eval(x, g)
+		gnorm := vec.Nrm2(g)
+		gHg, _, ok := obj.newtonStep(g, sN)
+		if !ok {
+			t.Fatalf("trial %d: no exact step", trial)
+		}
+		newtonNorm, cauchyNorm := vec.Nrm2(sN), gnorm*gnorm*gnorm/gHg
+		if !(cauchyNorm < newtonNorm) {
+			t.Fatalf("trial %d: Cauchy point %v not inside the Newton step %v", trial, cauchyNorm, newtonNorm)
+		}
+		model := func(s []float64) float64 {
+			hs := make([]float64, n)
+			sHs := obj.HessVec(s, hs)
+			return vec.Dot(g, s) + 0.5*sHs
+		}
+		for _, c := range []struct {
+			name     string
+			delta    float64
+			products int
+		}{
+			{"inside", 2 * newtonNorm, 0},
+			{"cauchy", 0.5 * cauchyNorm, 0},
+			{"dogleg", 0.5 * (cauchyNorm + newtonNorm), 1},
 		} {
-			g, sN := make([]float64, n), make([]float64, n)
-			obj.Eval(x, g)
-			gnorm := vec.Nrm2(g)
-			gHg, _, ok := obj.newtonStep(g, sN)
-			if !ok {
-				t.Fatalf("trial %d %s: no exact step", trial, name)
+			name := fmt.Sprintf("trial %d %s", trial, c.name)
+			s, sc := vec.Clone(sN), make([]float64, n)
+			var res TronResult
+			sHs, atBoundary := dogleg(obj, g, s, sc, gnorm, gHg, c.delta, &res)
+			if res.CGIters != c.products {
+				t.Errorf("%s: counted %d products, want %d", name, res.CGIters, c.products)
 			}
-			newtonNorm, cauchyNorm := vec.Nrm2(sN), gnorm*gnorm*gnorm/gHg
-			if !(cauchyNorm < newtonNorm) {
-				t.Fatalf("trial %d %s: Cauchy point %v not inside the Newton step %v", trial, name, cauchyNorm, newtonNorm)
+			if c.name == "inside" {
+				if atBoundary || !vec.Equal(s, sN) {
+					t.Errorf("%s: step inside the radius was changed (boundary %v)", name, atBoundary)
+				}
+				continue
 			}
-			model := func(s []float64) float64 {
-				hs := make([]float64, n)
-				sHs := obj.HessVec(s, hs)
-				return vec.Dot(g, s) + 0.5*sHs
+			if !atBoundary {
+				t.Fatalf("%s: not on the boundary", name)
 			}
-			for _, c := range []struct {
-				name     string
-				delta    float64
-				products int
-			}{
-				{"inside", 2 * newtonNorm, 0},
-				{"cauchy", 0.5 * cauchyNorm, 0},
-				{"dogleg", 0.5 * (cauchyNorm + newtonNorm), 1},
-			} {
-				name := fmt.Sprintf("trial %d %s %s", trial, name, c.name)
-				s, sc := vec.Clone(sN), make([]float64, n)
-				var res TronResult
-				sHs, atBoundary := dogleg(obj, g, s, sc, gnorm, gHg, c.delta, &res)
-				if res.CGIters != c.products {
-					t.Errorf("%s: counted %d products, want %d", name, res.CGIters, c.products)
-				}
-				if c.name == "inside" {
-					if atBoundary || !vec.Equal(s, sN) {
-						t.Errorf("%s: step inside the radius was changed (boundary %v)", name, atBoundary)
-					}
-					continue
-				}
-				if !atBoundary {
-					t.Fatalf("%s: not on the boundary", name)
-				}
-				if e := math.Abs(vec.Nrm2(s)-c.delta) / c.delta; e > 1e-12 {
-					t.Errorf("%s: ‖s‖ = %v, Δ = %v", name, vec.Nrm2(s), c.delta)
-				}
-				hs := make([]float64, n)
-				if want := obj.HessVec(s, hs); math.Abs(sHs-want) > 1e-10*want {
-					t.Errorf("%s: sᵀHs = %v, HessVec says %v", name, sHs, want)
-				}
-				if pred := -(vec.Dot(g, s) + 0.5*sHs); !(pred > 0) {
-					t.Errorf("%s: predicted reduction %v", name, pred)
-				}
-				// The dogleg point does at least as well as the Cauchy point.
-				if c.name == "dogleg" {
-					cauchy := vec.Clone(g)
-					vec.Scale(-gnorm/(gHg/gnorm), cauchy)
-					if model(s) > model(cauchy) {
-						t.Errorf("%s: model %v above the Cauchy point's %v", name, model(s), model(cauchy))
-					}
+			if e := math.Abs(vec.Nrm2(s)-c.delta) / c.delta; e > 1e-12 {
+				t.Errorf("%s: ‖s‖ = %v, Δ = %v", name, vec.Nrm2(s), c.delta)
+			}
+			hs := make([]float64, n)
+			if want := obj.HessVec(s, hs); math.Abs(sHs-want) > 1e-10*want {
+				t.Errorf("%s: sᵀHs = %v, HessVec says %v", name, sHs, want)
+			}
+			if pred := -(vec.Dot(g, s) + 0.5*sHs); !(pred > 0) {
+				t.Errorf("%s: predicted reduction %v", name, pred)
+			}
+			// The dogleg point does at least as well as the Cauchy point.
+			if c.name == "dogleg" {
+				cauchy := vec.Clone(g)
+				vec.Scale(-gnorm/(gHg/gnorm), cauchy)
+				if model(s) > model(cauchy) {
+					t.Errorf("%s: model %v above the Cauchy point's %v", name, model(s), model(cauchy))
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 // Package solver provides the smooth-subproblem machinery of consensus
-// ADMM: twice-differentiable objectives (L2-prox-regularized logistic loss
-// and least squares), a trust-region Newton solver (TRON, the same
-// algorithm LIBLINEAR uses and the paper's subproblem solver, ref. [14]),
-// and the proximal operators used by the z-update.
+// ADMM: the L2-prox-regularized logistic loss of the paper's x-update, a
+// trust-region Newton solver (TRON, the same algorithm LIBLINEAR uses and
+// the paper's subproblem solver, ref. [14]), and the proximal operators
+// used by the z-update.
 package solver
 
 import (
@@ -132,10 +132,16 @@ func (o *LogisticProx) HessVec(v, hv []float64) float64 {
 	return addProxCurvature(o.Rho, v, hv)
 }
 
-func (o *LogisticProx) newtonStep(g, s []float64) (float64, int, bool) {
+// newtonStep writes s = −H⁻¹g, H the Hessian at the point of the last
+// Eval, and returns gᵀHg and the step's cost in Hessian-product
+// equivalents. ok is false when the shape routes to CG, ρ is not positive,
+// or a pivot is not positive and finite; s is then unspecified and the
+// caller takes a CG step instead (see gramNewton).
+func (o *LogisticProx) newtonStep(g, s []float64) (gHg float64, cost int, ok bool) {
 	return o.newton.step(o.Data, o.Rho, o.d, g, s)
 }
 
+// curvature returns sᵀHs at the point of the last Eval from one A·s.
 func (o *LogisticProx) curvature(s []float64) float64 {
 	return o.newton.curvature(o.Data, o.Rho, o.d, s)
 }
@@ -156,15 +162,6 @@ func addProxCurvature(rho float64, v, hv []float64) float64 {
 	return dot
 }
 
-func (o *LogisticProx) solveRestricted(x []float64, opts TronOptions) (TronResult, bool) {
-	return o.solve(o, o.Data, o.Rho, o.Y, o.Z, x, opts)
-}
-
-func (o *LogisticProx) over(compact *sparse.CSR, y, z []float64) (Objective, *float64) {
-	t := NewLogisticProx(compact, o.Labels, o.Rho, y, z)
-	return t, &t.Rho
-}
-
 // LocalLoss returns only the data-fit part Σ log(1+exp(−b·aᵀx)) at x,
 // without the augmented-Lagrangian terms. The engine sums this across
 // workers to report the paper's global objective (eq. 17).
@@ -173,100 +170,6 @@ func (o *LogisticProx) LocalLoss(x []float64) float64 {
 	var loss float64
 	for j := 0; j < m.NRows; j++ {
 		loss += LogLoss(o.Labels[j] * m.RowDot(j, x))
-	}
-	return loss
-}
-
-// LeastSquaresProx is the ADMM x-subproblem for consensus lasso:
-//
-//	f(x) = ½‖Ax − b‖² + yᵀx + (ρ/2)‖x − z‖²
-//
-// Used by the lasso example to show the engine is objective-generic.
-type LeastSquaresProx struct {
-	Data *sparse.CSR
-	B    []float64
-	Rho  float64
-	Y, Z []float64
-
-	resid []float64
-	av    []float64
-
-	restriction            // TRON solves over Data's column support
-	newton      gramNewton // exact Newton steps on short shards
-}
-
-// NewLeastSquaresProx constructs the lasso subproblem objective.
-func NewLeastSquaresProx(data *sparse.CSR, b []float64, rho float64, y, z []float64) *LeastSquaresProx {
-	if len(b) != data.NRows {
-		panic("solver: b length != rows")
-	}
-	if len(y) != data.NCols || len(z) != data.NCols {
-		panic("solver: y/z length != cols")
-	}
-	return &LeastSquaresProx{
-		Data:  data,
-		B:     b,
-		Rho:   rho,
-		Y:     y,
-		Z:     z,
-		resid: make([]float64, data.NRows),
-		av:    make([]float64, data.NRows),
-	}
-}
-
-// Dim implements Objective.
-func (o *LeastSquaresProx) Dim() int { return o.Data.NCols }
-
-// Eval implements Objective.
-func (o *LeastSquaresProx) Eval(x, g []float64) float64 {
-	m := o.Data
-	m.MulVec(o.resid, x)
-	var loss float64
-	for j := range o.resid {
-		o.resid[j] -= o.B[j]
-		loss += 0.5 * o.resid[j] * o.resid[j]
-	}
-	m.MulTransVec(g, o.resid)
-	for i := range g {
-		diff := x[i] - o.Z[i]
-		g[i] += o.Y[i] + o.Rho*diff
-		loss += o.Y[i]*x[i] + 0.5*o.Rho*diff*diff
-	}
-	return loss
-}
-
-// HessVec implements Objective: hv = AᵀAv + ρv.
-func (o *LeastSquaresProx) HessVec(v, hv []float64) float64 {
-	m := o.Data
-	m.MulVec(o.av, v)
-	m.MulTransVec(hv, o.av)
-	return addProxCurvature(o.Rho, v, hv)
-}
-
-func (o *LeastSquaresProx) newtonStep(g, s []float64) (float64, int, bool) {
-	return o.newton.step(o.Data, o.Rho, nil, g, s)
-}
-
-func (o *LeastSquaresProx) curvature(s []float64) float64 {
-	return o.newton.curvature(o.Data, o.Rho, nil, s)
-}
-
-func (o *LeastSquaresProx) solveRestricted(x []float64, opts TronOptions) (TronResult, bool) {
-	return o.solve(o, o.Data, o.Rho, o.Y, o.Z, x, opts)
-}
-
-func (o *LeastSquaresProx) over(compact *sparse.CSR, y, z []float64) (Objective, *float64) {
-	t := NewLeastSquaresProx(compact, o.B, o.Rho, y, z)
-	return t, &t.Rho
-}
-
-// LocalLoss returns ½‖Ax−b‖² at x.
-func (o *LeastSquaresProx) LocalLoss(x []float64) float64 {
-	m := o.Data
-	var loss float64
-	for j := 0; j < m.NRows; j++ {
-		r := m.RowDot(j, x) - o.B[j]
-		loss += 0.5 * r * r
 	}
 	return loss
 }
@@ -284,67 +187,53 @@ func (o *LeastSquaresProx) LocalLoss(x []float64) float64 {
 // x_j = z_j − y_j/ρ and y_j⁺ = y_j + ρ(x_j − z_j⁺) = ρ(z_j − z_j⁺), which
 // is non-zero whenever z_j moves, but the contribution the consensus sees
 // is w_j = y_j + ρ·x_j = ρ·z_j whatever (x_j, y_j) are. A caller holding
-// full-dimension x and y (benchmark/mesh.go, examples/lasso; core's
-// ReferenceOptimum only evaluates one) carries the pair above; core's
-// worker, which core.Rank runs in psra-worker, stores no off-support state
-// and emits ρ·z_j, the representative (x_j, y_j) = (z_j, 0) of the same
-// class. Both feed the consensus the same w, up to the rounding of
-// y_j + ρ(z_j − y_j/ρ).
+// full-dimension x and y (benchmark/mesh.go; core's ReferenceOptimum only
+// evaluates one) carries the pair above; core's worker, which core.Rank
+// runs in psra-worker, stores no off-support state and emits ρ·z_j, the
+// representative (x_j, y_j) = (z_j, 0) of the same class. Both feed the
+// consensus the same w, up to the rounding of y_j + ρ(z_j − y_j/ρ).
 //
-// Both prox objectives embed one restriction. It is built at the first
-// solve, so an objective that is only ever evaluated pays nothing, and it
-// holds the compact twin (the same loss over sparse.CSR.CompactColumns'
-// matrix, whose Y and Z are the gather buffers below) plus the solve's
-// scratch, so steady-state solves allocate nothing.
+// LogisticProx embeds one restriction. It is built at the first solve, so
+// an objective that is only ever evaluated pays nothing, and it holds the
+// compact twin (the same loss over sparse.CSR.CompactColumns' matrix, whose
+// Y and Z are the gather buffers below) plus the solve's scratch, so
+// steady-state solves allocate nothing.
 type restriction struct {
 	built      bool
-	active     []int32   // touched columns, sorted; nil when none is untouched
-	twin       Objective // nil when every column is touched
-	twinRho    *float64  // twin's Rho field
-	xA, yA, zA []float64 // x, y, z gathered onto active
-	ws         Workspace // the compact solve's scratch
+	active     []int32       // touched columns, sorted; nil when none is untouched
+	twin       *LogisticProx // nil when every column is touched
+	xA, yA, zA []float64     // x, y, z gathered onto active
+	ws         Workspace     // the compact solve's scratch
 }
 
-// restricted is the optional interface TRONWorkspace looks for. It is
-// unexported on purpose: the restriction is how this package solves its own
-// prox objectives, not a knob or an extension point.
-type restricted interface {
-	// solveRestricted minimises the objective from x in place as
-	// restriction.solve describes; ok is false when every column of the
-	// data matrix is touched and the caller must solve at full dimension.
-	solveRestricted(x []float64, opts TronOptions) (res TronResult, ok bool)
-}
-
-// twinMaker builds an objective's compact twin: the same loss over compact
-// with y and z as its dual and consensus terms, and the address of its Rho.
-type twinMaker interface {
-	over(compact *sparse.CSR, y, z []float64) (twin Objective, rho *float64)
-}
-
-// solve gathers (x, y, z) onto data's touched columns, runs TRON there on
-// the compact twin, writes the closed form everywhere else and scatters the
-// solved coordinates back. y, z and rho are read afresh on every call: the
-// caller mutates them between solves. On the touched columns the result is,
-// bit for bit, what TRONWorkspace returns for the twin from the gathered
-// start; with no touched column there is no Newton solve at all.
-func (s *restriction) solve(obj twinMaker, data *sparse.CSR, rho float64, y, z, x []float64, opts TronOptions) (TronResult, bool) {
+// solveRestricted gathers (x, y, z) onto the data's touched columns, runs
+// TRON there on the compact twin, writes the closed form everywhere else
+// and scatters the solved coordinates back; ok is false when every column
+// is touched and the caller must solve at full dimension. Y, Z and Rho are
+// read afresh on every call: the caller mutates them between solves. On the
+// touched columns the result is, bit for bit, what TRONWorkspace returns
+// for the twin from the gathered start; with no touched column there is no
+// Newton solve at all.
+func (o *LogisticProx) solveRestricted(x []float64, opts TronOptions) (TronResult, bool) {
+	s := &o.restriction
 	if !s.built {
 		s.built = true
-		if active, compact := data.CompactColumns(); compact != data {
+		if active, compact := o.Data.CompactColumns(); compact != o.Data {
 			s.active = active
 			s.xA = make([]float64, len(active))
 			s.yA = make([]float64, len(active))
 			s.zA = make([]float64, len(active))
-			s.twin, s.twinRho = obj.over(compact, s.yA, s.zA)
+			s.twin = NewLogisticProx(compact, o.Labels, o.Rho, s.yA, s.zA)
 		}
 	}
 	if s.twin == nil {
 		return TronResult{}, false
 	}
+	rho, y, z := o.Rho, o.Y, o.Z
 	for i, c := range s.active {
 		s.xA[i], s.yA[i], s.zA[i] = x[c], y[c], z[c]
 	}
-	*s.twinRho = rho
+	s.twin.Rho = rho
 	var res TronResult
 	if len(s.active) > 0 {
 		res = tron(s.twin, s.xA, opts, &s.ws)

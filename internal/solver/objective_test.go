@@ -70,7 +70,7 @@ func TestEvalOneExpPerRowMatchesTwoCalls(t *testing.T) {
 // The same equality on a whole random problem, where the loss is a running
 // sum over rows and the gradient a scatter of every row's coefficient.
 func TestEvalMatchesTwoCallsOnRandomProblem(t *testing.T) {
-	data, labels, _ := sparseShard(rand.New(rand.NewSource(7)), 60, 25, 0.3)
+	data, labels := sparseShard(rand.New(rand.NewSource(7)), 60, 25, 0.3)
 	y, z := randVec(rand.New(rand.NewSource(8)), 25, 1), randVec(rand.New(rand.NewSource(9)), 25, 1)
 	got := NewLogisticProx(data, labels, 0.7, y, z)
 	want := NewLogisticProx(data, labels, 0.7, y, z)

@@ -17,10 +17,9 @@ type plain struct{ Objective }
 
 // sparseShard draws a shard the way a rank sees one: most columns
 // untouched, some rows empty.
-func sparseShard(r *rand.Rand, rows, cols int, density float64) (*sparse.CSR, []float64, []float64) {
+func sparseShard(r *rand.Rand, rows, cols int, density float64) (*sparse.CSR, []float64) {
 	m := sparse.NewCSR(0, cols, 0)
 	labels := make([]float64, rows)
-	b := make([]float64, rows)
 	for i := 0; i < rows; i++ {
 		var cs []int32
 		var vs []float64
@@ -37,9 +36,8 @@ func sparseShard(r *rand.Rand, rows, cols int, density float64) (*sparse.CSR, []
 		if r.Float64() < 0.5 {
 			labels[i] = -1
 		}
-		b[i] = r.NormFloat64()
 	}
-	return m, labels, b
+	return m, labels
 }
 
 func randVec(r *rand.Rand, n int, scale float64) []float64 {
@@ -66,7 +64,7 @@ func TestRestrictedSolveIsTheEngineSolve(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
 		rows, cols := 5+r.Intn(30), 20+r.Intn(60)
-		data, labels, _ := sparseShard(r, rows, cols, 0.04)
+		data, labels := sparseShard(r, rows, cols, 0.04)
 		rho := []float64{0.5, 1, 3}[trial%3]
 		x, y, z := randVec(r, cols, 0.3), randVec(r, cols, 0.2), randVec(r, cols, 0.5)
 		opts := TronOptions{}
@@ -114,35 +112,30 @@ func TestRestrictedSolveIsTheEngineSolve(t *testing.T) {
 }
 
 // TestRestrictedSolveMatchesUnrestricted checks the restriction is exact:
-// at tight tolerances it lands where the full-dimension solve lands, for
-// both prox objectives.
+// at tight tolerances it lands where the full-dimension solve lands.
 func TestRestrictedSolveMatchesUnrestricted(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
 	tight := TronOptions{GradTol: 1e-10, CGTol: 1e-6, MaxIter: 200, MaxCG: 200}
 	for trial := 0; trial < 12; trial++ {
 		rows, cols := 10+r.Intn(20), 20+r.Intn(40)
-		data, labels, b := sparseShard(r, rows, cols, 0.05)
+		data, labels := sparseShard(r, rows, cols, 0.05)
 		rho := []float64{0.5, 1, 3}[trial%3]
 		y, z := randVec(r, cols, 0.2), randVec(r, cols, 0.5)
-		x0 := randVec(r, cols, 0.3)
-		for name, obj := range map[string]Objective{
-			"logistic":      NewLogisticProx(data, labels, rho, y, z),
-			"least squares": NewLeastSquaresProx(data, b, rho, y, z),
-		} {
-			x, xFull := vec.Clone(x0), vec.Clone(x0)
-			res := TRON(obj, x, tight)
-			full := TRON(plain{obj}, xFull, tight)
-			// 1e-10 relative sits at the rounding floor, where TRON may stop
-			// on a collapsed radius instead; either way both are at the optimum.
-			if res.GradNorm > 1e-7 || full.GradNorm > 1e-7 {
-				t.Fatalf("trial %d %s: not at the optimum: %+v / %+v", trial, name, res, full)
-			}
-			if !vec.WithinTol(x, xFull, 1e-7) {
-				t.Fatalf("trial %d %s: restricted and unrestricted solves disagree", trial, name)
-			}
-			if math.Abs(res.F-full.F) > 1e-9*(1+math.Abs(full.F)) {
-				t.Fatalf("trial %d %s: F %v vs unrestricted %v", trial, name, res.F, full.F)
-			}
+		obj := NewLogisticProx(data, labels, rho, y, z)
+		x := randVec(r, cols, 0.3)
+		xFull := vec.Clone(x)
+		res := TRON(obj, x, tight)
+		full := TRON(plain{obj}, xFull, tight)
+		// 1e-10 relative sits at the rounding floor, where TRON may stop
+		// on a collapsed radius instead; either way both are at the optimum.
+		if res.GradNorm > 1e-7 || full.GradNorm > 1e-7 {
+			t.Fatalf("trial %d: not at the optimum: %+v / %+v", trial, res, full)
+		}
+		if !vec.WithinTol(x, xFull, 1e-7) {
+			t.Fatalf("trial %d: restricted and unrestricted solves disagree", trial)
+		}
+		if math.Abs(res.F-full.F) > 1e-9*(1+math.Abs(full.F)) {
+			t.Fatalf("trial %d: F %v vs unrestricted %v", trial, res.F, full.F)
 		}
 	}
 }
@@ -152,7 +145,7 @@ func TestRestrictedSolveMatchesUnrestricted(t *testing.T) {
 // all three as they are when a solve starts.
 func TestRestrictedSolveReadsTermsPerSolve(t *testing.T) {
 	r := rand.New(rand.NewSource(63))
-	data, labels, _ := sparseShard(r, 20, 50, 0.05)
+	data, labels := sparseShard(r, 20, 50, 0.05)
 	y, z := randVec(r, 50, 0.2), randVec(r, 50, 0.5)
 	obj := NewLogisticProx(data, labels, 1, y, z)
 	x := make([]float64, 50)
@@ -210,17 +203,15 @@ func TestRestrictEveryColumnTouchedIsThePlainSolve(t *testing.T) {
 // the first solve, on the CG route and on the exact Newton one.
 func TestRestrictedSolveSteadyStateAllocatesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
-	data, labels, b := sparseShard(r, 20, 80, 0.04)
-	short, shortLabels, shortB := sparseShard(r, 6, 80, 0.3)
+	data, labels := sparseShard(r, 20, 80, 0.04)
+	short, shortLabels := sparseShard(r, 6, 80, 0.3)
 	if newtonCost(data) != 0 || newtonCost(short) == 0 {
 		t.Fatal("shards do not cover both routes")
 	}
 	y, z := randVec(r, 80, 0.2), randVec(r, 80, 0.5)
 	for name, obj := range map[string]Objective{
-		"logistic":                 NewLogisticProx(data, labels, 1, y, z),
-		"least squares":            NewLeastSquaresProx(data, b, 1, y, z),
-		"logistic, row space":      NewLogisticProx(short, shortLabels, 1, y, z),
-		"least squares, row space": NewLeastSquaresProx(short, shortB, 1, y, z),
+		"CG":        NewLogisticProx(data, labels, 1, y, z),
+		"row space": NewLogisticProx(short, shortLabels, 1, y, z),
 	} {
 		x := make([]float64, 80)
 		if n := testing.AllocsPerRun(10, func() {
@@ -308,7 +299,7 @@ func TestWriteBackMatchesPerColumnReference(t *testing.T) {
 // TronResult.
 func TestRestrictEmptySupport(t *testing.T) {
 	r := rand.New(rand.NewSource(66))
-	data, labels, _ := sparseShard(r, 6, 10, 0)
+	data, labels := sparseShard(r, 6, 10, 0)
 	y, z := randVec(r, 10, 0.2), randVec(r, 10, 0.5)
 	obj := NewLogisticProx(data, labels, 2, y, z)
 	x := randVec(r, 10, 1)

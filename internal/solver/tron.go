@@ -86,20 +86,20 @@ func (ws *Workspace) ensure(n int) {
 // gradient solve truncated at the trust boundary, and the classic
 // ratio-based radius update.
 //
-// A prox objective of this package over a short, wide matrix (one whose
-// m×m factorisation costs at most two Hessian products, see newtonCost)
-// takes the exact Newton step instead of the CG solve, through its row
-// space (gramNewton), cut back to the dogleg point when it leaves the trust
-// region; ρ ≤ 0 or a non-positive pivot takes the CG step. MaxCG and CGTol
-// bound only CG steps.
+// A *LogisticProx over a short, wide matrix (one whose m×m factorisation
+// costs at most two Hessian products, see newtonCost) takes the exact
+// Newton step instead of the CG solve, through its row space (gramNewton),
+// cut back to the dogleg point when it leaves the trust region; ρ ≤ 0 or a
+// non-positive pivot takes the CG step. MaxCG and CGTol bound only CG
+// steps.
 //
-// A prox objective of this package whose data matrix leaves columns
-// untouched is solved over the touched columns only (see restriction): the
-// Newton solve runs at the support's dimension and every other coordinate
-// gets its closed form. TronResult then reports the compact solve's Iters,
-// CGIters and FunEvals, the whole objective's F and the full gradient norm
-// at the returned x, and the relative stop ‖g‖ ≤ GradTol·‖g₀‖ is relative
-// to the start gradient on the support, which is internal/core's semantics
+// A *LogisticProx whose data matrix leaves columns untouched is solved
+// over the touched columns only (see restriction): the Newton solve runs
+// at the support's dimension and every other coordinate gets its closed
+// form. TronResult then reports the compact solve's Iters, CGIters and
+// FunEvals, the whole objective's F and the full gradient norm at the
+// returned x, and the relative stop ‖g‖ ≤ GradTol·‖g₀‖ is relative to the
+// start gradient on the support, which is internal/core's semantics
 // (off-support the start point does not matter: the coordinate is solved
 // exactly from anywhere). There is no way to ask for the full-dimension
 // solve over untouched columns.
@@ -115,8 +115,8 @@ func TRONWorkspace(obj Objective, x []float64, opts TronOptions, ws *Workspace) 
 		panic("solver: TRON x length mismatch")
 	}
 	opts.fill()
-	if r, ok := obj.(restricted); ok {
-		if res, ok := r.solveRestricted(x, opts); ok {
+	if lp, ok := obj.(*LogisticProx); ok {
+		if res, ok := lp.solveRestricted(x, opts); ok {
 			return res
 		}
 	}
@@ -145,7 +145,7 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 		return res
 	}
 	delta := gnorm0
-	newton, _ := obj.(exactNewton)
+	newton, _ := obj.(*LogisticProx)
 
 	// Radius update constants from Lin & Moré.
 	const (

@@ -253,24 +253,6 @@ func TestLogisticProxGradHess(t *testing.T) {
 	checkHessVec(t, obj, x, 1e-4)
 }
 
-func TestLeastSquaresProxGradHess(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	data, _ := smallLogistic(r, 10, 5)
-	b := make([]float64, 10)
-	for i := range b {
-		b[i] = r.NormFloat64()
-	}
-	y := make([]float64, 5)
-	z := make([]float64, 5)
-	obj := NewLeastSquaresProx(data, b, 0.7, y, z)
-	x := make([]float64, 5)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	checkGradient(t, obj, x, 1e-4)
-	checkHessVec(t, obj, x, 1e-4)
-}
-
 func TestTRONSolvesLogisticProx(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	data, labels := smallLogistic(r, 40, 8)
@@ -302,14 +284,10 @@ func TestTRONNaNGradientIsNotConverged(t *testing.T) {
 	}
 	for name, data := range map[string]*sparse.CSR{"every column touched": full, "restricted": untouched} {
 		y, z := make([]float64, data.NCols), make([]float64, data.NCols)
-		for oname, obj := range map[string]Objective{
-			"logistic":      NewLogisticProx(data, labels, math.NaN(), y, z),
-			"least-squares": NewLeastSquaresProx(data, labels, math.NaN(), y, z),
-		} {
-			res := TRON(obj, make([]float64, data.NCols), TronOptions{MaxIter: 10, MaxCG: 20})
-			if res.Converged || !math.IsNaN(res.GradNorm) {
-				t.Errorf("%s, %s: %+v, want Converged false and GradNorm NaN", name, oname, res)
-			}
+		obj := NewLogisticProx(data, labels, math.NaN(), y, z)
+		res := TRON(obj, make([]float64, data.NCols), TronOptions{MaxIter: 10, MaxCG: 20})
+		if res.Converged || !math.IsNaN(res.GradNorm) {
+			t.Errorf("%s: %+v, want Converged false and GradNorm NaN", name, res)
 		}
 	}
 }
@@ -569,12 +547,6 @@ func TestFusedCGMatchesSevenPassCG(t *testing.T) {
 	}
 
 	for trial := 0; trial < 10; trial++ {
-		data, _, b := sparseShard(r, 10+r.Intn(30), 20+r.Intn(40), 0.1)
-		_, compact := data.CompactColumns()
-		n := compact.NCols
-		obj := NewLeastSquaresProx(compact, b, []float64{0, 0.7, 2}[trial%3], randVec(r, n, 0.2), randVec(r, n, 0.5))
-		checkAgainstSevenPass(t, fmt.Sprintf("least squares %d", trial), obj, randVec(r, n, 1), TronOptions{})
-
 		q := newQuadratic(r, 2+r.Intn(12))
 		checkAgainstSevenPass(t, fmt.Sprintf("quadratic %d", trial), q, make([]float64, len(q.b)), TronOptions{GradTol: 1e-8, MaxIter: 200})
 
@@ -604,7 +576,7 @@ func TestFusedCGMatchesSevenPassCG(t *testing.T) {
 
 	// NaN- and Inf-poisoned data, ρ and dual.
 	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		data, labels, b := sparseShard(r, 20, 30, 0.2)
+		data, labels := sparseShard(r, 20, 30, 0.2)
 		_, compact := data.CompactColumns()
 		n := compact.NCols
 		bad := *compact
@@ -614,10 +586,9 @@ func TestFusedCGMatchesSevenPassCG(t *testing.T) {
 		yBad := vec.Clone(y)
 		yBad[n/2] = poison
 		for name, obj := range map[string]Objective{
-			"logistic data":      NewLogisticProx(&bad, labels, 1, y, randVec(r, n, 0.5)),
-			"least-squares data": NewLeastSquaresProx(&bad, b, 0.5, y, randVec(r, n, 0.5)),
-			"ρ":                  NewLeastSquaresProx(compact, b, poison, y, randVec(r, n, 0.5)),
-			"dual":               NewLogisticProx(compact, labels, 1, yBad, randVec(r, n, 0.5)),
+			"data": NewLogisticProx(&bad, labels, 1, y, randVec(r, n, 0.5)),
+			"ρ":    NewLogisticProx(compact, labels, poison, y, randVec(r, n, 0.5)),
+			"dual": NewLogisticProx(compact, labels, 1, yBad, randVec(r, n, 0.5)),
 		} {
 			checkAgainstSevenPass(t, fmt.Sprintf("%v in %s", poison, name), obj, randVec(r, n, 0.3), worker)
 		}

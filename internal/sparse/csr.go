@@ -97,9 +97,6 @@ func (m *CSR) Row(r int) ([]int32, []float64) {
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
 }
 
-// RowNNZ returns the nonzero count of row r.
-func (m *CSR) RowNNZ(r int) int { return int(m.RowPtr[r+1] - m.RowPtr[r]) }
-
 // The kernels below are the x-update's inner loops. Each ranges over its
 // row as two equal-length sub-slices, so the one bounds check left per
 // nonzero is the gather or scatter itself and nothing is re-loaded through

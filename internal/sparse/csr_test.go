@@ -58,8 +58,8 @@ func TestAppendRowAndCheck(t *testing.T) {
 	if len(cols) != 1 || cols[0] != 4 || vals[0] != -1 {
 		t.Fatalf("Row(2) = %v %v", cols, vals)
 	}
-	if m.RowNNZ(1) != 0 {
-		t.Fatalf("RowNNZ(1) = %d", m.RowNNZ(1))
+	if cols, _ := m.Row(1); len(cols) != 0 {
+		t.Fatalf("Row(1) has %d entries, want none", len(cols))
 	}
 }
 

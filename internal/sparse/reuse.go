@@ -85,8 +85,9 @@ func (v *Vector) SliceInto(dst *Vector, lo, hi int) *Vector {
 	return dst
 }
 
-// MergeInto is Merge writing into dst (allocated when nil). dst must not
-// alias a or b.
+// MergeInto writes a + b into dst (allocated when nil), where a and b share
+// the same Dim. Indices present in both are summed; sums that cancel to
+// exactly zero are dropped. dst must not alias a or b.
 func MergeInto(dst, a, b *Vector) *Vector {
 	if a.Dim != b.Dim {
 		panic("sparse: Merge dimension mismatch")
@@ -131,8 +132,11 @@ func MergeInto(dst, a, b *Vector) *Vector {
 	return dst
 }
 
-// ConcatInto is Concat writing into dst (allocated when nil). dst must
-// not alias any block.
+// ConcatInto stitches re-based block vectors (as produced by Slice over
+// consecutive chunks) back into one vector of dimension dim, written into
+// dst (allocated when nil). offsets[i] is the dense position where
+// blocks[i] begins; blocks must be non-overlapping and given in increasing
+// offset order. dst must not alias any block.
 func ConcatInto(dst *Vector, dim int, offsets []int, blocks []*Vector) *Vector {
 	if len(offsets) != len(blocks) {
 		panic("sparse: Concat offsets/blocks length mismatch")

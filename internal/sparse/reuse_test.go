@@ -46,17 +46,17 @@ func TestIntoMatchesAllocating(t *testing.T) {
 		if !equalVec(a.Slice(lo, hi), a.SliceInto(dstSlice, lo, hi)) {
 			t.Fatalf("round %d: SliceInto mismatch", round)
 		}
-		if !equalVec(Merge(a, b), MergeInto(dstMerge, a, b)) {
+		if !equalVec(MergeInto(nil, a, b), MergeInto(dstMerge, a, b)) {
 			t.Fatalf("round %d: MergeInto mismatch", round)
 		}
 		blocks := []*Vector{a.Slice(0, 100), a.Slice(100, 180), a.Slice(180, dim)}
 		offsets := []int{0, 100, 180}
 		got := ConcatInto(dstConcat, dim, offsets, blocks)
-		if !equalVec(Concat(dim, offsets, blocks), got) {
+		if !equalVec(ConcatInto(nil, dim, offsets, blocks), got) {
 			t.Fatalf("round %d: ConcatInto mismatch", round)
 		}
 		if !equalVec(a, got) {
-			t.Fatalf("round %d: Concat(Slice) did not round-trip", round)
+			t.Fatalf("round %d: ConcatInto of the Slice blocks did not round-trip", round)
 		}
 
 		x := a.ToDense()

@@ -131,18 +131,6 @@ func (v *Vector) Append(i int32, val float64) {
 	v.Value = append(v.Value, val)
 }
 
-// Dot returns the inner product with a dense vector of length Dim.
-func (v *Vector) Dot(dense []float64) float64 {
-	if len(dense) != v.Dim {
-		panic("sparse: Dot dimension mismatch")
-	}
-	var s float64
-	for k, i := range v.Index {
-		s += v.Value[k] * dense[i]
-	}
-	return s
-}
-
 // AddIntoDense accumulates alpha*v into the dense slice dst (length Dim).
 func (v *Vector) AddIntoDense(dst []float64, alpha float64) {
 	if len(dst) != v.Dim {
@@ -198,20 +186,6 @@ func (v *Vector) Range(lo, hi int) (from, to int) {
 	from = sort.Search(len(v.Index), func(k int) bool { return int(v.Index[k]) >= lo })
 	to = from + sort.Search(len(v.Index)-from, func(k int) bool { return int(v.Index[from+k]) >= hi })
 	return from, to
-}
-
-// Merge returns a + b, where both share the same Dim. Indices present in
-// both are summed; sums that cancel to exactly zero are dropped.
-func Merge(a, b *Vector) *Vector {
-	return MergeInto(nil, a, b)
-}
-
-// Concat stitches re-based block vectors (as produced by Slice over
-// consecutive chunks) back into one vector of dimension dim. offsets[i] is
-// the dense position where blocks[i] begins; blocks must be non-overlapping
-// and given in increasing offset order.
-func Concat(dim int, offsets []int, blocks []*Vector) *Vector {
-	return ConcatInto(nil, dim, offsets, blocks)
 }
 
 // IndexSet is a set of indices in [0, n) that drains in ascending order

@@ -67,23 +67,6 @@ func TestAppendIgnoresZero(t *testing.T) {
 	}
 }
 
-func TestDotAgainstDense(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 30; trial++ {
-		dim := r.Intn(100) + 1
-		v := randSparse(r, dim, 0.3)
-		x := make([]float64, dim)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		want := vec.Dot(v.ToDense(), x)
-		got := v.Dot(x)
-		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("Dot mismatch: %v vs %v", got, want)
-		}
-	}
-}
-
 func TestAddIntoDense(t *testing.T) {
 	v := FromDense([]float64{0, 2, 0, 3})
 	dst := []float64{1, 1, 1, 1}
@@ -126,7 +109,7 @@ func TestMergeAgainstDense(t *testing.T) {
 		dim := r.Intn(80) + 1
 		a := randSparse(r, dim, 0.3)
 		b := randSparse(r, dim, 0.3)
-		m := Merge(a, b)
+		m := MergeInto(nil, a, b)
 		if err := m.Check(); err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +124,7 @@ func TestMergeAgainstDense(t *testing.T) {
 func TestMergeCancellationDropsZeros(t *testing.T) {
 	a := FromDense([]float64{1, 2, 0})
 	b := FromDense([]float64{-1, 0, 3})
-	m := Merge(a, b)
+	m := MergeInto(nil, a, b)
 	if err := m.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +146,12 @@ func TestConcatInvertsSlice(t *testing.T) {
 			blocks[i] = v.Slice(c.Lo, c.Hi)
 			offsets[i] = c.Lo
 		}
-		back := Concat(dim, offsets, blocks)
+		back := ConcatInto(nil, dim, offsets, blocks)
 		if err := back.Check(); err != nil {
 			t.Fatal(err)
 		}
 		if !vec.Equal(back.ToDense(), v.ToDense()) {
-			t.Fatal("Concat(Slice(v)) != v")
+			t.Fatal("ConcatInto of the Slice blocks of v != v")
 		}
 	}
 }
@@ -181,7 +164,7 @@ func TestConcatRejectsOverlap(t *testing.T) {
 			t.Fatal("expected panic on overlapping Concat")
 		}
 	}()
-	Concat(3, []int{0, 1}, []*Vector{a, b})
+	ConcatInto(nil, 3, []int{0, 1}, []*Vector{a, b})
 }
 
 func TestAccumulatorMatchesDenseSum(t *testing.T) {
@@ -216,8 +199,8 @@ func TestMergeCommutative(t *testing.T) {
 		dim := int(dimRaw%60) + 1
 		a := randSparse(rand.New(rand.NewSource(seedA)), dim, 0.3)
 		b := randSparse(rand.New(rand.NewSource(seedB)), dim, 0.3)
-		ab := Merge(a, b)
-		ba := Merge(b, a)
+		ab := MergeInto(nil, a, b)
+		ba := MergeInto(nil, b, a)
 		if ab.Check() != nil || ba.Check() != nil {
 			return false
 		}
@@ -251,7 +234,7 @@ func BenchmarkMerge(b *testing.B) {
 	y := randSparse(r, 1<<16, 0.05)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Merge(x, y)
+		_ = MergeInto(nil, x, y)
 	}
 }
 

@@ -44,16 +44,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Sub computes dst = a - b elementwise. dst may alias either input.
-func Sub(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("vec: Sub length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
 // AddInto accumulates src into dst: dst += src.
 func AddInto(dst, src []float64) {
 	if len(dst) != len(src) {
@@ -209,11 +199,6 @@ type Chunk struct{ Lo, Hi int }
 
 // Len returns the chunk's width.
 func (c Chunk) Len() int { return c.Hi - c.Lo }
-
-// Of returns the chunk's view of a full-length dense vector — a no-copy
-// block slice, the dense half of the shard-view primitives (the sparse
-// half is sparse.Vector.Range). Mutating the view mutates x.
-func (c Chunk) Of(x []float64) []float64 { return x[c.Lo:c.Hi] }
 
 // Split returns the p chunks of a length-n vector. Every index belongs to
 // exactly one chunk; chunks are contiguous, ordered, and sizes differ by at

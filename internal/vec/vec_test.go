@@ -74,14 +74,9 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestAddSubAddInto(t *testing.T) {
+func TestAddInto(t *testing.T) {
 	a := []float64{1, 2}
-	b := []float64{3, 5}
-	dst := make([]float64, 2)
-	Sub(dst, b, a)
-	if !Equal(dst, []float64{2, 3}) {
-		t.Fatalf("Sub = %v", dst)
-	}
+	dst := []float64{2, 3}
 	AddInto(dst, a)
 	if !Equal(dst, []float64{3, 5}) {
 		t.Fatalf("AddInto = %v", dst)

@@ -126,7 +126,7 @@ func runTCPWorldBytes(t *testing.T, cfg Config, contrib [][]float64) (heap, fram
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	err := Run(fab, cfg, func(r int) WorkerFuncs {
+	_, err := RunWithInfo(fab, cfg, func(r int) WorkerFuncs {
 		return WorkerFuncs{
 			ComputeW: func(iter int) []float64 { return contrib[r] },
 			ApplyW:   func(iter int, w []float64, n int) {},

@@ -40,7 +40,7 @@ func runWorld(t *testing.T, fab transport.Fabric, cfg Config, contribution func(
 		}
 	}
 	done := make(chan error, 1)
-	go func() { done <- Run(fab, cfg, funcs) }()
+	go func() { _, err := RunWithInfo(fab, cfg, funcs); done <- err }()
 	select {
 	case err := <-done:
 		if err != nil {

@@ -112,10 +112,6 @@ type RunInfo struct {
 	// a dead peer (aggregation routes through the GG) and their tracker
 	// stays pristine, but the shrunken count still reaches them.
 	ShortRounds int64
-	// Rollbacks counts the checkpoint rollbacks RunWithRecovery performed
-	// before this run completed (zero for a trip-free run; plain
-	// Run/RunWorker never set it).
-	Rollbacks int
 	// Flagged counts member contributions a Leader's screen excluded from
 	// the node sum as outliers (Config.Screen).
 	Flagged int64

@@ -232,7 +232,7 @@ func TestStartIterRunsTail(t *testing.T) {
 				},
 			}
 		}
-		if err := Run(fab, cfg, funcs); err != nil {
+		if _, err := RunWithInfo(fab, cfg, funcs); err != nil {
 			t.Fatalf("elastic=%v: %v", elastic, err)
 		}
 		fab.Close()

@@ -24,7 +24,7 @@ func TestRunCompletesWithoutFaults(t *testing.T) {
 	cfg := Config{Topo: topo, MaxIter: 3, GroupThreshold: 2}
 	fab := transport.NewChanFabric(WorldSize(topo))
 	defer fab.Close()
-	if err := Run(fab, cfg, happyFuncs(3)); err != nil {
+	if _, err := RunWithInfo(fab, cfg, happyFuncs(3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -43,7 +43,7 @@ func TestRunAbortsOnWorkerDeath(t *testing.T) {
 	defer fab.Close()
 
 	done := make(chan error, 1)
-	go func() { done <- Run(fab, cfg, happyFuncs(3)) }()
+	go func() { _, err := RunWithInfo(fab, cfg, happyFuncs(3)); done <- err }()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -74,7 +74,7 @@ func TestRunSurfacesTypedPeerError(t *testing.T) {
 	fab.Kill(2) // Leader of node 1; rank 3 must report it by name
 
 	done := make(chan error, 1)
-	go func() { done <- Run(fab, cfg, happyFuncs(3)) }()
+	go func() { _, err := RunWithInfo(fab, cfg, happyFuncs(3)); done <- err }()
 	select {
 	case err := <-done:
 		var pd *transport.PeerDownError

@@ -1,4 +1,4 @@
-// Divergence detection and checkpoint rollback for the WLG runtime.
+// Divergence detection for the WLG runtime.
 //
 // The runtime is algorithm-agnostic, so its watchdog watches what it can
 // see: the contribution each worker hands it and the aggregate it hands
@@ -12,23 +12,17 @@
 //
 // A trip is a typed *DivergedError returned BEFORE ApplyW, so poisoned
 // values never enter algorithm state (and, on the checkpointing path,
-// never get persisted). Under Run's fail-fast semantics the first trip
-// tears the whole world down at that iteration boundary — which is exactly
-// the coordination rollback needs. RunWithRecovery drives the
-// detect → rollback → resume ladder on top: restore every rank's state
-// from the last good checkpoint, relaunch the world with
-// Config.StartIter at the checkpoint boundary (the resume path that
-// already exists for restarts), and abort with the trip once the bounded
-// rollback budget is spent. The multi-process analog is exit-code driven:
-// psra-worker exits with a dedicated code on divergence and orchestration
-// relaunches with -start-iter.
+// never get persisted). Under fail-fast semantics the first trip tears the
+// whole world down at that iteration boundary — which is exactly the
+// coordination a rollback needs. Recovery is the caller's: psra-worker
+// exits 5 on a trip, and its launcher restores the last snapshot every
+// rank holds by relaunching the world with -start-iter at that boundary
+// (Config.StartIter, the resume path).
 package wlg
 
 import (
-	"errors"
 	"fmt"
 
-	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
 )
@@ -101,65 +95,4 @@ func (w *wlgWatch) checkAgg(iter int, agg []float64) error {
 		return &DivergedError{Rank: w.rank, Iter: iter, Reason: trip.Reason}
 	}
 	return nil
-}
-
-// RecoveryOptions parameterizes RunWithRecovery's rollback ladder.
-type RecoveryOptions struct {
-	// Rollback is invoked after a divergence teardown. It must restore
-	// every rank's algorithm state to a consistent iteration boundary (the
-	// last good checkpoint) and return the iteration the relaunched world
-	// resumes from. ok=false means there is nothing to roll back to, which
-	// turns the trip into the run's error.
-	Rollback func(trip *DivergedError) (startIter int, ok bool, err error)
-	// MaxRollbacks bounds the ladder; 0 means the watchdog config default.
-	MaxRollbacks int
-}
-
-// RunWithRecovery is Run with the divergence ladder on top: it launches a
-// full world via mkFab (a fresh fabric per attempt — the previous one was
-// torn down by the fail-fast abort), and when the run dies of a
-// *DivergedError it rolls back through opts.Rollback and relaunches with
-// StartIter at the restored boundary, up to the rollback budget. Every
-// other failure, and a trip past the budget, is returned as-is. The
-// returned RunInfo records how many rollbacks the run survived.
-func RunWithRecovery(mkFab func() (transport.Fabric, error), cfg Config, funcs func(rank int) WorkerFuncs, opts RecoveryOptions) (*RunInfo, error) {
-	maxRB := opts.MaxRollbacks
-	if maxRB <= 0 {
-		maxRB = cfg.Watchdog.Fill().MaxRollbacks
-	}
-	rollbacks := 0
-	for {
-		fab, err := mkFab()
-		if err != nil {
-			return nil, fmt.Errorf("wlg: recovery fabric: %w", err)
-		}
-		info, err := RunWithInfo(fab, cfg, funcs)
-		fab.Close()
-		if err == nil {
-			info.Rollbacks = rollbacks
-			return info, nil
-		}
-		var trip *DivergedError
-		if !errors.As(err, &trip) {
-			return nil, err
-		}
-		if rollbacks >= maxRB {
-			return nil, fmt.Errorf("wlg: giving up after %d rollbacks: %w", rollbacks, err)
-		}
-		if opts.Rollback == nil {
-			return nil, fmt.Errorf("wlg: no rollback handler: %w", err)
-		}
-		start, ok, rerr := opts.Rollback(trip)
-		if rerr != nil {
-			return nil, fmt.Errorf("wlg: rollback after %v: %w", err, rerr)
-		}
-		if !ok {
-			return nil, fmt.Errorf("wlg: no checkpoint to roll back to: %w", err)
-		}
-		if start < 0 || start > trip.Iter {
-			return nil, fmt.Errorf("wlg: rollback returned boundary %d outside [0, %d]", start, trip.Iter)
-		}
-		rollbacks++
-		cfg.StartIter = start
-	}
 }

@@ -21,7 +21,7 @@ func TestWLGWatchdogTripsTyped(t *testing.T) {
 	fab := transport.NewChanFabric(WorldSize(topo))
 	defer fab.Close()
 	dim := 4
-	err := Run(fab, cfg, func(rank int) WorkerFuncs {
+	_, err := RunWithInfo(fab, cfg, func(rank int) WorkerFuncs {
 		return WorkerFuncs{
 			ComputeW: func(iter int) []float64 {
 				v := rankVec(dim, rank)
@@ -58,7 +58,7 @@ func TestWLGWatchdogMagnitudeExplosion(t *testing.T) {
 	fab := transport.NewChanFabric(WorldSize(topo))
 	defer fab.Close()
 	dim := 4
-	err := Run(fab, cfg, func(rank int) WorkerFuncs {
+	_, err := RunWithInfo(fab, cfg, func(rank int) WorkerFuncs {
 		return WorkerFuncs{
 			ComputeW: func(iter int) []float64 {
 				v := make([]float64, dim)
@@ -112,12 +112,12 @@ func TestWLGElasticWatchdogTrips(t *testing.T) {
 	}
 }
 
-// TestWLGRecoveryRollsBackAndConverges is the runtime half of the
-// tentpole's acceptance: a NaN poisoned into one rank's contribution
-// mid-run trips every rank's watchdog, RunWithRecovery restores the last
-// checkpoint every rank holds and relaunches the world with StartIter at
-// that boundary (the resume path), and — the injection firing once — the
-// replayed run converges to the fixpoint within 1e-3.
+// TestWLGRecoveryRollsBackAndConverges: a NaN poisoned into one rank's
+// contribution mid-run trips the watchdog, and RunWithInfo returns the
+// *DivergedError. Restoring the newest checkpoint every rank holds and
+// running the world again with StartIter at that boundary — the relaunch
+// psra-worker's exit 5 asks for — replays the run (the injection fires
+// once) to the fixpoint within 1e-3.
 //
 // The algorithm is consensus averaging with per-rank pull targets:
 // x_r ← (Σx/n + t_r)/2, whose fixpoint is x_r* = (mean(t) + t_r)/2.
@@ -137,7 +137,7 @@ func TestWLGRecoveryRollsBackAndConverges(t *testing.T) {
 		targets[r] = float64(r + 1)
 	}
 	var poisoned atomic.Bool
-	var mu sync.Mutex // guards cks: saves race with nothing but be explicit
+	var mu sync.Mutex // guards cks: ranks save from their own goroutines
 
 	funcs := func(rank int) WorkerFuncs {
 		return WorkerFuncs{
@@ -160,43 +160,42 @@ func TestWLGRecoveryRollsBackAndConverges(t *testing.T) {
 			},
 		}
 	}
-	rollback := func(trip *DivergedError) (int, bool, error) {
-		// Restore the newest boundary EVERY rank checkpointed at or before
-		// the trip: ranks run slightly out of lockstep, so the common
-		// boundary is the consistent cut.
-		mu.Lock()
-		defer mu.Unlock()
-		for b := trip.Iter - trip.Iter%every; b > 0; b -= every {
-			all := true
-			for r := range cks {
-				if _, ok := cks[r][b]; !ok {
-					all = false
-					break
-				}
-			}
-			if all {
-				for r := range cks {
-					copy(xs[r], cks[r][b])
-				}
-				return b, true, nil
-			}
-		}
-		return 0, false, nil
-	}
-	mkFab := func() (transport.Fabric, error) {
-		return transport.NewChanFabric(WorldSize(topo)), nil
+	run := func() error {
+		fab := transport.NewChanFabric(WorldSize(topo))
+		defer fab.Close()
+		_, err := RunWithInfo(fab, cfg, funcs)
+		return err
 	}
 
-	info, err := RunWithRecovery(mkFab, cfg, funcs, RecoveryOptions{Rollback: rollback})
-	if err != nil {
-		t.Fatalf("recovery run failed: %v", err)
+	var trip *DivergedError
+	if err := run(); !errors.As(err, &trip) {
+		t.Fatalf("poisoned run returned %v, want a *DivergedError", err)
 	}
-	if info.Rollbacks != 1 {
-		t.Fatalf("Rollbacks = %d, want exactly 1", info.Rollbacks)
+	// Restore the newest boundary EVERY rank checkpointed at or before the
+	// trip: ranks run slightly out of lockstep, so the common boundary is
+	// the consistent cut.
+	start := 0
+	for b := trip.Iter - trip.Iter%every; b > 0 && start == 0; b -= every {
+		all := true
+		for r := range cks {
+			_, ok := cks[r][b]
+			all = all && ok
+		}
+		if all {
+			for r := range cks {
+				copy(xs[r], cks[r][b])
+			}
+			start = b
+		}
 	}
-	if !poisoned.Load() {
-		t.Fatal("the injection never fired")
+	if start == 0 {
+		t.Fatalf("no checkpoint every rank holds before the trip at iteration %d", trip.Iter)
 	}
+	cfg.StartIter = start
+	if err := run(); err != nil {
+		t.Fatalf("relaunch from iteration %d: %v", start, err)
+	}
+
 	mean := 0.0
 	for _, tv := range targets {
 		mean += tv
@@ -209,59 +208,5 @@ func TestWLGRecoveryRollsBackAndConverges(t *testing.T) {
 				t.Fatalf("rank %d slot %d = %v after recovery, want %v ± 1e-3", r, j, got, want)
 			}
 		}
-	}
-}
-
-// TestWLGRecoveryCleanRun: the recovery wrapper on a healthy run is a
-// plain run — zero rollbacks, no fabric churn beyond the one launch.
-func TestWLGRecoveryCleanRun(t *testing.T) {
-	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 1}
-	cfg := Config{Topo: topo, MaxIter: 5, Watchdog: watchdog.Config{Enabled: true}}
-	launches := 0
-	info, err := RunWithRecovery(func() (transport.Fabric, error) {
-		launches++
-		return transport.NewChanFabric(WorldSize(topo)), nil
-	}, cfg, func(rank int) WorkerFuncs {
-		return WorkerFuncs{
-			ComputeW: func(int) []float64 { return rankVec(2, rank) },
-			ApplyW:   func(int, []float64, int) {},
-		}
-	}, RecoveryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Rollbacks != 0 || launches != 1 {
-		t.Fatalf("clean run: rollbacks=%d launches=%d, want 0/1", info.Rollbacks, launches)
-	}
-}
-
-// TestWLGRecoveryBudgetExhausted: a persistent poison (re-fires on every
-// replay) burns the rollback budget and then surfaces as the typed error.
-func TestWLGRecoveryBudgetExhausted(t *testing.T) {
-	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 1}
-	cfg := Config{Topo: topo, MaxIter: 10, Watchdog: watchdog.Config{Enabled: true, MaxRollbacks: 2}}
-	rolls := 0
-	_, err := RunWithRecovery(func() (transport.Fabric, error) {
-		return transport.NewChanFabric(WorldSize(topo)), nil
-	}, cfg, func(rank int) WorkerFuncs {
-		return WorkerFuncs{
-			ComputeW: func(iter int) []float64 {
-				v := rankVec(2, rank)
-				if rank == 0 && iter == 4 {
-					v[0] = math.NaN() // deterministic fault: replay re-trips
-				}
-				return v
-			},
-			ApplyW: func(int, []float64, int) {},
-		}
-	}, RecoveryOptions{Rollback: func(trip *DivergedError) (int, bool, error) {
-		rolls++
-		return 0, true, nil // "restore" to iteration 0 — state is stateless here
-	}})
-	if !errors.Is(err, watchdog.ErrDiverged) {
-		t.Fatalf("exhausted budget not typed as divergence: %v", err)
-	}
-	if rolls != 2 {
-		t.Fatalf("rollback handler ran %d times, want MaxRollbacks=2", rolls)
 	}
 }

@@ -22,9 +22,9 @@
 // and every byte count are a function of group composition alone.
 //
 // The runtime is algorithm-agnostic: the ADMM math is supplied through
-// callbacks, so the same machinery serves PSRA-HGADMM, its flat PSRA-ADMM
-// special case (threshold = all nodes), and the lasso example. It runs
-// identically over the in-process channel fabric and the TCP fabric.
+// callbacks, so the same machinery serves PSRA-HGADMM and its flat
+// PSRA-ADMM special case (threshold = all nodes). It runs identically over
+// the in-process channel fabric and the TCP fabric.
 package wlg
 
 import (
@@ -138,13 +138,13 @@ type Config struct {
 	// from the round's sum, not replayed from cache: the runtime has no
 	// cached w_i, so MinBarrier here bounds WAIT, and the contributor
 	// count that travels with every aggregate keeps the averaging exact.
-	// Only consulted when Elastic is set.
+	// Requires Elastic: the fail-stop gather is a full barrier.
 	MinBarrier int
 	// MaxDelay bounds a member's consecutive skipped rounds (the paper's
 	// Max_delay): a member already MaxDelay rounds stale is waited on
 	// with the full Retry budget even after the barrier is met, so no
 	// rank's staleness grows without bound. 0 defaults to 5, the paper's
-	// setting. Only meaningful with MinBarrier > 0.
+	// setting. A positive MaxDelay requires MinBarrier > 0.
 	MaxDelay int
 	// Watchdog enables per-rank divergence detection: each worker scans
 	// its own contribution and every received aggregate for NaN/Inf and
@@ -152,14 +152,13 @@ type Config struct {
 	// sees residuals — those are the algorithm's business — so the
 	// watchdog monitors the vectors that actually cross the wire). A trip
 	// surfaces as a typed *DivergedError before ApplyW runs, so poisoned
-	// aggregates never reach algorithm state; RunWithRecovery turns that
-	// abort into a coordinated checkpoint rollback. See recover.go.
+	// aggregates never reach algorithm state; the caller recovers by
+	// relaunching from the last snapshot with StartIter. See recover.go.
 	Watchdog watchdog.Config
 	// Aggregator selects the consensus statistic the elastic Group
-	// Generator applies when it flushes a group (collective.AggNames):
-	// "mean" (the default — the exact sum path, bit-identical to the
-	// pre-aggregator runtime), "trimmed-mean", or "coordinate-median".
-	// Robust statistics are non-associative, so they require Elastic mode,
+	// Generator applies when it flushes a group: "mean" (the default — the
+	// exact sum path, bit-identical to the pre-aggregator runtime),
+	// "trimmed-mean", or "coordinate-median". Robust statistics are non-associative, so they require Elastic mode,
 	// where the GG is the runtime's single combine point; the fail-stop
 	// leader-to-leader PSR-Allreduce is sum-only. Granularity is the
 	// node: a group's entries are per-node sums, so one Byzantine worker
@@ -235,8 +234,14 @@ func (c Config) Validate() error {
 	if c.MinBarrier > c.Topo.Size() {
 		return fmt.Errorf("wlg: MinBarrier %d exceeds the worker count %d", c.MinBarrier, c.Topo.Size())
 	}
+	if c.MinBarrier > 0 && !c.Elastic {
+		return fmt.Errorf("wlg: MinBarrier requires Elastic mode (the fail-stop gather is a full barrier)")
+	}
 	if c.MaxDelay < 0 {
 		return fmt.Errorf("wlg: MaxDelay must be non-negative, got %d", c.MaxDelay)
+	}
+	if c.MaxDelay > 0 && c.MinBarrier == 0 {
+		return fmt.Errorf("wlg: MaxDelay requires MinBarrier > 0 (only a partial barrier skips laggards whose staleness it bounds)")
 	}
 	if err := c.Watchdog.Validate(); err != nil {
 		return fmt.Errorf("wlg: %w", err)
@@ -440,8 +445,11 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 	return nil
 }
 
-// Run executes a complete WLG world — every worker plus the Group
-// Generator — over the given fabric. Without cfg.Elastic the semantics are
+// RunWithInfo executes a complete WLG world — every worker plus the Group
+// Generator — over the given fabric, and returns the degradation summary:
+// how many workers survived to the end, how many died, and how many
+// contributions the Leaders' gathers skipped (on a fail-stop success,
+// trivially "everyone lived"). Without cfg.Elastic the semantics are
 // fail-fast: the first rank to return an error (a transport.PeerDownError
 // from a crashed peer, a closed endpoint, a malformed request) closes the
 // whole fabric, so every other rank unblocks instead of waiting on
@@ -452,15 +460,6 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 // worker's algorithm callbacks. The returned error is the first causal
 // failure; ErrClosed noise from the abort itself is suppressed in its
 // favor.
-func Run(fab transport.Fabric, cfg Config, funcs func(rank int) WorkerFuncs) error {
-	_, err := RunWithInfo(fab, cfg, funcs)
-	return err
-}
-
-// RunWithInfo is Run plus the degradation summary: how many workers
-// survived to the end, how many died, and how many contributions the
-// Leaders' gathers skipped. On a fail-stop (non-elastic) success the
-// summary is trivially "everyone lived".
 func RunWithInfo(fab transport.Fabric, cfg Config, funcs func(rank int) WorkerFuncs) (*RunInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
