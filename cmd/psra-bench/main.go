@@ -6,8 +6,6 @@
 //	psra-bench -experiment fig6 -csv      # system-time sweep as CSV
 //	psra-bench -experiment fig7 -iters 40 # straggler study, shorter runs
 //	psra-bench -list                      # enumerate experiments
-//	psra-bench -perf BENCH_psra.json      # per-layer perf suite → JSON
-//	psra-bench -check BENCH_psra.json     # rerun and fail on regressions
 package main
 
 import (
@@ -28,24 +26,18 @@ func main() {
 		rho        = flag.Float64("rho", 1, "ADMM penalty parameter ρ")
 		lambda     = flag.Float64("lambda", 1, "L1 regularization weight λ (paper: 1)")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		perf       = flag.String("perf", "", "run the per-layer steady-state perf suite and write a JSON report to this path (the committed BENCH_psra.json)")
-		check      = flag.String("check", "", "rerun the perf suite and fail if allocs/op grew or a shard-scale row's bytes changed versus the committed report at this path")
 	)
 	flag.Parse()
 
-	if *check != "" {
-		if err := bench.CheckPerfReport(*check, os.Stdout, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "psra-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perf != "" {
-		if err := bench.WritePerfReport(*perf, os.Stdout, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "psra-bench:", err)
-			os.Exit(1)
-		}
-		return
+	// bench.Options replaces a non-positive value with its default, so a bad
+	// flag is refused here rather than silently run as something else.
+	switch {
+	case *iters < 0:
+		fail(fmt.Errorf("-iters %d: must be >= 0 (0 picks the default)", *iters))
+	case !(*rho > 0):
+		fail(fmt.Errorf("-rho %v: must be > 0", *rho))
+	case !(*lambda > 0):
+		fail(fmt.Errorf("-lambda %v: must be > 0", *lambda))
 	}
 	if *list {
 		for _, e := range bench.Experiments() {
@@ -63,7 +55,11 @@ func main() {
 		Lambda:  *lambda,
 	}
 	if err := bench.RunExperiment(*experiment, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "psra-bench:", err)
-		os.Exit(1)
+		fail(err)
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "psra-bench:", err)
+	os.Exit(1)
 }

@@ -1,10 +1,12 @@
 package collective
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"psrahgadmm/internal/raceflag"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 )
@@ -20,64 +22,99 @@ func benchSparseVec(r *rand.Rand, dim int, density float64) *sparse.Vector {
 	return v
 }
 
-// BenchmarkPSRAllreduceSparse drives the paper's sparse allreduce — the
-// engine's per-round reduce — across a 4-member chan-fabric world with
-// persistent per-member workspaces, the exact setup the core crew keeps
-// warm. allocs/op is the whole world's per-round allocation.
-func BenchmarkPSRAllreduceSparse(b *testing.B) {
-	benchAllreduceSparse(b, transport.NewChanFabric(4), func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error {
-		_, err := ws.PSRAllreduceSparse(ep, g, 64, in, out)
-		return err
-	})
+// memberWorld is n persistent member goroutines on the zero-copy fabric,
+// each holding its own Workspace, input and output across rounds — the
+// engine crew's steady state. A round signals every member once and waits
+// for all of them: spawning the goroutines per round would charge the
+// harness's own allocations to the collective. newMemberWorld returns it
+// warmed by three rounds, so every buffer has grown to its working size.
+type memberWorld struct {
+	starts []chan struct{}
+	wg     sync.WaitGroup
 }
 
-// BenchmarkPSRAllreduceSparse64 is the same round among 64 members on the
-// zero-copy fabric, the world of engine-wide-64: 8 064 messages of a few
-// hundred bytes, so the fabric and the per-message bookkeeping are the
-// cost, not the reduce (and, on the copying fabric, not 24 000 clones).
-func BenchmarkPSRAllreduceSparse64(b *testing.B) {
-	benchAllreduceSparse(b, transport.NewChanFabricZeroCopy(64), func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error {
-		_, err := ws.PSRAllreduceSparse(ep, g, 64, in, out)
-		return err
+func newMemberWorld(tb testing.TB, n int, call sparseAllreduce) *memberWorld {
+	fab := transport.NewChanFabricZeroCopy(n)
+	g := WorldGroup(n)
+	r := rand.New(rand.NewSource(21))
+	w := &memberWorld{starts: make([]chan struct{}, n)}
+	for m := range w.starts {
+		ws, ep := new(Workspace), fab.Endpoint(m)
+		in, out := benchSparseVec(r, 1<<14, 0.05), new(sparse.Vector)
+		start := make(chan struct{}, 1)
+		w.starts[m] = start
+		go func() {
+			for range start {
+				if _, err := call(ws, ep, g, 64, in, out); err != nil {
+					tb.Error(err)
+				}
+				w.wg.Done()
+			}
+		}()
+	}
+	tb.Cleanup(func() {
+		for _, start := range w.starts {
+			close(start)
+		}
+		fab.Close()
 	})
+	for i := 0; i < 3; i++ {
+		w.round()
+	}
+	return w
+}
+
+// round runs one collective call on every member.
+func (w *memberWorld) round() {
+	w.wg.Add(len(w.starts))
+	for _, start := range w.starts {
+		start <- struct{}{}
+	}
+	w.wg.Wait()
+}
+
+func benchMemberWorld(b *testing.B, n int, call sparseAllreduce) {
+	w := newMemberWorld(b, n, call)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.round()
+	}
+}
+
+// TestPSRAllreduceSparseAllocatesNothing: a warmed round of the sparse PSR
+// allreduce allocates nothing across the whole world, at 4 members and at
+// the 64 of engine-wide-64, where a round is 8 064 small messages.
+func TestPSRAllreduceSparseAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, n := range []int{4, 64} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			w := newMemberWorld(t, n, (*Workspace).PSRAllreduceSparse)
+			if a := testing.AllocsPerRun(20, w.round); a != 0 {
+				t.Fatalf("warmed %d-member round allocates %v objects, want 0", n, a)
+			}
+		})
+	}
+}
+
+// BenchmarkPSRAllreduceSparse drives the paper's sparse allreduce — the
+// engine's per-round reduce — across a 4-member world. allocs/op is the
+// whole world's per-round allocation.
+func BenchmarkPSRAllreduceSparse(b *testing.B) {
+	benchMemberWorld(b, 4, (*Workspace).PSRAllreduceSparse)
+}
+
+// BenchmarkPSRAllreduceSparse64 is the same round among 64 members, the
+// world of engine-wide-64: 8 064 messages of a few hundred bytes, so the
+// fabric and the per-message bookkeeping are the cost, not the reduce.
+func BenchmarkPSRAllreduceSparse64(b *testing.B) {
+	benchMemberWorld(b, 64, (*Workspace).PSRAllreduceSparse)
 }
 
 // BenchmarkRingAllreduceSparse is the GR-ADMM ring schedule at the same
 // size, for direct comparison.
 func BenchmarkRingAllreduceSparse(b *testing.B) {
-	benchAllreduceSparse(b, transport.NewChanFabric(4), func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error {
-		_, err := ws.RingAllreduceSparse(ep, g, 64, in, out)
-		return err
-	})
-}
-
-func benchAllreduceSparse(b *testing.B, fab *transport.ChanFabric, call func(ws *Workspace, ep transport.Endpoint, g Group, in, out *sparse.Vector) error) {
-	defer fab.Close()
-	n := fab.Size()
-	g := WorldGroup(n)
-	r := rand.New(rand.NewSource(21))
-	wss := make([]Workspace, n)
-	ins := make([]*sparse.Vector, n)
-	outs := make([]*sparse.Vector, n)
-	eps := make([]transport.Endpoint, n)
-	for i := 0; i < n; i++ {
-		ins[i] = benchSparseVec(r, 1<<14, 0.05)
-		outs[i] = new(sparse.Vector)
-		eps[i] = fab.Endpoint(i)
-	}
-	var wg sync.WaitGroup
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wg.Add(n)
-		for m := 0; m < n; m++ {
-			go func(m int) {
-				defer wg.Done()
-				if err := call(&wss[m], eps[m], g, ins[m], outs[m]); err != nil {
-					b.Error(err)
-				}
-			}(m)
-		}
-		wg.Wait()
-	}
+	benchMemberWorld(b, 4, (*Workspace).RingAllreduceSparse)
 }

@@ -53,7 +53,7 @@ func denseInputs(r *rand.Rand, n, dim int) ([][]float64, []float64) {
 		for j := range xs[i] {
 			xs[i][j] = r.NormFloat64()
 		}
-		vec.AddInto(want, xs[i])
+		vec.Axpy(1, xs[i], want)
 	}
 	return xs, want
 }
@@ -68,7 +68,7 @@ func sparseInputs(r *rand.Rand, n, dim int, density float64) ([]*sparse.Vector, 
 				vs[i].Append(int32(j), r.NormFloat64())
 			}
 		}
-		vec.AddInto(want, vs[i].ToDense())
+		vec.Axpy(1, vs[i].ToDense(), want)
 	}
 	return vs, want
 }
@@ -175,7 +175,7 @@ func TestDenseAllreduceSubgroup(t *testing.T) {
 	xs, _ := denseInputs(r, n, 40)
 	want := make([]float64, 40)
 	for _, m := range g.Ranks {
-		vec.AddInto(want, xs[m])
+		vec.Axpy(1, xs[m], want)
 	}
 	for name, ar := range denseAllreduces() {
 		t.Run(name, func(t *testing.T) {

@@ -547,6 +547,8 @@ func TestParseAgg(t *testing.T) {
 // TestCombineSparseMeanAllocBudget pins CombineSparse's mean form: the
 // member-order accumulator sum, bit for bit (NOT robustCenter's
 // sort-then-divide mean × n), and free of allocation on a warmed workspace.
+// The trimmed mean the robust reducer runs, over 8 contributors, is held
+// to the same zero.
 func TestCombineSparseMeanAllocBudget(t *testing.T) {
 	const n, dim = 6, 257
 	r := rand.New(rand.NewSource(23))
@@ -576,6 +578,12 @@ func TestCombineSparseMeanAllocBudget(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, func() { out = ws.CombineSparse(AggSpec{}, dim, vs, out) }); a != 0 {
 		t.Fatalf("warmed mean CombineSparse allocates %v objects per call, want 0", a)
+	}
+
+	trimmed := AggSpec{Kind: AggTrimmedMean, TrimF: 1}
+	vs8, _ := sparseInputs(r, 8, 1<<12, 0.05)
+	if a := testing.AllocsPerRun(20, func() { out = ws.CombineSparse(trimmed, 1<<12, vs8, out) }); a != 0 {
+		t.Fatalf("warmed trimmed-mean CombineSparse allocates %v objects per call, want 0", a)
 	}
 }
 

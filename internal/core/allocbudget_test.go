@@ -52,10 +52,10 @@ func marginalAllocs(t *testing.T, base Config, train *dataset.Dataset, n1, n2 in
 
 // TestSteadyStateAllocBudget pins the tentpole guarantee: a warmed
 // steady-state iteration of the flat-PSR / BSP / sparse engine — the
-// repo's allocation benchmark composition — stays within a small fixed
-// heap budget. Guards the reuse discipline of DESIGN.md "Memory model &
-// buffer ownership"; a regression here means some per-round buffer went
-// back on the heap.
+// repo's allocation benchmark composition — allocates nothing: under one
+// object per iteration, so no per-round allocation survives. Guards the
+// reuse discipline of DESIGN.md "Memory model & buffer ownership"; a
+// regression here means some per-round buffer went back on the heap.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -64,11 +64,10 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	cfg := baseConfig(PSRAADMM, 3, 2)
 	cfg.EvalEvery = 1 << 20 // objective eval is off the steady-state path
 
-	const budget = 8.0
 	got := marginalAllocs(t, cfg, train, 30, 130)
-	t.Logf("steady-state allocations: %.2f objects/iter (budget %g)", got, budget)
-	if got > budget {
-		t.Fatalf("steady-state allocations: %.2f objects/iter exceeds budget %g", got, budget)
+	t.Logf("steady-state allocations: %.2f objects/iter (budget < 1)", got)
+	if got >= 1 {
+		t.Fatalf("steady-state allocations: %.2f objects/iter, want < 1", got)
 	}
 }
 

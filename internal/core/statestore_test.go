@@ -24,7 +24,7 @@ func blockView(w *worker, b int) []float64 {
 // assembleDense is the body assembleInto had while it cost the dimension:
 // every live subscriber's dense view added in rank order, then averaged.
 func assembleDense(s *stateStore, out []float64, alive func(rank int) bool) {
-	vec.Zero(out)
+	clear(out)
 	for b := 0; b < s.smap.Part.Blocks; b++ {
 		dst := out[s.offs[b]:s.offs[b+1]]
 		n := 0
@@ -32,7 +32,7 @@ func assembleDense(s *stateStore, out []float64, alive func(rank int) bool) {
 			if !alive(int(r)) {
 				continue
 			}
-			vec.AddInto(dst, blockView(s.env.ws[r], b))
+			vec.Axpy(1, blockView(s.env.ws[r], b), dst)
 			n++
 		}
 		if n > 0 {

@@ -27,7 +27,7 @@ import (
 // dimension, verbatim: cleared at full width, every block scaled at full
 // width by a fresh count of its live subscribers.
 func assembleRef(s *stateStore, out []float64, alive func(rank int) bool) {
-	vec.Zero(out)
+	clear(out)
 	for r, w := range s.env.ws {
 		if alive(r) {
 			w.zSparse.AddIntoDense(out, 1)

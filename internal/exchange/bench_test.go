@@ -20,8 +20,8 @@ func benchSparse(r *rand.Rand, dim int, density float64) *sparse.Vector {
 }
 
 // BenchmarkCodecEncodeSparse measures the in-place wire rounding every
-// contribution pays before entering a collective, per codec kind. All
-// kinds must stay allocation-free: encode works in the caller's buffer.
+// contribution pays before entering a collective, per codec kind
+// (TestEncodeSparseAllocFree holds every kind at 0 allocations).
 func BenchmarkCodecEncodeSparse(b *testing.B) {
 	for _, k := range Kinds() {
 		b.Run(string(k), func(b *testing.B) {

@@ -27,6 +27,25 @@ func TestForCoversEveryKind(t *testing.T) {
 	}
 }
 
+// TestEncodeSparseAllocFree: every codec rounds a contribution in the
+// caller's buffer, so a warmed EncodeSparse allocates nothing, whatever the
+// kind.
+func TestEncodeSparseAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, k := range Kinds() {
+		c, err := For(k)
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		v := benchSparse(rand.New(rand.NewSource(7)), 1<<12, 0.05)
+		if a := testing.AllocsPerRun(20, func() { c.EncodeSparse(v) }); a != 0 {
+			t.Errorf("%s: warmed EncodeSparse allocates %v objects, want 0", k, a)
+		}
+	}
+}
+
 func TestDenseExchangeFlag(t *testing.T) {
 	for k, want := range map[Kind]bool{
 		Sparse: false, SparseQ8: false, SparseQ16: false,

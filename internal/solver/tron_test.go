@@ -440,7 +440,7 @@ func refTron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronRe
 }
 
 func refSteihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts TronOptions, res *TronResult) bool {
-	vec.Zero(s)
+	clear(s)
 	for i, gv := range g { // vec.ScaleTo(r, -1, g): r = −g
 		r[i] = -1 * gv
 	}

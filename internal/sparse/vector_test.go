@@ -114,7 +114,7 @@ func TestMergeAgainstDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := a.ToDense()
-		vec.AddInto(want, b.ToDense())
+		vec.Axpy(1, b.ToDense(), want)
 		if !vec.Equal(m.ToDense(), want) {
 			t.Fatalf("Merge mismatch")
 		}
@@ -175,7 +175,7 @@ func TestAccumulatorMatchesDenseSum(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		v := randSparse(r, dim, 0.2)
 		acc.Add(v)
-		vec.AddInto(want, v.ToDense())
+		vec.Axpy(1, v.ToDense(), want)
 	}
 	got := acc.Sum()
 	if err := got.Check(); err != nil {

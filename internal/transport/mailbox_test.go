@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"psrahgadmm/internal/raceflag"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/wire"
 )
 
@@ -330,7 +332,7 @@ func TestMailboxReopenUnderConcurrentSenders(t *testing.T) {
 // only when the wait has to park, on every fabric — collective.RecvRetry
 // asks for every message with one, and nearly all of them are already
 // there — and a matched Recv, the collectives' receive, allocates nothing
-// either.
+// either; nor does a 63-sender fan-in, send side included.
 func TestRecvTimeoutQueuedMessageAllocatesNothing(t *testing.T) {
 	const runs = 200
 	for name, build := range map[string]func(t *testing.T) []Endpoint{
@@ -387,6 +389,38 @@ func TestRecvTimeoutQueuedMessageAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+	// One member's view of a 64-rank PSR round: 63 peers each deliver a
+	// small frame, then the owner receives them all from anyone. Delivery
+	// appends to the inbox and the drain trades it with pending, so a warm
+	// fan-in allocates nothing on either side.
+	t.Run("chan-fanin-64", func(t *testing.T) {
+		if raceflag.Enabled {
+			t.Skip("allocation counts are inflated under -race")
+		}
+		const n = 64
+		f := NewChanFabricZeroCopy(n)
+		defer f.Close()
+		v := sparse.NewVector(256, 0)
+		for i := int32(0); i < 256; i += 20 {
+			v.Append(i, float64(i))
+		}
+		msg := wire.SparseMsg(7, v)
+		allocs := testing.AllocsPerRun(runs, func() {
+			for s := 1; s < n; s++ {
+				if err := f.Endpoint(s).Send(0, msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for s := 1; s < n; s++ {
+				if _, err := f.Endpoint(0).Recv(AnySource, 7); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("a warm 63-sender fan-in allocates %v objects, want 0", allocs)
+		}
+	})
 }
 
 // TestPendingMatchBeatsEveryStop: a message the owner already drained into

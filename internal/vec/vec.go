@@ -1,7 +1,7 @@
 // Package vec provides the dense float64 vector kernels used throughout the
 // PSRA-HGADMM library: BLAS-level-1 style operations (axpy, dot, scale,
 // norms), numerically careful summation, and small helpers for cloning and
-// zeroing. All functions operate on plain []float64 so callers can slice
+// comparing. All functions operate on plain []float64 so callers can slice
 // blocks out of larger buffers without copies, which the collective
 // communication layer relies on heavily.
 //
@@ -41,16 +41,6 @@ func Axpy(alpha float64, x, y []float64) {
 func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
-	}
-}
-
-// AddInto accumulates src into dst: dst += src.
-func AddInto(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("vec: AddInto length mismatch")
-	}
-	for i, sv := range src {
-		dst[i] += sv
 	}
 }
 
@@ -120,13 +110,6 @@ func DistSq(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Zero sets every element of x to 0.
-func Zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
 }
 
 // Clone returns a newly allocated copy of x.

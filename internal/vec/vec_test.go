@@ -74,15 +74,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestAddInto(t *testing.T) {
-	a := []float64{1, 2}
-	dst := []float64{2, 3}
-	AddInto(dst, a)
-	if !Equal(dst, []float64{3, 5}) {
-		t.Fatalf("AddInto = %v", dst)
-	}
-}
-
 func TestNorms(t *testing.T) {
 	x := []float64{3, -4}
 	if got := Nrm2(x); !almostEq(got, 5, 1e-15) {
@@ -138,13 +129,10 @@ func TestDistSq(t *testing.T) {
 	}
 }
 
-func TestZeroFillClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	x := []float64{1, 2, 3}
 	c := Clone(x)
-	Zero(x)
-	if !Equal(x, []float64{0, 0, 0}) {
-		t.Fatalf("Zero = %v", x)
-	}
+	clear(x)
 	if !Equal(c, []float64{1, 2, 3}) {
 		t.Fatalf("Clone shares backing array")
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"psrahgadmm/internal/raceflag"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/vec"
 )
@@ -82,6 +83,44 @@ func TestSparseRoundTrip(t *testing.T) {
 	}
 	if !vec.Equal(got.Sparse.ToDense(), sv.ToDense()) {
 		t.Fatal("sparse payload mismatch")
+	}
+}
+
+// TestDecodeIntoAllocFree: a TCP connection reader decodes each sparse
+// frame into a vector from its pool and reuses its frame scratch. On a
+// frame the size of a mesh-tcp-8 contribution, a warm decode allocates
+// nothing.
+func TestDecodeIntoAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	r := rand.New(rand.NewSource(8))
+	sv := sparse.NewVector(27103, 0)
+	for i := int32(0); i < 27103; i++ {
+		if r.Float64() < 0.66 {
+			sv.Append(i, r.NormFloat64())
+		}
+	}
+	frame, err := AppendMessage(nil, SparseMsg(7, sv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(frame)
+	var scratch []byte
+	reuse := new(sparse.Vector)
+	allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(frame)
+		var m Message
+		var err error
+		if m, scratch, err = DecodeInto(rd, scratch, reuse); err != nil || m.Sparse != reuse {
+			t.Fatalf("DecodeInto = %p, %v; want the reuse vector %p", m.Sparse, err, reuse)
+		}
+	})
+	if !vec.Equal(reuse.ToDense(), sv.ToDense()) {
+		t.Fatal("sparse payload mismatch")
+	}
+	if allocs != 0 {
+		t.Fatalf("warm DecodeInto allocates %v objects per frame, want 0", allocs)
 	}
 }
 
