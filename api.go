@@ -99,10 +99,11 @@ type (
 	// RollbackEvent records one watchdog-triggered checkpoint rollback
 	// (see Result.Rollbacks).
 	RollbackEvent = core.RollbackEvent
-	// ScreenConfig tunes the contribution screen (Config.Screen): per-rank
-	// outlier scoring of every contribution entering a consensus reduce,
-	// with sustained outliers quarantined and re-admitted after clean
-	// probes (see Config.QuarantineRounds).
+	// ScreenConfig switches the contribution screen (Config.Screen):
+	// per-rank outlier scoring of every contribution entering a consensus
+	// reduce, with sustained outliers quarantined and re-admitted after
+	// clean probes (see Config.QuarantineRounds). The screen's tuning is
+	// fixed; Enabled is its only field.
 	ScreenConfig = watchdog.ScreenConfig
 	// QuarantineEvent records one screen-triggered membership transition
 	// (see Result.Quarantines).

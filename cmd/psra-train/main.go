@@ -23,7 +23,6 @@ import (
 
 	psra "psrahgadmm"
 	"psrahgadmm/internal/dataset"
-	"psrahgadmm/internal/membership"
 	"psrahgadmm/internal/metrics"
 	"psrahgadmm/internal/prof"
 	"psrahgadmm/internal/transport"
@@ -70,7 +69,7 @@ func main() {
 		scale     = flag.Float64("scale", 0.002, "synthetic preset scale in (0,1]")
 		seed      = flag.Int64("seed", 1, "synthetic generation seed")
 		every     = flag.Int("every", 10, "print every k-th iteration")
-		jsonOut   = flag.String("json", "", "write the full run history as JSON to this file")
+		jsonOut   = flag.String("json", "", "write the run's record as JSON to this file: history, rollbacks, quarantines, corrupt retries and final membership")
 		codecKB   = flag.Int64("codec-budget-bytes", 0, "per-round wire budget for top-k codecs: k adapts to stay under it (0 = no budget)")
 		codecTopK = flag.Int("codec-topk", 0, "fixed selection size for top-k codecs, overriding the dim/2 default (0 = default)")
 		codecAge  = flag.Bool("codec-age-scoring", false, "top-k codecs: weight selection by residual age so starved coordinates eventually ship")
@@ -87,7 +86,6 @@ func main() {
 		trimF     = flag.Int("trim-f", 0, "trimmed-mean per-side trim count in ranks (0 = default 1 with trimmed-mean)")
 		screenOn  = flag.Bool("screen", false, "contribution screen: score every contribution against its rank's baseline and quarantine sustained outliers")
 		quarRnds  = flag.Int("quarantine-rounds", 0, "consecutive clean probes a quarantined rank needs for re-admission (0 = default 3)")
-		quarLog   = flag.String("quarantine-log", "", "write each quarantine as a binary evidence frame to this audit file")
 		ckDir     = flag.String("checkpoint-dir", "", "directory for periodic snapshots (enables checkpointing)")
 		ckEvery   = flag.Int("checkpoint-every", 10, "snapshot every k-th iteration (with -checkpoint-dir)")
 		resume    = flag.Bool("resume", false, "continue from the latest snapshot in -checkpoint-dir (fresh start if none)")
@@ -108,6 +106,9 @@ func main() {
 	}
 	if err := validateExplicitFlags(); err != nil {
 		fatal(err)
+	}
+	if *every < 1 {
+		fatal(fmt.Errorf("-every must be a positive integer, got %d", *every))
 	}
 	if err := profiles.Start(); err != nil {
 		fatal(err)
@@ -223,21 +224,6 @@ func main() {
 				ev.Rank, ev.Iter+1)
 		}
 	}
-	if *quarLog != "" {
-		var buf []byte
-		events := 0
-		for _, ev := range res.Quarantines {
-			if ev.Readmitted {
-				continue
-			}
-			buf = membership.QuarantineEvidence{Rank: ev.Rank, Iter: ev.Iter}.AppendBinary(buf)
-			events++
-		}
-		if err := os.WriteFile(*quarLog, buf, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("quarantine evidence written to %s (%d frames)\n", *quarLog, events)
-	}
 	if res.Degraded {
 		fmt.Printf("DEGRADED: %d of %d workers survived (membership epoch %d) — objective is the survivors' optimum\n",
 			res.LiveWorkers, cfg.Topo.Size(), res.Epoch)
@@ -254,7 +240,7 @@ func main() {
 		if err := res.WriteJSON(f); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("history written to %s\n", *jsonOut)
+		fmt.Printf("run record written to %s\n", *jsonOut)
 	}
 }
 

@@ -146,12 +146,10 @@ type Config struct {
 	// paper's protocol).
 	Tol float64
 	// AdaptiveRho enables residual-balancing penalty adaptation (the
-	// AADMM idea the paper cites): ρ×=RhoTau when ‖r‖ > RhoMu·‖s‖,
-	// ρ/=RhoTau in the opposite regime. The residual norms are globally
+	// AADMM idea the paper cites): ρ×=2 when ‖r‖ > 10·‖s‖, ρ/=2 in the
+	// opposite regime (see adaptRho). The residual norms are globally
 	// agreed scalars, so the extra communication is negligible.
 	AdaptiveRho bool
-	// RhoMu and RhoTau are the balancing parameters (defaults 10 and 2).
-	RhoMu, RhoTau float64
 	// Codec overrides the exchange codec for this run — e.g.
 	// exchange.SparseQ8, the Q-GADMM-style lossy option that quantizes every
 	// communicated w contribution to 8 value bits against a max-abs scale.
@@ -284,12 +282,6 @@ func (c *Config) fill() {
 	if c.GroupThreshold < 1 || c.GroupThreshold > c.Topo.Nodes {
 		c.GroupThreshold = c.Topo.Nodes
 	}
-	if c.RhoMu <= 0 {
-		c.RhoMu = 10
-	}
-	if c.RhoTau <= 1 {
-		c.RhoTau = 2
-	}
 	if c.QuarantineRounds <= 0 {
 		c.QuarantineRounds = 3
 	}
@@ -384,9 +376,6 @@ func (c Config) Validate() error {
 	if err := c.Watchdog.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := c.Screen.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	if c.QuarantineRounds < 0 {
 		return fmt.Errorf("core: QuarantineRounds must be non-negative, got %d", c.QuarantineRounds)
 	}
@@ -462,7 +451,7 @@ type IterStat struct {
 	// death, so equal epochs mean identical membership views.
 	Epoch int
 	// PeerDowns is the cumulative count of peer-death observations across
-	// all ranks (the per-rank counters live in metrics.Health).
+	// all ranks.
 	PeerDowns int64
 	// ResidentBytes is the largest per-rank consensus-state footprint this
 	// iteration: 8·(len(zStore)+len(xA)+len(yA)+len(zA)) over live ranks.
@@ -505,28 +494,31 @@ type Result struct {
 	// Quarantines records every contribution-screen quarantine and
 	// re-admission the run performed, in order.
 	Quarantines []QuarantineEvent
+	// CorruptRetries counts the consensus rounds retried because a wire
+	// frame failed its integrity check mid-collective.
+	CorruptRetries int
 }
 
 // QuarantineEvent is one screen-triggered membership transition.
 type QuarantineEvent struct {
 	// Rank is the affected world rank.
-	Rank int
+	Rank int `json:"rank"`
 	// Iter is the iteration boundary the transition took effect at.
-	Iter int
+	Iter int `json:"iter"`
 	// Readmitted distinguishes a clean-probe re-admission from the
 	// quarantine itself.
-	Readmitted bool
+	Readmitted bool `json:"readmitted"`
 }
 
 // RollbackEvent is one watchdog-triggered restore to a checkpoint.
 type RollbackEvent struct {
 	// TripIter is the iteration whose statistics tripped the watchdog.
-	TripIter int
+	TripIter int `json:"trip_iter"`
 	// ToIter is the iteration the run restarted from (the snapshot's
 	// boundary).
-	ToIter int
+	ToIter int `json:"to_iter"`
 	// Reason is the watchdog's trip description.
-	Reason string
+	Reason string `json:"reason"`
 }
 
 // FinalObjective returns the last evaluated objective value.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"psrahgadmm/internal/checkpoint"
-	"psrahgadmm/internal/metrics"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/watchdog"
 )
@@ -16,7 +15,7 @@ import (
 // detected-and-dropped frame aborts the round attempt, the retry re-ships
 // everything under a fresh tag window, failed attempts charge no virtual
 // time, so the chaos run's history must be BIT-IDENTICAL to the fault-free
-// run's. CorruptRounds > 0 proves the injection actually fired (the test
+// run's. CorruptRetries > 0 proves the injection actually fired (the test
 // would pass vacuously otherwise).
 func TestCorruptChaosDetectedAndRetried(t *testing.T) {
 	train, test := testData(t, 160)
@@ -35,12 +34,11 @@ func TestCorruptChaosDetectedAndRetried(t *testing.T) {
 
 			cfg := mk()
 			cfg.Faults = &transport.FaultPlan{Seed: 41, CorruptProb: 0.05}
-			health := metrics.NewHealth(cfg.Topo.Size())
-			chaos, err := Run(cfg, train, RunOptions{Test: test, Health: health})
+			chaos, err := Run(cfg, train, RunOptions{Test: test})
 			if err != nil {
 				t.Fatalf("corruption chaos aborted: %v", err)
 			}
-			if health.CorruptRounds.Get() == 0 {
+			if chaos.CorruptRetries == 0 {
 				t.Fatal("no corrupt round was ever retried — the injection never fired")
 			}
 			if len(chaos.History) != len(clean.History) {
@@ -52,7 +50,7 @@ func TestCorruptChaosDetectedAndRetried(t *testing.T) {
 						i, chaos.History[i], clean.History[i])
 				}
 			}
-			t.Logf("%s: %d corrupt rounds retried, history bit-identical", alg, health.CorruptRounds.Get())
+			t.Logf("%s: %d corrupt rounds retried, history bit-identical", alg, chaos.CorruptRetries)
 		})
 	}
 }
@@ -73,13 +71,12 @@ func TestCorruptAtIterationFiresOnce(t *testing.T) {
 	}
 	cfg := mk()
 	cfg.Faults = &transport.FaultPlan{Seed: 5, CorruptAtIteration: map[int]int{0: 3}}
-	health := metrics.NewHealth(cfg.Topo.Size())
-	res, err := Run(cfg, train, RunOptions{Health: health})
+	res, err := Run(cfg, train, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := health.CorruptRounds.Get(); got != 1 {
-		t.Fatalf("CorruptRounds = %d, want exactly 1", got)
+	if res.CorruptRetries != 1 {
+		t.Fatalf("CorruptRetries = %d, want exactly 1", res.CorruptRetries)
 	}
 	for i := range clean.History {
 		if !statBitEqual(res.History[i], clean.History[i]) {
@@ -109,10 +106,8 @@ func TestNaNInjectionRollsBackAndConverges(t *testing.T) {
 
 	cfg := mk()
 	cfg.Faults = &transport.FaultPlan{Seed: 3, NaNAtIteration: map[int]int{1: 12}}
-	health := metrics.NewHealth(cfg.Topo.Size())
 	res, err := Run(cfg, train, RunOptions{
 		Test:       test,
-		Health:     health,
 		Checkpoint: &CheckpointOptions{Store: checkpoint.NewMemStore(), Every: 5},
 	})
 	if err != nil {
@@ -127,10 +122,6 @@ func TestNaNInjectionRollsBackAndConverges(t *testing.T) {
 	}
 	if rb.Reason == "" {
 		t.Fatal("rollback reason not recorded")
-	}
-	if health.WatchdogTrips.Get() != 1 || health.Rollbacks.Get() != 1 {
-		t.Fatalf("health: trips=%d rollbacks=%d, want 1/1",
-			health.WatchdogTrips.Get(), health.Rollbacks.Get())
 	}
 	if len(res.History) != cfg.MaxIter {
 		t.Fatalf("history length %d after rollback, want %d", len(res.History), cfg.MaxIter)
@@ -178,9 +169,7 @@ func TestWatchdogRollbackBudgetExhausted(t *testing.T) {
 		ResidualFactor: 0.5, // anything above half the recent floor "explodes"
 		MaxRollbacks:   2,
 	}
-	health := metrics.NewHealth(cfg.Topo.Size())
 	res, err := Run(cfg, train, RunOptions{
-		Health:     health,
 		Checkpoint: &CheckpointOptions{Store: checkpoint.NewMemStore(), Every: 2},
 	})
 	if err == nil {
@@ -191,10 +180,6 @@ func TestWatchdogRollbackBudgetExhausted(t *testing.T) {
 	}
 	if len(res.Rollbacks) != 2 {
 		t.Fatalf("performed %d rollbacks, want exactly MaxRollbacks=2: %+v", len(res.Rollbacks), res.Rollbacks)
-	}
-	if health.WatchdogTrips.Get() != 3 || health.Rollbacks.Get() != 2 {
-		t.Fatalf("health: trips=%d rollbacks=%d, want 3/2",
-			health.WatchdogTrips.Get(), health.Rollbacks.Get())
 	}
 }
 
@@ -216,14 +201,12 @@ func TestWatchdogCleanRunUntripped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	health := metrics.NewHealth(6)
-	watched, err := Run(mk(true), train, RunOptions{Test: test, Health: health})
+	watched, err := Run(mk(true), train, RunOptions{Test: test})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if health.WatchdogTrips.Get() != 0 || len(watched.Rollbacks) != 0 {
-		t.Fatalf("healthy run tripped: trips=%d rollbacks=%+v",
-			health.WatchdogTrips.Get(), watched.Rollbacks)
+	if len(watched.Rollbacks) != 0 {
+		t.Fatalf("healthy run tripped: rollbacks=%+v", watched.Rollbacks)
 	}
 	for i := range plain.History {
 		if !statBitEqual(watched.History[i], plain.History[i]) {

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"psrahgadmm/internal/dataset"
 	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/membership"
-	"psrahgadmm/internal/metrics"
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/sparse"
@@ -40,11 +40,6 @@ type RunOptions struct {
 	// Resume set — restart from the store's latest snapshot. See
 	// CheckpointOptions for the exactness contract.
 	Checkpoint *CheckpointOptions
-	// Health, when non-nil, receives the run's live-worker and epoch
-	// gauges plus per-rank PeerDown counters (external monitoring). Run
-	// creates a private one when nil; the same numbers always surface in
-	// every IterStat.
-	Health *metrics.Health
 	// afterRound, when non-nil, gets the run's environment after each
 	// round's stats and before the divergence check: where an in-package
 	// test plants state the fault plan cannot express, or checks a round.
@@ -105,22 +100,11 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	defer fab.Close()
 
 	// The membership tracker is the single source of truth for who is
-	// alive; the health metrics mirror it for external observers and the
-	// per-iteration stats.
+	// alive. Deaths are observed from collective goroutines, so their
+	// count (IterStat.PeerDowns) is atomic.
 	members := membership.NewTracker(cfg.Topo.Size())
-	health := opts.Health
-	if health == nil {
-		health = metrics.NewHealth(cfg.Topo.Size())
-	}
-	members.OnDown(func(rank int, cause error) {
-		health.ObserveDown(rank)
-		health.LiveWorkers.Set(int64(members.LiveCount()))
-		health.Epoch.Set(int64(members.Epoch()))
-	})
-	members.OnUp(func(rank, incarnation int) {
-		health.LiveWorkers.Set(int64(members.LiveCount()))
-		health.Epoch.Set(int64(members.Epoch()))
-	})
+	var peerDowns atomic.Int64
+	members.OnDown(func(int, error) { peerDowns.Add(1) })
 
 	env := &strategyEnv{
 		ws:      ws,
@@ -356,7 +340,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 					return fail(iter, fmt.Errorf("giving up after %d corrupt-frame round retries: %w", corruptRetries, err))
 				}
 				corruptRetries++
-				health.CorruptRounds.Inc()
+				res.CorruptRetries++
 				continue
 			}
 			if !cfg.Elastic || !errors.Is(err, errPeersLost) ||
@@ -403,7 +387,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			Rho:         cfg.Rho,
 			LiveWorkers: members.LiveCount(),
 			Epoch:       members.Epoch(),
-			PeerDowns:   health.TotalPeerDowns(),
+			PeerDowns:   peerDowns.Load(),
 		}
 		// Per-rank consensus-state footprint: max over live ranks, reported
 		// every iteration under every sync model. Replicated, every rank
@@ -416,7 +400,6 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			}
 		}
 		stat.ResidentBytes = resident
-		health.ResidentBytes.Set(resident)
 		env.store.assembleInto(zbar, isAlive, env.store.liveCounts())
 		stat.PrimalRes, stat.DualRes = residuals(live, zbar, zPrev, cfg.Rho)
 		if iter%cfg.EvalEvery == 0 || iter == cfg.MaxIter-1 {
@@ -466,7 +449,6 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 				trip = wd.Observe(iter, stat.PrimalRes, stat.DualRes, stat.Objective, haveObj)
 			}
 			if trip != nil {
-				health.WatchdogTrips.Inc()
 				ck := opts.Checkpoint
 				if rollbacks >= wdCfg.MaxRollbacks || ck == nil || ck.Store == nil {
 					return fail(iter, trip)
@@ -494,13 +476,12 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 				}
 				wd.Reset()
 				res.Rollbacks = append(res.Rollbacks, RollbackEvent{TripIter: iter, ToIter: toIter, Reason: trip.Reason})
-				health.Rollbacks.Inc()
 				iter = toIter - 1
 				continue
 			}
 		}
 		if cfg.AdaptiveRho {
-			if newRho := adaptRho(cfg.Rho, stat.PrimalRes, stat.DualRes, cfg.RhoMu, cfg.RhoTau); newRho != cfg.Rho {
+			if newRho := adaptRho(cfg.Rho, stat.PrimalRes, stat.DualRes); newRho != cfg.Rho {
 				cfg.Rho = newRho
 				setRho(ws, newRho)
 			}

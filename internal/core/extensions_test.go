@@ -91,13 +91,13 @@ func TestAdaptiveRhoAdjustsAndConverges(t *testing.T) {
 }
 
 func TestAdaptRhoRule(t *testing.T) {
-	if got := adaptRho(1, 100, 1, 10, 2); got != 2 {
+	if got := adaptRho(1, 100, 1); got != 2 {
 		t.Fatalf("primal-dominant: %v", got)
 	}
-	if got := adaptRho(1, 1, 100, 10, 2); got != 0.5 {
+	if got := adaptRho(1, 1, 100); got != 0.5 {
 		t.Fatalf("dual-dominant: %v", got)
 	}
-	if got := adaptRho(1, 5, 4, 10, 2); got != 1 {
+	if got := adaptRho(1, 5, 4); got != 1 {
 		t.Fatalf("balanced: %v", got)
 	}
 }

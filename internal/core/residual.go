@@ -69,15 +69,22 @@ func residuals(ws []*worker, z, zPrev *zSummary, rho float64) (primal, dual floa
 	return primal, dual
 }
 
+// Residual balancing's parameters: the dominance ratio that triggers an
+// adaptation and the factor ρ moves by.
+const (
+	rhoMu  = 10
+	rhoTau = 2
+)
+
 // adaptRho applies residual balancing: when the primal residual dominates
-// the dual by more than mu, the penalty is too weak (consensus drifting) —
-// multiply by tau; in the opposite regime divide. Returns the new ρ.
-func adaptRho(rho, primal, dual, mu, tau float64) float64 {
+// the dual by more than rhoMu, the penalty is too weak (consensus drifting)
+// — multiply by rhoTau; in the opposite regime divide. Returns the new ρ.
+func adaptRho(rho, primal, dual float64) float64 {
 	switch {
-	case primal > mu*dual:
-		return rho * tau
-	case dual > mu*primal:
-		return rho / tau
+	case primal > rhoMu*dual:
+		return rho * rhoTau
+	case dual > rhoMu*primal:
+		return rho / rhoTau
 	default:
 		return rho
 	}

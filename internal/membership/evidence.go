@@ -6,87 +6,12 @@
 // incarnation) — so replaying, duplicating, or reordering evidence is
 // idempotent by construction.
 //
-// Two encodings exist for the same fact:
-//
-//   - a self-describing binary frame (AppendBinary / DecodeQuarantineEvidence)
-//     for transports that ship evidence as payload bytes, and
-//   - an int64 triple (QuarantineLogEntry / ParseLogEntry) that rides the
-//     WLG runtime's append-only rejoin log: the rank field is encoded as
-//     -(rank+1), so a negative first element marks a quarantine entry and
-//     every pre-existing log consumer (which reads non-negative rejoin
-//     triples) skips it untouched.
+// The evidence is an int64 triple (QuarantineLogEntry / ParseLogEntry)
+// that rides the WLG runtime's append-only rejoin log: the rank field is
+// encoded as -(rank+1), so a negative first element marks a quarantine
+// entry and every pre-existing log consumer (which reads non-negative
+// rejoin triples) skips it untouched.
 package membership
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math"
-)
-
-// QuarantineEvidence is one observer's exclusion record for a rank.
-type QuarantineEvidence struct {
-	// Rank is the quarantined world rank.
-	Rank int
-	// Incarnation is the life the evidence indicts; a newer incarnation is
-	// not covered by it.
-	Incarnation int
-	// Iter is the iteration at which the screen tripped.
-	Iter int
-	// Score is the outlier score that tripped the screen (for diagnostics;
-	// not part of the monotonicity contract).
-	Score float64
-}
-
-const (
-	evidenceMagic   = "PSQE"
-	evidenceVersion = 1
-	evidenceBytes   = 4 + 1 + 4 + 4 + 4 + 8 // magic, version, rank, inc, iter, score
-)
-
-// AppendBinary appends the evidence frame to dst and returns the extended
-// slice.
-func (e QuarantineEvidence) AppendBinary(dst []byte) []byte {
-	dst = append(dst, evidenceMagic...)
-	dst = append(dst, evidenceVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Rank))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Incarnation))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Iter))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Score))
-	return dst
-}
-
-// ErrEvidenceCorrupt reports a quarantine-evidence frame that failed
-// structural validation.
-var ErrEvidenceCorrupt = errors.New("membership: corrupt quarantine evidence")
-
-// DecodeQuarantineEvidence parses one evidence frame. Every structural
-// violation — wrong magic, unknown version, truncation, negative fields, a
-// non-finite score — is rejected with ErrEvidenceCorrupt: evidence changes
-// membership, so a corrupt frame must never be half-applied.
-func DecodeQuarantineEvidence(data []byte) (QuarantineEvidence, error) {
-	var e QuarantineEvidence
-	if len(data) != evidenceBytes {
-		return e, fmt.Errorf("%w: %d bytes, want %d", ErrEvidenceCorrupt, len(data), evidenceBytes)
-	}
-	if string(data[:4]) != evidenceMagic {
-		return e, fmt.Errorf("%w: bad magic", ErrEvidenceCorrupt)
-	}
-	if data[4] != evidenceVersion {
-		return e, fmt.Errorf("%w: unknown version %d", ErrEvidenceCorrupt, data[4])
-	}
-	e.Rank = int(int32(binary.LittleEndian.Uint32(data[5:])))
-	e.Incarnation = int(int32(binary.LittleEndian.Uint32(data[9:])))
-	e.Iter = int(int32(binary.LittleEndian.Uint32(data[13:])))
-	e.Score = math.Float64frombits(binary.LittleEndian.Uint64(data[17:]))
-	if e.Rank < 0 || e.Incarnation < 0 || e.Iter < 0 {
-		return e, fmt.Errorf("%w: negative field", ErrEvidenceCorrupt)
-	}
-	if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) {
-		return e, fmt.Errorf("%w: non-finite score", ErrEvidenceCorrupt)
-	}
-	return e, nil
-}
 
 // QuarantineLogEntry encodes the evidence as an int64 triple for the WLG
 // rejoin log: (-(rank+1), iter, incarnation). The negated rank keeps the

@@ -2,104 +2,8 @@ package membership
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
-
-func TestQuarantineEvidenceRoundTrip(t *testing.T) {
-	for _, e := range []QuarantineEvidence{
-		{},
-		{Rank: 3, Incarnation: 2, Iter: 17, Score: 123.5},
-		{Rank: 0, Incarnation: 0, Iter: 0, Score: -4.25},
-		{Rank: 1<<31 - 1, Incarnation: 1<<31 - 1, Iter: 1<<31 - 1, Score: 1e308},
-	} {
-		buf := e.AppendBinary(nil)
-		got, err := DecodeQuarantineEvidence(buf)
-		if err != nil {
-			t.Fatalf("decode(%+v): %v", e, err)
-		}
-		if got != e {
-			t.Fatalf("round-trip mismatch: encoded %+v decoded %+v", e, got)
-		}
-	}
-}
-
-func TestQuarantineEvidenceAppendChains(t *testing.T) {
-	// AppendBinary appends: a log of frames concatenates and each
-	// 25-byte window decodes independently.
-	a := QuarantineEvidence{Rank: 1, Iter: 5, Score: 2}
-	b := QuarantineEvidence{Rank: 2, Incarnation: 1, Iter: 9, Score: 3}
-	buf := b.AppendBinary(a.AppendBinary(nil))
-	if len(buf) != 2*evidenceBytes {
-		t.Fatalf("chained frames = %d bytes, want %d", len(buf), 2*evidenceBytes)
-	}
-	gotA, errA := DecodeQuarantineEvidence(buf[:evidenceBytes])
-	gotB, errB := DecodeQuarantineEvidence(buf[evidenceBytes:])
-	if errA != nil || errB != nil || gotA != a || gotB != b {
-		t.Fatalf("chained decode: %+v (%v), %+v (%v)", gotA, errA, gotB, errB)
-	}
-}
-
-func TestQuarantineEvidenceRejectsCorruption(t *testing.T) {
-	good := QuarantineEvidence{Rank: 2, Incarnation: 1, Iter: 8, Score: 7}.AppendBinary(nil)
-	mutate := func(fn func(b []byte)) []byte {
-		b := append([]byte(nil), good...)
-		fn(b)
-		return b
-	}
-	cases := map[string][]byte{
-		"truncated":     good[:len(good)-1],
-		"extended":      append(append([]byte(nil), good...), 0),
-		"empty":         {},
-		"bad-magic":     mutate(func(b []byte) { b[0] = 'X' }),
-		"bad-version":   mutate(func(b []byte) { b[4] = 99 }),
-		"negative-rank": mutate(func(b []byte) { b[8] = 0x80 }),
-		"negative-inc":  mutate(func(b []byte) { b[12] = 0x80 }),
-		"negative-iter": mutate(func(b []byte) { b[16] = 0x80 }),
-		"nan-score": QuarantineEvidence{
-			Rank: 2, Iter: 8, Score: math.NaN(),
-		}.AppendBinary(nil),
-		"inf-score": QuarantineEvidence{
-			Rank: 2, Iter: 8, Score: math.Inf(1),
-		}.AppendBinary(nil),
-	}
-	for name, data := range cases {
-		if _, err := DecodeQuarantineEvidence(data); !errors.Is(err, ErrEvidenceCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrEvidenceCorrupt", name, err)
-		}
-	}
-}
-
-// FuzzQuarantineEvidence drives the decoder with arbitrary bytes: it must
-// never panic, and whatever it accepts must re-encode to the identical
-// frame (decode∘encode is the identity on the accepted set — evidence
-// changes membership, so a frame that survives validation must be
-// unambiguous).
-func FuzzQuarantineEvidence(f *testing.F) {
-	f.Add([]byte(nil))
-	f.Add(QuarantineEvidence{Rank: 1, Incarnation: 2, Iter: 3, Score: 4}.AppendBinary(nil))
-	f.Add([]byte("PSQE\x01aaaaaaaaaaaaaaaaaaaa"))
-	f.Add([]byte("PSQEPSQEPSQEPSQEPSQEPSQEP"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := DecodeQuarantineEvidence(data)
-		if err != nil {
-			if !errors.Is(err, ErrEvidenceCorrupt) {
-				t.Fatalf("rejection must wrap ErrEvidenceCorrupt, got %v", err)
-			}
-			return
-		}
-		if e.Rank < 0 || e.Incarnation < 0 || e.Iter < 0 {
-			t.Fatalf("accepted negative field: %+v", e)
-		}
-		if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) {
-			t.Fatalf("accepted non-finite score: %+v", e)
-		}
-		re := e.AppendBinary(nil)
-		if string(re) != string(data) {
-			t.Fatalf("accepted frame is not canonical: % x re-encodes to % x", data, re)
-		}
-	})
-}
 
 func TestQuarantineLogEntryRoundTrip(t *testing.T) {
 	e := QuarantineLogEntry(4, 17, 2)

@@ -55,7 +55,6 @@ type Tracker struct {
 	quar   []bool
 	live   int
 	onDown func(rank int, cause error)
-	onUp   func(rank, incarnation int)
 }
 
 // NewTracker returns a tracker for ranks 0..world-1, all alive, epoch 0,
@@ -75,18 +74,10 @@ func NewTracker(world int) *Tracker {
 }
 
 // OnDown registers a hook invoked (outside the tracker lock) each time a
-// rank is newly marked down — the metrics layer's event counter feed.
+// rank is newly marked down — the engine's PeerDowns counter feed.
 func (t *Tracker) OnDown(fn func(rank int, cause error)) {
 	t.mu.Lock()
 	t.onDown = fn
-	t.mu.Unlock()
-}
-
-// OnUp registers a hook invoked (outside the tracker lock) each time a
-// rank rejoins as a new incarnation.
-func (t *Tracker) OnUp(fn func(rank, incarnation int)) {
-	t.mu.Lock()
-	t.onUp = fn
 	t.mu.Unlock()
 }
 
@@ -131,12 +122,8 @@ func (t *Tracker) MarkUp(rank int) bool {
 		t.mu.Unlock()
 		return false
 	}
-	inc := t.inc[rank] + 1
-	hook := t.markUpLocked(rank, inc)
+	t.markUpLocked(rank, t.inc[rank]+1)
 	t.mu.Unlock()
-	if hook != nil {
-		hook(rank, inc)
-	}
 	return true
 }
 
@@ -157,19 +144,15 @@ func (t *Tracker) MarkUpAt(rank, inc int) bool {
 		t.mu.Unlock()
 		return false
 	}
-	hook := t.markUpLocked(rank, inc)
+	t.markUpLocked(rank, inc)
 	t.mu.Unlock()
-	if hook != nil {
-		hook(rank, inc)
-	}
 	return true
 }
 
-// markUpLocked performs the revive transition under t.mu and returns the
-// OnUp hook to fire after unlock (nil if none registered). A new
+// markUpLocked performs the revive transition under t.mu. A new
 // incarnation starts with a clean slate: a quarantine against the old life
 // does not survive into the new one.
-func (t *Tracker) markUpLocked(rank, inc int) func(rank, incarnation int) {
+func (t *Tracker) markUpLocked(rank, inc int) {
 	wasCounted := !t.dead[rank] && !t.quar[rank]
 	t.inc[rank] = inc
 	t.dead[rank] = false
@@ -179,7 +162,6 @@ func (t *Tracker) markUpLocked(rank, inc int) func(rank, incarnation int) {
 		t.live++
 	}
 	t.epoch++
-	return t.onUp
 }
 
 // Quarantine excludes a live rank for a semantic fault: it leaves the live

@@ -17,10 +17,6 @@ type TronOptions struct {
 	// inner tolerance customary for ADMM subproblems — outer ADMM
 	// iterations absorb the slack).
 	GradTol float64
-	// GradTolAbs is an absolute stop: ‖g‖ ≤ GradTolAbs. It protects the
-	// relative test when the start point is already near-optimal.
-	// Default 1e-10.
-	GradTolAbs float64
 	// CGTol is the relative residual target of the inner CG solve.
 	// Default 0.1.
 	CGTol float64
@@ -39,10 +35,11 @@ func (o *TronOptions) fill() {
 	if o.CGTol <= 0 {
 		o.CGTol = 0.1
 	}
-	if o.GradTolAbs <= 0 {
-		o.GradTolAbs = 1e-10
-	}
 }
+
+// gradTolAbs is TRON's absolute stop, ‖g‖ ≤ gradTolAbs. It protects the
+// relative test when the start point is already near-optimal.
+const gradTolAbs = 1e-10
 
 // TronResult reports the work a TRON solve performed. CGIters counts
 // Hessian-product equivalents, the dominant cost, in the currency of one
@@ -136,7 +133,7 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 	gnorm0 := vec.Nrm2(g)
 	gnorm := gnorm0
 	converged := func() bool {
-		return gnorm <= opts.GradTol*gnorm0 || gnorm <= opts.GradTolAbs
+		return gnorm <= opts.GradTol*gnorm0 || gnorm <= gradTolAbs
 	}
 	if converged() {
 		res.F = f

@@ -365,7 +365,7 @@ func refTron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronRe
 	gnorm0 := vec.Nrm2(g)
 	gnorm := gnorm0
 	converged := func() bool {
-		return gnorm <= opts.GradTol*gnorm0 || gnorm <= opts.GradTolAbs
+		return gnorm <= opts.GradTol*gnorm0 || gnorm <= gradTolAbs
 	}
 	if converged() {
 		res.F = f

@@ -7,7 +7,7 @@
 //
 // The detector is a self-baseline: for every rank it tracks exponential
 // moving averages of the contribution norm ‖v‖ and the step-to-step change
-// ‖v − v_prev‖, and flags an observation that exceeds Factor× either
+// ‖v − v_prev‖, and flags an observation that exceeds screenFactor× either
 // baseline. The Δ-norm term is the load-bearing one for sign-flip attacks,
 // which preserve ‖v‖ exactly but jump ‖v − v_prev‖ to ≈2‖v‖. Flagged
 // observations do NOT update the baselines — otherwise a persistent
@@ -44,67 +44,31 @@ func (e *QuorumError) Error() string {
 
 func (e *QuorumError) Unwrap() error { return ErrQuorumLost }
 
-// ScreenConfig tunes the contribution screen. The zero value disables it;
-// set Enabled to get the defaults.
+// ScreenConfig switches the contribution screen. The zero value disables
+// it; Enabled turns it on with the fixed tuning below.
 type ScreenConfig struct {
 	// Enabled turns screening on. Off by default: the screen walks every
 	// contribution each round, work the zero-alloc fast path should not
 	// pay unless asked.
 	Enabled bool
-	// Warmup is how many clean observations per rank build the baseline
-	// before anything can flag. Default 3.
-	Warmup int
-	// Factor is the outlier threshold: an observation flags when its norm
-	// or Δ-norm exceeds Factor× the corresponding EWMA baseline. Default 8.
-	Factor float64
-	// Alpha is the EWMA smoothing weight on the newest clean observation.
-	// Default 0.25.
-	Alpha float64
-	// Strikes is how many CONSECUTIVE flagged observations quarantine a
-	// rank. Default 2: a single spike (a straggler's stale burst, an
+}
+
+// The screen's tuning.
+const (
+	// screenWarmup is how many clean observations per rank build the
+	// baseline before anything can flag.
+	screenWarmup = 3
+	// screenFactor is the outlier threshold: an observation flags when its
+	// norm or Δ-norm exceeds screenFactor× the corresponding EWMA baseline.
+	screenFactor = 8
+	// screenAlpha is the EWMA smoothing weight on the newest clean
+	// observation.
+	screenAlpha = 0.25
+	// screenStrikes is how many CONSECUTIVE flagged observations
+	// quarantine a rank: a single spike (a straggler's stale burst, an
 	// unlucky numeric step) is forgiven, a sustained pattern is not.
-	Strikes int
-}
-
-// Fill returns cfg with defaults applied.
-func (c ScreenConfig) Fill() ScreenConfig {
-	if c.Warmup <= 0 {
-		c.Warmup = 3
-	}
-	if c.Factor <= 0 {
-		c.Factor = 8
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.25
-	}
-	if c.Strikes <= 0 {
-		c.Strikes = 2
-	}
-	return c
-}
-
-// Validate rejects nonsensical explicit settings.
-func (c ScreenConfig) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("watchdog: screen Warmup %d negative", c.Warmup)
-	}
-	if c.Factor < 0 {
-		return fmt.Errorf("watchdog: screen Factor %v negative", c.Factor)
-	}
-	if c.Factor > 0 && c.Factor <= 1 {
-		return fmt.Errorf("watchdog: screen Factor %v must exceed 1 (below the baseline flags everything)", c.Factor)
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("watchdog: screen Alpha %v outside [0, 1]", c.Alpha)
-	}
-	if c.Strikes < 0 {
-		return fmt.Errorf("watchdog: screen Strikes %d negative", c.Strikes)
-	}
-	return nil
-}
+	screenStrikes = 2
+)
 
 // screenRank is one rank's baseline state. prevIdx/prevVal hold the last
 // CLEAN contribution for the Δ-norm; the slices are retained and reused,
@@ -123,7 +87,6 @@ type screenRank struct {
 // may run concurrently (each touches only its own rank's state); two
 // observations for the same rank must not.
 type Screen struct {
-	cfg   ScreenConfig
 	ranks []screenRank
 }
 
@@ -133,7 +96,7 @@ func NewScreen(cfg ScreenConfig, world int) *Screen {
 	if !cfg.Enabled {
 		return nil
 	}
-	return &Screen{cfg: cfg.Fill(), ranks: make([]screenRank, world)}
+	return &Screen{ranks: make([]screenRank, world)}
 }
 
 // tiny floors the EWMA baselines: a converged run's Δ-norm approaches 0,
@@ -168,27 +131,26 @@ func (s *Screen) ObserveSparse(rank int, v *sparse.Vector) bool {
 // Non-finite norms always flag — they would poison the EWMA otherwise.
 func (s *Screen) judge(st *screenRank, norm, delta float64) bool {
 	nonFinite := math.IsNaN(norm) || math.IsInf(norm, 0) || math.IsNaN(delta) || math.IsInf(delta, 0)
-	mature := st.clean >= s.cfg.Warmup
+	mature := st.clean >= screenWarmup
 	if nonFinite || (mature &&
-		(norm > s.cfg.Factor*maxf(st.normEWMA, screenTiny) ||
-			delta > s.cfg.Factor*maxf(st.deltaEWMA, screenTiny))) {
+		(norm > screenFactor*maxf(st.normEWMA, screenTiny) ||
+			delta > screenFactor*maxf(st.deltaEWMA, screenTiny))) {
 		st.strikes++
 		return true
 	}
 	st.strikes = 0
-	a := s.cfg.Alpha
 	if st.clean == 0 {
 		st.normEWMA, st.deltaEWMA = norm, delta
 	} else {
-		st.normEWMA += a * (norm - st.normEWMA)
-		st.deltaEWMA += a * (delta - st.deltaEWMA)
+		st.normEWMA += screenAlpha * (norm - st.normEWMA)
+		st.deltaEWMA += screenAlpha * (delta - st.deltaEWMA)
 	}
 	st.clean++
 	return false
 }
 
 // Strikes returns rank's consecutive-flag count — the quarantine trigger
-// compares it against ScreenConfig.Strikes.
+// compares it against StrikeLimit.
 func (s *Screen) Strikes(rank int) int {
 	if s == nil || rank < 0 || rank >= len(s.ranks) {
 		return 0
@@ -196,13 +158,13 @@ func (s *Screen) Strikes(rank int) int {
 	return s.ranks[rank].strikes
 }
 
-// StrikeLimit returns the configured consecutive-flag quarantine
-// threshold (0 on a nil screen).
+// StrikeLimit returns the consecutive-flag quarantine threshold (0 on a
+// nil screen).
 func (s *Screen) StrikeLimit() int {
 	if s == nil {
 		return 0
 	}
-	return s.cfg.Strikes
+	return screenStrikes
 }
 
 // Reset clears one rank's baseline and strikes. Call on rejoin or

@@ -43,7 +43,7 @@ func TestScreenNilIsNoOp(t *testing.T) {
 
 func TestScreenImmatureNeverFlags(t *testing.T) {
 	s := NewScreen(ScreenConfig{Enabled: true}, 2)
-	// Warmup defaults to 3: the first three observations can be arbitrarily
+	// The warmup is 3: the first three observations can be arbitrarily
 	// wild without flagging — there is no baseline to judge against yet.
 	for i, val := range []float64{1, 1e12, 3} {
 		if s.ObserveSparse(0, steadySparse(4, val)) {
@@ -144,29 +144,6 @@ func TestScreenOutOfRangeRank(t *testing.T) {
 	}
 	s.Reset(-1)
 	s.Reset(7) // must not panic
-}
-
-func TestScreenConfigValidate(t *testing.T) {
-	for _, bad := range []ScreenConfig{
-		{Enabled: true, Warmup: -1},
-		{Enabled: true, Factor: -2},
-		{Enabled: true, Factor: 0.5},
-		{Enabled: true, Alpha: 1.5},
-		{Enabled: true, Alpha: -0.1},
-		{Enabled: true, Strikes: -3},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("Validate accepted %+v", bad)
-		}
-	}
-	// A disabled config is never validated: garbage fields are inert.
-	if err := (ScreenConfig{Factor: -2}).Validate(); err != nil {
-		t.Fatalf("disabled config rejected: %v", err)
-	}
-	filled := ScreenConfig{Enabled: true}.Fill()
-	if filled.Warmup != 3 || filled.Factor != 8 || filled.Alpha != 0.25 || filled.Strikes != 2 {
-		t.Fatalf("Fill defaults wrong: %+v", filled)
-	}
 }
 
 func TestQuorumErrorUnwrapsToSentinel(t *testing.T) {

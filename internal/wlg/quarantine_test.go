@@ -154,14 +154,14 @@ func TestElasticQuarantineProbationRejoin(t *testing.T) {
 	}
 }
 
-// TestElasticQuarantineEvidenceDupReorder replays the quarantine cycle
+// TestElasticQuarantineLogDupReorder replays the quarantine cycle
 // over a fabric that duplicates and reorders frames. The evidence path is
 // at-least-once by design (the Leader re-sends until the log confirms),
 // so duplication and reordering must change nothing observable: the run
 // completes, the poisoned window stays excluded, and the victim is
 // quarantined exactly once per incarnation (idempotent application at the
 // GG and in every rank's log fold).
-func TestElasticQuarantineEvidenceDupReorder(t *testing.T) {
+func TestElasticQuarantineLogDupReorder(t *testing.T) {
 	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
 	cfg := Config{
 		Topo:    topo,

@@ -170,10 +170,10 @@ type Config struct {
 	// Screen enables leader-side contribution screening (elastic only):
 	// each Leader scores every gathered member contribution against that
 	// member's own running baseline, excludes flagged contributions from
-	// the node sum, and — after ScreenConfig.Strikes consecutive flags —
-	// quarantines the member and publishes the evidence through the GG's
-	// append-only log, where it piggybacks on every control reply exactly
-	// like a rejoin record. A quarantined rank re-enters through the
+	// the node sum, and — after the screen's strike limit of consecutive
+	// flags — quarantines the member and publishes the evidence through the
+	// GG's append-only log, where it piggybacks on every control reply
+	// exactly like a rejoin record. A quarantined rank re-enters through the
 	// rejoin handshake after QuarantineRounds clean self-probes.
 	Screen watchdog.ScreenConfig
 	// QuarantineRounds is how many consecutive clean self-probes a
@@ -256,9 +256,6 @@ func (c Config) Validate() error {
 	// The GG combines node sums, so the trim is bounded by the node count.
 	if f := spec.Tolerance(c.Topo.Nodes); 2*f >= c.Topo.Nodes {
 		return fmt.Errorf("wlg: TrimF %d trims everything: need 2·TrimF < %d nodes", f, c.Topo.Nodes)
-	}
-	if err := c.Screen.Validate(); err != nil {
-		return fmt.Errorf("wlg: %w", err)
 	}
 	if c.Screen.Enabled && !c.Elastic {
 		return fmt.Errorf("wlg: contribution screening requires Elastic mode (quarantine is a membership transition the fail-stop protocol cannot express)")
