@@ -232,8 +232,9 @@ func Generate(cfg SynthConfig) (train, test *Dataset, err error) {
 }
 
 // Dataset presets mirroring the paper's Table 1 corpora shapes at a given
-// scale in (0, 1].
+// scale in (0, 1]; Preset looks one up by name and refuses any other scale.
 var (
+	Preset      = dataset.Preset
 	News20Like  = dataset.News20Like
 	WebspamLike = dataset.WebspamLike
 	URLLike     = dataset.URLLike

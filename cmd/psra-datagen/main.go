@@ -32,22 +32,16 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg psra.SynthConfig
-	switch *preset {
-	case "news20":
-		cfg = psra.News20Like(*scale, *seed)
-	case "webspam":
-		cfg = psra.WebspamLike(*scale, *seed)
-	case "url":
-		cfg = psra.URLLike(*scale, *seed)
-	case "custom":
-		cfg = psra.SynthConfig{
-			Name: "custom", Dim: *dim, TrainRows: *rows, TestRows: *test,
-			RowNNZ: *rowNNZ, ZipfS: *zipf, SignalNNZ: *signal,
-			NoiseFlip: *noise, Seed: *seed,
+	cfg := psra.SynthConfig{
+		Name: "custom", Dim: *dim, TrainRows: *rows, TestRows: *test,
+		RowNNZ: *rowNNZ, ZipfS: *zipf, SignalNNZ: *signal,
+		NoiseFlip: *noise, Seed: *seed,
+	}
+	if *preset != "custom" {
+		var err error
+		if cfg, err = psra.Preset(*preset, *scale, *seed); err != nil {
+			fatal(fmt.Errorf("-preset %s -scale %v: %w", *preset, *scale, err))
 		}
-	default:
-		fatal(fmt.Errorf("unknown preset %q", *preset))
 	}
 
 	train, testSet, err := psra.Generate(cfg)

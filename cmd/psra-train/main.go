@@ -155,7 +155,7 @@ func main() {
 	if *chaosJoin != "" && elastic != "recover" {
 		fatal(fmt.Errorf("-chaos-rejoin requires -elastic=recover"))
 	}
-	if *chaosCorr < 0 || *chaosCorr > 1 {
+	if !(*chaosCorr >= 0 && *chaosCorr <= 1) {
 		fatal(fmt.Errorf("-chaos-corrupt %v outside [0, 1]", *chaosCorr))
 	}
 	if *chaosKill != "" || *chaosJoin != "" || *chaosCorr > 0 || *chaosCAt != "" || *chaosNaN != "" || *chaosByz != "" {
@@ -368,16 +368,9 @@ func loadData(dataPath, testPath, synth string, scale float64, seed int64) (*psr
 		}
 		return train, test, nil
 	}
-	var cfg psra.SynthConfig
-	switch synth {
-	case "news20":
-		cfg = psra.News20Like(scale, seed)
-	case "webspam":
-		cfg = psra.WebspamLike(scale, seed)
-	case "url":
-		cfg = psra.URLLike(scale, seed)
-	default:
-		return nil, nil, fmt.Errorf("unknown synthetic preset %q", synth)
+	cfg, err := psra.Preset(synth, scale, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-synth %s -scale %v: %w", synth, scale, err)
 	}
 	return psra.Generate(cfg)
 }

@@ -44,3 +44,45 @@ func TestEveryRejected(t *testing.T) {
 		t.Fatalf("-every 1 did not print both iterations:\n%s", stdout)
 	}
 }
+
+// TestBadKnobsRefused: a preset scale outside (0, 1] or an unknown preset
+// exits 1 naming the flag before any data is drawn (nothing on stdout); a
+// non-finite ρ or λ and a NaN corruption probability exit 1 instead of
+// training garbage.
+func TestBadKnobsRefused(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "psra-train")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args   []string
+		want   string
+		noDraw bool
+	}{
+		{[]string{"-scale", "0"}, "-synth news20 -scale 0: scale 0 outside (0, 1]", true},
+		{[]string{"-scale", "-1"}, "-scale -1: scale -1 outside (0, 1]", true},
+		{[]string{"-scale", "NaN"}, "-scale NaN: scale NaN outside (0, 1]", true},
+		{[]string{"-scale", "5"}, "-scale 5: scale 5 outside (0, 1]", true},
+		{[]string{"-synth", "rcv1"}, `-synth rcv1 -scale 0.0005: unknown preset "rcv1"`, true},
+		{[]string{"-chaos-corrupt", "NaN"}, "-chaos-corrupt NaN outside [0, 1]", false},
+		{[]string{"-rho", "NaN"}, "Rho must be positive and finite, got NaN", false},
+		{[]string{"-rho", "Inf"}, "Rho must be positive and finite, got +Inf", false},
+		{[]string{"-lambda", "Inf"}, "Lambda must be non-negative and finite, got +Inf", false},
+	} {
+		args := append([]string{"-iters", "2", "-scale", "0.0005", "-nodes", "2", "-wpn", "2"}, tc.args...)
+		cmd := exec.Command(bin, args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: err %v, want exit code 1\n%s%s", tc.args, err, stdout.String(), stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Fatalf("%v: stderr %q, want it to contain %q", tc.args, stderr.String(), tc.want)
+		}
+		if tc.noDraw && stdout.Len() != 0 {
+			t.Fatalf("%v: printed %q before refusing", tc.args, stdout.String())
+		}
+	}
+}

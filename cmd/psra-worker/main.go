@@ -125,6 +125,13 @@ func main() {
 	if err := validateExplicitFlags(); err != nil {
 		fatal(err)
 	}
+	if err := core.CheckPenalty(*rho, *lambda); err != nil {
+		fatal(err)
+	}
+	preset, err := psra.Preset(*synth, *scale, *seed)
+	if err != nil {
+		fatal(fmt.Errorf("-synth %s -scale %v: %w", *synth, *scale, err))
+	}
 
 	cfg := wlg.Config{
 		Topo:             topo,
@@ -162,17 +169,6 @@ func main() {
 	// exits 1 here instead of taking the established mesh down with it.
 	var funcs wlg.WorkerFuncs
 	if *rank != wlg.GGRank(topo) {
-		var preset psra.SynthConfig
-		switch *synth {
-		case "news20":
-			preset = psra.News20Like(*scale, *seed)
-		case "webspam":
-			preset = psra.WebspamLike(*scale, *seed)
-		case "url":
-			preset = psra.URLLike(*scale, *seed)
-		default:
-			fatal(fmt.Errorf("unknown preset %q", *synth))
-		}
 		train, _, err := psra.Generate(preset)
 		if err != nil {
 			fatal(err)

@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// TestConfigRejectedBeforeDial: a configuration wlg.Config.Validate refuses
-// exits 1 with Validate's message before the process listens or dials. The
-// addresses resolve to nothing, so an attempt at the mesh would fail with a
-// listen error instead.
+// TestConfigRejectedBeforeDial: a configuration wlg.Config.Validate refuses,
+// a ρ or λ core refuses, or a preset scale outside (0, 1] exits 1 with the
+// reason before the process listens or dials. The addresses resolve to
+// nothing, so an attempt at the mesh would fail with a listen error
+// instead.
 func TestConfigRejectedBeforeDial(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "psra-worker")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -30,6 +31,13 @@ func TestConfigRejectedBeforeDial(t *testing.T) {
 		{[]string{"-screen"}, "contribution screening requires Elastic mode"},
 		{[]string{"-min-barrier", "2"}, "wlg: MinBarrier requires Elastic mode"},
 		{[]string{"-elastic", "-max-delay", "3"}, "wlg: MaxDelay requires MinBarrier > 0"},
+		{[]string{"-rho", "NaN"}, "core: Rho must be positive and finite, got NaN"},
+		{[]string{"-rho", "Inf"}, "core: Rho must be positive and finite, got +Inf"},
+		{[]string{"-lambda", "Inf"}, "core: Lambda must be non-negative and finite, got +Inf"},
+		{[]string{"-scale", "0"}, "-synth news20 -scale 0: scale 0 outside (0, 1]"},
+		{[]string{"-scale", "NaN"}, "-scale NaN: scale NaN outside (0, 1]"},
+		{[]string{"-scale", "5"}, "-scale 5: scale 5 outside (0, 1]"},
+		{[]string{"-synth", "rcv1"}, `unknown preset "rcv1"`},
 	} {
 		args := append([]string{"-rank", "0", "-addrs", "a,b,c,d,e"}, tc.args...)
 		cmd := exec.Command(bin, args...)

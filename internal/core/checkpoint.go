@@ -81,9 +81,9 @@ func buildSnapshot(cfg Config, env *strategyEnv, strat ConsensusStrategy, nextIt
 	return snap
 }
 
-// snap is the worker's PSCK record. z travels once, as the sparse view:
-// zStore is its scatter (beginZ) and restore rebuilds it, so ZDense stays
-// empty. The record aliases the worker's slices (see buildSnapshot).
+// snap is the worker's PSCK record. z travels once, as the sparse view
+// (restore rebuilds zA from it), so ZDense stays empty. The record aliases
+// the worker's slices (see buildSnapshot).
 func (w *worker) snap() exchange.WorkerSnap {
 	return exchange.WorkerSnap{
 		Rank:     int32(w.rank),
@@ -97,8 +97,9 @@ func (w *worker) snap() exchange.WorkerSnap {
 }
 
 // restore loads a record checkSnap accepted, copying INTO xA and yA (the
-// solver aliases yA). keepZ copies and scatters the sparse view; a ZDense
-// scatter alongside it (earlier builds) restores to the same state.
+// solver aliases yA). keepZ copies the sparse view and refreshes zA from
+// it; a dense copy of the subscription written alongside it (ZDense, earlier
+// builds) says nothing more and is not read.
 func (w *worker) restore(s *exchange.WorkerSnap) {
 	copy(w.xA, s.XA)
 	copy(w.yA, s.YA)
@@ -161,7 +162,12 @@ func loadSnapshot(st checkpoint.Store) (snap *exchange.Snapshot, ok bool, err er
 // still outside input, and keepZ trusts its argument to be a well-formed
 // sparse vector inside the rank's subscription.
 func (w *worker) checkSnap(s *exchange.WorkerSnap) error {
-	if len(s.XA) != len(w.xA) || len(s.YA) != len(w.yA) || (len(s.ZDense) != 0 && len(s.ZDense) != len(w.zStore)) {
+	width := 0 // the subscription's
+	for i := range w.smap.Subs[w.rank] {
+		lo, hi := w.sub(i)
+		width += hi - lo
+	}
+	if len(s.XA) != len(w.xA) || len(s.YA) != len(w.yA) || (len(s.ZDense) != 0 && len(s.ZDense) != width) {
 		return errors.New("state shape does not match this dataset (or its shard layout)")
 	}
 	z := sparse.Vector{Dim: w.dim, Index: s.ZIdx, Value: s.ZVal}
@@ -170,8 +176,7 @@ func (w *worker) checkSnap(s *exchange.WorkerSnap) error {
 	}
 	inside := 0
 	for i := range w.smap.Subs[w.rank] {
-		lo, hi, _ := w.sub(i)
-		from, to := z.Range(lo, hi)
+		from, to := z.Range(w.sub(i))
 		inside += to - from
 	}
 	if inside != z.NNZ() {

@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/exchange"
@@ -335,6 +336,19 @@ func (c Config) axes() (runAxes, error) {
 	return ax, nil
 }
 
+// CheckPenalty is Validate's rule for the two scalars of the objective: ρ
+// positive and finite, λ non-negative and finite. A NaN passes a plain
+// ρ <= 0 test and trains garbage.
+func CheckPenalty(rho, lambda float64) error {
+	if !(rho > 0) || math.IsInf(rho, 1) {
+		return fmt.Errorf("core: Rho must be positive and finite, got %v", rho)
+	}
+	if !(lambda >= 0) || math.IsInf(lambda, 1) {
+		return fmt.Errorf("core: Lambda must be non-negative and finite, got %v", lambda)
+	}
+	return nil
+}
+
 // Validate checks the configuration before a run.
 func (c Config) Validate() error {
 	if err := c.Topo.Validate(); err != nil {
@@ -343,11 +357,8 @@ func (c Config) Validate() error {
 	if _, err := c.axes(); err != nil {
 		return err
 	}
-	if c.Rho <= 0 {
-		return fmt.Errorf("core: Rho must be positive, got %v", c.Rho)
-	}
-	if c.Lambda < 0 {
-		return fmt.Errorf("core: Lambda must be non-negative, got %v", c.Lambda)
+	if err := CheckPenalty(c.Rho, c.Lambda); err != nil {
+		return err
 	}
 	if c.MaxIter <= 0 {
 		return fmt.Errorf("core: MaxIter must be positive, got %d", c.MaxIter)
@@ -358,7 +369,7 @@ func (c Config) Validate() error {
 	if c.CodecTopK < 0 {
 		return fmt.Errorf("core: CodecTopK must be non-negative, got %d", c.CodecTopK)
 	}
-	if c.Tol < 0 {
+	if !(c.Tol >= 0) {
 		return fmt.Errorf("core: Tol must be non-negative")
 	}
 	if c.ShardBlocks < 0 {
@@ -395,7 +406,7 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if c.Faults != nil && (c.Faults.CorruptProb < 0 || c.Faults.CorruptProb > 1) {
+	if c.Faults != nil && !(c.Faults.CorruptProb >= 0 && c.Faults.CorruptProb <= 1) {
 		return fmt.Errorf("core: Faults.CorruptProb must be in [0,1], got %v", c.Faults.CorruptProb)
 	}
 	if c.Faults != nil && len(c.Faults.RejoinAtIteration) > 0 {
@@ -454,9 +465,10 @@ type IterStat struct {
 	// all ranks.
 	PeerDowns int64
 	// ResidentBytes is the largest per-rank consensus-state footprint this
-	// iteration: 8·(len(zStore)+len(xA)+len(yA)+len(zA)) over live ranks.
-	// zStore holds the rank's subscribed blocks: only those its data touches
-	// under sharded state, the full dimension replicated. Reported every
+	// iteration: 8·(len(xA)+len(yA)+len(zA)) + 12·nnz(zSparse) over live
+	// ranks. The arrays span the rank's active columns; the view holds z's
+	// nonzeros in the rank's subscribed blocks (only those its data touches
+	// under sharded state, the whole dimension replicated). Reported every
 	// iteration under every sync model (BSP, SSP, async) — stale ranks'
 	// frozen state counts at its last applied size.
 	ResidentBytes int64

@@ -390,9 +390,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			PeerDowns:   peerDowns.Load(),
 		}
 		// Per-rank consensus-state footprint: max over live ranks, reported
-		// every iteration under every sync model. Replicated, every rank
-		// carries the full dimension; sharded, only the subscribed blocks —
-		// the number the placement shrinks.
+		// every iteration under every sync model.
 		var resident int64
 		for _, w := range live {
 			if rb := w.residentBytes(); rb > resident {
@@ -429,9 +427,10 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		// save: a poisoned iteration must neither steer ρ nor be persisted
 		// as a "good" snapshot. The iterate scan runs first — a NaN that a
 		// zero gather or a sparse merge masked out of the residuals is still
-		// poison in somebody's x/y/z. Scanning z's stored values is scanning
-		// zStore: it is +0 off support(zSparse) (beginZ) and no producer drops
-		// a NaN or Inf from the support. The trip names the global coordinate.
+		// poison in somebody's x/y/z. Scanning the view's stored values is
+		// scanning all of z the rank holds: zA is the view's values or +0, and
+		// no producer drops a NaN or Inf from the support. The trip names the
+		// global coordinate.
 		if wd != nil {
 			var trip *watchdog.TripError
 			for _, w := range live {

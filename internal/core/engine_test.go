@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"psrahgadmm/internal/dataset"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
+	"psrahgadmm/internal/watchdog"
 )
 
 // testData builds a small, learnable synthetic problem shared by the
@@ -245,6 +248,40 @@ func TestConfigValidation(t *testing.T) {
 	cfg := baseConfig(GCADMM, 100, 1)
 	if _, err := Run(cfg, train, RunOptions{}); err == nil {
 		t.Fatal("overSharded config accepted")
+	}
+}
+
+// TestNonFiniteKnobsRefused: ρ must be positive and finite and λ
+// non-negative and finite. A NaN passes a plain ρ <= 0 or λ < 0 test, and
+// so does a NaN corruption probability against [0, 1].
+func TestNonFiniteKnobsRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"rho NaN", func(c *Config) { c.Rho = nan }, "Rho must be positive and finite"},
+		{"rho +Inf", func(c *Config) { c.Rho = inf }, "Rho must be positive and finite"},
+		{"rho -Inf", func(c *Config) { c.Rho = -inf }, "Rho must be positive and finite"},
+		{"rho 0", func(c *Config) { c.Rho = 0 }, "Rho must be positive and finite"},
+		{"lambda NaN", func(c *Config) { c.Lambda = nan }, "Lambda must be non-negative and finite"},
+		{"lambda +Inf", func(c *Config) { c.Lambda = inf }, "Lambda must be non-negative and finite"},
+		{"lambda -1", func(c *Config) { c.Lambda = -1 }, "Lambda must be non-negative and finite"},
+		{"tol NaN", func(c *Config) { c.Tol = nan }, "Tol must be non-negative"},
+		{"corrupt NaN", func(c *Config) { c.Faults = &transport.FaultPlan{CorruptProb: nan} }, "CorruptProb must be in [0,1]"},
+		{"watchdog factor NaN", func(c *Config) { c.Watchdog = watchdog.Config{Enabled: true, ResidualFactor: nan} }, "ResidualFactor NaN is not finite"},
+	} {
+		cfg := baseConfig(GCADMM, 2, 2)
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	cfg := baseConfig(GCADMM, 2, 2)
+	cfg.Lambda = 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("λ = 0: %v", err)
 	}
 }
 

@@ -16,12 +16,14 @@ import (
 	"psrahgadmm/internal/watchdog"
 )
 
-// The iteration tail's guards cost the nonzeros they protect: the watchdog
-// scans zSparse.Value instead of zStore and the checkpoint carries z once,
-// sparse. Both rest on one invariant — zStore is the scatter of zSparse and
-// +0 everywhere else — and on restore validating what keepZ now trusts.
-// These tests pin the invariant, the validation, and the equivalence with
-// the dense scan and the dense-carrying snapshot they replaced.
+// A rank holds z twice: the sparse view over its subscription and zA, z at
+// its active columns. The iteration tail's guards cost the nonzeros they
+// protect: the watchdog scans zSparse.Value and the checkpoint carries z
+// once, sparse. Both rest on one invariant — zA is the view read at the
+// active columns, +0 where the view has no entry — and on restore
+// validating what keepZ trusts. These tests pin the invariant, the
+// validation, and the equivalence with the dense scan and the
+// dense-carrying snapshot earlier builds used.
 
 func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
@@ -30,14 +32,14 @@ func bitsEqual(a, b []float64) bool {
 // heldState is a private, bit-level copy of everything a snapshot restores
 // into a worker.
 type heldState struct {
-	x, y, zStore, zVal []float64
-	zIdx               []int32
-	clock, calTotal    float64
+	x, y, zA, zVal  []float64
+	zIdx            []int32
+	clock, calTotal float64
 }
 
 func holdState(w *worker) heldState {
 	return heldState{
-		x: slices.Clone(w.xA), y: slices.Clone(w.yA), zStore: slices.Clone(w.zStore),
+		x: slices.Clone(w.xA), y: slices.Clone(w.yA), zA: slices.Clone(w.zA),
 		zVal: slices.Clone(w.zSparse.Value), zIdx: slices.Clone(w.zSparse.Index),
 		clock: w.clock, calTotal: w.calTotal,
 	}
@@ -49,8 +51,8 @@ func (a heldState) diff(b heldState) string {
 		return "x"
 	case !bitsEqual(a.y, b.y):
 		return "y"
-	case !bitsEqual(a.zStore, b.zStore):
-		return "zStore"
+	case !bitsEqual(a.zA, b.zA):
+		return "zA"
 	case !slices.Equal(a.zIdx, b.zIdx) || !bitsEqual(a.zVal, b.zVal):
 		return "zSparse"
 	case math.Float64bits(a.clock) != math.Float64bits(b.clock) || math.Float64bits(a.calTotal) != math.Float64bits(b.calTotal):
@@ -59,31 +61,44 @@ func (a heldState) diff(b heldState) string {
 	return ""
 }
 
-// storeIsScatter reports how w breaks the invariant the sparse scan and the
-// sparse-only snapshot rest on: zSparse is a well-formed vector inside the
-// subscription and zStore is its scatter bit for bit, +0 everywhere else.
-func storeIsScatter(w *worker) error {
+// zAIsView reports how w breaks the invariant the x-update, the dual update
+// and the sparse-only snapshot rest on: zSparse is a well-formed vector
+// inside the subscription, and zA[i] is its value at active[i] bit for bit,
+// +0 where it has no entry.
+func zAIsView(w *worker) error {
 	if err := w.zSparse.Check(); err != nil {
 		return err
 	}
 	if w.zSparse.Dim != w.dim {
 		return fmt.Errorf("zSparse.Dim %d, worker dim %d", w.zSparse.Dim, w.dim)
 	}
-	want := make([]float64, len(w.zStore)) // +0
-	for k, idx := range w.zSparse.Index {
-		b := w.smap.Part.BlockOf(int(idx))
-		i, ok := slices.BinarySearch(w.smap.Subs[w.rank], int32(b))
-		if !ok {
+	for _, idx := range w.zSparse.Index {
+		if b := w.smap.Part.BlockOf(int(idx)); !slices.Contains(w.smap.Subs[w.rank], int32(b)) {
 			return fmt.Errorf("zSparse index %d lies in unsubscribed block %d", idx, b)
 		}
-		want[w.subOff[i]+int(idx)-w.smap.Part.Chunk(b).Lo] = w.zSparse.Value[k]
 	}
-	for p := range want {
-		if math.Float64bits(w.zStore[p]) != math.Float64bits(want[p]) {
-			return fmt.Errorf("zStore[%d] = %v (bits %x), scatter of zSparse has %v", p, w.zStore[p], math.Float64bits(w.zStore[p]), want[p])
+	if len(w.zA) != len(w.active) {
+		return fmt.Errorf("len(zA) = %d, %d active columns", len(w.zA), len(w.active))
+	}
+	dense := w.zSparse.ToDense() // +0 off the support
+	for i, c := range w.active {
+		if math.Float64bits(w.zA[i]) != math.Float64bits(dense[c]) {
+			return fmt.Errorf("zA[%d] (column %d) = %v (bits %x), the view has %v", i, c, w.zA[i], math.Float64bits(w.zA[i]), dense[c])
 		}
 	}
 	return nil
+}
+
+// subscriptionDense is w's view written densely over its subscription, the
+// concatenation of its subscribed blocks: the ZDense earlier builds wrote.
+func subscriptionDense(w *worker) []float64 {
+	dense := w.zSparse.ToDense()
+	var out []float64
+	for i := range w.smap.Subs[w.rank] {
+		lo, hi := w.sub(i)
+		out = append(out, dense[lo:hi]...)
+	}
+	return out
 }
 
 // awkwardSparse is movingSparse with the values a shortcut would get wrong
@@ -112,10 +127,11 @@ func fixtureEnv(ws []*worker) *strategyEnv {
 
 // Property: after ANY sequence of keepZ, applyW (blocks with no live
 // subscriber, entries the threshold zeroes), rejoin and snapshot restore,
-// zStore is the scatter of zSparse bit for bit and +0 elsewhere — on the
-// replicated full map and on a multi-block sharded map — and a restore
-// brings back exactly the state the snapshot was taken from.
-func TestStoreIsScatterOfSparseView(t *testing.T) {
+// zA is the view at the active columns bit for bit and +0 where the view
+// has no entry — on the replicated full map and on a multi-block sharded
+// map, with NaN, ±Inf and subnormal values — and a restore brings back
+// exactly the state the snapshot was taken from.
+func TestActiveZIsViewAtActiveColumns(t *testing.T) {
 	for _, full := range []bool{true, false} {
 		for seed := int64(1); seed <= 40; seed++ {
 			r := rand.New(rand.NewSource(seed))
@@ -179,7 +195,7 @@ func TestStoreIsScatterOfSparseView(t *testing.T) {
 					}
 				}
 				for _, w := range ws {
-					if err := storeIsScatter(w); err != nil {
+					if err := zAIsView(w); err != nil {
 						t.Fatalf("full=%v seed %d step %d (op %d) rank %d: %v", full, seed, step, op, w.rank, err)
 					}
 				}
@@ -236,7 +252,7 @@ func TestApplySnapshotRejectsHostileZ(t *testing.T) {
 			s.ZVal = slices.Insert(s.ZVal, at, 1.5)
 		}, "outside the rank's subscription"},
 		{"ZVal stores a zero", func(s *exchange.WorkerSnap) { s.ZVal[0] = 0 }, "stored zero"},
-		{"ZDense of a third length", func(s *exchange.WorkerSnap) { s.ZDense = make([]float64, len(w.zStore)+1) }, "state shape"},
+		{"ZDense one longer than the subscription", func(s *exchange.WorkerSnap) { s.ZDense = make([]float64, len(subscriptionDense(w))+1) }, "state shape"},
 		{"ZDense of the global dimension on a sharded rank", func(s *exchange.WorkerSnap) { s.ZDense = make([]float64, env.dim) }, "state shape"},
 	}
 	for _, h := range hostile {
@@ -282,8 +298,8 @@ func TestApplySnapshotRejectsHostileZ(t *testing.T) {
 // view and nowhere else — x and y clean, so only the z scan can see it; the
 // z-update itself cannot produce this (SoftThreshold maps a NaN aggregate to
 // 0), which is why the plant goes through afterRound. The watchdog must trip
-// that iteration with the message the dense zStore scan gave — the global
-// coordinate is the zStore index under the replicated placement — roll back
+// that iteration with the message a dense scan of z gives — the global
+// coordinate is the dense index under the replicated placement — roll back
 // to the last snapshot and replay to the fault-free history.
 func TestNaNInZViewOnlyTripsRollsBackAndReplays(t *testing.T) {
 	train, test := testData(t, 160)
@@ -314,7 +330,7 @@ func TestNaNInZViewOnlyTripsRollsBackAndReplays(t *testing.T) {
 			z.Value[k] = math.NaN()
 			coord = z.Index[k]
 			w.keepZ(z)
-			dense = watchdog.ScanNonFinite([]string{"x", "y", "z"}, w.xA, w.yA, w.zStore)
+			dense = watchdog.ScanNonFinite([]string{"x", "y", "z"}, w.xA, w.yA, subscriptionDense(w))
 		},
 	})
 	if err != nil {
@@ -345,7 +361,8 @@ func TestNaNInZViewOnlyTripsRollsBackAndReplays(t *testing.T) {
 }
 
 // buildSnapshotDenseZ is buildSnapshot as it stood before z travelled once:
-// every slice cloned, and zStore written as ZDense beside the sparse view.
+// every slice cloned, and the subscription written densely as ZDense beside
+// the sparse view.
 // Files of this layout exist; they must keep restoring.
 func buildSnapshotDenseZ(cfg Config, env *strategyEnv, strat ConsensusStrategy, nextIter int, zPrev []float64, res *Result) *exchange.Snapshot {
 	snap := &exchange.Snapshot{
@@ -372,7 +389,7 @@ func buildSnapshotDenseZ(cfg Config, env *strategyEnv, strat ConsensusStrategy, 
 			CalTotal: w.calTotal,
 			XA:       append([]float64(nil), w.xA...),
 			YA:       append([]float64(nil), w.yA...),
-			ZDense:   append([]float64(nil), w.zStore...),
+			ZDense:   subscriptionDense(w),
 			ZIdx:     append([]int32(nil), w.zSparse.Index...),
 			ZVal:     append([]float64(nil), w.zSparse.Value...),
 		})
@@ -468,6 +485,17 @@ func TestOldLayoutSnapshotRestoresLikeSparseOnly(t *testing.T) {
 				t.Fatalf("old layout %d bytes, sparse-only %d: the old layout carries z twice", len(oldBlob), len(newBlob))
 			}
 			envOld, _, cfgOld, zPrevOld, resOld := restore(oldBlob)
+			// ZDense of any width but the subscription's is refused.
+			for _, delta := range []int{-1, 1} {
+				s, err := exchange.DecodeSnapshot(oldBlob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Workers[0].ZDense = make([]float64, len(s.Workers[0].ZDense)+delta)
+				if _, err := applySnapshot(s, &cfgNew, envNew, stratNew, zPrev, res, true); err == nil || !strings.Contains(err.Error(), "state shape") {
+					t.Fatalf("ZDense %+d wider than the subscription: err %v, want a refusal", delta, err)
+				}
+			}
 			if cfgOld.Rho != cfgNew.Rho || !bitsEqual(zPrevOld, zPrev) || resOld.TotalBytes != res.TotalBytes ||
 				!bitsEqual([]float64{resOld.TotalCalTime, resOld.TotalCommTime}, []float64{res.TotalCalTime, res.TotalCommTime}) {
 				t.Fatal("the two layouts restored different run-level state")
@@ -476,7 +504,7 @@ func TestOldLayoutSnapshotRestoresLikeSparseOnly(t *testing.T) {
 				if d := holdState(envNew.ws[i]).diff(holdState(envOld.ws[i])); d != "" {
 					t.Fatalf("rank %d's %s differs between the old layout and its sparse-only twin", i, d)
 				}
-				if err := storeIsScatter(envOld.ws[i]); err != nil {
+				if err := zAIsView(envOld.ws[i]); err != nil {
 					t.Fatalf("rank %d restored from the old layout: %v", i, err)
 				}
 			}

@@ -71,7 +71,7 @@ func storeFixtureOn(r *rand.Rand, dim, blocks, world int, full bool) (*shard.Map
 	ws := make([]*worker, world)
 	for rank, cols := range active {
 		w := &worker{rank: rank, dim: dim, active: cols}
-		w.xA, w.yA = make([]float64, len(cols)), make([]float64, len(cols))
+		w.xA, w.yA, w.zA = make([]float64, len(cols)), make([]float64, len(cols)), make([]float64, len(cols))
 		for i := range cols {
 			w.xA[i], w.yA[i] = r.NormFloat64(), r.NormFloat64()
 		}
@@ -100,15 +100,17 @@ func movingSparse(r *rand.Rand, dim int) *sparse.Vector {
 }
 
 // holdsRestricted reports whether w holds exactly ref restricted to its
-// subscription — zStore block by block, zSparse the sparse form of that in
-// global coordinates — and returns the restriction. A stale entry left in
-// zStore by an earlier iterate fails the block comparison.
+// subscription — zSparse its sparse form in global coordinates, zA its
+// values at the active columns — and returns the restriction. A stale entry
+// left in zA by an earlier iterate fails the column comparison.
 func holdsRestricted(w *worker, ref []float64) ([]float64, bool) {
 	want := make([]float64, w.dim)
-	for i, b := range w.smap.Subs[w.rank] {
+	for _, b := range w.smap.Subs[w.rank] {
 		c := w.smap.Part.Chunk(int(b))
 		copy(want[c.Lo:c.Hi], ref[c.Lo:c.Hi])
-		if !vec.Equal(w.zStore[w.subOff[i]:w.subOff[i+1]], ref[c.Lo:c.Hi]) {
+	}
+	for i, c := range w.active {
+		if w.zA[i] != want[c] {
 			return nil, false
 		}
 	}
@@ -337,7 +339,7 @@ func TestWSparseMatchesDefinition(t *testing.T) {
 		got := w.wSparseInto(new(sparse.Vector), cfg.Rho).ToDense()
 		want := make([]float64, train.Dim())
 		// Reconstruct: active coords from (xA, yA); off-active from ρ·z.
-		copy(want, w.zStore) // the full dimension under the one-block map
+		w.zSparse.ToDenseInto(want) // the full dimension under the one-block map
 		vec.Scale(cfg.Rho, want)
 		for i, c := range w.active {
 			want[c] = w.yA[i] + cfg.Rho*w.xA[i]

@@ -8,11 +8,13 @@ import (
 	"psrahgadmm/internal/simnet"
 )
 
-// TestShardScaleBytes pins what block-sharded state saves at simnet scale.
-// Each pair runs the same world twice, replicated z and then block-sharded
-// z, on a sparse synthetic wide enough that subscriptions are genuinely
-// partial. Resident bytes are the largest consensus-state footprint of any
-// rank at the final iteration; wire bytes are the run totals. Both are
+// TestShardScaleBytes pins what each placement holds and ships at simnet
+// scale. Each pair runs the same world twice, replicated z and then
+// block-sharded z, on a sparse synthetic wide enough that subscriptions are
+// genuinely partial. Resident bytes are the largest consensus-state
+// footprint of any rank at the final iteration (a rank holds z only at its
+// active columns and on its view's nonzeros, so neither placement is
+// dimension-sized); wire bytes are the run totals. Both are
 // deterministic, so they are held exactly: a change means the partitioning
 // or the collectives' accounting changed. The 64-rank pair runs again at
 // GOMAXPROCS 4, where the crew runs in parallel and must not move a byte.
@@ -28,10 +30,10 @@ func TestShardScaleBytes(t *testing.T) {
 		denseRes, shardRes   int64
 		denseWire, shardWire int64
 	}{
-		{"64", 16, 4, 256, 8, 512, 0, PSRAADMM, "", 128984, 8368, 4530204, 1993212},
-		{"256", 32, 8, 512, 4, 1024, 0, PSRAADMM, "", 128768, 3832, 15719388, 2541456},
-		{"64-mp4", 16, 4, 256, 8, 512, 4, PSRAADMM, "", 128984, 8368, 4530204, 1993212},
-		{"64-ssp", 16, 4, 256, 8, 512, 0, PSRAHGADMM, PSRAHGADMMShardedSSP, 128984, 8368, 2317352, 1347920},
+		{"64", 16, 4, 256, 8, 512, 0, PSRAADMM, "", 3060, 2520, 4530204, 1993212},
+		{"256", 32, 8, 512, 4, 1024, 0, PSRAADMM, "", 3996, 2220, 15719388, 2541456},
+		{"64-mp4", 16, 4, 256, 8, 512, 4, PSRAADMM, "", 3060, 2520, 4530204, 1993212},
+		{"64-ssp", 16, 4, 256, 8, 512, 0, PSRAHGADMM, PSRAHGADMMShardedSSP, 3060, 2436, 2317352, 1347920},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			train, _, err := dataset.Generate(dataset.SynthConfig{

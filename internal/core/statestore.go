@@ -7,14 +7,15 @@ import (
 )
 
 // stateStore is the consensus state's placement, and there is ONE layout:
-// the dimension is block-partitioned and each rank holds the compact
-// concatenation of the blocks it subscribes to (worker.zStore). Sharded
-// state subscribes a rank to the blocks its active columns fall into;
-// replicated state is the same layout under the map with one block that
-// every rank subscribes to (shard.FullMap) — zStore is then the full
-// dimension, every per-block live count is the live count, and the bodies
-// below perform the classic engine's float operations in its order, so a
-// fully subscribed run is bit-identical for any block count.
+// the dimension is block-partitioned and each rank keeps z over the blocks
+// it subscribes to, as a sparse view plus its values at the rank's active
+// columns (worker.zSparse and worker.zA). Sharded state subscribes a rank to
+// the blocks its active columns fall into; replicated state is the same
+// layout under the map with one block that every rank subscribes to
+// (shard.FullMap) — the view then covers the whole dimension, every
+// per-block live count is the live count, and the bodies below perform the
+// classic engine's float operations in its order, so a fully subscribed run
+// is bit-identical for any block count.
 //
 // The one decision placement still makes is which schedule reduces W on
 // the flat path (allreduceW) and therefore which vector holds a rank's
@@ -51,8 +52,8 @@ type stateStore struct {
 
 // newStateStore builds the run's map — subscriptions derived from the
 // workers' active columns when sharded, the one-block full map otherwise —
-// and allocates every worker's consensus storage under it. Must run after
-// env.ws is populated.
+// and starts every worker's consensus view under it. Must run after env.ws
+// is populated.
 func newStateStore(env *strategyEnv, sharded bool, blocks int) *stateStore {
 	s := &stateStore{env: env, sharded: sharded, countsEpoch: -1}
 	if sharded {
@@ -145,12 +146,12 @@ func (s *stateStore) zFromW(wsum *sparse.Vector, cfg Config) *sparse.Vector {
 // zero (no data couples to them, so their z is provably zero).
 //
 // It costs the views' nonzeros, not the dimension. A view is added over its
-// support only, rank by rank: zStore is +0 off support(zSparse) (see
-// beginZ) and zSparse lies inside the rank's subscription, a sum that
-// starts at +0 never becomes −0, and x + (+0) is x bit for bit for every
-// other x, NaN included — so the terms skipped are exactly the ones that
-// change nothing, and the result equals the dense per-block sum of the
-// stored views (an explicit −0 or NaN is an entry, added like any other).
+// support only, rank by rank: a view's dense form is +0 off its support and
+// the view lies inside the rank's subscription, a sum that starts at +0
+// never becomes −0, and x + (+0) is x bit for bit for every other x, NaN
+// included — so the terms skipped are exactly the ones that change nothing,
+// and the result equals the dense per-block sum of the views (an explicit
+// −0 or NaN is an entry, added like any other).
 // Only the union of those supports is scaled, since +0 · (1/n) is +0, and
 // only dst's previous support is cleared.
 func (s *stateStore) assembleInto(dst *zSummary, alive func(rank int) bool, counts []int) {

@@ -3,22 +3,21 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/vec"
 )
 
-// blockView returns w's stored view of subscribed block b (the no-copy
-// zStore slice), or nil when unsubscribed.
+// blockView returns w's view of subscribed block b written densely, or nil
+// when unsubscribed.
 func blockView(w *worker, b int) []float64 {
-	subs := w.smap.Subs[w.rank]
-	i := sort.Search(len(subs), func(k int) bool { return int(subs[k]) >= b })
-	if i < len(subs) && int(subs[i]) == b {
-		return w.zStore[w.subOff[i]:w.subOff[i+1]]
+	if _, ok := slices.BinarySearch(w.smap.Subs[w.rank], int32(b)); !ok {
+		return nil
 	}
-	return nil
+	c := w.smap.Part.Chunk(b)
+	return w.zSparse.ToDense()[c.Lo:c.Hi]
 }
 
 // assembleDense is the body assembleInto had while it cost the dimension:
@@ -65,6 +64,7 @@ func TestAssembleIntoMatchesDenseSum(t *testing.T) {
 					w.active = append(w.active, int32(c))
 				}
 			}
+			w.zA = make([]float64, len(w.active))
 			env.ws = append(env.ws, w)
 		}
 		s := newStateStore(env, sharded, 256)

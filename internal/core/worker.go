@@ -42,20 +42,15 @@ type worker struct {
 	compact *sparse.CSR // shard remapped to columns 0..len(active)-1
 	obj     *solver.LogisticProx
 	xA, yA  []float64 // primal/dual over active columns
-	zA      []float64 // consensus gathered onto active columns
+	zA      []float64 // z at the active columns, TRON's Z (see setView)
 
-	// Consensus view: zStore is the compact concatenation of the rank's
-	// subscribed blocks under the run's shard map (the full dimension under
-	// the replicated one-block full map); no other copy of z exists on this
-	// rank. subOff[i] is the zStore offset of subscribed block
-	// smap.Subs[rank][i]; the trailing entry is len(zStore). zSparse is the
-	// same iterate, sparse and in global coordinates (w construction), and
-	// zStore is zero off its support — see beginZ.
-	smap      *shard.Map
-	subOff    []int
-	zStore    []float64
-	activePos []int32 // zStore position of each active column
-	zSparse   *sparse.Vector
+	// Consensus view: zSparse is the iterate restricted to the rank's
+	// subscribed blocks under the run's shard map (the whole dimension under
+	// the replicated one-block full map), sparse and in global coordinates.
+	// It and zA are the only copies of z on this rank: nothing the rank
+	// keeps is as wide as its subscription.
+	smap    *shard.Map
+	zSparse *sparse.Vector
 
 	// clock is the worker's virtual time; calTotal accumulates compute.
 	clock    float64
@@ -76,8 +71,8 @@ type worker struct {
 }
 
 // newWorkers shards the dataset and initializes per-rank solver state
-// (x=y=0, paper Algorithm 1 line 2). Consensus storage is NOT allocated
-// here — the run's stateStore owns placement and calls initStore on every
+// (x=y=z=0, paper Algorithm 1 line 2). The consensus view is not set here
+// — the run's stateStore owns placement and calls initStore on every
 // worker before the first iteration.
 func newWorkers(cfg Config, train *dataset.Dataset) []*worker {
 	shards := train.Shard(cfg.Topo.Size())
@@ -97,30 +92,11 @@ func newWorker(cfg Config, rank int, sh *dataset.Dataset) *worker {
 	return w
 }
 
-// initStore allocates the worker's consensus storage under the run's shard
-// map: zStore is the compact concatenation of the subscribed blocks, and
-// activePos targets each active column's position in it.
+// initStore sets the run's shard map and starts the consensus view at
+// z = 0.
 func (w *worker) initStore(m *shard.Map) {
 	w.smap = m
-	subs := m.Subs[w.rank]
-	w.subOff = make([]int, len(subs)+1)
-	total := 0
-	for i, b := range subs {
-		w.subOff[i] = total
-		total += m.Part.Chunk(int(b)).Len()
-	}
-	w.subOff[len(subs)] = total
-	w.zStore = make([]float64, total)
-	w.zSparse = w.nextZ()
-	w.activePos = make([]int32, len(w.active))
-	si := 0
-	for i, c := range w.active {
-		b := m.Part.BlockOf(int(c))
-		for int(subs[si]) != b {
-			si++ // active sorted → blocks non-decreasing → cursor, not search
-		}
-		w.activePos[i] = int32(w.subOff[si] + int(c) - m.Part.Chunk(b).Lo)
-	}
+	w.setView(w.nextZ())
 }
 
 // nextZ flips the worker-private double buffer and returns the emptied side
@@ -135,10 +111,11 @@ func (w *worker) nextZ() *sparse.Vector {
 	return nb
 }
 
-// residentBytes is the rank's consensus-state footprint: the z storage the
-// rank actually holds plus the active-subspace primal/dual/gather arrays.
+// residentBytes is the rank's consensus-state footprint: the active-subspace
+// x, y and z arrays plus the view's nonzeros (an int32 index and a float64
+// value each).
 func (w *worker) residentBytes() int64 {
-	return 8 * int64(len(w.zStore)+len(w.xA)+len(w.yA)+len(w.zA))
+	return 8*int64(len(w.xA)+len(w.yA)+len(w.zA)) + 12*int64(w.zSparse.NNZ())
 }
 
 // buildActive computes the shard's active column set and the remapped CSR.
@@ -153,10 +130,6 @@ func (w *worker) buildActive() {
 // subspace and returns the deterministic virtual compute time, scaled by
 // the straggler and jitter factors for (iter, rank).
 func (w *worker) xUpdate(cfg Config, iter int) float64 {
-	// Gather the consensus onto the active columns.
-	for i, p := range w.activePos {
-		w.zA[i] = w.zStore[p]
-	}
 	var res solver.TronResult
 	if len(w.active) > 0 {
 		res = solver.TRONWorkspace(w.obj, w.xA, cfg.Tron, &w.tron)
@@ -211,45 +184,41 @@ func (w *worker) wSparseInto(out *sparse.Vector, rho float64) *sparse.Vector {
 	return out
 }
 
-// sub returns subscribed block i's global range [lo, hi) and the offset
-// that maps a global index in it to its zStore position.
-func (w *worker) sub(i int) (lo, hi, off int) {
+// sub returns subscribed block i's global range [lo, hi).
+func (w *worker) sub(i int) (lo, hi int) {
 	c := w.smap.Part.Chunk(int(w.smap.Subs[w.rank][i]))
-	return c.Lo, c.Hi, w.subOff[i] - c.Lo
+	return c.Lo, c.Hi
 }
 
-// beginZ zeroes zStore ahead of a new iterate and returns the emptied
-// sparse view to build it in. zStore is zero off support(zSparse) — the
-// invariant initStore establishes and keepZ, applyW and a snapshot restore
-// (which rewrites both) preserve — so clearing the previous iterate's
-// support clears the store, and accepting an iterate costs its nonzeros,
-// not the subscription's width.
-func (w *worker) beginZ() *sparse.Vector {
-	si, hi, off := -1, 0, 0
-	for _, idx := range w.zSparse.Index {
-		for int(idx) >= hi { // zSparse lies inside the subscription
-			si++
-			_, hi, off = w.sub(si)
+// setView makes nb the consensus view and refreshes zA from it: one merge of
+// the sorted view against the sorted active columns writes the view's value
+// where it has an entry and +0 where it has none — every value a dense z
+// holds there, bit for bit.
+func (w *worker) setView(nb *sparse.Vector) {
+	w.zSparse = nb
+	k := 0
+	for i, c := range w.active {
+		for k < len(nb.Index) && nb.Index[k] < c {
+			k++
 		}
-		w.zStore[off+int(idx)] = 0
+		if k < len(nb.Index) && nb.Index[k] == c {
+			w.zA[i] = nb.Value[k]
+		} else {
+			w.zA[i] = 0
+		}
 	}
-	return w.nextZ()
 }
 
 // keepZ retains the subscribed blocks of a consensus iterate given in
-// global coordinates: scattered into zStore, and as they are in zSparse.
+// global coordinates as the new view.
 func (w *worker) keepZ(z *sparse.Vector) {
-	nb := w.beginZ()
+	nb := w.nextZ()
 	for i := range w.smap.Subs[w.rank] {
-		lo, hi, off := w.sub(i)
-		from, to := z.Range(lo, hi)
-		for k := from; k < to; k++ {
-			w.zStore[off+int(z.Index[k])] = z.Value[k]
-		}
+		from, to := z.Range(w.sub(i))
 		nb.Index = append(nb.Index, z.Index[from:to]...)
 		nb.Value = append(nb.Value, z.Value[from:to]...)
 	}
-	w.zSparse = nb
+	w.setView(nb)
 }
 
 // applyZ consumes the new consensus iterate — the already-thresholded z the
@@ -263,37 +232,35 @@ func (w *worker) applyZ(cfg Config, z *sparse.Vector) {
 
 // dualUpdate performs y ← y + ρ(x − z) (eq. 6) over the active subspace.
 func (w *worker) dualUpdate(rho float64) {
-	for i, p := range w.activePos {
-		w.yA[i] += rho * (w.xA[i] - w.zStore[p])
+	for i, z := range w.zA {
+		w.yA[i] += rho * (w.xA[i] - z)
 	}
 }
 
 // applyW consumes a reduced W (the flat path, where every member holds a
 // reduction result) — sparse, global coordinates, covering at least the
 // rank's subscription — and computes the subscribed blocks' z straight into
-// the compact store: the z-update (eq. 10, corrected N·ρ scaling) over the
+// the new view: the z-update (eq. 10, corrected N·ρ scaling) over the
 // aggregate's support only, since SoftThreshold(0) = 0. Block b is scaled by
 // counts[b], its live subscriber count; the scalar expression is
 // solver.ZUpdateL1Blocks'. Then the dual update.
 func (w *worker) applyW(cfg Config, bigW *sparse.Vector, counts []int) {
-	nb := w.beginZ()
+	nb := w.nextZ()
 	for i, b := range w.smap.Subs[w.rank] {
 		n := counts[b]
 		if n <= 0 {
 			continue // a block with no live subscriber keeps z = 0
 		}
 		inv := 1 / (cfg.Rho * float64(n))
-		lo, hi, off := w.sub(i)
-		from, to := bigW.Range(lo, hi)
+		from, to := bigW.Range(w.sub(i))
 		for k := from; k < to; k++ {
 			if v := vec.SoftThreshold(bigW.Value[k], cfg.Lambda) * inv; v != 0 {
-				w.zStore[off+int(bigW.Index[k])] = v
 				nb.Index = append(nb.Index, bigW.Index[k])
 				nb.Value = append(nb.Value, v)
 			}
 		}
 	}
-	w.zSparse = nb
+	w.setView(nb)
 	w.dualUpdate(cfg.Rho)
 }
 

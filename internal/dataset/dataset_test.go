@@ -301,6 +301,29 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// TestPresetLookup: Preset is each preset constructor by name, at scales in
+// (0, 1] only; a scale outside it (where the presets' floors would draw a
+// different problem, or the draw would outgrow the paper's) and an unknown
+// name are refused.
+func TestPresetLookup(t *testing.T) {
+	for name, mk := range map[string]func(float64, int64) SynthConfig{"news20": News20Like, "webspam": WebspamLike, "url": URLLike} {
+		for _, scale := range []float64{1, 0.001, math.SmallestNonzeroFloat64} {
+			got, err := Preset(name, scale, 7)
+			if err != nil || got != mk(scale, 7) {
+				t.Fatalf("Preset(%q, %v): %+v, %v; want %+v", name, scale, got, err, mk(scale, 7))
+			}
+		}
+		for _, scale := range []float64{0, -1, math.NaN(), 5, math.Nextafter(1, 2), math.Inf(1)} {
+			if _, err := Preset(name, scale, 7); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+				t.Fatalf("Preset(%q, %v): err %v, want a refusal of the scale", name, scale, err)
+			}
+		}
+	}
+	if _, err := Preset("rcv1", 0.5, 7); err == nil || !strings.Contains(err.Error(), `unknown preset "rcv1"`) {
+		t.Fatalf("unknown preset: err %v", err)
+	}
+}
+
 func TestPaperPresets(t *testing.T) {
 	presets := PaperPresets(1.0, 1)
 	names := []string{"news20", "webspam", "url"}

@@ -179,6 +179,22 @@ func URLLike(scale float64, seed int64) SynthConfig {
 	}
 }
 
+// Preset returns the paper preset called name (news20, webspam or url) at
+// the given scale. A scale outside (0, 1] is refused: below it the presets'
+// floors draw a different problem, above it a draw larger than the paper's.
+func Preset(name string, scale float64, seed int64) (SynthConfig, error) {
+	mk, ok := map[string]func(float64, int64) SynthConfig{
+		"news20": News20Like, "webspam": WebspamLike, "url": URLLike,
+	}[name]
+	if !ok {
+		return SynthConfig{}, fmt.Errorf("unknown preset %q (news20 | webspam | url)", name)
+	}
+	if !(scale > 0 && scale <= 1) {
+		return SynthConfig{}, fmt.Errorf("scale %v outside (0, 1]", scale)
+	}
+	return mk(scale, seed), nil
+}
+
 // PaperPresets returns the three Table 1 dataset configs at the given
 // scale, in the paper's order.
 func PaperPresets(scale float64, seed int64) []SynthConfig {

@@ -66,8 +66,11 @@ func (c Config) Validate() error {
 	if c.Window < 0 {
 		return fmt.Errorf("watchdog: Window %d negative", c.Window)
 	}
-	if c.ResidualFactor < 0 || c.ObjectiveFactor < 0 {
-		return fmt.Errorf("watchdog: negative explosion factor")
+	if f := c.ResidualFactor; !(f >= 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("watchdog: ResidualFactor %v is not finite and non-negative", f)
+	}
+	if f := c.ObjectiveFactor; !(f >= 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("watchdog: ObjectiveFactor %v is not finite and non-negative", f)
 	}
 	if c.MaxRollbacks < 0 {
 		return fmt.Errorf("watchdog: MaxRollbacks %d negative", c.MaxRollbacks)

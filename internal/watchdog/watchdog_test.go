@@ -132,6 +132,19 @@ func TestValidate(t *testing.T) {
 	if err := (Config{Enabled: true, MaxRollbacks: -2}).Validate(); err == nil {
 		t.Fatal("negative MaxRollbacks must be rejected")
 	}
+	// A NaN or infinite factor would silently switch explosion detection
+	// off: every comparison against it is false.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if err := (Config{Enabled: true, ResidualFactor: f}).Validate(); err == nil {
+			t.Errorf("ResidualFactor %v accepted", f)
+		}
+		if err := (Config{Enabled: true, ObjectiveFactor: f}).Validate(); err == nil {
+			t.Errorf("ObjectiveFactor %v accepted", f)
+		}
+	}
+	if err := (Config{Enabled: true, ResidualFactor: 0, ObjectiveFactor: 1e6}).Validate(); err != nil {
+		t.Fatalf("factors 0 (default) and 1e6: %v", err)
+	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("disabled config: %v", err)
 	}
