@@ -25,8 +25,8 @@ func main() {
 		dim    = flag.Int("dim", 10000, "custom: feature dimension")
 		rows   = flag.Int("rows", 1000, "custom: training rows")
 		test   = flag.Int("testrows", 200, "custom: test rows")
-		rowNNZ = flag.Int("rownnz", 20, "custom: mean nonzeros per row")
-		zipf   = flag.Float64("zipf", 1.3, "custom: feature popularity skew (>1)")
+		rowNNZ = flag.Int("rownnz", 20, "custom: mean nonzeros per row (a row holds up to 2·rownnz−1, at most -dim)")
+		zipf   = flag.Float64("zipf", 1.3, "custom: feature popularity skew (finite, >1)")
 		signal = flag.Int("signal", 100, "custom: planted weight support size")
 		noise  = flag.Float64("noise", 0.02, "custom: label flip probability")
 	)

@@ -10,9 +10,11 @@ import (
 	"testing"
 )
 
-// TestScaleRefused: a preset scale outside (0, 1] or an unknown preset
-// exits 1 naming the flag and writes no file; a scale inside it writes
-// both splits.
+// TestScaleRefused: a preset scale outside (0, 1], an unknown preset, or
+// a custom draw that would never end (more distinct features a row than
+// -dim, a non-finite -zipf) or never flip a label (-noise NaN) exits 1
+// naming the flag or the field and writes no file; a scale inside it
+// writes both splits.
 func TestScaleRefused(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "psra-datagen")
@@ -36,6 +38,10 @@ func TestScaleRefused(t *testing.T) {
 		{[]string{"-scale", "NaN"}, "-scale NaN: scale NaN outside (0, 1]"},
 		{[]string{"-preset", "webspam", "-scale", "5"}, "-scale 5: scale 5 outside (0, 1]"},
 		{[]string{"-preset", "rcv1"}, `-preset rcv1 -scale 0.001: unknown preset "rcv1"`},
+		{[]string{"-preset", "custom", "-dim", "10", "-rownnz", "8", "-signal", "5"}, "RowNNZ 8 out of (0,5]"},
+		{[]string{"-preset", "custom", "-zipf", "NaN"}, "ZipfS NaN must be finite"},
+		{[]string{"-preset", "custom", "-zipf", "Inf"}, "ZipfS +Inf must be finite"},
+		{[]string{"-preset", "custom", "-noise", "NaN"}, "NoiseFlip NaN out of"},
 	} {
 		stderr, err := run(tc.args...)
 		var exit *exec.ExitError

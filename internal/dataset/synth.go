@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"psrahgadmm/internal/sparse"
 )
@@ -18,7 +18,8 @@ type SynthConfig struct {
 	Dim       int
 	TrainRows int
 	TestRows  int
-	// RowNNZ is the mean number of nonzeros per row.
+	// RowNNZ is the mean number of nonzeros per row; a row holds 1 to
+	// 2·RowNNZ−1 distinct features, so 2·RowNNZ−1 may not exceed Dim.
 	RowNNZ int
 	// ZipfS > 1 controls feature popularity skew; larger = heavier head.
 	ZipfS float64
@@ -37,13 +38,13 @@ func (c SynthConfig) validate() error {
 		return fmt.Errorf("dataset: TrainRows must be positive")
 	case c.TestRows < 0:
 		return fmt.Errorf("dataset: TestRows must be non-negative")
-	case c.RowNNZ <= 0 || c.RowNNZ > c.Dim:
-		return fmt.Errorf("dataset: RowNNZ %d out of (0,%d]", c.RowNNZ, c.Dim)
-	case c.ZipfS <= 1:
-		return fmt.Errorf("dataset: ZipfS must exceed 1")
+	case c.RowNNZ <= 0 || c.RowNNZ > (c.Dim+1)/2:
+		return fmt.Errorf("dataset: RowNNZ %d out of (0,%d]: a row holds up to 2·RowNNZ−1 of Dim %d features", c.RowNNZ, (c.Dim+1)/2, c.Dim)
+	case !(c.ZipfS > 1) || math.IsInf(c.ZipfS, 1):
+		return fmt.Errorf("dataset: ZipfS %v must be finite and exceed 1", c.ZipfS)
 	case c.SignalNNZ <= 0 || c.SignalNNZ > c.Dim:
 		return fmt.Errorf("dataset: SignalNNZ %d out of (0,%d]", c.SignalNNZ, c.Dim)
-	case c.NoiseFlip < 0 || c.NoiseFlip >= 0.5:
+	case !(c.NoiseFlip >= 0 && c.NoiseFlip < 0.5):
 		return fmt.Errorf("dataset: NoiseFlip %v out of [0,0.5)", c.NoiseFlip)
 	}
 	return nil
@@ -51,12 +52,18 @@ func (c SynthConfig) validate() error {
 
 // Generate builds the train and test splits deterministically from
 // cfg.Seed.
+//
+// A row draws its length, then Zipf features until it holds that many
+// distinct ones, each new feature drawing its value. A per-feature stamp
+// (the last row that drew it) finds the repeats and a per-feature scratch
+// holds the values until the row's columns are sorted, so a row costs no
+// allocation.
 func Generate(cfg SynthConfig) (train, test *Dataset, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Dim-1))
+	zipf := newZipf(r, cfg.ZipfS, uint64(cfg.Dim-1))
 
 	// Planted weights on the SignalNNZ most popular features (low Zipf
 	// ranks), so most rows touch some signal.
@@ -65,39 +72,41 @@ func Generate(cfg SynthConfig) (train, test *Dataset, err error) {
 		w[i] = r.NormFloat64() * 2
 	}
 
+	stamp := make([]int32, cfg.Dim) // 1 + the index of the last row to draw the feature
+	val := make([]float64, cfg.Dim)
+	row := int32(0)
+	cols := make([]int32, 0, 2*cfg.RowNNZ-1)
+	vals := make([]float64, 0, 2*cfg.RowNNZ-1)
 	gen := func(rows int, suffix string) *Dataset {
-		m := sparse.NewCSR(0, cfg.Dim, 0)
+		// Row lengths are uniform on [1, 2·RowNNZ−1], with mean RowNNZ and
+		// standard deviation about RowNNZ/√3: four deviations of the sum
+		// above the mean leave a regrowth about once in 30,000 draws.
+		capNNZ := rows*cfg.RowNNZ + int(4*math.Sqrt(float64(rows)/3)*float64(cfg.RowNNZ))
+		m := sparse.NewCSR(rows, cfg.Dim, capNNZ)
 		labels := make([]float64, rows)
-		colsBuf := make([]int32, 0, 4*cfg.RowNNZ)
-		valsBuf := make([]float64, 0, 4*cfg.RowNNZ)
-		seen := map[int32]float64{}
 		for i := 0; i < rows; i++ {
-			// Row length: geometric-ish spread around the mean, >= 1.
 			nnz := 1 + r.Intn(2*cfg.RowNNZ-1)
-			for k := range seen {
-				delete(seen, k)
-			}
-			for len(seen) < nnz {
+			row++
+			cols = cols[:0]
+			for len(cols) < nnz {
 				f := int32(zipf.Uint64())
-				if _, ok := seen[f]; ok {
+				if stamp[f] == row {
 					continue
 				}
+				stamp[f] = row
 				// tf-idf-like positive magnitudes.
-				seen[f] = 0.2 + math.Abs(r.NormFloat64())
+				val[f] = 0.2 + math.Abs(r.NormFloat64())
+				cols = append(cols, f)
 			}
-			colsBuf = colsBuf[:0]
-			valsBuf = valsBuf[:0]
-			for c := range seen {
-				colsBuf = append(colsBuf, c)
-			}
-			sort.Slice(colsBuf, func(a, b int) bool { return colsBuf[a] < colsBuf[b] })
+			slices.Sort(cols)
+			vals = vals[:0]
 			margin := 0.0
-			for _, c := range colsBuf {
-				v := seen[c]
-				valsBuf = append(valsBuf, v)
+			for _, c := range cols {
+				v := val[c]
+				vals = append(vals, v)
 				margin += v * w[c]
 			}
-			m.AppendRow(colsBuf, valsBuf)
+			m.AppendRow(cols, vals)
 			label := 1.0
 			if margin < 0 {
 				label = -1
