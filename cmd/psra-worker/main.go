@@ -13,7 +13,8 @@
 //
 // Every process generates the identical synthetic dataset from -seed and
 // takes the shard matching its rank, so no data distribution step is
-// needed. Each worker is core.Rank, the engine's per-rank worker.
+// needed. Each worker is core.Rank, the engine's per-rank worker. The run
+// flags it shares with psra-train are core.RegisterFlags', defaults too.
 //
 // With -elastic the run survives worker deaths: nodes re-elect their
 // Leader, inter-node aggregation routes through the GG (which caches
@@ -55,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -64,7 +64,6 @@ import (
 	"psrahgadmm/internal/core"
 	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/prof"
-	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
@@ -72,37 +71,18 @@ import (
 )
 
 func main() {
+	run := core.RegisterFlags(flag.CommandLine)
 	var (
 		rank      = flag.Int("rank", -1, "this process's rank (workers first, GG last)")
 		addrs     = flag.String("addrs", "", "comma-separated host:port of every rank")
-		nodes     = flag.Int("nodes", 2, "logical nodes")
-		wpn       = flag.Int("wpn", 2, "workers per node")
-		iters     = flag.Int("iters", 30, "outer iterations")
-		threshold = flag.Int("threshold", 0, "GQ grouping threshold in nodes (0 = all)")
 		codec     = flag.String("codec", "", "exchange codec: sparse | sparse-q8 | sparse-q16 | dense | dense-f32 | topk | topk-q8 (empty = exact)")
-		codecKB   = flag.Int64("codec-budget-bytes", 0, "per-round wire budget for top-k codecs: k adapts to stay under it (0 = no budget)")
-		rho       = flag.Float64("rho", 1, "ADMM penalty parameter ρ")
-		lambda    = flag.Float64("lambda", 1, "L1 regularization weight λ")
-		synth     = flag.String("synth", "news20", "synthetic preset: news20 | webspam | url")
-		scale     = flag.Float64("scale", 0.001, "preset scale")
-		seed      = flag.Int64("seed", 1, "generation seed (must match across ranks)")
 		timeout   = flag.Duration("timeout", time.Minute, "mesh establishment timeout")
 		heartbeat = flag.Duration("heartbeat", time.Second, "keepalive interval on idle connections (negative disables)")
 		peerDead  = flag.Duration("peer-timeout", 15*time.Second, "declare a peer dead after this much silence (0 disables)")
-		elastic   = flag.Bool("elastic", false, "survive peer deaths: re-elect Leaders and keep training (exit 4 when degraded)")
-		minBarr   = flag.Int("min-barrier", 0, "SSP partial barrier in workers: Leaders stop waiting for laggards once their per-node share is gathered (0 = full gather; requires -elastic)")
-		maxDelay  = flag.Int("max-delay", 0, "staleness bound in rounds for -min-barrier laggards (0 = the paper's Max_delay of 5; requires -min-barrier)")
 		startIter = flag.Int("start-iter", 0, "first iteration to execute (resume a run's tail after a restart)")
 		rejoin    = flag.Bool("rejoin", false, "re-enter a running elastic mesh as a new incarnation of this rank (requires -elastic)")
 		snapDir   = flag.String("snapshot-dir", "", "directory for this rank's periodic state snapshots (restored by -rejoin and -start-iter)")
 		snapEvery = flag.Int("snapshot-every", 5, "snapshot every k-th iteration (with -snapshot-dir)")
-		wdOn      = flag.Bool("watchdog", false, "divergence watchdog: scan contributions and aggregates for NaN/Inf and magnitude explosions (exit 5 on a trip)")
-		wdWindow  = flag.Int("watchdog-window", 0, "healthy iterations forming the explosion baseline (0 = default 8)")
-		wdFactor  = flag.Float64("watchdog-factor", 0, "explosion threshold as a multiple of the window floor (0 = default 1e4)")
-		aggName   = flag.String("aggregator", "", "consensus reduce statistic: mean | trimmed-mean | coordinate-median (empty = mean; robust choices require -elastic)")
-		trimF     = flag.Int("trim-f", 0, "trimmed-mean per-side trim count in nodes (0 = default 1 with -aggregator=trimmed-mean)")
-		screenOn  = flag.Bool("screen", false, "contribution screen: Leaders score every gathered contribution and quarantine sustained outliers (requires -elastic; exit 6 when quarantines exceed the robust tolerance)")
-		quarRnds  = flag.Int("quarantine-rounds", 0, "consecutive clean self-probes a quarantined rank needs to rejoin (0 = default 3)")
 	)
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -110,7 +90,10 @@ func main() {
 	if err := profiles.Start(); err != nil {
 		fatal(err)
 	}
-	topo := simnet.Topology{Nodes: *nodes, WorkersPerNode: *wpn}
+	topo := run.Topo
+	if err := topo.Validate(); err != nil {
+		fatal(err)
+	}
 	world := wlg.WorldSize(topo)
 	addrList := strings.Split(*addrs, ",")
 	if len(addrList) != world {
@@ -122,41 +105,30 @@ func main() {
 	if *snapEvery < 1 {
 		fatal(fmt.Errorf("-snapshot-every must be >= 1, got %d", *snapEvery))
 	}
-	if err := validateExplicitFlags(); err != nil {
+	if err := core.CheckPenalty(run.Rho, run.Lambda); err != nil {
 		fatal(err)
 	}
-	if err := core.CheckPenalty(*rho, *lambda); err != nil {
-		fatal(err)
-	}
-	preset, err := psra.Preset(*synth, *scale, *seed)
+	preset, err := run.Preset()
 	if err != nil {
-		fatal(fmt.Errorf("-synth %s -scale %v: %w", *synth, *scale, err))
+		fatal(err)
 	}
 
 	cfg := wlg.Config{
 		Topo:             topo,
-		MaxIter:          *iters,
-		GroupThreshold:   *threshold,
+		MaxIter:          run.MaxIter,
+		GroupThreshold:   run.GroupThreshold,
 		Codec:            exchange.Kind(*codec),
-		CodecBudgetBytes: *codecKB,
-		Elastic:          *elastic,
-		MinBarrier:       *minBarr,
-		MaxDelay:         *maxDelay,
+		CodecBudgetBytes: run.CodecBudgetBytes,
+		Elastic:          run.Elastic,
+		MinBarrier:       run.MinBarrier,
+		MaxDelay:         run.MaxDelay,
 		StartIter:        *startIter,
 		Rejoin:           *rejoin,
-		Aggregator:       *aggName,
-		TrimF:            *trimF,
-		QuarantineRounds: *quarRnds,
-	}
-	if *screenOn {
-		cfg.Screen = watchdog.ScreenConfig{Enabled: true}
-	}
-	if *wdOn {
-		cfg.Watchdog = watchdog.Config{
-			Enabled:        true,
-			Window:         *wdWindow,
-			ResidualFactor: *wdFactor,
-		}
+		Watchdog:         run.Watchdog,
+		Aggregator:       run.Aggregator,
+		TrimF:            run.TrimF,
+		Screen:           run.Screen,
+		QuarantineRounds: run.QuarantineRounds,
 	}
 	// Before the mesh: establishment waits for every rank (up to -timeout),
 	// and a mistyped -codec or -aggregator should not cost that wait on
@@ -176,7 +148,7 @@ func main() {
 		shard := train.Shard(topo.Size())[*rank]
 		fmt.Printf("rank %d: node %d, shard %d×%d (%d nnz)\n",
 			*rank, topo.NodeOf(*rank), shard.Rows(), shard.Dim(), shard.NNZ())
-		rk := core.NewRank(core.Config{Topo: topo, Rho: *rho, Lambda: *lambda}, *rank, shard)
+		rk := core.NewRank(run.Config, *rank, shard)
 		var store checkpoint.Store
 		if *snapDir != "" {
 			if store, err = checkpoint.NewDirStore(*snapDir, fmt.Sprintf("rank-%d.ckpt", *rank)); err != nil {
@@ -202,7 +174,7 @@ func main() {
 			ComputeW: rk.ComputeW,
 			ApplyW: func(iter int, bigW []float64, contributors int) {
 				rk.ApplyW(iter, bigW, contributors)
-				if *rank == 0 && (iter%5 == 0 || iter == *iters-1) {
+				if *rank == 0 && (iter%5 == 0 || iter == cfg.MaxIter-1) {
 					z := rk.Z()
 					fmt.Printf("rank 0: iter %3d  local loss %.4f  ‖z‖₁ %.4f  z nnz %d  (group of %d workers)\n",
 						iter+1, rk.LocalLoss(z), vec.Nrm1(z), vec.CountNonzero(z), contributors)
@@ -239,7 +211,7 @@ func main() {
 
 	info := new(wlg.RunInfo) // the GG's, never degraded
 	if *rank == wlg.GGRank(topo) {
-		fmt.Printf("rank %d: group generator serving %d nodes × %d iterations\n", *rank, *nodes, *iters)
+		fmt.Printf("rank %d: group generator serving %d nodes × %d iterations\n", *rank, topo.Nodes, cfg.MaxIter)
 		err = wlg.RunGG(ep, cfg)
 	} else {
 		info, err = wlg.RunWorkerInfo(ep, cfg, funcs)
@@ -258,26 +230,6 @@ func main() {
 		os.Exit(4)
 	}
 	fmt.Printf("rank %d: done\n", *rank)
-}
-
-// validateExplicitFlags rejects nonsense values for flags whose zero
-// default means "auto": leaving them unset is fine, but explicitly passing
-// a non-positive value is a typo'd invocation that would otherwise be
-// silently reinterpreted as the default.
-func validateExplicitFlags() error {
-	var err error
-	flag.Visit(func(f *flag.Flag) {
-		if err != nil {
-			return
-		}
-		switch f.Name {
-		case "codec-budget-bytes", "min-barrier", "max-delay", "trim-f", "quarantine-rounds":
-			if v, perr := strconv.ParseInt(f.Value.String(), 10, 64); perr != nil || v <= 0 {
-				err = fmt.Errorf("-%s must be a positive integer, got %s", f.Name, f.Value.String())
-			}
-		}
-	})
-	return err
 }
 
 // fatal exits nonzero with a diagnostic. Peer loss gets its own exit code

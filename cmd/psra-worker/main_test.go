@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// TestConfigRejectedBeforeDial: a configuration wlg.Config.Validate refuses,
-// a ρ or λ core refuses, or a preset scale outside (0, 1] exits 1 with the
-// reason before the process listens or dials. The addresses resolve to
-// nothing, so an attempt at the mesh would fail with a listen error
-// instead.
+// TestConfigRejectedBeforeDial: a configuration wlg.Config.Validate refuses
+// exits 1 with the reason before the process listens or dials. The
+// addresses resolve to nothing, so an attempt at the mesh would fail with a
+// listen error instead. The rows here are the worker's own refusals; the
+// shared run flags' are TestSharedFlagsRefusedAlike's, in the root package.
 func TestConfigRejectedBeforeDial(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "psra-worker")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -24,22 +24,14 @@ func TestConfigRejectedBeforeDial(t *testing.T) {
 		want string
 	}{
 		{[]string{"-codec", "nope"}, `wlg: exchange: unknown codec "nope"`},
-		{[]string{"-aggregator", "mode"}, `wlg: collective: unknown aggregator "mode"`},
 		{[]string{"-aggregator", "trimmed-mean"}, `aggregator "trimmed-mean" requires Elastic mode`},
 		{[]string{"-elastic", "-aggregator", "trimmed-mean", "-trim-f", "1"}, "TrimF 1 trims everything"},
 		{[]string{"-rejoin"}, "Rejoin requires Elastic mode"},
 		{[]string{"-screen"}, "contribution screening requires Elastic mode"},
 		{[]string{"-min-barrier", "2"}, "wlg: MinBarrier requires Elastic mode"},
 		{[]string{"-elastic", "-max-delay", "3"}, "wlg: MaxDelay requires MinBarrier > 0"},
-		{[]string{"-rho", "NaN"}, "core: Rho must be positive and finite, got NaN"},
-		{[]string{"-rho", "Inf"}, "core: Rho must be positive and finite, got +Inf"},
-		{[]string{"-lambda", "Inf"}, "core: Lambda must be non-negative and finite, got +Inf"},
-		{[]string{"-scale", "0"}, "-synth news20 -scale 0: scale 0 outside (0, 1]"},
-		{[]string{"-scale", "NaN"}, "-scale NaN: scale NaN outside (0, 1]"},
-		{[]string{"-scale", "5"}, "-scale 5: scale 5 outside (0, 1]"},
-		{[]string{"-synth", "rcv1"}, `unknown preset "rcv1"`},
 	} {
-		args := append([]string{"-rank", "0", "-addrs", "a,b,c,d,e"}, tc.args...)
+		args := append([]string{"-rank", "0", "-addrs", "a,b,c,d,e", "-nodes", "2", "-wpn", "2"}, tc.args...)
 		cmd := exec.Command(bin, args...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

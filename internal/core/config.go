@@ -390,8 +390,28 @@ func (c Config) Validate() error {
 	if c.QuarantineRounds < 0 {
 		return fmt.Errorf("core: QuarantineRounds must be non-negative, got %d", c.QuarantineRounds)
 	}
-	if c.Faults != nil {
-		for r, bf := range c.Faults.ByzantineAtIteration {
+	if p := c.Faults; p != nil {
+		for _, s := range []struct {
+			name    string
+			sched   map[int]int
+			byIters bool // the values are iterations, not send counts
+		}{
+			{"KillAtIteration", p.KillAtIteration, true},
+			{"RejoinAtIteration", p.RejoinAtIteration, true},
+			{"CorruptAtIteration", p.CorruptAtIteration, true},
+			{"NaNAtIteration", p.NaNAtIteration, true},
+			{"KillAfterSends", p.KillAfterSends, false},
+		} {
+			for r, v := range s.sched {
+				if r < 0 || r >= c.Topo.Size() {
+					return fmt.Errorf("core: Faults.%s rank %d outside the world [0,%d)", s.name, r, c.Topo.Size())
+				}
+				if s.byIters && v < 0 {
+					return fmt.Errorf("core: Faults.%s rank %d iteration %d negative", s.name, r, v)
+				}
+			}
+		}
+		for r, bf := range p.ByzantineAtIteration {
 			if r < 0 || r >= c.Topo.Size() {
 				return fmt.Errorf("core: Byzantine rank %d outside the world [0,%d)", r, c.Topo.Size())
 			}

@@ -253,7 +253,9 @@ func TestConfigValidation(t *testing.T) {
 
 // TestNonFiniteKnobsRefused: ρ must be positive and finite and λ
 // non-negative and finite. A NaN passes a plain ρ <= 0 or λ < 0 test, and
-// so does a NaN corruption probability against [0, 1].
+// so does a NaN corruption probability against [0, 1]. A rank-keyed fault
+// schedule naming a rank outside the world, or an iteration before the
+// first, is refused too: it used to panic mid-run or inject nothing.
 func TestNonFiniteKnobsRefused(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -271,6 +273,17 @@ func TestNonFiniteKnobsRefused(t *testing.T) {
 		{"tol NaN", func(c *Config) { c.Tol = nan }, "Tol must be non-negative"},
 		{"corrupt NaN", func(c *Config) { c.Faults = &transport.FaultPlan{CorruptProb: nan} }, "CorruptProb must be in [0,1]"},
 		{"watchdog factor NaN", func(c *Config) { c.Watchdog = watchdog.Config{Enabled: true, ResidualFactor: nan} }, "ResidualFactor NaN is not finite"},
+		{"kill rank 4", faults(transport.FaultPlan{KillAtIteration: map[int]int{4: 1}}), "Faults.KillAtIteration rank 4 outside the world [0,4)"},
+		{"kill rank -1", faults(transport.FaultPlan{KillAtIteration: map[int]int{-1: 1}}), "Faults.KillAtIteration rank -1 outside"},
+		{"kill iteration -4", faults(transport.FaultPlan{KillAtIteration: map[int]int{1: -4}}), "Faults.KillAtIteration rank 1 iteration -4 negative"},
+		{"rejoin rank 9", faults(transport.FaultPlan{RejoinAtIteration: map[int]int{9: 5}}), "Faults.RejoinAtIteration rank 9 outside"},
+		{"rejoin iteration -1", faults(transport.FaultPlan{RejoinAtIteration: map[int]int{1: -1}}), "Faults.RejoinAtIteration rank 1 iteration -1 negative"},
+		{"corrupt rank 9", faults(transport.FaultPlan{CorruptAtIteration: map[int]int{9: 1}}), "Faults.CorruptAtIteration rank 9 outside"},
+		{"corrupt iteration -2", faults(transport.FaultPlan{CorruptAtIteration: map[int]int{0: -2}}), "Faults.CorruptAtIteration rank 0 iteration -2 negative"},
+		{"nan rank 9", faults(transport.FaultPlan{NaNAtIteration: map[int]int{9: 1}}), "Faults.NaNAtIteration rank 9 outside"},
+		{"nan rank -1", faults(transport.FaultPlan{NaNAtIteration: map[int]int{-1: 1}}), "Faults.NaNAtIteration rank -1 outside"},
+		{"nan iteration -3", faults(transport.FaultPlan{NaNAtIteration: map[int]int{1: -3}}), "Faults.NaNAtIteration rank 1 iteration -3 negative"},
+		{"send-kill rank 4", faults(transport.FaultPlan{KillAfterSends: map[int]int{4: 7}}), "Faults.KillAfterSends rank 4 outside"},
 	} {
 		cfg := baseConfig(GCADMM, 2, 2)
 		tc.set(&cfg)
@@ -283,6 +296,12 @@ func TestNonFiniteKnobsRefused(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("λ = 0: %v", err)
 	}
+}
+
+// faults sets an elastic run's fault plan, so a rejoin schedule is checked
+// for its ranks and iterations rather than refused for the failure model.
+func faults(p transport.FaultPlan) func(*Config) {
+	return func(c *Config) { c.Elastic, c.Faults = true, &p }
 }
 
 func TestEvalEverySkipsEvaluations(t *testing.T) {

@@ -214,7 +214,7 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.MaxIter <= 0 {
-		return fmt.Errorf("wlg: MaxIter must be positive")
+		return fmt.Errorf("wlg: MaxIter must be positive, got %d", c.MaxIter)
 	}
 	if c.StartIter < 0 || c.StartIter >= c.MaxIter {
 		return fmt.Errorf("wlg: StartIter %d outside [0, MaxIter=%d)", c.StartIter, c.MaxIter)
