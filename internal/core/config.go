@@ -176,12 +176,11 @@ type Config struct {
 	// scores |v|·(1+a) instead of |v|, so starved coordinates ship before
 	// their accumulated mass overshoots. Ignored by non-topk codecs.
 	CodecAgeScoring bool
-	// CodecNoErrorFeedback disables the top-k codecs' residual accumulator
-	// — the ablation knob behind the acceptance test that shows error
-	// feedback is load-bearing. Dropped coordinates are then lost forever
-	// and convergence stalls short of the optimum; never set it in
-	// production runs.
-	CodecNoErrorFeedback bool
+	// codecNoErrorFeedback disables the top-k codecs' residual accumulator
+	// — the ablation knob behind the in-package acceptance test that shows
+	// error feedback is load-bearing. Dropped coordinates are then lost
+	// forever and convergence stalls short of the optimum.
+	codecNoErrorFeedback bool
 	// Faults, when non-nil, wraps the engine's scratch fabric in a
 	// transport.FaultFabric injecting the described drops, delays,
 	// partitions, and rank kills deterministically from the plan's seed.

@@ -143,7 +143,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		env.states = make([]*exchange.State, cfg.Topo.Size())
 		for r := range env.states {
 			s := exchange.NewState(ax.codec.Kind(), cfg.CodecBudgetBytes)
-			s.DisableErrorFeedback = cfg.CodecNoErrorFeedback
+			s.DisableErrorFeedback = cfg.codecNoErrorFeedback
 			s.AgeScoring = cfg.CodecAgeScoring
 			if cfg.CodecTopK > 0 {
 				s.K = cfg.CodecTopK

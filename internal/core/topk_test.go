@@ -64,7 +64,7 @@ func TestTopKErrorFeedbackLoadBearing(t *testing.T) {
 	run := func(noEF bool) float64 {
 		cfg := topkRefConfig(PSRAADMMTopK, 2, 2)
 		cfg.CodecTopK = 48
-		cfg.CodecNoErrorFeedback = noEF
+		cfg.codecNoErrorFeedback = noEF
 		res, err := Run(cfg, train, RunOptions{FStar: fstar, HaveFStar: true})
 		if err != nil {
 			t.Fatal(err)

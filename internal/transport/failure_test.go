@@ -366,6 +366,139 @@ func TestTCPBootstrapAcceptTimesOut(t *testing.T) {
 	}
 }
 
+// TestTCPStrayConnectionDuringBootstrap: while rank 0 of a 2-rank mesh
+// waits for rank 1, a connection that is no peer's arrives, writes, and
+// hangs up — a port probe, a hello naming a rank outside the world, a hello
+// naming rank 0 itself. The accept loop drops it and keeps serving: rank 1
+// then joins, and a message round-trips.
+func TestTCPStrayConnectionDuringBootstrap(t *testing.T) {
+	hello := func(rank int64) []byte {
+		b, err := wire.AppendMessage(nil, wire.Control(wire.TagHandshake, rank))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name  string
+		stray []byte
+	}{
+		{"http-probe", []byte("GET / HTTP/1.0")},
+		{"out-of-world-hello", hello(7)},
+		{"own-rank-hello", hello(0)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ports := freePorts(t, 2)
+			addrs := []string{
+				fmt.Sprintf("127.0.0.1:%d", ports[0]),
+				fmt.Sprintf("127.0.0.1:%d", ports[1]),
+			}
+			opts := TCPOptions{DialTimeout: 5 * time.Second}
+			var ep0 Endpoint
+			var err0 error
+			started := make(chan struct{})
+			go func() {
+				defer close(started)
+				ep0, err0 = NewTCPEndpoint(0, addrs, opts)
+			}()
+			stray, err := dialRetry(addrs[0], 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stray.Write(c.stray)
+			stray.Close()
+			ep1, err1 := NewTCPEndpoint(1, addrs, opts)
+			<-started
+			for _, ep := range []Endpoint{ep0, ep1} {
+				if ep != nil {
+					defer ep.Close()
+				}
+			}
+			if err0 != nil || err1 != nil {
+				t.Fatalf("bring-up after a stray connection: rank 0: %v; rank 1: %v", err0, err1)
+			}
+			if err := ep1.Send(0, wire.Control(7, 41)); err != nil {
+				t.Fatal(err)
+			}
+			m, err := ep0.RecvTimeout(1, 7, 5*time.Second)
+			if err != nil || m.Ints[0] != 41 {
+				t.Fatalf("rank 0 recv: %v %v", m, err)
+			}
+			if err := ep0.Send(1, wire.Control(8, 42)); err != nil {
+				t.Fatal(err)
+			}
+			if m, err = ep1.RecvTimeout(0, 8, 5*time.Second); err != nil || m.Ints[0] != 42 {
+				t.Fatalf("rank 1 recv: %v %v", m, err)
+			}
+		})
+	}
+}
+
+// TestTCPCloseCutsHalfOpenHandshake: Close on an established endpoint whose
+// accept loop is reading the hello of a connection that never sends one
+// returns at once, not after the DialTimeout that bounds the read.
+func TestTCPCloseCutsHalfOpenHandshake(t *testing.T) {
+	const budget = 2 * time.Second
+	eps := tcpWorld(t, 2, func(int) TCPOptions { return TCPOptions{DialTimeout: budget} })
+	e := eps[0].(*tcpEndpoint)
+	silent, err := net.Dial("tcp", e.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	reading := func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.greeting != nil
+	}
+	for deadline := time.Now().Add(5 * time.Second); !reading(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the accept loop never started reading the silent connection's hello")
+		}
+	}
+	start := time.Now()
+	e.Close()
+	if elapsed := time.Since(start); elapsed > budget/4 {
+		t.Fatalf("Close took %v with a half-open handshake (DialTimeout %v)", elapsed, budget)
+	}
+}
+
+// TestTCPDialUnacknowledgedTimesOut: a peer that reads rank 1's hello and
+// never acknowledges it does not make a mesh. The wait for the ack shares
+// the dial budget, and a spent budget fails with ErrTimeout.
+func TestTCPDialUnacknowledgedTimesOut(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			wire.Decode(conn) // the hello; no ack ever follows
+		}
+		held <- conn
+	}()
+	addrs := []string{ln.Addr().String(), fmt.Sprintf("127.0.0.1:%d", freePorts(t, 1)[0])}
+	const budget = 300 * time.Millisecond
+	start := time.Now()
+	ep, err := NewTCPEndpoint(1, addrs, TCPOptions{DialTimeout: budget})
+	elapsed := time.Since(start)
+	if err == nil {
+		ep.Close()
+	}
+	if conn := <-held; conn != nil {
+		conn.Close()
+	}
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout in chain: the peer never acknowledged", err)
+	}
+	if elapsed > 4*budget {
+		t.Fatalf("establishment ran %v, far beyond the %v budget", elapsed, budget)
+	}
+}
+
 // dialRetry dials addr until it accepts or the budget runs out.
 func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(budget)

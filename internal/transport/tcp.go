@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -30,11 +31,13 @@ const maxCorruptRun = 8
 type TCPOptions struct {
 	// DialTimeout bounds the TOTAL wall time NewTCPEndpoint spends
 	// establishing the mesh: retrying dials to peers that have not started
-	// listening yet (the individual dial attempts included), and waiting
-	// for higher ranks to dial in and hand-shake. A failed dial is retried
-	// after 1ms, and each later pause doubles up to 50ms (1, 2, 4, …, 32,
-	// 50, 50, … ms), cut to what is left of the budget. A spent budget
-	// fails with ErrTimeout. Default 30s.
+	// listening yet (the individual dial attempts included), waiting for
+	// their acknowledgements, and waiting for higher ranks to dial in. A
+	// failed dial is retried after 1ms, and each later pause doubles up to
+	// 50ms (1, 2, 4, …, 32, 50, 50, … ms), cut to what is left of the
+	// budget. A spent budget fails with ErrTimeout. It also bounds how long
+	// the accept loop waits for one incoming connection's hello. Default
+	// 30s.
 	DialTimeout time.Duration
 	// HeartbeatInterval is how often an idle connection carries a
 	// keepalive frame (wire.TagHeartbeat), keeping silent peer failures
@@ -51,10 +54,11 @@ type TCPOptions struct {
 	// promptly for process death but not for silent network partitions.
 	PeerTimeout time.Duration
 	// Rejoin marks this endpoint as a restarted incarnation joining an
-	// already-established mesh: instead of the dial-lower/accept-higher
-	// bootstrap it dials EVERY peer, whose persistent accept loops adopt
-	// the new connections in place of the dead ones and re-arm their
-	// heartbeat state.
+	// already-established mesh. It changes only whom NewTCPEndpoint dials:
+	// EVERY peer instead of the lower ranks, and it waits for no higher
+	// rank. The peers' accept loops adopt the new connections in place of
+	// the dead ones, as they adopt any acknowledged hello. A peer that
+	// cannot be reached within DialTimeout is recorded as down.
 	Rejoin bool
 }
 
@@ -87,6 +91,10 @@ func dialPause(prev, remaining time.Duration) time.Duration {
 // tcpEndpoint is one rank of a full TCP mesh. Every pair of ranks shares
 // exactly one TCP connection: rank i dials every rank j < i and accepts
 // from every j > i, so connection count is n(n-1)/2 across the cluster.
+// A connection is joined one way at bring-up and at a rejoin alike: the
+// dialer sends a hello naming its rank; the accept loop, which serves the
+// listener from Listen to Close, installs the connection as that rank's
+// and acknowledges it; and the dialer adopts it once it reads the ack.
 //
 // Failure model: each peer connection has a dedicated reader; any read
 // error, decode error, write error, or heartbeat silence marks that peer
@@ -98,7 +106,7 @@ type tcpEndpoint struct {
 	size  int
 	opts  TCPOptions
 	ln    net.Listener
-	peers []*tcpPeer // indexed by rank; peers[rank] == nil; guarded by mu after setup
+	peers []*tcpPeer // indexed by rank; peers[rank] == nil; guarded by mu
 
 	// box is fed by the connection readers (and loopback sends). A reader
 	// held at its bound stops reading, which is the socket's back-pressure.
@@ -108,7 +116,9 @@ type tcpEndpoint struct {
 	down     []*PeerDownError // indexed by rank, nil while alive
 	reported []bool           // crashes already surfaced to an any-source wait
 	firstErr error            // first decode error seen by any reader
+	greeting net.Conn         // the accepted connection whose hello is being read
 
+	joined    chan struct{} // signalled after each adoption; bring-up waits on it
 	closeOnce sync.Once
 	closed    chan struct{}
 	wg        sync.WaitGroup
@@ -125,7 +135,9 @@ type tcpPeer struct {
 
 // NewTCPEndpoint joins a TCP mesh as `rank`. addrs lists the listen address
 // of every rank (host:port); addrs[rank] is this process's own listen
-// address. The call blocks until the full mesh is established.
+// address. The call blocks until the full mesh is established: every rank
+// it dials has acknowledged its hello, and at bring-up every higher rank
+// has dialled in.
 func NewTCPEndpoint(rank int, addrs []string, opts TCPOptions) (Endpoint, error) {
 	opts.fill()
 	size := len(addrs)
@@ -136,6 +148,7 @@ func NewTCPEndpoint(rank int, addrs []string, opts TCPOptions) (Endpoint, error)
 	if err != nil {
 		return nil, fmt.Errorf("transport: rank %d listen %s: %w", rank, addrs[rank], err)
 	}
+	deadline := time.Now().Add(opts.DialTimeout)
 	e := &tcpEndpoint{
 		rank:     rank,
 		size:     size,
@@ -144,255 +157,253 @@ func NewTCPEndpoint(rank int, addrs []string, opts TCPOptions) (Endpoint, error)
 		peers:    make([]*tcpPeer, size),
 		down:     make([]*PeerDownError, size),
 		reported: make([]bool, size),
+		joined:   make(chan struct{}, 1),
 		closed:   make(chan struct{}),
 	}
 	e.box.init()
 	e.box.stopWhen(e.stopErr)
-
-	var mu sync.Mutex
-	var firstErr error
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	var setup sync.WaitGroup
-
-	// Accept connections from all higher ranks (a rejoining incarnation
-	// instead dials everyone; its peers' accept loops adopt it). Accepts
-	// and handshakes share the dial budget, so a higher rank that never
-	// shows up fails establishment instead of hanging it.
-	higher := size - 1 - rank
-	if opts.Rejoin {
-		higher = 0
-	}
-	acceptBy := time.Now().Add(opts.DialTimeout)
-	tcpLn := ln.(*net.TCPListener)
-	setup.Add(1)
-	go func() {
-		defer setup.Done()
-		tcpLn.SetDeadline(acceptBy)
-		defer tcpLn.SetDeadline(time.Time{}) // acceptRejoins waits indefinitely
-		// timedOut maps the net package's deadline error onto ErrTimeout.
-		timedOut := func(joined int, err error) error {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				return fmt.Errorf("%d of %d higher ranks joined within %v: %w", joined, higher, opts.DialTimeout, ErrTimeout)
-			}
-			return err
-		}
-		for i := 0; i < higher; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				setErr(fmt.Errorf("transport: rank %d accept: %w", rank, timedOut(i, err)))
-				return
-			}
-			conn.SetReadDeadline(acceptBy)
-			m, err := wire.Decode(conn)
-			if err == nil && (m.Tag != handshakeTag || len(m.Ints) != 1) {
-				err = fmt.Errorf("unexpected frame (tag %d, %d ints)", m.Tag, len(m.Ints))
-			}
-			if err != nil {
-				conn.Close()
-				setErr(fmt.Errorf("transport: rank %d bad handshake: %w", rank, timedOut(i, err)))
-				return
-			}
-			conn.SetReadDeadline(time.Time{})
-			peer := int(m.Ints[0])
-			if err := checkRank(peer, size); err != nil || peer <= rank {
-				conn.Close()
-				setErr(fmt.Errorf("transport: rank %d handshake from invalid rank %d", rank, peer))
-				return
-			}
-			mu.Lock()
-			dup := e.peers[peer] != nil
-			if !dup {
-				e.peers[peer] = &tcpPeer{conn: conn}
-			}
-			mu.Unlock()
-			if dup {
-				conn.Close()
-				setErr(fmt.Errorf("transport: rank %d duplicate handshake from %d", rank, peer))
-				return
-			}
-		}
-	}()
-
-	// Dial all lower ranks — all peers when rejoining — retrying on
-	// dialPause's schedule while they come up. The whole loop — attempts
-	// and pauses — shares one wall-clock budget of opts.DialTimeout, so each
-	// attempt is capped by the remaining budget rather than restarting the
-	// full timeout (which could overshoot ~2×). The top of the loop reports
-	// a spent budget as ErrTimeout, whether a pause or an attempt spent it.
-	dialHigh := rank
-	if opts.Rejoin {
-		dialHigh = size
-	}
-	for peer := 0; peer < dialHigh; peer++ {
-		if peer == rank {
-			continue
-		}
-		setup.Add(1)
-		go func(peer int) {
-			defer setup.Done()
-			deadline := time.Now().Add(opts.DialTimeout)
-			// A rejoining incarnation may find some peers dead themselves;
-			// that is a membership fact, not a setup failure — record them
-			// down and join the survivors.
-			fail := setErr
-			if opts.Rejoin {
-				fail = func(err error) {
-					e.mu.Lock()
-					e.down[peer] = &PeerDownError{Peer: peer, Cause: err}
-					e.mu.Unlock()
-				}
-			}
-			var pause time.Duration
-			var lastErr error
-			for {
-				remaining := time.Until(deadline)
-				if remaining <= 0 {
-					fail(fmt.Errorf("transport: rank %d dial rank %d (%s): %w (last attempt: %v)",
-						rank, peer, addrs[peer], ErrTimeout, lastErr))
-					return
-				}
-				conn, err := net.DialTimeout("tcp", addrs[peer], remaining)
-				if err == nil {
-					hs := wire.Control(handshakeTag, int64(rank))
-					hs.From = int32(rank)
-					if err := wire.Encode(conn, hs); err != nil {
-						conn.Close()
-						fail(fmt.Errorf("transport: rank %d handshake to %d: %w", rank, peer, err))
-						return
-					}
-					if opts.Rejoin {
-						// Wait for the peer to adopt the connection before
-						// reporting the mesh ready, or an immediate Send from
-						// the peer's side could still see the old down record.
-						conn.SetReadDeadline(deadline)
-						ack, err := wire.Decode(conn)
-						if err != nil || ack.Tag != handshakeTag {
-							conn.Close()
-							fail(fmt.Errorf("transport: rank %d rejoin ack from %d: %v", rank, peer, err))
-							return
-						}
-						conn.SetReadDeadline(time.Time{})
-					}
-					mu.Lock()
-					e.peers[peer] = &tcpPeer{conn: conn}
-					mu.Unlock()
-					return
-				}
-				lastErr = err
-				pause = dialPause(pause, time.Until(deadline))
-				time.Sleep(pause)
-			}
-		}(peer)
-	}
-
-	setup.Wait()
-	if firstErr != nil {
-		e.teardown()
-		return nil, firstErr
-	}
-
-	// Start one reader per peer connection, plus the heartbeat ticker.
-	now := time.Now().UnixNano()
-	for p, peer := range e.peers {
-		if peer == nil {
-			continue
-		}
-		peer.lastSend.Store(now)
-		peer.lastRecv.Store(now)
-		e.wg.Add(1)
-		go e.readLoop(p, peer)
-	}
-	if e.opts.HeartbeatInterval > 0 && size > 1 {
+	e.wg.Add(1)
+	go e.acceptLoop()
+	if opts.HeartbeatInterval > 0 && size > 1 {
 		e.wg.Add(1)
 		go e.heartbeatLoop()
 	}
-	// The listener stays open for the life of the endpoint so restarted
-	// incarnations of dead peers can re-dial into the mesh.
-	e.wg.Add(1)
-	go e.acceptRejoins()
+
+	dialTo := rank
+	if opts.Rejoin {
+		dialTo = size
+	}
+	errs := make([]error, size)
+	var dials sync.WaitGroup
+	for peer := range dialTo {
+		if peer == rank {
+			continue
+		}
+		dials.Add(1)
+		go func() {
+			defer dials.Done()
+			errs[peer] = e.dial(peer, addrs[peer], deadline)
+		}()
+	}
+	dials.Wait()
+	if opts.Rejoin {
+		// A rejoining incarnation may find some peers dead themselves; that
+		// is a membership fact, not a setup failure — record them down and
+		// join the survivors.
+		e.mu.Lock()
+		for peer, err := range errs {
+			if err != nil {
+				e.down[peer] = &PeerDownError{Peer: peer, Cause: err}
+			}
+		}
+		e.mu.Unlock()
+		return e, nil
+	}
+	if err = cmp.Or(errs...); err == nil {
+		err = e.awaitHigher(deadline)
+	}
+	if err != nil {
+		e.Close()
+		return nil, err
+	}
 	return e, nil
 }
 
-// acceptRejoins serves the listener after mesh establishment: every new
-// connection must hand-shake as a known rank, and is adopted as that
-// peer's new incarnation — replacing the dead (or about-to-be-declared-
-// dead) connection, clearing the down record, and re-arming heartbeat
-// state. Handshakes are processed one at a time; rejoin traffic is rare.
-func (e *tcpEndpoint) acceptRejoins() {
+// dial joins peer from this side: it dials addr on dialPause's schedule,
+// sends the hello, waits for the ack and adopts the connection. Attempts,
+// pauses and the ack share one budget that ends at deadline, so each
+// attempt is capped by what is left of it rather than restarting the full
+// timeout (which could overshoot ~2×). A spent budget fails with
+// ErrTimeout, whether a pause, an attempt or the wait for the ack spent it.
+func (e *tcpEndpoint) dial(peer int, addr string, deadline time.Time) error {
+	var pause time.Duration
+	var lastErr error
+	for {
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			return fmt.Errorf("transport: rank %d dial rank %d (%s): %w (last attempt: %v)",
+				e.rank, peer, addr, ErrTimeout, lastErr)
+		}
+		conn, err := net.DialTimeout("tcp", addr, remaining)
+		if err != nil {
+			lastErr = err
+			pause = dialPause(pause, time.Until(deadline))
+			time.Sleep(pause)
+			continue
+		}
+		conn.SetReadDeadline(deadline)
+		var ack wire.Message
+		if err = wire.Encode(conn, e.hello()); err == nil {
+			ack, err = wire.Decode(conn)
+		}
+		if err == nil && helloRank(ack) != peer {
+			err = fmt.Errorf("unexpected ack (tag %d, %d ints)", ack.Tag, len(ack.Ints))
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = fmt.Errorf("%w: %v", ErrTimeout, err)
+		}
+		if err != nil {
+			conn.Close()
+			return fmt.Errorf("transport: rank %d handshake with rank %d: %w", e.rank, peer, err)
+		}
+		e.adopt(peer, conn, false)
+		return nil
+	}
+}
+
+// awaitHigher waits until every higher rank has dialled in and been
+// adopted, or fails with ErrTimeout at deadline.
+func (e *tcpEndpoint) awaitHigher(deadline time.Time) error {
+	expire := time.NewTimer(time.Until(deadline))
+	defer expire.Stop()
+	higher := e.size - 1 - e.rank
+	for {
+		joined := 0
+		e.mu.Lock()
+		for _, p := range e.peers[e.rank+1:] {
+			if p != nil {
+				joined++
+			}
+		}
+		e.mu.Unlock()
+		if joined == higher {
+			return nil
+		}
+		select {
+		case <-e.joined:
+		case <-expire.C:
+			return fmt.Errorf("transport: rank %d: %d of %d higher ranks joined within %v: %w",
+				e.rank, joined, higher, e.opts.DialTimeout, ErrTimeout)
+		}
+	}
+}
+
+// acceptLoop serves the listener from Listen to Close, for bring-up and
+// rejoins alike. It reads one hello at a time; a connection whose hello is
+// malformed, names this rank or names a rank outside the world is dropped,
+// and the loop keeps serving.
+func (e *tcpEndpoint) acceptLoop() {
 	defer e.wg.Done()
 	for {
 		conn, err := e.ln.Accept()
 		if err != nil {
 			return // listener closed (endpoint shutdown)
 		}
-		conn.SetReadDeadline(time.Now().Add(e.opts.DialTimeout))
-		m, err := wire.Decode(conn)
-		if err != nil || m.Tag != handshakeTag || len(m.Ints) != 1 {
+		if peer := e.readHello(conn); peer >= 0 {
+			e.adopt(peer, conn, true)
+		} else {
 			conn.Close()
-			continue
 		}
-		conn.SetReadDeadline(time.Time{})
-		peer := int(m.Ints[0])
-		if checkRank(peer, e.size) != nil || peer == e.rank {
-			conn.Close()
-			continue
-		}
-		p := &tcpPeer{conn: conn}
-		now := time.Now().UnixNano()
-		p.lastSend.Store(now)
-		p.lastRecv.Store(now)
-		// Install, THEN acknowledge: the dialer reports the mesh ready as
-		// soon as it reads the ack, so by then this rank must already see
-		// the peer alive. The ack is written under the new peer's send
-		// lock, taken before the peer is published, so no Send that finds
-		// it can interleave with the ack on the wire.
-		p.wmu.Lock()
-		e.mu.Lock()
-		select {
-		case <-e.closed:
-			e.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		old := e.peers[peer]
-		e.peers[peer] = p
-		e.down[peer] = nil
-		e.reported[peer] = false
-		e.mu.Unlock()
-		e.box.wake() // targeted waits on the revived rank resume
-		if old != nil {
-			// A new incarnation supersedes the old connection whether or not
-			// its death was detected yet; stale observers of the old conn are
-			// ignored by peerDown's identity check.
-			old.conn.Close()
-		}
-		ack := wire.Control(handshakeTag, int64(e.rank))
-		ack.From = int32(e.rank)
-		err = wire.Encode(conn, ack)
-		p.wmu.Unlock()
-		if err != nil {
-			e.peerDown(peer, p, fmt.Errorf("rejoin ack: %w", err), false)
-			continue
-		}
-		e.wg.Add(1)
-		go e.readLoop(peer, p)
 	}
 }
 
-// getPeer returns the current connection object for a rank; rejoins may
-// replace it at any time, so callers must pass the same object to peerDown
-// when reporting a failure they observed on it.
-func (e *tcpEndpoint) getPeer(r int) *tcpPeer {
+// readHello reads conn's hello within DialTimeout and returns the peer it
+// names, or -1 when it names none. While it reads, conn is e.greeting,
+// which Close closes, so a connection that never says hello holds up the
+// accept loop but not Close.
+func (e *tcpEndpoint) readHello(conn net.Conn) int {
+	e.mu.Lock()
+	if e.isClosed() {
+		e.mu.Unlock()
+		return -1
+	}
+	e.greeting = conn
+	e.mu.Unlock()
+	conn.SetReadDeadline(time.Now().Add(e.opts.DialTimeout))
+	m, err := wire.Decode(conn)
+	e.mu.Lock()
+	e.greeting = nil
+	e.mu.Unlock()
+	if peer := helloRank(m); err == nil && peer != e.rank && checkRank(peer, e.size) == nil {
+		return peer
+	}
+	return -1
+}
+
+// hello is the frame both sides of a new connection send once: the dialer
+// to name itself, the acceptor to acknowledge.
+func (e *tcpEndpoint) hello() wire.Message {
+	m := wire.Control(handshakeTag, int64(e.rank))
+	m.From = int32(e.rank)
+	return m
+}
+
+// helloRank returns the rank a hello names, or -1 if m is not a hello.
+func helloRank(m wire.Message) int {
+	if m.Tag != handshakeTag || len(m.Ints) != 1 {
+		return -1
+	}
+	return int(m.Ints[0])
+}
+
+// adopt installs conn as peer's connection and starts its reader. The new
+// connection supersedes an older one whether or not that one's death was
+// seen yet (peerDown ignores stale reports against it), clears the peer's
+// down records and wakes targeted waits on it. With ack, conn was accepted
+// and is acknowledged only now: the dialer reports its mesh ready as soon
+// as it reads the ack, so by then this rank must already see the peer
+// alive. The ack is written under the new peer's write lock, taken before
+// the peer is published, so no frame that finds the peer goes out first.
+func (e *tcpEndpoint) adopt(peer int, conn net.Conn, ack bool) {
+	conn.SetReadDeadline(time.Time{})
+	p := &tcpPeer{conn: conn}
+	now := time.Now().UnixNano()
+	p.lastSend.Store(now)
+	p.lastRecv.Store(now)
+	p.wmu.Lock()
+	e.mu.Lock()
+	if e.isClosed() {
+		e.mu.Unlock()
+		p.wmu.Unlock()
+		conn.Close()
+		return
+	}
+	old := e.peers[peer]
+	e.peers[peer] = p
+	e.down[peer] = nil
+	e.reported[peer] = false
+	e.mu.Unlock()
+	e.box.wake()
+	select {
+	case e.joined <- struct{}{}:
+	default:
+	}
+	if old != nil {
+		old.conn.Close()
+	}
+	var err error
+	if ack {
+		err = wire.Encode(conn, e.hello())
+	}
+	p.wmu.Unlock()
+	if err != nil {
+		e.peerDown(peer, p, fmt.Errorf("handshake ack: %w", err), false)
+		return
+	}
+	e.wg.Add(1)
+	go e.readLoop(peer, p)
+}
+
+func (e *tcpEndpoint) isClosed() bool {
+	select {
+	case <-e.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// peer returns rank r's current connection (nil before it joins), or its
+// PeerDownError once it is down. A rejoin may replace the connection at
+// any time, so a caller passes the one it got to peerDown when reporting a
+// failure it observed on it.
+func (e *tcpEndpoint) peer(r int) (*tcpPeer, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.peers[r]
+	if d := e.down[r]; d != nil {
+		return nil, d
+	}
+	return e.peers[r], nil
 }
 
 // peerDown records the first failure observed for peer and wakes every
@@ -421,23 +432,11 @@ func (e *tcpEndpoint) peerDown(peer int, p *tcpPeer, cause error, graceful bool)
 	}
 }
 
-// peerErr returns peer's PeerDownError, or nil while it is alive.
-func (e *tcpEndpoint) peerErr(peer int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if d := e.down[peer]; d != nil {
-		return d
-	}
-	return nil
-}
-
 // stopErr is the mailbox's reason to stop waiting: the endpoint is closed,
 // or the peers that could still satisfy the Recv are down (recvDownError).
 func (e *tcpEndpoint) stopErr(from int, _ int32) error {
-	select {
-	case <-e.closed:
+	if e.isClosed() {
 		return ErrClosed
-	default:
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -506,10 +505,8 @@ func (e *tcpEndpoint) readLoop(peer int, p *tcpPeer) {
 			continue
 		}
 		if err != nil {
-			select {
-			case <-e.closed:
+			if e.isClosed() {
 				return // local shutdown, not a peer failure
-			default:
 			}
 			switch {
 			case errors.Is(err, io.EOF) && p.sawGoodbye.Load():
@@ -562,9 +559,9 @@ func (e *tcpEndpoint) heartbeatLoop() {
 		case <-ticker.C:
 		}
 		now := time.Now().UnixNano()
-		for r := 0; r < e.size; r++ {
-			p := e.getPeer(r)
-			if p == nil || e.peerErr(r) != nil {
+		for r := range e.size {
+			p, _ := e.peer(r)
+			if p == nil {
 				continue
 			}
 			if pt := e.opts.PeerTimeout; pt > 0 && now-p.lastRecv.Load() > int64(pt) {
@@ -574,24 +571,33 @@ func (e *tcpEndpoint) heartbeatLoop() {
 			if now-p.lastSend.Load() < int64(e.opts.HeartbeatInterval) {
 				continue // connection is busy; no keepalive needed
 			}
-			hb := wire.Control(wire.TagHeartbeat)
-			hb.From = int32(e.rank)
-			p.wmu.Lock()
-			err := wire.Encode(p.conn, hb)
-			p.wmu.Unlock()
-			if err != nil {
-				select {
-				case <-e.closed:
-					return
-				default:
-				}
-				e.peerDown(r, p, fmt.Errorf("heartbeat write: %w", err), p.sawGoodbye.Load())
-				continue
+			if e.write(r, p, wire.Control(wire.TagHeartbeat)) == nil {
+				e.stats.heartbeats.Add(1)
 			}
-			p.lastSend.Store(now)
-			e.stats.heartbeats.Add(1)
 		}
 	}
+}
+
+// write is how Send, heartbeats and goodbyes put a frame on p, rank
+// peer's connection: it stamps From, encodes under the write lock and
+// stamps lastSend. A failed write marks the peer down and returns its
+// PeerDownError, unless the endpoint is closed, which is no peer's failure
+// and returns ErrClosed.
+func (e *tcpEndpoint) write(peer int, p *tcpPeer, m wire.Message) error {
+	m.From = int32(e.rank)
+	p.wmu.Lock()
+	err := wire.Encode(p.conn, m)
+	p.wmu.Unlock()
+	if err != nil {
+		if e.isClosed() {
+			return ErrClosed
+		}
+		e.peerDown(peer, p, fmt.Errorf("write: %w", err), p.sawGoodbye.Load())
+		_, err = e.peer(peer)
+		return err
+	}
+	p.lastSend.Store(time.Now().UnixNano())
+	return nil
 }
 
 func (e *tcpEndpoint) Rank() int { return e.rank }
@@ -613,32 +619,19 @@ func (e *tcpEndpoint) Send(to int, m wire.Message) error {
 		e.stats.record(m)
 		return nil
 	}
-	if err := e.peerErr(to); err != nil {
+	p, err := e.peer(to)
+	if err != nil {
 		return err
 	}
-	peer := e.getPeer(to)
-	if peer == nil {
+	if p == nil {
 		return fmt.Errorf("transport: no connection to rank %d", to)
 	}
-	select {
-	case <-e.closed:
+	if e.isClosed() {
 		return ErrClosed
-	default:
 	}
-	m.From = int32(e.rank)
-	peer.wmu.Lock()
-	err := wire.Encode(peer.conn, m)
-	peer.wmu.Unlock()
-	if err != nil {
-		select {
-		case <-e.closed:
-			return ErrClosed
-		default:
-		}
-		e.peerDown(to, peer, fmt.Errorf("write: %w", err), peer.sawGoodbye.Load())
-		return e.peerErr(to)
+	if err := e.write(to, p, m); err != nil {
+		return err
 	}
-	peer.lastSend.Store(time.Now().UnixNano())
 	e.stats.record(m)
 	return nil
 }
@@ -660,45 +653,32 @@ func (e *tcpEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.Me
 
 func (e *tcpEndpoint) Stats() Stats { return e.stats.snapshot() }
 
-func (e *tcpEndpoint) teardown() {
-	if e.ln != nil {
-		e.ln.Close()
-	}
-	e.mu.Lock()
-	peers := append([]*tcpPeer(nil), e.peers...)
-	e.mu.Unlock()
-	for _, p := range peers {
-		if p != nil {
-			p.conn.Close()
-		}
-	}
-}
-
+// Close says goodbye to every live peer, then closes the listener, the
+// connection whose hello the accept loop is reading, and every peer
+// connection, and waits for the endpoint's goroutines.
 func (e *tcpEndpoint) Close() error {
 	e.closeOnce.Do(func() {
-		e.sayGoodbye()
+		for r := range e.size {
+			if p, _ := e.peer(r); p != nil {
+				// Best effort: a peer that misses the goodbye errs on the
+				// side of reporting a crash — a failure, never a hang.
+				e.write(r, p, wire.Control(wire.TagGoodbye))
+			}
+		}
 		close(e.closed)
 		e.box.close()
-		e.teardown()
+		e.ln.Close()
+		e.mu.Lock()
+		if e.greeting != nil {
+			e.greeting.Close()
+		}
+		for _, p := range e.peers {
+			if p != nil {
+				p.conn.Close()
+			}
+		}
+		e.mu.Unlock()
 	})
 	e.wg.Wait()
 	return nil
-}
-
-// sayGoodbye announces an orderly shutdown to every live peer so they can
-// tell this departure from a crash. Best effort: a peer that is already
-// gone, or a socket that fails mid-write, simply misses the announcement
-// and errs on the side of reporting a crash — a failure, never a hang.
-func (e *tcpEndpoint) sayGoodbye() {
-	for r := 0; r < e.size; r++ {
-		p := e.getPeer(r)
-		if p == nil || e.peerErr(r) != nil {
-			continue
-		}
-		bye := wire.Control(wire.TagGoodbye)
-		bye.From = int32(e.rank)
-		p.wmu.Lock()
-		wire.Encode(p.conn, bye)
-		p.wmu.Unlock()
-	}
 }

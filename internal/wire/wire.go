@@ -16,8 +16,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
-	"psrahgadmm/internal/scratch"
 	"psrahgadmm/internal/sparse"
 )
 
@@ -223,19 +224,20 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 }
 
 // encBufs pools encode buffers so Encode's steady state allocates
-// nothing; buffers return to the pool as soon as the Write completes.
-var encBufs scratch.Bytes
+// nothing; a buffer returns to the pool as soon as its Write completes.
+var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Encode writes m to w in wire format.
 func Encode(w io.Writer, m Message) error {
-	buf := encBufs.Get(EncodedBytes(m))
-	buf, err := AppendMessage(buf, m)
-	if err != nil {
-		encBufs.Put(buf)
-		return err
+	bp := encBufs.Get().(*[]byte)
+	// Presized: a small pooled buffer grown by append's doubling costs
+	// several copies per large frame.
+	buf, err := AppendMessage(slices.Grow((*bp)[:0], EncodedBytes(m)), m)
+	if err == nil {
+		_, err = w.Write(buf)
 	}
-	_, err = w.Write(buf)
-	encBufs.Put(buf)
+	*bp = buf
+	encBufs.Put(bp)
 	return err
 }
 

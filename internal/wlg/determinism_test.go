@@ -72,7 +72,7 @@ func TestGroupOrderIndependentOfArrival(t *testing.T) {
 					// No wait in this test should ever expire: a re-sent
 					// control would change the byte counts for a reason
 					// that has nothing to do with ordering.
-					Retry: collective.RetryPolicy{Attempts: 6, BaseDelay: 500 * time.Millisecond, MaxDelay: 10 * time.Second},
+					retry: collective.RetryPolicy{Attempts: 6, BaseDelay: 500 * time.Millisecond, MaxDelay: 10 * time.Second},
 				}
 				run := func(seed int64) ([][]float64, []int64) {
 					fab := transport.NewFaultFabric(transport.NewChanFabric(WorldSize(topo)),

@@ -28,7 +28,7 @@
 // authoritative place to recover from, which is the robustness point of
 // this mode.
 //
-// Waits on peers are bounded by cfg.Retry (package collective): a retry
+// Waits on peers are bounded by cfg.retry (package collective): a retry
 // budget expiring against a LIVE peer is staleness, not death — the Leader
 // skips that member's contribution for the round (counted in
 // RunInfo.Skipped) and nobody is pruned. Only transport evidence removes a
@@ -195,7 +195,7 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 		gg:        GGRank(topo),
 		members:   topo.WorkersOf(topo.NodeOf(rank)),
 		tr:        membership.NewTracker(topo.Size()),
-		pol:       cfg.Retry,
+		pol:       cfg.retry,
 		codec:     codec,
 		acc:       sparse.NewAccumulator(0),
 		skips:     make([]int, topo.Size()),
@@ -548,7 +548,7 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 	// budget could stretch to several times the deterministic one and
 	// break that margin — which is exactly what jitter's clamp prevents on
 	// the side that retries, not the side others wait behind.
-	pol := cfg.Retry
+	pol := cfg.retry
 	rj := newGGRejoin(tr, topo.Size(), cfg.StartIter)
 	// The GG is the single combine point of the elastic topology, which is
 	// exactly what a robust (non-associative) aggregator needs: the

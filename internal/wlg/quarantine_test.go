@@ -89,7 +89,7 @@ func TestElasticQuarantineProbationRejoin(t *testing.T) {
 		// A short retry budget keeps the victim's "my Leader stopped
 		// broadcasting to me" stall well under the throttled cluster's
 		// remaining runtime, so the rejoin lands before MaxIter.
-		Retry: collective.RetryPolicy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
+		retry: collective.RetryPolicy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
 	fab := transport.NewChanFabric(WorldSize(topo))
 	defer fab.Close()
@@ -168,7 +168,7 @@ func TestElasticQuarantineLogDupReorder(t *testing.T) {
 		MaxIter: 30,
 		Elastic: true,
 		Screen:  watchdog.ScreenConfig{Enabled: true},
-		Retry:   collective.RetryPolicy{Attempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+		retry:   collective.RetryPolicy{Attempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 	}
 	fab := transport.NewFaultFabric(
 		transport.NewChanFabric(WorldSize(topo)),

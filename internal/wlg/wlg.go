@@ -122,16 +122,17 @@ type Config struct {
 	// survivor's membership view re-admits it. Requires Elastic; see
 	// rejoin.go for the handshake.
 	Rejoin bool
-	// Retry bounds every elastic-mode wait on a peer (the Leader's gather,
+	// retry bounds every elastic-mode wait on a peer (the Leader's gather,
 	// the GG round trips, the member's wait for the broadcast). The zero
-	// value means the collective package defaults. Only consulted when
-	// Elastic is set.
-	Retry collective.RetryPolicy
+	// value, which every product run uses, means the collective package
+	// defaults; in-package tests shorten or lengthen it. Only consulted
+	// when Elastic is set.
+	retry collective.RetryPolicy
 	// MinBarrier is the SSP partial-barrier size in workers, the paper's
 	// Min_barrier applied to the elastic Leader's gather: once a Leader
 	// holds max(1, MinBarrier/Topo.Nodes) contributions for the round
 	// (its per-node share of the barrier), remaining live members get a
-	// single-attempt probe instead of the full Retry budget — laggards
+	// single-attempt probe instead of the full retry budget — laggards
 	// are skipped as stale rather than waited out. 0 keeps the full
 	// gather (every live member gets the whole budget, the BSP-flavored
 	// default). Unlike the engine's SSP, a skipped contribution is absent
@@ -142,7 +143,7 @@ type Config struct {
 	MinBarrier int
 	// MaxDelay bounds a member's consecutive skipped rounds (the paper's
 	// Max_delay): a member already MaxDelay rounds stale is waited on
-	// with the full Retry budget even after the barrier is met, so no
+	// with the full retry budget even after the barrier is met, so no
 	// rank's staleness grows without bound. 0 defaults to 5, the paper's
 	// setting. A positive MaxDelay requires MinBarrier > 0.
 	MaxDelay int
