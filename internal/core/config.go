@@ -371,6 +371,16 @@ func (c Config) Validate() error {
 	if !(c.Tol >= 0) {
 		return fmt.Errorf("core: Tol must be non-negative")
 	}
+	// TronOptions.fill reads only values ≤ 0 as "default": a NaN tolerance
+	// would run every solve to MaxIter, and +Inf would stop it at its start.
+	for _, tol := range []struct {
+		name string
+		v    float64
+	}{{"GradTol", c.Tron.GradTol}, {"CGTol", c.Tron.CGTol}} {
+		if math.IsNaN(tol.v) || math.IsInf(tol.v, 0) {
+			return fmt.Errorf("core: Tron.%s must be finite, got %v", tol.name, tol.v)
+		}
+	}
 	if c.ShardBlocks < 0 {
 		return fmt.Errorf("core: ShardBlocks must be non-negative, got %d", c.ShardBlocks)
 	}

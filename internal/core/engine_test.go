@@ -7,6 +7,7 @@ import (
 
 	"psrahgadmm/internal/dataset"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
@@ -248,6 +249,27 @@ func TestConfigValidation(t *testing.T) {
 	cfg := baseConfig(GCADMM, 100, 1)
 	if _, err := Run(cfg, train, RunOptions{}); err == nil {
 		t.Fatal("overSharded config accepted")
+	}
+	// A non-finite TRON tolerance is refused by name: ≤ 0 means "default",
+	// but a NaN GradTol ran every solve to MaxIter and +Inf stopped it at
+	// its start.
+	for _, tc := range []struct {
+		name string
+		set  func(*solver.TronOptions)
+	}{
+		{"GradTol", func(o *solver.TronOptions) { o.GradTol = math.NaN() }},
+		{"GradTol", func(o *solver.TronOptions) { o.GradTol = math.Inf(1) }},
+		{"GradTol", func(o *solver.TronOptions) { o.GradTol = math.Inf(-1) }},
+		{"CGTol", func(o *solver.TronOptions) { o.CGTol = math.NaN() }},
+		{"CGTol", func(o *solver.TronOptions) { o.CGTol = math.Inf(1) }},
+		{"CGTol", func(o *solver.TronOptions) { o.CGTol = math.Inf(-1) }},
+	} {
+		cfg := baseConfig(GCADMM, 2, 2)
+		tc.set(&cfg.Tron)
+		_, err := Run(cfg, train, RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), "Tron."+tc.name) {
+			t.Errorf("Tron.%s = %v/%v: err %v, want one naming the field", tc.name, cfg.Tron.GradTol, cfg.Tron.CGTol, err)
+		}
 	}
 }
 

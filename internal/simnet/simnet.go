@@ -178,7 +178,8 @@ func (c CostModel) TraceTime(topo Topology, traces ...collective.Trace) float64 
 // shard once (≈ 2·nnz flops), and the vector updates stream the dense
 // iterate a handful of times. cgIters is solver.TronResult.CGIters, which
 // counts an exact row-space Newton step as its one product plus its m×m
-// Cholesky's m³/6 flops in the same 2·nnz currency, rounded up.
+// Cholesky's m³/6 flops in the same 2·nnz currency, rounded up: the price
+// of the x-space step, which the row-space loop keeps.
 func WorkUnits(cgIters, funEvals, shardNNZ, dim int) float64 {
 	return float64(cgIters+funEvals)*2*float64(shardNNZ) + 6*float64(dim)
 }

@@ -4,28 +4,39 @@ import (
 	"math"
 
 	"psrahgadmm/internal/sparse"
-	"psrahgadmm/internal/vec"
 )
 
-// gramNewton solves the Newton system of a LogisticProx over a short, wide
-// CSR exactly, in the matrix's row space. The Hessian there is
-// H = ρI + AᵀDA (D = diag(d) the objective's curvature cache), and Woodbury
-// gives
+// gramNewton is TRON's exact route for a LogisticProx over a short, wide
+// CSR A (m×n, m small): the whole trust-region loop runs in the
+// (m+1)-dimensional subspace x₀ + span{e₀} + range(Aᵀ) that holds every
+// iterate, where x₀ = z − y/ρ is the prox centre and e₀ = x_start − x₀. A
+// vector there is v = θ_v·e₀ + Aᵀβ_v, so the iterate is (θ, β), the
+// gradient ρ(x − x₀) + Aᵀc is (ρθ, c + ρβ), and every inner product is
+//
+//	⟨v, w⟩ = θ_w(θ_v‖e₀‖² + (Ae₀)ᵀβ_v) + β_wᵀ(A·v),  A·v = θ_v·Ae₀ + Gβ_v,
+//
+// with G = AAᵀ. The Hessian is H = ρI + AᵀDA (D = diag(d), σ(1−σ) at the
+// last evaluated point), and Woodbury gives the Newton step
 //
 //	s = −H⁻¹g = (AᵀD½q − g)/ρ,  M·q = D½·A·g,  M = ρI + D½GD½,
 //
-// with G = AAᵀ. G is m×m, computed once per objective at the first step
-// (the data never changes), and each step is one MulVec, one MulTransVec
-// and an m×m Cholesky of M. The route is a fixed cost comparison on the
-// objective's own matrix (newtonCost); every other shape keeps Steihaug
-// CG. Scratch is the objective's, so steady-state steps allocate nothing.
+// so a step costs an m×m Cholesky of M, two products with G and m exps,
+// and nothing of size n or nnz. G is built once per objective (the data
+// never changes); a solve adds one pass over the columns, two MulVec and
+// one MulTransVec to write x back (DESIGN.md §3.3). The route is a fixed
+// cost comparison on the objective's own matrix (newtonCost); every other
+// shape keeps Steihaug CG. Scratch is the objective's, so steady-state
+// solves allocate nothing.
 type gramNewton struct {
 	decided bool
 	cost    int       // Hessian-product equivalents of one step; 0 routes to CG
-	gram    []float64 // G = AAᵀ, m×m row-major, lower triangle
+	gram    []float64 // G = AAᵀ, m×m row-major, full
 	chol    []float64 // the Cholesky factor L of M, m×m row-major, lower triangle
 	inv     []float64 // 1/Lᵢᵢ
 	sd, q   []float64 // D½ and the m-vector being solved
+	// The loop's m-vectors: the margins at the iterate and at the trial,
+	// Ae₀, β, the gradient's γ = c + ρβ and A·g, and the step's β_s and A·s.
+	u, uNew, ae, beta, gam, ag, sb, as []float64
 }
 
 // newtonCost returns what one row-space Newton step over a costs in
@@ -54,10 +65,12 @@ func (gn *gramNewton) decide(a *sparse.CSR) {
 	m := a.NRows
 	gn.gram = make([]float64, m*m)
 	gn.chol = make([]float64, m*m)
-	gn.inv = make([]float64, m)
-	gn.sd = make([]float64, m)
-	gn.q = make([]float64, m)
-	// G_ij = a_i·a_j for j ≤ i: scatter row i once, dot the rows before it.
+	vecs := make([]float64, 11*m)
+	for _, v := range []*[]float64{&gn.inv, &gn.sd, &gn.q, &gn.u, &gn.uNew, &gn.ae, &gn.beta, &gn.gam, &gn.ag, &gn.sb, &gn.as} {
+		*v, vecs = vecs[:m:m], vecs[m:]
+	}
+	// G_ij = a_i·a_j for j ≤ i: scatter row i once, dot the rows before it;
+	// the upper triangle is the mirror.
 	row := make([]float64, a.NCols)
 	for i := 0; i < m; i++ {
 		cols, vals := a.Row(i)
@@ -66,6 +79,7 @@ func (gn *gramNewton) decide(a *sparse.CSR) {
 		}
 		for j := 0; j <= i; j++ {
 			gn.gram[i*m+j] = a.RowDot(j, row)
+			gn.gram[j*m+i] = gn.gram[i*m+j]
 		}
 		for _, c := range cols {
 			row[c] = 0
@@ -73,40 +87,207 @@ func (gn *gramNewton) decide(a *sparse.CSR) {
 	}
 }
 
-// step is LogisticProx.newtonStep for the objective over a with penalty rho
-// and curvature d.
-func (gn *gramNewton) step(a *sparse.CSR, rho float64, d, g, s []float64) (gHg float64, cost int, ok bool) {
+// rowTron is TRON over a LogisticProx that routes exact (newtonCost > 0,
+// ρ > 0), from x, in row coordinates (see gramNewton). It counts Iters,
+// CGIters and FunEvals as the x-space loop did: a step is its newtonCost,
+// plus one product when it is cut back to a dogleg point. D is refreshed at
+// every trial point, rejected ones included, as Eval does on the CG route.
+// done is false when the objective routes to CG, or when a factor fails (a
+// pivot that is not positive and finite); x then holds the iterate and res
+// the work so far, and the caller finishes on the CG loop.
+func (o *LogisticProx) rowTron(x []float64, opts TronOptions, ws *Workspace) (res TronResult, done bool) {
+	gn, a, rho := &o.newton, o.Data, o.Rho
 	if !gn.decided {
 		gn.decide(a)
 	}
 	if gn.cost == 0 || !(rho > 0) {
-		return 0, 0, false
+		return res, false
 	}
-	sd, q := gn.sd, gn.q
-	a.MulVec(q, g) // u = A·g
-	// gᵀHg = ρ‖g‖² + Σ dᵢuᵢ²; the right-hand side D½u replaces u in q.
-	var du float64
-	for i, ui := range q {
-		di := d[i]
-		du += di * ui * ui
-		sd[i] = math.Sqrt(di)
-		q[i] = sd[i] * ui
+	ws.ensure(len(x))
+	x0, e := ws.xNew, ws.d // the CG loop's scratch, unused until a fallback
+	ae, beta, gam, ag, sb, as, d, c := gn.ae, gn.beta, gn.gam, gn.ag, gn.sb, gn.as, o.d, o.av
+
+	// The start, with Eval's f bit for bit, and its prox part
+	// Q = yᵀx + (ρ/2)‖x − z‖².
+	a.MulVec(gn.u, x)
+	loss := logisticRows(o.Labels, gn.u, d, c)
+	f := loss
+	var prox, ee float64
+	for i, xi := range x {
+		diff := xi - o.Z[i]
+		qi := o.Y[i]*xi + 0.5*rho*diff*diff
+		f += qi
+		prox += qi
+		x0[i] = o.Z[i] - o.Y[i]/rho
+		e[i] = xi - x0[i]
+		ee += e[i] * e[i]
 	}
-	if !gn.factor(rho) {
-		return 0, 0, false
+	a.MulVec(ae, e)
+	res.FunEvals++
+	theta := 1.0
+	clear(beta)
+	copy(gam, c)
+	// gradient sets A·g for g = (ρθ, γ) and returns ⟨g, g⟩ and
+	// pg = ρθ‖e₀‖² + (Ae₀)ᵀγ, which gives ⟨g, s⟩ = θ_s·pg + β_sᵀ(A·g).
+	gradient := func() (gg, pg float64) {
+		gt := rho * theta
+		gn.image(ag, gt, gam)
+		pg = gt*ee + dot2(ae, gam)
+		return math.Max(0, gt*pg+dot2(gam, ag)), pg
 	}
-	gn.solve()
-	for i := range q {
-		q[i] *= sd[i]
+	gg, pg := gradient()
+	gnorm0 := math.Sqrt(gg)
+	gnorm := gnorm0
+	converged := func() bool {
+		return gnorm <= opts.GradTol*gnorm0 || gnorm <= gradTolAbs
 	}
-	a.MulTransVec(s, q)
-	var gg float64
-	inv := 1 / rho
-	for i, gi := range g {
-		s[i] = (s[i] - gi) * inv
-		gg += gi * gi
+	if converged() {
+		res.F, res.GradNorm, res.Converged = f, gnorm, true
+		return res, true
 	}
-	return rho*gg + du, gn.cost, true
+	delta := gnorm0
+	moved := false
+	// sums returns, for the step (st, sb) with A·s in as, ⟨s, s⟩, ⟨g, s⟩,
+	// ⟨x − x₀, s⟩ and Σ dᵢ(A·s)ᵢ² from one pass over the rows.
+	sums := func(st float64) (ss, gs, xs, das float64) {
+		var aeS, sS, gS, bS float64
+		for i, v := range as {
+			aeS += ae[i] * sb[i]
+			sS += sb[i] * v
+			gS += ag[i] * sb[i]
+			bS += beta[i] * v
+			das += d[i] * v * v
+		}
+		ps := st*ee + aeS
+		return math.Max(0, st*ps+sS), st*pg + gS, theta*ps + bS, das
+	}
+
+	for res.Iters = 0; res.Iters < opts.MaxIter; res.Iters++ {
+		if converged() {
+			res.Converged = true
+			break
+		}
+		// The Newton step: q = D½·A·g, solved by M, then
+		// s = (−θ, (D½q − γ)/ρ) and gᵀHg = ρ‖g‖² + Σ dᵢ(A·g)ᵢ².
+		var du float64
+		for i, v := range ag {
+			du += d[i] * v * v
+			gn.sd[i] = math.Sqrt(d[i])
+			gn.q[i] = gn.sd[i] * v
+		}
+		if !gn.factor(rho) {
+			if moved {
+				o.storeIterate(x, x0, e, theta, 0)
+			}
+			return res, false
+		}
+		gn.solve()
+		inv := 1 / rho
+		for i, v := range gn.q {
+			sb[i] = (v*gn.sd[i] - gam[i]) * inv
+		}
+		st := -theta
+		gn.image(as, st, sb)
+		res.CGIters += gn.cost
+		gHg := rho*gg + du
+		ss, gs, xs, das := sums(st)
+
+		// Fit it to the trust region: the step itself inside (sᵀHs = −gᵀs),
+		// else −(Δ/‖g‖)·g when the Cauchy point sc = −(‖g‖²/gᵀHg)·g is
+		// outside too, else the dogleg point sc + τ(s − sc), whose sᵀHs
+		// costs a product.
+		atBoundary := math.Sqrt(ss) >= delta
+		sHs := -gs
+		if atBoundary {
+			alpha := gnorm / (gHg / gnorm) // ‖g‖²/gᵀHg, without forming ‖g‖²
+			if alpha*gnorm >= delta {
+				t := delta / gnorm
+				st = -t * rho * theta
+				for i := range sb {
+					sb[i], as[i] = -t*gam[i], -t*ag[i]
+				}
+				sHs = t * t * gHg
+				ss, gs, xs, _ = sums(st)
+			} else {
+				// τ from ⟨sc, s − sc⟩, ‖s − sc‖² and ‖sc‖² = α²‖g‖².
+				ct, dt := -alpha*rho*theta, st+alpha*rho*theta
+				var aeD, cD, dD float64
+				for i, v := range as {
+					db, ad := sb[i]+alpha*gam[i], v+alpha*ag[i]
+					aeD += ae[i] * db
+					cD -= alpha * gam[i] * ad
+					dD += db * ad
+				}
+				pd := dt*ee + aeD
+				tau := boundaryStep(ct*pd+cD, math.Max(0, dt*pd+dD), alpha*alpha*gg, delta)
+				st = ct + tau*dt
+				for i := range sb {
+					sb[i] = -alpha*gam[i] + tau*(sb[i]+alpha*gam[i])
+					as[i] = -alpha*ag[i] + tau*(as[i]+alpha*ag[i])
+				}
+				res.CGIters++
+				ss, gs, xs, das = sums(st)
+				sHs = rho*ss + das
+			}
+		}
+		pred := -(gs + 0.5*sHs)
+
+		// The trial point: margins u + A·s, the rows' loss, curvature and
+		// coefficients, and Q(x + s) = Q(x) + ρ⟨x − x₀, s⟩ + (ρ/2)‖s‖².
+		for i, v := range as {
+			gn.uNew[i] = gn.u[i] + v
+		}
+		lossNew := logisticRows(o.Labels, gn.uNew, d, c)
+		proxNew := prox + rho*xs + 0.5*rho*ss
+		fNew := lossNew + proxNew
+		res.FunEvals++
+
+		var accept bool
+		delta, accept = trustRegion(delta, pred, f-fNew, atBoundary, func() float64 { return math.Sqrt(ss) })
+		if accept {
+			theta += st
+			for i, v := range sb {
+				beta[i] += v
+				gam[i] = c[i] + rho*beta[i]
+			}
+			gn.u, gn.uNew = gn.uNew, gn.u
+			f, loss, prox, moved = fNew, lossNew, proxNew, true
+			gg, pg = gradient()
+			gnorm = math.Sqrt(gg)
+		}
+		if delta <= 1e-12*gnorm0 || math.IsNaN(f) {
+			break
+		}
+	}
+	if moved {
+		f = o.storeIterate(x, x0, e, theta, loss)
+	}
+	res.F, res.GradNorm = f, gnorm
+	if converged() {
+		res.Converged = true
+	}
+	return res, true
+}
+
+// image writes dst = t·Ae₀ + G·v, the row image A·(t·e₀ + Aᵀv).
+func (gn *gramNewton) image(dst []float64, t float64, v []float64) {
+	m := len(v)
+	for i := range dst {
+		dst[i] = t*gn.ae[i] + dot2(gn.gram[i*m:i*m+m], v)
+	}
+}
+
+// storeIterate writes the iterate x = x₀ + θ·e₀ + Aᵀβ and returns f(x) from
+// its rows' loss, adding the columns' terms as Eval does.
+func (o *LogisticProx) storeIterate(x, x0, e []float64, theta, loss float64) float64 {
+	o.Data.MulTransVec(x, o.newton.beta)
+	for i, v := range x {
+		xi := x0[i] + theta*e[i] + v
+		diff := xi - o.Z[i]
+		x[i] = xi
+		loss += o.Y[i]*xi + 0.5*o.Rho*diff*diff
+	}
+	return loss
 }
 
 // factor writes the Cholesky factor of M = ρI + D½GD½ into gn.chol, row by
@@ -163,49 +344,4 @@ func dot2(a, b []float64) float64 {
 		s0 += a[k] * b[k]
 	}
 	return s0 + s1
-}
-
-// curvature is LogisticProx.curvature: sᵀHs = ρ‖s‖² + Σ dᵢ(As)ᵢ².
-func (gn *gramNewton) curvature(a *sparse.CSR, rho float64, d, s []float64) float64 {
-	a.MulVec(gn.q, s)
-	var ds float64
-	for i, v := range gn.q {
-		ds += d[i] * v * v
-	}
-	return rho*vec.Nrm2Sq(s) + ds
-}
-
-// dogleg fits the exact Newton step in s to the trust region ‖s‖ ≤ delta.
-// Inside, s stays and dogleg reports false: the step solves H·s = −g, so
-// sᵀHs = −gᵀs and the caller needs no product. Outside, s becomes a point
-// on the boundary, true is returned with sᵀHs, and res counts the work:
-//   - the Cauchy point sc = −(‖g‖²/gᵀHg)·g, the model's minimiser along −g,
-//     is outside too: s = −(delta/‖g‖)·g, whose sᵀHs follows from gᵀHg;
-//   - otherwise s = sc + τ(s − sc) with τ ∈ (0, 1], the dogleg point, whose
-//     sᵀHs costs one MulVec (counted as a whole product).
-//
-// gnorm is ‖g‖ and sc is scratch of g's length.
-func dogleg(nt *LogisticProx, g, s, sc []float64, gnorm, gHg, delta float64, res *TronResult) (sHs float64, atBoundary bool) {
-	if !outsideRadius(s, vec.Nrm2Sq(s), delta) {
-		return 0, false
-	}
-	alpha := gnorm / (gHg / gnorm) // ‖g‖²/gᵀHg, without forming ‖g‖²
-	if alpha*gnorm >= delta {
-		t := delta / gnorm
-		for i, gi := range g {
-			s[i] = -t * gi
-		}
-		return t * t * gHg, true
-	}
-	for i, gi := range g {
-		c := -alpha * gi
-		sc[i] = c
-		s[i] -= c
-	}
-	tau := boundaryTau(sc, s, delta)
-	for i, c := range sc {
-		s[i] = c + tau*s[i]
-	}
-	res.CGIters++
-	return nt.curvature(s), true
 }

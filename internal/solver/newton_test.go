@@ -113,31 +113,367 @@ func relDiff(a, b []float64) float64 {
 	return vec.Nrm2(d) / vec.Nrm2(b)
 }
 
-// TestGramNewtonSolvesNewtonSystem: the row-space step solves H·s = −g to
-// rounding, against a dense n×n Cholesky, with saturated rows (dᵢ ≈ 0) and
-// a duplicated row (a singular G).
+// The exact route as it ran in x-space before the row-space loop, kept as
+// the oracle that loop is held to: oracleTron is tron with its exact
+// branch, oracleStep the Woodbury step (one MulVec, one MulTransVec and the
+// factor), oracleCurvature sᵀHs from one MulVec, and oracleDogleg the fit to
+// the trust region. Only the counters in oracleStats and the
+// refreshOnAccept switch are new.
+
+// oracleStats counts which branches oracleTron's steps took.
+type oracleStats struct{ inside, cauchy, dogleg, rejected int }
+
+// oracleTron is tron as it was with the exact branch in it; exact false
+// takes CG steps only. refreshOnAccept puts D back to the accepted point's
+// after a rejected trial (LIBLINEAR's rule) instead of keeping the trial's,
+// which Eval leaves.
+func oracleTron(o *LogisticProx, x []float64, opts TronOptions, exact, refreshOnAccept bool) (TronResult, oracleStats) {
+	opts.fill()
+	var ws Workspace
+	ws.ensure(len(x))
+	g, gNew := ws.g, ws.gNew
+	s, hd, xNew := ws.s, ws.hd, ws.xNew
+	dAcc := make([]float64, len(o.d))
+	var st oracleStats
+
+	var res TronResult
+	f := o.Eval(x, g)
+	copy(dAcc, o.d)
+	res.FunEvals++
+	gnorm0 := vec.Nrm2(g)
+	gnorm := gnorm0
+	converged := func() bool {
+		return gnorm <= opts.GradTol*gnorm0 || gnorm <= gradTolAbs
+	}
+	if converged() {
+		res.F = f
+		res.GradNorm = gnorm
+		res.Converged = true
+		return res, st
+	}
+	delta := gnorm0
+
+	for res.Iters = 0; res.Iters < opts.MaxIter; res.Iters++ {
+		if converged() {
+			res.Converged = true
+			break
+		}
+		var sHs float64
+		ok, atBoundary := false, false
+		if exact {
+			var gHg float64
+			var cost int
+			if gHg, cost, ok = oracleStep(o, g, s); ok {
+				res.CGIters += cost
+				sHs, atBoundary = oracleDogleg(o, g, s, ws.d, gnorm, gHg, delta, &res, &st)
+			}
+		}
+		if !ok {
+			atBoundary = steihaugCG(o, g, s, ws.r, ws.d, hd, delta, opts, &res)
+			sHs = o.HessVec(s, hd)
+			res.CGIters++
+		}
+		var gs float64
+		for i, si := range s {
+			gs += g[i] * si
+			xNew[i] = x[i] + si
+		}
+		if ok && !atBoundary {
+			sHs = -gs // H s = −g
+		}
+		pred := -(gs + 0.5*sHs)
+
+		fNew := o.Eval(xNew, gNew)
+		res.FunEvals++
+		actual := f - fNew
+
+		snorm := vec.Nrm2(s)
+		var ratio float64
+		if pred > 0 {
+			ratio = actual / pred
+		} else {
+			ratio = -1
+		}
+		switch {
+		case ratio < eta1:
+			delta = math.Max(sigma1*delta, math.Min(sigma2*snorm, delta*sigma2))
+		case ratio < eta2:
+		default:
+			if atBoundary {
+				delta = math.Min(sigma3*delta, math.Max(delta, 2*snorm))
+			}
+		}
+
+		if ratio > eta0 && actual > 0 {
+			copy(x, xNew)
+			g, gNew = gNew, g
+			f = fNew
+			gnorm = vec.Nrm2(g)
+			copy(dAcc, o.d)
+		} else {
+			st.rejected++
+			if refreshOnAccept {
+				copy(o.d, dAcc)
+			}
+		}
+		if delta <= 1e-12*gnorm0 || math.IsNaN(f) {
+			break
+		}
+	}
+	res.F = f
+	res.GradNorm = gnorm
+	if converged() {
+		res.Converged = true
+	}
+	return res, st
+}
+
+// oracleStep writes s = −H⁻¹g, H the Hessian at the point of o's last Eval,
+// and returns gᵀHg and the step's cost; ok is false where the row-space
+// loop does not run or a pivot fails.
+func oracleStep(o *LogisticProx, g, s []float64) (gHg float64, cost int, ok bool) {
+	gn, a, rho, d := &o.newton, o.Data, o.Rho, o.d
+	if !gn.decided {
+		gn.decide(a)
+	}
+	if gn.cost == 0 || !(rho > 0) {
+		return 0, 0, false
+	}
+	sd, q := gn.sd, gn.q
+	a.MulVec(q, g) // u = A·g
+	var du float64
+	for i, ui := range q {
+		di := d[i]
+		du += di * ui * ui
+		sd[i] = math.Sqrt(di)
+		q[i] = sd[i] * ui
+	}
+	if !gn.factor(rho) {
+		return 0, 0, false
+	}
+	gn.solve()
+	for i := range q {
+		q[i] *= sd[i]
+	}
+	a.MulTransVec(s, q)
+	var gg float64
+	inv := 1 / rho
+	for i, gi := range g {
+		s[i] = (s[i] - gi) * inv
+		gg += gi * gi
+	}
+	return rho*gg + du, gn.cost, true
+}
+
+// oracleCurvature is sᵀHs = ρ‖s‖² + Σ dᵢ(As)ᵢ².
+func oracleCurvature(o *LogisticProx, s []float64) float64 {
+	q := o.newton.q
+	o.Data.MulVec(q, s)
+	var ds float64
+	for i, v := range q {
+		ds += o.d[i] * v * v
+	}
+	return o.Rho*vec.Nrm2Sq(s) + ds
+}
+
+// oracleDogleg fits the Newton step s to ‖s‖ ≤ delta: s stays inside;
+// outside it becomes −(delta/‖g‖)·g when the Cauchy point is outside too,
+// else the dogleg point, whose sᵀHs costs a product.
+func oracleDogleg(o *LogisticProx, g, s, sc []float64, gnorm, gHg, delta float64, res *TronResult, st *oracleStats) (sHs float64, atBoundary bool) {
+	if !outsideRadius(s, vec.Nrm2Sq(s), delta) {
+		st.inside++
+		return 0, false
+	}
+	alpha := gnorm / (gHg / gnorm)
+	if alpha*gnorm >= delta {
+		st.cauchy++
+		t := delta / gnorm
+		for i, gi := range g {
+			s[i] = -t * gi
+		}
+		return t * t * gHg, true
+	}
+	st.dogleg++
+	for i, gi := range g {
+		c := -alpha * gi
+		sc[i] = c
+		s[i] -= c
+	}
+	tau := boundaryTau(sc, s, delta)
+	for i, c := range sc {
+		s[i] = c + tau*s[i]
+	}
+	res.CGIters++
+	return oracleCurvature(o, s), true
+}
+
+// rowCase is one short, wide solve: a compact shard (every column touched)
+// that routes exact, ρ, y, z and a start.
+type rowCase struct {
+	a       *sparse.CSR
+	labels  []float64
+	rho     float64
+	y, z, x []float64
+	start   string
+}
+
+// drawRowCase draws a case of m rows over n columns from seed, or nil when
+// the draw routes to CG or touches no more columns than it has rows. ρ is
+// log-uniform in [0.1, 10], y is ρ·N(0, 0.04) (the dual scales with ρ in
+// ADMM), and every row has norm 0.5, 1 or 3. A third of the starts are
+// random (off x₀ + range(Aᵀ)), a third on x₀ + range(Aᵀ) and the rest x₀
+// itself (e₀ = 0). A third of the shards repeat their first row (G
+// singular). Rows of bounded norm keep the draw off saturated losses,
+// where D ≈ 0 makes the Newton step the Cauchy point and the branch a tie
+// that rounding decides; and the Gram form's rounding grows with the
+// square of a row's norm: with rows scaled up to norm 10⁴ the two loops
+// parted at 1e-9 (DESIGN.md §3.3).
+func drawRowCase(seed int64, m, n int) *rowCase {
+	r := rand.New(rand.NewSource(seed))
+	base, labels := sparseShard(r, m, n, 0.15+0.4*r.Float64())
+	scale := []float64{0.5, 1, 3}[r.Intn(3)]
+	for i := 0; i < m; i++ {
+		if _, vals := base.Row(i); len(vals) > 0 {
+			vec.Scale(scale/vec.Nrm2(vals), vals)
+		}
+	}
+	c := &rowCase{rho: math.Pow(10, -1+2*r.Float64())}
+	c.y, c.z = randVec(r, n, 0.2*c.rho), randVec(r, n, 0.5) // y/ρ = O(1), as in ADMM
+	x0 := make([]float64, n)
+	for i := range x0 {
+		x0[i] = c.z[i] - c.y[i]/c.rho
+	}
+	switch r.Intn(3) {
+	case 0:
+		c.start, c.x = "random", randVec(r, n, 0.3)
+	case 1:
+		c.start, c.x = "on x₀+range(Aᵀ)", make([]float64, n)
+		base.MulTransVec(c.x, randVec(r, m, 0.3))
+		vec.Axpy(1, x0, c.x)
+	default:
+		c.start, c.x = "x₀", vec.Clone(x0)
+	}
+	if r.Intn(3) == 0 {
+		base.AppendRow(base.Row(0))
+		labels = append(labels, labels[0])
+	}
+	active, compact := base.CompactColumns()
+	if newtonCost(compact) == 0 || compact.NRows >= compact.NCols {
+		return nil
+	}
+	c.a, c.labels = compact, labels
+	c.y, c.z, c.x = gather(c.y, active), gather(c.z, active), gather(c.x, active)
+	return c
+}
+
+func (c *rowCase) obj() *LogisticProx {
+	return NewLogisticProx(c.a, c.labels, c.rho, vec.Clone(c.y), vec.Clone(c.z))
+}
+
+// checkRowSpace solves c with TRON, which takes the row-space loop, and
+// with the x-space oracle, and fails on any differing count or an x more
+// than 1e-12 apart (relative); it returns the oracle's branch counts.
+func checkRowSpace(t *testing.T, name string, c *rowCase, opts TronOptions) oracleStats {
+	t.Helper()
+	x, xO := vec.Clone(c.x), vec.Clone(c.x)
+	got := TRON(c.obj(), x, opts)
+	want, st := oracleTron(c.obj(), xO, opts, true, false)
+	if got.Iters != want.Iters || got.CGIters != want.CGIters || got.FunEvals != want.FunEvals || got.Converged != want.Converged {
+		t.Fatalf("%s: row space %+v, oracle %+v (%+v)", name, got, want, st)
+	}
+	if e := relDiff(x, xO); !(e <= 1e-12) && !(vec.Nrm2(xO) == 0 && vec.Nrm2(x) == 0) {
+		t.Fatalf("%s: x differs from the oracle's by %g relative", name, e)
+	}
+	if e := math.Abs(got.F-want.F) / (1 + math.Abs(want.F)); !(e <= 1e-12) {
+		t.Fatalf("%s: F = %v, oracle %v", name, got.F, want.F)
+	}
+	return st
+}
+
+// TestRowSpaceTronMatchesOracle: on short, wide shards the row-space loop
+// takes the x-space loop's steps: the same Iters, CGIters and FunEvals,
+// and x within 1e-12, from starts off and on x₀ + range(Aᵀ), at ρ ≠ 1,
+// through rejected steps and both dogleg branches.
+func TestRowSpaceTronMatchesOracle(t *testing.T) {
+	var total oracleStats
+	starts := map[string]int{}
+	solves := 0
+	for seed := int64(0); solves < 2*160; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		c := drawRowCase(seed, 2+r.Intn(11), 20+r.Intn(80))
+		if c == nil {
+			continue
+		}
+		starts[c.start]++
+		for _, opts := range []TronOptions{{MaxIter: 10, MaxCG: 20}, {}} {
+			name := fmt.Sprintf("seed %d (%d×%d, ρ=%.3g, %s start, opts %+v)", seed, c.a.NRows, c.a.NCols, c.rho, c.start, opts)
+			st := checkRowSpace(t, name, c, opts)
+			total.inside += st.inside
+			total.cauchy += st.cauchy
+			total.dogleg += st.dogleg
+			total.rejected += st.rejected
+			solves++
+		}
+	}
+	if total.inside == 0 || total.cauchy == 0 || total.dogleg == 0 || total.rejected == 0 || len(starts) != 3 {
+		t.Errorf("branches not all reached: %+v, starts %v", total, starts)
+	}
+	t.Logf("%d solves: %+v, starts %v", solves, total, starts)
+}
+
+// FuzzRowSpaceTronMatchesOracle is TestRowSpaceTronMatchesOracle over the
+// shape, ρ and the seed.
+func FuzzRowSpaceTronMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(40), 0.0)
+	f.Add(int64(2), uint8(12), uint8(90), -1.0)
+	f.Add(int64(3), uint8(2), uint8(20), 1.0)
+	f.Fuzz(func(t *testing.T, seed int64, m, n uint8, logRho float64) {
+		if !(logRho >= -1 && logRho <= 1) {
+			t.Skip()
+		}
+		c := drawRowCase(seed, 1+int(m)%16, 1+int(n))
+		if c == nil {
+			t.Skip()
+		}
+		c.rho = math.Pow(10, logRho)
+		checkRowSpace(t, "fuzz", c, TronOptions{MaxIter: 20, MaxCG: 20})
+	})
+}
+
+// TestGramNewtonSolvesNewtonSystem: the row loop's Newton step solves
+// H·s = −g to rounding, against a dense n×n Cholesky, with saturated rows
+// (dᵢ ≈ 0) and a duplicated row (a singular G). At ρ ≥ 1 the step, at most
+// ‖g‖/ρ long, is inside the first radius ‖g‖, so it is the loop's first
+// step: θ_s = −1 and β_s in gramNewton.sb.
 func TestGramNewtonSolvesNewtonSystem(t *testing.T) {
 	r := rand.New(rand.NewSource(70))
 	for trial := 0; trial < 12; trial++ {
 		m, n := 3+r.Intn(8), 30+r.Intn(50)
 		x := randVec(r, n, 0.3)
 		saturated, labels := newtonShard(r, m, n, x)
-		for _, rho := range []float64{0.5, 1, 3} {
+		for _, rho := range []float64{1, 2, 3} {
 			y, z := randVec(r, n, 0.2), randVec(r, n, 0.5)
 			obj := NewLogisticProx(saturated, labels, rho, y, z)
 			name := fmt.Sprintf("trial %d, ρ=%v", trial, rho)
 			g := make([]float64, n)
 			obj.Eval(x, g)
-			d := obj.d
+			d := vec.Clone(obj.d)
 			if !(d[len(d)-1] == 0 && d[len(d)-2] < 1e-16) {
 				t.Fatalf("%s: saturated rows have d = %v, %v", name, d[len(d)-2], d[len(d)-1])
 			}
-			s := make([]float64, n)
-			gHg, cost, ok := obj.newtonStep(g, s)
-			if !ok || cost < 2 {
-				t.Fatalf("%s: no exact step (ok %v, cost %d)", name, ok, cost)
+			opts := TronOptions{MaxIter: 1}
+			opts.fill()
+			var ws Workspace
+			res, done := obj.rowTron(vec.Clone(x), opts, &ws)
+			if !done || res.Iters != 1 || res.CGIters != obj.newton.cost || obj.newton.cost < 2 {
+				t.Fatalf("%s: no exact Newton step inside the region (%+v, done %v, cost %d)", name, res, done, obj.newton.cost)
 			}
-
+			// s = −e₀ + Aᵀβ_s, e₀ = x − (z − y/ρ).
+			s := make([]float64, n)
+			saturated.MulTransVec(s, obj.newton.sb)
+			for i := range s {
+				s[i] -= x[i] - (z[i] - y[i]/rho)
+			}
 			h := denseHessian(saturated, rho, d)
 			want := denseNewton(t, h, g)
 			if e := relDiff(s, want); e > 1e-10 {
@@ -148,91 +484,134 @@ func TestGramNewtonSolvesNewtonSystem(t *testing.T) {
 			if e := vec.Nrm2(hs) / vec.Nrm2(g); e > 1e-10 {
 				t.Errorf("%s: ‖H·s + g‖/‖g‖ = %g", name, e)
 			}
-			if want := vec.Dot(g, denseMul(h, g)); math.Abs(gHg-want) > 1e-12*want {
-				t.Errorf("%s: gᵀHg = %v, dense %v", name, gHg, want)
+			as := make([]float64, saturated.NRows)
+			saturated.MulVec(as, s)
+			if e := relDiff(obj.newton.as, as); e > 1e-10 {
+				t.Errorf("%s: the carried A·s is %g off", name, e)
 			}
 		}
 	}
 }
 
-// TestTronDoglegOnBoundary: a Newton step longer than the radius is cut back
-// to a point on the boundary with a positive predicted reduction, along −g
-// when the Cauchy point is outside too, else on the dogleg; sᵀHs is what a
-// Hessian product says it is, and a step inside the radius is left alone.
+// TestTronDoglegOnBoundary: a first Newton step longer than the radius is
+// cut back to a point on the boundary, along −g when the Cauchy point is
+// outside too, else on the dogleg, which counts one more product and does
+// at least as well on the model as the Cauchy point; a step inside the
+// radius is left alone. The oracle names the branch; the row loop's
+// accepted first step is compared with it.
 func TestTronDoglegOnBoundary(t *testing.T) {
-	r := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 8; trial++ {
-		m, n := 3+r.Intn(8), 30+r.Intn(50)
-		a, labels := newtonShard(r, m, n, nil)
-		y, z, x := randVec(r, n, 0.2), randVec(r, n, 0.5), randVec(r, n, 0.3)
-		obj := NewLogisticProx(a, labels, 0.05, y, z)
-		g, sN := make([]float64, n), make([]float64, n)
-		obj.Eval(x, g)
-		gnorm := vec.Nrm2(g)
-		gHg, _, ok := obj.newtonStep(g, sN)
-		if !ok {
-			t.Fatalf("trial %d: no exact step", trial)
+	seen := map[string]int{}
+	for trial := int64(0); trial < 60; trial++ {
+		r := rand.New(rand.NewSource(71 + trial))
+		full, labels := newtonShard(r, 3+r.Intn(8), 30+r.Intn(50), nil)
+		_, a := full.CompactColumns() // no closed-form columns: x is the loop's alone
+		n := a.NCols
+		vec.Scale([]float64{0.1, 0.5, 2}[trial%3], a.Val)
+		rho := []float64{0.05, 0.05, 0.05, 3}[trial%4]
+		y, z, x0 := randVec(r, n, 0.2), randVec(r, n, 0.5), randVec(r, n, 0.3)
+		opts := TronOptions{MaxIter: 1}
+		x, xO := vec.Clone(x0), vec.Clone(x0)
+		res := TRON(NewLogisticProx(a, labels, rho, y, z), x, opts)
+		oracle := NewLogisticProx(a, labels, rho, y, z)
+		want, st := oracleTron(oracle, xO, opts, true, false)
+		branch := map[oracleStats]string{{inside: 1}: "inside", {cauchy: 1}: "cauchy", {dogleg: 1}: "dogleg"}[oracleStats{st.inside, st.cauchy, st.dogleg, 0}]
+		name := fmt.Sprintf("trial %d %s", trial, branch)
+		if branch == "" || res.Iters != 1 || res.CGIters != want.CGIters {
+			t.Fatalf("%s: row space %+v, oracle %+v %+v", name, res, want, st)
 		}
-		newtonNorm, cauchyNorm := vec.Nrm2(sN), gnorm*gnorm*gnorm/gHg
-		if !(cauchyNorm < newtonNorm) {
-			t.Fatalf("trial %d: Cauchy point %v not inside the Newton step %v", trial, cauchyNorm, newtonNorm)
+		if st.rejected != 0 {
+			continue // x stayed put and says nothing about the step
+		}
+		seen[branch]++
+		if e := relDiff(x, xO); e > 1e-12 {
+			t.Errorf("%s: x is %g off the oracle's", name, e)
+		}
+		s := vec.Clone(x)
+		vec.Axpy(-1, x0, s)
+		g := make([]float64, n)
+		oracle.Eval(x0, g) // Δ = ‖g₀‖, and D at x₀ for the model
+		gnorm := vec.Nrm2(g)
+		if branch == "inside" {
+			if !(vec.Nrm2(s) < gnorm) {
+				t.Errorf("%s: ‖s‖ = %v outside Δ = %v", name, vec.Nrm2(s), gnorm)
+			}
+			continue
+		}
+		if e := math.Abs(vec.Nrm2(s)-gnorm) / gnorm; e > 1e-10 {
+			t.Errorf("%s: ‖s‖ = %v, Δ = %v", name, vec.Nrm2(s), gnorm)
 		}
 		model := func(s []float64) float64 {
 			hs := make([]float64, n)
-			sHs := obj.HessVec(s, hs)
-			return vec.Dot(g, s) + 0.5*sHs
+			return vec.Dot(g, s) + 0.5*oracle.HessVec(s, hs)
 		}
-		for _, c := range []struct {
-			name     string
-			delta    float64
-			products int
-		}{
-			{"inside", 2 * newtonNorm, 0},
-			{"cauchy", 0.5 * cauchyNorm, 0},
-			{"dogleg", 0.5 * (cauchyNorm + newtonNorm), 1},
-		} {
-			name := fmt.Sprintf("trial %d %s", trial, c.name)
-			s, sc := vec.Clone(sN), make([]float64, n)
-			var res TronResult
-			sHs, atBoundary := dogleg(obj, g, s, sc, gnorm, gHg, c.delta, &res)
-			if res.CGIters != c.products {
-				t.Errorf("%s: counted %d products, want %d", name, res.CGIters, c.products)
-			}
-			if c.name == "inside" {
-				if atBoundary || !vec.Equal(s, sN) {
-					t.Errorf("%s: step inside the radius was changed (boundary %v)", name, atBoundary)
-				}
-				continue
-			}
-			if !atBoundary {
-				t.Fatalf("%s: not on the boundary", name)
-			}
-			if e := math.Abs(vec.Nrm2(s)-c.delta) / c.delta; e > 1e-12 {
-				t.Errorf("%s: ‖s‖ = %v, Δ = %v", name, vec.Nrm2(s), c.delta)
-			}
-			hs := make([]float64, n)
-			if want := obj.HessVec(s, hs); math.Abs(sHs-want) > 1e-10*want {
-				t.Errorf("%s: sᵀHs = %v, HessVec says %v", name, sHs, want)
-			}
-			if pred := -(vec.Dot(g, s) + 0.5*sHs); !(pred > 0) {
-				t.Errorf("%s: predicted reduction %v", name, pred)
-			}
-			// The dogleg point does at least as well as the Cauchy point.
-			if c.name == "dogleg" {
-				cauchy := vec.Clone(g)
-				vec.Scale(-gnorm/(gHg/gnorm), cauchy)
-				if model(s) > model(cauchy) {
-					t.Errorf("%s: model %v above the Cauchy point's %v", name, model(s), model(cauchy))
-				}
+		if m := model(s); !(m < 0) {
+			t.Errorf("%s: model %v, want a reduction", name, m)
+		}
+		if branch == "dogleg" {
+			hg := make([]float64, n)
+			cauchy := vec.Clone(g)
+			vec.Scale(-gnorm*gnorm/oracle.HessVec(g, hg), cauchy)
+			if model(s) > model(cauchy)*(1-1e-12) {
+				t.Errorf("%s: model %v above the Cauchy point's %v", name, model(s), model(cauchy))
 			}
 		}
 	}
+	if seen["inside"] < 3 || seen["cauchy"] < 3 || seen["dogleg"] < 3 {
+		t.Errorf("branches seen: %v", seen)
+	}
+	t.Logf("accepted first steps by branch: %v", seen)
+}
+
+// TestTronCurvatureIsTheTrialPoints pins the curvature rule on both routes:
+// after a rejected step, the next step's Hessian (HessVec on the CG route,
+// the Cholesky on the row route) is the rejected trial point's, not the
+// accepted point's as in LIBLINEAR. Both routes match the oracle that keeps
+// the trial's D and, on some solve with a rejection, not the one that
+// restores the accepted point's.
+func TestTronCurvatureIsTheTrialPoints(t *testing.T) {
+	differs := map[string]int{}
+	for seed := int64(0); seed < 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		c := drawRowCase(seed, 2+r.Intn(11), 20+r.Intn(80))
+		if c == nil {
+			continue
+		}
+		opts := TronOptions{MaxIter: 10, MaxCG: 20}
+		for _, route := range []string{"row space", "CG"} {
+			exact := route == "row space"
+			x := vec.Clone(c.x)
+			var got TronResult
+			if exact {
+				got = TRON(c.obj(), x, opts)
+			} else {
+				got = TRON(plain{c.obj()}, x, opts)
+			}
+			xT, xA := vec.Clone(c.x), vec.Clone(c.x)
+			trial, st := oracleTron(c.obj(), xT, opts, exact, false)
+			accepted, _ := oracleTron(c.obj(), xA, opts, exact, true)
+			tol := 1e-12
+			if !exact {
+				tol = 0 // the CG loop is the oracle's, bit for bit
+			}
+			if got.Iters != trial.Iters || got.CGIters != trial.CGIters || got.FunEvals != trial.FunEvals || !(relDiff(x, xT) <= tol) {
+				t.Fatalf("seed %d %s: %+v, trial-point oracle %+v (x %g apart)", seed, route, got, trial, relDiff(x, xT))
+			}
+			if st.rejected > 0 && (accepted.CGIters != got.CGIters || relDiff(x, xA) > 1e-9) {
+				differs[route]++
+			}
+		}
+	}
+	if differs["row space"] == 0 || differs["CG"] == 0 {
+		t.Errorf("the accepted-point rule was never told apart: %v", differs)
+	}
+	t.Logf("solves the accepted-point rule tells apart: %v", differs)
 }
 
 // TestNewtonRoute: the benchmark's shard shapes route as the cost rule
 // says — news20's 8 shards and the wide data's 64 exact, its 16 shards and
-// both reference optimum solves CG — and so do ρ = 0 and poisoned
-// curvature, whose solves are then not converged.
+// both reference optimum solves CG — and so do ρ = 0 and a poisoned start
+// or data, which hand the solve to the CG loop; with NaN it is then not
+// converged.
 func TestNewtonRoute(t *testing.T) {
 	news, _, err := dataset.Generate(dataset.News20Like(0.02, 1))
 	if err != nil {
@@ -271,20 +650,21 @@ func TestNewtonRoute(t *testing.T) {
 	n := compact.NCols
 	r := rand.New(rand.NewSource(72))
 	y, z, x0 := randVec(r, n, 0.2), randVec(r, n, 0.5), randVec(r, n, 0.3)
-	g, s := make([]float64, n), make([]float64, n)
+	opts := TronOptions{MaxIter: 10, MaxCG: 20}
+	opts.fill()
+	var ws Workspace
 
-	// ρ decides per step: the same objective takes the step at ρ = 1 and
-	// not at ρ = 0.
+	// ρ decides per solve: the same objective takes the row loop at ρ = 1
+	// and not at ρ = 0.
 	obj := NewLogisticProx(compact, sh.Labels, 0, y, z)
-	obj.Eval(x0, g)
-	if _, _, ok := obj.newtonStep(g, s); ok {
-		t.Error("ρ = 0 took the exact step")
+	if res, done := obj.rowTron(vec.Clone(x0), opts, &ws); done || res != (TronResult{}) {
+		t.Errorf("ρ = 0 took the row loop: %+v", res)
 	}
 	obj.Rho = 1
-	obj.Eval(x0, g)
 	m, nnz := float64(compact.NRows), float64(compact.NNZ())
-	if _, cost, ok := obj.newtonStep(g, s); !ok || cost != 1+int(math.Ceil(m*m*m/(12*nnz))) {
-		t.Errorf("ρ = 1: ok %v, cost %d", ok, cost)
+	cost := 1 + int(math.Ceil(m*m*m/(12*nnz)))
+	if res, done := obj.rowTron(vec.Clone(x0), opts, &ws); !done || obj.newton.cost != cost || res.CGIters < cost {
+		t.Errorf("ρ = 1: done %v, cost %d, %+v", done, obj.newton.cost, res)
 	}
 
 	// On the exact route TRON lands where the CG route lands.
@@ -298,22 +678,31 @@ func TestNewtonRoute(t *testing.T) {
 		t.Errorf("exact route cost %d products, CG %d", res.CGIters, resCG.CGIters)
 	}
 
-	// A NaN curvature fails a pivot, so the step is CG's.
-	obj.Eval(x0, g)
-	obj.d[3] = math.NaN()
-	if _, _, ok := obj.newtonStep(g, s); ok {
-		t.Error("NaN curvature took the exact step")
+	// A NaN at a column of row 3 poisons that row's curvature, so the first
+	// pivot fails: the row loop hands the untouched start to CG after its
+	// one evaluation, and TRON is the CG solve plus that evaluation.
+	cols, _ := compact.Row(3)
+	poisoned := vec.Clone(x0)
+	poisoned[cols[0]] = math.NaN()
+	xp := vec.Clone(poisoned)
+	if res, done := obj.rowTron(xp, opts, &ws); done || res != (TronResult{FunEvals: 1}) || !sameNaNs(xp, poisoned) {
+		t.Errorf("NaN curvature: done %v, %+v", done, res)
 	}
-	// Poisoned data fails a pivot too, so every step falls back; with NaN
-	// the solve is not converged.
+	xp, xpCG := vec.Clone(poisoned), vec.Clone(poisoned)
+	res, resCG = TRON(obj, xp, opts), TRON(plain{obj}, xpCG, opts)
+	resCG.FunEvals++
+	if res.Iters != resCG.Iters || res.CGIters != resCG.CGIters || res.FunEvals != resCG.FunEvals || res.Converged || !sameNaNs(xp, xpCG) {
+		t.Errorf("NaN curvature: TRON %+v, CG %+v", res, resCG)
+	}
+	// Poisoned data fails a pivot too, so the solve is CG's; with NaN it is
+	// not converged.
 	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad := *compact
 		bad.Val = vec.Clone(compact.Val)
 		bad.Val[len(bad.Val)/2] = poison
 		obj := NewLogisticProx(&bad, sh.Labels, 1, y, z)
-		obj.Eval(x0, g)
-		if _, _, ok := obj.newtonStep(g, s); ok {
-			t.Errorf("%v in the data took the exact step", poison)
+		if _, done := obj.rowTron(vec.Clone(x0), opts, &ws); done {
+			t.Errorf("%v in the data: the row loop finished the solve", poison)
 		}
 		if !math.IsNaN(poison) {
 			continue
@@ -322,4 +711,14 @@ func TestNewtonRoute(t *testing.T) {
 			t.Errorf("NaN in the data: %+v, want not converged, GradNorm NaN", res)
 		}
 	}
+}
+
+// sameNaNs reports a and b equal, NaN matching NaN.
+func sameNaNs(a, b []float64) bool {
+	for i := range a {
+		if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }

@@ -62,7 +62,7 @@ type LogisticProx struct {
 	av      []float64 // scratch for HessVec
 
 	restriction            // TRON solves over Data's column support
-	newton      gramNewton // exact Newton steps on short shards
+	newton      gramNewton // the row-space loop on short shards
 }
 
 // NewLogisticProx constructs the subproblem objective. Labels must match
@@ -94,11 +94,25 @@ func (o *LogisticProx) Dim() int { return o.Data.NCols }
 func (o *LogisticProx) Eval(x, g []float64) float64 {
 	m := o.Data
 	m.MulVec(o.margins, x)
-	var loss float64
 	// grad = Aᵀc + y + ρ(x−z), with c_j = −b_j·σ(−b_j·m_j).
-	for j := 0; j < m.NRows; j++ {
-		bm := o.Labels[j] * o.margins[j]
-		// LogLoss(bm) and s = Sigmoid(−bm), bit for bit, from one exp(−|bm|).
+	loss := logisticRows(o.Labels, o.margins, o.d, o.av) // av holds c
+	m.MulTransVec(g, o.av)
+	for i := range g {
+		diff := x[i] - o.Z[i]
+		g[i] += o.Y[i] + o.Rho*diff
+		loss += o.Y[i]*x[i] + 0.5*o.Rho*diff*diff
+	}
+	return loss
+}
+
+// logisticRows is the per-row kernel of Eval and the row-space loop: at
+// margins u it returns Σ log(1 + e^{−b_j·u_j}) and writes the curvature
+// d_j = σ(1−σ) and the coefficient c_j = −b_j·σ, σ = σ(−b_j·u_j). LogLoss
+// and Sigmoid, bit for bit, from one exp(−|b_j·u_j|) per row.
+func logisticRows(labels, u, d, c []float64) float64 {
+	var loss float64
+	for j, b := range labels {
+		bm := b * u[j]
 		var s float64
 		if bm >= 0 {
 			e := math.Exp(-bm)
@@ -109,14 +123,8 @@ func (o *LogisticProx) Eval(x, g []float64) float64 {
 			loss += -bm + math.Log1p(e)
 			s = 1 / (1 + e)
 		}
-		o.d[j] = s * (1 - s)
-		o.av[j] = -o.Labels[j] * s // reuse av as c scratch
-	}
-	m.MulTransVec(g, o.av)
-	for i := range g {
-		diff := x[i] - o.Z[i]
-		g[i] += o.Y[i] + o.Rho*diff
-		loss += o.Y[i]*x[i] + 0.5*o.Rho*diff*diff
+		d[j] = s * (1 - s)
+		c[j] = -b * s
 	}
 	return loss
 }
@@ -130,20 +138,6 @@ func (o *LogisticProx) HessVec(v, hv []float64) float64 {
 	}
 	m.MulTransVec(hv, o.av)
 	return addProxCurvature(o.Rho, v, hv)
-}
-
-// newtonStep writes s = −H⁻¹g, H the Hessian at the point of the last
-// Eval, and returns gᵀHg and the step's cost in Hessian-product
-// equivalents. ok is false when the shape routes to CG, ρ is not positive,
-// or a pivot is not positive and finite; s is then unspecified and the
-// caller takes a CG step instead (see gramNewton).
-func (o *LogisticProx) newtonStep(g, s []float64) (gHg float64, cost int, ok bool) {
-	return o.newton.step(o.Data, o.Rho, o.d, g, s)
-}
-
-// curvature returns sᵀHs at the point of the last Eval from one A·s.
-func (o *LogisticProx) curvature(s []float64) float64 {
-	return o.newton.curvature(o.Data, o.Rho, o.d, s)
 }
 
 // addProxCurvature finishes hv += ρ·v and returns vᵀ·hv in one pass,
@@ -236,7 +230,7 @@ func (o *LogisticProx) solveRestricted(x []float64, opts TronOptions) (TronResul
 	s.twin.Rho = rho
 	var res TronResult
 	if len(s.active) > 0 {
-		res = tron(s.twin, s.xA, opts, &s.ws)
+		res = s.twin.minimize(s.xA, opts, &s.ws)
 	} else {
 		res = TronResult{F: s.twin.Eval(s.xA, s.xA), Converged: true}
 	}

@@ -44,10 +44,10 @@ const gradTolAbs = 1e-10
 // TronResult reports the work a TRON solve performed. CGIters counts
 // Hessian-product equivalents, the dominant cost, in the currency of one
 // Hessian-vector product (two sweeps of the data): each CG product counts
-// one, and an exact row-space Newton step counts its product plus its
-// Cholesky's share (newtonCost), and one more when it is cut back to a
-// dogleg point. The simnet compute model charges virtual time proportional
-// to it.
+// one, and an exact row-space Newton step counts newtonCost, plus one when
+// it is cut back to a dogleg point, the price of the x-space step it
+// replaced (DESIGN.md §3.3). The simnet compute model charges virtual time
+// proportional to it.
 type TronResult struct {
 	Iters     int
 	CGIters   int
@@ -84,11 +84,11 @@ func (ws *Workspace) ensure(n int) {
 // ratio-based radius update.
 //
 // A *LogisticProx over a short, wide matrix (one whose m×m factorisation
-// costs at most two Hessian products, see newtonCost) takes the exact
-// Newton step instead of the CG solve, through its row space (gramNewton),
-// cut back to the dogleg point when it leaves the trust region; ρ ≤ 0 or a
-// non-positive pivot takes the CG step. MaxCG and CGTol bound only CG
-// steps.
+// costs at most two Hessian products, see newtonCost) with ρ > 0 takes the
+// exact Newton step instead of the CG solve, cut back to the dogleg point
+// when it leaves the trust region, and runs the whole loop in its row space
+// (gramNewton); a pivot that is not positive and finite hands the rest of
+// the solve to the CG loop. MaxCG and CGTol bound only CG steps.
 //
 // A *LogisticProx whose data matrix leaves columns untouched is solved
 // over the touched columns only (see restriction): the Newton solve runs
@@ -116,12 +116,59 @@ func TRONWorkspace(obj Objective, x []float64, opts TronOptions, ws *Workspace) 
 		if res, ok := lp.solveRestricted(x, opts); ok {
 			return res
 		}
+		return lp.minimize(x, opts, ws)
 	}
 	return tron(obj, x, opts, ws)
 }
 
-// tron is the trust-region Newton body over all of obj's variables; opts
-// arrive filled and x has obj's dimension.
+// minimize is TRON over all of o's variables: the row-space loop where o
+// routes exact, else, and for the iterations a failed factor leaves, the
+// CG loop.
+func (o *LogisticProx) minimize(x []float64, opts TronOptions, ws *Workspace) TronResult {
+	res, done := o.rowTron(x, opts, ws)
+	if done {
+		return res
+	}
+	opts.MaxIter -= res.Iters
+	cg := tron(o, x, opts, ws)
+	cg.Iters += res.Iters
+	cg.CGIters += res.CGIters
+	cg.FunEvals += res.FunEvals
+	return cg
+}
+
+// Lin & Moré's acceptance and radius-update constants.
+const (
+	eta0, eta1, eta2       = 1e-4, 0.25, 0.75
+	sigma1, sigma2, sigma3 = 0.25, 0.5, 4.0
+)
+
+// trustRegion is the rule both loops share: from the step's predicted and
+// actual reductions it returns the next radius and whether the step is
+// taken. snorm returns ‖s‖; only the two branches that move the radius by
+// it call it.
+func trustRegion(delta, pred, actual float64, atBoundary bool, snorm func() float64) (float64, bool) {
+	// A non-positive predicted reduction: the model is unreliable; treat
+	// it as a failure and shrink.
+	ratio := -1.0
+	if pred > 0 {
+		ratio = actual / pred
+	}
+	switch {
+	case ratio < eta1:
+		delta = math.Max(sigma1*delta, math.Min(sigma2*snorm(), delta*sigma2))
+	case ratio < eta2:
+		// keep delta
+	default:
+		if atBoundary {
+			delta = math.Min(sigma3*delta, math.Max(delta, 2*snorm()))
+		}
+	}
+	return delta, ratio > eta0 && actual > 0
+}
+
+// tron is the trust-region Newton loop with Steihaug CG steps over all of
+// obj's variables; opts arrive filled and x has obj's dimension.
 func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResult {
 	ws.ensure(len(x))
 	g, gNew := ws.g, ws.gNew
@@ -142,19 +189,7 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 		return res
 	}
 	delta := gnorm0
-	newton, _ := obj.(*LogisticProx)
-
-	// Radius update constants from Lin & Moré.
-	const (
-		eta0 = 1e-4
-		eta1 = 0.25
-		eta2 = 0.75
-	)
-	const (
-		sigma1 = 0.25
-		sigma2 = 0.5
-		sigma3 = 4.0
-	)
+	snorm := func() float64 { return vec.Nrm2(s) }
 
 	for res.Iters = 0; res.Iters < opts.MaxIter; res.Iters++ {
 		if converged() {
@@ -162,62 +197,25 @@ func tron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResul
 			break
 		}
 
-		// The step: exact Newton fitted to the trust region where the
-		// objective solves its system in row space, else Steihaug CG
-		// (H s ≈ −g within the region) and a product for sᵀHs.
-		var sHs float64
-		exact, atBoundary := false, false
-		if newton != nil {
-			var gHg float64
-			var cost int
-			if gHg, cost, exact = newton.newtonStep(g, s); exact {
-				res.CGIters += cost
-				sHs, atBoundary = dogleg(newton, g, s, ws.d, gnorm, gHg, delta, &res)
-			}
-		}
-		if !exact {
-			atBoundary = steihaugCG(obj, g, s, ws.r, ws.d, hd, delta, opts, &res)
-			sHs = obj.HessVec(s, hd)
-			res.CGIters++
-		}
+		// The step: Steihaug CG (H s ≈ −g within the region), and a product
+		// for sᵀHs.
+		atBoundary := steihaugCG(obj, g, s, ws.r, ws.d, hd, delta, opts, &res)
+		sHs := obj.HessVec(s, hd)
+		res.CGIters++
 		// One pass for gᵀs and xNew = x + s.
 		var gs float64
 		for i, si := range s {
 			gs += g[i] * si
 			xNew[i] = x[i] + si
 		}
-		if exact && !atBoundary {
-			sHs = -gs // H s = −g
-		}
 		// Predicted reduction: −gᵀs − ½ sᵀHs.
 		pred := -(gs + 0.5*sHs)
 
 		fNew := obj.Eval(xNew, gNew)
 		res.FunEvals++
-		actual := f - fNew
 
-		snorm := vec.Nrm2(s)
-		// Radius update.
-		var ratio float64
-		if pred > 0 {
-			ratio = actual / pred
-		} else {
-			// Non-positive predicted reduction: the model is unreliable;
-			// treat as failure and shrink.
-			ratio = -1
-		}
-		switch {
-		case ratio < eta1:
-			delta = math.Max(sigma1*delta, math.Min(sigma2*snorm, delta*sigma2))
-		case ratio < eta2:
-			// keep delta
-		default:
-			if atBoundary {
-				delta = math.Min(sigma3*delta, math.Max(delta, 2*snorm))
-			}
-		}
-
-		if ratio > eta0 && actual > 0 {
+		var accept bool
+		if delta, accept = trustRegion(delta, pred, f-fNew, atBoundary, snorm); accept {
 			copy(x, xNew)
 			g, gNew = gNew, g
 			f = fNew
@@ -316,9 +314,11 @@ func outsideRadius(s []float64, ssq, delta float64) bool {
 
 // boundaryTau returns τ ≥ 0 with ‖s + τ·d‖ = delta.
 func boundaryTau(s, d []float64, delta float64) float64 {
-	sd := vec.Dot(s, d)
-	dd := vec.Nrm2Sq(d)
-	ss := vec.Nrm2Sq(s)
+	return boundaryStep(vec.Dot(s, d), vec.Nrm2Sq(d), vec.Nrm2Sq(s), delta)
+}
+
+// boundaryStep is boundaryTau from sd = sᵀd, dd = ‖d‖² and ss = ‖s‖².
+func boundaryStep(sd, dd, ss, delta float64) float64 {
 	if dd == 0 {
 		return 0
 	}
