@@ -105,9 +105,9 @@ func TestFaultFabricSerializesAsyncSends(t *testing.T) {
 				}
 			}
 			wantMsgs := int64(len(errcs) * 3 / 2)
-			if st := ep.Stats(); st.MsgsSent != wantMsgs || st.BytesSent != wantMsgs*int64(wire.EncodedBytes(msg)) {
+			if st := ep.Stats(); st.MsgsSent != wantMsgs || st.BytesSent != wantMsgs*int64(wire.EncodedBytes(&msg)) {
 				return fmt.Errorf("Stats %d msgs / %d bytes, want %d frames of %d bytes",
-					st.MsgsSent, st.BytesSent, wantMsgs, wire.EncodedBytes(msg))
+					st.MsgsSent, st.BytesSent, wantMsgs, wire.EncodedBytes(&msg))
 			}
 			return nil
 		})

@@ -84,18 +84,24 @@ func benchMemberWorld(b *testing.B, n int, call sparseAllreduce) {
 
 // TestPSRAllreduceSparseAllocatesNothing: a warmed round of the sparse PSR
 // allreduce allocates nothing across the whole world, at 4 members and at
-// the 64 of engine-wide-64, where a round is 8 064 small messages.
+// the 64 of engine-wide-64, where a round is 8 064 small messages; nor does
+// the engine's form, in which only root 0 receives the allgather.
 func TestPSRAllreduceSparseAllocatesNothing(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
+	rooted := func(ws *Workspace, ep transport.Endpoint, g Group, tag int32, v, out *sparse.Vector) (Trace, error) {
+		return ws.PSRAllreduceSparseAgg(ep, g, tag, v, out, AggSpec{}, 0)
+	}
 	for _, n := range []int{4, 64} {
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			w := newMemberWorld(t, n, (*Workspace).PSRAllreduceSparse)
-			if a := testing.AllocsPerRun(20, w.round); a != 0 {
-				t.Fatalf("warmed %d-member round allocates %v objects, want 0", n, a)
-			}
-		})
+		for name, call := range map[string]sparseAllreduce{fmt.Sprint(n): (*Workspace).PSRAllreduceSparse, fmt.Sprintf("root0/%d", n): rooted} {
+			t.Run(name, func(t *testing.T) {
+				w := newMemberWorld(t, n, call)
+				if a := testing.AllocsPerRun(20, w.round); a != 0 {
+					t.Fatalf("warmed %d-member round allocates %v objects, want 0", n, a)
+				}
+			})
+		}
 	}
 }
 

@@ -17,9 +17,9 @@
 // schedules (PSR, shard, Reduce's root) take the aggregator — mean,
 // trimmed mean, coordinate median — as their owner-side combine step.
 //
-// Every operation returns a Trace of the messages this rank *sent*
-// (payload bytes and logical step), which the simnet cost model folds into
-// cluster time. Payload bytes follow the paper's accounting: 12 bytes per
+// Every operation returns a Trace of the messages this rank *sent* in the
+// modelled schedule (payload bytes and logical step), which the simnet cost
+// model folds into cluster time. Payload bytes follow the paper's accounting: 12 bytes per
 // sparse element (index+value), 8 per dense element.
 package collective
 
@@ -73,7 +73,11 @@ type Event struct {
 	Bytes    int
 }
 
-// Trace is the local rank's send log for one collective invocation.
+// Trace is the local rank's send log for one collective invocation: the
+// traffic the schedule puts on the modelled cluster, which is what the
+// cost model charges. It is usually what the fabric carried too, but
+// under a PSR root (PSRAllreduceSparseAgg) it includes the allgather
+// events to members other than root, which the fabric did not deliver.
 type Trace struct {
 	// Steps is the number of logical steps the collective occupies,
 	// identical on every member regardless of how many events the local

@@ -288,7 +288,7 @@ func TestPSRAllreduceSparseAggMeanBitIdentical(t *testing.T) {
 					var tr Trace
 					var err error
 					if agg {
-						tr, err = ws.PSRAllreduceSparseAgg(ep, WorldGroup(n), 70, vs[ep.Rank()], out, AggSpec{Kind: AggMean})
+						tr, err = ws.PSRAllreduceSparseAgg(ep, WorldGroup(n), 70, vs[ep.Rank()], out, AggSpec{Kind: AggMean}, -1)
 					} else {
 						tr, err = ws.PSRAllreduceSparse(ep, WorldGroup(n), 70, vs[ep.Rank()], out)
 					}
@@ -330,7 +330,7 @@ func TestPSRAllreduceSparseAggRobustMatchesReference(t *testing.T) {
 					runRanks(t, n, func(ep transport.Endpoint) error {
 						var ws Workspace
 						out := new(sparse.Vector)
-						if _, err := ws.PSRAllreduceSparseAgg(ep, WorldGroup(n), 90, vs[ep.Rank()], out, spec); err != nil {
+						if _, err := ws.PSRAllreduceSparseAgg(ep, WorldGroup(n), 90, vs[ep.Rank()], out, spec, -1); err != nil {
 							return err
 						}
 						mu.Lock()
@@ -601,7 +601,7 @@ func TestAggTraceParity(t *testing.T) {
 		g := WorldGroup(p)
 		schedules := map[string]func(*Workspace, transport.Endpoint, *sparse.Vector, AggSpec) (Trace, error){
 			"psr": func(ws *Workspace, ep transport.Endpoint, out *sparse.Vector, spec AggSpec) (Trace, error) {
-				return ws.PSRAllreduceSparseAgg(ep, g, 600, vs[ep.Rank()], out, spec)
+				return ws.PSRAllreduceSparseAgg(ep, g, 600, vs[ep.Rank()], out, spec, -1)
 			},
 			"shard": func(ws *Workspace, ep transport.Endpoint, out *sparse.Vector, spec AggSpec) (Trace, error) {
 				return ws.ShardAllreduceSparseAgg(ep, g, 600, plan, vs[ep.Rank()], out, spec)

@@ -114,7 +114,7 @@ func (ws *Workspace) ShardAllreduceSparseAgg(ep transport.Endpoint, g Group, tag
 		if err != nil {
 			return tr, err
 		}
-		sv, err := sparsePayload(in)
+		sv, err := sparsePayload(&in)
 		if err != nil {
 			return tr, err
 		}
@@ -203,7 +203,7 @@ func (ws *Workspace) ShardAllreduceSparseAgg(ep transport.Endpoint, g Group, tag
 		if err != nil {
 			return tr, err
 		}
-		sv, err := sparsePayload(in)
+		sv, err := sparsePayload(&in)
 		if err != nil {
 			return tr, err
 		}

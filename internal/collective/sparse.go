@@ -15,8 +15,9 @@ import (
 var ErrPayloadKind = errors.New("collective: unexpected payload kind")
 
 // sparsePayload validates that an arrival actually carries a sparse
-// vector before any field of it is dereferenced.
-func sparsePayload(in wire.Message) (*sparse.Vector, error) {
+// vector before any field of it is dereferenced. It reads the arrival in
+// place: a hot receive loop pays for no copy of its header.
+func sparsePayload(in *wire.Message) (*sparse.Vector, error) {
 	if in.Kind != wire.KindSparse || in.Sparse == nil {
 		return nil, fmt.Errorf("collective: tag %d from %d carries kind %v, want sparse: %w",
 			in.Tag, in.From, in.Kind, ErrPayloadKind)

@@ -24,7 +24,8 @@ import (
 //
 // A member that reads no allreduce result passes out == nil to the ring or
 // PSR schedule: it still sends, receives and checks every message and logs
-// the same trace, and skips only the final concatenation.
+// the same trace, and skips only the final concatenation. PSR's root goes
+// further: a member other than root receives no allgather at all.
 //
 // When the endpoint advertises transport.NonBlockingSender, sends happen
 // inline instead of via the usual goroutine-per-send (the async form
@@ -230,10 +231,9 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 	next := g.Ranks[(me+1)%p]
 	prev := g.Ranks[(me-1+p)%p]
 
+	ws.cut(v)
 	blocks := ws.cur
-	for j, c := range ws.chunks {
-		blocks[j] = v.SliceInto(ws.own[j], c.Lo, c.Hi)
-	}
+	copy(blocks, ws.own)
 
 	for s := 0; s < p-1; s++ {
 		sendIdx := (me - s + p*p) % p
@@ -251,7 +251,7 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 			return tr, err
 		}
 		tr.add(s, ep.Rank(), next, bytes)
-		sv, err := sparsePayload(in)
+		sv, err := sparsePayload(&in)
 		if err != nil {
 			return tr, err
 		}
@@ -284,7 +284,7 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 			return tr, err
 		}
 		tr.add(p-1+s, ep.Rank(), next, bytes)
-		sv, err := sparsePayload(in)
+		sv, err := sparsePayload(&in)
 		if err != nil {
 			return tr, err
 		}
@@ -327,7 +327,7 @@ func (ws *Workspace) concat(out *sparse.Vector, dim int, blocks []*sparse.Vector
 // independent of where the nonzeros concentrate — the robustness property
 // PSRA-HGADMM is built on.
 func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector) (Trace, error) {
-	return ws.PSRAllreduceSparseAgg(ep, g, tagBase, v, out, AggSpec{})
+	return ws.PSRAllreduceSparseAgg(ep, g, tagBase, v, out, AggSpec{}, -1)
 }
 
 // PSRAllreduceSparseAgg is the PSR-Allreduce schedule with the aggregator
@@ -335,12 +335,22 @@ func (ws *Workspace) PSRAllreduceSparse(ep transport.Endpoint, g Group, tagBase 
 // its owner, which writes the member-order sum (mean) or center × p
 // (robust kinds) — either way what the caller's divide-by-p turns into the
 // statistic. Messages, tags and trace shape do not depend on spec.
-func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector, spec AggSpec) (Trace, error) {
+//
+// root names the one member that reads the result, or is −1 when every
+// member does. With root ≥ 0 each owner sends its finished block to root
+// alone, and every other member returns after its scatter-reduce and its
+// one gather send, so only root's out is written. The trace is the same
+// under either root: it logs the allgather to every member, the traffic
+// the modelled cluster pays, including the frames the fabric did not carry.
+func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBase int32, v, out *sparse.Vector, spec AggSpec, root int) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
 		return Trace{}, err
 	}
 	p := g.Size()
+	if root < -1 || root >= p {
+		return Trace{}, fmt.Errorf("collective: root index %d out of group", root)
+	}
 	tr := Trace{Steps: 2, Events: ws.events[:0]}
 	if p == 1 {
 		// The sum, and center × 1, of a single contribution is the
@@ -350,6 +360,7 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		}
 		return tr, nil
 	}
+	self := ep.Rank()
 	sync := transport.SendsNonBlocking(ep)
 	rel, _ := ep.(transport.Releaser)
 	ws.ensureSparse(p)
@@ -358,14 +369,13 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 
 	// Scatter-Reduce: send block j to its owner, combine arrivals into my
 	// own block.
-	for j := 0; j < p; j++ {
+	ws.cut(v)
+	for j, blk := range ws.own {
 		if j == me {
 			continue
 		}
-		blk := v.SliceInto(ws.own[j], ws.chunks[j].Lo, ws.chunks[j].Hi)
-		msg := wire.SparseMsg(tagBase, blk)
-		tr.add(0, ep.Rank(), g.Ranks[j], wire.PayloadBytes(msg))
-		if err := ws.send(ep, sync, g.Ranks[j], msg); err != nil {
+		tr.add(0, self, g.Ranks[j], payloadBytes(blk))
+		if err := ws.send(ep, sync, g.Ranks[j], wire.SparseMsg(tagBase, blk)); err != nil {
 			return tr, err
 		}
 	}
@@ -377,7 +387,7 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		if err != nil {
 			return tr, err
 		}
-		sv, err := sparsePayload(in)
+		sv, err := sparsePayload(&in)
 		if err != nil {
 			return tr, err
 		}
@@ -390,7 +400,7 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		}
 		arrivals[src] = sv
 	}
-	arrivals[me] = v.SliceInto(ws.own[me], mine.Lo, mine.Hi)
+	arrivals[me] = ws.own[me]
 	myBlock := ws.combine(spec, 0, mine.Hi-mine.Lo, arrivals, ws.myBlock)
 	ws.myBlock = myBlock
 	for j, sv := range arrivals {
@@ -402,17 +412,28 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		return tr, err
 	}
 
-	// Allgather: broadcast my finished block, collect the rest.
+	// Allgather: broadcast my finished block (to root alone under a root),
+	// collect the rest.
 	msg := wire.SparseMsg(tagBase+1, myBlock)
-	bytes := wire.PayloadBytes(msg)
+	bytes := payloadBytes(myBlock)
 	for j := 0; j < p; j++ {
 		if j == me {
 			continue
 		}
-		tr.add(1, ep.Rank(), g.Ranks[j], bytes)
+		tr.add(1, self, g.Ranks[j], bytes)
+		if root >= 0 && j != root {
+			continue
+		}
 		if err := ws.send(ep, sync, g.Ranks[j], msg); err != nil {
 			return tr, err
 		}
+	}
+	if root >= 0 && me != root {
+		if err := ws.drainSends(); err != nil {
+			return tr, err
+		}
+		ws.events = tr.Events
+		return tr, nil
 	}
 	// A duplicate would overwrite its block and leave another's nil.
 	blocks := ws.cur
@@ -422,7 +443,7 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		if err != nil {
 			return tr, err
 		}
-		sv, err := sparsePayload(in)
+		sv, err := sparsePayload(&in)
 		if err != nil {
 			return tr, err
 		}
@@ -450,6 +471,26 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 	}
 	return tr, nil
 }
+
+// cut splits v into its chunk-aligned blocks ws.own[0..p−1] in one pass
+// over its entries, each block's indices rebased to its chunk's start: the
+// blocks v.SliceInto would cut, without two searches per block.
+func (ws *Workspace) cut(v *sparse.Vector) {
+	k := 0
+	for j, c := range ws.chunks {
+		blk := ws.own[j]
+		blk.Reset(c.Hi - c.Lo)
+		from, lo := k, int32(c.Lo)
+		for ; k < len(v.Index) && int(v.Index[k]) < c.Hi; k++ {
+			blk.Index = append(blk.Index, v.Index[k]-lo)
+		}
+		blk.Value = append(blk.Value, v.Value[from:k]...)
+	}
+}
+
+// payloadBytes is wire.PayloadBytes of a sparse message carrying sv, read
+// off the block instead of a copy of the message.
+func payloadBytes(sv *sparse.Vector) int { return 8 + wire.SparseEntryBytes*sv.NNZ() }
 
 // ReduceSparse sums every member's vector at the root member: the root's
 // sum is written into out (which must not alias v); non-root members
@@ -482,7 +523,7 @@ func (ws *Workspace) ReduceSparse(ep transport.Endpoint, g Group, tagBase int32,
 		if err != nil {
 			return tr, err
 		}
-		sv, err := sparsePayload(in)
+		sv, err := sparsePayload(&in)
 		if err != nil {
 			return tr, err
 		}
@@ -542,7 +583,7 @@ func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int
 	if err != nil {
 		return tr, err
 	}
-	sv, err := sparsePayload(in)
+	sv, err := sparsePayload(&in)
 	if err != nil {
 		return tr, err
 	}

@@ -118,7 +118,8 @@ func (c *crew) serve(r int) {
 			if job.plan != nil {
 				tr, err = c.wss[r].ShardAllreduceSparseAgg(c.eps[r], job.g, job.tagBase, job.plan, job.in, job.out, job.spec)
 			} else {
-				tr, err = c.wss[r].PSRAllreduceSparseAgg(c.eps[r], job.g, job.tagBase, job.in, job.out, job.spec)
+				// Member 0 is the one groupAllreduce hands out to.
+				tr, err = c.wss[r].PSRAllreduceSparseAgg(c.eps[r], job.g, job.tagBase, job.in, job.out, job.spec, 0)
 			}
 		case commRingSparse:
 			tr, err = c.wss[r].RingAllreduceSparse(c.eps[r], job.g, job.tagBase, job.in, job.out)
@@ -252,7 +253,9 @@ func (c *crew) mergedTrace(ranks []int) collective.Trace {
 //
 // With a nil plan only member 0 assembles the full aggregate, into the
 // caller-owned out, which later rounds never touch, so strategies may
-// retain it; the others run the same schedule with a nil out. With a plan
+// retain it; the others run the same schedule with a nil out, and under
+// PSR they receive no allgather (root 0) while the trace still charges it.
+// With a plan
 // (commPSRSparse only) the shard-aware schedule runs: each member ships
 // only the blocks it subscribes to or owns and receives its RESTRICTED
 // result — its own subscription, not the full W — in c.outs[r], valid

@@ -159,15 +159,15 @@ func TestTracedBytesMatchEncoded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(spFrame) != wire.EncodedBytes(spMsg) {
-			t.Fatalf("%s: encoded sparse frame %d bytes, EncodedBytes %d", k, len(spFrame), wire.EncodedBytes(spMsg))
+		if len(spFrame) != wire.EncodedBytes(&spMsg) {
+			t.Fatalf("%s: encoded sparse frame %d bytes, EncodedBytes %d", k, len(spFrame), wire.EncodedBytes(&spMsg))
 		}
 		dnFrame, err := wire.AppendMessage(nil, dnMsg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dnFrame) != wire.EncodedBytes(dnMsg) {
-			t.Fatalf("%s: encoded dense frame %d bytes, EncodedBytes %d", k, len(dnFrame), wire.EncodedBytes(dnMsg))
+		if len(dnFrame) != wire.EncodedBytes(&dnMsg) {
+			t.Fatalf("%s: encoded dense frame %d bytes, EncodedBytes %d", k, len(dnFrame), wire.EncodedBytes(&dnMsg))
 		}
 		spActual := wire.PayloadBytes(spMsg)
 		dnActual := wire.PayloadBytes(dnMsg)

@@ -6,12 +6,11 @@ import (
 	"psrahgadmm/internal/collective"
 )
 
-// TimeScratch holds the per-call state StepTimes needs — per-(step,
-// endpoint) send/receive loads and the merged event list — as flat
-// reusable slices instead of nested maps. One scratch per engine
-// amortizes cost-model evaluation to zero allocation; it is resized
-// on demand, so an elastic regroup that changes the world size needs no
-// explicit invalidation.
+// TimeScratch holds the per-call state TraceTime needs — per-(step,
+// endpoint) send/receive loads — as flat reusable slices instead of nested
+// maps. One scratch per engine amortizes cost-model evaluation to zero
+// allocation; it is resized on demand, so an elastic regroup that changes
+// the world size needs no explicit invalidation.
 //
 // Bit-reproducibility: loads accumulate in event-slice order exactly as
 // the map-based StepTimes does, and the per-step maximum is
@@ -21,7 +20,6 @@ type TimeScratch struct {
 	out, in []float64 // indexed step*world + rank
 	touched []int32   // touched flat keys, first-touch order
 	times   []float64
-	events  []collective.Event // merge buffer for TraceTimeScratch
 	world   int
 }
 
@@ -46,15 +44,10 @@ func (ts *TimeScratch) grow(steps, world int) {
 	}
 }
 
-// StepTimesScratch is StepTimes computing into ts. The returned slice is
-// owned by ts and valid until the next call; callers that keep it must
-// copy. Results are bit-identical to StepTimes.
-func (c CostModel) StepTimesScratch(ts *TimeScratch, topo Topology, steps int, events []collective.Event) []float64 {
-	if steps == 0 {
-		return nil
-	}
-	world := topo.Size()
-	ts.grow(steps, world)
+// load adds events' send and receive costs to ts's per-(step, endpoint)
+// cells, in slice order.
+func (c CostModel) load(ts *TimeScratch, topo Topology, steps int, events []collective.Event) {
+	world := ts.world
 	for _, e := range events {
 		if e.Step < 0 || e.Step >= steps {
 			panic(fmt.Sprintf("simnet: event step %d out of [0,%d)", e.Step, steps))
@@ -72,8 +65,13 @@ func (c CostModel) StepTimesScratch(ts *TimeScratch, topo Topology, steps int, e
 		}
 		ts.in[kt] += cost
 	}
+}
+
+// fold turns the loaded cells into per-step times, each the step's busiest
+// endpoint, and leaves the cells clean for the next call.
+func (ts *TimeScratch) fold() []float64 {
 	for _, k := range ts.touched {
-		s := int(k) / world
+		s := int(k) / ts.world
 		if ts.out[k] > ts.times[s] {
 			ts.times[s] = ts.out[k]
 		}
@@ -87,20 +85,23 @@ func (c CostModel) StepTimesScratch(ts *TimeScratch, topo Topology, steps int, e
 	return ts.times
 }
 
-// TraceTimeScratch is TraceTime computing through ts, merging the traces'
-// events into ts's reusable buffer. Results are bit-identical to
-// TraceTime.
+// TraceTimeScratch is TraceTime computing through ts. It loads each
+// trace's events where they lie, in the order TraceTime merges them, so
+// results are bit-identical to TraceTime.
 func (c CostModel) TraceTimeScratch(ts *TimeScratch, topo Topology, traces ...collective.Trace) float64 {
 	steps := 0
-	ts.events = ts.events[:0]
 	for _, tr := range traces {
-		if tr.Steps > steps {
-			steps = tr.Steps
-		}
-		ts.events = append(ts.events, tr.Events...)
+		steps = max(steps, tr.Steps)
+	}
+	if steps == 0 {
+		return 0
+	}
+	ts.grow(steps, topo.Size())
+	for _, tr := range traces {
+		c.load(ts, topo, steps, tr.Events)
 	}
 	var total float64
-	for _, t := range c.StepTimesScratch(ts, topo, steps, ts.events) {
+	for _, t := range ts.fold() {
 		total += t
 	}
 	return total

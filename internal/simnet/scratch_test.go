@@ -21,7 +21,8 @@ func randTrace(rng *rand.Rand, world, steps, events int) collective.Trace {
 }
 
 // TestScratchMatchesAllocating pins the bit-identity contract between the
-// scratch timing path and the original map-based one.
+// scratch timing path and the original map-based one, for the whole
+// collective and step by step.
 func TestScratchMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	topo := Topology{Nodes: 4, WorkersPerNode: 3}
@@ -39,7 +40,9 @@ func TestScratchMatchesAllocating(t *testing.T) {
 		}
 
 		wantSteps := c.StepTimes(topo, steps, tr1.Events)
-		gotSteps := c.StepTimesScratch(&ts, topo, steps, tr1.Events)
+		ts.grow(steps, topo.Size())
+		c.load(&ts, topo, steps, tr1.Events)
+		gotSteps := ts.fold()
 		if len(wantSteps) != len(gotSteps) {
 			t.Fatalf("round %d: step count %d != %d", round, len(gotSteps), len(wantSteps))
 		}

@@ -47,10 +47,13 @@ type gramNewton struct {
 // factorisation. Short, wide shards (news20's 40 × 1.3k, the 64-rank
 // workloads' 8 rows) route exact; 32-row shards of ≈ 200 nonzeros and the
 // reference optimum's whole-dataset solves stay on CG, where the
-// factorisation would cost 12 to 3 600 products per step.
+// factorisation would cost 12 to 3 600 products per step. So does a shard
+// with no more columns than rows, whatever it costs: its G = AAᵀ is
+// singular, with a null space that is not coordinate-aligned, and the
+// Gram-form inner products lose the low bits the x-space loop keeps.
 func newtonCost(a *sparse.CSR) int {
 	m, nnz := float64(a.NRows), float64(a.NNZ())
-	if nnz == 0 || m*m*m > 24*nnz {
+	if nnz == 0 || a.NCols <= a.NRows || m*m*m > 24*nnz {
 		return 0
 	}
 	return 1 + int(math.Ceil(m*m*m/(12*nnz)))

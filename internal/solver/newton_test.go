@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"psrahgadmm/internal/dataset"
@@ -317,8 +318,9 @@ type rowCase struct {
 	start   string
 }
 
-// drawRowCase draws a case of m rows over n columns from seed, or nil when
-// the draw routes to CG or touches no more columns than it has rows. ρ is
+// drawRowCase draws a case of m rows over n columns from seed; exact says
+// whether it routes to the row-space loop (a draw that touches no more
+// columns than it has rows never does). ρ is
 // log-uniform in [0.1, 10], y is ρ·N(0, 0.04) (the dual scales with ρ in
 // ADMM), and every row has norm 0.5, 1 or 3. A third of the starts are
 // random (off x₀ + range(Aᵀ)), a third on x₀ + range(Aᵀ) and the rest x₀
@@ -358,13 +360,12 @@ func drawRowCase(seed int64, m, n int) *rowCase {
 		labels = append(labels, labels[0])
 	}
 	active, compact := base.CompactColumns()
-	if newtonCost(compact) == 0 || compact.NRows >= compact.NCols {
-		return nil
-	}
 	c.a, c.labels = compact, labels
 	c.y, c.z, c.x = gather(c.y, active), gather(c.z, active), gather(c.x, active)
 	return c
 }
+
+func (c *rowCase) exact() bool { return newtonCost(c.a) > 0 }
 
 func (c *rowCase) obj() *LogisticProx {
 	return NewLogisticProx(c.a, c.labels, c.rho, vec.Clone(c.y), vec.Clone(c.z))
@@ -401,7 +402,7 @@ func TestRowSpaceTronMatchesOracle(t *testing.T) {
 	for seed := int64(0); solves < 2*160; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		c := drawRowCase(seed, 2+r.Intn(11), 20+r.Intn(80))
-		if c == nil {
+		if !c.exact() {
 			continue
 		}
 		starts[c.start]++
@@ -422,21 +423,43 @@ func TestRowSpaceTronMatchesOracle(t *testing.T) {
 }
 
 // FuzzRowSpaceTronMatchesOracle is TestRowSpaceTronMatchesOracle over the
-// shape, ρ and the seed.
+// shape, ρ and the seed. A shard with no more touched columns than rows
+// (the 4×1 and 3×3 seeds) must stay on CG: TRON declines the row loop and lands
+// where the CG route does, bit for bit.
 func FuzzRowSpaceTronMatchesOracle(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(40), 0.0)
 	f.Add(int64(2), uint8(12), uint8(90), -1.0)
 	f.Add(int64(3), uint8(2), uint8(20), 1.0)
+	f.Add(int64(17), uint8(3), uint8(0), 0.5) // 4×1
+	f.Add(int64(0), uint8(2), uint8(2), 0.0)  // 3×3
 	f.Fuzz(func(t *testing.T, seed int64, m, n uint8, logRho float64) {
 		if !(logRho >= -1 && logRho <= 1) {
 			t.Skip()
 		}
 		c := drawRowCase(seed, 1+int(m)%16, 1+int(n))
-		if c == nil {
+		c.rho = math.Pow(10, logRho)
+		opts := TronOptions{MaxIter: 20, MaxCG: 20}
+		if c.a.NCols <= c.a.NRows {
+			if c.exact() {
+				t.Fatalf("%d×%d shard routes exact", c.a.NRows, c.a.NCols)
+			}
+			filled := opts
+			filled.fill()
+			var ws Workspace
+			if _, done := c.obj().rowTron(vec.Clone(c.x), filled, &ws); done {
+				t.Fatalf("%d×%d shard took the row loop", c.a.NRows, c.a.NCols)
+			}
+			x, xCG := vec.Clone(c.x), vec.Clone(c.x)
+			got, want := TRON(c.obj(), x, opts), TRON(plain{c.obj()}, xCG, opts)
+			if got != want || !slices.EqualFunc(x, xCG, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("%d×%d shard: TRON %+v, CG route %+v", c.a.NRows, c.a.NCols, got, want)
+			}
+			return
+		}
+		if !c.exact() {
 			t.Skip()
 		}
-		c.rho = math.Pow(10, logRho)
-		checkRowSpace(t, "fuzz", c, TronOptions{MaxIter: 20, MaxCG: 20})
+		checkRowSpace(t, "fuzz", c, opts)
 	})
 }
 
@@ -573,7 +596,7 @@ func TestTronCurvatureIsTheTrialPoints(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		c := drawRowCase(seed, 2+r.Intn(11), 20+r.Intn(80))
-		if c == nil {
+		if !c.exact() {
 			continue
 		}
 		opts := TronOptions{MaxIter: 10, MaxCG: 20}
@@ -609,9 +632,9 @@ func TestTronCurvatureIsTheTrialPoints(t *testing.T) {
 
 // TestNewtonRoute: the benchmark's shard shapes route as the cost rule
 // says — news20's 8 shards and the wide data's 64 exact, its 16 shards and
-// both reference optimum solves CG — and so do ρ = 0 and a poisoned start
-// or data, which hand the solve to the CG loop; with NaN it is then not
-// converged.
+// both reference optimum solves CG, as do a 4×1 and a 3×3 dense shard (no
+// more columns than rows) — and so do ρ = 0 and a poisoned start or data,
+// which hand the solve to the CG loop; with NaN it is then not converged.
 func TestNewtonRoute(t *testing.T) {
 	news, _, err := dataset.Generate(dataset.News20Like(0.02, 1))
 	if err != nil {
@@ -642,6 +665,21 @@ func TestNewtonRoute(t *testing.T) {
 				t.Errorf("%s shard %d (%d rows, %d nonzeros): exact %v, want %v",
 					c.name, k, compact.NRows, compact.NNZ(), got, c.exact)
 			}
+		}
+	}
+	// A dense shard with no more columns than rows is cheap to factor, but
+	// its G is singular: it stays on CG.
+	for _, shape := range [][2]int{{4, 1}, {3, 3}} {
+		a := sparse.NewCSR(0, shape[1], 0)
+		for i := 0; i < shape[0]; i++ {
+			cols, vals := make([]int32, shape[1]), make([]float64, shape[1])
+			for j := range cols {
+				cols[j], vals[j] = int32(j), float64(1+i+j)
+			}
+			a.AppendRow(cols, vals)
+		}
+		if c := newtonCost(a); c != 0 {
+			t.Errorf("%d×%d dense shard routes exact at cost %d", shape[0], shape[1], c)
 		}
 	}
 

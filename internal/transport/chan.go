@@ -107,7 +107,7 @@ func (e *chanEndpoint) Send(to int, m wire.Message) error {
 		copyPayload(&m)
 	}
 	// Sized before the put: once delivered, the payload is the receiver's.
-	n := int64(wire.EncodedBytes(m))
+	n := int64(wire.EncodedBytes(&m))
 	switch err := e.fabric.endpoints[to].box.put(&m, e.box.life.Load()); err {
 	case nil:
 		e.msgs++

@@ -49,14 +49,15 @@ var errInboxClosed = errors.New("transport: inbox closed")
 
 // mailbox is one rank's inbox on either fabric, and the only place a rank
 // waits. mu guards q, the messages delivered since the owner last drained,
-// in arrival order, and stop; pending belongs to the owner goroutine alone
-// and holds what it drained but has not matched yet. q grows to the
+// in arrival order, parked and stop; pending belongs to the owner goroutine
+// alone and holds what it drained but has not matched yet. q grows to the
 // in-flight high-water mark and is refilled from index 0.
 type mailbox struct {
 	mu      sync.Mutex
 	q       []wire.Message
 	arrived sync.Cond // the owner, parked in recv on an empty q
 	space   sync.Cond // producers held at inboxDepth
+	parked  bool      // the owner is in arrived.Wait
 	pending pending
 	stop    Interrupt
 
@@ -91,8 +92,14 @@ func (b *mailbox) put(m *wire.Message, sender *mailLife) error {
 		b.space.Wait()
 	}
 	b.q = append(b.q, *m)
+	// Only a parked owner needs the signal; one that is not parked finds q
+	// non-empty under the lock before it would park.
+	signal := b.parked
+	b.parked = false
 	b.mu.Unlock()
-	b.arrived.Signal()
+	if signal {
+		b.arrived.Signal()
+	}
 	return nil
 }
 
@@ -161,7 +168,9 @@ func (b *mailbox) await(from int, tag int32, d time.Duration) (wire.Message, err
 				b.mu.Unlock()
 				return wire.Message{}, err
 			}
+			b.parked = true
 			b.arrived.Wait()
+			b.parked = false
 		}
 		// Take the whole batch under one lock: trade slices when pending is
 		// drained (its slots are zeroed, its slice reset), append otherwise

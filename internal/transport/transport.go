@@ -206,7 +206,7 @@ type statsCounter struct {
 
 func (s *statsCounter) record(m wire.Message) {
 	s.msgs.Add(1)
-	s.bytes.Add(int64(wire.EncodedBytes(m)))
+	s.bytes.Add(int64(wire.EncodedBytes(&m)))
 }
 
 func (s *statsCounter) snapshot() Stats {
@@ -243,16 +243,19 @@ type pending struct {
 }
 
 // take removes and returns the first buffered message matching (from, tag).
-// The gap is closed from the head side — a match is usually at or near the
-// head, so this moves the few messages before it, not the rest of the
-// batch — and a drained buffer resets to msgs[:0].
+// A match at the head is popped without a scan; otherwise the gap is closed
+// from the head side — a match is usually near the head, so this moves the
+// few messages before it, not the rest of the batch. A drained buffer
+// resets to msgs[:0].
 func (p *pending) take(from int, tag int32) (wire.Message, bool) {
 	for i := p.head; i < len(p.msgs); i++ {
-		if !matches(p.msgs[i], from, tag) {
+		if !matches(&p.msgs[i], from, tag) {
 			continue
 		}
 		m := p.msgs[i]
-		copy(p.msgs[p.head+1:i+1], p.msgs[p.head:i])
+		if i > p.head {
+			copy(p.msgs[p.head+1:i+1], p.msgs[p.head:i])
+		}
 		p.msgs[p.head] = wire.Message{}
 		p.head++
 		if p.head == len(p.msgs) {
@@ -277,6 +280,6 @@ func (p *pending) put(ms ...wire.Message) {
 }
 
 // matches reports whether m satisfies a Recv(from, tag) call.
-func matches(m wire.Message, from int, tag int32) bool {
+func matches(m *wire.Message, from int, tag int32) bool {
 	return m.Tag == tag && (from == AnySource || int(m.From) == from)
 }

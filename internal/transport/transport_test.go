@@ -291,8 +291,8 @@ func TestStats(t *testing.T) {
 			if s.MsgsSent != 1 {
 				t.Fatalf("MsgsSent = %d", s.MsgsSent)
 			}
-			if s.BytesSent != int64(wire.EncodedBytes(m)) {
-				t.Fatalf("BytesSent = %d, want %d", s.BytesSent, wire.EncodedBytes(m))
+			if s.BytesSent != int64(wire.EncodedBytes(&m)) {
+				t.Fatalf("BytesSent = %d, want %d", s.BytesSent, wire.EncodedBytes(&m))
 			}
 		})
 	}

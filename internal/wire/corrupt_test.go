@@ -32,8 +32,8 @@ func TestCRCDetectsEveryPayloadBitFlip(t *testing.T) {
 			t.Fatal(err)
 		}
 		clean := buf.Bytes()
-		if len(clean) != EncodedBytes(m) {
-			t.Fatalf("encoded %d bytes, EncodedBytes %d", len(clean), EncodedBytes(m))
+		if len(clean) != EncodedBytes(&m) {
+			t.Fatalf("encoded %d bytes, EncodedBytes %d", len(clean), EncodedBytes(&m))
 		}
 		for bit := headerBytes * 8; bit < len(clean)*8; bit++ {
 			flipped := append([]byte(nil), clean...)

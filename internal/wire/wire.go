@@ -157,7 +157,9 @@ const decodeChunk = 1 << 20
 
 // PayloadBytes returns the encoded payload size of m in bytes, excluding
 // the fixed header. This is the number the cost model charges per message.
-func PayloadBytes(m Message) int {
+func PayloadBytes(m Message) int { return payloadBytes(&m) }
+
+func payloadBytes(m *Message) int {
 	switch m.Kind {
 	case KindControl:
 		return 4 + 8*len(m.Ints)
@@ -173,16 +175,17 @@ func PayloadBytes(m Message) int {
 	}
 }
 
-// EncodedBytes returns the full on-wire size of m as the encoder emits it:
-// header + payload + the version-2 CRC trailer.
-func EncodedBytes(m Message) int { return headerBytes + PayloadBytes(m) + crcBytes }
+// EncodedBytes returns the full on-wire size of *m as the encoder emits it:
+// header + payload + the version-2 CRC trailer. It reads m through the
+// pointer, so a per-message send path sizes its frame without copying it.
+func EncodedBytes(m *Message) int { return headerBytes + payloadBytes(m) + crcBytes }
 
 // AppendMessage appends m's full wire encoding (header + payload + CRC32C
 // trailer) to dst and returns the extended slice. This is the
 // allocation-free core of Encode: callers that reuse dst encode with zero
 // steady-state heap traffic.
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
-	plen := PayloadBytes(m)
+	plen := payloadBytes(&m)
 	if plen > maxPayload {
 		return dst, fmt.Errorf("wire: payload %d exceeds limit", plen)
 	}
@@ -232,7 +235,7 @@ func Encode(w io.Writer, m Message) error {
 	bp := encBufs.Get().(*[]byte)
 	// Presized: a small pooled buffer grown by append's doubling costs
 	// several copies per large frame.
-	buf, err := AppendMessage(slices.Grow((*bp)[:0], EncodedBytes(m)), m)
+	buf, err := AppendMessage(slices.Grow((*bp)[:0], EncodedBytes(&m)), m)
 	if err == nil {
 		_, err = w.Write(buf)
 	}

@@ -22,8 +22,8 @@ func roundTrip(t *testing.T, m Message) Message {
 	if err := Encode(&buf, m); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if buf.Len() != EncodedBytes(m) {
-		t.Fatalf("EncodedBytes = %d, wrote %d", EncodedBytes(m), buf.Len())
+	if buf.Len() != EncodedBytes(&m) {
+		t.Fatalf("EncodedBytes = %d, wrote %d", EncodedBytes(&m), buf.Len())
 	}
 	got, err := Decode(&buf)
 	if err != nil {
@@ -328,7 +328,7 @@ func BenchmarkEncodeDense(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		buf.Grow(EncodedBytes(m))
+		buf.Grow(EncodedBytes(&m))
 		_ = Encode(&buf, m)
 	}
 }
