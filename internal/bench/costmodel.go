@@ -100,20 +100,13 @@ func runSparseCollective(kind collectiveKind, inputs []*sparse.Vector, cost simn
 		}(i)
 	}
 	wg.Wait()
-	merged := collective.Trace{}
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			return 0, 0, errs[i]
 		}
-		if traces[i].Steps > merged.Steps {
-			merged.Steps = traces[i].Steps
-		}
-		merged.Events = append(merged.Events, traces[i].Events...)
+		bytes += int64(traces[i].TotalBytes())
 	}
-	for _, e := range merged.Events {
-		bytes += int64(e.Bytes)
-	}
-	return cost.TraceTime(topo, merged), bytes, nil
+	return cost.TraceTime(topo, traces...), bytes, nil
 }
 
 // CostModel reproduces the §4.2 analysis (eqs. 11–16) empirically: the

@@ -68,14 +68,12 @@ type barrierFrame struct {
 	busyUntil float64
 
 	// Reusable scratch: the launch's idle list and pool batch, the barrier's
-	// finish times, the fan-in's message sizes, and the bus and wire traces'
-	// events.
-	idle       []int
-	sub        []*worker
-	finishes   []float64
-	sizes      []int
-	events     []collective.Event
-	wireEvents []collective.Event
+	// finish times, the fan-in's message sizes, and the bus traces' events.
+	idle     []int
+	sub      []*worker
+	finishes []float64
+	sizes    []int
+	events   []collective.Event
 }
 
 func newBarrierFrame(env *strategyEnv, per int) barrierFrame {
@@ -243,10 +241,10 @@ func (f *barrierFrame) launch(cfg Config, iter int) {
 		if len(b.ranks) > 1 {
 			tr := f.fanIn(b.ranks, f.sizes)
 			if !dense {
-				tr = f.wire(tr)
+				env.codec.ScaleTrace(tr)
 			}
 			b.finish += cfg.Cost.TraceTimeScratch(&env.ts, cfg.Topo, tr)
-			b.launchBytes = traceBytes(tr)
+			b.launchBytes = int64(tr.TotalBytes())
 		}
 		f.clocks[p].pending = b
 	}
@@ -273,18 +271,36 @@ func (f *barrierFrame) fanOut(ranks []int, bytes int) collective.Trace {
 	return collective.Trace{Steps: 1, Events: f.events}
 }
 
-// wire rescales a trace built at nominal sparse sizes to the codec's wire
-// format, into frame scratch valid until the next wire.
-func (f *barrierFrame) wire(tr collective.Trace) collective.Trace {
-	tr = f.env.codec.WireTraceInto(f.wireEvents[:0], tr)
-	f.wireEvents = tr.Events
-	return tr
+// charge adds one collective's bytes to the round and returns its virtual
+// time. The traces are its members' send logs, charged where they lie:
+// the same seconds and bytes as their concatenation.
+func (f *barrierFrame) charge(cfg Config, timing *iterTiming, traces ...collective.Trace) float64 {
+	for _, tr := range traces {
+		timing.bytes += int64(tr.TotalBytes())
+	}
+	return cfg.Cost.TraceTimeScratch(&f.env.ts, cfg.Topo, traces...)
 }
 
-// charge adds a trace's bytes to the round and returns its virtual time.
-func (f *barrierFrame) charge(cfg Config, tr collective.Trace, timing *iterTiming) float64 {
-	timing.bytes += traceBytes(tr)
-	return cfg.Cost.TraceTimeScratch(&f.env.ts, cfg.Topo, tr)
+// chargeNominal is charge for traces logged at nominal sparse or dense
+// sizes — the W traffic, the star's gather, the dense ring's chunks: each
+// is first rescaled, in place and once, to the codec's wire format.
+func (f *barrierFrame) chargeNominal(cfg Config, timing *iterTiming, traces ...collective.Trace) float64 {
+	for _, tr := range traces {
+		f.env.codec.ScaleTrace(tr)
+	}
+	return f.charge(cfg, timing, traces...)
+}
+
+// ggRequestBytes is the payload of a Leader→GG grouping request plus the
+// reply (a handful of int64s).
+const ggRequestBytes = 4 + 8*2
+
+// ggRoundTrip charges n Leaders' grouping requests to the Group Generator
+// and its replies, and returns the round trip's virtual time, at
+// inter-node cost.
+func (f *barrierFrame) ggRoundTrip(cfg Config, n int, timing *iterTiming) float64 {
+	timing.bytes += int64(n * ggRequestBytes * 2)
+	return 2 * (cfg.Cost.InterAlpha + float64(ggRequestBytes)*cfg.Cost.InterBeta)
 }
 
 // open starts a round: membership changes are reconciled, every idle live
@@ -334,7 +350,7 @@ func (f *barrierFrame) open(cfg Config, iter int, timing *iterTiming) (cutoff fl
 func (f *barrierFrame) deliver(cfg Config, p int, z *sparse.Vector, at float64, timing *iterTiming) {
 	b := f.clocks[p].pending
 	if len(b.ranks) > 1 {
-		at += f.charge(cfg, f.fanOut(b.ranks, f.env.codec.ZMsgBytes(z.NNZ())), timing)
+		at += f.charge(cfg, timing, f.fanOut(b.ranks, f.env.codec.ZMsgBytes(z.NNZ())))
 	}
 	for _, r := range b.ranks {
 		f.env.ws[r].applyZ(cfg, z)

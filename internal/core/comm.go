@@ -31,9 +31,11 @@ const (
 var errRoundCorrupt = errors.New("core: corrupt frame detected mid-round")
 
 // crewJob is one member's share of a collective round: it reads in and
-// writes the aggregate into out, or assembles none when out is nil.
+// writes the aggregate into out, or assembles none when out is nil. member
+// is its index in the group, the slot its trace lands in.
 type crewJob struct {
 	kind    commKind
+	member  int
 	g       collective.Group
 	tagBase int32
 	in      *sparse.Vector
@@ -64,8 +66,8 @@ type crew struct {
 	jobs   []chan crewJob
 	wg     sync.WaitGroup
 	wss    []collective.Workspace
-	outs   []*sparse.Vector // per-member restricted results of the shard schedule (see groupAllreduce)
-	traces []collective.Trace
+	outs   []*sparse.Vector   // per-member restricted results of the shard schedule (see groupAllreduce)
+	traces []collective.Trace // by member index: the round's send logs, where the collectives wrote them
 	errs   []error
 	eps    []transport.Endpoint // pre-boxed
 	// stop is the round abort latch, reset per round. The first member to
@@ -75,8 +77,6 @@ type crew struct {
 	// re-runs the round over it — and stragglers of the aborted attempt,
 	// which are still delivered, sit under a tag window no retry draws.
 	stop atomic.Bool
-
-	mergedEvents []collective.Event // mergedTrace scratch
 }
 
 func newCrew(env *strategyEnv) *crew {
@@ -126,7 +126,7 @@ func (c *crew) serve(r int) {
 		default:
 			err = fmt.Errorf("core: unknown comm kind %d", job.kind)
 		}
-		c.traces[r], c.errs[r] = tr, err
+		c.traces[job.member], c.errs[r] = tr, err
 		if err != nil {
 			// Unblock the rest of the group: set the latch, then wake.
 			if !c.stop.Swap(true) {
@@ -226,30 +226,15 @@ func (c *crew) collect(what string, ranks []int) error {
 	return corrupt
 }
 
-// mergedTrace folds the group's per-member traces into one (max steps, all
-// events in member order). The result aliases crew scratch and is valid
-// until the next collective round.
-func (c *crew) mergedTrace(ranks []int) collective.Trace {
-	merged := collective.Trace{Events: c.mergedEvents[:0]}
-	for _, r := range ranks {
-		tr := c.traces[r]
-		if tr.Steps > merged.Steps {
-			merged.Steps = tr.Steps
-		}
-		merged.Events = append(merged.Events, tr.Events...)
-	}
-	c.mergedEvents = merged.Events
-	return merged
-}
-
 // groupAllreduce runs the *actual* collective implementation among the
 // given world ranks over the engine's scratch fabric — the crew's
-// persistent member goroutines — and returns the merged trace. The engine's
-// virtual clock is driven by real message sizes, not an analytic formula;
-// this is what keeps the Figure 6/7 communication times honest about
-// sparsity. Each invocation draws a fresh tag window, so a retried attempt
-// can never match an aborted attempt's stale messages. The returned trace
-// aliases crew scratch (consume it before the next collective).
+// persistent member goroutines — and returns the members' traces, in member
+// order. The engine's virtual clock is driven by real message sizes, not an
+// analytic formula; this is what keeps the Figure 6/7 communication times
+// honest about sparsity. Each invocation draws a fresh tag window, so a
+// retried attempt can never match an aborted attempt's stale messages. The
+// returned traces are a view of crew scratch, each aliasing its member's
+// workspace (consume them before the next collective).
 //
 // With a nil plan only member 0 assembles the full aggregate, into the
 // caller-owned out, which later rounds never touch, so strategies may
@@ -261,7 +246,7 @@ func (c *crew) mergedTrace(ranks []int) collective.Trace {
 // result — its own subscription, not the full W — in c.outs[r], valid
 // until the next collective; no rank holds the full reduction and out is
 // untouched.
-func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, plan *shard.Plan, inputs []*sparse.Vector, out *sparse.Vector) (collective.Trace, error) {
+func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, plan *shard.Plan, inputs []*sparse.Vector, out *sparse.Vector) ([]collective.Trace, error) {
 	if len(ranks) != len(inputs) {
 		panic("core: groupAllreduce ranks/inputs mismatch")
 	}
@@ -277,25 +262,16 @@ func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, plan *shard.Pl
 		} else if i > 0 {
 			dst = nil
 		}
-		c.jobs[r] <- crewJob{kind: kind, g: g, tagBase: tagBase, in: inputs[i], out: dst, plan: plan, spec: env.agg}
+		c.jobs[r] <- crewJob{kind: kind, member: i, g: g, tagBase: tagBase, in: inputs[i], out: dst, plan: plan, spec: env.agg}
 	}
 	c.wg.Wait()
 	if err := c.collect("group allreduce", ranks); err != nil {
-		return collective.Trace{}, err
+		return nil, err
 	}
-	return c.mergedTrace(ranks), nil
+	return c.traces[:len(ranks)], nil
 }
 
-// traceBytes sums payload bytes across a merged trace.
-func traceBytes(tr collective.Trace) int64 {
-	var n int64
-	for _, e := range tr.Events {
-		n += int64(e.Bytes)
-	}
-	return n
-}
-
-// denseRingTrace is the merged trace of a dense Ring-Allreduce of a
+// denseRingTrace is the whole-group trace of a dense Ring-Allreduce of a
 // dim-vector among leaders — ADMMLib's exchange, whose defining property is
 // that its volume depends on the dimension alone. Member i's scatter step s
 // ships chunk (i−s) mod p to its successor and its gather step t ships
@@ -303,7 +279,8 @@ func traceBytes(tr collective.Trace) int64 {
 // scatter's (s = p−1+t), is chunk (i−s) mod p again — each a full dense
 // chunk whatever the data holds. The values themselves travel the sparse
 // ring (the sums are identical); this is what the round is charged. Events
-// are in the order crew.mergedTrace produces, member-major and step-minor.
+// are member-major and step-minor, the order the members' own traces are
+// charged in.
 func denseRingTrace(leaders []int, dim int) collective.Trace {
 	p := len(leaders)
 	chunks := vec.Split(dim, p)
@@ -318,11 +295,6 @@ func denseRingTrace(leaders []int, dim int) collective.Trace {
 	}
 	return tr
 }
-
-// ggRequestBytes is the payload of a Leader→GG grouping request plus the
-// reply (a handful of int64s). The GG round trip is charged at inter-node
-// cost.
-const ggRequestBytes = 4 + 8*2
 
 // zFromW applies the L1 z-update (eq. 10, N·ρ scaling) directly on a
 // sparse W summing n contributors: only entries with |W_j| > λ survive,

@@ -35,11 +35,11 @@ func (st *flatStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// contribution when stale. The store picks the schedule: full-width
 	// PSR-Allreduce into st.agg replicated, the shard-aware restricted
 	// reduction sharded.
-	tr, err := env.store.allreduceW(st.leaders, st.inputs, st.agg)
+	traces, err := env.store.allreduceW(st.leaders, st.inputs, st.agg)
 	if err != nil {
 		return timing, err
 	}
-	end := maxf(cutoff, st.busyUntil) + st.charge(cfg, st.wire(tr), &timing)
+	end := maxf(cutoff, st.busyUntil) + st.chargeNominal(cfg, &timing, traces...)
 	st.busyUntil = end
 
 	// Every member of the collective holds its result; the fresh ones

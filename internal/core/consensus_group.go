@@ -35,7 +35,6 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		ready   float64
 		workers []int
 	}
-	ggRTT := 2 * (cfg.Cost.InterAlpha + float64(ggRequestBytes)*cfg.Cost.InterBeta)
 	order := make([]*nodeAgg, 0, len(st.fresh))
 	for _, n := range st.fresh {
 		p := st.clocks[n].pending
@@ -78,19 +77,18 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 			leaders[i] = na.leader
 			inputs[i] = na.sum
 		}
-		start += ggRTT
-		timing.bytes += int64(len(group) * ggRequestBytes * 2)
+		start += st.ggRoundTrip(cfg, len(group), &timing)
 
 		agg, commT := group[0].sum, 0.0
 		if len(group) > 1 {
 			// The aggregate is retained into results for phase 2, so it
 			// gets its own vector rather than crew scratch.
 			agg = new(sparse.Vector)
-			tr, err := groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
+			traces, err := groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
 			if err != nil {
 				return timing, err
 			}
-			commT = st.charge(cfg, st.wire(tr), &timing)
+			commT = st.chargeNominal(cfg, &timing, traces...)
 		}
 		results = append(results, groupResult{
 			group: group,

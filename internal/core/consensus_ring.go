@@ -38,15 +38,16 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	var commT float64
 	agg := st.inputs[0]
 	if len(st.live) > 1 {
-		tr, err := groupAllreduce(env, st.leaders, commRingSparse, nil, st.inputs, st.agg)
+		traces, err := groupAllreduce(env, st.leaders, commRingSparse, nil, st.inputs, st.agg)
 		if err != nil {
 			return timing, err
 		}
 		agg = st.agg
 		if dense {
-			tr = denseRingTrace(st.leaders, env.dim)
+			commT = st.chargeNominal(cfg, &timing, denseRingTrace(st.leaders, env.dim))
+		} else {
+			commT = st.chargeNominal(cfg, &timing, traces...)
 		}
-		commT = st.charge(cfg, st.wire(tr), &timing)
 	} else if dense {
 		// Copy: the rounding below mutates the aggregate, and the cached
 		// partial must stay intact for later stale rounds.

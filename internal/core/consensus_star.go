@@ -36,8 +36,7 @@ func (st *starStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// the role simply migrates when a scheduled kill takes it — gathers the
 	// fresh workers' contributions and returns z to them. Only fresh
 	// workers pay wire time this round.
-	tr := st.wire(starGatherTrace(st.leaders[0], st.fresh, env.dim))
-	end := maxf(cutoff, st.busyUntil) + st.charge(cfg, tr, &timing)
+	end := maxf(cutoff, st.busyUntil) + st.chargeNominal(cfg, &timing, starGatherTrace(st.leaders[0], st.fresh, env.dim))
 	st.busyUntil = end
 
 	// The master is the star's combine point: it already sees every live

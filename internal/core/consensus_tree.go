@@ -106,8 +106,6 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	if env.agg.Robust() && threshold < len(st.live) {
 		threshold = len(st.live)
 	}
-	ggRTT := 2 * (cfg.Cost.InterAlpha + float64(ggRequestBytes)*cfg.Cost.InterBeta)
-
 	merge := func(group []*aggEntry) (*aggEntry, error) {
 		start := 0.0
 		leaders := make([]int, len(group))
@@ -117,12 +115,11 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 			leaders[i] = e.rep
 			inputs[i] = e.value
 		}
-		start += ggRTT
-		timing.bytes += int64(len(group) * ggRequestBytes * 2)
+		start += st.ggRoundTrip(cfg, len(group), &timing)
 		// The aggregate travels up the tree as a later merge's input, so
 		// each merge gets its own result vector rather than crew scratch.
 		agg := new(sparse.Vector)
-		tr, err := groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
+		traces, err := groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +127,7 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 			seq:      seq,
 			rep:      group[0].rep,
 			value:    agg,
-			ready:    start + st.charge(cfg, st.wire(tr), &timing),
+			ready:    start + st.chargeNominal(cfg, &timing, traces...),
 			children: group,
 			leafNode: -1,
 		}
@@ -198,7 +195,7 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 				Step: 0, From: e.rep, To: c.rep, Bytes: wBytes,
 			})
 		}
-		tNext := t + st.charge(cfg, tr, &timing)
+		tNext := t + st.charge(cfg, &timing, tr)
 		descend(e.children[0], t)
 		for _, c := range e.children[1:] {
 			descend(c, tNext)

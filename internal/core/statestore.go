@@ -114,7 +114,7 @@ func (s *stateStore) dropCounts() { s.countsEpoch = -1 }
 // ships only subscribed or owned blocks and leaves each member's RESTRICTED
 // result in its crew slot — no rank materializes the full W and agg stays
 // untouched; replicated, PSR-Allreduce lands the full aggregate in agg.
-func (s *stateStore) allreduceW(ranks []int, inputs []*sparse.Vector, agg *sparse.Vector) (collective.Trace, error) {
+func (s *stateStore) allreduceW(ranks []int, inputs []*sparse.Vector, agg *sparse.Vector) ([]collective.Trace, error) {
 	var plan *shard.Plan
 	if s.sharded {
 		plan = s.livePlan(ranks)

@@ -39,27 +39,29 @@ func BenchmarkCodecEncodeSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecWireTraceInto measures re-costing a collective trace to
-// wire sizes into caller scratch — per-round work on the engine hot path.
-func BenchmarkCodecWireTraceInto(b *testing.B) {
+// BenchmarkCodecScaleTrace measures re-costing a collective trace to wire
+// sizes in place — per-round work on the engine hot path. Each iteration
+// scales a fresh copy, so every kind rescales nominal bytes, not bytes it
+// already scaled.
+func BenchmarkCodecScaleTrace(b *testing.B) {
 	for _, k := range Kinds() {
 		b.Run(string(k), func(b *testing.B) {
 			c, err := For(k)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr := collective.Trace{Steps: 8}
+			nominal := collective.Trace{Steps: 8}
 			for i := 0; i < 64; i++ {
-				tr.Events = append(tr.Events, collective.Event{
+				nominal.Events = append(nominal.Events, collective.Event{
 					Step: i % 8, From: i % 4, To: (i + 1) % 4, Bytes: 8 + 20*i,
 				})
 			}
-			var scratch []collective.Event
+			tr := collective.Trace{Steps: nominal.Steps, Events: make([]collective.Event, len(nominal.Events))}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out := c.WireTraceInto(scratch[:0], tr)
-				scratch = out.Events
+				copy(tr.Events, nominal.Events)
+				c.ScaleTrace(tr)
 			}
 		})
 	}

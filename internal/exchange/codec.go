@@ -20,6 +20,7 @@ package exchange
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/sparse"
@@ -136,30 +137,31 @@ func (c Codec) EncodeSparse(v *sparse.Vector) {
 	EncodeSparseBlocks(c, v, offs[:])
 }
 
-// WireTrace rescales a collective trace — built at nominal sparse
+// ScaleTrace rescales a collective trace — logged at nominal sparse
 // (12-byte-entry) or dense (8-byte-entry) sizes — to this codec's wire
-// format. The input trace is never mutated.
-func (c Codec) WireTrace(tr collective.Trace) collective.Trace { return c.WireTraceInto(nil, tr) }
-
-// WireTraceInto is WireTrace writing the rescaled events into dst's
-// backing array (grown only when too small). Identity codecs return tr
-// unchanged without touching dst. Callers on the hot path keep the
-// returned Events slice and pass it back as dst next round, so the steady
-// state rescales without allocating.
-func (c Codec) WireTraceInto(dst []collective.Event, tr collective.Trace) collective.Trace {
+// format, in place. Identity codecs leave it untouched. A trace is scaled
+// once, where it is charged: the rescale is not idempotent.
+func (c Codec) ScaleTrace(tr collective.Trace) {
 	if c.twelfths == exact {
-		return tr
+		return
 	}
-	dst = dst[:0]
-	for _, e := range tr.Events {
-		e.Bytes = e.Bytes * c.twelfths / exact
-		dst = append(dst, e)
+	for i := range tr.Events {
+		tr.Events[i].Bytes = tr.Events[i].Bytes * c.twelfths / exact
 	}
-	return collective.Trace{Steps: tr.Steps, Events: dst}
+}
+
+// WireTrace is ScaleTrace on a copy: the input trace is never mutated.
+// Identity codecs return it as it is, without copying.
+func (c Codec) WireTrace(tr collective.Trace) collective.Trace {
+	if c.twelfths != exact {
+		tr.Events = slices.Clone(tr.Events)
+		c.ScaleTrace(tr)
+	}
+	return tr
 }
 
 // SparseMsgBytes is the nominal payload of one sparse vector with nnz
-// entries, before WireTrace scaling.
+// entries, before ScaleTrace.
 func (c Codec) SparseMsgBytes(nnz int) int {
 	if c.bits == 32 {
 		return 8 + (4+4)*nnz

@@ -133,7 +133,7 @@ func TestWireTraceScaling(t *testing.T) {
 // bytes the wire codec actually produces, for every codec: the nominal
 // sizes the strategies feed into traces (*MsgBytes, computed from the
 // POST-encode payload) must equal wire.PayloadBytes of the message the
-// fabric ships, and WireTrace must map those recorded sizes to the
+// fabric ships, and ScaleTrace must map those recorded sizes to the
 // codec's modeled wire cost with the documented num/den scaling. This is
 // what keeps the virtual cost model honest after encoders drop entries
 // (quantization rounds small values to exact zero).
@@ -209,27 +209,19 @@ func TestTracedBytesMatchEncoded(t *testing.T) {
 			t.Fatalf("%s: WireTrace bytes (%d,%d), want (%d,%d)",
 				k, scaled.Events[0].Bytes, scaled.Events[1].Bytes, wantSp, wantDn)
 		}
-		// WireTraceInto agrees event-for-event and reuses its scratch.
-		dst := c.WireTraceInto(nil, tr)
-		if dst.Steps != scaled.Steps || len(dst.Events) != len(scaled.Events) {
-			t.Fatalf("%s: WireTraceInto shape mismatch", k)
-		}
-		for i := range scaled.Events {
-			if dst.Events[i] != scaled.Events[i] {
-				t.Fatalf("%s: WireTraceInto event %d = %+v, want %+v", k, i, dst.Events[i], scaled.Events[i])
-			}
+		// ScaleTrace rescales in place to the same events, allocating
+		// nothing; WireTrace left its input alone.
+		inPlace := collective.Trace{Steps: tr.Steps, Events: slices.Clone(tr.Events)}
+		c.ScaleTrace(inPlace)
+		if !slices.Equal(inPlace.Events, scaled.Events) {
+			t.Fatalf("%s: ScaleTrace events %+v, want %+v", k, inPlace.Events, scaled.Events)
 		}
 		if tr.Events[0].Bytes != spActual || tr.Events[1].Bytes != dnActual {
-			t.Fatalf("%s: scaling mutated its input", k)
+			t.Fatalf("%s: WireTrace mutated its input", k)
 		}
 		if !raceflag.Enabled {
-			scratchEv := dst.Events
-			allocs := testing.AllocsPerRun(100, func() {
-				out := c.WireTraceInto(scratchEv, tr)
-				scratchEv = out.Events
-			})
-			if allocs != 0 {
-				t.Fatalf("%s: WireTraceInto with warm scratch allocates %.1f times", k, allocs)
+			if allocs := testing.AllocsPerRun(100, func() { c.ScaleTrace(inPlace) }); allocs != 0 {
+				t.Fatalf("%s: ScaleTrace allocates %.1f times", k, allocs)
 			}
 		}
 	}

@@ -82,14 +82,14 @@ type State struct {
 	residual *sparse.Vector
 	merged   *sparse.Vector
 	next     *sparse.Vector
-	sel      []float64
+	scores   []float64 // entry-aligned selection scores
+	sel      []float64 // their quickselect copy
 
 	// Age-scoring state: ageRes[k] is the age (rounds waited) of the
-	// residual's k-th entry; ageMrg and scores are merged-aligned scratch.
+	// residual's k-th entry; ageMrg is merged-aligned scratch.
 	ageRes  []float64
 	ageMrg  []float64
 	ageNext []float64
-	scores  []float64
 }
 
 // NewState returns the per-rank error-feedback state for a top-k codec
@@ -166,7 +166,9 @@ func (s *State) Encode(v *sparse.Vector) {
 	k := clampInt(s.K, s.KMin, s.KMax)
 
 	if s.DisableErrorFeedback {
-		s.selectInPlace(v, k)
+		if v.NNZ() > k {
+			s.keep(v, v, s.score(v, false), k)
+		}
 		if s.bits > 0 {
 			QuantizeSparseBits(v, s.bits)
 		}
@@ -185,13 +187,7 @@ func (s *State) Encode(v *sparse.Vector) {
 		s.ageMrg = mergeAges(s.ageMrg[:0], src, s.residual, s.ageRes)
 	}
 	if src.NNZ() > k {
-		if s.AgeScoring {
-			theta, ties := s.thresholdScored(src, k)
-			rebuildScored(v, src, s.scores, theta, ties)
-		} else {
-			theta, ties := s.threshold(src, k)
-			rebuild(v, src, theta, ties)
-		}
+		s.keep(v, src, s.score(src, s.AgeScoring), k)
 	} else {
 		v.ReuseFrom(src)
 	}
@@ -265,42 +261,46 @@ func nextAges(dst []float64, next, sent, src *sparse.Vector, srcAges []float64) 
 // than (1+cap)× louder than the starved mass keep their slots.
 const ageBoostCap = 4
 
-// thresholdScored is threshold over age-weighted scores
-// |v|·(1+min(age, ageBoostCap)) instead of raw magnitudes. The
-// src-aligned scores survive in s.scores for rebuildScored (s.sel is
-// quickselect scratch and gets reordered).
-func (s *State) thresholdScored(src *sparse.Vector, k int) (theta float64, ties int) {
-	scores := s.scores[:0]
+// score fills s.scores with src's selection scores, entry by entry: |v|,
+// times 1+min(age, ageBoostCap) when aged (s.ageMrg holds src's ages).
+func (s *State) score(src *sparse.Vector, aged bool) []float64 {
+	s.scores = s.scores[:0]
 	for i, val := range src.Value {
-		scores = append(scores, math.Abs(val)*(1+math.Min(s.ageMrg[i], ageBoostCap)))
-	}
-	s.scores = scores
-	sel := append(s.sel[:0], scores...)
-	s.sel = sel
-	theta = selectKthLargest(sel, k)
-	gt := 0
-	for _, sc := range scores {
-		if sc > theta {
-			gt++
+		sc := math.Abs(val)
+		if aged {
+			sc *= 1 + math.Min(s.ageMrg[i], ageBoostCap)
 		}
+		s.scores = append(s.scores, sc)
 	}
-	return theta, k - gt
+	return s.scores
 }
 
-// rebuildScored is rebuild with the survival test on src-aligned scores
-// instead of entry magnitudes.
-func rebuildScored(dst, src *sparse.Vector, scores []float64, theta float64, ties int) {
+// keep writes src's k best-scored entries into dst in index order: every
+// entry scored above the k-th largest score, then the entries tied at it in
+// index order until k are kept — exactly k survivors, deterministically.
+// scores is src-aligned and k < src.NNZ(); dst may be src.
+func (s *State) keep(dst, src *sparse.Vector, scores []float64, k int) {
+	s.sel = append(s.sel[:0], scores...) // quickselect reorders its input
+	theta := selectKthLargest(s.sel, k)
+	ties := k
+	for _, sc := range scores {
+		if sc > theta {
+			ties--
+		}
+	}
+	idx, val := src.Index, src.Value
 	dst.Reset(src.Dim)
-	for i, idx := range src.Index {
+	for i, sc := range scores {
 		switch {
-		case scores[i] > theta:
-		case scores[i] == theta && ties > 0:
+		case sc > theta:
+		case sc == theta && ties > 0:
 			ties--
 		default:
 			continue
 		}
-		dst.Index = append(dst.Index, idx)
-		dst.Value = append(dst.Value, src.Value[i])
+		// Entry i is read before slot len(dst.Index) <= i is written.
+		dst.Index = append(dst.Index, idx[i])
+		dst.Value = append(dst.Value, val[i])
 	}
 }
 
@@ -326,69 +326,6 @@ func (s *State) ensureK(dim int) {
 	if s.K <= 0 {
 		s.K = clampInt(dim/DefaultKDivisor, s.KMin, s.KMax)
 	}
-}
-
-// threshold computes the magnitude cut for keeping exactly k of src's
-// entries: theta is the k-th largest |value|, ties is how many entries
-// with |value| == theta survive (taken in increasing index order).
-func (s *State) threshold(src *sparse.Vector, k int) (theta float64, ties int) {
-	sel := s.sel[:0]
-	for _, val := range src.Value {
-		sel = append(sel, math.Abs(val))
-	}
-	s.sel = sel
-	theta = selectKthLargest(sel, k)
-	gt := 0
-	for _, val := range src.Value {
-		if math.Abs(val) > theta {
-			gt++
-		}
-	}
-	return theta, k - gt
-}
-
-// rebuild writes the surviving entries of src into dst (dst != src),
-// keeping every |value| > theta plus the first `ties` entries at exactly
-// theta in index order — exactly k survivors, deterministically.
-func rebuild(dst, src *sparse.Vector, theta float64, ties int) {
-	dst.Reset(src.Dim)
-	for i, idx := range src.Index {
-		a := math.Abs(src.Value[i])
-		switch {
-		case a > theta:
-		case a == theta && ties > 0:
-			ties--
-		default:
-			continue
-		}
-		dst.Index = append(dst.Index, idx)
-		dst.Value = append(dst.Value, src.Value[i])
-	}
-}
-
-// selectInPlace truncates v to its k largest-magnitude entries in place
-// (the no-error-feedback path).
-func (s *State) selectInPlace(v *sparse.Vector, k int) {
-	if v.NNZ() <= k {
-		return
-	}
-	theta, ties := s.threshold(v, k)
-	kept := 0
-	for i, idx := range v.Index {
-		a := math.Abs(v.Value[i])
-		switch {
-		case a > theta:
-		case a == theta && ties > 0:
-			ties--
-		default:
-			continue
-		}
-		v.Index[kept] = idx
-		v.Value[kept] = v.Value[i]
-		kept++
-	}
-	v.Index = v.Index[:kept]
-	v.Value = v.Value[:kept]
 }
 
 // subInto writes scale·(a − b) into dst, where b's support is a subset of

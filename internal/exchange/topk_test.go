@@ -3,6 +3,7 @@ package exchange
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -314,5 +315,70 @@ func TestTopKStatelessCodecDegradesGracefully(t *testing.T) {
 	c8.EncodeSparse(v8)
 	if v8.NNZ() != 2 {
 		t.Fatalf("stateless topk-q8 dropped entries: %+v", v8)
+	}
+}
+
+// TestTopKKeepMatchesSortReference holds the one selection rule to a
+// sort: order the entries by score, descending and stable by index, take
+// the first k, and list them in index order. Values and ages come from
+// small sets, so ties at the k-th score are the common case; the check
+// runs magnitude and age scores, into a separate vector and in place.
+func TestTopKKeepMatchesSortReference(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	mags := []float64{0.5, 1, 1, 2, 3}
+	for trial := 0; trial < 400; trial++ {
+		const dim = 64
+		src := sparse.NewVector(dim, 0)
+		for j := 0; j < dim; j++ {
+			if r.Intn(3) > 0 {
+				v := mags[r.Intn(len(mags))]
+				if r.Intn(2) == 0 {
+					v = -v
+				}
+				src.Append(int32(j), v)
+			}
+		}
+		n := src.NNZ()
+		if n < 2 {
+			continue
+		}
+		k := 1 + r.Intn(n-1)
+		aged := trial%2 == 1
+		st := &State{}
+		for range n {
+			st.ageMrg = append(st.ageMrg, float64(r.Intn(7)))
+		}
+
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		score := func(i int) float64 {
+			sc := math.Abs(src.Value[i])
+			if aged {
+				sc *= 1 + math.Min(st.ageMrg[i], ageBoostCap)
+			}
+			return sc
+		}
+		sort.SliceStable(order, func(a, b int) bool { return score(order[a]) > score(order[b]) })
+		taken := order[:k]
+		sort.Ints(taken)
+		want := sparse.NewVector(dim, 0)
+		for _, i := range taken {
+			want.Append(src.Index[i], src.Value[i])
+		}
+
+		for _, inPlace := range []bool{false, true} {
+			in := src.Clone()
+			dst := sparse.NewVector(0, 0)
+			if inPlace {
+				dst = in
+			}
+			st.keep(dst, in, st.score(in, aged), k)
+			if dst.Dim != dim || !slices.Equal(dst.Index, want.Index) || !slices.Equal(dst.Value, want.Value) {
+				t.Fatalf("trial %d (k=%d aged=%v in place=%v): kept %v %v, want %v %v",
+					trial, k, aged, inPlace, dst.Index, dst.Value, want.Index, want.Value)
+			}
+		}
 	}
 }

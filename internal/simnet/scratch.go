@@ -6,16 +6,16 @@ import (
 	"psrahgadmm/internal/collective"
 )
 
-// TimeScratch holds the per-call state TraceTime needs — per-(step,
-// endpoint) send/receive loads — as flat reusable slices instead of nested
-// maps. One scratch per engine amortizes cost-model evaluation to zero
-// allocation; it is resized on demand, so an elastic regroup that changes
-// the world size needs no explicit invalidation.
+// TimeScratch holds the per-call state TraceTimeScratch needs — per-(step,
+// endpoint) send/receive loads — as flat reusable slices. One scratch per
+// engine amortizes cost-model evaluation to zero allocation; it is resized
+// on demand, so an elastic regroup that changes the world size needs no
+// explicit invalidation.
 //
-// Bit-reproducibility: loads accumulate in event-slice order exactly as
-// the map-based StepTimes does, and the per-step maximum is
-// order-independent, so scratch-computed times are bit-identical to the
-// allocating path (the golden-history tests pin this).
+// Bit-reproducibility: loads accumulate in event order, trace by trace,
+// and the per-step maximum is order-independent, so the time is a pure
+// function of the traces' concatenation (the golden-history tests pin
+// this, and simnet's tests hold it to a map-based oracle).
 type TimeScratch struct {
 	out, in []float64 // indexed step*world + rank
 	touched []int32   // touched flat keys, first-touch order
@@ -39,9 +39,7 @@ func (ts *TimeScratch) grow(steps, world int) {
 		ts.times = make([]float64, steps)
 	}
 	ts.times = ts.times[:steps]
-	for s := range ts.times {
-		ts.times[s] = 0
-	}
+	clear(ts.times)
 }
 
 // load adds events' send and receive costs to ts's per-(step, endpoint)
@@ -85,9 +83,13 @@ func (ts *TimeScratch) fold() []float64 {
 	return ts.times
 }
 
-// TraceTimeScratch is TraceTime computing through ts. It loads each
-// trace's events where they lie, in the order TraceTime merges them, so
-// results are bit-identical to TraceTime.
+// TraceTimeScratch returns the virtual seconds of a collective whose
+// members logged the given traces, computing through ts. Within a step,
+// messages are concurrent across the cluster but serialize through each
+// endpoint: a rank sending k messages in one step pays the sum of their
+// costs, and likewise on the receive side; the step lasts as long as its
+// busiest endpoint. The traces are loaded where they lie, bit for bit
+// their concatenation's time.
 func (c CostModel) TraceTimeScratch(ts *TimeScratch, topo Topology, traces ...collective.Trace) float64 {
 	steps := 0
 	for _, tr := range traces {
@@ -105,4 +107,13 @@ func (c CostModel) TraceTimeScratch(ts *TimeScratch, topo Topology, traces ...co
 		total += t
 	}
 	return total
+}
+
+// TraceTime returns the total elapsed virtual seconds of a collective
+// whose members contributed the given local traces. It is TraceTimeScratch
+// over a scratch of its own; a caller that charges round after round keeps
+// one TimeScratch and calls TraceTimeScratch.
+func (c CostModel) TraceTime(topo Topology, traces ...collective.Trace) float64 {
+	var ts TimeScratch
+	return c.TraceTimeScratch(&ts, topo, traces...)
 }

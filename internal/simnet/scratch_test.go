@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,9 +22,76 @@ func randTrace(rng *rand.Rand, world, steps, events int) collective.Trace {
 	return tr
 }
 
-// TestScratchMatchesAllocating pins the bit-identity contract between the
-// scratch timing path and the original map-based one, for the whole
-// collective and step by step.
+// stepTimes is the map-based evaluator the scratch path replaced, kept as
+// the oracle TraceTime and TraceTimeScratch are held to. It folds a merged
+// set of collective events (the union of every participating rank's local
+// trace) into per-step durations. Within a step, messages are concurrent
+// across the cluster but serialize through each endpoint's interface: a
+// rank sending k messages in one step pays the sum of their costs, and
+// likewise on the receive side. The step lasts as long as its busiest
+// endpoint.
+func stepTimes(c CostModel, topo Topology, steps int, events []collective.Event) []float64 {
+	if steps == 0 {
+		return nil
+	}
+	type load struct{ out, in float64 }
+	times := make([]float64, steps)
+	perStep := make(map[int]map[int]*load)
+	for _, e := range events {
+		if e.Step < 0 || e.Step >= steps {
+			panic(fmt.Sprintf("simnet: event step %d out of [0,%d)", e.Step, steps))
+		}
+		alpha, beta := c.linkCost(topo, e.From, e.To)
+		cost := alpha + beta*float64(e.Bytes)
+		m := perStep[e.Step]
+		if m == nil {
+			m = make(map[int]*load)
+			perStep[e.Step] = m
+		}
+		for _, end := range []int{e.From, e.To} {
+			if m[end] == nil {
+				m[end] = &load{}
+			}
+		}
+		m[e.From].out += cost
+		m[e.To].in += cost
+	}
+	for s, m := range perStep {
+		var worst float64
+		for _, l := range m {
+			if l.out > worst {
+				worst = l.out
+			}
+			if l.in > worst {
+				worst = l.in
+			}
+		}
+		times[s] = worst
+	}
+	return times
+}
+
+// oracleTraceTime merges the members' local traces into one event slice
+// and sums stepTimes over it.
+func oracleTraceTime(c CostModel, topo Topology, traces ...collective.Trace) float64 {
+	steps := 0
+	var events []collective.Event
+	for _, tr := range traces {
+		if tr.Steps > steps {
+			steps = tr.Steps
+		}
+		events = append(events, tr.Events...)
+	}
+	var total float64
+	for _, t := range stepTimes(c, topo, steps, events) {
+		total += t
+	}
+	return total
+}
+
+// TestScratchMatchesAllocating pins TraceTime and TraceTimeScratch, bit for
+// bit, to the map-based oracle over the members' merged traces, for the
+// whole collective and step by step.
 func TestScratchMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	topo := Topology{Nodes: 4, WorkersPerNode: 3}
@@ -33,13 +102,15 @@ func TestScratchMatchesAllocating(t *testing.T) {
 		tr1 := randTrace(rng, topo.Size(), steps, rng.Intn(40))
 		tr2 := randTrace(rng, topo.Size(), 1+rng.Intn(steps), rng.Intn(40))
 
-		want := c.TraceTime(topo, tr1, tr2)
-		got := c.TraceTimeScratch(&ts, topo, tr1, tr2)
-		if want != got {
-			t.Fatalf("round %d: TraceTimeScratch %v != TraceTime %v", round, got, want)
+		want := oracleTraceTime(c, topo, tr1, tr2)
+		if got := c.TraceTimeScratch(&ts, topo, tr1, tr2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("round %d: TraceTimeScratch %v != oracle %v", round, got, want)
+		}
+		if got := c.TraceTime(topo, tr1, tr2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("round %d: TraceTime %v != oracle %v", round, got, want)
 		}
 
-		wantSteps := c.StepTimes(topo, steps, tr1.Events)
+		wantSteps := stepTimes(c, topo, steps, tr1.Events)
 		ts.grow(steps, topo.Size())
 		c.load(&ts, topo, steps, tr1.Events)
 		gotSteps := ts.fold()

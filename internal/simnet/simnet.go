@@ -13,11 +13,7 @@
 // timelines are bit-reproducible.
 package simnet
 
-import (
-	"fmt"
-
-	"psrahgadmm/internal/collective"
-)
+import "fmt"
 
 // Topology is a two-level cluster: Nodes physical nodes, each running
 // WorkersPerNode worker ranks. Rank r lives on node r/WorkersPerNode —
@@ -106,71 +102,6 @@ func (c CostModel) linkCost(topo Topology, a, b int) (alpha, beta float64) {
 		return c.IntraAlpha, c.IntraBeta
 	}
 	return c.InterAlpha, c.InterBeta
-}
-
-// StepTimes folds a merged set of collective events (the union of every
-// participating rank's local trace) into per-step durations. Within a
-// step, messages are concurrent across the cluster but serialize through
-// each endpoint's interface: a rank sending k messages in one step pays
-// the sum of their costs, and likewise on the receive side. The step lasts
-// as long as its busiest endpoint.
-func (c CostModel) StepTimes(topo Topology, steps int, events []collective.Event) []float64 {
-	if steps == 0 {
-		return nil
-	}
-	type load struct{ out, in float64 }
-	times := make([]float64, steps)
-	perStep := make(map[int]map[int]*load)
-	for _, e := range events {
-		if e.Step < 0 || e.Step >= steps {
-			panic(fmt.Sprintf("simnet: event step %d out of [0,%d)", e.Step, steps))
-		}
-		alpha, beta := c.linkCost(topo, e.From, e.To)
-		cost := alpha + beta*float64(e.Bytes)
-		m := perStep[e.Step]
-		if m == nil {
-			m = make(map[int]*load)
-			perStep[e.Step] = m
-		}
-		for _, end := range []int{e.From, e.To} {
-			if m[end] == nil {
-				m[end] = &load{}
-			}
-		}
-		m[e.From].out += cost
-		m[e.To].in += cost
-	}
-	for s, m := range perStep {
-		var worst float64
-		for _, l := range m {
-			if l.out > worst {
-				worst = l.out
-			}
-			if l.in > worst {
-				worst = l.in
-			}
-		}
-		times[s] = worst
-	}
-	return times
-}
-
-// TraceTime returns the total elapsed virtual seconds of a collective
-// whose members contributed the given local traces.
-func (c CostModel) TraceTime(topo Topology, traces ...collective.Trace) float64 {
-	steps := 0
-	var events []collective.Event
-	for _, tr := range traces {
-		if tr.Steps > steps {
-			steps = tr.Steps
-		}
-		events = append(events, tr.Events...)
-	}
-	var total float64
-	for _, t := range c.StepTimes(topo, steps, events) {
-		total += t
-	}
-	return total
 }
 
 // WorkUnits converts a subproblem solve's observed work into model units:

@@ -33,12 +33,12 @@ func TestTopology(t *testing.T) {
 func TestLinkClassSelection(t *testing.T) {
 	topo := Topology{Nodes: 2, WorkersPerNode: 2}
 	c := CostModel{IntraAlpha: 1, IntraBeta: 0, InterAlpha: 100, InterBeta: 0}
-	intra := []collective.Event{{Step: 0, From: 0, To: 1, Bytes: 10}}
-	inter := []collective.Event{{Step: 0, From: 0, To: 2, Bytes: 10}}
-	if got := c.StepTimes(topo, 1, intra)[0]; got != 1 {
+	intra := collective.Trace{Steps: 1, Events: []collective.Event{{Step: 0, From: 0, To: 1, Bytes: 10}}}
+	inter := collective.Trace{Steps: 1, Events: []collective.Event{{Step: 0, From: 0, To: 2, Bytes: 10}}}
+	if got := c.TraceTime(topo, intra); got != 1 {
 		t.Fatalf("intra cost = %v", got)
 	}
-	if got := c.StepTimes(topo, 1, inter)[0]; got != 100 {
+	if got := c.TraceTime(topo, inter); got != 100 {
 		t.Fatalf("inter cost = %v", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestStepSerializationThroughEndpoint(t *testing.T) {
 		{Step: 0, From: 0, To: 2, Bytes: 10},
 		{Step: 0, From: 0, To: 3, Bytes: 10},
 	}
-	got := c.StepTimes(topo, 1, events)[0]
+	got := c.TraceTime(topo, collective.Trace{Steps: 1, Events: events})
 	want := 3 * (1 + 10.0)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("serialized cost = %v, want %v", got, want)
@@ -63,7 +63,7 @@ func TestStepSerializationThroughEndpoint(t *testing.T) {
 		{Step: 0, From: 0, To: 1, Bytes: 10},
 		{Step: 0, From: 2, To: 3, Bytes: 10},
 	}
-	got = c.StepTimes(topo, 1, events)[0]
+	got = c.TraceTime(topo, collective.Trace{Steps: 1, Events: events})
 	if math.Abs(got-11) > 1e-12 {
 		t.Fatalf("concurrent cost = %v, want 11", got)
 	}
@@ -79,7 +79,7 @@ func TestReceiverBottleneck(t *testing.T) {
 		{Step: 0, From: 2, To: 0, Bytes: 5},
 		{Step: 0, From: 3, To: 0, Bytes: 5},
 	}
-	got := c.StepTimes(topo, 1, events)[0]
+	got := c.TraceTime(topo, collective.Trace{Steps: 1, Events: events})
 	if math.Abs(got-15) > 1e-12 {
 		t.Fatalf("fan-in cost = %v, want 15", got)
 	}
@@ -93,7 +93,10 @@ func TestStepsSumAndEmptySteps(t *testing.T) {
 		{Step: 2, From: 1, To: 0, Bytes: 1},
 	}}
 	// Step 1 has no events: zero duration.
-	times := c.StepTimes(topo, tr.Steps, tr.Events)
+	var ts TimeScratch
+	ts.grow(tr.Steps, topo.Size())
+	c.load(&ts, topo, tr.Steps, tr.Events)
+	times := ts.fold()
 	if len(times) != 3 || times[1] != 0 {
 		t.Fatalf("times = %v", times)
 	}
@@ -119,7 +122,7 @@ func TestStepOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	c := Tianhe2Like()
-	c.StepTimes(Topology{Nodes: 1, WorkersPerNode: 2}, 1, []collective.Event{{Step: 5, From: 0, To: 1}})
+	c.TraceTime(Topology{Nodes: 1, WorkersPerNode: 2}, collective.Trace{Steps: 1, Events: []collective.Event{{Step: 5, From: 0, To: 1}}})
 }
 
 func TestTianhe2LikeShape(t *testing.T) {
