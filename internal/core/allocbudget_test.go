@@ -142,18 +142,14 @@ func TestTreeRoundAllocatesBelowDimension(t *testing.T) {
 	}
 }
 
-// TestStrategyAllocBudgets holds every consensus strategy to the barrier
-// frame's promise: opening, delivering and settling a round reuse the
-// frame's buffers, so what a warmed iteration still allocates is the
-// strategy's own — the tree's entries and per-merge vectors, the star
-// trace, zFromW's result. Each budget is half the figure the strategy
-// measured (4×2 world, objects/iteration) while its launch still allocated
-// batches, contributions and partials per round: gc-admm 97, ad-admm 61,
-// psra-hgadmm 178, gr-admm 188, admmlib 139, psra-hgadmm-group 175,
-// psra-hgadmm-sharded-ssp 116. The flat psra-admm row is
-// TestSteadyStateAllocBudget's composition.
+// TestStrategyAllocBudgets holds every consensus strategy to the flat
+// gate of TestSteadyStateAllocBudget: opening, delivering and settling a
+// round reuse the frame's buffers, and each strategy keeps its own round
+// state — the tree's entries and merge aggregates, group-local's grouping,
+// the model traces, z — in storage it reuses, so a warmed iteration
+// (4×2 world) allocates under one object.
 //
-// Every row has an elastic twin, held to the same budget and to what the
+// Every row has an elastic twin, held to the same gate and to what the
 // row itself measures: being able to survive a death costs a fault-free
 // run nothing per iteration. While a blocked
 // member was unwound by polling, every parked receive of an elastic run
@@ -164,32 +160,22 @@ func TestStrategyAllocBudgets(t *testing.T) {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	train, _ := testData(t, 240)
-	for _, tc := range []struct {
-		alg    Algorithm
-		budget float64
-	}{
-		{PSRAADMM, 8},
-		{GCADMM, 48},
-		{ADADMM, 30},
-		{PSRAHGADMM, 89},
-		{GRADMM, 94},
-		{ADMMLib, 69},
-		{PSRAHGADMMGroup, 87},
-		{PSRAHGADMMShardedSSP, 58},
+	for _, alg := range []Algorithm{
+		PSRAADMM, GCADMM, ADADMM, PSRAHGADMM, GRADMM, ADMMLib, PSRAHGADMMGroup, PSRAHGADMMShardedSSP,
 	} {
 		for _, elastic := range []bool{false, true} {
-			name := string(tc.alg)
+			name := string(alg)
 			if elastic {
 				name += "-elastic"
 			}
 			t.Run(name, func(t *testing.T) {
-				cfg := baseConfig(tc.alg, 4, 2)
+				cfg := baseConfig(alg, 4, 2)
 				cfg.EvalEvery = 1 << 20
 				cfg.Elastic = elastic
 				got := marginalAllocs(t, cfg, train, 30, 130)
-				t.Logf("steady-state allocations: %.2f objects/iter (budget %g)", got, tc.budget)
-				if got > tc.budget {
-					t.Fatalf("steady-state allocations: %.2f objects/iter exceeds budget %g", got, tc.budget)
+				t.Logf("steady-state allocations: %.2f objects/iter (budget < 1)", got)
+				if got >= 1 {
+					t.Fatalf("steady-state allocations: %.2f objects/iter, want < 1", got)
 				}
 				if elastic {
 					cfg.Elastic = false

@@ -3,6 +3,8 @@ package core
 import (
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/sparse"
+	"psrahgadmm/internal/vec"
+	"psrahgadmm/internal/wire"
 )
 
 // barrierFrame is the round skeleton every consensus strategy embeds. Its
@@ -68,12 +70,14 @@ type barrierFrame struct {
 	busyUntil float64
 
 	// Reusable scratch: the launch's idle list and pool batch, the barrier's
-	// finish times, the fan-in's message sizes, and the bus traces' events.
+	// finish times, the fan-in's message sizes, the model traces' events and
+	// the dense ring's chunks.
 	idle     []int
 	sub      []*worker
 	finishes []float64
 	sizes    []int
 	events   []collective.Event
+	chunks   []vec.Chunk
 }
 
 func newBarrierFrame(env *strategyEnv, per int) barrierFrame {
@@ -252,7 +256,8 @@ func (f *barrierFrame) launch(cfg Config, iter int) {
 
 // fanIn is the one-step trace of a participant's members each shipping its
 // sizes[i]-byte message to ranks[0], the Leader, over the node bus. It
-// aliases frame scratch, as fanOut does, valid until the next of either.
+// aliases frame scratch, as every model trace below does, valid until the
+// next of them.
 func (f *barrierFrame) fanIn(ranks, sizes []int) collective.Trace {
 	f.events = f.events[:0]
 	for i, r := range ranks[1:] {
@@ -269,6 +274,53 @@ func (f *barrierFrame) fanOut(ranks []int, bytes int) collective.Trace {
 		f.events = append(f.events, collective.Event{From: ranks[0], To: r, Bytes: bytes})
 	}
 	return collective.Trace{Steps: 1, Events: f.events}
+}
+
+// starGather models AD-ADMM's master-side exchange for one round: step 0,
+// each fresh worker ships its primal and dual vectors (2·d dense doubles)
+// to the master; step 1, the master returns the new z (d dense doubles) to
+// each fresh worker. The master's NIC serializes both sides — the scaling
+// bottleneck the paper attributes to AD-ADMM. Like fanIn it aliases frame
+// scratch.
+func (f *barrierFrame) starGather(master int, fresh []int, dim int) collective.Trace {
+	up := 4 + wire.DenseEntryBytes*dim*2
+	down := 4 + wire.DenseEntryBytes*dim
+	f.events = f.events[:0]
+	for _, r := range fresh {
+		if r == master {
+			continue
+		}
+		f.events = append(f.events,
+			collective.Event{Step: 0, From: r, To: master, Bytes: up},
+			collective.Event{Step: 1, From: master, To: r, Bytes: down},
+		)
+	}
+	return collective.Trace{Steps: 2, Events: f.events}
+}
+
+// denseRing is the whole-group trace of a dense Ring-Allreduce of a
+// dim-vector among leaders — ADMMLib's exchange, whose defining property is
+// that its volume depends on the dimension alone. Member i's scatter step s
+// ships chunk (i−s) mod p to its successor and its gather step t ships
+// chunk (i+1−t) mod p — which, numbering the gather steps on from the
+// scatter's (s = p−1+t), is chunk (i−s) mod p again — each a full dense
+// chunk whatever the data holds. The values themselves travel the sparse
+// ring (the sums are identical); this is what the round is charged. Events
+// are member-major and step-minor, the order the members' own traces are
+// charged in. Like fanIn it aliases frame scratch.
+func (f *barrierFrame) denseRing(leaders []int, dim int) collective.Trace {
+	p := len(leaders)
+	f.chunks = vec.SplitInto(f.chunks, dim, p)
+	f.events = f.events[:0]
+	for i, r := range leaders {
+		for s := 0; s < 2*(p-1); s++ {
+			f.events = append(f.events, collective.Event{
+				Step: s, From: r, To: leaders[(i+1)%p],
+				Bytes: 4 + wire.DenseEntryBytes*f.chunks[(i-s+2*p)%p].Len(),
+			})
+		}
+	}
+	return collective.Trace{Steps: 2 * (p - 1), Events: f.events}
 }
 
 // charge adds one collective's bytes to the round and returns its virtual

@@ -271,47 +271,24 @@ func groupAllreduce(env *strategyEnv, ranks []int, kind commKind, plan *shard.Pl
 	return c.traces[:len(ranks)], nil
 }
 
-// denseRingTrace is the whole-group trace of a dense Ring-Allreduce of a
-// dim-vector among leaders — ADMMLib's exchange, whose defining property is
-// that its volume depends on the dimension alone. Member i's scatter step s
-// ships chunk (i−s) mod p to its successor and its gather step t ships
-// chunk (i+1−t) mod p — which, numbering the gather steps on from the
-// scatter's (s = p−1+t), is chunk (i−s) mod p again — each a full dense
-// chunk whatever the data holds. The values themselves travel the sparse
-// ring (the sums are identical); this is what the round is charged. Events
-// are member-major and step-minor, the order the members' own traces are
-// charged in.
-func denseRingTrace(leaders []int, dim int) collective.Trace {
-	p := len(leaders)
-	chunks := vec.Split(dim, p)
-	tr := collective.Trace{Steps: 2 * (p - 1)}
-	for i, r := range leaders {
-		for s := 0; s < 2*(p-1); s++ {
-			tr.Events = append(tr.Events, collective.Event{
-				Step: s, From: r, To: leaders[(i+1)%p],
-				Bytes: 4 + wire.DenseEntryBytes*chunks[(i-s+2*p)%p].Len(),
-			})
-		}
-	}
-	return tr
-}
-
 // zFromW applies the L1 z-update (eq. 10, N·ρ scaling) directly on a
-// sparse W summing n contributors: only entries with |W_j| > λ survive,
-// which is why the downstream distribution ships z rather than W — same
-// math, a fraction of the bytes.
-func zFromW(w *sparse.Vector, lambda, rho float64, n int) *sparse.Vector {
-	return zFromWBlocks(w, lambda, rho, []int{0, w.Dim}, []int{n})
+// sparse W summing n contributors, into dst: only entries with |W_j| > λ
+// survive, which is why the downstream distribution ships z rather than W —
+// same math, a fraction of the bytes.
+func zFromW(dst, w *sparse.Vector, lambda, rho float64, n int) *sparse.Vector {
+	return zFromWBlocks(dst, w, lambda, rho, []int{0, w.Dim}, []int{n})
 }
 
-// zFromWBlocks is zFromW with per-block contributor counts: block b covers
-// [offs[b], offs[b+1]) and entry j averages over counts[b], the live
-// subscribers whose objective actually couples to block b (block-wise
-// general-form consensus). The scalar expression is
-// solver.ZUpdateL1Blocks'; a block with no live subscriber keeps z = 0.
-func zFromWBlocks(w *sparse.Vector, lambda, rho float64, offs, counts []int) *sparse.Vector {
-	out := sparse.NewVector(w.Dim, 0)
+// zFromWBlocks is zFromW with per-block contributor counts, and core's one
+// z-update body: block b covers [offs[b], offs[b+1]) and entry j averages
+// over counts[b], the live subscribers whose objective actually couples to
+// block b (block-wise general-form consensus). dst is emptied first, its
+// backing arrays reused. The scalar expression is solver.ZUpdateL1Blocks';
+// a block with no live subscriber keeps z = 0 whatever W holds there.
+func zFromWBlocks(dst, w *sparse.Vector, lambda, rho float64, offs, counts []int) *sparse.Vector {
+	dst.Reset(w.Dim)
 	// Indices arrive sorted: advance a block cursor, not a per-entry BlockOf.
+	// inv = 0 marks a block with no live subscriber: 1/(ρ·n) is never 0.
 	b, hi := -1, 0
 	var inv float64
 	for k, idx := range w.Index {
@@ -323,31 +300,13 @@ func zFromWBlocks(w *sparse.Vector, lambda, rho float64, offs, counts []int) *sp
 				inv = 1 / (rho * float64(n))
 			}
 		}
-		if v := vec.SoftThreshold(w.Value[k], lambda) * inv; v != 0 {
-			out.Index = append(out.Index, idx)
-			out.Value = append(out.Value, v)
-		}
-	}
-	return out
-}
-
-// starGatherTrace models AD-ADMM's master-side exchange for one round:
-// step 0, each fresh worker ships its primal and dual vectors (2·d dense
-// doubles) to the master; step 1, the master returns the new z (d dense
-// doubles) to each fresh worker. The master's NIC serializes both sides —
-// the scaling bottleneck the paper attributes to AD-ADMM.
-func starGatherTrace(master int, fresh []int, dim int) collective.Trace {
-	up := 4 + wire.DenseEntryBytes*dim*2
-	down := 4 + wire.DenseEntryBytes*dim
-	tr := collective.Trace{Steps: 2}
-	for _, r := range fresh {
-		if r == master {
+		if inv == 0 {
 			continue
 		}
-		tr.Events = append(tr.Events,
-			collective.Event{Step: 0, From: r, To: master, Bytes: up},
-			collective.Event{Step: 1, From: master, To: r, Bytes: down},
-		)
+		if v := vec.SoftThreshold(w.Value[k], lambda) * inv; v != 0 {
+			dst.Index = append(dst.Index, idx)
+			dst.Value = append(dst.Value, v)
+		}
 	}
-	return tr
+	return dst
 }

@@ -28,7 +28,8 @@ func TestDenseRingTrace(t *testing.T) {
 			for i := range leaders {
 				leaders[i] = 2*i + 1 // Leaders are not the ranks 0..p−1
 			}
-			tr := denseRingTrace(leaders, dim)
+			var f barrierFrame
+			tr := f.denseRing(leaders, dim)
 			if tr.Steps != 2*(p-1) || len(tr.Events) != 2*p*(p-1) {
 				t.Fatalf("p=%d dim=%d: %d steps, %d events; want %d, %d", p, dim, tr.Steps, len(tr.Events), 2*(p-1), 2*p*(p-1))
 			}

@@ -43,9 +43,9 @@ func (st *flatStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	st.busyUntil = end
 
 	// Every member of the collective holds its result; the fresh ones
-	// apply it.
+	// form z from it and apply it.
+	env.store.applyReduced(cfg, st.fresh, st.agg)
 	for _, p := range st.fresh {
-		env.store.applyReduced(cfg, env.ws[p], st.agg)
 		st.arrive(p, end)
 	}
 	st.settle(&timing)

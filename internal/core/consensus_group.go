@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"psrahgadmm/internal/sparse"
 )
@@ -16,10 +17,20 @@ import (
 // the round's grouping instead of gating it.
 type groupStrategy struct {
 	barrierFrame // one participant per node
+	// The round's grouping, in storage kept across rounds: the fresh nodes
+	// in arrival order with each one's Leader and partial, each group's
+	// result time and — for a group of more than one — its aggregate, by
+	// group ordinal, and the z a group's members receive.
+	order []int
+	reps  []int
+	parts []*sparse.Vector
+	ends  []float64
+	aggs  []*sparse.Vector
+	z     sparse.Vector
 }
 
 func newGroupStrategy(env *strategyEnv, cfg Config) *groupStrategy {
-	return &groupStrategy{newBarrierFrame(env, cfg.Topo.WorkersPerNode)}
+	return &groupStrategy{barrierFrame: newBarrierFrame(env, cfg.Topo.WorkersPerNode)}
 }
 
 func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
@@ -27,89 +38,63 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	var timing iterTiming
 	st.open(cfg, iter, &timing)
 
-	// GG batching in virtual-arrival order over this round's fresh nodes.
-	type nodeAgg struct {
-		node    int
-		leader  int
-		sum     *sparse.Vector
-		ready   float64
-		workers []int
-	}
-	order := make([]*nodeAgg, 0, len(st.fresh))
-	for _, n := range st.fresh {
-		p := st.clocks[n].pending
-		order = append(order, &nodeAgg{
-			node: n, leader: p.ranks[0], sum: st.wCur[n],
-			ready:   p.finish,
-			workers: p.ranks,
-		})
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].ready != order[b].ready {
-			return order[a].ready < order[b].ready
-		}
-		return order[a].node < order[b].node
+	// GG batching in virtual-arrival order over this round's fresh nodes,
+	// ties broken by node.
+	st.order = append(st.order[:0], st.fresh...)
+	slices.SortFunc(st.order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(st.clocks[a].pending.finish, st.clocks[b].pending.finish), cmp.Compare(a, b))
 	})
+	st.reps, st.parts = st.reps[:0], st.parts[:0]
+	for _, n := range st.order {
+		st.reps = append(st.reps, st.clocks[n].pending.ranks[0])
+		st.parts = append(st.parts, st.wCur[n])
+	}
 
 	// Phase 1 — fabric traffic only: every group's allreduce completes
 	// before ANY worker state mutates, so a failed attempt (peers lost
 	// mid-collective) leaves nothing half-applied and the elastic engine
-	// can safely retry the whole round.
-	type groupResult struct {
-		group []*nodeAgg
-		agg   *sparse.Vector
-		start float64
-		commT float64
-	}
+	// can safely retry the whole round. Only the last group can be short,
+	// so the aggregates grow in group order.
 	threshold := cfg.GroupThreshold
-	results := make([]groupResult, 0, (len(order)+threshold-1)/threshold)
-	for lo := 0; lo < len(order); lo += threshold {
-		hi := lo + threshold
-		if hi > len(order) {
-			hi = len(order)
-		}
-		group := order[lo:hi]
+	st.ends = st.ends[:0]
+	for g, lo := 0, 0; lo < len(st.order); g, lo = g+1, lo+threshold {
+		hi := min(lo+threshold, len(st.order))
 		start := 0.0
-		leaders := make([]int, len(group))
-		inputs := make([]*sparse.Vector, len(group))
-		for i, na := range group {
-			start = maxf(start, na.ready)
-			leaders[i] = na.leader
-			inputs[i] = na.sum
+		for _, n := range st.order[lo:hi] {
+			start = maxf(start, st.clocks[n].pending.finish)
 		}
-		start += st.ggRoundTrip(cfg, len(group), &timing)
-
-		agg, commT := group[0].sum, 0.0
-		if len(group) > 1 {
-			// The aggregate is retained into results for phase 2, so it
-			// gets its own vector rather than crew scratch.
-			agg = new(sparse.Vector)
-			traces, err := groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
+		start += st.ggRoundTrip(cfg, hi-lo, &timing)
+		commT := 0.0
+		if hi-lo > 1 {
+			if g == len(st.aggs) {
+				st.aggs = append(st.aggs, new(sparse.Vector))
+			}
+			traces, err := groupAllreduce(env, st.reps[lo:hi], commPSRSparse, nil, st.parts[lo:hi], st.aggs[g])
 			if err != nil {
 				return timing, err
 			}
 			commT = st.chargeNominal(cfg, &timing, traces...)
 		}
-		results = append(results, groupResult{
-			group: group,
-			agg:   agg,
-			start: start,
-			commT: commT,
-		})
+		st.ends = append(st.ends, start+commT)
 	}
 
 	// Phase 2 — apply: each group's z averages over its members'
 	// SURVIVING workers, the scaling that keeps a degraded group's
 	// consensus exact. Bookkeeping clears after the whole round (settle) so
 	// group membership stays stable while groups are processed.
-	for _, gr := range results {
-		contributors := 0
-		for _, na := range gr.group {
-			contributors += len(na.workers)
+	for g, lo := 0, 0; lo < len(st.order); g, lo = g+1, lo+threshold {
+		group := st.order[lo:min(lo+threshold, len(st.order))]
+		agg := st.parts[lo]
+		if len(group) > 1 {
+			agg = st.aggs[g]
 		}
-		z := zFromW(gr.agg, cfg.Lambda, cfg.Rho, contributors)
-		for _, na := range gr.group {
-			st.deliver(cfg, na.node, z, gr.start+gr.commT, &timing)
+		contributors := 0
+		for _, n := range group {
+			contributors += len(st.clocks[n].pending.ranks)
+		}
+		z := zFromW(&st.z, agg, cfg.Lambda, cfg.Rho, contributors)
+		for _, n := range group {
+			st.deliver(cfg, n, z, st.ends[g], &timing)
 		}
 	}
 	st.settle(&timing)

@@ -44,7 +44,7 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		}
 		agg = st.agg
 		if dense {
-			commT = st.chargeNominal(cfg, &timing, denseRingTrace(st.leaders, env.dim))
+			commT = st.chargeNominal(cfg, &timing, st.denseRing(st.leaders, env.dim))
 		} else {
 			commT = st.chargeNominal(cfg, &timing, traces...)
 		}
@@ -58,12 +58,13 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	st.busyUntil = ringEnd
 
 	// Leaders hold W after the ring; they apply the z-update — averaging
-	// over the surviving workers — and fan the thresholded z to their
+	// over the surviving workers, the one block's live subscribers under the
+	// replicated map the ring requires — and fan the thresholded z to their
 	// fresh workers. The dense exchange rounds both at the Leaders.
 	if dense {
 		env.codec.EncodeSparse(agg)
 	}
-	z := zFromW(agg, cfg.Lambda, cfg.Rho, env.members.LiveCount())
+	z := env.store.zFromW(agg, cfg)
 	if dense {
 		env.codec.EncodeSparse(z)
 	}

@@ -36,7 +36,7 @@ func (st *starStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// the role simply migrates when a scheduled kill takes it — gathers the
 	// fresh workers' contributions and returns z to them. Only fresh
 	// workers pay wire time this round.
-	end := maxf(cutoff, st.busyUntil) + st.chargeNominal(cfg, &timing, starGatherTrace(st.leaders[0], st.fresh, env.dim))
+	end := maxf(cutoff, st.busyUntil) + st.chargeNominal(cfg, &timing, st.starGather(st.leaders[0], st.fresh, env.dim))
 	st.busyUntil = end
 
 	// The master is the star's combine point: it already sees every live

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"container/heap"
-
-	"psrahgadmm/internal/collective"
-	"psrahgadmm/internal/sparse"
-)
+import "psrahgadmm/internal/sparse"
 
 // treeStrategy is PSRA-HGADMM's grouped aggregation, modeled as the
 // paper's Algorithms 1–3 with the GG's "next grouping cycle" taken
@@ -26,42 +21,40 @@ import (
 // available at the cutoff, keeping W a full-N sum while only fresh nodes
 // wait for (and receive) the result.
 
-// aggEntry is one queue occupant: a Leader (or group representative)
-// carrying a partial aggregate that becomes available at `ready`.
-type aggEntry struct {
-	seq   int // creation order, deterministic tie-break
+// treeEntry is one GG queue occupant: a Leader (or group representative)
+// carrying a partial aggregate that becomes available at ready. An entry is
+// named by its index in the round's creation order — leaves first, then
+// merges — which also breaks ties between equal ready times.
+type treeEntry struct {
 	rep   int // world rank of the representative Leader
 	value *sparse.Vector
 	ready float64
-	// children are the entries merged into this one (nil for leaves);
-	// child 0's rep is this entry's rep.
-	children []*aggEntry
-	// leafNode is the physical node for leaf entries, -1 otherwise.
-	leafNode int
+	// leaf is a leaf entry's physical node, -1 for a merge, whose children
+	// are kids[kidLo:kidHi]; child 0's rep is the merge's rep.
+	leaf         int
+	kidLo, kidHi int
 }
 
-// entryHeap orders by (ready, seq).
-type entryHeap []*aggEntry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].ready != h[j].ready {
-		return h[i].ready < h[j].ready
-	}
-	return h[i].seq < h[j].seq
-}
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)   { *h = append(*h, x.(*aggEntry)) }
-func (h *entryHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// treeStrategy adds no state to the barrier frame: the tree is rebuilt
-// from the nodes' partials every round.
+// treeStrategy rebuilds the tree from the nodes' partials every round, in
+// storage it keeps across rounds.
 type treeStrategy struct {
 	barrierFrame // one participant per node
+	// The round's tree: its entries, the ones not yet popped, the GG
+	// queue, every merge's children, and each merge's aggregate by merge
+	// ordinal — the aggregate travels up the tree as a later merge's input,
+	// so each merge needs its own.
+	entries []treeEntry
+	pending []int
+	queue   []int
+	kids    []int
+	aggs    []*sparse.Vector
+	// reps and vals are scratch for one merge's or fan-out's members.
+	reps []int
+	vals []*sparse.Vector
 }
 
 func newTreeStrategy(env *strategyEnv, cfg Config) *treeStrategy {
-	return &treeStrategy{newBarrierFrame(env, cfg.Topo.WorkersPerNode)}
+	return &treeStrategy{barrierFrame: newBarrierFrame(env, cfg.Topo.WorkersPerNode)}
 }
 
 func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
@@ -73,23 +66,15 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// partials are available at the cutoff (the GG retained them). Fully
 	// dead nodes are gone: their shards leave the consensus, and the
 	// z-update rescales to the surviving worker count below.
-	seq := 0
-	pending := make(entryHeap, 0, len(st.live))
+	st.entries, st.pending, st.queue, st.kids = st.entries[:0], st.pending[:0], st.queue[:0], st.kids[:0]
 	for i, n := range st.live {
 		ready := cutoff
 		if st.isFresh[n] {
 			ready = st.clocks[n].pending.finish
 		}
-		pending = append(pending, &aggEntry{
-			seq:      seq,
-			rep:      st.leaders[i],
-			value:    st.inputs[i],
-			ready:    ready,
-			leafNode: n,
-		})
-		seq++
+		st.pending = append(st.pending, len(st.entries))
+		st.entries = append(st.entries, treeEntry{rep: st.leaders[i], value: st.inputs[i], ready: ready, leaf: n})
 	}
-	heap.Init(&pending)
 
 	// Grouping threshold: a group of one cannot aggregate, so the
 	// effective tree fan-in is at least 2 (unless there is only one node).
@@ -106,64 +91,20 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	if env.agg.Robust() && threshold < len(st.live) {
 		threshold = len(st.live)
 	}
-	merge := func(group []*aggEntry) (*aggEntry, error) {
-		start := 0.0
-		leaders := make([]int, len(group))
-		inputs := make([]*sparse.Vector, len(group))
-		for i, e := range group {
-			start = maxf(start, e.ready)
-			leaders[i] = e.rep
-			inputs[i] = e.value
-		}
-		start += st.ggRoundTrip(cfg, len(group), &timing)
-		// The aggregate travels up the tree as a later merge's input, so
-		// each merge gets its own result vector rather than crew scratch.
-		agg := new(sparse.Vector)
-		traces, err := groupAllreduce(env, leaders, commPSRSparse, nil, inputs, agg)
-		if err != nil {
-			return nil, err
-		}
-		e := &aggEntry{
-			seq:      seq,
-			rep:      group[0].rep,
-			value:    agg,
-			ready:    start + st.chargeNominal(cfg, &timing, traces...),
-			children: group,
-			leafNode: -1,
-		}
-		seq++
-		return e, nil
-	}
 
 	// Event-driven GG: arrivals (by virtual ready time) enter the queue;
 	// a full queue forms a group; when nothing more can arrive, the
 	// remainder is flushed. The loop conserves entries, terminating with
 	// the single global aggregate.
-	var queue []*aggEntry
-	var root *aggEntry
-	for {
-		if pending.Len() == 0 {
-			if len(queue) == 1 {
-				root = queue[0]
-				break
+	for len(st.pending) > 0 || len(st.queue) > 1 {
+		if len(st.pending) > 0 {
+			st.queue = append(st.queue, st.pop())
+			if len(st.queue) < threshold {
+				continue
 			}
-			g, err := merge(queue)
-			if err != nil {
-				return timing, err
-			}
-			queue = nil
-			heap.Push(&pending, g)
-			continue
 		}
-		e := heap.Pop(&pending).(*aggEntry)
-		queue = append(queue, e)
-		if len(queue) == threshold {
-			g, err := merge(queue)
-			if err != nil {
-				return timing, err
-			}
-			queue = nil
-			heap.Push(&pending, g)
+		if err := st.merge(cfg, &timing); err != nil {
+			return timing, err
 		}
 	}
 
@@ -177,39 +118,93 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// Each block averages over its live subscribers (general-form
 	// consensus; the live worker count under the replicated one-block map),
 	// and workers retain their subscribed blocks when the delivery lands.
+	root := &st.entries[st.queue[0]]
 	z := env.store.zFromW(root.value, cfg)
-	wBytes := env.codec.ZMsgBytes(z.NNZ())
-	var descend func(e *aggEntry, t float64)
-	descend = func(e *aggEntry, t float64) {
-		if n := e.leafNode; n >= 0 {
-			if st.isFresh[n] {
-				st.deliver(cfg, n, z, t, &timing)
-			}
-			return
-		}
-		// Child 0's rep is e.rep and already holds W; the others receive
-		// it in one step over the interconnect.
-		tr := collective.Trace{Steps: 1}
-		for _, c := range e.children[1:] {
-			tr.Events = append(tr.Events, collective.Event{
-				Step: 0, From: e.rep, To: c.rep, Bytes: wBytes,
-			})
-		}
-		tNext := t + st.charge(cfg, &timing, tr)
-		descend(e.children[0], t)
-		for _, c := range e.children[1:] {
-			descend(c, tNext)
-		}
-	}
-	if root.leafNode >= 0 {
+	zBytes := env.codec.ZMsgBytes(z.NNZ())
+	if root.leaf >= 0 {
 		// Single-node cluster: no tree was built.
-		descend(root, root.ready)
+		st.descend(cfg, st.queue[0], root.ready, z, zBytes, &timing)
 	} else {
 		// Every member of the final group holds W at root.ready.
-		for _, c := range root.children {
-			descend(c, root.ready)
+		for _, k := range st.kids[root.kidLo:root.kidHi] {
+			st.descend(cfg, k, root.ready, z, zBytes, &timing)
 		}
 	}
 	st.settle(&timing)
 	return timing, nil
+}
+
+// pop removes and returns the pending entry that arrives first: the least
+// ready time, ties to the earlier entry.
+func (st *treeStrategy) pop() int {
+	b := 0
+	for i, k := range st.pending {
+		if e, be := &st.entries[k], &st.entries[st.pending[b]]; e.ready < be.ready || e.ready == be.ready && k < st.pending[b] {
+			b = i
+		}
+	}
+	k := st.pending[b]
+	last := len(st.pending) - 1
+	st.pending[b] = st.pending[last]
+	st.pending = st.pending[:last]
+	return k
+}
+
+// merge runs the queue as one GG group: its Leaders allreduce their
+// partials once the last is ready and the GG has answered, and the
+// aggregate joins the pending entries under the first member's Leader.
+func (st *treeStrategy) merge(cfg Config, timing *iterTiming) error {
+	start := 0.0
+	st.reps, st.vals = st.reps[:0], st.vals[:0]
+	for _, k := range st.queue {
+		e := &st.entries[k]
+		start = maxf(start, e.ready)
+		st.reps = append(st.reps, e.rep)
+		st.vals = append(st.vals, e.value)
+	}
+	start += st.ggRoundTrip(cfg, len(st.queue), timing)
+	m := len(st.entries) - len(st.live)
+	if m == len(st.aggs) {
+		st.aggs = append(st.aggs, new(sparse.Vector))
+	}
+	traces, err := groupAllreduce(st.env, st.reps, commPSRSparse, nil, st.vals, st.aggs[m])
+	if err != nil {
+		return err
+	}
+	lo := len(st.kids)
+	st.kids = append(st.kids, st.queue...)
+	st.pending = append(st.pending, len(st.entries))
+	st.entries = append(st.entries, treeEntry{
+		rep:   st.reps[0],
+		value: st.aggs[m],
+		ready: start + st.chargeNominal(cfg, timing, traces...),
+		leaf:  -1,
+		kidLo: lo, kidHi: len(st.kids),
+	})
+	st.queue = st.queue[:0]
+	return nil
+}
+
+// descend delivers z down entry k's subtree from virtual time t. A fresh
+// leaf's Leader fans it out to its workers over the bus; a merge's
+// representative — child 0's, which already holds it — sends it to the
+// other children in one step over the interconnect.
+func (st *treeStrategy) descend(cfg Config, k int, t float64, z *sparse.Vector, zBytes int, timing *iterTiming) {
+	e := &st.entries[k]
+	if e.leaf >= 0 {
+		if st.isFresh[e.leaf] {
+			st.deliver(cfg, e.leaf, z, t, timing)
+		}
+		return
+	}
+	kids := st.kids[e.kidLo:e.kidHi]
+	st.reps = st.reps[:0]
+	for _, c := range kids {
+		st.reps = append(st.reps, st.entries[c].rep)
+	}
+	tNext := t + st.charge(cfg, timing, st.fanOut(st.reps, zBytes))
+	st.descend(cfg, kids[0], t, z, zBytes, timing)
+	for _, c := range kids[1:] {
+		st.descend(cfg, c, tNext, z, zBytes, timing)
+	}
 }

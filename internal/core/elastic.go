@@ -1,6 +1,10 @@
 package core
 
-import "errors"
+import (
+	"errors"
+
+	"psrahgadmm/internal/sparse"
+)
 
 // Elastic membership for the in-process engine: the fail-survive half of
 // the failure model. When Config.Elastic is set, a dead rank does not
@@ -38,6 +42,26 @@ func (env *strategyEnv) liveWorkers() []*worker {
 		}
 	}
 	return out
+}
+
+// readmit returns rank r to the computation at an iteration boundary, just
+// before the membership counts it live again — a scheduled rejoin and a
+// quarantine re-admission alike. Its virtual clock jumps to the live
+// maximum (it models a process that was absent, not one that computed), its
+// view warm-starts from zPrev, the cluster's last iterate (worker.rejoin),
+// and its top-k error feedback restarts clean: the residual described
+// contributions it never shipped (k re-derives on first encode).
+func (env *strategyEnv) readmit(r int, zPrev []float64) {
+	var maxClock float64
+	for _, w := range env.liveWorkers() {
+		if w.clock > maxClock {
+			maxClock = w.clock
+		}
+	}
+	env.ws[r].rejoin(sparse.FromDense(zPrev), maxClock)
+	if env.states != nil {
+		env.states[r].Reset()
+	}
 }
 
 // prunePending drops dead members from an in-flight batch in place,

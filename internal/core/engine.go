@@ -11,7 +11,6 @@ import (
 	"psrahgadmm/internal/membership"
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/solver"
-	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
@@ -279,32 +278,13 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 				members.MarkDown(r, &transport.PeerDownError{Peer: r, Cause: errScheduledKill})
 			}
 		}
-		if rs := rejoinAt[iter]; len(rs) > 0 {
-			// The rejoiner's virtual clock jumps to the live maximum: it
-			// models a process that was absent, not one that computed.
-			var maxClock float64
-			for _, w := range env.liveWorkers() {
-				if w.clock > maxClock {
-					maxClock = w.clock
-				}
+		for _, r := range rejoinAt[iter] {
+			if members.Alive(r) {
+				continue // e.g. a KillAfterSends trigger that never fired
 			}
-			// The warm start every rejoiner of this boundary restricts to its
-			// subscription: the cluster's current iterate, sparsified once.
-			zWarm := sparse.FromDense(zPrev.z)
-			for _, r := range rs {
-				if members.Alive(r) {
-					continue // e.g. a KillAfterSends trigger that never fired
-				}
-				ffab.Revive(r)
-				members.MarkUp(r)
-				ws[r].rejoin(zWarm, maxClock)
-				if env.states != nil {
-					// The rejoiner's residual described contributions its
-					// dead incarnation never shipped; restart error feedback
-					// clean (k re-derives on first encode).
-					env.states[r].Reset()
-				}
-			}
+			ffab.Revive(r)
+			env.readmit(r, zPrev.z)
+			members.MarkUp(r)
 		}
 		if env.reconciles() && members.LiveCount() == 0 {
 			return fail(iter, errors.New("no live workers remain"))

@@ -125,7 +125,7 @@ func fixtureEnv(ws []*worker) *strategyEnv {
 	return &strategyEnv{ws: ws, dim: ws[0].dim, members: membership.NewTracker(len(ws)), store: &stateStore{}}
 }
 
-// Property: after ANY sequence of keepZ, applyW (blocks with no live
+// Property: after ANY sequence of keepZ, the flat apply (blocks with no live
 // subscriber, entries the threshold zeroes), rejoin and snapshot restore,
 // zA is the view at the active columns bit for bit and +0 where the view
 // has no entry — on the replicated full map and on a multi-block sharded
@@ -164,7 +164,7 @@ func TestActiveZIsViewAtActiveColumns(t *testing.T) {
 					// entries threshold to exactly 0 and must leave no trace.
 					c := Config{Lambda: r.Float64() * 6, Rho: r.Float64() + 0.1}
 					for _, w := range ws {
-						w.applyW(c, v, counts)
+						applyFlat(w, c, v, partOffs(m.Part), counts)
 					}
 				case 2:
 					v := awkwardSparse(r, dim)

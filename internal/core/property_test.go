@@ -16,9 +16,11 @@ import (
 
 // Property: zFromW on a sparse W is exactly equivalent to the dense
 // ZUpdateL1 followed by compression — the sparse fast path must never
-// change the math.
+// change the math — and zFromWBlocks to the dense ZUpdateL1Blocks, blocks
+// with no live subscriber included: whatever W holds there, ±Inf and NaN
+// too, z stays 0 and gets no entry.
 func TestZFromWMatchesDenseUpdate(t *testing.T) {
-	f := func(seed int64, dimRaw, nRaw uint8) bool {
+	f := func(seed int64, dimRaw, nRaw, blocksRaw uint8) bool {
 		dim := int(dimRaw%60) + 1
 		n := int(nRaw%8) + 1
 		r := rand.New(rand.NewSource(seed))
@@ -31,17 +33,52 @@ func TestZFromWMatchesDenseUpdate(t *testing.T) {
 				w.Append(int32(j), r.NormFloat64()*4)
 			}
 		}
-		got := zFromW(w, lambda, rho, n)
+		got := zFromW(new(sparse.Vector), w, lambda, rho, n)
 		if got.Check() != nil {
 			return false
 		}
 		want := make([]float64, dim)
 		solver.ZUpdateL1(want, w.ToDense(), lambda, rho, n)
-		return vec.Equal(got.ToDense(), want)
+		if !vec.Equal(got.ToDense(), want) {
+			return false
+		}
+
+		// Blocks with no live subscriber: their entries turn ±Inf or NaN.
+		part := shard.NewPartition(dim, int(blocksRaw)%dim+1)
+		offs, counts := partOffs(part), make([]int, part.Blocks)
+		for b := range counts {
+			counts[b] = r.Intn(n + 1)
+		}
+		for k, j := range w.Index {
+			if counts[part.BlockOf(int(j))] == 0 {
+				w.Value[k] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[r.Intn(3)]
+			}
+		}
+		got = zFromWBlocks(got, w, lambda, rho, offs, counts)
+		solver.ZUpdateL1Blocks(want, w.ToDense(), lambda, rho, offs, counts)
+		wantSparse := sparse.FromDense(want)
+		return got.Check() == nil && slices.Equal(got.Index, wantSparse.Index) && vec.Equal(got.Value, wantSparse.Value)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// partOffs is a partition's block boundaries [0, ..., dim], the offs of
+// zFromWBlocks.
+func partOffs(part shard.Partition) []int {
+	offs := make([]int, part.Blocks+1)
+	for b := 0; b < part.Blocks; b++ {
+		offs[b] = part.Chunk(b).Lo
+	}
+	offs[part.Blocks] = part.Dim
+	return offs
+}
+
+// applyFlat is the flat path's apply on one worker: z from the reduced W by
+// the one z-update body, then applyZ.
+func applyFlat(w *worker, cfg Config, bigW *sparse.Vector, offs, counts []int) {
+	w.applyZ(cfg, zFromWBlocks(new(sparse.Vector), bigW, cfg.Lambda, cfg.Rho, offs, counts))
 }
 
 // storeFixture draws a partition, a subscription map over it — derived from
@@ -131,25 +168,21 @@ func dualMoved(w *worker, y0, z []float64, rho float64) bool {
 	return true
 }
 
-// Property: worker.applyW — the z-update applied over the reduced W's
-// support, straight into the compact subscribed-block store — equals the
-// reference dense solver.ZUpdateL1Blocks restricted to the rank's
-// subscription bit for bit, its sparse view equals sparse.FromDenseInto of
-// that, and the dual update reads the same z — across a SEQUENCE of applies
-// whose supports shrink and move, so an entry of an earlier iterate
-// surviving in the store is caught. W deliberately covers coordinates
-// outside the subscription (the replicated aggregate is full-width) and
-// counts include blocks with no live subscriber.
-func TestApplyWMatchesBlockUpdate(t *testing.T) {
+// Property: the flat path's apply — zFromWBlocks over the reduced W, then
+// applyZ into the compact subscribed-block store — equals the reference
+// dense solver.ZUpdateL1Blocks restricted to the rank's subscription bit for
+// bit, its sparse view equals sparse.FromDenseInto of that, and the dual
+// update reads the same z — across a SEQUENCE of applies whose supports
+// shrink and move, so an entry of an earlier iterate surviving in the store
+// is caught. W deliberately covers coordinates outside the subscription (the
+// replicated aggregate is full-width) and counts include blocks with no live
+// subscriber.
+func TestFlatApplyMatchesBlockUpdate(t *testing.T) {
 	f := func(seed int64, dimRaw, blocksRaw, worldRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		m, ws := storeFixture(r, dimRaw, blocksRaw, worldRaw)
 		part := m.Part
-		offs := make([]int, part.Blocks+1)
-		for b := 0; b < part.Blocks; b++ {
-			offs[b] = part.Chunk(b).Lo
-		}
-		offs[part.Blocks] = part.Dim
+		offs := partOffs(part)
 		counts := make([]int, part.Blocks)
 		ref := make([]float64, part.Dim)
 		for step := 0; step < 5; step++ {
@@ -161,7 +194,7 @@ func TestApplyWMatchesBlockUpdate(t *testing.T) {
 			solver.ZUpdateL1Blocks(ref, bigW.ToDense(), cfg.Lambda, cfg.Rho, offs, counts)
 			for _, w := range ws {
 				y0 := vec.Clone(w.yA)
-				w.applyW(cfg, bigW, counts)
+				applyFlat(w, cfg, bigW, offs, counts)
 				want, ok := holdsRestricted(w, ref)
 				if !ok || !dualMoved(w, y0, want, cfg.Rho) {
 					return false
@@ -175,23 +208,23 @@ func TestApplyWMatchesBlockUpdate(t *testing.T) {
 	}
 }
 
-// Property: the store after ANY sequence of applyW, applyZ and rejoin is
+// Property: the store after ANY sequence of the flat apply, applyZ and rejoin is
 // the last iterate restricted to the subscription — the twin of the test
 // above for keepZ, the one delivery body. Each op's iterate arrives in
 // global coordinates over the whole dimension with a support that shrinks
-// and moves; applyZ and applyW move the dual, rejoin leaves it and only
+// and moves; applyZ and the flat apply move the dual, rejoin leaves it and only
 // ever advances the clock.
 func TestKeepZHoldsLastIterate(t *testing.T) {
 	f := func(seed int64, dimRaw, blocksRaw, worldRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		m, ws := storeFixture(r, dimRaw, blocksRaw, worldRaw)
-		dim := m.Part.Dim
+		dim, offs := m.Part.Dim, partOffs(m.Part)
 		ones := make([]int, m.Part.Blocks)
 		for b := range ones {
 			ones[b] = 1
 		}
 		for step := 0; step < 8; step++ {
-			cfg := Config{Rho: r.Float64() + 0.1} // λ = 0, one contributor: applyW's z is W/ρ
+			cfg := Config{Rho: r.Float64() + 0.1} // λ = 0, one contributor: the flat apply's z is W/ρ
 			v := movingSparse(r, dim)
 			op := r.Intn(3)
 			for _, w := range ws {
@@ -203,7 +236,7 @@ func TestKeepZHoldsLastIterate(t *testing.T) {
 				case 1:
 					w.rejoin(v, clock+float64(r.Intn(3)-1))
 				case 2:
-					w.applyW(cfg, v, ones)
+					applyFlat(w, cfg, v, offs, ones)
 					vec.Scale(1/cfg.Rho, ref)
 				}
 				want, ok := holdsRestricted(w, ref)
@@ -332,7 +365,7 @@ func TestWSparseMatchesDefinition(t *testing.T) {
 		}
 		bigW := acc.Sum()
 		for _, w := range ws {
-			w.applyW(cfg, bigW, []int{len(ws)})
+			w.applyZ(cfg, zFromW(new(sparse.Vector), bigW, cfg.Lambda, cfg.Rho, len(ws)))
 		}
 	}
 	for _, w := range ws {

@@ -58,7 +58,6 @@ func newQuarantineCtl(cfg Config, agg collective.AggSpec) *quarantineCtl {
 func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []float64, res *Result) error {
 	members := env.members
 	limit := env.screen.StrikeLimit()
-	var zWarm *sparse.Vector // zPrev, sparsified by the sweep's first re-admission
 
 	// Probe quarantined ranks. The rank's x/y froze at quarantine, so the
 	// clean part of its contribution is constant; what the probe tracks is
@@ -78,24 +77,12 @@ func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []fl
 		if q.clean[r] < cfg.QuarantineRounds {
 			continue
 		}
-		// Re-admission: the same warm-start mechanics a crash rejoin uses
-		// (worker.rejoin + codec reset), except the fabric never closed —
-		// the rank was excluded, not dead. The screen baseline resets:
-		// the returning regime must earn a fresh one.
-		var maxClock float64
-		for _, w := range env.liveWorkers() {
-			if w.clock > maxClock {
-				maxClock = w.clock
-			}
-		}
+		// Re-admission: the same warm-start mechanics a crash rejoin uses,
+		// except the fabric never closed — the rank was excluded, not dead.
+		// The screen baseline resets: the returning regime must earn a
+		// fresh one.
+		env.readmit(r, zPrev)
 		members.Unquarantine(r)
-		if zWarm == nil {
-			zWarm = sparse.FromDense(zPrev)
-		}
-		env.ws[r].rejoin(zWarm, maxClock)
-		if env.states != nil {
-			env.states[r].Reset()
-		}
 		env.screen.Reset(r)
 		q.clean[r] = 0
 		res.Quarantines = append(res.Quarantines, QuarantineEvent{Rank: r, Iter: iter, Readmitted: true})

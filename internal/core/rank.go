@@ -17,11 +17,11 @@ import (
 // engine's shard and Config it computes the engine's bits, so the two
 // runtimes differ only in how W is reduced. One goroutine drives it.
 type Rank struct {
-	cfg    Config
-	w      *worker
-	sv     *sparse.Vector // ComputeW's contribution, then the aggregate
-	dense  []float64      // ComputeW's result, reused
-	counts [1]int         // the one block's contributor count
+	cfg   Config
+	w     *worker
+	sv    *sparse.Vector // ComputeW's contribution, then the aggregate
+	z     sparse.Vector  // the z-update's result
+	dense []float64      // ComputeW's result, reused
 }
 
 // NewRank builds rank's worker over sh = train.Shard(cfg.Topo.Size())[rank].
@@ -41,8 +41,8 @@ func (r *Rank) ComputeW(iter int) []float64 {
 
 // ApplyW runs the z-update (eq. 10) over W, then the dual update (eq. 6).
 func (r *Rank) ApplyW(iter int, bigW []float64, contributors int) {
-	r.sv, r.counts[0] = sparse.FromDenseInto(r.sv, bigW), contributors
-	r.w.applyW(r.cfg, r.sv, r.counts[:])
+	r.sv = sparse.FromDenseInto(r.sv, bigW)
+	r.w.applyZ(r.cfg, zFromW(&r.z, r.sv, r.cfg.Lambda, r.cfg.Rho, contributors))
 }
 
 // Rejoined warm-starts z from the cluster's latest W, keeping x and y, as
@@ -50,7 +50,7 @@ func (r *Rank) ApplyW(iter int, bigW []float64, contributors int) {
 func (r *Rank) Rejoined(joinIter int, bigW []float64, contributors int) {
 	if bigW != nil {
 		r.sv = sparse.FromDenseInto(r.sv, bigW)
-		r.w.rejoin(zFromW(r.sv, r.cfg.Lambda, r.cfg.Rho, contributors), 0)
+		r.w.rejoin(zFromW(&r.z, r.sv, r.cfg.Lambda, r.cfg.Rho, contributors), 0)
 	}
 }
 

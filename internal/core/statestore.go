@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/shard"
 	"psrahgadmm/internal/sparse"
@@ -19,7 +21,7 @@ import (
 //
 // The one decision placement still makes is which schedule reduces W on
 // the flat path (allreduceW) and therefore which vector holds a rank's
-// result (applyReduced). Everything else — the z-update's per-block
+// result (applyReduced). Everything else — the z-update and its per-block
 // live-subscriber divisor, delivery, rejoin, assembly, the per-block codec,
 // checkpoints — has one body, here or on the worker.
 //
@@ -46,6 +48,8 @@ type stateStore struct {
 	countsEpoch int
 	// offs is the partition's block boundaries [0, ..., dim].
 	offs []int
+	// z is the round's consensus iterate as zFromW last formed it.
+	z sparse.Vector
 	// touched collects z̄'s support across the live views (assembleInto).
 	touched sparse.IndexSet
 }
@@ -83,7 +87,7 @@ func newStateStore(env *strategyEnv, sharded bool, blocks int) *stateStore {
 // livePlan projects the shard map onto the given live group ranks, cached
 // across rounds and rebuilt only when the membership epoch moves.
 func (s *stateStore) livePlan(ranks []int) *shard.Plan {
-	if s.plan != nil && s.planEpoch == s.env.members.Epoch() && equalRanks(s.planRanks, ranks) {
+	if s.plan != nil && s.planEpoch == s.env.members.Epoch() && slices.Equal(s.planRanks, ranks) {
 		return s.plan
 	}
 	s.plan = s.smap.Plan(ranks)
@@ -123,18 +127,25 @@ func (s *stateStore) allreduceW(ranks []int, inputs []*sparse.Vector, agg *spars
 	return groupAllreduce(s.env, ranks, commPSRSparse, plan, inputs, agg)
 }
 
-// applyReduced applies the round's reduced W to one fresh worker: its own
-// restricted crew slot sharded, the shared aggregate replicated.
-func (s *stateStore) applyReduced(cfg Config, w *worker, agg *sparse.Vector) {
-	if s.sharded {
-		agg = s.env.crew.outs[w.rank]
+// applyReduced forms z from the round's reduced W and applies it to the
+// fresh workers. Replicated, every member holds the same aggregate, so z is
+// formed once; sharded, each rank's restricted crew slot is its own W.
+func (s *stateStore) applyReduced(cfg Config, fresh []int, agg *sparse.Vector) {
+	if !s.sharded {
+		s.zFromW(agg, cfg)
 	}
-	w.applyW(cfg, agg, s.counts)
+	for _, r := range fresh {
+		if s.sharded {
+			s.zFromW(s.env.crew.outs[r], cfg)
+		}
+		s.env.ws[r].applyZ(cfg, &s.z)
+	}
 }
 
-// zFromW computes z from a W sum (the star and tree paths).
+// zFromW forms z from a W sum into the store's iterate and returns it,
+// valid until the next call.
 func (s *stateStore) zFromW(wsum *sparse.Vector, cfg Config) *sparse.Vector {
-	return zFromWBlocks(wsum, cfg.Lambda, cfg.Rho, s.offs, s.liveCounts())
+	return zFromWBlocks(&s.z, wsum, cfg.Lambda, cfg.Rho, s.offs, s.liveCounts())
 }
 
 // assembleInto reconstructs into dst the full-dimension consensus summary

@@ -183,18 +183,6 @@ func (env *strategyEnv) poisonSparse(rank int, v *sparse.Vector) {
 	}
 }
 
-func equalRanks(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // tagWindowBase starts the collective tag space well above the small
 // hand-assigned tags, and every window is 8 tags wide (the widest any
 // collective uses).

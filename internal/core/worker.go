@@ -221,10 +221,10 @@ func (w *worker) keepZ(z *sparse.Vector) {
 	w.setView(nb)
 }
 
-// applyZ consumes the new consensus iterate — the already-thresholded z the
-// star and the hierarchical paths deliver — and performs the dual update
-// (eq. 6) over the active subspace; no off-active dual is stored (see the
-// worker doc comment).
+// applyZ consumes the new consensus iterate — the thresholded z every
+// strategy forms with zFromWBlocks, in global coordinates — and performs
+// the dual update (eq. 6) over the active subspace; no off-active dual is
+// stored (see the worker doc comment).
 func (w *worker) applyZ(cfg Config, z *sparse.Vector) {
 	w.keepZ(z)
 	w.dualUpdate(cfg.Rho)
@@ -235,33 +235,6 @@ func (w *worker) dualUpdate(rho float64) {
 	for i, z := range w.zA {
 		w.yA[i] += rho * (w.xA[i] - z)
 	}
-}
-
-// applyW consumes a reduced W (the flat path, where every member holds a
-// reduction result) — sparse, global coordinates, covering at least the
-// rank's subscription — and computes the subscribed blocks' z straight into
-// the new view: the z-update (eq. 10, corrected N·ρ scaling) over the
-// aggregate's support only, since SoftThreshold(0) = 0. Block b is scaled by
-// counts[b], its live subscriber count; the scalar expression is
-// solver.ZUpdateL1Blocks'. Then the dual update.
-func (w *worker) applyW(cfg Config, bigW *sparse.Vector, counts []int) {
-	nb := w.nextZ()
-	for i, b := range w.smap.Subs[w.rank] {
-		n := counts[b]
-		if n <= 0 {
-			continue // a block with no live subscriber keeps z = 0
-		}
-		inv := 1 / (cfg.Rho * float64(n))
-		from, to := bigW.Range(w.sub(i))
-		for k := from; k < to; k++ {
-			if v := vec.SoftThreshold(bigW.Value[k], cfg.Lambda) * inv; v != 0 {
-				nb.Index = append(nb.Index, bigW.Index[k])
-				nb.Value = append(nb.Value, v)
-			}
-		}
-	}
-	w.setView(nb)
-	w.dualUpdate(cfg.Rho)
 }
 
 // rejoin re-admits a revived rank at an iteration boundary. The consensus
