@@ -206,12 +206,6 @@ func Algorithms() []Algorithm { return core.Algorithms() }
 // description, in registration order.
 func Variants() []Variant { return core.Variants() }
 
-// RegisterVariant adds a custom algorithm to the registry: any valid
-// (consensus, sync, codec) triple becomes runnable by name through Train.
-// It panics on duplicate names or inexpressible combinations, matching the
-// package-init-time semantics of the built-in registrations.
-func RegisterVariant(v Variant) { core.Register(v) }
-
 // ReferenceOptimum computes a tight approximation of the global optimum
 // f* (the denominator of the paper's relative-error metric, eq. 18).
 func ReferenceOptimum(train *Dataset, rho, lambda float64, iters int) (float64, []float64, error) {

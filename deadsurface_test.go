@@ -27,9 +27,9 @@ const deadSurfaceAllowlist = "testdata/deadsurface.txt"
 // lists each exported top-level func, type, var or const, and each exported
 // method, declared in a package under internal/ that no non-test file
 // references outside its own declaration (a type's declaration includes its
-// methods). cmd/, examples/, benchmark/ and the root package count as
-// callers, as does every package under internal/. A method that belongs to
-// an interface's method set which its type implements counts as used. Only
+// methods). cmd/, benchmark/ and the root package count as callers, as
+// does every package under internal/. A method that belongs to an
+// interface's method set which its type implements counts as used. Only
 // the standard library's go/* packages are needed; the standard library
 // itself is type-checked from source.
 //

@@ -11,8 +11,8 @@ import (
 // strategy compositions the registry makes expressible — on one dataset
 // and topology, reporting each variant's (consensus, sync, codec) triple
 // next to its convergence and communication footprint. The experiment is
-// registry-driven: a new core.Register call shows up here with no harness
-// change.
+// registry-driven: a variant added to core's registry shows up here with
+// no harness change.
 func Zoo(opts Options) error {
 	opts.fill()
 	dcfg := BenchDatasets(opts.Seed, true)[0] // small dataset: the zoo is wide, not deep

@@ -381,6 +381,25 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: Tron.%s must be finite, got %v", tol.name, tol.v)
 		}
 	}
+	// The virtual clock multiplies and adds these: a NaN or infinite one
+	// turns the run's times into 0 or NaN without an error.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Cost.IntraAlpha", c.Cost.IntraAlpha}, {"Cost.IntraBeta", c.Cost.IntraBeta},
+		{"Cost.InterAlpha", c.Cost.InterAlpha}, {"Cost.InterBeta", c.Cost.InterBeta},
+		{"Cost.ComputePerUnit", c.Cost.ComputePerUnit},
+		{"Stragglers.Slowdown", c.Stragglers.Slowdown}, {"Stragglers.Delay", c.Stragglers.Delay},
+		{"Jitter.Amp", c.Jitter.Amp},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("core: %s must be non-negative and finite, got %v", f.name, f.v)
+		}
+	}
+	if !(c.Stragglers.Prob >= 0 && c.Stragglers.Prob <= 1) {
+		return fmt.Errorf("core: Stragglers.Prob must be in [0,1], got %v", c.Stragglers.Prob)
+	}
 	if c.ShardBlocks < 0 {
 		return fmt.Errorf("core: ShardBlocks must be non-negative, got %d", c.ShardBlocks)
 	}

@@ -277,9 +277,20 @@ func TestConfigValidation(t *testing.T) {
 // non-negative and finite. A NaN passes a plain ρ <= 0 or λ < 0 test, and
 // so does a NaN corruption probability against [0, 1]. A rank-keyed fault
 // schedule naming a rank outside the world, or an iteration before the
-// first, is refused too: it used to panic mid-run or inject nothing.
+// first, is refused too: it used to panic mid-run or inject nothing. So is
+// a cost-model, straggler or jitter value the virtual clock cannot use: a
+// NaN ComputePerUnit ran to completion with every time 0, and an infinite
+// Slowdown gave a NaN system time, both with a nil error. The values the
+// library and its harness use stay valid.
 func TestNonFiniteKnobsRefused(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
+	cost := func(set func(*simnet.CostModel)) func(*Config) {
+		return func(c *Config) { c.Cost = simnet.Tianhe2Like(); set(&c.Cost) }
+	}
+	stragglers := func(s simnet.Stragglers) func(*Config) { return func(c *Config) { c.Stragglers = s } }
+	jitter := func(amp float64) func(*Config) {
+		return func(c *Config) { c.Jitter = simnet.Jitter{Seed: 1, Amp: amp} }
+	}
 	for _, tc := range []struct {
 		name string
 		set  func(*Config)
@@ -306,6 +317,25 @@ func TestNonFiniteKnobsRefused(t *testing.T) {
 		{"nan rank -1", faults(transport.FaultPlan{NaNAtIteration: map[int]int{-1: 1}}), "Faults.NaNAtIteration rank -1 outside"},
 		{"nan iteration -3", faults(transport.FaultPlan{NaNAtIteration: map[int]int{1: -3}}), "Faults.NaNAtIteration rank 1 iteration -3 negative"},
 		{"send-kill rank 4", faults(transport.FaultPlan{KillAfterSends: map[int]int{4: 7}}), "Faults.KillAfterSends rank 4 outside"},
+		{"compute NaN", cost(func(m *simnet.CostModel) { m.ComputePerUnit = nan }), "Cost.ComputePerUnit must be non-negative and finite"},
+		{"compute +Inf", cost(func(m *simnet.CostModel) { m.ComputePerUnit = inf }), "Cost.ComputePerUnit must be non-negative and finite"},
+		{"compute negative", cost(func(m *simnet.CostModel) { m.ComputePerUnit = -1e-9 }), "Cost.ComputePerUnit must be non-negative and finite"},
+		{"intra alpha NaN", cost(func(m *simnet.CostModel) { m.IntraAlpha = nan }), "Cost.IntraAlpha"},
+		{"intra beta -Inf", cost(func(m *simnet.CostModel) { m.IntraBeta = -inf }), "Cost.IntraBeta"},
+		{"inter alpha negative", cost(func(m *simnet.CostModel) { m.InterAlpha = -5e-6 }), "Cost.InterAlpha"},
+		{"inter beta +Inf", cost(func(m *simnet.CostModel) { m.InterBeta = inf }), "Cost.InterBeta"},
+		{"straggler prob NaN", stragglers(simnet.Stragglers{Prob: nan, Slowdown: 4}), "Stragglers.Prob must be in [0,1]"},
+		{"straggler prob -0.1", stragglers(simnet.Stragglers{Prob: -0.1, Slowdown: 4}), "Stragglers.Prob must be in [0,1]"},
+		{"straggler prob 1.5", stragglers(simnet.Stragglers{Prob: 1.5, Slowdown: 4}), "Stragglers.Prob must be in [0,1]"},
+		{"slowdown +Inf", stragglers(simnet.Stragglers{Prob: 0.25, Slowdown: inf}), "Stragglers.Slowdown must be non-negative and finite"},
+		{"slowdown NaN", stragglers(simnet.Stragglers{Prob: 0.25, Slowdown: nan}), "Stragglers.Slowdown"},
+		{"slowdown negative", stragglers(simnet.Stragglers{Prob: 0.25, Slowdown: -4}), "Stragglers.Slowdown"},
+		{"delay NaN", stragglers(simnet.Stragglers{Prob: 0.05, Delay: nan}), "Stragglers.Delay must be non-negative and finite"},
+		{"delay +Inf", stragglers(simnet.Stragglers{Prob: 0.05, Delay: inf}), "Stragglers.Delay"},
+		{"delay negative", stragglers(simnet.Stragglers{Prob: 0.05, Delay: -1}), "Stragglers.Delay"},
+		{"jitter NaN", jitter(nan), "Jitter.Amp must be non-negative and finite"},
+		{"jitter +Inf", jitter(inf), "Jitter.Amp"},
+		{"jitter negative", jitter(-0.5), "Jitter.Amp"},
 	} {
 		cfg := baseConfig(GCADMM, 2, 2)
 		tc.set(&cfg)
@@ -313,10 +343,23 @@ func TestNonFiniteKnobsRefused(t *testing.T) {
 			t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-	cfg := baseConfig(GCADMM, 2, 2)
-	cfg.Lambda = 0
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("λ = 0: %v", err)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"λ = 0", func(c *Config) { c.Lambda = 0 }},
+		{"zero cost, stragglers and jitter", func(*Config) {}},
+		{"Tianhe2Like", cost(func(*simnet.CostModel) {})},
+		{"the harness's scaling", func(c *Config) { c.Cost = simnet.Tianhe2Like().ScaleBandwidth(3).ScaleCompute(10) }},
+		{"Default stragglers", stragglers(simnet.Default(7))},
+		{"Fig. 7 stragglers", stragglers(simnet.Stragglers{Seed: 1, Prob: 0.05, Delay: 8e-3})},
+		{"the harness's jitter", jitter(0.6)},
+	} {
+		cfg := baseConfig(GCADMM, 2, 2)
+		tc.set(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

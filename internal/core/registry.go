@@ -10,7 +10,8 @@ import (
 // The algorithm registry: every runnable variant is a named binding of the
 // three strategy axes. The paper's six algorithms are just entries here —
 // GADMM-style topology changes, Zhu-style synchronization changes, and
-// lossy-exchange changes are one Register call each, not a new engine.
+// lossy-exchange changes are one register call each in this file's init,
+// not a new engine.
 
 // Variant binds an algorithm name to a (consensus, sync, codec) triple.
 type Variant struct {
@@ -39,42 +40,42 @@ var registry = struct {
 	byName map[Algorithm]Variant
 }{byName: map[Algorithm]Variant{}}
 
-// Register adds a variant to the registry. It panics on a duplicate name
+// register adds a variant to the registry. It panics on a duplicate name
 // or a combination checkComposition rejects, since registrations are
 // package-init-time programming errors, not runtime conditions.
-func Register(v Variant) {
+func register(v Variant) {
 	if v.Name == "" {
-		panic("core: Register: empty algorithm name")
+		panic("core: register: empty algorithm name")
 	}
 	if _, dup := registry.byName[v.Name]; dup {
-		panic(fmt.Sprintf("core: Register: duplicate algorithm %q", v.Name))
+		panic(fmt.Sprintf("core: register: duplicate algorithm %q", v.Name))
 	}
 	if _, err := exchange.For(v.Codec); err != nil {
-		panic(fmt.Sprintf("core: Register(%s): %v", v.Name, err))
+		panic(fmt.Sprintf("core: register(%s): %v", v.Name, err))
 	}
 	switch v.Consensus {
 	case ConsensusStar, ConsensusRing, ConsensusFlat, ConsensusTree, ConsensusGroupLocal:
 	default:
-		panic(fmt.Sprintf("core: Register(%s): unknown consensus %q", v.Name, v.Consensus))
+		panic(fmt.Sprintf("core: register(%s): unknown consensus %q", v.Name, v.Consensus))
 	}
 	switch v.Sync {
 	case SyncBSP, SyncSSP, SyncAsync:
 	default:
-		panic(fmt.Sprintf("core: Register(%s): unknown sync %q", v.Name, v.Sync))
+		panic(fmt.Sprintf("core: register(%s): unknown sync %q", v.Name, v.Sync))
 	}
 	agg, err := collective.ParseAgg(v.Aggregator)
 	if err == nil {
 		err = checkComposition(v.Consensus, v.Codec, v.Sharded, agg)
 	}
 	if err != nil {
-		panic(fmt.Sprintf("core: Register(%s): %v", v.Name, err))
+		panic(fmt.Sprintf("core: register(%s): %v", v.Name, err))
 	}
 	registry.byName[v.Name] = v
 	registry.order = append(registry.order, v.Name)
 }
 
 // checkComposition is the one statement of which axis values combine.
-// Register applies it to a variant's registered axes, Config.Validate to
+// register applies it to a variant's registered axes, Config.Validate to
 // the axes a run resolves to.
 func checkComposition(ck ConsensusKind, codec exchange.Kind, sharded bool, agg collective.Agg) error {
 	// The hierarchical sparse strategies have no dense wire format.
@@ -129,47 +130,47 @@ func Algorithms() []Algorithm {
 func init() {
 	// The paper's six variants. Registration order is presentation order:
 	// the contribution first, then the ablations, then the baselines.
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMM, Consensus: ConsensusTree, Sync: SyncBSP, Codec: exchange.Sparse,
 		Description: "the contribution: WLG-grouped hierarchical consensus ADMM, staged PSR aggregation tree (BSP, sparse exchange)",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: PSRAADMM, Consensus: ConsensusFlat, Sync: SyncBSP, Codec: exchange.Sparse,
 		Description: "flat ablation: one cluster-wide sparse PSR-Allreduce, no hierarchy (§4.2 before WLG)",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: GRADMM, Consensus: ConsensusRing, Sync: SyncBSP, Codec: exchange.Sparse,
 		Description: "baseline (ref. [9]): same BSP hierarchy, sparse Ring-Allreduce among all Leaders, no grouping",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: ADMMLib, Consensus: ConsensusRing, Sync: SyncSSP, Codec: exchange.DenseF32,
 		Description: "baseline (Xie & Lei): hierarchical dense fp32 Ring-Allreduce under node-granular SSP",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: ADADMM, Consensus: ConsensusStar, Sync: SyncSSP, Codec: exchange.Dense,
 		Description: "baseline (Zhang & Kwok): asynchronous master-worker consensus ADMM, partial barrier + bounded delay",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: GCADMM, Consensus: ConsensusStar, Sync: SyncBSP, Codec: exchange.Dense,
 		Description: "baseline: classic fully synchronous master-worker global consensus ADMM",
 	})
 
 	// The group-local reading of the paper's Algorithms 1-3.
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMMGroup, Consensus: ConsensusGroupLocal, Sync: SyncBSP, Codec: exchange.Sparse,
 		Description: "group-local reading of Algorithms 1-3: each WLG group computes z from its own members only",
 	})
 
 	// Compositions the monolithic switch could not express.
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMMSSPQ8, Consensus: ConsensusTree, Sync: SyncSSP, Codec: exchange.SparseQ8,
 		Description: "new composition: quantized (8-bit) hierarchical staged-tree aggregation under node-granular SSP",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: PSRAADMMAsync, Consensus: ConsensusFlat, Sync: SyncAsync, Codec: exchange.Sparse,
 		Description: "new composition: flat sparse PSR-Allreduce driven asynchronously (quorum of one, bounded delay)",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: GRADMMSSP, Consensus: ConsensusRing, Sync: SyncSSP, Codec: exchange.Sparse,
 		Description: "new composition: GR-ADMM's sparse Leader ring under ADMMLib's SSP barrier",
 	})
@@ -178,15 +179,15 @@ func init() {
 	// coordinates of each contribution travel; dropped mass (and, for -q8,
 	// quantization error) carries into the next round's contribution via
 	// the per-rank exchange.State residual.
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMMTopK, Consensus: ConsensusTree, Sync: SyncBSP, Codec: exchange.TopK,
 		Description: "new composition: staged aggregation tree with top-k error-feedback sparsification (adaptive k)",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMMTopKQ8, Consensus: ConsensusTree, Sync: SyncBSP, Codec: exchange.TopKQ8,
 		Description: "new composition: top-k error-feedback selection composed with 8-bit quantized survivors",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: PSRAADMMTopK, Consensus: ConsensusFlat, Sync: SyncBSP, Codec: exchange.TopK,
 		Description: "new composition: flat sparse PSR-Allreduce over top-k error-feedback contributions",
 	})
@@ -195,7 +196,7 @@ func init() {
 	// dimension is block-partitioned (ShardBlocks, default world size),
 	// every rank stores only the blocks its shard's active columns touch,
 	// and the z-update averages each block over its live subscribers.
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMMSharded, Consensus: ConsensusTree, Sync: SyncBSP, Codec: exchange.Sparse, Sharded: true,
 		Description: "block-sharded state: staged aggregation tree with per-block subscriber z-averaging; no rank holds the full model",
 	})
@@ -204,11 +205,11 @@ func init() {
 	// the StateStore refactor unlocked: stale ranks' cached contributions
 	// keep feeding their blocks' sums under the Max_delay bound, and each
 	// block still averages over its live subscribers.
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMMShardedSSP, Consensus: ConsensusTree, Sync: SyncSSP, Codec: exchange.Sparse, Sharded: true,
 		Description: "new composition: block-sharded staged aggregation tree under node-granular SSP (partial barrier, bounded staleness)",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMMShardedAsync, Consensus: ConsensusTree, Sync: SyncAsync, Codec: exchange.Sparse, Sharded: true,
 		Description: "new composition: block-sharded staged aggregation tree driven asynchronously (quorum of one, bounded delay)",
 	})
@@ -217,22 +218,22 @@ func init() {
 	// consensus reduce statistic while everything else — codec, sync,
 	// placement — stays the variant's. Mean-aggregator entries above are
 	// untouched and bit-identical to their goldens.
-	Register(Variant{
+	register(Variant{
 		Name: PSRAADMMRobust, Consensus: ConsensusFlat, Sync: SyncBSP, Codec: exchange.Sparse,
 		Aggregator:  collective.AggTrimmedMeanName,
 		Description: "robust composition: flat sparse PSR-Allreduce with per-coordinate trimmed-mean (tolerates TrimF Byzantine workers)",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: PSRAHGADMMRobust, Consensus: ConsensusTree, Sync: SyncBSP, Codec: exchange.Sparse,
 		Aggregator:  collective.AggTrimmedMeanName,
 		Description: "robust composition: aggregation tree forced to a single merge, trimmed-mean over node partials (node-granular tolerance)",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: GCADMMMedian, Consensus: ConsensusStar, Sync: SyncBSP, Codec: exchange.Dense,
 		Aggregator:  collective.AggMedianName,
 		Description: "robust baseline: master-worker star with coordinate-median aggregation",
 	})
-	Register(Variant{
+	register(Variant{
 		Name: PSRAADMMShardedRobust, Consensus: ConsensusFlat, Sync: SyncBSP, Codec: exchange.Sparse, Sharded: true,
 		Aggregator:  collective.AggTrimmedMeanName,
 		Description: "robust composition: block-sharded flat PSR with trimmed-mean over each block's live subscribers",
