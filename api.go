@@ -91,10 +91,11 @@ type (
 	// CheckpointStore persists snapshot blobs (directory-backed or
 	// in-memory).
 	CheckpointStore = checkpoint.Store
-	// WatchdogConfig tunes the divergence watchdog (Config.Watchdog):
+	// WatchdogConfig switches the divergence watchdog (Config.Watchdog):
 	// NaN/Inf scanning over the iterates plus sliding-window explosion
 	// detection on residuals and objective, with checkpoint auto-rollback
-	// when RunOptions.Checkpoint is set.
+	// when RunOptions.Checkpoint is set. The watchdog's tuning is fixed;
+	// Enabled is its only field.
 	WatchdogConfig = watchdog.Config
 	// RollbackEvent records one watchdog-triggered checkpoint rollback
 	// (see Result.Rollbacks).
@@ -102,8 +103,8 @@ type (
 	// ScreenConfig switches the contribution screen (Config.Screen):
 	// per-rank outlier scoring of every contribution entering a consensus
 	// reduce, with sustained outliers quarantined and re-admitted after
-	// clean probes (see Config.QuarantineRounds). The screen's tuning is
-	// fixed; Enabled is its only field.
+	// three consecutive clean probes. The screen's tuning is fixed;
+	// Enabled is its only field.
 	ScreenConfig = watchdog.ScreenConfig
 	// QuarantineEvent records one screen-triggered membership transition
 	// (see Result.Quarantines).

@@ -37,8 +37,6 @@ func main() {
 	flag.BoolVar(&cfg.CodecAgeScoring, "codec-age-scoring", false, "top-k codecs: weight selection by residual age so starved coordinates eventually ship")
 	flag.BoolVar(&cfg.ShardedState, "sharded", false, "block-sharded consensus state: each rank holds only the model blocks its shard touches (flat/star/tree consensus, any sync model)")
 	flag.IntVar(&cfg.ShardBlocks, "shard-blocks", 0, "block count for -sharded partitioning (0 = world size)")
-	flag.Float64Var(&cfg.Watchdog.ObjectiveFactor, "watchdog-objective-factor", 0, "objective explosion threshold as a multiple of the window floor (0 = default 1e4)")
-	flag.IntVar(&cfg.Watchdog.MaxRollbacks, "max-rollbacks", 0, "rollback budget before a watchdog trip aborts the run (0 = default 2)")
 	var (
 		listAlgos = flag.Bool("list-algorithms", false, "list every registered algorithm with its strategy triple and exit")
 		dataPath  = flag.String("data", "", "LIBSVM training file (overrides -synth)")

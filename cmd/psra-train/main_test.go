@@ -91,7 +91,7 @@ func TestZeroMeansDefault(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-min-barrier", "0", "-max-delay", "0", "-trim-f", "0", "-quarantine-rounds", "0", "-codec-budget-bytes", "0", "-shard-blocks", "0"}, "final objective"},
+		{[]string{"-min-barrier", "0", "-max-delay", "0", "-trim-f", "0", "-codec-budget-bytes", "0", "-shard-blocks", "0"}, "final objective"},
 		{[]string{"-iters", "12", "-elastic", "-chaos-kill", "1@3", "-chaos-rejoin", "1@8"}, "RECOVERED: membership changed 2 times"},
 	} {
 		stdout, stderr, err := runTrain(bin, tc.args...)

@@ -128,7 +128,6 @@ func main() {
 		Aggregator:       run.Aggregator,
 		TrimF:            run.TrimF,
 		Screen:           run.Screen,
-		QuarantineRounds: run.QuarantineRounds,
 	}
 	// Before the mesh: establishment waits for every rank (up to -timeout),
 	// and a mistyped -codec or -aggregator should not cost that wait on

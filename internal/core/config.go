@@ -234,7 +234,7 @@ type Config struct {
 	// usable snapshot) at the iteration boundary — re-seeding codec
 	// error-feedback state and recording the event in Result.Rollbacks —
 	// and aborts with an error wrapping watchdog.ErrDiverged once
-	// Watchdog.MaxRollbacks is exhausted or no snapshot exists.
+	// watchdog.MaxRollbacks rollbacks are spent or no snapshot exists.
 	Watchdog watchdog.Config
 	// Aggregator selects the consensus reduce statistic: "mean" (the
 	// default — the exact sum, bit-identical to the pre-robust engine),
@@ -258,12 +258,9 @@ type Config struct {
 	// Screen enables contribution screening: every contribution entering a
 	// consensus reduce is scored against its sender's own EWMA baselines
 	// (norm and Δ-norm), consecutive outliers quarantine the rank, and
-	// QuarantineRounds consecutive clean probes re-admit it. See
+	// watchdog.QuarantineRounds consecutive clean probes re-admit it. See
 	// watchdog.ScreenConfig.
 	Screen watchdog.ScreenConfig
-	// QuarantineRounds is how many consecutive clean probe observations a
-	// quarantined rank must produce before re-admission. Default 3.
-	QuarantineRounds int
 }
 
 func (c *Config) fill() {
@@ -281,9 +278,6 @@ func (c *Config) fill() {
 	}
 	if c.GroupThreshold < 1 || c.GroupThreshold > c.Topo.Nodes {
 		c.GroupThreshold = c.Topo.Nodes
-	}
-	if c.QuarantineRounds <= 0 {
-		c.QuarantineRounds = 3
 	}
 }
 
@@ -411,12 +405,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxDelay < 0 {
 		return fmt.Errorf("core: MaxDelay must be non-negative, got %d", c.MaxDelay)
-	}
-	if err := c.Watchdog.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if c.QuarantineRounds < 0 {
-		return fmt.Errorf("core: QuarantineRounds must be non-negative, got %d", c.QuarantineRounds)
 	}
 	if p := c.Faults; p != nil {
 		for _, s := range []struct {

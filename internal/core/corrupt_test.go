@@ -155,31 +155,37 @@ func TestWatchdogAbortsWithoutCheckpoint(t *testing.T) {
 	}
 }
 
-// TestWatchdogRollbackBudgetExhausted drives repeated trips (a sub-1
-// residual factor re-trips every time the window refills) and asserts the
-// detect → rollback → abort ladder: exactly MaxRollbacks rollbacks are
-// attempted, then the next trip becomes the typed failure.
+// TestWatchdogRollbackBudgetExhausted drives repeated trips and asserts the
+// detect → rollback → abort ladder: exactly watchdog.MaxRollbacks rollbacks
+// are attempted, then the next trip becomes the typed failure. Each NaN
+// injection fires once, so every replay gets past its own poison and the
+// next scheduled one trips again.
 func TestWatchdogRollbackBudgetExhausted(t *testing.T) {
 	train, _ := testData(t, 120)
 	cfg := baseConfig(PSRAHGADMM, 3, 2)
-	cfg.MaxIter = 60
-	cfg.Watchdog = watchdog.Config{
-		Enabled:        true,
-		Window:         4,
-		ResidualFactor: 0.5, // anything above half the recent floor "explodes"
-		MaxRollbacks:   2,
-	}
+	cfg.MaxIter = 30
+	cfg.Watchdog = watchdog.Config{Enabled: true}
+	cfg.Faults = &transport.FaultPlan{Seed: 3, NaNAtIteration: map[int]int{0: 7, 1: 13, 2: 19}}
 	res, err := Run(cfg, train, RunOptions{
-		Checkpoint: &CheckpointOptions{Store: checkpoint.NewMemStore(), Every: 2},
+		Checkpoint: &CheckpointOptions{Store: checkpoint.NewMemStore(), Every: 5},
 	})
 	if err == nil {
-		t.Fatal("run succeeded despite a watchdog that trips on any healthy residual")
+		t.Fatal("run succeeded despite three trips against a budget of two rollbacks")
 	}
 	if !errors.Is(err, watchdog.ErrDiverged) {
 		t.Fatalf("exhausted-rollback abort is not typed as divergence: %v", err)
 	}
-	if len(res.Rollbacks) != 2 {
-		t.Fatalf("performed %d rollbacks, want exactly MaxRollbacks=2: %+v", len(res.Rollbacks), res.Rollbacks)
+	if len(res.Rollbacks) != watchdog.MaxRollbacks {
+		t.Fatalf("performed %d rollbacks, want exactly MaxRollbacks=%d: %+v",
+			len(res.Rollbacks), watchdog.MaxRollbacks, res.Rollbacks)
+	}
+	for i, want := range []RollbackEvent{{TripIter: 7, ToIter: 5}, {TripIter: 13, ToIter: 10}} {
+		if rb := res.Rollbacks[i]; rb.TripIter != want.TripIter || rb.ToIter != want.ToIter {
+			t.Fatalf("rollback %d went %d → %d, want %d → %d", i, rb.TripIter, rb.ToIter, want.TripIter, want.ToIter)
+		}
+	}
+	if len(res.History) != 20 {
+		t.Fatalf("history ends after %d iterations, want the abort at iteration 19", len(res.History))
 	}
 }
 

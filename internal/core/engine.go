@@ -252,7 +252,6 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	// iteration startIter+i, which a rollback's truncation must respect on
 	// resumed runs.
 	wd := watchdog.New(cfg.Watchdog)
-	wdCfg := cfg.Watchdog.Fill()
 	rollbacks := 0
 	histBase := startIter
 	var quar *quarantineCtl
@@ -429,7 +428,7 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			}
 			if trip != nil {
 				ck := opts.Checkpoint
-				if rollbacks >= wdCfg.MaxRollbacks || ck == nil || ck.Store == nil {
+				if rollbacks >= watchdog.MaxRollbacks || ck == nil || ck.Store == nil {
 					return fail(iter, trip)
 				}
 				toIter, ok, rerr := rollbackToSnapshot(ck, &cfg, env, strat, zPrev.z, res)

@@ -10,7 +10,6 @@ import (
 	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
-	"psrahgadmm/internal/watchdog"
 )
 
 // testData builds a small, learnable synthetic problem shared by the
@@ -305,7 +304,6 @@ func TestNonFiniteKnobsRefused(t *testing.T) {
 		{"lambda -1", func(c *Config) { c.Lambda = -1 }, "Lambda must be non-negative and finite"},
 		{"tol NaN", func(c *Config) { c.Tol = nan }, "Tol must be non-negative"},
 		{"corrupt NaN", func(c *Config) { c.Faults = &transport.FaultPlan{CorruptProb: nan} }, "CorruptProb must be in [0,1]"},
-		{"watchdog factor NaN", func(c *Config) { c.Watchdog = watchdog.Config{Enabled: true, ResidualFactor: nan} }, "ResidualFactor NaN is not finite"},
 		{"kill rank 4", faults(transport.FaultPlan{KillAtIteration: map[int]int{4: 1}}), "Faults.KillAtIteration rank 4 outside the world [0,4)"},
 		{"kill rank -1", faults(transport.FaultPlan{KillAtIteration: map[int]int{-1: 1}}), "Faults.KillAtIteration rank -1 outside"},
 		{"kill iteration -4", faults(transport.FaultPlan{KillAtIteration: map[int]int{1: -4}}), "Faults.KillAtIteration rank 1 iteration -4 negative"},

@@ -18,10 +18,11 @@ type Flags struct {
 	seed  int64
 }
 
-// RegisterFlags declares the shared run flags on fs, each with one default
-// and one help text, and returns the Flags they fill when fs is parsed. A
-// flag whose 0 means "the default" takes any non-negative value; Validate
-// refuses the rest.
+// RegisterFlags declares the 17 shared run flags on fs, each with one
+// default and one help text, and returns the Flags they fill when fs is
+// parsed. A flag whose 0 means "the default" takes any non-negative value;
+// Validate refuses the rest. The watchdog and the screen are switches:
+// their tuning is fixed in package watchdog.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := new(Flags)
 	c := &f.Config
@@ -36,12 +37,9 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.Int64Var(&c.CodecBudgetBytes, "codec-budget-bytes", 0, "per-round wire budget for top-k codecs: k adapts to stay under it (0 = no budget)")
 	fs.BoolVar(&c.Elastic, "elastic", false, "survive peer deaths: prune dead ranks and keep training on the survivors, and re-admit ranks that return (psra-worker: exit 4 when degraded)")
 	fs.BoolVar(&c.Watchdog.Enabled, "watchdog", false, "divergence watchdog: NaN/Inf and explosion detection (psra-train: rollback with -checkpoint-dir; psra-worker: exit 5 on a trip)")
-	fs.IntVar(&c.Watchdog.Window, "watchdog-window", 0, "healthy iterations forming the explosion baseline (0 = default 8)")
-	fs.Float64Var(&c.Watchdog.ResidualFactor, "watchdog-residual-factor", 0, "explosion threshold as a multiple of the window floor (0 = default 1e4)")
 	fs.StringVar(&c.Aggregator, "aggregator", "", "consensus reduce statistic: mean | trimmed-mean | coordinate-median (empty = the algorithm's registered default; psra-worker: robust choices require -elastic)")
 	fs.IntVar(&c.TrimF, "trim-f", 0, "trimmed-mean per-side trim count (0 = default 1 with trimmed-mean)")
 	fs.BoolVar(&c.Screen.Enabled, "screen", false, "contribution screen: score every contribution against its rank's baseline and quarantine sustained outliers (psra-worker: requires -elastic; exit 6 when quarantines exceed the robust tolerance)")
-	fs.IntVar(&c.QuarantineRounds, "quarantine-rounds", 0, "consecutive clean probes a quarantined rank needs for re-admission (0 = default 3)")
 	fs.StringVar(&f.synth, "synth", "news20", "synthetic preset: news20 | webspam | url")
 	fs.Float64Var(&f.scale, "scale", 0.002, "synthetic preset scale in (0,1]")
 	fs.Int64Var(&f.seed, "seed", 1, "synthetic generation seed (must match across psra-worker ranks)")

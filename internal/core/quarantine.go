@@ -20,11 +20,12 @@ import (
 //	probing:      each iteration the engine rebuilds the rank's would-be
 //	              contribution locally (poison schedule still applied) and
 //	              screens it without shipping a byte.
-//	re-admission: QuarantineRounds consecutive clean probes warm-start the
-//	              rank from the cluster's current iterate, reset its codec
-//	              error-feedback and screen baseline, and return it to the
-//	              live set — the same rejoin mechanics a crash recovery
-//	              uses, minus the fabric revive it never needed.
+//	re-admission: watchdog.QuarantineRounds consecutive clean probes
+//	              warm-start the rank from the cluster's current iterate,
+//	              reset its codec error-feedback and screen baseline, and
+//	              return it to the live set — the same rejoin mechanics a
+//	              crash recovery uses, minus the fabric revive it never
+//	              needed.
 //
 // The robust quorum bound lives here too: a robust aggregator tolerates f
 // faulty contributors (TrimF for trimmed-mean, a minority for the median);
@@ -62,7 +63,7 @@ func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []fl
 	// Probe quarantined ranks. The rank's x/y froze at quarantine, so the
 	// clean part of its contribution is constant; what the probe tracks is
 	// the poison schedule riding on top. A flagged probe resets the clean
-	// streak; QuarantineRounds clean ones in a row re-admit.
+	// streak; watchdog.QuarantineRounds clean ones in a row re-admit.
 	for r := range env.ws {
 		if !members.Quarantined(r) {
 			continue
@@ -74,7 +75,7 @@ func (q *quarantineCtl) sweep(env *strategyEnv, cfg Config, iter int, zPrev []fl
 			q.clean[r]++
 		}
 		q.probe = v
-		if q.clean[r] < cfg.QuarantineRounds {
+		if q.clean[r] < watchdog.QuarantineRounds {
 			continue
 		}
 		// Re-admission: the same warm-start mechanics a crash rejoin uses,

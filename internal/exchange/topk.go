@@ -62,7 +62,7 @@ type State struct {
 	// it in production runs.
 	DisableErrorFeedback bool
 	// Decay scales the residual each round (0 takes DefaultDecay; set
-	// NoDecay for the undamped accumulator). The exchanged vector is ADMM
+	// Decay = 1 for the undamped accumulator). The exchanged vector is ADMM
 	// state (w = y + ρx), not a gradient increment, so when a starved
 	// coordinate finally wins selection its transmitted value overshoots
 	// by everything the residual accumulated; geometric damping bounds

@@ -53,7 +53,7 @@ type ScreenConfig struct {
 	Enabled bool
 }
 
-// The screen's tuning.
+// The screen's tuning, and the probation that follows a quarantine.
 const (
 	// screenWarmup is how many clean observations per rank build the
 	// baseline before anything can flag.
@@ -68,6 +68,9 @@ const (
 	// quarantine a rank: a single spike (a straggler's stale burst, an
 	// unlucky numeric step) is forgiven, a sustained pattern is not.
 	screenStrikes = 2
+	// QuarantineRounds is how many CONSECUTIVE clean probes a quarantined
+	// rank must produce before re-admission, in both runtimes.
+	QuarantineRounds = 3
 )
 
 // screenRank is one rank's baseline state. prevIdx/prevVal hold the last

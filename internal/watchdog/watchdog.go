@@ -3,7 +3,7 @@
 // of recent healthy values. It is deliberately dependency-free — both the
 // core engine and the WLG runtime feed it their own notion of an iteration
 // — and deliberately conservative: a trip means "this state must not be
-// checkpointed, roll back or abort", so thresholds default to orders of
+// checkpointed, roll back or abort", so its thresholds are orders of
 // magnitude, not percentages.
 package watchdog
 
@@ -18,65 +18,29 @@ import (
 // infrastructure failures.
 var ErrDiverged = errors.New("watchdog: training diverged")
 
-// Config tunes the divergence monitor. The zero value disables it; set
-// Enabled to get the defaults.
+// Config switches the divergence monitor. The zero value disables it;
+// Enabled turns it on with the fixed tuning below.
 type Config struct {
 	// Enabled turns monitoring on. Off by default: divergence scanning
 	// reads every iterate each iteration, which is measurable work the
 	// zero-alloc benchmarks should not pay unless asked.
 	Enabled bool
-	// Window is how many recent healthy iterations form the explosion
+}
+
+// The monitor's tuning.
+const (
+	// windowLen is how many recent healthy iterations form the explosion
 	// baseline. Until the window fills only non-finite checks fire, so
 	// startup transients (residuals legitimately grow early) never trip.
-	// Default 8.
-	Window int
-	// ResidualFactor trips when a primal or dual residual exceeds
-	// Factor × the window minimum. Default 1e4.
-	ResidualFactor float64
-	// ObjectiveFactor trips when the objective exceeds Factor × the window
-	// minimum (objectives here are nonnegative: loss + L1). Default 1e4.
-	ObjectiveFactor float64
+	windowLen = 8
+	// explosionFactor trips when a primal or dual residual, or the
+	// objective (nonnegative here: loss + L1), exceeds explosionFactor×
+	// its window minimum.
+	explosionFactor = 1e4
 	// MaxRollbacks bounds how many checkpoint rollbacks a run may attempt
-	// before a trip becomes a typed abort. Default 2.
-	MaxRollbacks int
-}
-
-// Fill returns cfg with defaults applied.
-func (c Config) Fill() Config {
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.ResidualFactor <= 0 {
-		c.ResidualFactor = 1e4
-	}
-	if c.ObjectiveFactor <= 0 {
-		c.ObjectiveFactor = 1e4
-	}
-	if c.MaxRollbacks <= 0 {
-		c.MaxRollbacks = 2
-	}
-	return c
-}
-
-// Validate rejects nonsensical explicit settings.
-func (c Config) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Window < 0 {
-		return fmt.Errorf("watchdog: Window %d negative", c.Window)
-	}
-	if f := c.ResidualFactor; !(f >= 0) || math.IsInf(f, 1) {
-		return fmt.Errorf("watchdog: ResidualFactor %v is not finite and non-negative", f)
-	}
-	if f := c.ObjectiveFactor; !(f >= 0) || math.IsInf(f, 1) {
-		return fmt.Errorf("watchdog: ObjectiveFactor %v is not finite and non-negative", f)
-	}
-	if c.MaxRollbacks < 0 {
-		return fmt.Errorf("watchdog: MaxRollbacks %d negative", c.MaxRollbacks)
-	}
-	return nil
-}
+	// before a trip becomes a typed abort.
+	MaxRollbacks = 2
+)
 
 // TripError reports a detected divergence: at which iteration and why.
 // errors.Is(err, ErrDiverged) matches.
@@ -94,7 +58,6 @@ func (e *TripError) Unwrap() error { return ErrDiverged }
 // Monitor is a per-run divergence detector. Not safe for concurrent use;
 // each rank (or the engine) owns one.
 type Monitor struct {
-	cfg  Config
 	objs window
 	res  window
 }
@@ -105,12 +68,7 @@ func New(cfg Config) *Monitor {
 	if !cfg.Enabled {
 		return nil
 	}
-	cfg = cfg.Fill()
-	return &Monitor{
-		cfg:  cfg,
-		objs: window{cap: cfg.Window},
-		res:  window{cap: cfg.Window},
-	}
+	return &Monitor{}
 }
 
 // Reset clears the sliding windows. Call after a rollback: the restored
@@ -144,14 +102,14 @@ func (m *Monitor) Observe(iter int, primal, dual, objective float64, haveObj boo
 	if dual > worst {
 		worst = dual
 	}
-	if floor, ok := m.res.min(); ok && worst > m.cfg.ResidualFactor*maxf(floor, residualTiny) {
+	if floor, ok := m.res.min(); ok && worst > explosionFactor*maxf(floor, residualTiny) {
 		return &TripError{Iter: iter, Reason: fmt.Sprintf(
-			"residual explosion: %.3g > %.0f× window floor %.3g", worst, m.cfg.ResidualFactor, floor)}
+			"residual explosion: %.3g > %.0f× window floor %.3g", worst, explosionFactor, floor)}
 	}
 	if haveObj {
-		if floor, ok := m.objs.min(); ok && objective > m.cfg.ObjectiveFactor*maxf(floor, residualTiny) {
+		if floor, ok := m.objs.min(); ok && objective > explosionFactor*maxf(floor, residualTiny) {
 			return &TripError{Iter: iter, Reason: fmt.Sprintf(
-				"objective explosion: %.3g > %.0f× window floor %.3g", objective, m.cfg.ObjectiveFactor, floor)}
+				"objective explosion: %.3g > %.0f× window floor %.3g", objective, explosionFactor, floor)}
 		}
 		m.objs.push(objective)
 	}
@@ -200,15 +158,14 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// window is a fixed-capacity FIFO over float64 with O(n) min — n is the
-// watchdog window (default 8), so linearity is cheaper than a heap.
+// window is a FIFO of the last windowLen values with O(n) min — n is 8,
+// so linearity is cheaper than a heap.
 type window struct {
-	cap  int
 	vals []float64
 }
 
 func (w *window) push(v float64) {
-	if len(w.vals) == w.cap {
+	if len(w.vals) == windowLen {
 		copy(w.vals, w.vals[1:])
 		w.vals = w.vals[:len(w.vals)-1]
 	}
@@ -218,7 +175,7 @@ func (w *window) push(v float64) {
 // min returns the window minimum; ok is false until the window is full,
 // which is what keeps startup transients from tripping explosion checks.
 func (w *window) min() (float64, bool) {
-	if len(w.vals) < w.cap {
+	if len(w.vals) < windowLen {
 		return 0, false
 	}
 	m := w.vals[0]

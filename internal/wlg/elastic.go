@@ -60,9 +60,9 @@ import (
 // ack band.
 const (
 	offElMemberW  = 0 // member → Leader: encoded contribution w_i
-	offElReplyCtl = 2 // GG → requester: Control[status, contributors]
+	offElReplyCtl = 2 // GG → requester: Control[status, contributors, short]
 	offElReplyW   = 3 // GG → requester: group aggregate
-	offElBcCtl    = 5 // Leader → member: Control[contributors]
+	offElBcCtl    = 5 // Leader → member: Control[contributors, short]
 	offElBcW      = 6 // Leader → member: group aggregate
 	offElGGW      = 7 // Leader → GG: node sum (follows the contribute control)
 
@@ -105,12 +105,14 @@ type RunInfo struct {
 	// because the retry budget expired against a live peer (bounded
 	// staleness, not death).
 	Skipped int64
-	// ShortRounds counts iterations whose consensus averaged fewer than
-	// the full world's workers. The contributor count travels with every
+	// ShortRounds counts iterations whose group averaged fewer workers
+	// than its nodes hold, or ran while some node of the world had lost
+	// every rank; a full group of a grouped run is not short. The Group
+	// Generator judges this at flush, and the verdict travels with the
 	// aggregate, so this catches degradation a rank never locally
 	// witnessed: workers on an unaffected node exchange no messages with
 	// a dead peer (aggregation routes through the GG) and their tracker
-	// stays pristine, but the shrunken count still reaches them.
+	// stays pristine, but the verdict still reaches them.
 	ShortRounds int64
 	// Flagged counts member contributions a Leader's screen excluded from
 	// the node sum as outliers (Config.Screen).
@@ -121,10 +123,26 @@ type RunInfo struct {
 }
 
 // Degraded reports whether the run lost anything: a death, a skipped or
-// screened-out contribution, or a round whose consensus fell short of the
-// full world.
+// screened-out contribution, or a short round.
 func (ri *RunInfo) Degraded() bool {
 	return ri.Epoch > 0 || ri.Skipped > 0 || ri.ShortRounds > 0 || ri.Flagged > 0 || ri.SelfQuarantines > 0
+}
+
+// groupResult is one flushed group's outcome: its aggregate, how many
+// workers the aggregate sums, and the GG's verdict on whether the round
+// was short (see RunInfo.ShortRounds).
+type groupResult struct {
+	w            *sparse.Vector
+	contributors int
+	short        bool
+}
+
+// shortFlag encodes the short verdict for a control frame.
+func (r groupResult) shortFlag() int64 {
+	if r.short {
+		return 1
+	}
+	return 0
 }
 
 // elasticWorker is one rank's state for the fail-survive protocol.
@@ -262,12 +280,12 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 		// self-probes against. Flagged observations never enter the
 		// baseline, so a compromise cannot drag its own baseline up.
 		w.screen.ObserveSparse(w.rank, own)
-		agg, contributors, err := w.iterate(iter, own)
+		res, err := w.iterate(iter, own)
 		if errors.Is(err, errSelfQuarantined) {
 			// The log indicts this incarnation. Enter probation: screen
-			// local probes until quarantineRounds consecutive clean ones,
-			// then re-enter through the rejoin handshake as a fresh
-			// incarnation (or run out the clock and exit degraded).
+			// local probes until watchdog.QuarantineRounds consecutive
+			// clean ones, then re-enter through the rejoin handshake as a
+			// fresh incarnation (or run out the clock and exit degraded).
 			w.selfQuars++
 			joinIter, perr := w.probation(iter, f)
 			if perr != nil {
@@ -282,14 +300,14 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 		if err != nil {
 			return info(), err
 		}
-		dense = agg.ToDenseInto(dense)
+		dense = res.w.ToDenseInto(dense)
 		if err := wd.checkAgg(iter, dense); err != nil {
 			return info(), err
 		}
-		if contributors < topo.Size() {
+		if res.short {
 			w.short++
 		}
-		f.ApplyW(iter, dense, contributors)
+		f.ApplyW(iter, dense, res.contributors)
 	}
 	return info(), nil
 }
@@ -298,7 +316,7 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 // member or Leader path, and recover through the GG when the Leader is
 // lost mid-round. Each cycle either returns a result or strictly narrows
 // the world (a death observed) or burns one bounded recovery attempt.
-func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (*sparse.Vector, int, error) {
+func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (groupResult, error) {
 	for cycle := 0; cycle < elasticCycles; cycle++ {
 		// Fold the rejoin log in BEFORE electing — on every cycle, not
 		// just at iteration entry, because a recover reply inside this
@@ -308,14 +326,14 @@ func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (*sparse.Vector, i
 		// world for the same iteration.
 		w.applyJoins(iter)
 		if w.selfQuar {
-			return nil, 0, errSelfQuarantined
+			return groupResult{}, errSelfQuarantined
 		}
 		if w.quorumTol >= 0 && w.tr.QuarantinedCount() > w.quorumTol {
-			return nil, 0, &watchdog.QuorumError{Quarantined: w.tr.QuarantinedCount(), F: w.quorumTol}
+			return groupResult{}, &watchdog.QuorumError{Quarantined: w.tr.QuarantinedCount(), F: w.quorumTol}
 		}
 		leader := w.tr.FirstLive(w.members)
 		if leader < 0 { // self is alive in its own view; defensive only
-			return nil, 0, fmt.Errorf("wlg: rank %d iter %d: node %d has no live ranks", w.rank, iter, w.node)
+			return groupResult{}, fmt.Errorf("wlg: rank %d iter %d: node %d has no live ranks", w.rank, iter, w.node)
 		}
 		if leader == w.rank {
 			return w.leadIterate(iter, own)
@@ -328,34 +346,34 @@ func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (*sparse.Vector, i
 			if _, down := w.tr.Observe(err); down {
 				continue // Leader died: re-elect
 			}
-			return nil, 0, fmt.Errorf("wlg: rank %d iter %d send to leader %d: %w", w.rank, iter, leader, err)
+			return groupResult{}, fmt.Errorf("wlg: rank %d iter %d send to leader %d: %w", w.rank, iter, leader, err)
 		}
 		ctl, err := collective.RecvRetry(w.ep, leader, iterTag(iter, offElBcCtl), w.pol)
 		if err == nil {
-			w.noteJoins(ctl.Ints[1:]) // the Leader forwards the GG's rejoin log
+			w.noteJoins(ctl.Ints[2:]) // the Leader forwards the GG's rejoin log
 			var wm wire.Message
 			wm, err = collective.RecvRetry(w.ep, leader, iterTag(iter, offElBcW), w.pol)
 			if err == nil {
 				agg, err := sparsePayload(wm, own.Dim)
-				return agg, int(ctl.Ints[0]), err
+				return groupResult{agg, int(ctl.Ints[0]), ctl.Ints[1] != 0}, err
 			}
 		}
 		if _, down := w.tr.Observe(err); !down && !errors.Is(err, collective.ErrUnavailable) {
-			return nil, 0, fmt.Errorf("wlg: rank %d iter %d await leader %d: %w", w.rank, iter, leader, err)
+			return groupResult{}, fmt.Errorf("wlg: rank %d iter %d await leader %d: %w", w.rank, iter, leader, err)
 		}
 
 		// The Leader is dead or silent. If it completed the round before
 		// vanishing the GG has the result cached; a miss proves nobody in
 		// the node has it, so re-electing and re-running is safe.
-		agg, contributors, hit, err := w.recoverFromGG(iter, own.Dim)
+		res, hit, err := w.recoverFromGG(iter, own.Dim)
 		if err != nil {
-			return nil, 0, err
+			return groupResult{}, err
 		}
 		if hit {
-			return agg, contributors, nil
+			return res, nil
 		}
 	}
-	return nil, 0, fmt.Errorf("wlg: rank %d iter %d: no result after %d recovery cycles: %w",
+	return groupResult{}, fmt.Errorf("wlg: rank %d iter %d: no result after %d recovery cycles: %w",
 		w.rank, iter, elasticCycles, collective.ErrUnavailable)
 }
 
@@ -390,7 +408,7 @@ func (w *elasticWorker) maxDelay() int {
 // member gets a single-attempt probe instead of the full budget — unless
 // its consecutive-skip count has reached maxDelay(), in which case the
 // Leader waits the full budget again so staleness stays bounded.
-func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (*sparse.Vector, int, error) {
+func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, error) {
 	w.acc.Reset(own.Dim)
 	w.acc.Add(own)
 	count := 1
@@ -417,11 +435,11 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (*sparse.Vecto
 				w.skips[m]++
 				continue
 			}
-			return nil, 0, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
+			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
 		}
 		sv, err := sparsePayload(msg, own.Dim)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
+			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
 		}
 		if w.screen.ObserveSparse(m, sv) {
 			// An outlier stays out of the node sum and its count; reaching
@@ -442,16 +460,17 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (*sparse.Vecto
 		w.reportQuarantines(iter)
 	}
 
-	agg, contributors, err := w.contribute(iter, w.acc.Sum(), count)
+	res, err := w.contribute(iter, w.acc.Sum(), count)
 	if err != nil {
-		return nil, 0, err
+		return groupResult{}, err
 	}
 
 	// Broadcast to every live member — including skipped ones, whose late
 	// contributions stay unconsumed. A failed send is death evidence. The
-	// control forwards the rejoin log so members that only ever talk to
-	// their Leader still learn about granted rejoins in time.
-	bc := append(make([]int64, 0, 1+len(w.joinLog)), int64(contributors))
+	// control forwards the GG's verdict and the rejoin log, so members
+	// that only ever talk to their Leader still learn about granted
+	// rejoins in time.
+	bc := append(make([]int64, 0, 2+len(w.joinLog)), int64(res.contributors), res.shortFlag())
 	bc = append(bc, w.joinLog...)
 	for _, m := range w.tr.Live(w.members) {
 		if m == w.rank {
@@ -461,73 +480,73 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (*sparse.Vecto
 			w.tr.Observe(err)
 			continue
 		}
-		if err := w.ep.Send(m, wire.SparseMsg(iterTag(iter, offElBcW), agg)); err != nil {
+		if err := w.ep.Send(m, wire.SparseMsg(iterTag(iter, offElBcW), res.w)); err != nil {
 			w.tr.Observe(err)
 		}
 	}
-	return agg, contributors, nil
+	return res, nil
 }
 
 // contribute sends the node sum to the GG and awaits the group reply,
 // re-contributing on a lost exchange (the GG deduplicates by node, so
 // at-least-once is safe).
-func (w *elasticWorker) contribute(iter int, sum *sparse.Vector, count int) (*sparse.Vector, int, error) {
+func (w *elasticWorker) contribute(iter int, sum *sparse.Vector, count int) (groupResult, error) {
 	for attempt := 0; attempt < recontributeCap; attempt++ {
 		if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindContribute, int64(w.node), int64(iter), int64(count))); err != nil {
-			return nil, 0, fmt.Errorf("wlg: leader %d iter %d contribute: %w", w.rank, iter, err)
+			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d contribute: %w", w.rank, iter, err)
 		}
 		if err := w.ep.Send(w.gg, wire.SparseMsg(iterTag(iter, offElGGW), sum)); err != nil {
-			return nil, 0, fmt.Errorf("wlg: leader %d iter %d contribute payload: %w", w.rank, iter, err)
+			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d contribute payload: %w", w.rank, iter, err)
 		}
 		ctl, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyCtl), w.pol)
 		if err != nil {
 			if errors.Is(err, collective.ErrUnavailable) {
 				continue // lost somewhere on the way: re-contribute
 			}
-			return nil, 0, fmt.Errorf("wlg: leader %d iter %d GG reply: %w", w.rank, iter, err)
+			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d GG reply: %w", w.rank, iter, err)
 		}
-		w.noteJoins(ctl.Ints[2:])
+		w.noteJoins(ctl.Ints[3:])
 		wm, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyW), w.pol)
 		if err != nil {
 			if errors.Is(err, collective.ErrUnavailable) {
 				continue
 			}
-			return nil, 0, fmt.Errorf("wlg: leader %d iter %d GG aggregate: %w", w.rank, iter, err)
+			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d GG aggregate: %w", w.rank, iter, err)
 		}
 		agg, err := sparsePayload(wm, sum.Dim)
-		return agg, int(ctl.Ints[1]), err
+		return groupResult{agg, int(ctl.Ints[1]), ctl.Ints[2] != 0}, err
 	}
-	return nil, 0, fmt.Errorf("wlg: leader %d iter %d: GG unresponsive after %d contributions: %w",
+	return groupResult{}, fmt.Errorf("wlg: leader %d iter %d: GG unresponsive after %d contributions: %w",
 		w.rank, iter, recontributeCap, collective.ErrUnavailable)
 }
 
 // recoverFromGG asks the GG for the cached (iter, node) result. hit=false
 // with a nil error means the round was never flushed (or the reply was
 // lost): the caller re-elects and retries.
-func (w *elasticWorker) recoverFromGG(iter, dim int) (agg *sparse.Vector, contributors int, hit bool, err error) {
+func (w *elasticWorker) recoverFromGG(iter, dim int) (res groupResult, hit bool, err error) {
 	if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindRecover, int64(w.node), int64(iter), 0)); err != nil {
-		return nil, 0, false, fmt.Errorf("wlg: rank %d iter %d recover: %w", w.rank, iter, err)
+		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d recover: %w", w.rank, iter, err)
 	}
 	ctl, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyCtl), w.pol)
 	if err != nil {
 		if errors.Is(err, collective.ErrUnavailable) {
-			return nil, 0, false, nil
+			return groupResult{}, false, nil
 		}
-		return nil, 0, false, fmt.Errorf("wlg: rank %d iter %d recover reply: %w", w.rank, iter, err)
+		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d recover reply: %w", w.rank, iter, err)
 	}
-	w.noteJoins(ctl.Ints[2:]) // both Ready and NotReady replies carry the log
+	w.noteJoins(ctl.Ints[3:]) // both Ready and NotReady replies carry the log
 	if ctl.Ints[0] != elStatusReady {
-		return nil, 0, false, nil
+		return groupResult{}, false, nil
 	}
 	wm, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyW), w.pol)
 	if err != nil {
 		if errors.Is(err, collective.ErrUnavailable) {
-			return nil, 0, false, nil // re-request: the cache serves repeatedly
+			return groupResult{}, false, nil // re-request: the cache serves repeatedly
 		}
-		return nil, 0, false, fmt.Errorf("wlg: rank %d iter %d recover payload: %w", w.rank, iter, err)
+		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d recover payload: %w", w.rank, iter, err)
 	}
-	agg, err = sparsePayload(wm, dim)
-	return agg, int(ctl.Ints[1]), err == nil, err
+	agg, err := sparsePayload(wm, dim)
+	return groupResult{agg, int(ctl.Ints[1]), ctl.Ints[2] != 0}, err == nil, err
 }
 
 // runGGElastic is the elastic Group Generator: an any-source control loop
@@ -567,13 +586,9 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		w            *sparse.Vector
 		count        int64
 	}
-	type result struct {
-		w     *sparse.Vector
-		count int64
-	}
 	type key struct{ iter, node int }
-	queues := make(map[int][]*entry) // iteration → GQ (arrival order, sorted at flush)
-	cache := make(map[key]*result)   // flushed results, the recovery source
+	queues := make(map[int][]*entry)    // iteration → GQ (arrival order, sorted at flush)
+	cache := make(map[key]*groupResult) // flushed results, the recovery source
 	done := make([]bool, topo.Size())
 
 	// nodeActive: some rank of the node may still contribute for an
@@ -602,8 +617,25 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		}
 		return true
 	}
-	reply := func(to, iter int, res *result) {
-		if err := ep.Send(to, wire.Control(iterTag(iter, offElReplyCtl), rj.withLog(elStatusReady, res.count)...)); err != nil {
+	// nodeLost: some node of the world has no rank left that serves the
+	// iteration (each is dead, quarantined, or a rejoiner not yet at its
+	// join boundary). No group hears from such a node, so its loss shows
+	// in no group's count.
+	nodeLost := func(iter int) bool {
+	nodes:
+		for n := 0; n < topo.Nodes; n++ {
+			for _, r := range topo.WorkersOf(n) {
+				if tr.Alive(r) && rj.activeAt(r, iter) {
+					continue nodes
+				}
+			}
+			return true
+		}
+		return false
+	}
+	reply := func(to, iter int, res *groupResult) {
+		ctl := rj.withLog(elStatusReady, int64(res.contributors), res.shortFlag())
+		if err := ep.Send(to, wire.Control(iterTag(iter, offElReplyCtl), ctl...)); err != nil {
 			tr.Observe(err) // a dead Leader's successor recovers from the cache
 			return
 		}
@@ -623,13 +655,19 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		// CombineSparse yields the sum under the mean and center × len(q)
 		// over the union support otherwise; the workers' ApplyW divides by
 		// cnt = Σ counts, so with near-uniform node sizes a robust consensus
-		// lands on the robust center of the per-worker contributions.
+		// lands on the robust center of the per-worker contributions. The
+		// round is short when the group's nodes sent fewer workers than
+		// they hold, or when some node of the world is gone.
 		srcs = srcs[:0]
 		for _, e := range q {
 			srcs = append(srcs, e.w)
 		}
-		res := &result{w: ws.CombineSparse(spec, dim, srcs, nil), count: cnt}
-		rj.noteFlush(iter, res.w, res.count)
+		res := &groupResult{
+			w:            ws.CombineSparse(spec, dim, srcs, nil),
+			contributors: int(cnt),
+			short:        cnt < int64(len(q)*topo.WorkersPerNode) || nodeLost(iter),
+		}
+		rj.noteFlush(iter, res.w, cnt)
 		for _, e := range q {
 			cache[key{iter, e.node}] = res
 		}
@@ -754,7 +792,7 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 			rj.observe(iter)
 			if res, ok := cache[key{iter, node}]; ok {
 				reply(from, iter, res)
-			} else if err := ep.Send(from, wire.Control(iterTag(iter, offElReplyCtl), rj.withLog(elStatusNotReady, 0)...)); err != nil {
+			} else if err := ep.Send(from, wire.Control(iterTag(iter, offElReplyCtl), rj.withLog(elStatusNotReady, 0, 0)...)); err != nil {
 				tr.Observe(err)
 			}
 		case elKindRejoin:

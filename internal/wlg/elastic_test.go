@@ -1,6 +1,7 @@
 package wlg
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,89 @@ func TestElasticWholeNodeDeath(t *testing.T) {
 	}
 	if !rec.info.Degraded() || rec.info.LiveWorkers != 4 {
 		t.Fatalf("degradation summary: %+v", rec.info)
+	}
+}
+
+// rankInfos runs an elastic world rank by rank and returns each worker's
+// own RunInfo; a rank whose own endpoint was killed gets nil.
+func rankInfos(t *testing.T, fab transport.Fabric, cfg Config) []*RunInfo {
+	t.Helper()
+	topo := cfg.Topo
+	infos := make([]*RunInfo, topo.Size())
+	errs := make([]error, topo.Size()+1)
+	var wg sync.WaitGroup
+	wg.Add(topo.Size() + 1)
+	go func() {
+		defer wg.Done()
+		errs[topo.Size()] = RunGG(fab.Endpoint(GGRank(topo)), cfg)
+	}()
+	for r := 0; r < topo.Size(); r++ {
+		go func(r int) {
+			defer wg.Done()
+			infos[r], errs[r] = RunWorkerInfo(fab.Endpoint(r), cfg, WorkerFuncs{
+				ComputeW: func(iter int) []float64 { return rankVec(3, r) },
+				ApplyW:   func(iter int, w []float64, n int) {},
+			})
+		}(r)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(120 * time.Second):
+		t.Fatal("elastic run hung")
+	}
+	for r, err := range errs {
+		if errors.Is(err, transport.ErrClosed) && r < topo.Size() {
+			infos[r] = nil // killed: the casualty, not a survivor
+		} else if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return infos
+}
+
+// TestElasticShortRoundsJudgedByGroup: a grouped round sums only its
+// group, so a fault-free grouped run is not degraded on any rank — every
+// round used to count as short because its contributor count was below
+// the world's. A run that loses a worker or a whole node still leaves the
+// ranks of untouched nodes degraded: the Group Generator's verdict reaches
+// them with the aggregate.
+func TestElasticShortRoundsJudgedByGroup(t *testing.T) {
+	topo := simnet.Topology{Nodes: 4, WorkersPerNode: 2}
+	// Threshold 3 leaves a remainder group of one node.
+	for _, threshold := range []int{1, 2, 3} {
+		cfg := Config{Topo: topo, MaxIter: 8, Elastic: true, GroupThreshold: threshold}
+		fab := transport.NewChanFabric(WorldSize(topo))
+		for r, info := range rankInfos(t, fab, cfg) {
+			if info.Degraded() {
+				t.Errorf("threshold %d: fault-free rank %d reported degraded: %+v", threshold, r, info)
+			}
+		}
+		fab.Close()
+	}
+
+	topo = simnet.Topology{Nodes: 3, WorkersPerNode: 2}
+	for _, tc := range []struct {
+		name   string
+		killed []int
+	}{
+		{"one worker", []int{3}},
+		// Every group the survivors form is full: only the lost node shows.
+		{"whole node", []int{2, 3}},
+	} {
+		cfg := Config{Topo: topo, MaxIter: 8, Elastic: true}
+		fab := transport.NewFaultFabric(transport.NewChanFabric(WorldSize(topo)), transport.FaultPlan{})
+		for _, r := range tc.killed {
+			fab.Kill(r)
+		}
+		infos := rankInfos(t, fab, cfg)
+		fab.Close()
+		for _, r := range []int{0, 1, 4, 5} {
+			if infos[r] == nil || !infos[r].Degraded() || infos[r].ShortRounds == 0 {
+				t.Errorf("%s lost: untouched rank %d reported %+v, want short rounds", tc.name, r, infos[r])
+			}
+		}
 	}
 }
 

@@ -19,9 +19,9 @@
 // contributing, locally rebuilds its would-be contribution each virtual
 // iteration, and screens it against the baseline its clean history built
 // (flagged observations never updated it, so the baseline still describes
-// the healthy regime). quarantineRounds consecutive clean probes earn a
-// rejoin announcement — the SAME handshake a crashed rank uses — and the
-// GG mints a fresh incarnation whose join record supersedes the
+// the healthy regime). watchdog.QuarantineRounds consecutive clean probes
+// earn a rejoin announcement — the SAME handshake a crashed rank uses —
+// and the GG mints a fresh incarnation whose join record supersedes the
 // quarantine entry for every observer. A rank that never comes clean
 // simply runs out the clock and exits with its farewell, keeping the GG's
 // done-or-dead accounting sound.
@@ -32,6 +32,7 @@ import (
 
 	"psrahgadmm/internal/membership"
 	"psrahgadmm/internal/sparse"
+	"psrahgadmm/internal/watchdog"
 	"psrahgadmm/internal/wire"
 )
 
@@ -75,16 +76,15 @@ func (w *elasticWorker) logHasQuarantine(rank, inc int) bool {
 
 // probation is the quarantined rank's path back: rebuild the would-be
 // contribution for each remaining virtual iteration, screen it locally
-// (nothing ships), and after quarantineRounds consecutive clean probes
+// (nothing ships), and after watchdog.QuarantineRounds consecutive clean probes
 // re-enter through the rejoin handshake. Returns the first iteration the
 // caller's loop should execute — the granted join iteration, or MaxIter
 // when re-admission was never earned (the loop then falls through to the
 // farewell).
 func (w *elasticWorker) probation(fromIter int, f WorkerFuncs) (int, error) {
-	need := w.cfg.quarantineRounds()
 	clean := 0
 	var sv *sparse.Vector
-	for probe := fromIter + 1; probe < w.cfg.MaxIter && clean < need; probe++ {
+	for probe := fromIter + 1; probe < w.cfg.MaxIter && clean < watchdog.QuarantineRounds; probe++ {
 		sv = sparse.FromDenseInto(sv, f.ComputeW(probe))
 		w.codec.EncodeSparse(sv)
 		if w.screen.ObserveSparse(w.rank, sv) {
@@ -93,7 +93,7 @@ func (w *elasticWorker) probation(fromIter int, f WorkerFuncs) (int, error) {
 			clean++
 		}
 	}
-	if clean < need {
+	if clean < watchdog.QuarantineRounds {
 		return w.cfg.MaxIter, nil
 	}
 	joinIter, err := w.rejoinStart(f)

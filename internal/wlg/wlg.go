@@ -175,12 +175,8 @@ type Config struct {
 	// flags — quarantines the member and publishes the evidence through the
 	// GG's append-only log, where it piggybacks on every control reply
 	// exactly like a rejoin record. A quarantined rank re-enters through the
-	// rejoin handshake after QuarantineRounds clean self-probes.
+	// rejoin handshake after watchdog.QuarantineRounds clean self-probes.
 	Screen watchdog.ScreenConfig
-	// QuarantineRounds is how many consecutive clean self-probes a
-	// quarantined rank needs before it may announce a rejoin. 0 defaults
-	// to 3.
-	QuarantineRounds int
 }
 
 // codec resolves the configured exchange codec, defaulting to exact.
@@ -198,15 +194,6 @@ func (c Config) threshold() int {
 		t = c.Topo.Nodes
 	}
 	return t
-}
-
-// quarantineRounds returns the effective clean-probe requirement (0
-// defaults to 3).
-func (c Config) quarantineRounds() int {
-	if c.QuarantineRounds > 0 {
-		return c.QuarantineRounds
-	}
-	return 3
 }
 
 // Validate checks the configuration.
@@ -244,9 +231,6 @@ func (c Config) Validate() error {
 	if c.MaxDelay > 0 && c.MinBarrier == 0 {
 		return fmt.Errorf("wlg: MaxDelay requires MinBarrier > 0 (only a partial barrier skips laggards whose staleness it bounds)")
 	}
-	if err := c.Watchdog.Validate(); err != nil {
-		return fmt.Errorf("wlg: %w", err)
-	}
 	spec, err := collective.ResolveAgg(c.Aggregator, c.TrimF)
 	if err != nil {
 		return fmt.Errorf("wlg: %w", err)
@@ -260,9 +244,6 @@ func (c Config) Validate() error {
 	}
 	if c.Screen.Enabled && !c.Elastic {
 		return fmt.Errorf("wlg: contribution screening requires Elastic mode (quarantine is a membership transition the fail-stop protocol cannot express)")
-	}
-	if c.QuarantineRounds < 0 {
-		return fmt.Errorf("wlg: QuarantineRounds must be non-negative, got %d", c.QuarantineRounds)
 	}
 	return nil
 }

@@ -45,9 +45,6 @@ func TestSharedFlagsRefusedAlike(t *testing.T) {
 		{[]string{"-codec-budget-bytes", "-1"}, "CodecBudgetBytes must be non-negative, got -1"},
 		{[]string{"-aggregator", "mode"}, `collective: unknown aggregator "mode"`},
 		{[]string{"-trim-f", "-1"}, "collective: TrimF must be non-negative, got -1"},
-		{[]string{"-quarantine-rounds", "-1"}, "QuarantineRounds must be non-negative, got -1"},
-		{[]string{"-watchdog", "-watchdog-window", "-1"}, "watchdog: Window -1 negative"},
-		{[]string{"-watchdog", "-watchdog-residual-factor", "NaN"}, "watchdog: ResidualFactor NaN is not finite and non-negative"},
 		{[]string{"-synth", "rcv1"}, `-synth rcv1 -scale 0.0005: unknown preset "rcv1"`},
 		{[]string{"-scale", "0"}, "-synth news20 -scale 0: scale 0 outside (0, 1]"},
 		{[]string{"-scale", "-1"}, "-synth news20 -scale -1: scale -1 outside (0, 1]"},
