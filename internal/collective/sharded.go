@@ -104,28 +104,14 @@ func (ws *Workspace) ShardAllreduceSparseAgg(ep transport.Endpoint, g Group, tag
 	// I own — a static property of the plan.
 	arrivals := ws.arrS
 	expect := 0
-	for i := 0; i < p; i++ {
-		if i != me && planPairs(plan, i, me) {
+	for i := range ws.allow {
+		ws.allow[i] = i != me && planPairs(plan, i, me)
+		if ws.allow[i] {
 			expect++
 		}
 	}
-	for n := 0; n < expect; n++ {
-		in, err := ep.Recv(transport.AnySource, tagBase)
-		if err != nil {
-			return tr, err
-		}
-		sv, err := sparsePayload(&in)
-		if err != nil {
-			return tr, err
-		}
-		if sv.Dim != part.Dim {
-			return tr, fmt.Errorf("collective: shard scatter dim %d, want %d", sv.Dim, part.Dim)
-		}
-		src := ws.memberIndex(in.From)
-		if src < 0 || src == me || arrivals[src] != nil || !planPairs(plan, src, me) {
-			return tr, fmt.Errorf("collective: shard scatter unexpected sender %d", in.From)
-		}
-		arrivals[src] = sv
+	if err := ws.recvPhase(ep, "shard scatter", tagBase, expect, me, part.Dim, ws.allow, arrivals); err != nil {
+		return tr, err
 	}
 	if err := ws.drainSends(); err != nil {
 		return tr, err
@@ -193,28 +179,14 @@ func (ws *Workspace) ShardAllreduceSparseAgg(ep transport.Endpoint, g Group, tag
 	}
 	gathered := ws.shArr
 	expect = 0
-	for j := 0; j < p; j++ {
-		if j != me && planPairs(plan, me, j) {
+	for j := range ws.allow {
+		ws.allow[j] = j != me && planPairs(plan, me, j)
+		if ws.allow[j] {
 			expect++
 		}
 	}
-	for n := 0; n < expect; n++ {
-		in, err := ep.Recv(transport.AnySource, tagBase+1)
-		if err != nil {
-			return tr, err
-		}
-		sv, err := sparsePayload(&in)
-		if err != nil {
-			return tr, err
-		}
-		if sv.Dim != part.Dim {
-			return tr, fmt.Errorf("collective: shard gather dim %d, want %d", sv.Dim, part.Dim)
-		}
-		src := ws.memberIndex(in.From)
-		if src < 0 || src == me || gathered[src] != nil || !planPairs(plan, me, src) {
-			return tr, fmt.Errorf("collective: shard gather unexpected sender %d", in.From)
-		}
-		gathered[src] = sv
+	if err := ws.recvPhase(ep, "shard gather", tagBase+1, expect, me, part.Dim, ws.allow, gathered); err != nil {
+		return tr, err
 	}
 	if err := ws.drainSends(); err != nil {
 		return tr, err
@@ -255,18 +227,20 @@ func planPairs(plan *shard.Plan, i, j int) bool {
 	return false
 }
 
-// ensureShard sizes the sharded-collective scratch: gather arrivals and
-// per-destination outgoing buffers (p-wide) plus one reduced-block slot per
-// owned block.
+// ensureShard sizes the sharded-collective scratch: gather arrivals,
+// per-destination outgoing buffers and the receive phases' allowed
+// senders (p-wide) plus one reduced-block slot per owned block.
 func (ws *Workspace) ensureShard(p, owned int) {
 	if cap(ws.shOut) < p {
 		out := make([]*sparse.Vector, p)
 		copy(out, ws.shOut)
 		ws.shOut = out
 		ws.shArr = make([]*sparse.Vector, p)
+		ws.allow = make([]bool, p)
 	}
 	ws.shOut = ws.shOut[:p]
 	ws.shArr = ws.shArr[:p]
+	ws.allow = ws.allow[:p]
 	for i := range ws.shOut {
 		if ws.shOut[i] == nil {
 			ws.shOut[i] = new(sparse.Vector)

@@ -63,10 +63,12 @@ type Workspace struct {
 	// Sharded-collective scratch (ShardAllreduceSparse): reduced owned
 	// blocks, gather-phase per-destination outgoing buffers, and gather
 	// arrival slots. Kept apart from own/cur/arrS so neither phase rewrites
-	// a payload the other may still alias on zero-copy fabrics.
+	// a payload the other may still alias on zero-copy fabrics. allow[i]
+	// marks the members a shard receive phase expects a frame from.
 	shRed []*sparse.Vector
 	shOut []*sparse.Vector
 	shArr []*sparse.Vector
+	allow []bool
 
 	// Robust-combine scratch (robust.go): the coordinate × contributor
 	// matrix behind the trimmed-mean/median form of the combine step.
@@ -122,6 +124,38 @@ func (ws *Workspace) memberIndex(from int32) int {
 		return -1
 	}
 	return ws.pos[from].idx
+}
+
+// recvPhase receives the n any-source frames of one phase on tag into
+// slots, indexed by member: the one place a collective admits a received
+// frame. It refuses a frame from a non-member, from me, or from a member
+// allow marks false (nil allows every other member); a second frame from
+// one member; and a frame whose payload SparsePayload refuses. Every frame
+// must carry dimension dim, or the sending member's chunk of ws.chunks
+// when dim < 0. phase names the phase in the errors. Slots of the members
+// the phase expects must be nil on entry.
+func (ws *Workspace) recvPhase(ep transport.Endpoint, phase string, tag int32, n, me, dim int, allow []bool, slots []*sparse.Vector) error {
+	for k := 0; k < n; k++ {
+		in, err := ep.Recv(transport.AnySource, tag)
+		if err != nil {
+			return err
+		}
+		src := ws.memberIndex(in.From)
+		if src < 0 || src == me || allow != nil && !allow[src] {
+			return fmt.Errorf("collective: %s unexpected sender %d", phase, in.From)
+		}
+		if slots[src] != nil {
+			return fmt.Errorf("collective: %s duplicate sender %d", phase, in.From)
+		}
+		want := dim
+		if want < 0 {
+			want = ws.chunks[src].Len()
+		}
+		if slots[src], err = SparsePayload(&in, want); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ensureSparse sizes the sparse block/arrival state for a p-member group.
@@ -251,12 +285,9 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 			return tr, err
 		}
 		tr.add(s, ep.Rank(), next, bytes)
-		sv, err := sparsePayload(&in)
+		sv, err := SparsePayload(&in, blocks[recvIdx].Dim)
 		if err != nil {
 			return tr, err
-		}
-		if sv.Dim != blocks[recvIdx].Dim {
-			return tr, fmt.Errorf("collective: ring sparse block dim %d, want %d", sv.Dim, blocks[recvIdx].Dim)
 		}
 		merged := sparse.MergeInto(ws.spare, blocks[recvIdx], sv)
 		// The displaced buffer was never sent (a block is merged one step
@@ -284,12 +315,9 @@ func (ws *Workspace) RingAllreduceSparse(ep transport.Endpoint, g Group, tagBase
 			return tr, err
 		}
 		tr.add(p-1+s, ep.Rank(), next, bytes)
-		sv, err := sparsePayload(&in)
+		sv, err := SparsePayload(&in, blocks[recvIdx].Dim)
 		if err != nil {
 			return tr, err
-		}
-		if sv.Dim != blocks[recvIdx].Dim {
-			return tr, fmt.Errorf("collective: ring sparse gather dim %d, want %d", sv.Dim, blocks[recvIdx].Dim)
 		}
 		blocks[recvIdx] = sv
 	}
@@ -382,23 +410,8 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 	// Collect contributions first, then combine in member order so float
 	// association is independent of arrival order (bit-reproducibility).
 	arrivals := ws.arrS
-	for j := 0; j < p-1; j++ {
-		in, err := ep.Recv(transport.AnySource, tagBase)
-		if err != nil {
-			return tr, err
-		}
-		sv, err := sparsePayload(&in)
-		if err != nil {
-			return tr, err
-		}
-		if sv.Dim != mine.Hi-mine.Lo {
-			return tr, fmt.Errorf("collective: psr sparse scatter dim %d, want %d", sv.Dim, mine.Hi-mine.Lo)
-		}
-		src := ws.memberIndex(in.From)
-		if src < 0 || src == me || arrivals[src] != nil {
-			return tr, fmt.Errorf("collective: psr sparse scatter unexpected sender %d", in.From)
-		}
-		arrivals[src] = sv
+	if err := ws.recvPhase(ep, "psr sparse scatter", tagBase, p-1, me, mine.Len(), nil, arrivals); err != nil {
+		return tr, err
 	}
 	arrivals[me] = ws.own[me]
 	myBlock := ws.combine(spec, 0, mine.Hi-mine.Lo, arrivals, ws.myBlock)
@@ -435,29 +448,10 @@ func (ws *Workspace) PSRAllreduceSparseAgg(ep transport.Endpoint, g Group, tagBa
 		ws.events = tr.Events
 		return tr, nil
 	}
-	// A duplicate would overwrite its block and leave another's nil.
 	blocks := ws.cur
 	blocks[me] = myBlock
-	for j := 0; j < p-1; j++ {
-		in, err := ep.Recv(transport.AnySource, tagBase+1)
-		if err != nil {
-			return tr, err
-		}
-		sv, err := sparsePayload(&in)
-		if err != nil {
-			return tr, err
-		}
-		src := ws.memberIndex(in.From)
-		if src < 0 || src == me {
-			return tr, fmt.Errorf("collective: psr sparse gather from unexpected rank %d", in.From)
-		}
-		if blocks[src] != nil {
-			return tr, fmt.Errorf("collective: psr sparse gather duplicate sender %d", in.From)
-		}
-		if sv.Dim != ws.chunks[src].Hi-ws.chunks[src].Lo {
-			return tr, fmt.Errorf("collective: psr sparse gather dim %d, want %d", sv.Dim, ws.chunks[src].Hi-ws.chunks[src].Lo)
-		}
-		blocks[src] = sv
+	if err := ws.recvPhase(ep, "psr sparse gather", tagBase+1, p-1, me, -1, nil, blocks); err != nil {
+		return tr, err
 	}
 	if err := ws.drainSends(); err != nil {
 		return tr, err
@@ -518,23 +512,8 @@ func (ws *Workspace) ReduceSparse(ep transport.Endpoint, g Group, tagBase int32,
 	}
 	ws.ensureSparse(g.Size())
 	arrivals := ws.arrS
-	for j := 0; j < g.Size()-1; j++ {
-		in, err := ep.Recv(transport.AnySource, tagBase)
-		if err != nil {
-			return tr, err
-		}
-		sv, err := sparsePayload(&in)
-		if err != nil {
-			return tr, err
-		}
-		if sv.Dim != v.Dim {
-			return tr, fmt.Errorf("collective: sparse reduce dim %d, want %d", sv.Dim, v.Dim)
-		}
-		src := ws.memberIndex(in.From)
-		if src < 0 || src == me || arrivals[src] != nil {
-			return tr, fmt.Errorf("collective: sparse reduce unexpected sender %d", in.From)
-		}
-		arrivals[src] = sv
+	if err := ws.recvPhase(ep, "sparse reduce", tagBase, g.Size()-1, me, v.Dim, nil, arrivals); err != nil {
+		return tr, err
 	}
 	arrivals[me] = v
 	ws.combine(AggSpec{}, 0, v.Dim, arrivals, out)
@@ -583,7 +562,7 @@ func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int
 	if err != nil {
 		return tr, err
 	}
-	sv, err := sparsePayload(&in)
+	sv, err := SparsePayload(&in, -1)
 	if err != nil {
 		return tr, err
 	}

@@ -20,13 +20,25 @@ type TimeScratch struct {
 	out, in []float64 // indexed step*world + rank
 	touched []int32   // touched flat keys, first-touch order
 	times   []float64
-	world   int
+	// node[r] is rank r's node under topo (world = len(node)), built when
+	// the topology changes, so the per-event intra/inter test divides
+	// nothing.
+	node []int32
+	topo Topology
 }
 
-// grow ensures capacity for steps×world load cells. Cells are kept clean
-// between calls via the touched list, so growth only zero-fills new
-// storage.
-func (ts *TimeScratch) grow(steps, world int) {
+// grow ensures capacity for steps×world load cells and the node table of
+// topo. Cells are kept clean between calls via the touched list, so growth
+// only zero-fills new storage.
+func (ts *TimeScratch) grow(steps int, topo Topology) {
+	world := topo.Size()
+	if topo != ts.topo {
+		ts.node = ts.node[:0]
+		for r := 0; r < world; r++ {
+			ts.node = append(ts.node, int32(topo.NodeOf(r)))
+		}
+		ts.topo = topo
+	}
 	n := steps * world
 	if cap(ts.out) < n {
 		ts.out = make([]float64, n)
@@ -34,7 +46,6 @@ func (ts *TimeScratch) grow(steps, world int) {
 	}
 	ts.out = ts.out[:n]
 	ts.in = ts.in[:n]
-	ts.world = world
 	if cap(ts.times) < steps {
 		ts.times = make([]float64, steps)
 	}
@@ -44,13 +55,16 @@ func (ts *TimeScratch) grow(steps, world int) {
 
 // load adds events' send and receive costs to ts's per-(step, endpoint)
 // cells, in slice order.
-func (c CostModel) load(ts *TimeScratch, topo Topology, steps int, events []collective.Event) {
-	world := ts.world
+func (c CostModel) load(ts *TimeScratch, steps int, events []collective.Event) {
+	world := len(ts.node)
 	for _, e := range events {
 		if e.Step < 0 || e.Step >= steps {
 			panic(fmt.Sprintf("simnet: event step %d out of [0,%d)", e.Step, steps))
 		}
-		alpha, beta := c.linkCost(topo, e.From, e.To)
+		alpha, beta := c.InterAlpha, c.InterBeta
+		if ts.node[e.From] == ts.node[e.To] {
+			alpha, beta = c.IntraAlpha, c.IntraBeta
+		}
 		cost := alpha + beta*float64(e.Bytes)
 		kf := int32(e.Step*world + e.From)
 		kt := int32(e.Step*world + e.To)
@@ -69,7 +83,7 @@ func (c CostModel) load(ts *TimeScratch, topo Topology, steps int, events []coll
 // endpoint, and leaves the cells clean for the next call.
 func (ts *TimeScratch) fold() []float64 {
 	for _, k := range ts.touched {
-		s := int(k) / ts.world
+		s := int(k) / len(ts.node)
 		if ts.out[k] > ts.times[s] {
 			ts.times[s] = ts.out[k]
 		}
@@ -98,9 +112,9 @@ func (c CostModel) TraceTimeScratch(ts *TimeScratch, topo Topology, traces ...co
 	if steps == 0 {
 		return 0
 	}
-	ts.grow(steps, topo.Size())
+	ts.grow(steps, topo)
 	for _, tr := range traces {
-		c.load(ts, topo, steps, tr.Events)
+		c.load(ts, steps, tr.Events)
 	}
 	var total float64
 	for _, t := range ts.fold() {

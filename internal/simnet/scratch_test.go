@@ -41,7 +41,10 @@ func stepTimes(c CostModel, topo Topology, steps int, events []collective.Event)
 		if e.Step < 0 || e.Step >= steps {
 			panic(fmt.Sprintf("simnet: event step %d out of [0,%d)", e.Step, steps))
 		}
-		alpha, beta := c.linkCost(topo, e.From, e.To)
+		alpha, beta := c.InterAlpha, c.InterBeta
+		if topo.NodeOf(e.From) == topo.NodeOf(e.To) {
+			alpha, beta = c.IntraAlpha, c.IntraBeta
+		}
 		cost := alpha + beta*float64(e.Bytes)
 		m := perStep[e.Step]
 		if m == nil {
@@ -91,13 +94,16 @@ func oracleTraceTime(c CostModel, topo Topology, traces ...collective.Trace) flo
 
 // TestScratchMatchesAllocating pins TraceTime and TraceTimeScratch, bit for
 // bit, to the map-based oracle over the members' merged traces, for the
-// whole collective and step by step.
+// whole collective and step by step. One scratch serves every round while
+// the topology changes under it, twice at an unchanged world size, so its
+// node table must follow the layout, not the rank count.
 func TestScratchMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	topo := Topology{Nodes: 4, WorkersPerNode: 3}
+	topos := []Topology{{Nodes: 4, WorkersPerNode: 3}, {Nodes: 3, WorkersPerNode: 4}, {Nodes: 2, WorkersPerNode: 6}}
 	c := Tianhe2Like()
 	var ts TimeScratch
 	for round := 0; round < 100; round++ {
+		topo := topos[round/10%len(topos)]
 		steps := 1 + rng.Intn(6)
 		tr1 := randTrace(rng, topo.Size(), steps, rng.Intn(40))
 		tr2 := randTrace(rng, topo.Size(), 1+rng.Intn(steps), rng.Intn(40))
@@ -111,8 +117,8 @@ func TestScratchMatchesAllocating(t *testing.T) {
 		}
 
 		wantSteps := stepTimes(c, topo, steps, tr1.Events)
-		ts.grow(steps, topo.Size())
-		c.load(&ts, topo, steps, tr1.Events)
+		ts.grow(steps, topo)
+		c.load(&ts, steps, tr1.Events)
 		gotSteps := ts.fold()
 		if len(wantSteps) != len(gotSteps) {
 			t.Fatalf("round %d: step count %d != %d", round, len(gotSteps), len(wantSteps))

@@ -38,9 +38,6 @@ func (t Topology) WorkersOf(n int) []int {
 	return out
 }
 
-// SameNode reports whether ranks a and b share a physical node.
-func (t Topology) SameNode(a, b int) bool { return t.NodeOf(a) == t.NodeOf(b) }
-
 // Validate checks the topology is non-degenerate.
 func (t Topology) Validate() error {
 	if t.Nodes <= 0 || t.WorkersPerNode <= 0 {
@@ -94,14 +91,6 @@ func (c CostModel) ScaleBandwidth(k float64) CostModel {
 func (c CostModel) ScaleCompute(k float64) CostModel {
 	c.ComputePerUnit *= k
 	return c
-}
-
-// linkCost returns the (alpha, beta) pair for a message from rank a to b.
-func (c CostModel) linkCost(topo Topology, a, b int) (alpha, beta float64) {
-	if topo.SameNode(a, b) {
-		return c.IntraAlpha, c.IntraBeta
-	}
-	return c.InterAlpha, c.InterBeta
 }
 
 // WorkUnits converts a subproblem solve's observed work into model units:

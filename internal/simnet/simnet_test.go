@@ -22,9 +22,6 @@ func TestTopology(t *testing.T) {
 	if len(w) != 4 || w[0] != 4 || w[3] != 7 {
 		t.Fatalf("WorkersOf = %v", w)
 	}
-	if !topo.SameNode(4, 7) || topo.SameNode(3, 4) {
-		t.Fatal("SameNode wrong")
-	}
 	if (Topology{Nodes: 0, WorkersPerNode: 1}).Validate() == nil {
 		t.Fatal("invalid topology accepted")
 	}
@@ -94,8 +91,8 @@ func TestStepsSumAndEmptySteps(t *testing.T) {
 	}}
 	// Step 1 has no events: zero duration.
 	var ts TimeScratch
-	ts.grow(tr.Steps, topo.Size())
-	c.load(&ts, topo, tr.Steps, tr.Events)
+	ts.grow(tr.Steps, topo)
+	c.load(&ts, tr.Steps, tr.Events)
 	times := ts.fold()
 	if len(times) != 3 || times[1] != 0 {
 		t.Fatalf("times = %v", times)

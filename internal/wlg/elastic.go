@@ -57,12 +57,13 @@ import (
 // windows as the fail-stop protocol's — the two protocols never share a
 // run, so reuse is safe — and the fixed control tag sits beside
 // tagGGRequest, below tagIterBase and far below the collective package's
-// ack band.
+// ack band. A round result's aggregate follows its control on the next
+// offset (sendResult, awaitResult).
 const (
 	offElMemberW  = 0 // member → Leader: encoded contribution w_i
-	offElReplyCtl = 2 // GG → requester: Control[status, contributors, short]
+	offElReplyCtl = 2 // GG → requester: Control[status, contributors, short, log...]
 	offElReplyW   = 3 // GG → requester: group aggregate
-	offElBcCtl    = 5 // Leader → member: Control[contributors, short]
+	offElBcCtl    = 5 // Leader → member: Control[status, contributors, short, log...]
 	offElBcW      = 6 // Leader → member: group aggregate
 	offElGGW      = 7 // Leader → GG: node sum (follows the contribute control)
 
@@ -137,12 +138,52 @@ type groupResult struct {
 	short        bool
 }
 
-// shortFlag encodes the short verdict for a control frame.
-func (r groupResult) shortFlag() int64 {
+// control is the control frame of a ready result, [status, contributors,
+// short, log...]: the layout of the GG's replies and the Leader's
+// broadcast alike.
+func (r *groupResult) control(log []int64) []int64 {
+	short := int64(0)
 	if r.short {
-		return 1
+		short = 1
 	}
-	return 0
+	return append(append(make([]int64, 0, 3+len(log)), elStatusReady, int64(r.contributors), short), log...)
+}
+
+// sendResult sends a ready result to rank to: ctl on the iteration's
+// offset off, the aggregate on the next. The GG's replies and the Leader's
+// broadcast both send through here; awaitResult reads what it sends.
+func sendResult(ep transport.Endpoint, to, iter, off int, ctl []int64, agg *sparse.Vector) error {
+	if err := ep.Send(to, wire.Control(iterTag(iter, off), ctl...)); err != nil {
+		return err
+	}
+	return ep.Send(to, wire.SparseMsg(iterTag(iter, off+1), agg))
+}
+
+// awaitResult reads what src sent through sendResult on the iteration's
+// offset off, checking the control's length and status word before it
+// reads a field, and keeps the rejoin log a reply of either status
+// carries. ready is false with a nil error on a "not ready" status.
+func (w *elasticWorker) awaitResult(src, iter, off, dim int) (res groupResult, ready bool, err error) {
+	ctl, err := collective.RecvRetry(w.ep, src, iterTag(iter, off), w.pol)
+	if err != nil {
+		return groupResult{}, false, err
+	}
+	if err := controlInts(&ctl, 3); err != nil {
+		return groupResult{}, false, err
+	}
+	w.noteJoins(ctl.Ints[3:])
+	if ctl.Ints[0] != elStatusReady {
+		return groupResult{}, false, nil
+	}
+	wm, err := collective.RecvRetry(w.ep, src, iterTag(iter, off+1), w.pol)
+	if err != nil {
+		return groupResult{}, false, err
+	}
+	agg, err := collective.SparsePayload(&wm, dim)
+	if err != nil {
+		return groupResult{}, false, err
+	}
+	return groupResult{agg, int(ctl.Ints[1]), ctl.Ints[2] != 0}, true, nil
 }
 
 // elasticWorker is one rank's state for the fail-survive protocol.
@@ -348,17 +389,11 @@ func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (groupResult, erro
 			}
 			return groupResult{}, fmt.Errorf("wlg: rank %d iter %d send to leader %d: %w", w.rank, iter, leader, err)
 		}
-		ctl, err := collective.RecvRetry(w.ep, leader, iterTag(iter, offElBcCtl), w.pol)
-		if err == nil {
-			w.noteJoins(ctl.Ints[2:]) // the Leader forwards the GG's rejoin log
-			var wm wire.Message
-			wm, err = collective.RecvRetry(w.ep, leader, iterTag(iter, offElBcW), w.pol)
-			if err == nil {
-				agg, err := sparsePayload(wm, own.Dim)
-				return groupResult{agg, int(ctl.Ints[0]), ctl.Ints[1] != 0}, err
-			}
+		res, ready, err := w.awaitResult(leader, iter, offElBcCtl, own.Dim)
+		if ready {
+			return res, nil
 		}
-		if _, down := w.tr.Observe(err); !down && !errors.Is(err, collective.ErrUnavailable) {
+		if _, down := w.tr.Observe(err); err != nil && !down && !errors.Is(err, collective.ErrUnavailable) {
 			return groupResult{}, fmt.Errorf("wlg: rank %d iter %d await leader %d: %w", w.rank, iter, leader, err)
 		}
 
@@ -437,7 +472,7 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, 
 			}
 			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
 		}
-		sv, err := sparsePayload(msg, own.Dim)
+		sv, err := collective.SparsePayload(&msg, own.Dim)
 		if err != nil {
 			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
 		}
@@ -470,17 +505,12 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, 
 	// control forwards the GG's verdict and the rejoin log, so members
 	// that only ever talk to their Leader still learn about granted
 	// rejoins in time.
-	bc := append(make([]int64, 0, 2+len(w.joinLog)), int64(res.contributors), res.shortFlag())
-	bc = append(bc, w.joinLog...)
+	bc := res.control(w.joinLog)
 	for _, m := range w.tr.Live(w.members) {
 		if m == w.rank {
 			continue
 		}
-		if err := w.ep.Send(m, wire.Control(iterTag(iter, offElBcCtl), bc...)); err != nil {
-			w.tr.Observe(err)
-			continue
-		}
-		if err := w.ep.Send(m, wire.SparseMsg(iterTag(iter, offElBcW), res.w)); err != nil {
+		if err := sendResult(w.ep, m, iter, offElBcCtl, bc, res.w); err != nil {
 			w.tr.Observe(err)
 		}
 	}
@@ -488,8 +518,10 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, 
 }
 
 // contribute sends the node sum to the GG and awaits the group reply,
-// re-contributing on a lost exchange (the GG deduplicates by node, so
-// at-least-once is safe).
+// re-contributing on a lost exchange or a "not ready" reply (the GG
+// deduplicates by node, so at-least-once is safe). A "not ready" reply on
+// this tag answers a recover request this rank made as a member earlier
+// in the round, before it was elected Leader.
 func (w *elasticWorker) contribute(iter int, sum *sparse.Vector, count int) (groupResult, error) {
 	for attempt := 0; attempt < recontributeCap; attempt++ {
 		if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindContribute, int64(w.node), int64(iter), int64(count))); err != nil {
@@ -498,23 +530,13 @@ func (w *elasticWorker) contribute(iter int, sum *sparse.Vector, count int) (gro
 		if err := w.ep.Send(w.gg, wire.SparseMsg(iterTag(iter, offElGGW), sum)); err != nil {
 			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d contribute payload: %w", w.rank, iter, err)
 		}
-		ctl, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyCtl), w.pol)
-		if err != nil {
-			if errors.Is(err, collective.ErrUnavailable) {
-				continue // lost somewhere on the way: re-contribute
-			}
+		res, ready, err := w.awaitResult(w.gg, iter, offElReplyCtl, sum.Dim)
+		if ready {
+			return res, nil
+		}
+		if err != nil && !errors.Is(err, collective.ErrUnavailable) {
 			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d GG reply: %w", w.rank, iter, err)
 		}
-		w.noteJoins(ctl.Ints[3:])
-		wm, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyW), w.pol)
-		if err != nil {
-			if errors.Is(err, collective.ErrUnavailable) {
-				continue
-			}
-			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d GG aggregate: %w", w.rank, iter, err)
-		}
-		agg, err := sparsePayload(wm, sum.Dim)
-		return groupResult{agg, int(ctl.Ints[1]), ctl.Ints[2] != 0}, err
 	}
 	return groupResult{}, fmt.Errorf("wlg: leader %d iter %d: GG unresponsive after %d contributions: %w",
 		w.rank, iter, recontributeCap, collective.ErrUnavailable)
@@ -527,26 +549,13 @@ func (w *elasticWorker) recoverFromGG(iter, dim int) (res groupResult, hit bool,
 	if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindRecover, int64(w.node), int64(iter), 0)); err != nil {
 		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d recover: %w", w.rank, iter, err)
 	}
-	ctl, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyCtl), w.pol)
-	if err != nil {
-		if errors.Is(err, collective.ErrUnavailable) {
-			return groupResult{}, false, nil
-		}
+	// A lost request or reply is a miss: the caller re-requests, and the
+	// cache serves repeatedly.
+	res, hit, err = w.awaitResult(w.gg, iter, offElReplyCtl, dim)
+	if err != nil && !errors.Is(err, collective.ErrUnavailable) {
 		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d recover reply: %w", w.rank, iter, err)
 	}
-	w.noteJoins(ctl.Ints[3:]) // both Ready and NotReady replies carry the log
-	if ctl.Ints[0] != elStatusReady {
-		return groupResult{}, false, nil
-	}
-	wm, err := collective.RecvRetry(w.ep, w.gg, iterTag(iter, offElReplyW), w.pol)
-	if err != nil {
-		if errors.Is(err, collective.ErrUnavailable) {
-			return groupResult{}, false, nil // re-request: the cache serves repeatedly
-		}
-		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d recover payload: %w", w.rank, iter, err)
-	}
-	agg, err := sparsePayload(wm, dim)
-	return groupResult{agg, int(ctl.Ints[1]), ctl.Ints[2] != 0}, err == nil, err
+	return res, hit, nil
 }
 
 // runGGElastic is the elastic Group Generator: an any-source control loop
@@ -634,13 +643,8 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		return false
 	}
 	reply := func(to, iter int, res *groupResult) {
-		ctl := rj.withLog(elStatusReady, int64(res.contributors), res.shortFlag())
-		if err := ep.Send(to, wire.Control(iterTag(iter, offElReplyCtl), ctl...)); err != nil {
+		if err := sendResult(ep, to, iter, offElReplyCtl, res.control(rj.log), res.w); err != nil {
 			tr.Observe(err) // a dead Leader's successor recovers from the cache
-			return
-		}
-		if err := ep.Send(to, wire.SparseMsg(iterTag(iter, offElReplyW), res.w)); err != nil {
-			tr.Observe(err)
 		}
 	}
 	flush := func(iter int, q []*entry) {
@@ -751,7 +755,7 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 				recheck()
 				continue
 			}
-			sv, err := sparsePayload(wm, dim)
+			sv, err := collective.SparsePayload(&wm, dim)
 			if err != nil {
 				return fmt.Errorf("wlg: GG contribution payload from %d: %w", from, err)
 			}
@@ -792,7 +796,7 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 			rj.observe(iter)
 			if res, ok := cache[key{iter, node}]; ok {
 				reply(from, iter, res)
-			} else if err := ep.Send(from, wire.Control(iterTag(iter, offElReplyCtl), rj.withLog(elStatusNotReady, 0, 0)...)); err != nil {
+			} else if err := ep.Send(from, wire.Control(iterTag(iter, offElReplyCtl), append([]int64{elStatusNotReady, 0, 0}, rj.log...)...)); err != nil {
 				tr.Observe(err)
 			}
 		case elKindRejoin:
@@ -823,19 +827,4 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		}
 	}
 	return nil
-}
-
-// sparsePayload returns the sparse vector a data frame carries, or an
-// error wrapping collective.ErrPayloadKind when the frame is of another
-// kind or of the wrong dimension (dim < 0 accepts any) — a protocol
-// confusion that must surface as an error, never as a nil dereference or
-// an accumulator panic.
-func sparsePayload(m wire.Message, dim int) (*sparse.Vector, error) {
-	if m.Kind != wire.KindSparse || m.Sparse == nil {
-		return nil, fmt.Errorf("wlg: tag %d from %d carries kind %v, want sparse: %w", m.Tag, m.From, m.Kind, collective.ErrPayloadKind)
-	}
-	if dim >= 0 && m.Sparse.Dim != dim {
-		return nil, fmt.Errorf("wlg: tag %d from %d carries dimension %d, want %d: %w", m.Tag, m.From, m.Sparse.Dim, dim, collective.ErrPayloadKind)
-	}
-	return m.Sparse, nil
 }

@@ -6,9 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"psrahgadmm/internal/collective"
+	"psrahgadmm/internal/membership"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
+	"psrahgadmm/internal/wire"
 )
 
 // elasticRecorder wires a full elastic world over a (possibly faulty)
@@ -336,6 +340,47 @@ func TestStartIterValidation(t *testing.T) {
 		cfg := Config{Topo: topo, MaxIter: 3, StartIter: si}
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("StartIter %d accepted", si)
+		}
+	}
+}
+
+// TestContributeSkipsStaleNotReady: a worker that asked the GG to recover a
+// round while still a member, and was then elected Leader in the same
+// round, finds the late "not ready" reply on the tag its contribution
+// waits on. The Leader must re-contribute and take the ready reply that
+// follows — not read the stale frame as a result of 0 contributors, which
+// would make every rank of its node apply z = 0 that round.
+func TestContributeSkipsStaleNotReady(t *testing.T) {
+	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
+	fab := transport.NewChanFabric(WorldSize(topo))
+	defer fab.Close()
+	const iter = 3
+	gg := fab.Endpoint(GGRank(topo))
+	// The scripted GG: the late reply to the recover request, then the
+	// reply to the contribution.
+	for _, m := range []wire.Message{
+		wire.Control(iterTag(iter, offElReplyCtl), elStatusNotReady, 0, 0),
+		wire.Control(iterTag(iter, offElReplyCtl), elStatusReady, 4, 0),
+		wire.SparseMsg(iterTag(iter, offElReplyW), sparse.FromDense([]float64{1, 0, 2, 0})),
+	} {
+		if err := gg.Send(0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &elasticWorker{ep: fab.Endpoint(0), gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
+	res, err := w.contribute(iter, sparse.FromDense([]float64{0, 1, 0, 1}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.contributors != 4 || res.w.Dim != 4 || res.w.NNZ() != 2 {
+		t.Fatalf("contributors %d, aggregate %v; want 4 and the ready reply's", res.contributors, res.w)
+	}
+	// The stale reply cost one re-contribution: the GG holds two.
+	once := collective.RetryPolicy{Attempts: 1, BaseDelay: time.Second}
+	for i := 0; i < 2; i++ {
+		m, err := collective.RecvRetry(gg, 0, tagElControl, once)
+		if err != nil || len(m.Ints) != 4 || m.Ints[0] != elKindContribute {
+			t.Fatalf("contribution %d at the GG: %v %v", i, m.Ints, err)
 		}
 	}
 }

@@ -184,15 +184,6 @@ func (g *ggRejoin) grantInts(grant *rejoinGrant) []int64 {
 	return append(ints, g.log...)
 }
 
-// withLog prefixes the rejoin log with a reply's own fields — the shape
-// of every elastic GG control reply once rejoin exists.
-func (g *ggRejoin) withLog(prefix ...int64) []int64 {
-	if len(g.log) == 0 {
-		return prefix
-	}
-	return append(append(make([]int64, 0, len(prefix)+len(g.log)), prefix...), g.log...)
-}
-
 // rejoinStart runs the announce handshake for a returning incarnation and
 // surfaces the warm start, densified, through f.Rejoined. It returns the
 // granted join iteration — the first one this rank executes (possibly >=
@@ -256,7 +247,7 @@ func (w *elasticWorker) announceRejoin() (joinIter int, warm *sparse.Vector, war
 			}
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin warm start: %w", w.rank, err)
 		}
-		warm, err = sparsePayload(wm, -1)
+		warm, err = collective.SparsePayload(&wm, -1)
 		return joinIter, warm, cnt, err
 	}
 	return 0, nil, 0, fmt.Errorf("wlg: rank %d: no rejoin grant after %d announcements: %w",

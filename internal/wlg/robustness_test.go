@@ -2,12 +2,15 @@ package wlg
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/wire"
 )
@@ -34,6 +37,39 @@ func TestGGRejectsMalformedRequest(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("GG did not fail on malformed request")
+	}
+}
+
+// TestMemberRefusesShortCountControl: over TCP a fail-stop member's
+// contributor count comes from another process. A count control with no
+// ints must fail the member's RunWorker with an error wrapping
+// collective.ErrPayloadKind, not panic it with an index out of range.
+func TestMemberRefusesShortCountControl(t *testing.T) {
+	topo := simnet.Topology{Nodes: 1, WorkersPerNode: 2}
+	f := transport.NewChanFabric(WorldSize(topo))
+	defer f.Close()
+	// The Leader's part, scripted: the aggregate, then an empty count.
+	for _, m := range []wire.Message{
+		wire.SparseMsg(iterTag(0, offIntraBc), sparse.FromDense([]float64{1, 2})),
+		wire.Control(iterTag(0, offIntraBc2)),
+	} {
+		if err := f.Endpoint(0).Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := func() (err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = fmt.Errorf("panicked: %v", v)
+			}
+		}()
+		return RunWorker(f.Endpoint(1), Config{Topo: topo, MaxIter: 1}, WorkerFuncs{
+			ComputeW: func(int) []float64 { return make([]float64, 2) },
+			ApplyW:   func(int, []float64, int) {},
+		})
+	}()
+	if !errors.Is(err, collective.ErrPayloadKind) {
+		t.Fatalf("member: %v, want an error wrapping ErrPayloadKind", err)
 	}
 }
 

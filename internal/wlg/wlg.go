@@ -78,6 +78,18 @@ func iterTag(iter, off int) int32 {
 	return int32(tagIterBase + iter*tagsPerIter + off)
 }
 
+// controlInts checks that a peer's frame m holds at least n control ints
+// before any is read. Over TCP the frame comes from another process, so a
+// shorter one is a protocol confusion to report as an error wrapping
+// collective.ErrPayloadKind, never an index panic.
+func controlInts(m *wire.Message, n int) error {
+	if len(m.Ints) < n {
+		return fmt.Errorf("wlg: tag %d from %d carries kind %v with %d ints, want a control of at least %d: %w",
+			m.Tag, m.From, m.Kind, len(m.Ints), n, collective.ErrPayloadKind)
+	}
+	return nil
+}
+
 // Config parameterizes a WLG run.
 type Config struct {
 	Topo simnet.Topology
@@ -410,6 +422,9 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 				return fmt.Errorf("wlg: rank %d iter %d receive W: %w", rank, iter, err)
 			}
 			c, err := ep.Recv(intra.Ranks[0], iterTag(iter, offIntraBc2))
+			if err == nil {
+				err = controlInts(&c, 1)
+			}
 			if err != nil {
 				return fmt.Errorf("wlg: rank %d iter %d receive count: %w", rank, iter, err)
 			}
