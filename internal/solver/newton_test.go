@@ -118,8 +118,9 @@ func relDiff(a, b []float64) float64 {
 // the oracle that loop is held to: oracleTron is tron with its exact
 // branch, oracleStep the Woodbury step (one MulVec, one MulTransVec and the
 // factor), oracleCurvature sᵀHs from one MulVec, and oracleDogleg the fit to
-// the trust region. Only the counters in oracleStats and the
-// refreshOnAccept switch are new.
+// the trust region. Only the counters in oracleStats, the refreshOnAccept
+// switch and a CG step's predicted reduction, which now comes from the CG's
+// residual as tron's does, are new.
 
 // oracleStats counts which branches oracleTron's steps took.
 type oracleStats struct{ inside, cauchy, dogleg, rejected int }
@@ -171,18 +172,20 @@ func oracleTron(o *LogisticProx, x []float64, opts TronOptions, exact, refreshOn
 		}
 		if !ok {
 			atBoundary = steihaugCG(o, g, s, ws.r, ws.d, hd, delta, opts, &res)
-			sHs = o.HessVec(s, hd)
-			res.CGIters++
 		}
-		var gs float64
+		var gs, sr float64
 		for i, si := range s {
 			gs += g[i] * si
+			sr += si * ws.r[i]
 			xNew[i] = x[i] + si
 		}
 		if ok && !atBoundary {
 			sHs = -gs // H s = −g
 		}
 		pred := -(gs + 0.5*sHs)
+		if !ok {
+			pred = -0.5 * (gs - sr) // sᵀHs = −gᵀs − sᵀr from the CG's residual
+		}
 
 		fNew := o.Eval(xNew, gNew)
 		res.FunEvals++

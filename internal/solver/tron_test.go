@@ -346,8 +346,11 @@ func TestLocalLossMatchesEval(t *testing.T) {
 
 // refTron and refSteihaugCG are tron and steihaugCG as they were before the
 // CG's passes were fused: seven dense sweeps per CG step. They are kept
-// verbatim but for HessVec's return, which they ignore, and vec.Add and
-// vec.ScaleTo (deleted), which are inlined. TestFusedCGMatchesSevenPassCG
+// verbatim but for HessVec's return, which they ignore, vec.Add and
+// vec.ScaleTo (deleted), which are inlined, and the predicted reduction,
+// which comes from the residual r = −g − Hs the CG leaves (LIBLINEAR's
+// prered) instead of a product for sᵀHs; the CG keeps r on its boundary
+// exits with the fused loop's arithmetic. TestFusedCGMatchesSevenPassCG
 // holds the solver to them in Float64bits.
 func refTron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronResult {
 	ws.ensure(len(x))
@@ -393,9 +396,7 @@ func refTron(obj Objective, x []float64, opts TronOptions, ws *Workspace) TronRe
 		}
 		atBoundary := refSteihaugCG(obj, g, s, r, d, hd, delta, opts, &res)
 
-		obj.HessVec(s, hd)
-		res.CGIters++
-		pred := -(vec.Dot(g, s) + 0.5*vec.Dot(s, hd))
+		pred := -0.5 * (vec.Dot(g, s) - vec.Dot(s, r))
 
 		for i := range xNew {
 			xNew[i] = x[i] + s[i]
@@ -458,14 +459,19 @@ func refSteihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts 
 		if dhd <= 0 {
 			tau := boundaryTau(s, d, delta)
 			vec.Axpy(tau, d, s)
+			vec.Axpy(-tau, hd, r)
 			return true
 		}
 		alpha := rsq / dhd
 		vec.Axpy(alpha, d, s)
 		if vec.Nrm2(s) >= delta {
 			vec.Axpy(-alpha, d, s)
+			// r as the fused loop leaves it: its tentative −α·hd, undone.
+			vec.Axpy(-alpha, hd, r)
+			vec.Axpy(alpha, hd, r)
 			tau := boundaryTau(s, d, delta)
 			vec.Axpy(tau, d, s)
+			vec.Axpy(-tau, hd, r)
 			return true
 		}
 		vec.Axpy(-alpha, hd, r)
@@ -719,4 +725,115 @@ func BenchmarkTRONLogistic(b *testing.B) {
 		x := make([]float64, 50)
 		TRON(obj, x, TronOptions{})
 	}
+}
+
+// checkResidual runs steihaugCG on H s = −g inside delta and returns which
+// exit it took, after checking that it left r = −g − Hs to rounding and that
+// tron's predicted reduction from it, −½(gᵀs − sᵀr), is the model's
+// −(gᵀs + ½sᵀHs). H is obj's Hessian at its last Eval.
+func checkResidual(t *testing.T, name string, obj Objective, g []float64, delta float64, opts TronOptions) string {
+	t.Helper()
+	n := len(g)
+	var ws Workspace
+	ws.ensure(n)
+	probe := &curvatureProbe{Objective: obj}
+	exit := "interior"
+	if steihaugCG(probe, g, ws.s, ws.r, ws.d, ws.hd, delta, opts, &TronResult{}) {
+		exit = "retraction"
+		if probe.nonPositive {
+			exit = "negative curvature"
+		}
+	}
+	hs := make([]float64, n)
+	sHs := obj.HessVec(ws.s, hs)
+	var miss, scale float64
+	for i := range g {
+		miss = math.Max(miss, math.Abs(ws.r[i]+g[i]+hs[i]))
+		scale = math.Max(scale, math.Abs(g[i])+math.Abs(hs[i]))
+	}
+	if !(miss <= 1e-10*scale) {
+		t.Fatalf("%s, %s exit: ‖r + g + Hs‖∞ = %g against %g", name, exit, miss, scale)
+	}
+	gs, sr := vec.Dot(g, ws.s), vec.Dot(ws.s, ws.r)
+	if fromR, fromH := -0.5*(gs-sr), -(gs + 0.5*sHs); !(math.Abs(fromR-fromH) <= 1e-10*(math.Abs(gs)+math.Abs(sHs))) {
+		t.Fatalf("%s, %s exit: pred %v from r, %v from sᵀHs", name, exit, fromR, fromH)
+	}
+	return exit
+}
+
+// TestSteihaugCGLeavesItsResidual: at each of steihaugCG's three exits
+// (interior, negative curvature, and the retraction onto the boundary, which
+// undoes its tentative −α·Hd before taking −τ·Hd) r is −g − Hs to
+// rounding, so the predicted reduction tron takes from it is the model's.
+// On quadratics, indefinite ones among them, and on the benchmark's news20
+// and wide shards, at radii from inside every CG step to past the solution.
+func TestSteihaugCGLeavesItsResidual(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	opts := TronOptions{}
+	opts.fill()
+	seen := map[string]int{}
+	radii := func(obj Objective, g []float64) []float64 {
+		var ws Workspace
+		ws.ensure(len(g))
+		steihaugCG(obj, g, ws.s, ws.r, ws.d, ws.hd, math.Inf(1), opts, &TronResult{})
+		norm := vec.Nrm2(ws.s)
+		if !(norm <= math.MaxFloat64) { // negative curvature: the walk is unbounded
+			norm = vec.Nrm2(g)
+		}
+		return []float64{math.Inf(1), 2 * norm, 0.9 * norm, 0.5 * norm, 0.1 * norm, 1e-3 * norm}
+	}
+	for trial := 0; trial < 20; trial++ {
+		q := newQuadratic(r, 3+r.Intn(10))
+		ind := newQuadratic(r, 3+r.Intn(8))
+		var tr float64
+		for i := range ind.q {
+			tr += ind.q[i][i]
+		}
+		for i := range ind.q {
+			ind.q[i][i] -= 3 * tr / float64(len(ind.q))
+		}
+		for name, obj := range map[string]*quadratic{"quadratic": q, "indefinite": ind} {
+			g := randVec(r, len(obj.b), 1)
+			for _, delta := range radii(obj, g) {
+				if name == "indefinite" && math.IsInf(delta, 1) {
+					continue
+				}
+				seen[checkResidual(t, fmt.Sprintf("%s %d δ=%v", name, trial, delta), obj, g, delta, opts)]++
+			}
+		}
+	}
+
+	news, _, err := dataset.Generate(dataset.News20Like(0.02, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, _, err := dataset.Generate(dataset.SynthConfig{
+		Name: "wide", Dim: 16000, TrainRows: 512, TestRows: 8,
+		RowNNZ: 6, ZipfS: 1.4, SignalNNZ: 60, NoiseFlip: 0.02, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		data  *dataset.Dataset
+		ranks int
+	}{{"news20", news, 8}, {"wide", wide, 16}, {"wide", wide, 64}} {
+		for k, sh := range c.data.Shard(c.ranks)[:4] {
+			_, compact := sh.X.CompactColumns()
+			n := compact.NCols
+			obj := NewLogisticProx(compact, sh.Labels, 1, randVec(r, n, 0.2), randVec(r, n, 0.5))
+			g := make([]float64, n)
+			obj.Eval(randVec(r, n, 0.3), g)
+			for _, delta := range radii(obj, g) {
+				seen[checkResidual(t, fmt.Sprintf("%s/%d shard %d δ=%v", c.name, c.ranks, k, delta), obj, g, delta, opts)]++
+			}
+		}
+	}
+	for _, exit := range []string{"interior", "negative curvature", "retraction"} {
+		if seen[exit] == 0 {
+			t.Errorf("no %s exit taken: %v", exit, seen)
+		}
+	}
+	t.Logf("exits: %v", seen)
 }
