@@ -120,7 +120,7 @@ func reduceBroadcastDenseValued(ws *Workspace, ep transport.Endpoint, g Group, t
 	}
 	// tr's events alias ws storage the broadcast is about to reuse.
 	tr.Events = append([]Event(nil), tr.Events...)
-	tr2, err := ws.BroadcastSparse(ep, g, tag+1, rootIdx, sum, got)
+	tr2, err := ws.BroadcastSparse(ep, g, tag+1, rootIdx, sum, got, len(x))
 	for _, e := range tr2.Events { // the broadcast's steps follow the reduce's
 		e.Step += tr.Steps
 		tr.Events = append(tr.Events, e)
@@ -322,7 +322,7 @@ func TestReduceBroadcastSparse(t *testing.T) {
 			}
 			out = new(sparse.Vector)
 		}
-		if _, err := ws.BroadcastSparse(ep, g, 22, root, sum, out); err != nil {
+		if _, err := ws.BroadcastSparse(ep, g, 22, root, sum, out, dim); err != nil {
 			return err
 		}
 		mu.Lock()

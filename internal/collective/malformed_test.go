@@ -40,7 +40,7 @@ func TestSparseCollectivesRejectWrongKind(t *testing.T) {
 		return err
 	}
 	broadcast := func(ws *Workspace, ep transport.Endpoint, v, out *sparse.Vector) error {
-		_, err := ws.BroadcastSparse(ep, g, 0, 1, v, out)
+		_, err := ws.BroadcastSparse(ep, g, 0, 1, v, out, v.Dim)
 		return err
 	}
 	reduce := func(ws *Workspace, ep transport.Endpoint, v, out *sparse.Vector) error {
@@ -65,8 +65,8 @@ func TestSparseCollectivesRejectWrongKind(t *testing.T) {
 	}{
 		{"ring-allreduce", 0, 2, 3, false, ring}, // its reduce-scatter
 		{"ring-allgather", 1, 2, 3, false, ring},
-		{"broadcast-member", 0, 1, 2, true, broadcast},
-		{"ws-broadcast-member", 0, 1, 2, false, broadcast},
+		{"broadcast-member", 0, 1, 3, true, broadcast},
+		{"ws-broadcast-member", 0, 1, 3, false, broadcast},
 		{"reduce-root", 0, 1, 5, true, reduce},
 		{"ws-reduce-root", 0, 1, 5, false, reduce},
 		{"psr-allreduce", 0, 1, 5, false, psr}, // its scatter-reduce

@@ -85,7 +85,7 @@ func TestWorkspaceReleasesExactlyWhatItReceived(t *testing.T) {
 					return err
 				}},
 				{"broadcast", func(tag int32) error {
-					_, err := ws.BroadcastSparse(spy, g, tag, p/2, vs[me], out)
+					_, err := ws.BroadcastSparse(spy, g, tag, p/2, vs[me], out, vs[me].Dim)
 					return err
 				}},
 				{"ring", func(tag int32) error {
@@ -229,7 +229,7 @@ func TestPooledCollectivesOverTCP(t *testing.T) {
 					if err := same("ring", k, agg); err != nil {
 						return err
 					}
-					if _, err := ws.BroadcastSparse(ep, g, tag+5, 0, sum, got); err != nil {
+					if _, err := ws.BroadcastSparse(ep, g, tag+5, 0, sum, got, dim); err != nil {
 						return err
 					}
 					if r != 0 {

@@ -528,9 +528,10 @@ func (ws *Workspace) ReduceSparse(ep transport.Endpoint, g Group, tagBase int32,
 }
 
 // BroadcastSparse sends the root's vector to every member: the root
-// sends v (out is ignored and may be nil); every other member receives
-// into out, decoupled from the transport buffer.
-func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, v, out *sparse.Vector) (Trace, error) {
+// sends v (out and dim are ignored; out may be nil); every other member
+// receives into out, decoupled from the transport buffer, and refuses a
+// vector whose dimension is not dim with an error wrapping ErrPayloadKind.
+func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int32, rootIdx int, v, out *sparse.Vector, dim int) (Trace, error) {
 	me, err := ws.validateGroup(ep, g)
 	if err != nil {
 		return Trace{}, err
@@ -562,7 +563,7 @@ func (ws *Workspace) BroadcastSparse(ep transport.Endpoint, g Group, tagBase int
 	if err != nil {
 		return tr, err
 	}
-	sv, err := SparsePayload(&in, -1)
+	sv, err := SparsePayload(&in, dim)
 	if err != nil {
 		return tr, err
 	}

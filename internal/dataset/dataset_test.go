@@ -331,12 +331,19 @@ func TestPaperPresets(t *testing.T) {
 	dims := []int{1355191, 16609143, 3231961}
 	trains := []int{16000, 300000, 2000000}
 	tests := []int{3996, 50000, 396130}
+	rowNNZ := []int{455, 3730, 115} // the corpora's own, not ten times them
 	for i, p := range presets {
 		if p.Name != names[i] {
 			t.Fatalf("preset %d name %s", i, p.Name)
 		}
-		if p.Dim != dims[i] || p.TrainRows != trains[i] || p.TestRows != tests[i] {
-			t.Fatalf("preset %s: dim %d train %d test %d", p.Name, p.Dim, p.TrainRows, p.TestRows)
+		if p.Dim != dims[i] || p.TrainRows != trains[i] || p.TestRows != tests[i] || p.RowNNZ != rowNNZ[i] {
+			t.Fatalf("preset %s: dim %d train %d test %d row nonzeros %d", p.Name, p.Dim, p.TrainRows, p.TestRows, p.RowNNZ)
+		}
+	}
+	// Below scale 0.1 rows thin as before: scale 0.02, the pinned draws'.
+	for i, p := range PaperPresets(0.02, 1) {
+		if want := []int{91, 746, 23}[i]; p.RowNNZ != want {
+			t.Fatalf("preset %s at scale 0.02: row nonzeros %d, want %d", p.Name, p.RowNNZ, want)
 		}
 	}
 	// Scaled-down presets still validate.

@@ -140,6 +140,11 @@ func scaled(v int, scale float64, floor int) int {
 	return s
 }
 
+// rowScale is the presets' multiplier on nonzeros per row: rows thin ten
+// times slower than the dimension shrinks, and from scale 0.1 on they hold
+// the corpus' own count.
+func rowScale(scale float64) float64 { return math.Min(1, scale*10) }
+
 // News20Like mimics news20.binary: bag-of-words text, ~455 nonzeros per
 // row over 1.35M features, heavy Zipf head.
 func News20Like(scale float64, seed int64) SynthConfig {
@@ -148,7 +153,7 @@ func News20Like(scale float64, seed int64) SynthConfig {
 		Dim:       scaled(1355191, scale, 256),
 		TrainRows: scaled(16000, scale, 64),
 		TestRows:  scaled(3996, scale, 16),
-		RowNNZ:    scaled(455, scale*10, 12),
+		RowNNZ:    scaled(455, rowScale(scale), 12),
 		ZipfS:     1.3,
 		SignalNNZ: scaled(2000, scale, 32),
 		NoiseFlip: 0.02,
@@ -164,7 +169,7 @@ func WebspamLike(scale float64, seed int64) SynthConfig {
 		Dim:       scaled(16609143, scale, 512),
 		TrainRows: scaled(300000, scale, 96),
 		TestRows:  scaled(50000, scale, 16),
-		RowNNZ:    scaled(3730, scale*10, 20),
+		RowNNZ:    scaled(3730, rowScale(scale), 20),
 		ZipfS:     1.2,
 		SignalNNZ: scaled(4000, scale, 48),
 		NoiseFlip: 0.01,
@@ -180,7 +185,7 @@ func URLLike(scale float64, seed int64) SynthConfig {
 		Dim:       scaled(3231961, scale, 384),
 		TrainRows: scaled(2000000, scale, 128),
 		TestRows:  scaled(396130, scale, 24),
-		RowNNZ:    scaled(115, scale*10, 10),
+		RowNNZ:    scaled(115, rowScale(scale), 10),
 		ZipfS:     1.15,
 		SignalNNZ: scaled(3000, scale, 40),
 		NoiseFlip: 0.03,

@@ -45,31 +45,71 @@ func TestGGRejectsMalformedRequest(t *testing.T) {
 // ints must fail the member's RunWorker with an error wrapping
 // collective.ErrPayloadKind, not panic it with an index out of range.
 func TestMemberRefusesShortCountControl(t *testing.T) {
+	// The Leader's part, scripted: the aggregate, then an empty count.
+	_, err := scriptedMember(t,
+		wire.SparseMsg(iterTag(0, offIntraBc), sparse.FromDense([]float64{1, 2})),
+		wire.Control(iterTag(0, offIntraBc2)))
+	if !errors.Is(err, collective.ErrPayloadKind) {
+		t.Fatalf("member: %v, want an error wrapping ErrPayloadKind", err)
+	}
+}
+
+// scriptedMember runs fail-stop member 1 of a 1 × 2 world for one
+// iteration against a scripted Leader that sends msgs, and returns the
+// whether ApplyW was called and the member's error. ComputeW gives 2 values.
+func scriptedMember(t *testing.T, msgs ...wire.Message) (applied bool, err error) {
+	t.Helper()
 	topo := simnet.Topology{Nodes: 1, WorkersPerNode: 2}
 	f := transport.NewChanFabric(WorldSize(topo))
 	defer f.Close()
-	// The Leader's part, scripted: the aggregate, then an empty count.
-	for _, m := range []wire.Message{
-		wire.SparseMsg(iterTag(0, offIntraBc), sparse.FromDense([]float64{1, 2})),
-		wire.Control(iterTag(0, offIntraBc2)),
-	} {
+	for _, m := range msgs {
 		if err := f.Endpoint(0).Send(1, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := func() (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("panicked: %v", v)
-			}
-		}()
-		return RunWorker(f.Endpoint(1), Config{Topo: topo, MaxIter: 1}, WorkerFuncs{
-			ComputeW: func(int) []float64 { return make([]float64, 2) },
-			ApplyW:   func(int, []float64, int) {},
-		})
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panicked: %v", v)
+		}
 	}()
-	if !errors.Is(err, collective.ErrPayloadKind) {
-		t.Fatalf("member: %v, want an error wrapping ErrPayloadKind", err)
+	err = RunWorker(f.Endpoint(1), Config{Topo: topo, MaxIter: 1}, WorkerFuncs{
+		ComputeW: func(int) []float64 { return make([]float64, 2) },
+		ApplyW:   func(int, []float64, int) { applied = true },
+	})
+	return applied, err
+}
+
+// TestMemberRefusesForeignDimension: a fail-stop member takes the Leader's
+// aggregate only at its own dimension. A 5-dim aggregate to a member whose
+// contribution has 2 fails RunWorker with an error wrapping
+// collective.ErrPayloadKind, and ApplyW never sees it.
+func TestMemberRefusesForeignDimension(t *testing.T) {
+	applied, err := scriptedMember(t,
+		wire.SparseMsg(iterTag(0, offIntraBc), sparse.FromDense([]float64{1, 2, 3, 4, 5})),
+		wire.Control(iterTag(0, offIntraBc2), 2))
+	if !errors.Is(err, collective.ErrPayloadKind) || applied {
+		t.Fatalf("member: %v, ApplyW called %v; want an ErrPayloadKind error and no ApplyW", err, applied)
+	}
+}
+
+// TestMemberRefusesContributorCountOutOfRange: the count ApplyW divides by
+// lies in [1, the world's workers]; a Leader's 0, −1 or 3 in a world of 2
+// fails the member with an error wrapping collective.ErrPayloadKind before
+// ApplyW, and 1 and 2 are taken.
+func TestMemberRefusesContributorCountOutOfRange(t *testing.T) {
+	for _, n := range []int64{0, -1, 3, 1 << 40, 1, 2} {
+		applied, err := scriptedMember(t,
+			wire.SparseMsg(iterTag(0, offIntraBc), sparse.FromDense([]float64{1, 2})),
+			wire.Control(iterTag(0, offIntraBc2), n))
+		if ok := n >= 1 && n <= 2; ok {
+			if err != nil || !applied {
+				t.Fatalf("count %d: %v, ApplyW called %v; want it applied", n, err, applied)
+			}
+			continue
+		}
+		if !errors.Is(err, collective.ErrPayloadKind) || applied {
+			t.Fatalf("count %d: %v, ApplyW called %v; want an ErrPayloadKind error and no ApplyW", n, err, applied)
+		}
 	}
 }
 

@@ -409,7 +409,7 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 			contributors = inter.Size() * topo.WorkersPerNode
 			// Step 4: broadcast the aggregate and its contributor count.
 			cnt[0] = int64(contributors)
-			if _, err := ws.BroadcastSparse(ep, intra, iterTag(iter, offIntraBc), 0, agg, nil); err != nil {
+			if _, err := ws.BroadcastSparse(ep, intra, iterTag(iter, offIntraBc), 0, agg, nil, sv.Dim); err != nil {
 				return fmt.Errorf("wlg: leader %d iter %d intra broadcast: %w", rank, iter, err)
 			}
 			for _, r := range intra.Ranks[1:] {
@@ -418,7 +418,7 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 				}
 			}
 		} else {
-			if _, err := ws.BroadcastSparse(ep, intra, iterTag(iter, offIntraBc), 0, nil, agg); err != nil {
+			if _, err := ws.BroadcastSparse(ep, intra, iterTag(iter, offIntraBc), 0, nil, agg, sv.Dim); err != nil {
 				return fmt.Errorf("wlg: rank %d iter %d receive W: %w", rank, iter, err)
 			}
 			c, err := ep.Recv(intra.Ranks[0], iterTag(iter, offIntraBc2))
@@ -427,6 +427,11 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 			}
 			if err != nil {
 				return fmt.Errorf("wlg: rank %d iter %d receive count: %w", rank, iter, err)
+			}
+			// ApplyW divides by the count: it lies in [1, every worker].
+			if n := c.Ints[0]; n < 1 || n > int64(topo.Size()) {
+				return fmt.Errorf("wlg: rank %d iter %d: contributor count %d outside [1, %d]: %w",
+					rank, iter, n, topo.Size(), collective.ErrPayloadKind)
 			}
 			contributors = int(c.Ints[0])
 		}
