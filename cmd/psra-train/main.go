@@ -49,7 +49,7 @@ func main() {
 		chaosCorr = flag.Float64("chaos-corrupt", 0, "per-record probability of a seeded wire bit-flip (detected, dropped, and retried)")
 		chaosCAt  = flag.String("chaos-corrupt-at", "", "corruption schedule rank@iter[,...]: one frame to each rank is bit-flipped at its iteration")
 		chaosNaN  = flag.String("chaos-nan", "", "NaN-injection schedule rank@iter[,...]: each rank's local solve is poisoned once")
-		chaosByz  = flag.String("chaos-byzantine", "", "Byzantine schedule rank@iter[-until]:mode[,...]: the rank's contributions are poisoned from iter onward (modes: sign-flip | scale | random | stale-replay); pair with -screen and a robust -aggregator")
+		chaosByz  = flag.String("chaos-byzantine", "", "Byzantine schedule rank@iter[-until]:mode[,...]: the rank's contributions are poisoned from iter onward (modes: sign-flip | scale); pair with -screen and a robust -aggregator")
 		ckDir     = flag.String("checkpoint-dir", "", "directory for periodic snapshots (enables checkpointing)")
 		ckEvery   = flag.Int("checkpoint-every", 10, "snapshot every k-th iteration (with -checkpoint-dir)")
 		resume    = flag.Bool("resume", false, "continue from the latest snapshot in -checkpoint-dir (fresh start if none)")

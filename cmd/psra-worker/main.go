@@ -91,7 +91,31 @@ func main() {
 		fatal(err)
 	}
 	topo := run.Topo
-	if err := topo.Validate(); err != nil {
+	cfg := wlg.Config{
+		Topo:             topo,
+		MaxIter:          run.MaxIter,
+		GroupThreshold:   run.GroupThreshold,
+		Codec:            exchange.Kind(*codec),
+		CodecBudgetBytes: run.CodecBudgetBytes,
+		Elastic:          run.Elastic,
+		StartIter:        *startIter,
+		Rejoin:           *rejoin,
+		Watchdog:         run.Watchdog,
+		Aggregator:       run.Aggregator,
+		TrimF:            run.TrimF,
+		Screen:           run.Screen,
+	}
+	// Before the mesh: establishment waits for every rank (up to -timeout),
+	// and a mistyped flag should not cost that wait on every process. The
+	// runtime's own rules go first, so a robust -aggregator without
+	// -elastic is refused as such; psra-train's Validate then holds the
+	// shared flags to its rules and texts. The WLG protocol is PSRA-HGADMM,
+	// BSP in both runtimes.
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
+	run.Algorithm = core.PSRAHGADMM
+	if err := run.Validate(); err != nil {
 		fatal(err)
 	}
 	world := wlg.WorldSize(topo)
@@ -105,34 +129,8 @@ func main() {
 	if *snapEvery < 1 {
 		fatal(fmt.Errorf("-snapshot-every must be >= 1, got %d", *snapEvery))
 	}
-	if err := core.CheckPenalty(run.Rho, run.Lambda); err != nil {
-		fatal(err)
-	}
 	preset, err := run.Preset()
 	if err != nil {
-		fatal(err)
-	}
-
-	cfg := wlg.Config{
-		Topo:             topo,
-		MaxIter:          run.MaxIter,
-		GroupThreshold:   run.GroupThreshold,
-		Codec:            exchange.Kind(*codec),
-		CodecBudgetBytes: run.CodecBudgetBytes,
-		Elastic:          run.Elastic,
-		MinBarrier:       run.MinBarrier,
-		MaxDelay:         run.MaxDelay,
-		StartIter:        *startIter,
-		Rejoin:           *rejoin,
-		Watchdog:         run.Watchdog,
-		Aggregator:       run.Aggregator,
-		TrimF:            run.TrimF,
-		Screen:           run.Screen,
-	}
-	// Before the mesh: establishment waits for every rank (up to -timeout),
-	// and a mistyped -codec or -aggregator should not cost that wait on
-	// every process.
-	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 

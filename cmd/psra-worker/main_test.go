@@ -28,8 +28,6 @@ func TestConfigRejectedBeforeDial(t *testing.T) {
 		{[]string{"-elastic", "-aggregator", "trimmed-mean", "-trim-f", "1"}, "TrimF 1 trims everything"},
 		{[]string{"-rejoin"}, "Rejoin requires Elastic mode"},
 		{[]string{"-screen"}, "contribution screening requires Elastic mode"},
-		{[]string{"-min-barrier", "2"}, "wlg: MinBarrier requires Elastic mode"},
-		{[]string{"-elastic", "-max-delay", "3"}, "wlg: MaxDelay requires MinBarrier > 0"},
 	} {
 		args := append([]string{"-rank", "0", "-addrs", "a,b,c,d,e", "-nodes", "2", "-wpn", "2"}, tc.args...)
 		cmd := exec.Command(bin, args...)

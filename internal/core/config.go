@@ -329,19 +329,6 @@ func (c Config) axes() (runAxes, error) {
 	return ax, nil
 }
 
-// CheckPenalty is Validate's rule for the two scalars of the objective: ρ
-// positive and finite, λ non-negative and finite. A NaN passes a plain
-// ρ <= 0 test and trains garbage.
-func CheckPenalty(rho, lambda float64) error {
-	if !(rho > 0) || math.IsInf(rho, 1) {
-		return fmt.Errorf("core: Rho must be positive and finite, got %v", rho)
-	}
-	if !(lambda >= 0) || math.IsInf(lambda, 1) {
-		return fmt.Errorf("core: Lambda must be non-negative and finite, got %v", lambda)
-	}
-	return nil
-}
-
 // Validate checks the configuration before a run.
 func (c Config) Validate() error {
 	if err := c.Topo.Validate(); err != nil {
@@ -350,8 +337,13 @@ func (c Config) Validate() error {
 	if _, err := c.axes(); err != nil {
 		return err
 	}
-	if err := CheckPenalty(c.Rho, c.Lambda); err != nil {
-		return err
+	// The two scalars of the objective: a NaN passes a plain ρ <= 0 test
+	// and trains garbage.
+	if !(c.Rho > 0) || math.IsInf(c.Rho, 1) {
+		return fmt.Errorf("core: Rho must be positive and finite, got %v", c.Rho)
+	}
+	if !(c.Lambda >= 0) || math.IsInf(c.Lambda, 1) {
+		return fmt.Errorf("core: Lambda must be non-negative and finite, got %v", c.Lambda)
 	}
 	if c.MaxIter <= 0 {
 		return fmt.Errorf("core: MaxIter must be positive, got %d", c.MaxIter)

@@ -124,7 +124,6 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	env.screen = watchdog.NewScreen(cfg.Screen, cfg.Topo.Size())
 	if f := cfg.Faults; f != nil && len(f.ByzantineAtIteration) > 0 {
 		env.byz = make([]byzRank, cfg.Topo.Size())
-		env.byzSeed = f.Seed
 		for r, bf := range f.ByzantineAtIteration {
 			env.byz[r] = byzRank{mode: bf.Mode, from: bf.Iteration, until: bf.Until}
 		}

@@ -32,8 +32,8 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&c.Rho, "rho", 1, "ADMM penalty parameter ρ")
 	fs.Float64Var(&c.Lambda, "lambda", 1, "L1 regularization weight λ")
 	fs.IntVar(&c.GroupThreshold, "threshold", 0, "GQ grouping threshold in nodes (0 = all nodes)")
-	fs.IntVar(&c.MinBarrier, "min-barrier", 0, "SSP partial-barrier size in workers, the paper's Min_barrier (0 = half the workers in the engine, a full gather in psra-worker, where a positive value requires -elastic)")
-	fs.IntVar(&c.MaxDelay, "max-delay", 0, "SSP staleness bound in rounds (0 = the paper's Max_delay of 5; psra-worker: requires -min-barrier)")
+	fs.IntVar(&c.MinBarrier, "min-barrier", 0, "SSP partial-barrier size in workers, the paper's Min_barrier, read by the SSP and async variants (0 = half the workers)")
+	fs.IntVar(&c.MaxDelay, "max-delay", 0, "SSP staleness bound in rounds, the paper's Max_delay, read by the SSP and async variants (0 = 5)")
 	fs.Int64Var(&c.CodecBudgetBytes, "codec-budget-bytes", 0, "per-round wire budget for top-k codecs: k adapts to stay under it (0 = no budget)")
 	fs.BoolVar(&c.Elastic, "elastic", false, "survive peer deaths: prune dead ranks and keep training on the survivors, and re-admit ranks that return (psra-worker: exit 4 when degraded)")
 	fs.BoolVar(&c.Watchdog.Enabled, "watchdog", false, "divergence watchdog: NaN/Inf and explosion detection (psra-train: rollback with -checkpoint-dir; psra-worker: exit 5 on a trip)")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"psrahgadmm/internal/collective"
 	"psrahgadmm/internal/exchange"
@@ -117,23 +116,19 @@ type strategyEnv struct {
 	// encoding — exactly where a compromised worker would inject it — and
 	// BEFORE the screen observes, so the screen judges what the wire
 	// carries.
-	byz     []byzRank
-	byzSeed int64
+	byz []byzRank
 	// curIter is the iteration the current round belongs to, set by the
-	// engine before each Round call. Poison schedules and the seeded
-	// 'random' mode key on it, so corrupt-frame retries of the same round
-	// replay identically.
+	// engine before each Round call. Poison schedules key on it, so
+	// corrupt-frame retries of the same round replay identically.
 	curIter int
 }
 
 // byzRank is one rank's scheduled Byzantine behavior (see
-// transport.ByzantineFault). stale retains the last clean encoded
-// contribution from before activation for the stale-replay mode.
+// transport.ByzantineFault).
 type byzRank struct {
 	mode  string
 	from  int
 	until int // 0 = forever
-	stale *sparse.Vector
 }
 
 // active reports whether the poison applies at iteration iter.
@@ -149,17 +144,10 @@ func (env *strategyEnv) reconciles() bool {
 }
 
 // poisonSparse applies rank's scheduled Byzantine poison to its encoded
-// contribution in place. Before activation it snapshots the clean vector
-// for stale-replay; after (or outside a bounded window) it is a no-op.
+// contribution in place; outside the rank's window it is a no-op.
 func (env *strategyEnv) poisonSparse(rank int, v *sparse.Vector) {
 	b := &env.byz[rank]
-	if b.mode == "" {
-		return
-	}
 	if !b.active(env.curIter) {
-		if b.mode == transport.ByzantineStaleReplay && env.curIter < b.from {
-			b.stale = v.Clone()
-		}
 		return
 	}
 	switch b.mode {
@@ -167,19 +155,6 @@ func (env *strategyEnv) poisonSparse(rank int, v *sparse.Vector) {
 		v.Scale(-1)
 	case transport.ByzantineScale:
 		v.Scale(10)
-	case transport.ByzantineRandom:
-		rng := rand.New(rand.NewSource(env.byzSeed ^
-			(int64(rank)+1)*0x5851f42d4c957f2d ^
-			(int64(env.curIter)+1)*0x2545f4914f6cdd1d))
-		for k := range v.Value {
-			v.Value[k] = 2*rng.Float64() - 1
-		}
-	case transport.ByzantineStaleReplay:
-		if b.stale != nil {
-			v.Reset(v.Dim)
-			v.Index = append(v.Index, b.stale.Index...)
-			v.Value = append(v.Value, b.stale.Value...)
-		}
 	}
 }
 

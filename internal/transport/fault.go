@@ -88,9 +88,7 @@ type FaultPlan struct {
 	// NaNAtIteration this is engine-executed (the poison is applied to the
 	// contribution after codec encoding, exactly where a compromised
 	// worker would inject it); it rides in the plan so every chaos
-	// schedule lives in one place. The 'random' mode draws its values from
-	// a PRNG seeded per (Seed, rank, iteration), so corrupt-frame retries
-	// of the same round replay identically.
+	// schedule lives in one place.
 	ByzantineAtIteration map[int]ByzantineFault
 }
 
@@ -116,23 +114,17 @@ const (
 	ByzantineSignFlip = "sign-flip"
 	// ByzantineScale multiplies the contribution by 10.
 	ByzantineScale = "scale"
-	// ByzantineRandom replaces the values with seeded uniform noise in
-	// [-1, 1) on the same support.
-	ByzantineRandom = "random"
-	// ByzantineStaleReplay re-sends the rank's last clean contribution
-	// from before the fault activated, every round.
-	ByzantineStaleReplay = "stale-replay"
 )
 
 // ByzantineModes lists every valid mode.
 func ByzantineModes() []string {
-	return []string{ByzantineSignFlip, ByzantineScale, ByzantineRandom, ByzantineStaleReplay}
+	return []string{ByzantineSignFlip, ByzantineScale}
 }
 
 // ValidByzantineMode reports whether mode names a known poison.
 func ValidByzantineMode(mode string) bool {
 	switch mode {
-	case ByzantineSignFlip, ByzantineScale, ByzantineRandom, ByzantineStaleReplay:
+	case ByzantineSignFlip, ByzantineScale:
 		return true
 	}
 	return false

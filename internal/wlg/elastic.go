@@ -160,9 +160,9 @@ func sendResult(ep transport.Endpoint, to, iter, off int, ctl []int64, agg *spar
 }
 
 // awaitResult reads what src sent through sendResult on the iteration's
-// offset off, checking the control's length and status word before it
-// reads a field, and keeps the rejoin log a reply of either status
-// carries. ready is false with a nil error on a "not ready" status.
+// offset off, checking the control's length, status word and contributor
+// count before it uses a field, and keeps the rejoin log a reply of either
+// status carries. ready is false with a nil error on a "not ready" status.
 func (w *elasticWorker) awaitResult(src, iter, off, dim int) (res groupResult, ready bool, err error) {
 	ctl, err := collective.RecvRetry(w.ep, src, iterTag(iter, off), w.pol)
 	if err != nil {
@@ -170,6 +170,15 @@ func (w *elasticWorker) awaitResult(src, iter, off, dim int) (res groupResult, r
 	}
 	if err := controlInts(&ctl, 3); err != nil {
 		return groupResult{}, false, err
+	}
+	switch status, n := ctl.Ints[0], ctl.Ints[1]; {
+	case status != elStatusReady && status != elStatusNotReady:
+		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d: status %d from %d: %w",
+			w.rank, iter, status, src, collective.ErrPayloadKind)
+	case status == elStatusReady && (n < 1 || n > int64(w.cfg.Topo.Size())):
+		// ApplyW divides by the count: it lies in [1, every worker].
+		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d: contributor count %d from %d outside [1, %d]: %w",
+			w.rank, iter, n, src, w.cfg.Topo.Size(), collective.ErrPayloadKind)
 	}
 	w.noteJoins(ctl.Ints[3:])
 	if ctl.Ints[0] != elStatusReady {
@@ -200,11 +209,6 @@ type elasticWorker struct {
 	acc     *sparse.Accumulator // the Leader's node-sum scratch
 	skipped int64
 	short   int64
-	// skips[r] counts rank r's CONSECUTIVE skipped gathers under the
-	// Min_barrier partial barrier; reaching the Max_delay bound restores
-	// the full wait budget for that member (bounded staleness). Reset on
-	// every gathered contribution.
-	skips []int
 	// joinLog is the newest copy of the GG's rejoin log (see rejoin.go):
 	// flattened (rank, joinIter, incarnation) triples applied at
 	// iteration boundaries so every rank re-admits a rejoiner at the
@@ -257,7 +261,6 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 		pol:       cfg.retry,
 		codec:     codec,
 		acc:       sparse.NewAccumulator(0),
-		skips:     make([]int, topo.Size()),
 		screen:    watchdog.NewScreen(cfg.Screen, topo.Size()),
 		quorumTol: spec.Tolerance(topo.Nodes),
 	}
@@ -412,52 +415,19 @@ func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (groupResult, erro
 		w.rank, iter, elasticCycles, collective.ErrUnavailable)
 }
 
-// quorum returns the Leader's per-node share of the SSP partial barrier:
-// max(1, MinBarrier/Nodes) gathered contributions satisfy it. 0 means no
-// partial barrier — every live member gets the full wait budget.
-func (w *elasticWorker) quorum() int {
-	if w.cfg.MinBarrier <= 0 {
-		return 0
-	}
-	q := w.cfg.MinBarrier / w.cfg.Topo.Nodes
-	if q < 1 {
-		q = 1
-	}
-	return q
-}
-
-// maxDelay returns the effective staleness bound (0 defaults to the
-// paper's Max_delay of 5).
-func (w *elasticWorker) maxDelay() int {
-	if w.cfg.MaxDelay > 0 {
-		return w.cfg.MaxDelay
-	}
-	return 5
-}
-
 // leadIterate is the Leader path: gather the live members' contributions,
 // contribute the node sum to the GG, broadcast the group aggregate back.
-//
-// With MinBarrier set, the gather is the paper's SSP partial barrier at
-// node granularity: once quorum() contributions are in hand, each further
-// member gets a single-attempt probe instead of the full budget — unless
-// its consecutive-skip count has reached maxDelay(), in which case the
-// Leader waits the full budget again so staleness stays bounded.
+// Each live member gets the full retry budget; one that stays silent
+// through it is skipped for the round.
 func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, error) {
 	w.acc.Reset(own.Dim)
 	w.acc.Add(own)
 	count := 1
-	w.skips[w.rank] = 0
-	quorum := w.quorum()
 	for _, m := range w.tr.Live(w.members) {
 		if m == w.rank {
 			continue
 		}
-		pol := w.pol
-		if quorum > 0 && count >= quorum && w.skips[m] < w.maxDelay() {
-			pol.Attempts = 1
-		}
-		msg, err := collective.RecvRetry(w.ep, m, iterTag(iter, offElMemberW), pol)
+		msg, err := collective.RecvRetry(w.ep, m, iterTag(iter, offElMemberW), w.pol)
 		if err != nil {
 			if _, down := w.tr.Observe(err); down {
 				continue // dead: excluded from this round
@@ -467,7 +437,6 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, 
 				// The member still receives the broadcast below (messages
 				// queue), so it is only stale, not stuck.
 				w.skipped++
-				w.skips[m]++
 				continue
 			}
 			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
@@ -488,7 +457,6 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, 
 			continue
 		}
 		w.acc.Add(sv)
-		w.skips[m] = 0
 		count++
 	}
 	if w.screen != nil {
@@ -743,6 +711,12 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 			}
 			recheck()
 		case elKindContribute:
+			// The Leader's count is its own plus its gathered members'.
+			if node < 0 || node >= topo.Nodes || topo.NodeOf(from) != node ||
+				count < 1 || count > int64(topo.WorkersPerNode) {
+				return fmt.Errorf("wlg: GG contribution from %d for node %d of %d workers: %w",
+					from, node, count, collective.ErrPayloadKind)
+			}
 			rj.observe(iter)
 			// The node sum follows on the per-iteration tag; per-sender
 			// ordering pairs it with this control. A lost payload drops

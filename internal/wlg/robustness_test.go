@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"psrahgadmm/internal/collective"
+	"psrahgadmm/internal/membership"
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
@@ -37,6 +38,167 @@ func TestGGRejectsMalformedRequest(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("GG did not fail on malformed request")
+	}
+}
+
+// TestGGRefusesStrangeRequests: the fail-stop Group Generator takes a
+// request only from the node's Leader, once per node and iteration, for an
+// iteration of the run. Each row's scripted Leaders send one such request
+// among requests that complete the run, so a GG that takes it flushes and
+// returns nil; it must instead fail with an error wrapping
+// collective.ErrPayloadKind. A repeat used to count as a second node and
+// flush the round early, with the last Leader never answered.
+func TestGGRefusesStrangeRequests(t *testing.T) {
+	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2} // Leaders 0 and 2, the GG 4
+	type req struct{ from, node, iter int }
+	for _, tc := range []struct {
+		name string
+		reqs []req
+	}{
+		{"not the node's Leader", []req{{1, 0, 0}, {2, 1, 0}}},
+		{"node outside the world", []req{{0, 2, 0}, {2, 1, 0}}},
+		{"second request for one iteration", []req{{0, 0, 0}, {0, 0, 0}}},
+		{"iteration past MaxIter", []req{{0, 0, 1}, {2, 1, 1}}},
+	} {
+		f := transport.NewChanFabric(WorldSize(topo))
+		for _, r := range tc.reqs {
+			if err := f.Endpoint(r.from).Send(GGRank(topo), wire.Control(tagGGRequest, int64(r.node), int64(r.iter))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := RunGG(f.Endpoint(GGRank(topo)), Config{Topo: topo, MaxIter: 1})
+		f.Close()
+		if !errors.Is(err, collective.ErrPayloadKind) {
+			t.Errorf("%s: GG returned %v, want an error wrapping ErrPayloadKind", tc.name, err)
+		}
+	}
+}
+
+// TestLeaderRefusesStrangeGroup: a fail-stop Leader runs the PSR only over
+// a group the GG could have formed. A reply that repeats a node, leaves out
+// the Leader's own, or names node Nodes — whose Leader rank is the GG's own
+// — fails RunWorker before ApplyW. The last used to send the Leader's PSR
+// to the GG and wait on it forever, hence the timer, which only a failing
+// run reaches.
+func TestLeaderRefusesStrangeGroup(t *testing.T) {
+	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 1} // Leaders 0 and 1, the GG 2
+	for _, tc := range []struct {
+		nodes []int64
+		want  string
+	}{
+		{[]int64{0, 0}, "duplicate rank 0"},
+		{[]int64{1}, "rank 0 not in group"},
+		{[]int64{0, 2}, "node 2 outside [0, 2)"},
+	} {
+		f := transport.NewChanFabric(WorldSize(topo))
+		if err := f.Endpoint(GGRank(topo)).Send(0, wire.Control(iterTag(0, offGGReply), tc.nodes...)); err != nil {
+			t.Fatal(err)
+		}
+		applied := false
+		done := make(chan error, 1)
+		go func() {
+			done <- RunWorker(f.Endpoint(0), Config{Topo: topo, MaxIter: 1}, WorkerFuncs{
+				ComputeW: func(int) []float64 { return []float64{1, 2} },
+				ApplyW:   func(int, []float64, int) { applied = true },
+			})
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) || applied {
+				t.Errorf("reply %v: %v, ApplyW called %v; want an error containing %q and no ApplyW", tc.nodes, err, applied, tc.want)
+			}
+		case <-time.After(time.Minute):
+			t.Errorf("reply %v: the Leader still waits after a minute", tc.nodes)
+		}
+		f.Close()
+	}
+}
+
+// TestElasticResultRefusesStrangeControl: an elastic rank takes a result
+// control only with a known status word and, when ready, a contributor
+// count in [1, the world's workers]. A count of 0 used to reach the
+// z-update, whose n > 0 guard then made z = 0.
+func TestElasticResultRefusesStrangeControl(t *testing.T) {
+	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
+	const iter = 1
+	for _, tc := range []struct {
+		status, count int64
+		ok            bool
+	}{
+		{elStatusReady, 4, true},
+		{elStatusReady, 1, true},
+		{elStatusNotReady, 0, true},
+		{elStatusReady, 0, false},
+		{elStatusReady, -1, false},
+		{elStatusReady, 5, false},
+		{2, 4, false},
+		{-1, 0, false},
+	} {
+		fab := transport.NewChanFabric(WorldSize(topo))
+		gg := fab.Endpoint(GGRank(topo))
+		for _, m := range []wire.Message{
+			wire.Control(iterTag(iter, offElReplyCtl), tc.status, tc.count, 0),
+			wire.SparseMsg(iterTag(iter, offElReplyW), sparse.FromDense([]float64{1, 0, 2})),
+		} {
+			if err := gg.Send(0, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := &elasticWorker{ep: fab.Endpoint(0), cfg: Config{Topo: topo}, gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
+		res, ready, err := w.awaitResult(GGRank(topo), iter, offElReplyCtl, 3)
+		fab.Close()
+		if tc.ok {
+			if err != nil || ready != (tc.status == elStatusReady) || ready && res.contributors != int(tc.count) {
+				t.Errorf("status %d count %d: ready %v, %d contributors, %v; want it taken", tc.status, tc.count, ready, res.contributors, err)
+			}
+			continue
+		}
+		if !errors.Is(err, collective.ErrPayloadKind) || ready {
+			t.Errorf("status %d count %d: ready %v, %v; want an error wrapping ErrPayloadKind", tc.status, tc.count, ready, err)
+		}
+	}
+}
+
+// TestElasticGGRefusesStrangeContribution: the elastic Group Generator
+// takes a node sum only from a worker of that node, for a node of the
+// world, counting 1 to WorkersPerNode workers. Each row's contribution is
+// followed by every worker's farewell, so a GG that takes it flushes the
+// round and returns nil; it must instead fail with an error wrapping
+// collective.ErrPayloadKind.
+func TestElasticGGRefusesStrangeContribution(t *testing.T) {
+	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2} // node 0: ranks 0, 1; node 1: ranks 2, 3
+	for _, tc := range []struct {
+		name              string
+		from, node, count int
+	}{
+		{"node outside the world", 0, 2, 1},
+		{"negative node", 0, -1, 1},
+		{"sender on another node", 2, 0, 1},
+		{"no contributors", 0, 0, 0},
+		{"more contributors than the node holds", 0, 0, 3},
+	} {
+		fab := transport.NewChanFabric(WorldSize(topo))
+		gg := GGRank(topo)
+		from := fab.Endpoint(tc.from)
+		msgs := []wire.Message{
+			wire.Control(tagElControl, elKindContribute, int64(tc.node), 0, int64(tc.count)),
+			wire.SparseMsg(iterTag(0, offElGGW), sparse.FromDense([]float64{1, 0, 2})),
+		}
+		for _, m := range msgs {
+			if err := from.Send(gg, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := 0; r < topo.Size(); r++ {
+			if err := fab.Endpoint(r).Send(gg, wire.Control(tagElControl, elKindDone, int64(topo.NodeOf(r)), 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := RunGG(fab.Endpoint(gg), Config{Topo: topo, MaxIter: 1, Elastic: true})
+		fab.Close()
+		if !errors.Is(err, collective.ErrPayloadKind) {
+			t.Errorf("%s: GG returned %v, want an error wrapping ErrPayloadKind", tc.name, err)
+		}
 	}
 }
 

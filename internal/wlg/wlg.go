@@ -140,25 +140,6 @@ type Config struct {
 	// defaults; in-package tests shorten or lengthen it. Only consulted
 	// when Elastic is set.
 	retry collective.RetryPolicy
-	// MinBarrier is the SSP partial-barrier size in workers, the paper's
-	// Min_barrier applied to the elastic Leader's gather: once a Leader
-	// holds max(1, MinBarrier/Topo.Nodes) contributions for the round
-	// (its per-node share of the barrier), remaining live members get a
-	// single-attempt probe instead of the full retry budget — laggards
-	// are skipped as stale rather than waited out. 0 keeps the full
-	// gather (every live member gets the whole budget, the BSP-flavored
-	// default). Unlike the engine's SSP, a skipped contribution is absent
-	// from the round's sum, not replayed from cache: the runtime has no
-	// cached w_i, so MinBarrier here bounds WAIT, and the contributor
-	// count that travels with every aggregate keeps the averaging exact.
-	// Requires Elastic: the fail-stop gather is a full barrier.
-	MinBarrier int
-	// MaxDelay bounds a member's consecutive skipped rounds (the paper's
-	// Max_delay): a member already MaxDelay rounds stale is waited on
-	// with the full retry budget even after the barrier is met, so no
-	// rank's staleness grows without bound. 0 defaults to 5, the paper's
-	// setting. A positive MaxDelay requires MinBarrier > 0.
-	MaxDelay int
 	// Watchdog enables per-rank divergence detection: each worker scans
 	// its own contribution and every received aggregate for NaN/Inf and
 	// tracks their magnitudes against a sliding window (the runtime never
@@ -227,21 +208,6 @@ func (c Config) Validate() error {
 	}
 	if c.CodecBudgetBytes < 0 {
 		return fmt.Errorf("wlg: CodecBudgetBytes must be non-negative, got %d", c.CodecBudgetBytes)
-	}
-	if c.MinBarrier < 0 {
-		return fmt.Errorf("wlg: MinBarrier must be non-negative, got %d", c.MinBarrier)
-	}
-	if c.MinBarrier > c.Topo.Size() {
-		return fmt.Errorf("wlg: MinBarrier %d exceeds the worker count %d", c.MinBarrier, c.Topo.Size())
-	}
-	if c.MinBarrier > 0 && !c.Elastic {
-		return fmt.Errorf("wlg: MinBarrier requires Elastic mode (the fail-stop gather is a full barrier)")
-	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("wlg: MaxDelay must be non-negative, got %d", c.MaxDelay)
-	}
-	if c.MaxDelay > 0 && c.MinBarrier == 0 {
-		return fmt.Errorf("wlg: MaxDelay requires MinBarrier > 0 (only a partial barrier skips laggards whose staleness it bounds)")
 	}
 	spec, err := collective.ResolveAgg(c.Aggregator, c.TrimF)
 	if err != nil {
@@ -395,8 +361,15 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 			if err != nil {
 				return fmt.Errorf("wlg: leader %d iter %d GG reply: %w", rank, iter, err)
 			}
+			// A duplicated node, or a group without this node, is the
+			// collective's to refuse; a node outside the world is not,
+			// since node Nodes maps to the GG's own rank.
 			members = members[:0]
 			for _, n := range reply.Ints {
+				if n < 0 || n >= int64(topo.Nodes) {
+					return fmt.Errorf("wlg: leader %d iter %d: GG reply names node %d outside [0, %d): %w",
+						rank, iter, n, topo.Nodes, collective.ErrPayloadKind)
+				}
 				members = append(members, LeaderOf(topo, int(n)))
 			}
 			inter := collective.NewGroup(members...)
@@ -561,6 +534,13 @@ func RunGG(ep transport.Endpoint, cfg Config) error {
 	queues := make(map[int][]int64) // iteration → GQ (node ids, sorted at flush)
 	reported := make(map[int]int)   // iteration → requests seen
 	remaining := (cfg.MaxIter - cfg.StartIter) * topo.Nodes
+	// next[n] is the iteration node n's Leader asks about next: it sends
+	// one request per iteration, in order, and the next only after this
+	// one's reply, so anything else is a repeat or a stranger's frame.
+	next := make([]int, topo.Nodes)
+	for n := range next {
+		next[n] = cfg.StartIter
+	}
 
 	flush := func(iter int) error {
 		q := queues[iter]
@@ -586,8 +566,20 @@ func RunGG(ep transport.Endpoint, cfg Config) error {
 		if len(m.Ints) != 2 {
 			return fmt.Errorf("wlg: GG malformed request from %d", m.From)
 		}
-		node, iter := m.Ints[0], int(m.Ints[1])
-		queues[iter] = append(queues[iter], node)
+		node, iter := int(m.Ints[0]), int(m.Ints[1])
+		switch {
+		case node < 0 || node >= topo.Nodes || int(m.From) != LeaderOf(topo, node):
+			return fmt.Errorf("wlg: GG request from %d for node %d, which it does not lead: %w",
+				m.From, node, collective.ErrPayloadKind)
+		case iter < cfg.StartIter || iter >= cfg.MaxIter:
+			return fmt.Errorf("wlg: GG request from node %d for iteration %d outside [%d, %d): %w",
+				node, iter, cfg.StartIter, cfg.MaxIter, collective.ErrPayloadKind)
+		case iter != next[node]:
+			return fmt.Errorf("wlg: GG request from node %d for iteration %d, want iteration %d: %w",
+				node, iter, next[node], collective.ErrPayloadKind)
+		}
+		next[node]++
+		queues[iter] = append(queues[iter], int64(node))
 		reported[iter]++
 		remaining--
 		if len(queues[iter]) == threshold || reported[iter] == topo.Nodes {

@@ -210,11 +210,8 @@ func TestLeaderHelpers(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	two := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
 	for i, good := range []Config{
 		{Topo: simnet.Topology{Nodes: 1, WorkersPerNode: 1}, MaxIter: 1},
-		{Topo: two, MaxIter: 1, Elastic: true, MinBarrier: 2},
-		{Topo: two, MaxIter: 1, Elastic: true, MinBarrier: 2, MaxDelay: 3},
 	} {
 		if err := good.Validate(); err != nil {
 			t.Fatalf("good config %d: %v", i, err)
@@ -224,11 +221,6 @@ func TestConfigValidation(t *testing.T) {
 		{Topo: simnet.Topology{Nodes: 0, WorkersPerNode: 1}, MaxIter: 1},
 		{Topo: simnet.Topology{Nodes: 1, WorkersPerNode: 1}, MaxIter: 0},
 		{Topo: simnet.Topology{Nodes: 1, WorkersPerNode: 1}, MaxIter: 1, Codec: "bogus"},
-		{Topo: two, MaxIter: 1, MinBarrier: 2},                // a partial barrier needs the elastic gather
-		{Topo: two, MaxIter: 1, Elastic: true, MaxDelay: 3},   // MaxDelay bounds only what MinBarrier skips
-		{Topo: two, MaxIter: 1, MinBarrier: 2, MaxDelay: 3},   // both rules at once
-		{Topo: two, MaxIter: 1, Elastic: true, MinBarrier: 5}, // more than the workers
-		{Topo: two, MaxIter: 1, Elastic: true, MinBarrier: 2, MaxDelay: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
