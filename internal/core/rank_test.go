@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"psrahgadmm/internal/checkpoint"
 	"psrahgadmm/internal/dataset"
 	"psrahgadmm/internal/exchange"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/wlg"
 )
@@ -164,5 +166,61 @@ func TestRankRefusesSnapshotThatDoesNotFit(t *testing.T) {
 	}
 	if iter, err := target.RestoreSnapshot(st); err != nil || iter != 3 {
 		t.Fatalf("own record: iteration %d, err %v; want 3, nil", iter, err)
+	}
+}
+
+// TestRankRejoinedAndLocalLoss: Rejoined(j, W, n) warm-starts z to
+// zFromW(W, n) bit for bit and keeps x and y; a nil W changes nothing.
+// LocalLoss(z) is the shard's logistic loss at z.
+func TestRankRejoinedAndLocalLoss(t *testing.T) {
+	train, _ := testData(t, 160)
+	cfg := baseConfig(PSRAHGADMM, 2, 2)
+	ranks := newRanks(t, cfg, train)
+	runRanks(t, cfg, ranks, 0, 3, nil) // x, y and z away from zero
+	rk := ranks[1]
+	xA, yA, z := slices.Clone(rk.w.xA), slices.Clone(rk.w.yA), rk.Z()
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, f := range v {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	kept := func(what string, wantZ []float64) {
+		t.Helper()
+		if !slices.Equal(bits(rk.Z()), bits(wantZ)) {
+			t.Fatalf("%s: z = %v, want %v", what, rk.Z(), wantZ)
+		}
+		if !slices.Equal(bits(rk.w.xA), bits(xA)) || !slices.Equal(bits(rk.w.yA), bits(yA)) {
+			t.Fatalf("%s: x or y changed", what)
+		}
+	}
+
+	rk.Rejoined(5, nil, 3)
+	kept("cold start", z)
+
+	bigW := make([]float64, len(z))
+	for i := range bigW {
+		bigW[i] = float64(i%11-5) * 0.3
+	}
+	want := zFromW(new(sparse.Vector), sparse.FromDense(bigW), cfg.Lambda, cfg.Rho, 3).ToDense()
+	if slices.Equal(bits(want), bits(z)) || slices.Equal(want, make([]float64, len(want))) {
+		t.Fatal("the warm start would not show: pick another W")
+	}
+	rk.Rejoined(5, bigW, 3)
+	kept("warm start", want)
+
+	sh := train.Shard(cfg.Topo.Size())[1]
+	var loss float64
+	for r := 0; r < sh.Rows(); r++ {
+		cols, vals := sh.X.Row(r)
+		m := 0.0
+		for k, c := range cols {
+			m += vals[k] * want[c]
+		}
+		loss += math.Log(1 + math.Exp(-sh.Labels[r]*m))
+	}
+	if got := rk.LocalLoss(want); loss == 0 || math.Abs(got-loss) > 1e-12*loss {
+		t.Fatalf("LocalLoss = %v, the shard's loss is %v", got, loss)
 	}
 }

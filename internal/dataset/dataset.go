@@ -12,7 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 
@@ -135,20 +135,19 @@ func (d *Dataset) Accuracy(x []float64) float64 {
 	return float64(correct) / float64(d.Rows())
 }
 
-// ReadLIBSVM parses the LIBSVM text format ("label idx:val idx:val ...",
-// 1-based indices). If dim <= 0 the dimension is inferred from the maximum
-// index seen. Labels other than ±1 are mapped: values > 0 → +1, else −1
-// (the paper's binary problems use ±1 directly).
+// ReadLIBSVM parses the LIBSVM text format ("label idx:val idx:val ...") as
+// LIBLINEAR's read_problem does, in one pass straight into the CSR: indices
+// are 1-based and strictly ascend within a line, labels and values are
+// finite. Labels > 0 map to +1, all others to −1. Zero values are not stored,
+// blank and '#' lines are skipped, and a bare label is a row with no
+// features. If dim <= 0 the dimension is the largest index with a nonzero
+// value (1 if none); otherwise a larger one is refused. Every refusal is an
+// error naming the line.
 func ReadLIBSVM(r io.Reader, dim int, name string) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	type row struct {
-		label float64
-		cols  []int32
-		vals  []float64
-	}
-	var rows []row
-	maxIdx := int32(0)
+	m := sparse.NewCSR(0, max(dim, 1), 0)
+	d := &Dataset{Name: name, X: m, Labels: []float64{}}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -158,72 +157,48 @@ func ReadLIBSVM(r io.Reader, dim int, name string) (*Dataset, error) {
 		}
 		fields := strings.Fields(line)
 		lab, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(lab) || math.IsInf(lab, 0) {
 			return nil, fmt.Errorf("dataset: line %d: bad label %q", lineNo, fields[0])
 		}
-		rw := row{label: 1}
-		if lab <= 0 {
-			rw.label = -1
-		}
+		prev := int64(0)
 		for _, f := range fields[1:] {
-			colon := strings.IndexByte(f, ':')
-			if colon < 0 {
+			is, vs, ok := strings.Cut(f, ":")
+			if !ok {
 				return nil, fmt.Errorf("dataset: line %d: bad feature %q", lineNo, f)
 			}
-			idx, err := strconv.Atoi(f[:colon])
-			if err != nil || idx < 1 {
-				return nil, fmt.Errorf("dataset: line %d: bad index %q", lineNo, f[:colon])
+			idx, err := strconv.ParseInt(is, 10, 32)
+			if err != nil || idx <= prev {
+				return nil, fmt.Errorf("dataset: line %d: bad index %q after index %d", lineNo, is, prev)
 			}
-			val, err := strconv.ParseFloat(f[colon+1:], 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad value %q", lineNo, f[colon+1:])
+			prev = idx
+			val, err := strconv.ParseFloat(vs, 64)
+			if err != nil || math.IsNaN(val) || math.IsInf(val, 0) {
+				return nil, fmt.Errorf("dataset: line %d: bad value %q", lineNo, vs)
 			}
 			if val == 0 {
 				continue
 			}
-			c := int32(idx - 1)
-			if c > maxIdx {
-				maxIdx = c
+			if int(idx) > m.NCols {
+				if dim > 0 {
+					return nil, fmt.Errorf("dataset: line %d: index %d exceeds dim %d", lineNo, idx, dim)
+				}
+				m.NCols = int(idx)
 			}
-			rw.cols = append(rw.cols, c)
-			rw.vals = append(rw.vals, val)
+			m.ColIdx = append(m.ColIdx, int32(idx-1))
+			m.Val = append(m.Val, val)
 		}
-		// LIBSVM files are sorted by index, but be forgiving.
-		if !sort.SliceIsSorted(rw.cols, func(a, b int) bool { return rw.cols[a] < rw.cols[b] }) {
-			sort.Sort(&colSorter{rw.cols, rw.vals})
+		m.RowPtr = append(m.RowPtr, int64(len(m.ColIdx)))
+		m.NRows++
+		if lab > 0 {
+			d.Labels = append(d.Labels, 1)
+		} else {
+			d.Labels = append(d.Labels, -1)
 		}
-		rows = append(rows, rw)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scan: %w", err)
+		return nil, fmt.Errorf("dataset: line %d: %w", lineNo+1, err)
 	}
-	if dim <= 0 {
-		dim = int(maxIdx) + 1
-	}
-	m := sparse.NewCSR(0, dim, 0)
-	labels := make([]float64, 0, len(rows))
-	for i, rw := range rows {
-		for _, c := range rw.cols {
-			if int(c) >= dim {
-				return nil, fmt.Errorf("dataset: row %d index %d exceeds dim %d", i, c+1, dim)
-			}
-		}
-		m.AppendRow(rw.cols, rw.vals)
-		labels = append(labels, rw.label)
-	}
-	return &Dataset{Name: name, X: m, Labels: labels}, nil
-}
-
-type colSorter struct {
-	cols []int32
-	vals []float64
-}
-
-func (s *colSorter) Len() int           { return len(s.cols) }
-func (s *colSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s *colSorter) Swap(i, j int) {
-	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
+	return d, nil
 }
 
 // WriteLIBSVM writes the dataset in LIBSVM text format (1-based indices).

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,32 +65,100 @@ func TestReadLIBSVMLabelMapping(t *testing.T) {
 	}
 }
 
+// TestReadLIBSVMUnsortedIndices: as in LIBLINEAR, a line's indices must
+// strictly ascend; one that does not is refused, not sorted.
 func TestReadLIBSVMUnsortedIndices(t *testing.T) {
-	d, err := ReadLIBSVM(strings.NewReader("+1 5:2 1:1\n"), 0, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Check(); err != nil {
-		t.Fatal(err)
-	}
-	cols, vals := d.X.Row(0)
-	if cols[0] != 0 || vals[0] != 1 || cols[1] != 4 || vals[1] != 2 {
-		t.Fatalf("row = %v %v", cols, vals)
+	_, err := ReadLIBSVM(strings.NewReader("+1 5:2 1:1\n"), 0, "x")
+	if err == nil || !strings.Contains(err.Error(), "line 1:") {
+		t.Fatalf("err %v, want a refusal naming line 1", err)
 	}
 }
 
+// TestReadLIBSVMErrors: a malformed line is refused with an error naming
+// it, never a panic. Each bad line is line 3, after a good line and a blank
+// one. Of the last seven, the reader that sorted lines panicked on the
+// first two, read the third as feature 1, sorted the fourth and took the
+// NaN and Inf of the rest into the data.
 func TestReadLIBSVMErrors(t *testing.T) {
 	for _, bad := range []string{
-		"abc 1:1\n",
-		"+1 1\n",
-		"+1 x:1\n",
-		"+1 1:y\n",
-		"+1 0:1\n", // 0-based index invalid in LIBSVM
+		"abc 1:1",
+		"+1 1",
+		"+1 x:1",
+		"+1 1:y",
+		"+1 0:1", // 0-based index invalid in LIBSVM
+		"+1 1:0.5 1:0.7",
+		"+1 2147483649:1",
+		"+1 4294967297:1",
+		"+1 3:1 1:2",
+		"+1 1:NaN",
+		"+1 1:Inf",
+		"nan 1:1",
 	} {
-		if _, err := ReadLIBSVM(strings.NewReader(bad), 0, "x"); err == nil {
-			t.Fatalf("expected error for %q", bad)
-		}
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Errorf("%q: panicked: %v", bad, v)
+				}
+			}()
+			_, err := ReadLIBSVM(strings.NewReader("+1 1:1\n\n"+bad+"\n"), 0, "x")
+			if err == nil || !strings.Contains(err.Error(), "line 3:") {
+				t.Errorf("%q: err %v, want a refusal naming line 3", bad, err)
+			}
+		}()
 	}
+}
+
+// FuzzReadLIBSVM: any input either is refused or reads into a dataset that
+// passes Check, stores only finite nonzero values, and comes back bit for
+// bit through WriteLIBSVM and ReadLIBSVM at its own dimension.
+func FuzzReadLIBSVM(f *testing.F) {
+	for _, s := range []string{
+		sampleLIBSVM,
+		"+1 5:2 1:1\n",
+		"-1\n+1 2:0 3:5e-324\r\n",
+		"2 1:-0 2147483647:1e308\n",
+		"+1 1:0.5 1:0.7\n",
+		"+1 2147483649:1\n",
+		"+1 4294967297:1\n",
+		"+1 3:1 1:2\n",
+		"+1 1:NaN\n",
+		"+1 1:Inf\n",
+		"nan 1:1\n",
+	} {
+		f.Add(s, 0)
+	}
+	f.Add("+1 2:1\n-1 11:1\n", 10)
+	f.Fuzz(func(t *testing.T, in string, dim int) {
+		d, err := ReadLIBSVM(strings.NewReader(in), dim, "f")
+		if err != nil {
+			return
+		}
+		if err := d.Check(); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range d.X.Val {
+			if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("stored value %d is %v", k, v)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteLIBSVM(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadLIBSVM(&buf, d.Dim(), "f")
+		if err != nil {
+			t.Fatalf("reading back %q: %v", buf.String(), err)
+		}
+		same := back.X.NRows == d.X.NRows && back.X.NCols == d.X.NCols &&
+			slices.Equal(back.X.RowPtr, d.X.RowPtr) && slices.Equal(back.X.ColIdx, d.X.ColIdx) &&
+			slices.Equal(back.Labels, d.Labels) && len(back.X.Val) == len(d.X.Val)
+		for k := 0; same && k < len(d.X.Val); k++ {
+			same = math.Float64bits(back.X.Val[k]) == math.Float64bits(d.X.Val[k])
+		}
+		if !same {
+			t.Fatalf("round trip of %q changed the dataset", in)
+		}
+	})
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {

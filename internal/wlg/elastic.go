@@ -687,6 +687,21 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		}
 	}
 
+	// ownRound refuses a contribution or recovery request for a node the
+	// sender does not belong to or an iteration outside the run: either
+	// would reach the rejoin boundary (maxSeen+2) and the result cache.
+	ownRound := func(what string, from, node, iter int) error {
+		if node < 0 || node >= topo.Nodes || topo.NodeOf(from) != node {
+			return fmt.Errorf("wlg: GG %s from %d for node %d, which it does not belong to: %w",
+				what, from, node, collective.ErrPayloadKind)
+		}
+		if iter < cfg.StartIter || iter >= cfg.MaxIter {
+			return fmt.Errorf("wlg: GG %s from node %d for iteration %d outside [%d, %d): %w",
+				what, node, iter, cfg.StartIter, cfg.MaxIter, collective.ErrPayloadKind)
+		}
+		return nil
+	}
+
 	for !allDone() {
 		m, err := ep.Recv(transport.AnySource, tagElControl)
 		if err != nil {
@@ -711,9 +726,11 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 			}
 			recheck()
 		case elKindContribute:
+			if err := ownRound("contribution", from, node, iter); err != nil {
+				return err
+			}
 			// The Leader's count is its own plus its gathered members'.
-			if node < 0 || node >= topo.Nodes || topo.NodeOf(from) != node ||
-				count < 1 || count > int64(topo.WorkersPerNode) {
+			if count < 1 || count > int64(topo.WorkersPerNode) {
 				return fmt.Errorf("wlg: GG contribution from %d for node %d of %d workers: %w",
 					from, node, count, collective.ErrPayloadKind)
 			}
@@ -767,6 +784,9 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 				recheck()
 			}
 		case elKindRecover:
+			if err := ownRound("recovery request", from, node, iter); err != nil {
+				return err
+			}
 			rj.observe(iter)
 			if res, ok := cache[key{iter, node}]; ok {
 				reply(from, iter, res)

@@ -222,7 +222,18 @@ func (w *elasticWorker) announceRejoin() (joinIter int, warm *sparse.Vector, war
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d malformed rejoin grant (%d ints)", w.rank, len(ctl.Ints))
 		}
 		joinIter = int(ctl.Ints[0])
-		haveW, cnt := ctl.Ints[2] != 0, int(ctl.Ints[3])
+		haveW, cnt := ctl.Ints[2], ctl.Ints[3]
+		switch {
+		case joinIter < w.cfg.StartIter:
+			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin grant joins at iteration %d, before the run's start %d: %w",
+				w.rank, joinIter, w.cfg.StartIter, collective.ErrPayloadKind)
+		case haveW != 0 && haveW != 1:
+			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin grant warm-start word %d, want 0 or 1: %w",
+				w.rank, haveW, collective.ErrPayloadKind)
+		case haveW == 1 && (cnt < 1 || cnt > int64(w.cfg.Topo.Size())):
+			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin grant warm start over %d contributors, outside [1, %d]: %w",
+				w.rank, cnt, w.cfg.Topo.Size(), collective.ErrPayloadKind)
+		}
 		nDead := int(ctl.Ints[4])
 		if nDead < 0 || 5+nDead > len(ctl.Ints) {
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d malformed rejoin dead set", w.rank)
@@ -237,7 +248,7 @@ func (w *elasticWorker) announceRejoin() (joinIter int, warm *sparse.Vector, war
 			}
 		}
 		w.noteJoins(ctl.Ints[5+nDead:])
-		if !haveW {
+		if haveW == 0 {
 			return joinIter, nil, 0, nil
 		}
 		wm, err := collective.RecvRetry(w.ep, w.gg, tagElRejoinW, w.pol)
@@ -248,7 +259,7 @@ func (w *elasticWorker) announceRejoin() (joinIter int, warm *sparse.Vector, war
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin warm start: %w", w.rank, err)
 		}
 		warm, err = collective.SparsePayload(&wm, -1)
-		return joinIter, warm, cnt, err
+		return joinIter, warm, int(cnt), err
 	}
 	return 0, nil, 0, fmt.Errorf("wlg: rank %d: no rejoin grant after %d announcements: %w",
 		w.rank, elasticCycles, collective.ErrUnavailable)

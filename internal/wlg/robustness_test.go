@@ -161,28 +161,39 @@ func TestElasticResultRefusesStrangeControl(t *testing.T) {
 
 // TestElasticGGRefusesStrangeContribution: the elastic Group Generator
 // takes a node sum only from a worker of that node, for a node of the
-// world, counting 1 to WorkersPerNode workers. Each row's contribution is
-// followed by every worker's farewell, so a GG that takes it flushes the
-// round and returns nil; it must instead fail with an error wrapping
-// collective.ErrPayloadKind.
+// world, counting 1 to WorkersPerNode workers, and a node sum or a recovery
+// request only for the sender's own node and an iteration in [StartIter,
+// MaxIter). Each row's request is followed by every worker's farewell, so a
+// GG that takes it returns nil; it must instead fail with an error wrapping
+// collective.ErrPayloadKind. A contribution for iteration 2^40 used to be
+// served as a ready round and move the next rejoin grant's join iteration
+// to 2^40+2, where the rejoiner never re-enters.
 func TestElasticGGRefusesStrangeContribution(t *testing.T) {
 	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2} // node 0: ranks 0, 1; node 1: ranks 2, 3
+	const contrib, recov = elKindContribute, elKindRecover
 	for _, tc := range []struct {
-		name              string
-		from, node, count int
+		name                          string
+		kind, from, node, iter, count int
 	}{
-		{"node outside the world", 0, 2, 1},
-		{"negative node", 0, -1, 1},
-		{"sender on another node", 2, 0, 1},
-		{"no contributors", 0, 0, 0},
-		{"more contributors than the node holds", 0, 0, 3},
+		{"node outside the world", contrib, 0, 2, 1, 1},
+		{"negative node", contrib, 0, -1, 1, 1},
+		{"sender on another node", contrib, 2, 0, 1, 1},
+		{"no contributors", contrib, 0, 0, 1, 0},
+		{"more contributors than the node holds", contrib, 0, 0, 1, 3},
+		{"contribution for iteration 2^40", contrib, 0, 0, 1 << 40, 1},
+		{"contribution for iteration MaxIter", contrib, 0, 0, 4, 1},
+		{"contribution before StartIter", contrib, 0, 0, 0, 1},
+		{"recovery for iteration 2^40", recov, 0, 0, 1 << 40, 0},
+		{"recovery before StartIter", recov, 0, 0, 0, 0},
+		{"recovery for another node", recov, 0, 1, 2, 0},
+		{"recovery for a node outside the world", recov, 0, 2, 2, 0},
 	} {
 		fab := transport.NewChanFabric(WorldSize(topo))
 		gg := GGRank(topo)
 		from := fab.Endpoint(tc.from)
-		msgs := []wire.Message{
-			wire.Control(tagElControl, elKindContribute, int64(tc.node), 0, int64(tc.count)),
-			wire.SparseMsg(iterTag(0, offElGGW), sparse.FromDense([]float64{1, 0, 2})),
+		msgs := []wire.Message{wire.Control(tagElControl, int64(tc.kind), int64(tc.node), int64(tc.iter), int64(tc.count))}
+		if tc.kind == contrib {
+			msgs = append(msgs, wire.SparseMsg(iterTag(tc.iter, offElGGW), sparse.FromDense([]float64{1, 0, 2})))
 		}
 		for _, m := range msgs {
 			if err := from.Send(gg, m); err != nil {
@@ -194,7 +205,7 @@ func TestElasticGGRefusesStrangeContribution(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		err := RunGG(fab.Endpoint(gg), Config{Topo: topo, MaxIter: 1, Elastic: true})
+		err := RunGG(fab.Endpoint(gg), Config{Topo: topo, StartIter: 1, MaxIter: 4, Elastic: true})
 		fab.Close()
 		if !errors.Is(err, collective.ErrPayloadKind) {
 			t.Errorf("%s: GG returned %v, want an error wrapping ErrPayloadKind", tc.name, err)
@@ -412,5 +423,62 @@ func TestWorkerErrorsAreDescriptive(t *testing.T) {
 	}
 	if !strings.Contains(errs[0].Error(), "GG request") && !strings.Contains(errs[0].Error(), "GG reply") {
 		t.Fatalf("leader error %v lacks context", errs[0])
+	}
+}
+
+// TestRejoinRefusesStrangeGrant: a rejoining rank takes its grant only
+// with a join iteration at or past its StartIter, a warm-start word of 0 or
+// 1 and, with a warm start, a contributor count in [1, the world's
+// workers]. A refused grant fails the handshake with an error wrapping
+// collective.ErrPayloadKind before WorkerFuncs.Rejoined runs. Counts of 0
+// and −3 used to reach Rejoined, whose z-update then warm-started z = 0.
+func TestRejoinRefusesStrangeGrant(t *testing.T) {
+	topo := simnet.Topology{Nodes: 1, WorkersPerNode: 2} // rank 1 rejoins; the GG is 2
+	for _, tc := range []struct {
+		start int
+		grant []int64 // [joinIter, incarnation, haveW, warmCount, nDead]
+		ok    bool
+	}{
+		{0, []int64{1, 1, 0, 0, 0}, true},
+		{0, []int64{1, 1, 1, 2, 0}, true},
+		{3, []int64{3, 1, 1, 1, 0}, true},
+		{0, []int64{1, 1, 1, 0, 0}, false},
+		{0, []int64{1, 1, 1, -3, 0}, false},
+		{0, []int64{1, 1, 1, 3, 0}, false},
+		{0, []int64{1, 1, 2, 1, 0}, false},
+		{0, []int64{1, 1, -1, 1, 0}, false},
+		{0, []int64{-5, 1, 0, 0, 0}, false},
+		{3, []int64{2, 1, 0, 0, 0}, false},
+	} {
+		fab := transport.NewChanFabric(WorldSize(topo))
+		gg := fab.Endpoint(GGRank(topo))
+		msgs := []wire.Message{wire.Control(tagElRejoinReply, tc.grant...)}
+		if tc.grant[2] != 0 {
+			msgs = append(msgs, wire.SparseMsg(tagElRejoinW, sparse.FromDense([]float64{1, 0, 2})))
+		}
+		for _, m := range msgs {
+			if err := gg.Send(1, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := Config{Topo: topo, StartIter: tc.start, MaxIter: 8, Elastic: true, Rejoin: true}
+		w := &elasticWorker{ep: fab.Endpoint(1), cfg: cfg, rank: 1, gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
+		rejoined := false
+		joinIter, err := w.rejoinStart(WorkerFuncs{Rejoined: func(j int, bigW []float64, n int) {
+			rejoined = true
+			if j != int(tc.grant[0]) || (bigW != nil) != (tc.grant[2] == 1) || bigW != nil && n != int(tc.grant[3]) {
+				t.Errorf("grant %v: Rejoined(%d, %v, %d)", tc.grant, j, bigW, n)
+			}
+		}})
+		fab.Close()
+		if tc.ok {
+			if err != nil || !rejoined || joinIter != int(tc.grant[0]) {
+				t.Errorf("grant %v at StartIter %d: join iteration %d, Rejoined called %v, %v; want it taken", tc.grant, tc.start, joinIter, rejoined, err)
+			}
+			continue
+		}
+		if !errors.Is(err, collective.ErrPayloadKind) || rejoined {
+			t.Errorf("grant %v at StartIter %d: Rejoined called %v, %v; want an error wrapping ErrPayloadKind", tc.grant, tc.start, rejoined, err)
+		}
 	}
 }

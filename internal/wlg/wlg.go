@@ -544,9 +544,6 @@ func RunGG(ep transport.Endpoint, cfg Config) error {
 
 	flush := func(iter int) error {
 		q := queues[iter]
-		if len(q) == 0 {
-			return nil
-		}
 		queues[iter] = nil
 		slices.Sort(q)
 		for _, nodeID := range q {
