@@ -259,15 +259,16 @@ func listAlgorithms() {
 
 func loadData(dataPath, testPath string, fl *core.Flags) (*psra.Dataset, *psra.Dataset, error) {
 	if dataPath != "" {
-		train, err := readLIBSVM(dataPath, 0)
+		train, err := readLIBSVM(dataPath)
 		if err != nil {
 			return nil, nil, err
 		}
 		var test *psra.Dataset
 		if testPath != "" {
-			if test, err = readLIBSVM(testPath, train.Dim()); err != nil {
+			if test, err = readLIBSVM(testPath); err != nil {
 				return nil, nil, err
 			}
+			clipDim(test, train.Dim())
 		}
 		return train, test, nil
 	}
@@ -278,13 +279,32 @@ func loadData(dataPath, testPath string, fl *core.Flags) (*psra.Dataset, *psra.D
 	return psra.Generate(cfg)
 }
 
-func readLIBSVM(path string, dim int) (*psra.Dataset, error) {
+// clipDim gives d the training dimension dim, dropping in place every
+// feature at or past it: the model has no weight for such a feature, and
+// LIBLINEAR's predict drops it the same way.
+func clipDim(d *psra.Dataset, dim int) {
+	m := d.X
+	k, start := int64(0), int64(0)
+	for i := 0; i < m.NRows; i++ {
+		end := m.RowPtr[i+1]
+		for p := start; p < end; p++ {
+			if int(m.ColIdx[p]) < dim {
+				m.ColIdx[k], m.Val[k] = m.ColIdx[p], m.Val[p]
+				k++
+			}
+		}
+		start, m.RowPtr[i+1] = end, k
+	}
+	m.ColIdx, m.Val, m.NCols = m.ColIdx[:k], m.Val[:k], dim
+}
+
+func readLIBSVM(path string) (*psra.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return dataset.ReadLIBSVM(f, dim, path)
+	return dataset.ReadLIBSVM(f, 0, path)
 }
 
 func fatal(err error) {

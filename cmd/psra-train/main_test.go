@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -112,4 +113,42 @@ func runTrain(bin string, args ...string) (string, string, error) {
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	return stdout.String(), stderr.String(), err
+}
+
+// TestTestFileBeyondTrainingDim: a -test line with a feature past the
+// training file's dimension is read, not refused, and the feature is
+// dropped as LIBLINEAR's predict drops it: the run exits 0 and prints what
+// it prints for the same line without that feature. It used to exit 1 with
+// "index 3 exceeds dim 2".
+func TestTestFileBeyondTrainingDim(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "psra-train")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	files := map[string]string{
+		"train.svm":  "+1 1:1 2:0.5\n-1 1:-1 2:1\n",
+		"wide.svm":   "+1 1:1 3:1\n",
+		"narrow.svm": "+1 1:1\n",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var outs []string
+	for _, test := range []string{"wide.svm", "narrow.svm"} {
+		stdout, stderr, err := runTrain(bin, "-nodes", "1", "-wpn", "2",
+			"-data", filepath.Join(dir, "train.svm"), "-test", filepath.Join(dir, test))
+		if err != nil {
+			t.Fatalf("-test %s: %v\n%s", test, err, stderr)
+		}
+		if !strings.Contains(stdout, "test accuracy") {
+			t.Fatalf("-test %s: stdout lacks the test accuracy:\n%s", test, stdout)
+		}
+		outs = append(outs, stdout)
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("a feature past the training dimension changed the run:\n%s\nvs\n%s", outs[0], outs[1])
+	}
 }

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"psrahgadmm/internal/core"
 )
 
 // runQuick executes an experiment driver in quick mode and returns its
@@ -95,6 +98,77 @@ func TestAblationOutput(t *testing.T) {
 			t.Fatalf("ablation missing %q", want)
 		}
 	}
+}
+
+// TestTimeToErrorOutput: the tte experiment prints one table per quick
+// dataset, in dataset order, each with one row per Figure 5 algorithm.
+func TestTimeToErrorOutput(t *testing.T) {
+	tables := renderedTables(runQuick(t, "tte"))
+	sets := BenchDatasets(1, true)
+	if len(tables) != len(sets) {
+		t.Fatalf("tte printed %d tables, want one per quick dataset (%d)", len(tables), len(sets))
+	}
+	for i, d := range sets {
+		tbl := tables[i]
+		if want := "Time to relative error ≤ 0.05 — " + d.Name + ","; !strings.HasPrefix(tbl.title, want) {
+			t.Fatalf("tte table %d is titled %q, want it to start with %q", i, tbl.title, want)
+		}
+		algs := fig5Algorithms()
+		if len(tbl.rows) != len(algs) {
+			t.Fatalf("tte %s has %d rows, want one per Figure 5 algorithm (%d)", d.Name, len(tbl.rows), len(algs))
+		}
+		for j, alg := range algs {
+			if got := tbl.rows[j][0]; got != string(alg) {
+				t.Fatalf("tte %s row %d is %q, want %q", d.Name, j, got, alg)
+			}
+		}
+	}
+}
+
+// TestZooOutput: the zoo experiment prints one table with one row per
+// registered variant, in registration order, naming its consensus, sync
+// and codec.
+func TestZooOutput(t *testing.T) {
+	tables := renderedTables(runQuick(t, "zoo"))
+	if len(tables) != 1 {
+		t.Fatalf("zoo printed %d tables, want 1", len(tables))
+	}
+	rows, vs := tables[0].rows, core.Variants()
+	if len(rows) != len(vs) {
+		t.Fatalf("zoo has %d rows, want one per registered variant (%d)", len(rows), len(vs))
+	}
+	for i, v := range vs {
+		want := []string{string(v.Name), string(v.Consensus), string(v.Sync), string(v.Codec)}
+		if len(rows[i]) < len(want) || !slices.Equal(rows[i][:len(want)], want) {
+			t.Fatalf("zoo row %d is %q, want it to start with %q", i, rows[i], want)
+		}
+	}
+}
+
+// renderedTable is one text table as metrics.Table renders it: the title
+// after "## ", and each data row below the dashes split into its cells.
+type renderedTable struct {
+	title string
+	rows  [][]string
+}
+
+func renderedTables(out string) []renderedTable {
+	var tables []renderedTable
+	for _, block := range strings.Split(out, "## ")[1:] {
+		lines := strings.Split(block, "\n")
+		tbl := renderedTable{title: lines[0]}
+		body := false
+		for _, line := range lines[1:] {
+			switch {
+			case strings.HasPrefix(line, "---"):
+				body = true
+			case body && strings.TrimSpace(line) != "":
+				tbl.rows = append(tbl.rows, strings.Fields(line))
+			}
+		}
+		tables = append(tables, tbl)
+	}
+	return tables
 }
 
 func TestCSVMode(t *testing.T) {

@@ -163,7 +163,7 @@ func sendResult(ep transport.Endpoint, to, iter, off int, ctl []int64, agg *spar
 // offset off, checking the control's length, status word and contributor
 // count before it uses a field, and keeps the rejoin log a reply of either
 // status carries. ready is false with a nil error on a "not ready" status.
-func (w *elasticWorker) awaitResult(src, iter, off, dim int) (res groupResult, ready bool, err error) {
+func (w *worker) awaitResult(src, iter, off, dim int) (res groupResult, ready bool, err error) {
 	ctl, err := collective.RecvRetry(w.ep, src, iterTag(iter, off), w.pol)
 	if err != nil {
 		return groupResult{}, false, err
@@ -195,8 +195,12 @@ func (w *elasticWorker) awaitResult(src, iter, off, dim int) (res groupResult, r
 	return groupResult{agg, int(ctl.Ints[1]), ctl.Ints[2] != 0}, true, nil
 }
 
-// elasticWorker is one rank's state for the fail-survive protocol.
-type elasticWorker struct {
+// worker is one rank's state under either failure model. The round loop
+// (RunWorkerInfo) uses its identity, codec, screen and counters, and info
+// reports its membership view and counters; the rest is the elastic
+// exchange's. A fail-stop run never changes the tracker, so its RunInfo
+// says every worker lived.
+type worker struct {
 	ep      transport.Endpoint
 	cfg     Config
 	rank    int
@@ -235,11 +239,8 @@ type elasticWorker struct {
 	quorumTol int
 }
 
-// runWorkerElastic executes the elastic worker loop. The returned RunInfo
-// reflects THIS rank's final membership view; the error is non-nil only
-// for unrecoverable failures (the GG gone, the fabric closed, recovery
-// budgets exhausted) — peer deaths are absorbed, not returned.
-func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInfo, error) {
+// newWorker builds rank ep.Rank()'s state for cfg.
+func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	topo := cfg.Topo
 	rank := ep.Rank()
 	codec, err := cfg.codec()
@@ -250,7 +251,7 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 	if err != nil {
 		return nil, fmt.Errorf("wlg: %w", err)
 	}
-	w := &elasticWorker{
+	w := &worker{
 		ep:        ep,
 		cfg:       cfg,
 		rank:      rank,
@@ -268,99 +269,26 @@ func runWorkerElastic(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInf
 	// decorrelated jitter spreads the survivors' attempts instead of
 	// letting them thunder the transport in lockstep.
 	w.pol.Jitter = true
-	info := func() *RunInfo {
-		return &RunInfo{
-			Epoch:           w.tr.Epoch(),
-			LiveWorkers:     w.tr.LiveCount(),
-			Skipped:         w.skipped,
-			ShortRounds:     w.short,
-			Flagged:         w.flagged,
-			SelfQuarantines: w.selfQuars,
-		}
-	}
-	// Tell the GG this rank is finished on every exit path — including
-	// give-ups — so its done-or-dead accounting never waits on a rank that
-	// will stay silent. The farewell is ack'd and re-sent on loss (the GG
-	// treats duplicates idempotently): a dropped farewell must not strand
-	// the GG. A failed farewell means the GG itself is gone, which is moot.
-	defer func() {
-		_ = collective.SendAck(ep, w.gg, wire.Control(tagElControl, elKindDone, int64(w.node), 0, 0), w.pol)
-	}()
+	return w, nil
+}
 
-	startIter := cfg.StartIter
-	if cfg.Rejoin {
-		// A returning incarnation first obtains its grant: the join
-		// iteration, the dead set, and (when available) a warm start. A
-		// grant at or past MaxIter degenerates to zero iterations and an
-		// immediate farewell — still a clean exit.
-		joinIter, err := w.rejoinStart(f)
-		if err != nil {
-			return info(), err
-		}
-		startIter = joinIter
+// info is the rank's RunInfo: its final membership view and counters.
+func (w *worker) info() *RunInfo {
+	return &RunInfo{
+		Epoch:           w.tr.Epoch(),
+		LiveWorkers:     w.tr.LiveCount(),
+		Skipped:         w.skipped,
+		ShortRounds:     w.short,
+		Flagged:         w.flagged,
+		SelfQuarantines: w.selfQuars,
 	}
-
-	// A rank that rejoined starts with a clean top-k residual by
-	// construction (the State is created fresh for the new incarnation).
-	st := exchange.NewState(cfg.Codec, cfg.CodecBudgetBytes)
-
-	var dense []float64 // the densified aggregate handed to ApplyW
-	wd := newWatch(cfg, rank)
-	for iter := startIter; iter < cfg.MaxIter; iter++ {
-		raw := f.ComputeW(iter)
-		// Divergence is not a membership fact: a poisoned contribution (or
-		// aggregate, below) is an unrecoverable per-rank error that tears
-		// the run down — the elastic machinery only absorbs peer deaths.
-		if err := wd.checkOwn(iter, raw); err != nil {
-			return info(), err
-		}
-		// A fresh vector per round, unlike the fail-stop loop's reused one:
-		// a fabric that reorders may still hold last round's frame, which
-		// must not be rewritten under it.
-		own := sparse.FromDense(raw)
-		encodeContribution(codec, st, own)
-		// Self-observe the encoded contribution: the baseline this builds
-		// is what a quarantined incarnation's probation judges its
-		// self-probes against. Flagged observations never enter the
-		// baseline, so a compromise cannot drag its own baseline up.
-		w.screen.ObserveSparse(w.rank, own)
-		res, err := w.iterate(iter, own)
-		if errors.Is(err, errSelfQuarantined) {
-			// The log indicts this incarnation. Enter probation: screen
-			// local probes until watchdog.QuarantineRounds consecutive
-			// clean ones, then re-enter through the rejoin handshake as a
-			// fresh incarnation (or run out the clock and exit degraded).
-			w.selfQuars++
-			joinIter, perr := w.probation(iter, f)
-			if perr != nil {
-				return info(), perr
-			}
-			// The new incarnation starts with a clean error-feedback
-			// residual, like any other rejoiner.
-			st = exchange.NewState(cfg.Codec, cfg.CodecBudgetBytes)
-			iter = joinIter - 1
-			continue
-		}
-		if err != nil {
-			return info(), err
-		}
-		dense = res.w.ToDenseInto(dense)
-		if err := wd.checkAgg(iter, dense); err != nil {
-			return info(), err
-		}
-		if res.short {
-			w.short++
-		}
-		f.ApplyW(iter, dense, res.contributors)
-	}
-	return info(), nil
 }
 
 // iterate runs one elastic iteration: elect the node's Leader, follow the
 // member or Leader path, and recover through the GG when the Leader is
 // lost mid-round. Each cycle either returns a result or strictly narrows
 // the world (a death observed) or burns one bounded recovery attempt.
-func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (groupResult, error) {
+func (w *worker) iterate(iter int, own *sparse.Vector) (groupResult, error) {
 	for cycle := 0; cycle < elasticCycles; cycle++ {
 		// Fold the rejoin log in BEFORE electing — on every cycle, not
 		// just at iteration entry, because a recover reply inside this
@@ -419,7 +347,7 @@ func (w *elasticWorker) iterate(iter int, own *sparse.Vector) (groupResult, erro
 // contribute the node sum to the GG, broadcast the group aggregate back.
 // Each live member gets the full retry budget; one that stays silent
 // through it is skipped for the round.
-func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, error) {
+func (w *worker) leadIterate(iter int, own *sparse.Vector) (groupResult, error) {
 	w.acc.Reset(own.Dim)
 	w.acc.Add(own)
 	count := 1
@@ -490,7 +418,7 @@ func (w *elasticWorker) leadIterate(iter int, own *sparse.Vector) (groupResult, 
 // deduplicates by node, so at-least-once is safe). A "not ready" reply on
 // this tag answers a recover request this rank made as a member earlier
 // in the round, before it was elected Leader.
-func (w *elasticWorker) contribute(iter int, sum *sparse.Vector, count int) (groupResult, error) {
+func (w *worker) contribute(iter int, sum *sparse.Vector, count int) (groupResult, error) {
 	for attempt := 0; attempt < recontributeCap; attempt++ {
 		if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindContribute, int64(w.node), int64(iter), int64(count))); err != nil {
 			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d contribute: %w", w.rank, iter, err)
@@ -513,7 +441,7 @@ func (w *elasticWorker) contribute(iter int, sum *sparse.Vector, count int) (gro
 // recoverFromGG asks the GG for the cached (iter, node) result. hit=false
 // with a nil error means the round was never flushed (or the reply was
 // lost): the caller re-elects and retries.
-func (w *elasticWorker) recoverFromGG(iter, dim int) (res groupResult, hit bool, err error) {
+func (w *worker) recoverFromGG(iter, dim int) (res groupResult, hit bool, err error) {
 	if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindRecover, int64(w.node), int64(iter), 0)); err != nil {
 		return groupResult{}, false, fmt.Errorf("wlg: rank %d iter %d recover: %w", w.rank, iter, err)
 	}
@@ -687,9 +615,10 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 		}
 	}
 
-	// ownRound refuses a contribution or recovery request for a node the
-	// sender does not belong to or an iteration outside the run: either
-	// would reach the rejoin boundary (maxSeen+2) and the result cache.
+	// ownRound refuses a contribution, recovery request or quarantine
+	// evidence for a node the sender does not belong to or an iteration
+	// outside the run: the first two would reach the rejoin boundary
+	// (maxSeen+2) and the result cache, the third the rejoin log.
 	ownRound := func(what string, from, node, iter int) error {
 		if node < 0 || node >= topo.Nodes || topo.NodeOf(from) != node {
 			return fmt.Errorf("wlg: GG %s from %d for node %d, which it does not belong to: %w",
@@ -712,7 +641,8 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 			return fmt.Errorf("wlg: GG recv: %w", err)
 		}
 		if len(m.Ints) != 4 {
-			return fmt.Errorf("wlg: GG malformed elastic request from %d", m.From)
+			return fmt.Errorf("wlg: GG malformed elastic request from %d with %d ints, want 4: %w",
+				m.From, len(m.Ints), collective.ErrPayloadKind)
 		}
 		kind, node, iter, count := m.Ints[0], int(m.Ints[1]), int(m.Ints[2]), m.Ints[3]
 		from := int(m.From)
@@ -775,10 +705,15 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 			// ignored for dead/already-quarantined/reincarnated ranks) and
 			// appends the log triple every live rank folds in; a fresh
 			// quarantine can complete a pending remainder group's "nobody
-			// else will report" condition, hence the recheck.
+			// else will report" condition, hence the recheck. A Leader
+			// reports only other members of its own node; the GG cannot
+			// tell which node-mate leads, so the node is the check.
 			victim := node
-			if victim < 0 || victim >= topo.Size() {
-				return fmt.Errorf("wlg: GG quarantine evidence for invalid rank %d from %d", victim, from)
+			if victim < 0 || victim >= topo.Size() || victim == from {
+				return fmt.Errorf("wlg: GG quarantine evidence from %d against rank %d: %w", from, victim, collective.ErrPayloadKind)
+			}
+			if err := ownRound("quarantine evidence", from, topo.NodeOf(victim), iter); err != nil {
+				return err
 			}
 			if rj.noteQuarantine(victim, iter, int(count)) {
 				recheck()
@@ -817,7 +752,7 @@ func runGGElastic(ep transport.Endpoint, cfg Config) error {
 				}
 			}
 		default:
-			return fmt.Errorf("wlg: GG unknown elastic request kind %d from %d", kind, m.From)
+			return fmt.Errorf("wlg: GG unknown elastic request kind %d from %d: %w", kind, m.From, collective.ErrPayloadKind)
 		}
 	}
 	return nil

@@ -367,7 +367,7 @@ func TestContributeSkipsStaleNotReady(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w := &elasticWorker{ep: fab.Endpoint(0), cfg: Config{Topo: topo}, gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
+	w := &worker{ep: fab.Endpoint(0), cfg: Config{Topo: topo}, gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
 	res, err := w.contribute(iter, sparse.FromDense([]float64{0, 1, 0, 1}), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ var errSelfQuarantined = errors.New("wlg: this rank is quarantined")
 // called every led round, it keeps re-sending until the GG's log carries
 // the entry; the GG applies duplicates idempotently. A send failure is
 // ordinary death evidence.
-func (w *elasticWorker) reportQuarantines(iter int) {
+func (w *worker) reportQuarantines(iter int) {
 	for _, m := range w.members {
 		if m == w.rank || !w.tr.Quarantined(m) {
 			continue
@@ -64,7 +64,7 @@ func (w *elasticWorker) reportQuarantines(iter int) {
 
 // logHasQuarantine reports whether the rejoin log already records a
 // quarantine of rank at (or past) the given incarnation.
-func (w *elasticWorker) logHasQuarantine(rank, inc int) bool {
+func (w *worker) logHasQuarantine(rank, inc int) bool {
 	for i := 0; i+2 < len(w.joinLog); i += 3 {
 		r, _, in, quar := membership.ParseLogEntry(w.joinLog[i], w.joinLog[i+1], w.joinLog[i+2])
 		if quar && r == rank && in >= inc {
@@ -81,7 +81,7 @@ func (w *elasticWorker) logHasQuarantine(rank, inc int) bool {
 // caller's loop should execute — the granted join iteration, or MaxIter
 // when re-admission was never earned (the loop then falls through to the
 // farewell).
-func (w *elasticWorker) probation(fromIter int, f WorkerFuncs) (int, error) {
+func (w *worker) probation(fromIter int, f WorkerFuncs) (int, error) {
 	clean := 0
 	var sv *sparse.Vector
 	for probe := fromIter + 1; probe < w.cfg.MaxIter && clean < watchdog.QuarantineRounds; probe++ {

@@ -189,7 +189,7 @@ func (g *ggRejoin) grantInts(grant *rejoinGrant) []int64 {
 // granted join iteration — the first one this rank executes (possibly >=
 // MaxIter, in which case the caller's loop body never runs and the rank
 // goes straight to its done farewell).
-func (w *elasticWorker) rejoinStart(f WorkerFuncs) (int, error) {
+func (w *worker) rejoinStart(f WorkerFuncs) (int, error) {
 	joinIter, warm, warmCnt, err := w.announceRejoin()
 	if err != nil {
 		return 0, err
@@ -206,7 +206,7 @@ func (w *elasticWorker) rejoinStart(f WorkerFuncs) (int, error) {
 
 // announceRejoin sends the announcement and awaits the grant,
 // re-announcing on loss (the GG answers duplicates with the same grant).
-func (w *elasticWorker) announceRejoin() (joinIter int, warm *sparse.Vector, warmCnt int, err error) {
+func (w *worker) announceRejoin() (joinIter int, warm *sparse.Vector, warmCnt int, err error) {
 	for cycle := 0; cycle < elasticCycles; cycle++ {
 		if err := w.ep.Send(w.gg, wire.Control(tagElControl, elKindRejoin, int64(w.node), 0, 0)); err != nil {
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin announce: %w", w.rank, err)
@@ -268,7 +268,7 @@ func (w *elasticWorker) announceRejoin() (joinIter int, warm *sparse.Vector, war
 // noteJoins retains the GG's rejoin log. Every control reply carries the
 // full log (it is append-only at the GG), so the longest copy seen is the
 // most complete; shorter, older copies are ignored.
-func (w *elasticWorker) noteJoins(ints []int64) {
+func (w *worker) noteJoins(ints []int64) {
 	if len(ints) > len(w.joinLog) {
 		w.joinLog = append(w.joinLog[:0], ints...)
 	}
@@ -302,7 +302,7 @@ func (w *elasticWorker) noteJoins(ints []int64) {
 // indicts THIS rank's current incarnation raises selfQuar instead of
 // touching the tracker — being quarantined is something a rank does to
 // its behavior (probation), not to its own membership view.
-func (w *elasticWorker) applyJoins(iter int) {
+func (w *worker) applyJoins(iter int) {
 	for i := 0; i+2 < len(w.joinLog); i += 3 {
 		rank, joinIter, inc, quar := membership.ParseLogEntry(w.joinLog[i], w.joinLog[i+1], w.joinLog[i+2])
 		if quar {

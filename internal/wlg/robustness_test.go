@@ -17,27 +17,43 @@ import (
 )
 
 // TestGGRejectsMalformedRequest verifies the Group Generator fails loudly
-// on a corrupt report rather than mis-grouping.
+// on a corrupt report rather than mis-grouping: a fail-stop request whose
+// arity is not 2, an elastic control whose arity is not 4, and an elastic
+// control of no known kind each fail RunGG with an error wrapping
+// collective.ErrPayloadKind.
 func TestGGRejectsMalformedRequest(t *testing.T) {
 	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 1}
-	f := transport.NewChanFabric(WorldSize(topo))
-	defer f.Close()
-	cfg := Config{Topo: topo, MaxIter: 1}
+	for _, tc := range []struct {
+		name    string
+		elastic bool
+		req     wire.Message
+		want    string
+	}{
+		{"fail-stop request of one int", false, wire.Control(tagGGRequest, 7), "malformed"},
+		{"elastic control of three ints", true, wire.Control(tagElControl, elKindContribute, 0, 0), "malformed"},
+		{"elastic control of an unknown kind", true, wire.Control(tagElControl, 99, 0, 0, 0), "unknown"},
+	} {
+		f := transport.NewChanFabric(WorldSize(topo))
+		cfg := Config{Topo: topo, MaxIter: 1, Elastic: tc.elastic}
 
-	done := make(chan error, 1)
-	go func() { done <- RunGG(f.Endpoint(GGRank(topo)), cfg) }()
+		done := make(chan error, 1)
+		go func() { done <- RunGG(f.Endpoint(GGRank(topo)), cfg) }()
 
-	// A request with the wrong payload arity.
-	if err := f.Endpoint(0).Send(GGRank(topo), wire.Control(tagGGRequest, 7)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "malformed") {
-			t.Fatalf("GG error = %v, want malformed-request failure", err)
+		if err := f.Endpoint(0).Send(GGRank(topo), tc.req); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("GG did not fail on malformed request")
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: GG error = %v, want a %s-request failure", tc.name, err, tc.want)
+			}
+			if !errors.Is(err, collective.ErrPayloadKind) {
+				t.Errorf("%s: GG error = %v, want it to wrap ErrPayloadKind", tc.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: GG did not fail on the request", tc.name)
+		}
+		f.Close()
 	}
 }
 
@@ -144,7 +160,7 @@ func TestElasticResultRefusesStrangeControl(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		w := &elasticWorker{ep: fab.Endpoint(0), cfg: Config{Topo: topo}, gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
+		w := &worker{ep: fab.Endpoint(0), cfg: Config{Topo: topo}, gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
 		res, ready, err := w.awaitResult(GGRank(topo), iter, offElReplyCtl, 3)
 		fab.Close()
 		if tc.ok {
@@ -163,14 +179,17 @@ func TestElasticResultRefusesStrangeControl(t *testing.T) {
 // takes a node sum only from a worker of that node, for a node of the
 // world, counting 1 to WorkersPerNode workers, and a node sum or a recovery
 // request only for the sender's own node and an iteration in [StartIter,
-// MaxIter). Each row's request is followed by every worker's farewell, so a
-// GG that takes it returns nil; it must instead fail with an error wrapping
-// collective.ErrPayloadKind. A contribution for iteration 2^40 used to be
-// served as a ready round and move the next rejoin grant's join iteration
-// to 2^40+2, where the rejoiner never re-enters.
+// MaxIter). It takes quarantine evidence only against another rank of the
+// sender's node, for an iteration in the same range. Each row's request is
+// followed by every worker's farewell, so a GG that takes it returns nil;
+// it must instead fail with an error wrapping collective.ErrPayloadKind. A
+// contribution for iteration 2^40 used to be served as a ready round and
+// move the next rejoin grant's join iteration to 2^40+2, where the
+// rejoiner never re-enters, and a rank on node 1 could get rank 0
+// quarantined.
 func TestElasticGGRefusesStrangeContribution(t *testing.T) {
 	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2} // node 0: ranks 0, 1; node 1: ranks 2, 3
-	const contrib, recov = elKindContribute, elKindRecover
+	const contrib, recov, quar = elKindContribute, elKindRecover, elKindQuarantine
 	for _, tc := range []struct {
 		name                          string
 		kind, from, node, iter, count int
@@ -187,6 +206,15 @@ func TestElasticGGRefusesStrangeContribution(t *testing.T) {
 		{"recovery before StartIter", recov, 0, 0, 0, 0},
 		{"recovery for another node", recov, 0, 1, 2, 0},
 		{"recovery for a node outside the world", recov, 0, 2, 2, 0},
+		// A quarantine's node field names the victim and its count the
+		// victim's incarnation.
+		{"quarantine of a rank outside the world", quar, 0, 4, 1, 0},
+		{"quarantine of a negative rank", quar, 0, -1, 1, 0},
+		{"quarantine of a rank on another node", quar, 2, 0, 1, 0},
+		{"quarantine of the sender itself", quar, 1, 1, 1, 0},
+		{"quarantine for iteration 2^40", quar, 0, 1, 1 << 40, 0},
+		{"quarantine for iteration MaxIter", quar, 0, 1, 4, 0},
+		{"quarantine before StartIter", quar, 0, 1, 0, 0},
 	} {
 		fab := transport.NewChanFabric(WorldSize(topo))
 		gg := GGRank(topo)
@@ -462,7 +490,7 @@ func TestRejoinRefusesStrangeGrant(t *testing.T) {
 			}
 		}
 		cfg := Config{Topo: topo, StartIter: tc.start, MaxIter: 8, Elastic: true, Rejoin: true}
-		w := &elasticWorker{ep: fab.Endpoint(1), cfg: cfg, rank: 1, gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
+		w := &worker{ep: fab.Endpoint(1), cfg: cfg, rank: 1, gg: GGRank(topo), tr: membership.NewTracker(topo.Size())}
 		rejoined := false
 		joinIter, err := w.rejoinStart(WorkerFuncs{Rejoined: func(j int, bigW []float64, n int) {
 			rejoined = true

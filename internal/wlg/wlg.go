@@ -253,9 +253,8 @@ type WorkerFuncs struct {
 
 // RunWorker executes Algorithm 1 (and Algorithm 3 when this rank is its
 // node's Leader) for MaxIter iterations. It must be called concurrently on
-// every worker rank while RunGG serves GGRank. With cfg.Elastic it runs
-// the fail-survive protocol of elastic.go instead; RunWorkerInfo
-// additionally reports the degradation summary that path accumulates.
+// every worker rank while RunGG serves GGRank. RunWorkerInfo additionally
+// reports the degradation summary an elastic run accumulates.
 func RunWorker(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 	_, err := RunWorkerInfo(ep, cfg, f)
 	return err
@@ -265,6 +264,12 @@ func RunWorker(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 // membership view and how many contributions its gathers skipped. Process
 // launchers use it to distinguish a degraded-but-complete run (exit code
 // "degraded") from a clean one.
+//
+// One loop runs every round under both failure models: ComputeW, the
+// watchdog's scan, sparsify and encode, the self-screen, the round
+// exchange, densify, the aggregate's scan and ApplyW. Only the exchange
+// differs: failStop, or with cfg.Elastic the fail-survive iterate of
+// elastic.go, which the rejoin handshake precedes and the farewell follows.
 func RunWorkerInfo(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -272,18 +277,97 @@ func RunWorkerInfo(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInfo, 
 	if f.ComputeW == nil || f.ApplyW == nil {
 		return nil, fmt.Errorf("wlg: WorkerFuncs incomplete")
 	}
-	topo := cfg.Topo
 	rank := ep.Rank()
-	if rank >= topo.Size() {
-		return nil, fmt.Errorf("wlg: rank %d is not a worker (world has %d workers)", rank, topo.Size())
+	if rank >= cfg.Topo.Size() {
+		return nil, fmt.Errorf("wlg: rank %d is not a worker (world has %d workers)", rank, cfg.Topo.Size())
 	}
-	if cfg.Elastic {
-		return runWorkerElastic(ep, cfg, f)
-	}
-	if err := runWorkerPlain(ep, cfg, f); err != nil {
+	w, err := newWorker(ep, cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &RunInfo{LiveWorkers: topo.Size()}, nil
+	var roundExchange func(iter int, own *sparse.Vector) (groupResult, error)
+	startIter := cfg.StartIter
+	if !cfg.Elastic {
+		roundExchange = w.failStop()
+	} else {
+		roundExchange = w.iterate
+		// Tell the GG this rank is finished on every exit path, give-ups
+		// included, so its done-or-dead accounting never waits on a silent
+		// rank. The farewell is ack'd and re-sent on loss; a failed one
+		// means the GG itself is gone.
+		defer func() {
+			_ = collective.SendAck(ep, w.gg, wire.Control(tagElControl, elKindDone, int64(w.node), 0, 0), w.pol)
+		}()
+		if cfg.Rejoin {
+			// A returning incarnation first obtains its grant: the join
+			// iteration, the dead set, and (when available) a warm start. A
+			// grant at or past MaxIter degenerates to zero iterations and an
+			// immediate farewell — still a clean exit.
+			joinIter, err := w.rejoinStart(f)
+			if err != nil {
+				return w.info(), err
+			}
+			startIter = joinIter
+		}
+	}
+
+	// A rank that rejoined starts with a clean top-k residual by
+	// construction (the State is created fresh for the new incarnation).
+	st := exchange.NewState(cfg.Codec, cfg.CodecBudgetBytes)
+	var own *sparse.Vector // this rank's encoded contribution
+	var dense []float64    // the densified aggregate handed to ApplyW
+	wd := newWatch(cfg, rank)
+	for iter := startIter; iter < cfg.MaxIter; iter++ {
+		raw := f.ComputeW(iter)
+		// The scan runs on the raw ComputeW output: a NaN absorbed into a
+		// top-k error-feedback residual would re-poison every later round.
+		// A trip here or on the aggregate ends the run in either model.
+		if err := wd.checkOwn(iter, raw); err != nil {
+			return w.info(), err
+		}
+		// The fail-stop exchange reuses one contribution vector; the
+		// elastic one takes a fresh one, since a fabric that reorders may
+		// still hold last round's frame.
+		if cfg.Elastic {
+			own = nil
+		}
+		// Lossy codecs act before anything is communicated: the aggregate
+		// every worker applies is built from wire-precision values,
+		// matching what a real cluster would sum.
+		own = sparse.FromDenseInto(own, raw)
+		encodeContribution(w.codec, st, own)
+		// Self-observe (a no-op without a screen): probation judges a
+		// quarantined incarnation's probes against this baseline, which
+		// flagged observations never enter.
+		w.screen.ObserveSparse(rank, own)
+		res, err := roundExchange(iter, own)
+		if errors.Is(err, errSelfQuarantined) {
+			// The log indicts this incarnation: probation re-enters through
+			// the rejoin handshake after watchdog.QuarantineRounds clean
+			// probes, or runs out the clock.
+			w.selfQuars++
+			joinIter, perr := w.probation(iter, f)
+			if perr != nil {
+				return w.info(), perr
+			}
+			// A new incarnation starts with a clean residual.
+			st = exchange.NewState(cfg.Codec, cfg.CodecBudgetBytes)
+			iter = joinIter - 1
+			continue
+		}
+		if err != nil {
+			return w.info(), err
+		}
+		dense = res.w.ToDenseInto(dense)
+		if err := wd.checkAgg(iter, dense); err != nil {
+			return w.info(), err
+		}
+		if res.short {
+			w.short++
+		}
+		f.ApplyW(iter, dense, res.contributors)
+	}
+	return w.info(), nil
 }
 
 // encodeContribution turns sv into what the wire delivers, in place. st is
@@ -301,53 +385,26 @@ func encodeContribution(codec exchange.Codec, st *exchange.State, sv *sparse.Vec
 	st.Adapt(st.WireBytes(sv.NNZ()))
 }
 
-// runWorkerPlain is the fail-stop worker loop: every peer is assumed
-// alive, every wait is unbounded, and the first failure aborts.
-//
-// All per-iteration scratch — the sparse contribution, the collective
-// workspace, the leader's group membership and control payloads — is
-// allocated once before the loop and reused, so a warmed iteration
-// allocates nothing in the runtime itself (see DESIGN.md "Memory model &
-// buffer ownership"). Transport-level copies remain the fabric's business.
-func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
-	topo := cfg.Topo
-	rank := ep.Rank()
-	node := topo.NodeOf(rank)
-	intra := collective.NewGroup(topo.WorkersOf(node)...)
+// failStop returns the fail-stop round exchange: every peer is assumed
+// alive, every wait is unbounded, and the first failure aborts. Its
+// scratch, the aggregate it returns included, is allocated here once and
+// reused every round, so a warmed round allocates nothing in the runtime
+// itself (DESIGN.md "Memory model & buffer ownership").
+func (w *worker) failStop() func(iter int, sv *sparse.Vector) (groupResult, error) {
+	ep, topo, rank, node, gg := w.ep, w.cfg.Topo, w.rank, w.node, w.gg
+	intra := collective.NewGroup(w.members...)
 	leader := IsLeader(topo, rank)
-	gg := GGRank(topo)
-	codec, err := cfg.codec() // Validate already vetted the kind
-	if err != nil {
-		return fmt.Errorf("wlg: %w", err)
-	}
-	st := exchange.NewState(cfg.Codec, cfg.CodecBudgetBytes)
-
 	var ws collective.Workspace
-	var dense []float64        // the densified aggregate handed to ApplyW
-	sv := new(sparse.Vector)   // this rank's encoded contribution
 	part := new(sparse.Vector) // Leader: node partial sum
 	agg := new(sparse.Vector)  // group aggregate
-	members := make([]int, 0, topo.Nodes)
+	leaders := make([]int, 0, topo.Nodes)
 	var ggReq [2]int64 // node, iter — rewritten only after the GG replied
 	var cnt [1]int64
-	wd := newWatch(cfg, rank)
 
-	for iter := cfg.StartIter; iter < cfg.MaxIter; iter++ {
-		w := f.ComputeW(iter)
-		// The scan runs on the raw ComputeW output: a NaN absorbed into a
-		// top-k error-feedback residual would re-poison every later round.
-		if err := wd.checkOwn(iter, w); err != nil {
-			return err
-		}
-		// Lossy codecs act before anything is communicated: the aggregate
-		// every worker applies is built from wire-precision values,
-		// matching what a real cluster would sum.
-		sv = sparse.FromDenseInto(sv, w)
-		encodeContribution(codec, st, sv)
-
+	return func(iter int, sv *sparse.Vector) (groupResult, error) {
 		// Step 9: intra-node reduce to the Leader over the bus.
 		if _, err := ws.ReduceSparse(ep, intra, iterTag(iter, offIntraRed), 0, sv, part); err != nil {
-			return fmt.Errorf("wlg: rank %d iter %d intra reduce: %w", rank, iter, err)
+			return groupResult{}, fmt.Errorf("wlg: rank %d iter %d intra reduce: %w", rank, iter, err)
 		}
 
 		var contributors int
@@ -355,66 +412,61 @@ func runWorkerPlain(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 			// Algorithm 3: report to the GG, receive the inter-node group.
 			ggReq[0], ggReq[1] = int64(node), int64(iter)
 			if err := ep.Send(gg, wire.Control(tagGGRequest, ggReq[:]...)); err != nil {
-				return fmt.Errorf("wlg: leader %d iter %d GG request: %w", rank, iter, err)
+				return groupResult{}, fmt.Errorf("wlg: leader %d iter %d GG request: %w", rank, iter, err)
 			}
 			reply, err := ep.Recv(gg, iterTag(iter, offGGReply))
 			if err != nil {
-				return fmt.Errorf("wlg: leader %d iter %d GG reply: %w", rank, iter, err)
+				return groupResult{}, fmt.Errorf("wlg: leader %d iter %d GG reply: %w", rank, iter, err)
 			}
 			// A duplicated node, or a group without this node, is the
 			// collective's to refuse; a node outside the world is not,
 			// since node Nodes maps to the GG's own rank.
-			members = members[:0]
+			leaders = leaders[:0]
 			for _, n := range reply.Ints {
 				if n < 0 || n >= int64(topo.Nodes) {
-					return fmt.Errorf("wlg: leader %d iter %d: GG reply names node %d outside [0, %d): %w",
+					return groupResult{}, fmt.Errorf("wlg: leader %d iter %d: GG reply names node %d outside [0, %d): %w",
 						rank, iter, n, topo.Nodes, collective.ErrPayloadKind)
 				}
-				members = append(members, LeaderOf(topo, int(n)))
+				leaders = append(leaders, LeaderOf(topo, int(n)))
 			}
-			inter := collective.NewGroup(members...)
+			inter := collective.NewGroup(leaders...)
 			// PSR-Allreduce of W among the group's Leaders: the node
 			// partials carry whatever supports their workers shipped, and
 			// the scatter-reduce sums them block-wise without densifying.
 			if _, err := ws.PSRAllreduceSparse(ep, inter, iterTag(iter, offInterAR), part, agg); err != nil {
-				return fmt.Errorf("wlg: leader %d iter %d PSR allreduce: %w", rank, iter, err)
+				return groupResult{}, fmt.Errorf("wlg: leader %d iter %d PSR allreduce: %w", rank, iter, err)
 			}
 			contributors = inter.Size() * topo.WorkersPerNode
 			// Step 4: broadcast the aggregate and its contributor count.
 			cnt[0] = int64(contributors)
 			if _, err := ws.BroadcastSparse(ep, intra, iterTag(iter, offIntraBc), 0, agg, nil, sv.Dim); err != nil {
-				return fmt.Errorf("wlg: leader %d iter %d intra broadcast: %w", rank, iter, err)
+				return groupResult{}, fmt.Errorf("wlg: leader %d iter %d intra broadcast: %w", rank, iter, err)
 			}
 			for _, r := range intra.Ranks[1:] {
 				if err := ep.Send(r, wire.Control(iterTag(iter, offIntraBc2), cnt[:]...)); err != nil {
-					return fmt.Errorf("wlg: leader %d iter %d contributor broadcast: %w", rank, iter, err)
+					return groupResult{}, fmt.Errorf("wlg: leader %d iter %d contributor broadcast: %w", rank, iter, err)
 				}
 			}
 		} else {
 			if _, err := ws.BroadcastSparse(ep, intra, iterTag(iter, offIntraBc), 0, nil, agg, sv.Dim); err != nil {
-				return fmt.Errorf("wlg: rank %d iter %d receive W: %w", rank, iter, err)
+				return groupResult{}, fmt.Errorf("wlg: rank %d iter %d receive W: %w", rank, iter, err)
 			}
 			c, err := ep.Recv(intra.Ranks[0], iterTag(iter, offIntraBc2))
 			if err == nil {
 				err = controlInts(&c, 1)
 			}
 			if err != nil {
-				return fmt.Errorf("wlg: rank %d iter %d receive count: %w", rank, iter, err)
+				return groupResult{}, fmt.Errorf("wlg: rank %d iter %d receive count: %w", rank, iter, err)
 			}
 			// ApplyW divides by the count: it lies in [1, every worker].
 			if n := c.Ints[0]; n < 1 || n > int64(topo.Size()) {
-				return fmt.Errorf("wlg: rank %d iter %d: contributor count %d outside [1, %d]: %w",
+				return groupResult{}, fmt.Errorf("wlg: rank %d iter %d: contributor count %d outside [1, %d]: %w",
 					rank, iter, n, topo.Size(), collective.ErrPayloadKind)
 			}
 			contributors = int(c.Ints[0])
 		}
-		dense = agg.ToDenseInto(dense)
-		if err := wd.checkAgg(iter, dense); err != nil {
-			return err
-		}
-		f.ApplyW(iter, dense, contributors)
+		return groupResult{w: agg, contributors: contributors}, nil
 	}
-	return nil
 }
 
 // RunWithInfo executes a complete WLG world — every worker plus the Group
@@ -561,7 +613,8 @@ func RunGG(ep transport.Endpoint, cfg Config) error {
 			return fmt.Errorf("wlg: GG recv: %w", err)
 		}
 		if len(m.Ints) != 2 {
-			return fmt.Errorf("wlg: GG malformed request from %d", m.From)
+			return fmt.Errorf("wlg: GG malformed request from %d with %d ints, want 2: %w",
+				m.From, len(m.Ints), collective.ErrPayloadKind)
 		}
 		node, iter := int(m.Ints[0]), int(m.Ints[1])
 		switch {
