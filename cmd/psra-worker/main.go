@@ -106,16 +106,17 @@ func main() {
 		Screen:           run.Screen,
 	}
 	// Before the mesh: establishment waits for every rank (up to -timeout),
-	// and a mistyped flag should not cost that wait on every process. The
-	// runtime's own rules go first, so a robust -aggregator without
-	// -elastic is refused as such; psra-train's Validate then holds the
-	// shared flags to its rules and texts. The WLG protocol is PSRA-HGADMM,
-	// BSP in both runtimes.
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
+	// and a mistyped flag should not cost that wait on every process.
+	// psra-train's Validate goes first, so a shared flag is refused by its
+	// rules and in its words; the runtime's own rules then refuse what the
+	// engine accepts but the WLG protocol cannot run, such as a robust
+	// -aggregator or -screen without -elastic. The WLG protocol is
+	// PSRA-HGADMM, BSP in both runtimes.
 	run.Algorithm = core.PSRAHGADMM
 	if err := run.Validate(); err != nil {
+		fatal(err)
+	}
+	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 	world := wlg.WorldSize(topo)

@@ -12,8 +12,10 @@ import (
 // TestConfigRejectedBeforeDial: a configuration wlg.Config.Validate refuses
 // exits 1 with the reason before the process listens or dials. The
 // addresses resolve to nothing, so an attempt at the mesh would fail with a
-// listen error instead. The rows here are the worker's own refusals; the
-// shared run flags' are TestSharedFlagsRefusedAlike's, in the root package.
+// listen error instead. The rows here are the worker's own refusals, which
+// it checks once the shared run flags pass the engine's rules (a TrimF that
+// trims every node the engine refuses first); the shared flags' refusals
+// are TestSharedFlagsRefusedAlike's, in the root package.
 func TestConfigRejectedBeforeDial(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "psra-worker")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -24,7 +26,9 @@ func TestConfigRejectedBeforeDial(t *testing.T) {
 		want string
 	}{
 		{[]string{"-codec", "nope"}, `wlg: exchange: unknown codec "nope"`},
-		{[]string{"-aggregator", "trimmed-mean"}, `aggregator "trimmed-mean" requires Elastic mode`},
+		// Three nodes, so the engine's rules accept the trim and the refusal
+		// is the runtime's own.
+		{[]string{"-nodes", "3", "-aggregator", "trimmed-mean"}, `aggregator "trimmed-mean" requires Elastic mode`},
 		{[]string{"-elastic", "-aggregator", "trimmed-mean", "-trim-f", "1"}, "TrimF 1 trims everything"},
 		{[]string{"-rejoin"}, "Rejoin requires Elastic mode"},
 		{[]string{"-screen"}, "contribution screening requires Elastic mode"},

@@ -254,8 +254,8 @@ func TestByzantineChaos16Ranks(t *testing.T) {
 
 // TestByzantineBoundedWindowReadmission: a compromise window with an end
 // (Until) lets the quarantine protocol demonstrate its second half — after
-// the attack stops, watchdog.QuarantineRounds consecutive clean probes
-// re-admit the rank, and training finishes with the whole world live. The
+// the attack stops, three consecutive clean probes (the screen's fixed
+// readmission threshold) re-admit the rank, and training finishes with the whole world live. The
 // attack ends at 12, so iterations 12, 13 and 14 are the clean probes and
 // re-admission lands on the last of them.
 func TestByzantineBoundedWindowReadmission(t *testing.T) {
@@ -290,7 +290,7 @@ func TestByzantineBoundedWindowReadmission(t *testing.T) {
 	if readmitIter < 0 {
 		t.Fatalf("attacker was never readmitted after the window closed (events %+v)", res.Quarantines)
 	}
-	if want := 12 + watchdog.QuarantineRounds - 1; readmitIter != want {
+	if want := 12 + 3 - 1; readmitIter != want {
 		t.Fatalf("readmission at %d, quarantine at %d, want readmission at %d", readmitIter, quarIter, want)
 	}
 	final := res.History[len(res.History)-1]

@@ -257,9 +257,9 @@ type Config struct {
 	TrimF int
 	// Screen enables contribution screening: every contribution entering a
 	// consensus reduce is scored against its sender's own EWMA baselines
-	// (norm and Δ-norm), consecutive outliers quarantine the rank, and
-	// watchdog.QuarantineRounds consecutive clean probes re-admit it. See
-	// watchdog.ScreenConfig.
+	// (norm and Δ-norm), consecutive outliers quarantine the rank, and a
+	// run of consecutive clean probes re-admits it (watchdog.Screen's
+	// Indicted and Probe). See watchdog.ScreenConfig.
 	Screen watchdog.ScreenConfig
 }
 

@@ -118,9 +118,8 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		agg: ax.agg,
 	}
 	// The contribution screen (nil when disabled) scores every
-	// contribution at the inspect chokepoint; the quarantine
-	// controller below turns its strikes into membership transitions at
-	// iteration boundaries.
+	// contribution at the inspect chokepoint; sweep turns its verdicts
+	// into membership transitions at iteration boundaries.
 	env.screen = watchdog.NewScreen(cfg.Screen, cfg.Topo.Size())
 	if f := cfg.Faults; f != nil && len(f.ByzantineAtIteration) > 0 {
 		env.byz = make([]byzRank, cfg.Topo.Size())
@@ -253,10 +252,6 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 	wd := watchdog.New(cfg.Watchdog)
 	rollbacks := 0
 	histBase := startIter
-	var quar *quarantineCtl
-	if env.screen != nil {
-		quar = newQuarantineCtl(cfg, env.agg)
-	}
 
 	// A round that fails because peers died is retried over the survivors
 	// (elastic mode only). Each death shrinks the world by one, and a
@@ -334,12 +329,12 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 		}
 
 		// Quarantine boundary: probe quarantined ranks (possibly readmitting
-		// them), quarantine live ranks whose screen strikes hit the limit,
+		// them), quarantine live ranks the screen indicts,
 		// and enforce the robust quorum bound — all BEFORE this iteration's
 		// stats, so LiveWorkers, the assembled z̄, and the objective reflect
 		// the post-transition world.
-		if quar != nil {
-			if qerr := quar.sweep(env, cfg, iter, zPrev.z, res); qerr != nil {
+		if env.screen != nil {
+			if qerr := env.sweep(cfg, iter, zPrev.z, res); qerr != nil {
 				return fail(iter, qerr)
 			}
 		}
@@ -413,8 +408,8 @@ func Run(cfg Config, train *dataset.Dataset, opts RunOptions) (*Result, error) {
 			var trip *watchdog.TripError
 			for _, w := range live {
 				bad := watchdog.ScanNonFinite([]string{"x", "y"}, w.xA, w.yA)
-				if k := watchdog.FirstNonFinite(w.zSparse.Value); bad == "" && k >= 0 {
-					bad = fmt.Sprintf("z[%d] = %v", w.zSparse.Index[k], w.zSparse.Value[k])
+				if bad == "" {
+					bad = watchdog.ScanSparse("z", w.zSparse)
 				}
 				if bad != "" {
 					trip = &watchdog.TripError{Iter: iter, Reason: fmt.Sprintf("non-finite iterate on rank %d: %s", w.rank, bad)}

@@ -107,9 +107,9 @@ type strategyEnv struct {
 	// kinds take the trimmed-mean/median center.
 	agg collective.AggSpec
 	// screen, non-nil when Config.Screen is enabled, scores every
-	// contribution at the inspect chokepoint. The engine reads the
-	// strike counts at iteration boundaries and turns them into
-	// membership quarantines.
+	// contribution at the inspect chokepoint. At iteration boundaries
+	// sweep turns its indictments and readmissions into membership
+	// transitions.
 	screen *watchdog.Screen
 	// byz, non-nil when the fault plan schedules Byzantine ranks, holds
 	// each world rank's poison state. The poison is applied AFTER codec
@@ -121,6 +121,9 @@ type strategyEnv struct {
 	// engine before each Round call. Poison schedules key on it, so
 	// corrupt-frame retries of the same round replay identically.
 	curIter int
+	// probe is sweep's scratch for a quarantined rank's would-be
+	// contribution, which is screened and never shipped.
+	probe sparse.Vector
 }
 
 // byzRank is one rank's scheduled Byzantine behavior (see

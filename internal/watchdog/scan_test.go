@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"psrahgadmm/internal/sparse"
 )
 
 // scanNonFiniteReference is ScanNonFinite as it stood before the
@@ -108,4 +110,23 @@ func FuzzScanNonFinite(f *testing.F) {
 		}
 		checkScanAgainstReference(t, []string{"x", "y"}, v[:cut], v[cut:])
 	})
+}
+
+// TestScanSparseMatchesDenseScan: scanning a sparse vector's stored values
+// names the same coordinate and value as scanning its dense form, because
+// sparsifying drops only zeros.
+func TestScanSparseMatchesDenseScan(t *testing.T) {
+	for _, b := range edgeBits {
+		x := math.Float64frombits(b)
+		for _, dense := range [][]float64{
+			{x}, {0, 0, x}, {1, 0, -2.5, x, 3}, {0, x, 0, math.NaN()}, {math.Inf(-1), 0, x},
+		} {
+			if got, want := ScanSparse("w", sparse.FromDense(dense)), ScanNonFinite([]string{"w"}, dense); got != want {
+				t.Fatalf("ScanSparse(%v) = %q, dense scan = %q", dense, got, want)
+			}
+		}
+	}
+	if got := ScanSparse("W", sparse.NewVector(5, 0)); got != "" {
+		t.Fatalf("empty vector scanned as %q", got)
+	}
 }

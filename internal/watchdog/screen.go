@@ -44,6 +44,16 @@ func (e *QuorumError) Error() string {
 
 func (e *QuorumError) Unwrap() error { return ErrQuorumLost }
 
+// Quorum returns the *QuorumError for quarantined ranks against a robust
+// tolerance of f, or nil while quarantined <= f. A negative f (the mean,
+// which tolerates nothing and so bounds nothing) never errs.
+func Quorum(quarantined, f int) error {
+	if f < 0 || quarantined <= f {
+		return nil
+	}
+	return &QuorumError{Quarantined: quarantined, F: f}
+}
+
 // ScreenConfig switches the contribution screen. The zero value disables
 // it; Enabled turns it on with the fixed tuning below.
 type ScreenConfig struct {
@@ -68,9 +78,9 @@ const (
 	// quarantine a rank: a single spike (a straggler's stale burst, an
 	// unlucky numeric step) is forgiven, a sustained pattern is not.
 	screenStrikes = 2
-	// QuarantineRounds is how many CONSECUTIVE clean probes a quarantined
+	// quarantineRounds is how many CONSECUTIVE clean probes a quarantined
 	// rank must produce before re-admission, in both runtimes.
-	QuarantineRounds = 3
+	quarantineRounds = 3
 )
 
 // screenRank is one rank's baseline state. prevIdx/prevVal hold the last
@@ -81,6 +91,7 @@ type screenRank struct {
 	deltaEWMA float64
 	clean     int // clean observations so far (baseline maturity)
 	strikes   int // consecutive flagged observations
+	probes    int // consecutive clean probes since the last flag or Reset
 	prevIdx   []int32
 	prevVal   []float64
 	havePrev  bool
@@ -139,6 +150,7 @@ func (s *Screen) judge(st *screenRank, norm, delta float64) bool {
 		(norm > screenFactor*maxf(st.normEWMA, screenTiny) ||
 			delta > screenFactor*maxf(st.deltaEWMA, screenTiny))) {
 		st.strikes++
+		st.probes = 0
 		return true
 	}
 	st.strikes = 0
@@ -152,36 +164,34 @@ func (s *Screen) judge(st *screenRank, norm, delta float64) bool {
 	return false
 }
 
-// Strikes returns rank's consecutive-flag count — the quarantine trigger
-// compares it against StrikeLimit.
-func (s *Screen) Strikes(rank int) int {
+// Indicted reports whether rank's consecutive flags reached the strike
+// limit: the rank is to be quarantined. False on a nil screen.
+func (s *Screen) Indicted(rank int) bool {
 	if s == nil || rank < 0 || rank >= len(s.ranks) {
-		return 0
+		return false
 	}
-	return s.ranks[rank].strikes
+	return s.ranks[rank].strikes >= screenStrikes
 }
 
-// StrikeLimit returns the consecutive-flag quarantine threshold (0 on a
-// nil screen).
-func (s *Screen) StrikeLimit() int {
+// Probe screens a quarantined rank's would-be contribution and counts its
+// consecutive clean probes; any flag zeroes the count, so every quarantine
+// starts from zero. The quarantineRounds-th clean probe readmits the rank:
+// Probe clears its state — the returning regime must earn a fresh
+// baseline — and returns true. A nil screen flags nothing: true at once.
+func (s *Screen) Probe(rank int, v *sparse.Vector) bool {
 	if s == nil {
-		return 0
+		return true
 	}
-	return screenStrikes
-}
-
-// Reset clears one rank's baseline and strikes. Call on rejoin or
-// re-admission: the returning state is a different regime and must earn a
-// fresh baseline.
-func (s *Screen) Reset(rank int) {
-	if s == nil || rank < 0 || rank >= len(s.ranks) {
-		return
+	if rank < 0 || rank >= len(s.ranks) || s.ObserveSparse(rank, v) {
+		return false
 	}
 	st := &s.ranks[rank]
-	st.normEWMA, st.deltaEWMA = 0, 0
-	st.clean, st.strikes = 0, 0
-	st.prevIdx, st.prevVal = st.prevIdx[:0], st.prevVal[:0]
-	st.havePrev = false
+	st.probes++
+	if st.probes < quarantineRounds {
+		return false
+	}
+	*st = screenRank{prevIdx: st.prevIdx[:0], prevVal: st.prevVal[:0]}
+	return true
 }
 
 // sparseDeltaSq computes ‖v − prev‖² by merge-walking the two sorted

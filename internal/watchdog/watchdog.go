@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"psrahgadmm/internal/sparse"
 )
 
 // ErrDiverged is the sentinel every watchdog trip wraps; check with
@@ -135,6 +137,17 @@ func ScanNonFinite(names []string, vecs ...[]float64) string {
 			}
 			return fmt.Sprintf("%s[%d] = %v", name, j, v[j])
 		}
+	}
+	return ""
+}
+
+// ScanSparse is ScanNonFinite over v's stored values, naming the global
+// coordinate: "name[i] = NaN" for the first non-finite stored value, or ""
+// when all are finite. Since no producer drops a NaN or Inf from a sparse
+// support, this scans every coordinate the dense vector would have.
+func ScanSparse(name string, v *sparse.Vector) string {
+	if k := FirstNonFinite(v.Value); k >= 0 {
+		return fmt.Sprintf("%s[%d] = %v", name, v.Index[k], v.Value[k])
 	}
 	return ""
 }

@@ -300,8 +300,8 @@ func (w *worker) iterate(iter int, own *sparse.Vector) (groupResult, error) {
 		if w.selfQuar {
 			return groupResult{}, errSelfQuarantined
 		}
-		if w.quorumTol >= 0 && w.tr.QuarantinedCount() > w.quorumTol {
-			return groupResult{}, &watchdog.QuorumError{Quarantined: w.tr.QuarantinedCount(), F: w.quorumTol}
+		if err := watchdog.Quorum(w.tr.QuarantinedCount(), w.quorumTol); err != nil {
+			return groupResult{}, err
 		}
 		leader := w.tr.FirstLive(w.members)
 		if leader < 0 { // self is alive in its own view; defensive only
@@ -374,12 +374,12 @@ func (w *worker) leadIterate(iter int, own *sparse.Vector) (groupResult, error) 
 			return groupResult{}, fmt.Errorf("wlg: leader %d iter %d gather from %d: %w", w.rank, iter, m, err)
 		}
 		if w.screen.ObserveSparse(m, sv) {
-			// An outlier stays out of the node sum and its count; reaching
-			// the strike limit quarantines the member — locally at once
+			// An outlier stays out of the node sum and its count; once the
+			// screen indicts the member it is quarantined — locally at once
 			// (this gather and every later one excludes it), globally
 			// through the evidence published below.
 			w.flagged++
-			if w.screen.Strikes(m) >= w.screen.StrikeLimit() {
+			if w.screen.Indicted(m) {
 				w.tr.Quarantine(m)
 			}
 			continue

@@ -19,8 +19,8 @@
 // contributing, locally rebuilds its would-be contribution each virtual
 // iteration, and screens it against the baseline its clean history built
 // (flagged observations never updated it, so the baseline still describes
-// the healthy regime). watchdog.QuarantineRounds consecutive clean probes
-// earn a rejoin announcement — the SAME handshake a crashed rank uses —
+// the healthy regime). Once watchdog.Screen.Probe readmits it, the rank
+// makes a rejoin announcement — the SAME handshake a crashed rank uses —
 // and the GG mints a fresh incarnation whose join record supersedes the
 // quarantine entry for every observer. A rank that never comes clean
 // simply runs out the clock and exits with its farewell, keeping the GG's
@@ -32,7 +32,6 @@ import (
 
 	"psrahgadmm/internal/membership"
 	"psrahgadmm/internal/sparse"
-	"psrahgadmm/internal/watchdog"
 	"psrahgadmm/internal/wire"
 )
 
@@ -75,34 +74,28 @@ func (w *worker) logHasQuarantine(rank, inc int) bool {
 }
 
 // probation is the quarantined rank's path back: rebuild the would-be
-// contribution for each remaining virtual iteration, screen it locally
-// (nothing ships), and after watchdog.QuarantineRounds consecutive clean probes
-// re-enter through the rejoin handshake. Returns the first iteration the
-// caller's loop should execute — the granted join iteration, or MaxIter
-// when re-admission was never earned (the loop then falls through to the
-// farewell).
+// contribution for each remaining virtual iteration and probe it locally
+// (nothing ships) until the screen readmits it, then re-enter through the
+// rejoin handshake. Returns the first iteration the caller's loop should
+// execute — the granted join iteration, or MaxIter when re-admission was
+// never earned (the loop then falls through to the farewell).
 func (w *worker) probation(fromIter int, f WorkerFuncs) (int, error) {
-	clean := 0
 	var sv *sparse.Vector
-	for probe := fromIter + 1; probe < w.cfg.MaxIter && clean < watchdog.QuarantineRounds; probe++ {
+	for probe := fromIter + 1; probe < w.cfg.MaxIter; probe++ {
 		sv = sparse.FromDenseInto(sv, f.ComputeW(probe))
 		w.codec.EncodeSparse(sv)
-		if w.screen.ObserveSparse(w.rank, sv) {
-			clean = 0
-		} else {
-			clean++
+		if !w.screen.Probe(w.rank, sv) {
+			continue
 		}
+		joinIter, err := w.rejoinStart(f)
+		if err != nil {
+			return 0, err
+		}
+		// The grant's log entry (already folded in by announceRejoin)
+		// carries the new incarnation; the old indictment no longer
+		// matches it.
+		w.selfQuar = false
+		return joinIter, nil
 	}
-	if clean < watchdog.QuarantineRounds {
-		return w.cfg.MaxIter, nil
-	}
-	joinIter, err := w.rejoinStart(f)
-	if err != nil {
-		return 0, err
-	}
-	// The grant's log entry (already folded in by announceRejoin) carries
-	// the new incarnation; the old indictment no longer matches it.
-	w.selfQuar = false
-	w.screen.Reset(w.rank)
-	return joinIter, nil
+	return w.cfg.MaxIter, nil
 }

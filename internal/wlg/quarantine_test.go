@@ -215,3 +215,48 @@ func TestElasticQuarantineLogDupReorder(t *testing.T) {
 		t.Fatal("victim was never excluded from any aggregate")
 	}
 }
+
+// TestElasticQuarantineProbationRunsOutTheClock: a member whose poison
+// never stops is quarantined and never comes clean. Every probe of its
+// probation is flagged, so it never re-announces: it runs out the clock,
+// sends its farewell, and the run completes degraded with the healthy
+// ranks aggregating without it to the last iteration.
+func TestElasticQuarantineProbationRunsOutTheClock(t *testing.T) {
+	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
+	cfg := Config{
+		Topo:    topo,
+		MaxIter: 20,
+		Elastic: true,
+		Screen:  watchdog.ScreenConfig{Enabled: true},
+		retry:   collective.RetryPolicy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
+	}
+	fab := transport.NewChanFabric(WorldSize(topo))
+	defer fab.Close()
+	const victim, evilFrom = 3, 4
+	rec := byzElasticWorld(t, fab, cfg, victim, evilFrom, cfg.MaxIter)
+
+	if rec.info.SelfQuarantines != 1 || !rec.info.Degraded() {
+		t.Fatalf("victim entered probation %d times (degraded %v), want once and degraded", rec.info.SelfQuarantines, rec.info.Degraded())
+	}
+	last := cfg.MaxIter - 1
+	for r := 0; r < topo.Size(); r++ {
+		if r == victim {
+			if rec.agg[r][last] != nil {
+				t.Fatalf("the never-clean victim applied the final iteration: %v", rec.agg[r][last])
+			}
+			continue
+		}
+		for iter := 0; iter < cfg.MaxIter; iter++ {
+			got := rec.agg[r][iter]
+			if got == nil {
+				t.Fatalf("rank %d never applied iteration %d", r, iter)
+			}
+			if iter >= evilFrom && decodeRanks(got[0], topo.Size())[victim] {
+				t.Fatalf("rank %d iter %d: aggregate %v carries the victim", r, iter, got[0])
+			}
+		}
+		if rec.counts[r][last] != topo.Size()-1 {
+			t.Fatalf("rank %d final contributors = %d, want %d", r, rec.counts[r][last], topo.Size()-1)
+		}
+	}
+}

@@ -23,6 +23,7 @@ package wlg
 import (
 	"fmt"
 
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
 )
@@ -60,31 +61,33 @@ func newWatch(cfg Config, rank int) *wlgWatch {
 	return &wlgWatch{mon: mon, rank: rank}
 }
 
-// checkOwn vets this rank's raw contribution before it enters any codec or
-// collective — a NaN absorbed into a top-k error-feedback residual would
-// poison every later round, so the scan must run on the ComputeW output.
-func (w *wlgWatch) checkOwn(iter int, own []float64) error {
+// checkOwn vets this rank's sparsified contribution before it enters any
+// codec or collective — a NaN absorbed into a top-k error-feedback
+// residual would poison every later round, so the scan must run before
+// the encode. Sparsifying drops no NaN or Inf from the support, so the
+// stored values hold every non-finite value of the ComputeW output.
+func (w *wlgWatch) checkOwn(iter int, own *sparse.Vector) error {
 	if w == nil {
 		return nil
 	}
-	if at := watchdog.ScanNonFinite([]string{"w"}, own); at != "" {
+	if at := watchdog.ScanSparse("w", own); at != "" {
 		return &DivergedError{Rank: w.rank, Iter: iter, Reason: "non-finite contribution: " + at}
 	}
-	w.ownInf = vec.NrmInf(own)
+	w.ownInf = vec.NrmInf(own.Value)
 	return nil
 }
 
-// checkAgg vets the received aggregate before ApplyW and feeds the
-// window: contribution and aggregate norms play the monitor's primal/dual
-// roles (no objective at this layer).
-func (w *wlgWatch) checkAgg(iter int, agg []float64) error {
+// checkAgg vets the received aggregate before it is densified for ApplyW
+// and feeds the window: contribution and aggregate norms play the
+// monitor's primal/dual roles (no objective at this layer).
+func (w *wlgWatch) checkAgg(iter int, agg *sparse.Vector) error {
 	if w == nil {
 		return nil
 	}
-	if at := watchdog.ScanNonFinite([]string{"W"}, agg); at != "" {
+	if at := watchdog.ScanSparse("W", agg); at != "" {
 		return &DivergedError{Rank: w.rank, Iter: iter, Reason: "non-finite aggregate: " + at}
 	}
-	aggInf := vec.NrmInf(agg)
+	aggInf := vec.NrmInf(agg.Value)
 	if w.ownInf == 0 && aggInf == 0 {
 		// A zero exchange (the cold-start iterate, a fully-converged run)
 		// carries no magnitude signal: pushing it would zero the window

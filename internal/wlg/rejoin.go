@@ -218,8 +218,8 @@ func (w *worker) announceRejoin() (joinIter int, warm *sparse.Vector, warmCnt in
 			}
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin grant: %w", w.rank, err)
 		}
-		if len(ctl.Ints) < 5 {
-			return 0, nil, 0, fmt.Errorf("wlg: rank %d malformed rejoin grant (%d ints)", w.rank, len(ctl.Ints))
+		if err := controlInts(&ctl, 5); err != nil {
+			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin grant: %w", w.rank, err)
 		}
 		joinIter = int(ctl.Ints[0])
 		haveW, cnt := ctl.Ints[2], ctl.Ints[3]
@@ -234,15 +234,23 @@ func (w *worker) announceRejoin() (joinIter int, warm *sparse.Vector, warmCnt in
 			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin grant warm start over %d contributors, outside [1, %d]: %w",
 				w.rank, cnt, w.cfg.Topo.Size(), collective.ErrPayloadKind)
 		}
-		nDead := int(ctl.Ints[4])
-		if nDead < 0 || 5+nDead > len(ctl.Ints) {
-			return 0, nil, 0, fmt.Errorf("wlg: rank %d malformed rejoin dead set", w.rank)
+		// The count is bounded before 5+nDead is formed, which could overflow.
+		workers := int64(w.cfg.Topo.Size())
+		if n := ctl.Ints[4]; n < 0 || n > workers || n > int64(len(ctl.Ints)-5) {
+			return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin grant names %d dead ranks in %d ints, outside [0, %d]: %w",
+				w.rank, n, len(ctl.Ints)-5, workers, collective.ErrPayloadKind)
 		}
+		nDead := int(ctl.Ints[4])
 		// Seed the fresh incarnation's view: the world's deaths, and the
 		// rejoin log (which includes this rank's own grant — applying it
 		// records the incarnation so a stale log entry can never
-		// resurrect us for our peers after a later death).
+		// resurrect us for our peers after a later death). A refused grant
+		// fails the handshake, so a view half seeded is never used.
 		for _, r := range ctl.Ints[5 : 5+nDead] {
+			if r < 0 || r >= workers {
+				return 0, nil, 0, fmt.Errorf("wlg: rank %d rejoin grant names dead rank %d outside [0, %d): %w",
+					w.rank, r, workers, collective.ErrPayloadKind)
+			}
 			if int(r) != w.rank {
 				w.tr.MarkDown(int(r), errDeadAtRejoin)
 			}

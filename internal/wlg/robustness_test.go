@@ -3,6 +3,7 @@ package wlg
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -455,11 +456,14 @@ func TestWorkerErrorsAreDescriptive(t *testing.T) {
 }
 
 // TestRejoinRefusesStrangeGrant: a rejoining rank takes its grant only
-// with a join iteration at or past its StartIter, a warm-start word of 0 or
-// 1 and, with a warm start, a contributor count in [1, the world's
-// workers]. A refused grant fails the handshake with an error wrapping
-// collective.ErrPayloadKind before WorkerFuncs.Rejoined runs. Counts of 0
-// and −3 used to reach Rejoined, whose z-update then warm-started z = 0.
+// with at least the five header ints, a join iteration at or past its
+// StartIter, a warm-start word of 0 or 1, with a warm start a contributor
+// count in [1, the world's workers], and a dead set of at most the world's
+// workers, each a worker rank, that fits in the grant. A refused grant
+// fails the handshake with an error wrapping collective.ErrPayloadKind
+// before WorkerFuncs.Rejoined runs. Counts of 0 and −3 used to reach
+// Rejoined, whose z-update then warm-started z = 0; a dead-set count of
+// MaxInt64 overflowed the slice bound and panicked the rejoiner.
 func TestRejoinRefusesStrangeGrant(t *testing.T) {
 	topo := simnet.Topology{Nodes: 1, WorkersPerNode: 2} // rank 1 rejoins; the GG is 2
 	for _, tc := range []struct {
@@ -470,6 +474,15 @@ func TestRejoinRefusesStrangeGrant(t *testing.T) {
 		{0, []int64{1, 1, 0, 0, 0}, true},
 		{0, []int64{1, 1, 1, 2, 0}, true},
 		{3, []int64{3, 1, 1, 1, 0}, true},
+		{0, []int64{1, 1, 0, 0, 1, 0}, true},
+		{0, []int64{1, 1, 0, 0, math.MaxInt64}, false},
+		{0, []int64{1, 1, 0, 0, 3, 0, 0, 0}, false},
+		{0, []int64{1, 1, 0, 0, -1}, false},
+		{0, []int64{1, 1, 0, 0, 2, 0}, false},
+		{0, []int64{1, 1, 0, 0, 1, 99}, false},
+		{0, []int64{1, 1, 0, 0, 1, -1}, false},
+		{0, []int64{1, 1, 0, 0, 1, 2}, false},
+		{0, []int64{1, 1, 0, 0}, false},
 		{0, []int64{1, 1, 1, 0, 0}, false},
 		{0, []int64{1, 1, 1, -3, 0}, false},
 		{0, []int64{1, 1, 1, 3, 0}, false},

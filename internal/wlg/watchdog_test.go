@@ -48,6 +48,58 @@ func TestWLGWatchdogTripsTyped(t *testing.T) {
 	}
 }
 
+// TestWLGWatchdogTripReasons pins the full trip text of both scans under
+// both failure models. A NaN in one rank's contribution is named at its
+// coordinate before anything ships. Two ranks each contributing
+// math.MaxFloat64 at one coordinate pass their own scans, but their sum
+// is +Inf: the aggregate scan names it before ApplyW. Every rank applies
+// that aggregate, so any of them may report first; the reason and the
+// iteration are what the trip pins.
+func TestWLGWatchdogTripReasons(t *testing.T) {
+	topo := simnet.Topology{Nodes: 2, WorkersPerNode: 2}
+	for _, tc := range []struct {
+		name   string
+		poison func(rank int, v []float64)
+		want   string
+	}{
+		{"contribution", func(rank int, v []float64) {
+			if rank == 1 {
+				v[2] = math.NaN()
+			}
+		}, "non-finite contribution: w[2] = NaN"},
+		{"aggregate", func(rank int, v []float64) {
+			if rank == 0 || rank == 3 {
+				v[2] = math.MaxFloat64
+			}
+		}, "non-finite aggregate: W[2] = +Inf"},
+	} {
+		for _, elastic := range []bool{false, true} {
+			cfg := Config{Topo: topo, MaxIter: 6, Elastic: elastic, Watchdog: watchdog.Config{Enabled: true}}
+			fab := transport.NewChanFabric(WorldSize(topo))
+			_, err := RunWithInfo(fab, cfg, func(rank int) WorkerFuncs {
+				return WorkerFuncs{
+					ComputeW: func(iter int) []float64 {
+						v := rankVec(4, rank)
+						if iter == 3 {
+							tc.poison(rank, v)
+						}
+						return v
+					},
+					ApplyW: func(int, []float64, int) {},
+				}
+			})
+			fab.Close()
+			var div *DivergedError
+			if !errors.As(err, &div) {
+				t.Fatalf("%s, elastic %v: %v, want a *DivergedError", tc.name, elastic, err)
+			}
+			if div.Reason != tc.want || div.Iter != 3 {
+				t.Errorf("%s, elastic %v: tripped at iteration %d with %q, want iteration 3 with %q", tc.name, elastic, div.Iter, div.Reason, tc.want)
+			}
+		}
+	}
+}
+
 // TestWLGWatchdogMagnitudeExplosion: no value ever goes non-finite, but the
 // contribution magnitude jumps six orders past the sliding-window floor —
 // the aggregate every rank shares carries the explosion, so the whole

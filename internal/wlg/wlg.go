@@ -168,7 +168,7 @@ type Config struct {
 	// flags — quarantines the member and publishes the evidence through the
 	// GG's append-only log, where it piggybacks on every control reply
 	// exactly like a rejoin record. A quarantined rank re-enters through the
-	// rejoin handshake after watchdog.QuarantineRounds clean self-probes.
+	// rejoin handshake once its screen readmits it (watchdog.Screen.Probe).
 	Screen watchdog.ScreenConfig
 }
 
@@ -265,9 +265,9 @@ func RunWorker(ep transport.Endpoint, cfg Config, f WorkerFuncs) error {
 // launchers use it to distinguish a degraded-but-complete run (exit code
 // "degraded") from a clean one.
 //
-// One loop runs every round under both failure models: ComputeW, the
-// watchdog's scan, sparsify and encode, the self-screen, the round
-// exchange, densify, the aggregate's scan and ApplyW. Only the exchange
+// One loop runs every round under both failure models: ComputeW and
+// sparsify, the watchdog's scan, encode, the self-screen, the round
+// exchange, the aggregate's scan, densify and ApplyW. Only the exchange
 // differs: failStop, or with cfg.Elastic the fail-survive iterate of
 // elastic.go, which the rejoin handshake precedes and the farewell follows.
 func RunWorkerInfo(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInfo, error) {
@@ -318,23 +318,22 @@ func RunWorkerInfo(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInfo, 
 	var dense []float64    // the densified aggregate handed to ApplyW
 	wd := newWatch(cfg, rank)
 	for iter := startIter; iter < cfg.MaxIter; iter++ {
-		raw := f.ComputeW(iter)
-		// The scan runs on the raw ComputeW output: a NaN absorbed into a
-		// top-k error-feedback residual would re-poison every later round.
-		// A trip here or on the aggregate ends the run in either model.
-		if err := wd.checkOwn(iter, raw); err != nil {
-			return w.info(), err
-		}
 		// The fail-stop exchange reuses one contribution vector; the
 		// elastic one takes a fresh one, since a fabric that reorders may
 		// still hold last round's frame.
 		if cfg.Elastic {
 			own = nil
 		}
+		own = sparse.FromDenseInto(own, f.ComputeW(iter))
+		// The scan runs before the codec: a NaN absorbed into a top-k
+		// error-feedback residual would re-poison every later round. A
+		// trip here or on the aggregate ends the run in either model.
+		if err := wd.checkOwn(iter, own); err != nil {
+			return w.info(), err
+		}
 		// Lossy codecs act before anything is communicated: the aggregate
 		// every worker applies is built from wire-precision values,
 		// matching what a real cluster would sum.
-		own = sparse.FromDenseInto(own, raw)
 		encodeContribution(w.codec, st, own)
 		// Self-observe (a no-op without a screen): probation judges a
 		// quarantined incarnation's probes against this baseline, which
@@ -343,8 +342,8 @@ func RunWorkerInfo(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInfo, 
 		res, err := roundExchange(iter, own)
 		if errors.Is(err, errSelfQuarantined) {
 			// The log indicts this incarnation: probation re-enters through
-			// the rejoin handshake after watchdog.QuarantineRounds clean
-			// probes, or runs out the clock.
+			// the rejoin handshake once the screen readmits the rank, or
+			// runs out the clock.
 			w.selfQuars++
 			joinIter, perr := w.probation(iter, f)
 			if perr != nil {
@@ -358,10 +357,10 @@ func RunWorkerInfo(ep transport.Endpoint, cfg Config, f WorkerFuncs) (*RunInfo, 
 		if err != nil {
 			return w.info(), err
 		}
-		dense = res.w.ToDenseInto(dense)
-		if err := wd.checkAgg(iter, dense); err != nil {
+		if err := wd.checkAgg(iter, res.w); err != nil {
 			return w.info(), err
 		}
+		dense = res.w.ToDenseInto(dense)
 		if res.short {
 			w.short++
 		}

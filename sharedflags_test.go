@@ -13,8 +13,10 @@ import (
 // flags once (core.RegisterFlags) and check them with their runtime's
 // Validate, so a bad value of a shared flag is refused by both alike: exit
 // 1 before any data is drawn (nothing on stdout) and the same stderr once
-// the command's name and the core:/wlg: prefix are removed. The worker's
-// addresses resolve to nothing, so its refusal also comes before the mesh.
+// the command's name is removed: the worker checks the shared flags with
+// core's rules before its runtime's own, so even the "core: " prefix
+// agrees. The worker's addresses resolve to nothing, so its refusal also
+// comes before the mesh.
 func TestSharedFlagsRefusedAlike(t *testing.T) {
 	dir := t.TempDir()
 	bins := []string{filepath.Join(dir, "psra-train"), filepath.Join(dir, "psra-worker")}
@@ -45,6 +47,7 @@ func TestSharedFlagsRefusedAlike(t *testing.T) {
 		{[]string{"-codec-budget-bytes", "-1"}, "CodecBudgetBytes must be non-negative, got -1"},
 		{[]string{"-aggregator", "mode"}, `collective: unknown aggregator "mode"`},
 		{[]string{"-trim-f", "-1"}, "collective: TrimF must be non-negative, got -1"},
+		{[]string{"-trim-f", "5", "-aggregator", "trimmed-mean"}, "TrimF 5 trims everything"},
 		{[]string{"-synth", "rcv1"}, `-synth rcv1 -scale 0.0005: unknown preset "rcv1"`},
 		{[]string{"-scale", "0"}, "-synth news20 -scale 0: scale 0 outside (0, 1]"},
 		{[]string{"-scale", "-1"}, "-synth news20 -scale -1: scale -1 outside (0, 1]"},
@@ -66,7 +69,6 @@ func TestSharedFlagsRefusedAlike(t *testing.T) {
 				t.Fatalf("%s %v: printed %q before refusing", name, tc.args, stdout.String())
 			}
 			reason := strings.TrimPrefix(stderr.String(), name+": ")
-			reason = strings.TrimPrefix(strings.TrimPrefix(reason, "wlg: "), "core: ")
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Fatalf("%s %v: stderr %q, want it to contain %q", name, tc.args, stderr.String(), tc.want)
 			}
