@@ -134,8 +134,19 @@ func (ws *Workspace) memberIndex(from int32) int {
 // must carry dimension dim, or the sending member's chunk of ws.chunks
 // when dim < 0. phase names the phase in the errors. Slots of the members
 // the phase expects must be nil on entry.
+//
+// On a transport.Expecter each Recv is told the n−k frames still needed,
+// so a parked member wakes once per phase rather than per arrival; the
+// count is cleared on every return.
 func (ws *Workspace) recvPhase(ep transport.Endpoint, phase string, tag int32, n, me, dim int, allow []bool, slots []*sparse.Vector) error {
+	x, _ := ep.(transport.Expecter)
+	if x != nil {
+		defer x.Expect(0)
+	}
 	for k := 0; k < n; k++ {
+		if x != nil {
+			x.Expect(n - k)
+		}
 		in, err := ep.Recv(transport.AnySource, tag)
 		if err != nil {
 			return err

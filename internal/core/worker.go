@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"psrahgadmm/internal/dataset"
 	"psrahgadmm/internal/shard"
@@ -262,58 +263,74 @@ func (w *worker) localLoss(z []float64) float64 {
 	return loss
 }
 
-// computePool is the run's persistent x-update executor: GOMAXPROCS
-// worker goroutines fed by an unbuffered index channel, so dispatching a
-// round's subproblem solves costs no goroutine spawns and no allocation.
-// The job fields (cfg/iter/ws/times) are plain writes made visible by the
-// channel sends; the pool is driven only from the single strategy
-// goroutine, and wg.Wait orders the executors' writes before the caller
-// reads times.
+// computePool is the run's persistent x-update executor: the caller and
+// GOMAXPROCS−1 helper goroutines, fixed at construction, claim worker
+// indices from one atomic counter, so a round costs no goroutine spawns,
+// no allocation and, on one P, no hand-off at all: the caller solves every
+// subproblem itself. The job fields (cfg/iter/ws/times) are plain writes
+// made visible by the wake sends; the pool is driven only from the single
+// strategy goroutine, and wg.Wait orders the helpers' writes before the
+// caller reads times. A GOMAXPROCS change after construction changes only
+// how many goroutines share the counter, never what gets solved.
 type computePool struct {
-	cfg   Config
-	iter  int
-	ws    []*worker
-	times []float64
-	jobs  chan int
-	wg    sync.WaitGroup
+	cfg     Config
+	iter    int
+	ws      []*worker
+	times   []float64
+	next    atomic.Int64
+	helpers int
+	wake    chan struct{}
+	wg      sync.WaitGroup
 }
 
 func newComputePool() *computePool {
-	p := &computePool{jobs: make(chan int)}
-	for i := runtime.GOMAXPROCS(0); i > 0; i-- {
+	p := &computePool{helpers: runtime.GOMAXPROCS(0) - 1, wake: make(chan struct{})}
+	for range p.helpers {
 		go p.serve()
 	}
 	return p
 }
 
 func (p *computePool) serve() {
-	for i := range p.jobs {
-		p.times[i] = p.ws[i].xUpdate(p.cfg, p.iter)
+	for range p.wake {
+		p.solve()
 		p.wg.Done()
 	}
 }
 
-// run executes every listed worker's xUpdate concurrently and returns the
-// compute times indexed as the input. The returned slice is pool-owned
-// scratch, valid only until the next run — callers that retain it copy.
+// solve claims indices until none is left. times[i] is written per index,
+// whoever solves it.
+func (p *computePool) solve() {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= len(p.ws) {
+			return
+		}
+		p.times[i] = p.ws[i].xUpdate(p.cfg, p.iter)
+	}
+}
+
+// run executes every listed worker's xUpdate and returns the compute times
+// indexed as the input. The returned slice is pool-owned scratch, valid
+// only until the next run — callers that retain it copy.
 func (p *computePool) run(cfg Config, ws []*worker, iter int) []float64 {
 	if cap(p.times) < len(ws) {
 		p.times = make([]float64, len(ws))
 	}
 	p.times = p.times[:len(ws)]
-	if len(ws) == 0 {
-		return p.times
-	}
 	p.cfg, p.iter, p.ws = cfg, iter, ws
-	p.wg.Add(len(ws))
-	for i := range ws {
-		p.jobs <- i
+	p.next.Store(0)
+	h := max(min(p.helpers, len(ws)-1), 0)
+	p.wg.Add(h)
+	for range h {
+		p.wake <- struct{}{}
 	}
+	p.solve()
 	p.wg.Wait()
 	return p.times
 }
 
-func (p *computePool) close() { close(p.jobs) }
+func (p *computePool) close() { close(p.wake) }
 
 // globalObjective evaluates the paper's eq. 17 at point z over all shards:
 // Σ_i f_i(z) + λ‖z‖₁.

@@ -136,6 +136,7 @@ func (e *chanEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.M
 
 func (e *chanEndpoint) StopWhen(stop Interrupt) { e.box.stopWhen(stop) }
 func (e *chanEndpoint) Wake()                   { e.box.wake() }
+func (e *chanEndpoint) Expect(n int)            { e.box.expect(n) }
 
 // SendNonBlocking reports that Send completes without a concurrent
 // receiver: delivery is an append to the destination's mailbox (it can

@@ -590,6 +590,14 @@ func (e *faultEndpoint) StopWhen(stop Interrupt) {
 
 func (e *faultEndpoint) Wake() { e.under.Wake() }
 
+// Expect forwards to the wrapped endpoint: a duplicate this layer delivers
+// only counts early, and a drop strands nothing a Recv would not wait for.
+func (e *faultEndpoint) Expect(n int) {
+	if x, ok := e.under.(Expecter); ok {
+		x.Expect(n)
+	}
+}
+
 func (e *faultEndpoint) Stats() Stats {
 	e.smu.Lock()
 	defer e.smu.Unlock()

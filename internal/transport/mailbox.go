@@ -49,15 +49,17 @@ var errInboxClosed = errors.New("transport: inbox closed")
 
 // mailbox is one rank's inbox on either fabric, and the only place a rank
 // waits. mu guards q, the messages delivered since the owner last drained,
-// in arrival order, parked and stop; pending belongs to the owner goroutine
-// alone and holds what it drained but has not matched yet. q grows to the
+// in arrival order, wait and stop; pending and need belong to the owner
+// goroutine alone: pending holds what it drained but has not matched yet,
+// need how many frames its next receives need (expect). q grows to the
 // in-flight high-water mark and is refilled from index 0.
 type mailbox struct {
 	mu      sync.Mutex
 	q       []wire.Message
 	arrived sync.Cond // the owner, parked in recv on an empty q
 	space   sync.Cond // producers held at inboxDepth
-	parked  bool      // the owner is in arrived.Wait
+	wait    int       // 0, or the owner is in arrived.Wait until q holds wait frames
+	need    int
 	pending pending
 	stop    Interrupt
 
@@ -92,10 +94,13 @@ func (b *mailbox) put(m *wire.Message, sender *mailLife) error {
 		b.space.Wait()
 	}
 	b.q = append(b.q, *m)
-	// Only a parked owner needs the signal; one that is not parked finds q
-	// non-empty under the lock before it would park.
-	signal := b.parked
-	b.parked = false
+	// Only a parked owner needs the signal, and only once q holds the
+	// frames it waits for; one that is not parked finds q non-empty under
+	// the lock before it would park.
+	signal := b.wait > 0 && len(b.q) >= b.wait
+	if signal {
+		b.wait = 0
+	}
 	b.mu.Unlock()
 	if signal {
 		b.arrived.Signal()
@@ -120,6 +125,11 @@ func (b *mailbox) armDeadline(d time.Duration) *recvDeadline {
 	})
 	return dl
 }
+
+// expect sets need (see Expecter). A frame of any tag counts toward it, so
+// the count can wake the owner early but never strand it: a recv parks only
+// once pending holds no match, so every frame it needs is still to come.
+func (b *mailbox) expect(n int) { b.need = n }
 
 // recv returns the first delivered message matching (from, tag), parking
 // until one arrives, the reason to stop or Close says it never will, or d
@@ -168,9 +178,9 @@ func (b *mailbox) await(from int, tag int32, d time.Duration) (wire.Message, err
 				b.mu.Unlock()
 				return wire.Message{}, err
 			}
-			b.parked = true
+			b.wait = min(max(b.need, 1), inboxDepth)
 			b.arrived.Wait()
-			b.parked = false
+			b.wait = 0
 		}
 		// Take the whole batch under one lock: trade slices when pending is
 		// drained (its slots are zeroed, its slice reset), append otherwise

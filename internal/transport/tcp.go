@@ -651,6 +651,10 @@ func (e *tcpEndpoint) RecvTimeout(from int, tag int32, d time.Duration) (wire.Me
 	return e.box.recv(from, tag, d)
 }
 
+// Expect implements Expecter: the connection readers put into the same
+// mailbox as the chan fabric's senders.
+func (e *tcpEndpoint) Expect(n int) { e.box.expect(n) }
+
 func (e *tcpEndpoint) Stats() Stats { return e.stats.snapshot() }
 
 // Close says goodbye to every live peer, then closes the listener, the

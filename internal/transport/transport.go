@@ -151,6 +151,18 @@ type Releaser interface {
 	Release(m wire.Message)
 }
 
+// Expecter is the optional interface of endpoints whose owner can say how
+// many frames its next receives still need: after Expect(n) a parked Recv
+// is woken once n frames of any tag are queued (clamped to the inbox
+// bound), not at each arrival, and n <= 1 restores that. Wake, Close, a
+// deadline and a reason to stop still end the wait at once, and frames
+// delivered by then are still returned before an error. Only the owner
+// calls it, like Recv, and it leaves no work on a Recv that matches at
+// once. The chan and TCP endpoints implement it; wrappers forward it.
+type Expecter interface {
+	Expect(n int)
+}
+
 // copyPayload gives m float payloads of its own, so that delivery does not
 // alias the sender's buffers (Endpoint.Send's contract) on paths that do
 // not serialize. Control integers are small and not copied.

@@ -190,8 +190,20 @@ func (s *Screen) Probe(rank int, v *sparse.Vector) bool {
 	if st.probes < quarantineRounds {
 		return false
 	}
-	*st = screenRank{prevIdx: st.prevIdx[:0], prevVal: st.prevVal[:0]}
+	s.Reset(rank)
 	return true
+}
+
+// Reset clears rank's state — baseline, strikes and probes — so its next
+// contributions earn a fresh baseline: Probe's readmission, and a rank
+// revived in a new incarnation. A nil screen, or an out-of-world rank, is
+// a no-op.
+func (s *Screen) Reset(rank int) {
+	if s == nil || rank < 0 || rank >= len(s.ranks) {
+		return
+	}
+	st := &s.ranks[rank]
+	*st = screenRank{prevIdx: st.prevIdx[:0], prevVal: st.prevVal[:0]}
 }
 
 // sparseDeltaSq computes ‖v − prev‖² by merge-walking the two sorted

@@ -317,7 +317,12 @@ func (w *worker) applyJoins(iter int) {
 			continue
 		}
 		if joinIter <= iter {
-			w.tr.MarkUpAt(rank, inc)
+			// A new incarnation starts with a clean screen too, as the
+			// engine's readmission does: the old life's strikes would
+			// indict it at its first flag.
+			if w.tr.MarkUpAt(rank, inc) {
+				w.screen.Reset(rank)
+			}
 		} else if rank != w.rank && w.tr.Incarnation(rank) < inc && w.tr.Alive(rank) {
 			w.tr.MarkDown(rank, errDeadAtRejoin)
 		}

@@ -8,9 +8,12 @@ import (
 	"time"
 
 	"psrahgadmm/internal/collective"
+	"psrahgadmm/internal/membership"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
+	"psrahgadmm/internal/watchdog"
 	"psrahgadmm/internal/wire"
 )
 
@@ -292,5 +295,60 @@ func TestElasticToleratesDuplicationAndReordering(t *testing.T) {
 	}
 	if dups := fab.InjectedDups(); dups == 0 {
 		t.Fatalf("plan injected no duplicates — the test exercised nothing")
+	}
+}
+
+// TestRejoinClearsTheLeadersScreen: a Leader whose screen indicted a member
+// forgets those strikes, and the baseline, once the member comes back as a
+// new incarnation — as the engine's readmission does — so the first spike
+// of the new life is forgiven instead of quarantining it again. No clock:
+// the Leader's screen and rejoin log are driven directly.
+func TestRejoinClearsTheLeadersScreen(t *testing.T) {
+	const victim, joinIter = 1, 10
+	topo := simnet.Topology{Nodes: 1, WorkersPerNode: 3}
+	w := &worker{
+		rank:   0,
+		tr:     membership.NewTracker(WorldSize(topo)),
+		screen: watchdog.NewScreen(watchdog.ScreenConfig{Enabled: true}, WorldSize(topo)),
+	}
+	steady := sparse.FromDense([]float64{1, 1, 1})
+	spike := sparse.FromDense([]float64{1000, 1000, 1000})
+	for range 4 {
+		if w.screen.ObserveSparse(victim, steady) {
+			t.Fatal("a steady contribution was flagged")
+		}
+	}
+	for range 2 {
+		if !w.screen.ObserveSparse(victim, spike) {
+			t.Fatal("a spike was not flagged")
+		}
+	}
+	if !w.screen.Indicted(victim) || !w.tr.Quarantine(victim) {
+		t.Fatal("the victim was not indicted and quarantined")
+	}
+	w.joinLog = []int64{victim, joinIter, 1} // its probation ended in incarnation 1
+	w.applyJoins(joinIter)
+	if !w.tr.Alive(victim) || w.tr.Quarantined(victim) || w.tr.Incarnation(victim) != 1 {
+		t.Fatal("the rejoin did not readmit the victim")
+	}
+	if w.screen.Indicted(victim) {
+		t.Fatal("the new incarnation starts indicted by the old one's strikes")
+	}
+	w.screen.ObserveSparse(victim, spike)
+	if w.screen.Indicted(victim) {
+		t.Fatal("the new incarnation's first spike indicted it")
+	}
+	// The log is re-applied every boundary; a known incarnation clears
+	// nothing, so a sustained attack by the new life still indicts it
+	// (once its baseline has forgotten the forgiven spike).
+	for range 30 {
+		w.screen.ObserveSparse(victim, steady)
+	}
+	for range 2 {
+		w.screen.ObserveSparse(victim, spike)
+	}
+	w.applyJoins(joinIter + 1)
+	if !w.screen.Indicted(victim) {
+		t.Fatal("re-applying the log cleared the new incarnation's strikes")
 	}
 }
