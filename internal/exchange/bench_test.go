@@ -1,7 +1,9 @@
 package exchange
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"psrahgadmm/internal/collective"
@@ -62,6 +64,46 @@ func BenchmarkCodecScaleTrace(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(tr.Events, nominal.Events)
 				c.ScaleTrace(tr)
+			}
+		})
+	}
+}
+
+// BenchmarkTopKEncode measures one warm error-feedback top-k encode at
+// the shape engine-topk-8 runs: dimension 27 103, k = 1 000, a
+// contribution of about 1 350 entries over a support of 1 450, so the
+// merged vector holds about 1 380 entries and about 375 stay in the
+// residual. The input is a fixed synthetic cycle of contributions; each
+// iteration copies one into the working vector and encodes it.
+func BenchmarkTopKEncode(b *testing.B) {
+	const dim, support, k = 27103, 1450, 1000
+	for _, kind := range []Kind{TopK, TopKQ8} {
+		b.Run(string(kind), func(b *testing.B) {
+			r := rand.New(rand.NewSource(11))
+			pool := r.Perm(dim)[:support]
+			slices.Sort(pool)
+			vs := make([]*sparse.Vector, 64)
+			for i := range vs {
+				v := sparse.NewVector(dim, support)
+				for _, j := range pool {
+					if r.Float64() < 0.93 {
+						v.Append(int32(j), r.NormFloat64()*math.Exp(2*r.NormFloat64()))
+					}
+				}
+				vs[i] = v
+			}
+			st := NewState(kind, 0)
+			st.K, st.KMin, st.KMax = k, k, k
+			work := sparse.NewVector(dim, support)
+			for _, v := range vs { // warm the residual and every buffer
+				work.ReuseFrom(v)
+				st.Encode(work)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				work.ReuseFrom(vs[i%len(vs)])
+				st.Encode(work)
 			}
 		})
 	}

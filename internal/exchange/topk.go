@@ -18,6 +18,7 @@ package exchange
 
 import (
 	"math"
+	"math/bits"
 
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/wire"
@@ -83,7 +84,7 @@ type State struct {
 	merged   *sparse.Vector
 	next     *sparse.Vector
 	scores   []float64 // entry-aligned selection scores
-	sel      []float64 // their quickselect copy
+	cand     []uint64  // threshold's candidate score bits
 
 	// Age-scoring state: ageRes[k] is the age (rounds waited) of the
 	// residual's k-th entry; ageMrg is merged-aligned scratch.
@@ -155,7 +156,7 @@ func (s *State) Adapt(observedBytes int64) {
 }
 
 // Encode applies error-feedback top-k selection to v in place: merge the
-// carried residual into the contribution, keep the k largest-magnitude
+// carried residual into the contribution, keep the k best-scored
 // coordinates (deterministic tie-break on lower index), quantize the
 // survivors when the kind composes with q8, and carry everything the wire
 // loses — dropped coordinates and quantization error alike — into the
@@ -166,9 +167,7 @@ func (s *State) Encode(v *sparse.Vector) {
 	k := clampInt(s.K, s.KMin, s.KMax)
 
 	if s.DisableErrorFeedback {
-		if v.NNZ() > k {
-			s.keep(v, v, s.score(v, false), k)
-		}
+		s.keep(v, v, s.score(v, false), k)
 		if s.bits > 0 {
 			QuantizeSparseBits(v, s.bits)
 		}
@@ -186,18 +185,16 @@ func (s *State) Encode(v *sparse.Vector) {
 	if s.AgeScoring {
 		s.ageMrg = mergeAges(s.ageMrg[:0], src, s.residual, s.ageRes)
 	}
-	if src.NNZ() > k {
-		s.keep(v, src, s.score(src, s.AgeScoring), k)
-	} else {
-		v.ReuseFrom(src)
-	}
+	// keep leaves decay·(dropped coordinates) in s.next: the exact kind's
+	// next residual, since a kept coordinate travels unchanged.
+	s.keep(v, src, s.score(src, s.AgeScoring), k)
 	if s.bits > 0 {
 		QuantizeSparseBits(v, s.bits)
+		// residual' = decay·((v + residual) − encoded): dropped coordinates
+		// keep their merged value, kept coordinates keep their quantization
+		// error, both damped (see Decay).
+		s.next = subInto(s.next, src, v, s.effDecay())
 	}
-	// residual' = decay·((v + residual) − encoded): dropped coordinates
-	// keep their merged value, kept coordinates keep their quantization
-	// error, both damped (see Decay).
-	s.next = subInto(s.next, src, v, s.effDecay())
 	if s.AgeScoring {
 		// Freshly transmitted coordinates restart at age 0 (only their
 		// quantization error remains); everything still waiting ages by one.
@@ -275,33 +272,126 @@ func (s *State) score(src *sparse.Vector, aged bool) []float64 {
 	return s.scores
 }
 
-// keep writes src's k best-scored entries into dst in index order: every
-// entry scored above the k-th largest score, then the entries tied at it in
-// index order until k are kept — exactly k survivors, deterministically.
-// scores is src-aligned and k < src.NNZ(); dst may be src.
+// keep writes src's k best-scored entries into dst and the others, times
+// the decay, into s.next, both in index order. The rule: every entry
+// scored above θ, the k-th largest score, then the entries tied at θ in
+// index order until k are kept — exactly min(k, n) survivors,
+// deterministically. Scores are compared by their IEEE-754 bits, which
+// order non-negative floats as their values and rank every NaN above
+// +Inf: a non-finite score travels, where the watchdog and the screen see
+// it, instead of hiding in the residual. scores is src-aligned; dst may
+// be src.
 func (s *State) keep(dst, src *sparse.Vector, scores []float64, k int) {
-	s.sel = append(s.sel[:0], scores...) // quickselect reorders its input
-	theta := selectKthLargest(s.sel, k)
-	ties := k
-	for _, sc := range scores {
-		if sc > theta {
-			ties--
-		}
+	n := len(scores)
+	theta, ties := uint64(0), uint64(k) // k >= n keeps everything
+	if k < n {
+		var above int
+		theta, above = s.threshold(scores, k)
+		ties = uint64(k - above)
 	}
+	if s.next == nil {
+		s.next = new(sparse.Vector)
+	}
+	rest := s.next
+	// One pass, no data-dependent branch: each entry is written to both
+	// outputs and only the chosen side's position moves on. Entry i is read
+	// before dst's slot p <= i is written, so dst may be src.
+	kept := min(k, n)
 	idx, val := src.Index, src.Value
-	dst.Reset(src.Dim)
+	di, dv := ensureLen(dst.Index, min(kept+1, n)), ensureLen(dst.Value, min(kept+1, n))
+	ri, rv := ensureLen(rest.Index, min(n-kept+1, n)), ensureLen(rest.Value, min(n-kept+1, n))
+	decay := s.effDecay()
+	p, q := 0, 0
 	for i, sc := range scores {
-		switch {
-		case sc > theta:
-		case sc == theta && ties > 0:
-			ties--
-		default:
-			continue
-		}
-		// Entry i is read before slot len(dst.Index) <= i is written.
-		dst.Index = append(dst.Index, idx[i])
-		dst.Value = append(dst.Value, val[i])
+		key := math.Float64bits(sc)
+		_, gt := bits.Sub64(theta, key, 0)     // 1 when key > θ
+		_, tied := bits.Sub64(key^theta, 1, 0) // 1 when key == θ
+		_, room := bits.Sub64(0, ties, 0)      // 1 while ties remain
+		take := gt | tied&room
+		ties -= tied & room
+		ix, x := idx[i], val[i]
+		di[p], dv[p] = ix, x
+		ri[q], rv[q] = ix, decay*x
+		p += int(take)
+		q += int(take ^ 1)
 	}
+	dst.Dim, dst.Index, dst.Value = src.Dim, di[:p], dv[:p]
+	rest.Dim, rest.Index, rest.Value = src.Dim, ri[:q], rv[:q]
+}
+
+// threshold returns θ, the bits of the k-th largest score (1 <= k <
+// len(scores)), and the count of scores whose bits lie above θ's. It is an
+// MSD radix select: a histogram of the top 12 bits (sign and exponent)
+// finds θ's bucket, whose scores are gathered into s.cand, and each 8-bit
+// digit below narrows the candidates until one is left or all are equal.
+func (s *State) threshold(scores []float64, k int) (theta uint64, above int) {
+	const topBits = 12
+	var hist [1 << topBits]uint32
+	top := uint64(0)
+	for _, sc := range scores {
+		d := math.Float64bits(sc) >> (64 - topBits)
+		hist[d]++
+		top = max(top, d)
+	}
+	b, above := pick(hist[:top+1], k)
+	need := k - above
+	// Gather θ's bucket; like keep, every score is written and only a
+	// match moves the position, so the buffer needs one spare slot.
+	cand := ensureLen(s.cand, int(hist[b])+1)
+	s.cand = cand
+	m := 0
+	for _, sc := range scores {
+		key := math.Float64bits(sc)
+		cand[m] = key
+		_, eq := bits.Sub64(key>>(64-topBits)^b, 1, 0)
+		m += int(eq)
+	}
+	cand = cand[:m]
+	for shift := 64 - topBits; len(cand) > 1 && shift > 0; {
+		w := min(8, shift)
+		shift -= w
+		mask := uint64(1)<<w - 1
+		var h [256]uint32
+		top := uint64(0)
+		for _, key := range cand {
+			d := key >> shift & mask
+			h[d]++
+			top = max(top, d)
+		}
+		d, a := pick(h[:top+1], need)
+		above += a
+		need -= a
+		m := 0
+		for _, key := range cand {
+			cand[m] = key
+			_, eq := bits.Sub64(key>>shift&mask^d, 1, 0)
+			m += int(eq)
+		}
+		cand = cand[:m]
+	}
+	return cand[0], above
+}
+
+// pick walks a histogram down from its top bucket and returns the bucket
+// holding the k-th largest element (1-based) with the count in the buckets
+// above it. The histogram must count at least k elements.
+func pick(hist []uint32, k int) (bucket uint64, above int) {
+	for d := len(hist) - 1; ; d-- {
+		c := int(hist[d])
+		if above+c >= k {
+			return uint64(d), above
+		}
+		above += c
+	}
+}
+
+// ensureLen returns s resliced to length n, reallocated with append's
+// growth when its capacity is short. The old contents are not kept.
+func ensureLen[E any](s []E, n int) []E {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]E, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 func (s *State) effDecay() float64 {
@@ -347,50 +437,6 @@ func subInto(dst, a, b *sparse.Vector, scale float64) *sparse.Vector {
 		dst.Value = append(dst.Value, scale*a.Value[i])
 	}
 	return dst
-}
-
-// selectKthLargest returns the k-th largest element of a (1-based),
-// partially reordering a. Deterministic iterative quickselect with a
-// median-of-three pivot — no allocation, no randomness.
-func selectKthLargest(a []float64, k int) float64 {
-	target := k - 1
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if a[mid] > a[lo] {
-			a[lo], a[mid] = a[mid], a[lo]
-		}
-		if a[hi] > a[lo] {
-			a[lo], a[hi] = a[hi], a[lo]
-		}
-		if a[hi] > a[mid] {
-			a[mid], a[hi] = a[hi], a[mid]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] > pivot {
-				i++
-			}
-			for a[j] < pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case target <= j:
-			hi = j
-		case target >= i:
-			lo = i
-		default:
-			return a[target]
-		}
-	}
-	return a[target]
 }
 
 func clampInt(v, lo, hi int) int {

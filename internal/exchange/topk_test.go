@@ -382,3 +382,112 @@ func TestTopKKeepMatchesSortReference(t *testing.T) {
 		}
 	}
 }
+
+// thresholdOracle is the select by sort: order the scores' bits
+// descending, take the k-th, and count the bits above it.
+func thresholdOracle(scores []float64, k int) (theta uint64, above int) {
+	keys := make([]uint64, len(scores))
+	for i, sc := range scores {
+		keys[i] = math.Float64bits(sc)
+	}
+	slices.Sort(keys)
+	slices.Reverse(keys)
+	theta = keys[k-1]
+	for _, key := range keys {
+		if key > theta {
+			above++
+		}
+	}
+	return theta, above
+}
+
+// TestTopKThresholdMatchesSortOracle holds the radix select to a sort of
+// the score bits: θ's bits and the count above θ agree on random and
+// tie-heavy draws, on subnormals, zeros, +Inf and NaN, at k = 1, k = n−1
+// and in between, for n up to 3 000.
+func TestTopKThresholdMatchesSortOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	draws := []struct {
+		name string
+		draw func() float64
+	}{
+		{"normal", func() float64 { return math.Abs(r.NormFloat64()) }},
+		{"wide", func() float64 { return math.Abs(r.NormFloat64()) * math.Exp(20*r.NormFloat64()) }},
+		{"ties", func() float64 { return []float64{0.5, 1, 1, 2, 3}[r.Intn(5)] }},
+		{"subnormal", func() float64 { return math.Float64frombits(r.Uint64() >> 12 >> uint(r.Intn(52))) }},
+		{"near-ties", func() float64 { return math.Float64frombits(math.Float64bits(1) + uint64(r.Intn(4))) }},
+		{"special", func() float64 {
+			return []float64{0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1), math.NaN(),
+				math.Float64frombits(0x7ff0000000000001)}[r.Intn(7)]
+		}},
+	}
+	st := &State{}
+	for _, d := range draws {
+		for trial := 0; trial < 60; trial++ {
+			n := 2 + r.Intn(3000)
+			if trial%4 == 0 {
+				n = 2 + r.Intn(8)
+			}
+			scores := make([]float64, n)
+			for i := range scores {
+				scores[i] = d.draw()
+			}
+			for _, k := range []int{1, n - 1, 1 + r.Intn(n-1)} {
+				theta, above := st.threshold(scores, k)
+				wantTheta, wantAbove := thresholdOracle(scores, k)
+				if theta != wantTheta || above != wantAbove {
+					t.Fatalf("%s n=%d k=%d: θ %#x with %d above, want %#x with %d",
+						d.name, n, k, theta, above, wantTheta, wantAbove)
+				}
+			}
+		}
+	}
+}
+
+// TestTopKNonFiniteScoreTravels: a NaN in the merged contribution ranks
+// above every finite score, so it is sent in the round it appears, with
+// exactly k entries, and never parks in the residual; the rounds after it
+// send k entries again.
+func TestTopKNonFiniteScoreTravels(t *testing.T) {
+	for _, aged := range []bool{false, true} {
+		st := NewState(TopK, 0)
+		st.KMin, st.KMax, st.K = 4, 4, 4
+		st.AgeScoring = aged
+		for round := 0; round < 3; round++ {
+			x := []float64{1, -2, 3, -4, 5, -6, 7, -8, 9, 10}
+			if round == 0 {
+				x[9] = math.NaN()
+			}
+			v := sparse.FromDense(x)
+			st.Encode(v)
+			if v.NNZ() != 4 {
+				t.Fatalf("aged=%v round %d: sent %v %v, want 4 entries", aged, round, v.Index, v.Value)
+			}
+			if round == 0 && (v.Index[3] != 9 || !math.IsNaN(v.Value[3])) {
+				t.Fatalf("aged=%v: the NaN at index 9 was not sent: %v %v", aged, v.Index, v.Value)
+			}
+			for _, val := range st.Residual().Value {
+				if math.IsNaN(val) {
+					t.Fatalf("aged=%v round %d: residual holds a NaN: %v", aged, round, st.Residual().Value)
+				}
+			}
+		}
+	}
+}
+
+// TestTopKQ8NaNTravels reports what the composed codec does with a NaN:
+// selection sends it, and quantisation, whose max-abs scale skips it,
+// leaves the other entries on the finite scale. The quantised NaN's bits
+// are not pinned.
+func TestTopKQ8NaNTravels(t *testing.T) {
+	st := NewState(TopKQ8, 0)
+	st.KMin, st.KMax, st.K = 4, 4, 4
+	v := sparse.FromDense([]float64{1, -2, 3, -4, 5, -6, 7, -8, 9, math.NaN()})
+	st.Encode(v)
+	if !slices.Equal(v.Index, []int32{6, 7, 8, 9}) || !math.IsNaN(v.Value[3]) {
+		t.Fatalf("sent %v %v, want indices 6..9 with the NaN last", v.Index, v.Value)
+	}
+	if v.Value[2] != 9 {
+		t.Fatalf("the largest finite entry quantised to %g, want 9 on the finite scale", v.Value[2])
+	}
+}
